@@ -14,6 +14,11 @@ Two interchangeable schemes:
 
 Commitment bytes are what travels on the wire; accumulation values produced
 locally also retain the accumulated set so witnesses can be created for it.
+A hash-tree value produced by acc_eval also keeps the tree levels it
+computed (leaf hashes up to the root), so each witness is a read of the
+sibling path instead of a rebuild of the tree: one distribution hashes the
+n shares once, not n times. Like the value set, the levels are local state:
+they take no part in equality or hashing, and ``bare()`` drops them.
 """
 
 from __future__ import annotations
@@ -61,9 +66,10 @@ class AccValue:
     data: bytes
     nominal_bits: int
     source_values: tuple[bytes, ...] | None = field(default=None, repr=False, compare=False)
+    levels: tuple[tuple[bytes, ...], ...] | None = field(default=None, repr=False, compare=False)
 
     def bare(self) -> "AccValue":
-        """Wire form: the commitment bytes without the local value set."""
+        """Wire form: the commitment bytes without the local value set or levels."""
         return AccValue(self.data, self.nominal_bits)
 
 
@@ -94,14 +100,16 @@ def acc_gen(scheme: str, n: int, k: int, rng_seed: int = 0) -> AccKey:
     return AccKey(scheme=scheme, capacity=n, k=k, setup_secret=secret)
 
 
-def _tree_levels(leaves: list[bytes], k: int) -> list[list[bytes]]:
+def _tree_levels(values: tuple[bytes, ...], k: int) -> tuple[tuple[bytes, ...], ...]:
+    """Every level of the hash tree over the values, leaf hashes first."""
+    leaves = [_hash_k(v, k) for v in values]
     width = 1 if len(leaves) <= 1 else 1 << math.ceil(math.log2(len(leaves)))
-    level = leaves + [bytes(k // 8)] * (width - len(leaves))
+    level = tuple(leaves + [bytes(k // 8)] * (width - len(leaves)))
     levels = [level]
     while len(level) > 1:
-        level = [_hash_k(level[i] + level[i + 1], k) for i in range(0, len(level), 2)]
+        level = tuple(_hash_k(level[i] + level[i + 1], k) for i in range(0, len(level), 2))
         levels.append(level)
-    return levels
+    return tuple(levels)
 
 
 def acc_eval(ak: AccKey, values: list[bytes] | tuple[bytes, ...]) -> AccValue:
@@ -112,9 +120,8 @@ def acc_eval(ak: AccKey, values: list[bytes] | tuple[bytes, ...]) -> AccValue:
     if len(set(values)) != len(values):
         raise ValueError("duplicate values rejected")
     if ak.scheme == HASH_TREE:
-        leaves = [_hash_k(v, ak.k) for v in values]
-        root = _tree_levels(leaves, ak.k)[-1][0]
-        return AccValue(data=root, nominal_bits=ak.k, source_values=values)
+        levels = _tree_levels(values, ak.k)
+        return AccValue(data=levels[-1][0], nominal_bits=ak.k, source_values=values, levels=levels)
     p = ak.prime
     z = 1
     for v in values:
@@ -130,7 +137,9 @@ def acc_create_wit(ak: AccKey, z: AccValue, d: bytes) -> Witness | None:
     """Witness for d under z, or None when d was not accumulated.
 
     Requires z to have been produced locally by acc_eval (the accumulated
-    set is needed to build the witness).
+    set is needed to build the witness). A hash-tree witness reads the
+    sibling path from the levels acc_eval kept on z, and rebuilds the tree
+    only when z carries none.
     """
     if z.source_values is None:
         raise ValueError("witness creation needs the locally evaluated accumulation value")
@@ -139,7 +148,7 @@ def acc_create_wit(ak: AccKey, z: AccValue, d: bytes) -> Witness | None:
         return None
     idx = values.index(d)
     if ak.scheme == HASH_TREE:
-        levels = _tree_levels([_hash_k(v, ak.k) for v in values], ak.k)
+        levels = z.levels if z.levels is not None else _tree_levels(values, ak.k)
         path = []
         pos = idx
         for level in levels[:-1]:

@@ -56,6 +56,11 @@ class AdversaryScript:
         return random.Random((self.name, seed).__repr__())
 
 
+# bytes.translate tables that XOR every byte with a fixed key
+_FLIP_ALL = bytes(b ^ 0xFF for b in range(256))
+_FLIP_A5 = bytes(b ^ 0xA5 for b in range(256))
+
+
 def _tail_corrupt(n: int, t: int, exclude: frozenset[int] = frozenset()) -> frozenset[int]:
     picked: list[int] = []
     for pid in range(n, 0, -1):
@@ -161,7 +166,7 @@ class Equivocator(AdversaryScript):
         def send_hook(ctx, dst, kind, payload):
             if kind in self._KINDS and dst % 2 == 0:
                 if isinstance(payload, bytes):
-                    payload = bytes(b ^ 0xFF for b in payload)
+                    payload = payload.translate(_FLIP_ALL)
                 elif isinstance(payload, int):
                     payload = payload ^ ((1 << ctx.params.n) - 1)
             return kind, payload
@@ -182,7 +187,7 @@ class CorruptShareSender(AdversaryScript):
         def send_hook(ctx, dst, kind, payload):
             if kind in ("share_pkg", "share_fwd") and isinstance(payload, blocks.SharePackage):
                 share = payload.indexed_share
-                flipped = bytes(b ^ 0xA5 for b in share.share)
+                flipped = share.share.translate(_FLIP_A5)
                 payload = blocks.SharePackage(
                     indexed_share=blocks.IndexedShare(index=share.index, share=flipped),
                     witness=payload.witness,

@@ -104,7 +104,9 @@ def _encode_matrix(n: int, b: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
+# Bounded: the key includes the erasure pattern, which Byzantine parties
+# choose, and an entry holds b*b ints.
+@lru_cache(maxsize=256)
 def _recover_matrix(n: int, b: int, positions: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """b x b matrix recovering the data values from symbols at the given rows."""
     enc = _encode_matrix(n, b)

@@ -186,3 +186,28 @@ def test_accvalue_equality_ignores_source_set():
     ak = acc_gen(HASH_TREE, 2, 256)
     z = acc_eval(ak, [b"a", b"b"])
     assert z == AccValue(z.data, z.nominal_bits)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_witness_from_cached_levels_matches_rebuild(n):
+    ak = acc_gen(HASH_TREE, n, 128)
+    vals = [b"value-%d" % i for i in range(n)]
+    z = acc_eval(ak, vals)
+    assert z.levels is not None
+    no_levels = AccValue(z.data, z.nominal_bits, source_values=z.source_values)
+    for v in vals:
+        cached = acc_create_wit(ak, z, v)
+        rebuilt = acc_create_wit(ak, no_levels, v)
+        assert cached.data == rebuilt.data
+        assert cached.nominal_bits == rebuilt.nominal_bits
+        assert acc_verify(ak, z, cached, v)
+        assert acc_verify(ak, z, rebuilt, v)
+
+
+def test_accvalue_levels_are_local_state():
+    ak = acc_gen(HASH_TREE, 3, 256)
+    z = acc_eval(ak, [b"a", b"b", b"c"])
+    without = AccValue(z.data, z.nominal_bits, source_values=z.source_values)
+    assert z == without and hash(z) == hash(without)
+    assert "levels" not in repr(z)
+    assert z.bare().levels is None and z.bare().source_values is None

@@ -1,4 +1,5 @@
-from hypothesis import given
+import numpy as np
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bbext import gf
@@ -60,12 +61,37 @@ def test_poly_eval_horner(coeffs, x):
 
 
 def test_vmul_matches_scalar():
-    import numpy as np
-
     v = np.array([0, 1, 2, 777, 65535], dtype=np.uint16)
     for s in [0, 1, 3, 65535]:
         out = gf.vmul(s, v)
         assert [int(x) for x in out] == [gf.gf_mul(s, int(e)) for e in v]
+
+
+# zeros drawn often: zero has no logarithm, so the tables special-case it
+vector_elems = st.one_of(st.just(0), elems)
+
+
+@given(st.one_of(st.sampled_from([0, 1, 65535]), elems),
+       st.lists(vector_elems, max_size=64), st.integers(1, 3), st.integers(0, 2**32))
+@example(7, [], 1, 0)
+@example(7, [0], 1, 0)
+@example(65535, [0x1234], 2, 0)
+def test_vmul_xor_into_matches_scalar_mul(scalar, values, step, seed):
+    rng = np.random.default_rng(seed)
+    # v and acc are strided views into larger buffers (non-contiguous for
+    # step > 1), so an in-place update must land in acc's buffer alone
+    v_buf = rng.integers(0, gf.FIELD_SIZE, step * len(values), dtype=np.uint16)
+    v = v_buf[::step]
+    v[:] = values
+    v_before = v_buf.copy()
+    acc_buf = rng.integers(0, gf.FIELD_SIZE, step * len(values), dtype=np.uint16)
+    acc = acc_buf[::step]
+    acc_before = acc_buf.copy()
+    assert gf.vmul_xor_into(acc, scalar, v) is None
+    assert np.array_equal(v_buf, v_before)
+    expected = acc_before.copy()
+    expected[::step] ^= np.array([gf.gf_mul(scalar, x) for x in values], dtype=np.uint16)
+    assert np.array_equal(acc_buf, expected)
 
 
 def test_solve_linear_and_invert():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbext import rs
+from bbext import gf, rs
 from tests.test_gf import slow_mul
 
 
@@ -234,3 +234,10 @@ def test_symbol_pack_roundtrip():
     assert np.array_equal(rs.unpack_symbols(rs.pack_symbols(block)), block)
     with pytest.raises(ValueError):
         rs.unpack_symbols(b"\x01")
+
+
+def test_caches_keyed_by_attacker_input_are_bounded():
+    # Byzantine parties choose the erasure pattern, and with it the
+    # recovery matrix and the coefficients the codec multiplies by.
+    assert rs._recover_matrix.cache_info().maxsize is not None
+    assert gf._product_tables.cache_info().maxsize is not None
