@@ -7,7 +7,7 @@ from typing import Callable
 
 from .. import blocks
 from ..accumulator import AccValue
-from ..simnet import BOT, Ctx, NEXT_ROUND
+from ..simnet import BOT, Ctx, InvariantViolation, NEXT_ROUND
 
 REGIMES = ("half", "one_minus_eps", "third_sync_ef", "third_async")
 
@@ -94,7 +94,8 @@ def shared_sync_tail(ctx: Ctx, z_bytes: bytes, happy: bool, my_message: bytes | 
     ctx.set_step("distribute")
     if happy:
         rich = blocks.eval_shares(ctx.session.ak, my_shares)
-        assert rich.data == z_bytes, "happy party's shares must match the agreed commitment"
+        if rich.data != z_bytes:
+            raise InvariantViolation("happy party's shares must match the agreed commitment")
         blocks.distribute(ctx, my_shares, ctx.session.ak, rich, step="distribute")
     yield NEXT_ROUND
     ctx.set_step("share")

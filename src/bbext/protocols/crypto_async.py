@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .. import blocks
 from ..oracles import ba_oracle, bcast_oracle
-from ..simnet import BOT, Ctx, Until
+from ..simnet import BOT, Ctx, InvariantViolation, Until
 from .base import ProtocolSpec, bare_acc
 
 
@@ -75,7 +75,8 @@ def async_ba_third(ctx: Ctx, my_input: bytes, sender: int | None = None):
     ctx.broadcast("share_fwd", mine, bits=mine.nominal_bits(), step="share")
     ctx.self_deliver("share_fwd", mine, step="share")
     if happy:
-        assert z_mine.data == z
+        if z_mine.data != z:
+            raise InvariantViolation("happy party's commitment must match the agreed one")
         return my_input
     ctx.set_step("reconstruct")
     tracker = _FwdTracker(ctx, z_acc)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from .. import blocks
 from ..multisig import MultiSig, msig_combine
 from ..oracles import ba_oracle, bcast_oracle
-from ..simnet import BOT, Ctx, NEXT_ROUND
+from ..simnet import BOT, Ctx, InvariantViolation, NEXT_ROUND
 from .base import (
     ProtocolSpec,
     bare_acc,
@@ -39,8 +39,8 @@ def sync_ba_half(ctx: Ctx, my_input: bytes, sender: int | None = None):
     vote = yield from ba_oracle(ctx, "sync_ba", "ba_happy", int(happy), 1)
     out = yield from shared_sync_tail(ctx, z if isinstance(z, bytes) else b"", happy,
                                       my_input, shares, 1 if vote == 1 else 0)
-    if happy and out is not BOT:
-        assert out == my_input, "happy party must output its own message"
+    if happy and out is not BOT and out != my_input:
+        raise InvariantViolation("happy party must output its own message")
     return out
 
 
@@ -130,7 +130,9 @@ def sync_bb_high_threshold(ctx: Ctx, my_input: bytes | None, sender: int):
             cert = msig_combine(trigger_cert, own_sig) if trigger_cert else own_sig
             ctx.broadcast("happy_cert", cert, bits=params.k + params.n, step="distribute")
             rich = blocks.eval_shares(ctx.session.ak, my_shares)
-            assert rich.data == z, "distributing party's shares must match the agreed commitment"
+            if rich.data != z:
+                raise InvariantViolation(
+                    "distributing party's shares must match the agreed commitment")
             blocks.distribute(ctx, my_shares, ctx.session.ak, rich, step="distribute")
         yield NEXT_ROUND
         cert_envs = ctx.inbox(kind="happy_cert")[cert_ptr:]

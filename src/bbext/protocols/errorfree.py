@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .. import blocks, rs
 from ..oracles import BrachaMachine, parallel_chain_bcast
-from ..simnet import Ctx, NEXT_ROUND, Until
+from ..simnet import Ctx, InvariantViolation, NEXT_ROUND, Until
 from ..star import NOSTAR, PartyGraph, derive_fe, star
 from .base import ProtocolSpec
 
@@ -180,7 +180,8 @@ def ef_sync_ba(ctx: Ctx, my_input: bytes, sender: int | None = None):
     maj = _greedy_common_vote(
         [x for x in ones if x in e_vecs], e_vecs, priv_sym, n, t
     )
-    assert maj is not None, "a common symbol group must exist once 2t+1 flags carry"
+    if maj is None:
+        raise InvariantViolation("a common symbol group must exist once 2t+1 flags carry")
     majs: dict[int, bytes] = {ctx.pid: maj}
     ctx.broadcast("maj_val", maj, bits=sbits, step="majority")
     yield NEXT_ROUND
@@ -190,7 +191,8 @@ def ef_sync_ba(ctx: Ctx, my_input: bytes, sender: int | None = None):
         majs.setdefault(env.src, env.payload)
     payload = _decode_symbol_table(majs, n, t, len(row[1]), max_errors=t,
                                    absent_as_error=True)
-    assert payload is not None, "decoding must carry with 2t+1 honest symbols"
+    if payload is None:
+        raise InvariantViolation("decoding must carry with 2t+1 honest symbols")
     return payload
 
 

@@ -13,11 +13,18 @@ bits. The fixed trailer position makes length recovery unambiguous.
 Decoding with c errors and d erasures requires n - b >= 2c + d. On inputs
 outside the unique-decoding radius the decoder returns None (decode
 failure) rather than raising; callers that retry rely on this.
+
+A wrong share is usually wrong in every stripe, since a Byzantine party
+sends whole symbol-blocks. The decoder therefore locates errors once rather
+than per stripe: Berlekamp-Welch on one stripe that the first candidate
+does not fit names the positions in error, those positions are erased, and
+the other such stripes are recovered together with one matrix apply from b
+positions not in error. Berlekamp-Welch runs stripe by stripe only where
+the errors move from stripe to stripe.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -187,8 +194,55 @@ def _bw_decode_stripe(received: dict[int, int], n: int, b: int, c: int) -> list[
     return data
 
 
+def _recover_stripes(cw: Codeword, present: list[int], base: tuple[int, ...],
+                     sel: np.ndarray | None) -> tuple[list[np.ndarray], np.ndarray]:
+    """Data recovered from the base positions at the selected stripes (all
+    when sel is None), and per stripe the number of present positions whose
+    received symbol differs from the re-encoded one."""
+    n, b = cw.n, cw.b
+    received = {p: cw.symbols[p - 1] if sel is None else cw.symbols[p - 1][sel]
+                for p in present}
+    width = len(received[base[0]])
+    data = _apply_matrix(_recover_matrix(n, b, base), [received[p] for p in base], width)
+    enc = _encode_matrix(n, b)
+    mismatch = np.zeros(width, dtype=np.int64)
+    for p in present:
+        if p in base:
+            continue  # re-encodes to what was received, by construction
+        acc = np.zeros(width, dtype=np.uint16)
+        for coeff, vec in zip(enc[p - 1], data):
+            gf.vmul_xor_into(acc, coeff, vec)
+        mismatch += acc != received[p]
+    return data, mismatch
+
+
+def _error_positions(cw: Codeword, present: list[int], s: int, data: list[int]) -> set[int]:
+    """Present positions whose symbol in stripe s differs from the encoding of data."""
+    enc = _encode_matrix(cw.n, cw.b)
+    errors = set()
+    for p in present:
+        sym = 0
+        for coeff, x in zip(enc[p - 1], data):
+            sym ^= gf.gf_mul(coeff, x)
+        if sym != int(cw.symbols[p - 1][s]):
+            errors.add(p)
+    return errors
+
+
 def rs_decode(cw: Codeword, c: int, d: int) -> DataBlocks | None:
-    """Decode tolerating up to c errors and d erasures; None on failure."""
+    """Decode tolerating up to c errors and d erasures; None on failure.
+
+    Each stripe decodes to the unique codeword within c errors of what it
+    received, or the whole decode fails. The candidate recovered from the
+    first b present positions is kept for every stripe it fits within c
+    mismatches. For the rest, Berlekamp-Welch decodes one bad stripe, whose
+    error positions become suspects; the remaining bad stripes are recovered
+    together from b unsuspected positions, and each that now fits within c
+    mismatches is final. This repeats while it finds new suspects and b
+    positions stay unsuspected, so a party that corrupts its whole share is
+    located once, not once per stripe. Stripes still unresolved are decoded
+    one by one with Berlekamp-Welch.
+    """
     n, b = cw.n, cw.b
     _check_nb(n, b)
     if c < 0 or d < 0 or 2 * c + d > n - b:
@@ -197,73 +251,41 @@ def rs_decode(cw: Codeword, c: int, d: int) -> DataBlocks | None:
     if len(erased) > d:
         raise ValueError(f"{len(erased)} erasures exceed budget d={d}")
     present = [j for j in range(1, n + 1) if cw.symbols[j - 1] is not None]
-    stripes = cw.stripes
-    base = tuple(present[:b])
-    rec = _recover_matrix(n, b, base)
-    candidate = _apply_matrix(rec, [cw.symbols[p - 1] for p in base], stripes)
-    # verify candidate against every present symbol-block
-    enc = _encode_matrix(n, b)
-    mismatch = np.zeros(stripes, dtype=np.int64)
-    reencoded: dict[int, np.ndarray] = {}
-    for p in present:
-        row = enc[p - 1]
-        acc = np.zeros(stripes, dtype=np.uint16)
-        for coeff, vec in zip(row, candidate):
-            gf.vmul_xor_into(acc, coeff, vec)
-        reencoded[p] = acc
-        mismatch += (acc != cw.symbols[p - 1]).astype(np.int64)
+    blocks, mismatch = _recover_stripes(cw, present, tuple(present[:b]), None)
     bad = np.nonzero(mismatch > c)[0]
     if bad.size and c == 0:
         return None
-    blocks = [vec.copy() for vec in candidate]
-    for s in map(int, bad):
-        rec_stripe = {p: int(cw.symbols[p - 1][s]) for p in present}
-        fixed = _bw_decode_stripe(rec_stripe, n, b, c)
+
+    def decode_stripe(s: int) -> list[int] | None:
+        fixed = _bw_decode_stripe({p: int(cw.symbols[p - 1][s]) for p in present}, n, b, c)
+        if fixed is not None:
+            for i in range(b):
+                blocks[i][s] = fixed[i]
+        return fixed
+
+    suspects: set[int] = set()
+    while bad.size:
+        s, bad = int(bad[0]), bad[1:]
+        fixed = decode_stripe(s)
         if fixed is None:
             return None
+        new = _error_positions(cw, present, s, fixed) - suspects
+        clean = [p for p in present if p not in suspects and p not in new]
+        if not bad.size or not new or len(clean) < b:
+            break
+        suspects |= new
+        data, mismatch = _recover_stripes(cw, present, tuple(clean[:b]), bad)
+        done = mismatch <= c
         for i in range(b):
-            blocks[i][s] = fixed[i]
+            blocks[i][bad[done]] = data[i][done]
+        bad = bad[~done]
+    for s in map(int, bad):
+        if decode_stripe(s) is None:
+            return None
     bit_len = _parse_bit_length(blocks)
     if bit_len is None:
         return None
     return DataBlocks(blocks=tuple(blocks), original_bit_length=bit_len)
-
-
-def rs_decode_reference(cw: Codeword, c: int, d: int) -> DataBlocks | None:
-    """Brute-force decoder: tries every b-subset of present positions.
-
-    Exponential; intended as an independent oracle for n <= 10 tests.
-    """
-    n, b = cw.n, cw.b
-    _check_nb(n, b)
-    if 2 * c + d > n - b:
-        raise ValueError("decoding radius exceeded")
-    present = [j for j in range(1, n + 1) if cw.symbols[j - 1] is not None]
-    if len(present) < n - d:
-        raise ValueError("erasures exceed budget")
-    stripes = cw.stripes
-    enc = _encode_matrix(n, b)
-    seen: dict[bytes, list[np.ndarray]] = {}
-    for subset in itertools.combinations(present, b):
-        rec = _recover_matrix(n, b, tuple(subset))
-        cand = _apply_matrix(rec, [cw.symbols[p - 1] for p in subset], stripes)
-        bad_blocks = 0
-        for p in present:
-            acc = np.zeros(stripes, dtype=np.uint16)
-            for coeff, vec in zip(enc[p - 1], cand):
-                gf.vmul_xor_into(acc, coeff, vec)
-            if not np.array_equal(acc, cw.symbols[p - 1]):
-                bad_blocks += 1
-        if bad_blocks <= c:
-            key = b"".join(v.tobytes() for v in cand)
-            seen[key] = cand
-    if len(seen) != 1:
-        return None
-    cand = next(iter(seen.values()))
-    bit_len = _parse_bit_length(cand)
-    if bit_len is None:
-        return None
-    return DataBlocks(blocks=tuple(cand), original_bit_length=bit_len)
 
 
 def padded_bits(bit_len: int, b: int) -> int:

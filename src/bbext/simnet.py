@@ -45,6 +45,12 @@ class StopProtocol(Exception):
     """Raised inside a party to stop it without producing an output."""
 
 
+class InvariantViolation(AssertionError):
+    """A protocol invariant failed. Raised explicitly, so the check still
+    runs under ``python -O``; an AssertionError, so callers that treat a
+    failed assertion as a violation catch it too."""
+
+
 @dataclass
 class Envelope:
     seq: int

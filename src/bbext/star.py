@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .simnet import InvariantViolation
+
 _DP_LIMIT = 14
 
 
@@ -26,6 +28,8 @@ class PartyGraph:
     rows: tuple[int, ...]
 
     def __post_init__(self):
+        # Graphs built here from a valid graph (with_edge, complement, the
+        # star cache) skip this O(n^2) check through _trusted.
         if len(self.rows) != self.n:
             raise ValueError("row count must equal n")
         for i, r in enumerate(self.rows):
@@ -38,6 +42,14 @@ class PartyGraph:
                 if bool(self.rows[i] & (1 << j)) != bool(self.rows[j] & (1 << i)):
                     raise ValueError("adjacency must be symmetric")
 
+    @classmethod
+    def _trusted(cls, n: int, rows: tuple[int, ...]) -> "PartyGraph":
+        """A graph whose rows are symmetric and loop-free by construction."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "rows", rows)
+        return g
+
     @staticmethod
     def from_edges(n: int, edges) -> "PartyGraph":
         rows = [0] * n
@@ -49,10 +61,12 @@ class PartyGraph:
         return PartyGraph(n=n, rows=tuple(rows))
 
     def with_edge(self, u: int, v: int) -> "PartyGraph":
+        if u == v or not (1 <= u <= self.n and 1 <= v <= self.n):
+            raise ValueError(f"bad edge ({u},{v})")
         rows = list(self.rows)
         rows[u - 1] |= 1 << (v - 1)
         rows[v - 1] |= 1 << (u - 1)
-        return PartyGraph(n=self.n, rows=tuple(rows))
+        return PartyGraph._trusted(self.n, tuple(rows))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u - 1] & (1 << (v - 1)))
@@ -67,9 +81,8 @@ class PartyGraph:
 
     def complement(self) -> "PartyGraph":
         full = (1 << self.n) - 1
-        return PartyGraph(
-            n=self.n,
-            rows=tuple((full ^ r ^ (1 << i)) for i, r in enumerate(self.rows)),
+        return PartyGraph._trusted(
+            self.n, tuple((full ^ r ^ (1 << i)) for i, r in enumerate(self.rows))
         )
 
     def neighbors(self, v: int) -> frozenset[int]:
@@ -151,7 +164,7 @@ def max_matching(g: PartyGraph) -> frozenset[tuple[int, int]]:
 
 @lru_cache(maxsize=65536)
 def _star_cached(n: int, rows: tuple[int, ...], t: int):
-    g = PartyGraph(n=n, rows=rows)
+    g = PartyGraph._trusted(n, rows)
     h = g.complement()
     matching = max_matching(h)
     matched = set()
@@ -181,12 +194,14 @@ def star(g: PartyGraph, n: int, t: int):
 
 
 def _assert_star(g: PartyGraph, c: frozenset[int], d: frozenset[int], n: int, t: int) -> None:
-    assert c <= d, "C must be contained in D"
-    assert len(c) >= n - 2 * t and len(d) >= n - t
+    if not c <= d:
+        raise InvariantViolation("C must be contained in D")
+    if not (len(c) >= n - 2 * t and len(d) >= n - t):
+        raise InvariantViolation(f"star too small: |C|={len(c)} |D|={len(d)}")
     for ci in c:
         for dj in d:
-            if ci != dj:
-                assert g.has_edge(ci, dj), f"missing edge ({ci},{dj}) across C x D"
+            if ci != dj and not g.has_edge(ci, dj):
+                raise InvariantViolation(f"missing edge ({ci},{dj}) across C x D")
 
 
 def derive_fe(g: PartyGraph, c: frozenset[int], d: frozenset[int], n: int, t: int):

@@ -201,3 +201,41 @@ def test_battery_spot_check_errorfree():
             res = run(protocol, params, inputs, adversary=script, seed=17)
             sender = None if kind == "ba" else 1
             assert not evaluate_run(kind, inputs, sender, res), (protocol, script.name)
+
+
+class _PlacedEquivocator(Equivocator):
+    """The battery's equivocator with its corrupt set at a chosen place."""
+
+    def __init__(self, placement: str):
+        self.placement = placement
+        self.name = f"equivocator_{placement}"
+
+    def corrupt_set(self, n, t, sender):
+        if self.placement == "head":
+            return frozenset(range(1, t + 1))
+        if self.placement == "tail":
+            return frozenset(range(n - t + 1, n + 1))
+        return frozenset(1 + i * n // t for i in range(t))  # spread
+
+
+@pytest.mark.parametrize("placement", ["head", "spread", "tail"])
+@pytest.mark.parametrize("protocol,make_params", [
+    ("ef-sync-ba-third", p_sync),
+    ("ef-async-rb-third", p_async),
+])
+def test_equivocator_at_every_placement(protocol, make_params, placement):
+    # head placement puts corrupt symbols on the codec's first-choice
+    # positions; 2^10 bits make 17 stripes at n=10
+    kind = "ba" if protocol.startswith("ef-sync") else "rb"
+    script = _PlacedEquivocator(placement)
+    for n in (7, 10):
+        params = make_params(n=n, l=2 ** 10)
+        corrupt = script.corrupt_set(n, params.t, None)
+        senders = (None,) if kind == "ba" else (1, min(set(range(1, n + 1)) - corrupt))
+        for seed in range(2):
+            for sender in senders:
+                inputs = build_inputs(kind, params, seed, "all", sender=sender or 1)
+                res = run(protocol, params, inputs, adversary=script, seed=seed,
+                          sender=sender or 1)
+                assert res.corrupt == corrupt
+                assert evaluate_run(kind, inputs, sender, res) == [], (n, seed, sender)

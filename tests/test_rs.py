@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bbext import gf, rs
+from bbext.checks import rs_decode_reference
 from tests.test_gf import slow_mul
 
 
@@ -168,7 +169,7 @@ def test_single_error_all_positions_vs_reference():
     for pos in range(1, 5):
         cw = _corrupt(rs.rs_encode(data, 4), [pos], [], rng)
         got = rs.rs_decode(cw, 1, 0)
-        ref = rs.rs_decode_reference(cw, 1, 0)
+        ref = rs_decode_reference(cw, 1, 0)
         assert got is not None and got == ref
         assert rs.bits_from_data(got)[0] == payload
 
@@ -185,7 +186,7 @@ def test_error_and_erasure_mix_vs_reference():
         errors = positions[2:3]
         bad = _corrupt(cw, errors, erasures, rng)
         got = rs.rs_decode(bad, 1, 2)
-        ref = rs.rs_decode_reference(bad, 1, 2)
+        ref = rs_decode_reference(bad, 1, 2)
         assert got == ref and got is not None
         assert rs.bits_from_data(got)[0] == payload
 
@@ -210,7 +211,7 @@ def test_random_radius_recovery_matches_reference(data_strategy):
     got = rs.rs_decode(bad, c, d)
     assert got is not None
     assert rs.bits_from_data(got)[0] == payload
-    assert rs.rs_decode_reference(bad, c, d) == got
+    assert rs_decode_reference(bad, c, d) == got
 
 
 def test_beyond_radius_reports_failure_not_garbage():
@@ -241,3 +242,95 @@ def test_caches_keyed_by_attacker_input_are_bounded():
     # recovery matrix and the coefficients the codec multiplies by.
     assert rs._recover_matrix.cache_info().maxsize is not None
     assert gf._product_tables.cache_info().maxsize is not None
+
+
+# --- error shapes: whole shares, parts of shares, per-stripe positions ---------
+
+def _ordered_positions(n: int, placement: str) -> list[int]:
+    if placement == "head":
+        return list(range(1, n + 1))
+    if placement == "tail":
+        return list(range(n, 0, -1))
+    return list(range(1, n + 1, 2)) + list(range(2, n + 1, 2))  # spread
+
+
+def _apply_errors(cw: rs.Codeword, errors: list[int], erasures: list[int], shape: str,
+                  rng) -> rs.Codeword:
+    """Corrupt whole shares, a random part of each share, or in each stripe a
+    random subset of the error positions."""
+    symbols = [None if (j + 1) in erasures else s.copy() for j, s in enumerate(cw.symbols)]
+    stripes = cw.stripes
+    for s in range(stripes):
+        if shape == "whole":
+            hit = errors
+        elif shape == "partial":
+            hit = [j for j in errors if s == 0 or rng.random() < 0.5]
+        else:  # vary
+            hit = rng.sample(errors, rng.randint(0, len(errors)))
+        for j in hit:
+            symbols[j - 1][s] ^= rng.randrange(1, 65536)
+    return rs.Codeword(symbols=symbols, n=cw.n, b=cw.b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_error_shapes_and_placements_match_reference(data):
+    n = data.draw(st.integers(2, 9))
+    b = data.draw(st.integers(1, n))
+    c = data.draw(st.integers(0, (n - b) // 2))
+    d = data.draw(st.integers(0, n - b - 2 * c))
+    placement = data.draw(st.sampled_from(["head", "spread", "tail"]))
+    shape = data.draw(st.sampled_from(["whole", "partial", "vary"]))
+    payload = data.draw(st.binary(max_size=40))
+    rng = random.Random(data.draw(st.integers(0, 10_000)))
+    cw = rs.rs_encode(rs.data_from_bits(payload, 8 * len(payload), b), n)
+    order = _ordered_positions(n, placement)
+    bad = _apply_errors(cw, order[:c], order[c:c + d], shape, rng)
+    got = rs.rs_decode(bad, c, d)
+    assert got is not None
+    assert rs.bits_from_data(got)[0] == payload
+    assert rs_decode_reference(bad, c, d) == got
+
+
+def _count_bw_calls(monkeypatch) -> list[int]:
+    calls = [0]
+    bw = rs._bw_decode_stripe
+
+    def counted(*args):
+        calls[0] += 1
+        return bw(*args)
+
+    monkeypatch.setattr(rs, "_bw_decode_stripe", counted)
+    return calls
+
+
+def test_whole_share_errors_at_head_are_located_once(monkeypatch):
+    # the corrupt shares hold the first b positions, so every stripe's
+    # first candidate is wrong
+    n, b, c, l_bits = 10, 4, 3, 2 ** 17
+    rng = random.Random(5)
+    payload = bytes(rng.randrange(256) for _ in range(l_bits // 8))
+    cw = rs.rs_encode(rs.data_from_bits(payload, l_bits, b), n)
+    bad = _apply_errors(cw, [1, 2, 3], [], "whole", rng)
+    calls = _count_bw_calls(monkeypatch)
+    got = rs.rs_decode(bad, c, 0)
+    assert got is not None and rs.bits_from_data(got)[0] == payload
+    assert calls[0] <= c + 1
+
+
+def test_error_positions_moving_every_stripe_decode_through_fallback(monkeypatch):
+    # each stripe is wrong at c positions of its own: every position is in
+    # error somewhere, so locating runs out of clean positions and the
+    # per-stripe decoder finishes the job
+    n, b, c, l_bits = 10, 4, 3, 2 ** 12
+    rng = random.Random(9)
+    payload = bytes(rng.randrange(256) for _ in range(l_bits // 8))
+    cw = rs.rs_encode(rs.data_from_bits(payload, l_bits, b), n)
+    symbols = [s.copy() for s in cw.symbols]
+    for s in range(cw.stripes):
+        for j in rng.sample(range(n), c):
+            symbols[j][s] ^= rng.randrange(1, 65536)
+    calls = _count_bw_calls(monkeypatch)
+    got = rs.rs_decode(rs.Codeword(symbols=symbols, n=n, b=b), c, 0)
+    assert got is not None and rs.bits_from_data(got)[0] == payload
+    assert calls[0] > c + 1

@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +38,42 @@ def test_graph_validation():
         PartyGraph(n=2, rows=(2, 0))  # asymmetric
     with pytest.raises(ValueError):
         PartyGraph.from_edges(2, [(1, 1)])
+    with pytest.raises(ValueError):
+        PartyGraph.from_text("01\n00")  # asymmetric
+    with pytest.raises(ValueError):
+        PartyGraph.from_edges(3, []).with_edge(2, 2)
+
+
+def test_derived_graphs_equal_validated_ones():
+    # with_edge and complement skip the symmetry check; what they build must
+    # pass it
+    rng = random.Random(4)
+    for _ in range(20):
+        n = rng.randint(2, 9)
+        g = random_graph(n, 0.4, rng)
+        u, v = rng.sample(range(1, n + 1), 2)
+        for h in (g.with_edge(u, v), g.complement()):
+            assert h == PartyGraph(n=h.n, rows=h.rows)
+
+
+def test_star_invariant_is_checked_under_optimize():
+    # C not inside D: the check must raise even where -O strips asserts
+    code = (
+        "from bbext.simnet import InvariantViolation\n"
+        "from bbext.star import PartyGraph, _assert_star\n"
+        "g = PartyGraph.from_edges(4, [])\n"
+        "try:\n"
+        "    _assert_star(g, frozenset({1}), frozenset({2, 3, 4}), 4, 1)\n"
+        "except InvariantViolation as exc:\n"
+        "    print(isinstance(exc, AssertionError), __debug__)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["True", "False"]
 
 
 def test_empty_graph_empty_matching():
