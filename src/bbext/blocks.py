@@ -121,34 +121,3 @@ def reconstruct(packages: dict[int, SharePackage | None], ak: AccKey, z: AccValu
         return None
     return payload, bit_len
 
-
-def encode_package_wire(pkg: SharePackage) -> bytes:
-    """index u16 | share-length u32 | share | witness-length u16 | witness."""
-    share = pkg.indexed_share.share
-    wit = pkg.witness.data
-    return (
-        struct.pack(">H", pkg.indexed_share.index)
-        + struct.pack(">I", len(share))
-        + share
-        + struct.pack(">H", len(wit))
-        + wit
-    )
-
-
-def decode_package_wire(raw: bytes, wit_nominal_bits: int) -> SharePackage:
-    if len(raw) < 8:
-        raise ValueError("truncated package")
-    index = struct.unpack_from(">H", raw, 0)[0]
-    share_len = struct.unpack_from(">I", raw, 2)[0]
-    off = 6 + share_len
-    if len(raw) < off + 2:
-        raise ValueError("truncated package")
-    wit_len = struct.unpack_from(">H", raw, off)[0]
-    if len(raw) != off + 2 + wit_len:
-        raise ValueError("package length mismatch")
-    share = raw[6:off]
-    wit = raw[off + 2 :]
-    return SharePackage(
-        indexed_share=IndexedShare(index=index, share=share),
-        witness=Witness(data=wit, nominal_bits=wit_nominal_bits),
-    )

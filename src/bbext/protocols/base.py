@@ -61,6 +61,15 @@ class ProtocolSpec:
     party: Callable
 
 
+def encode_input(ctx: Ctx, message: bytes):
+    """Shares of an l-bit message and their accumulator commitment."""
+    params = ctx.params
+    shares = blocks.encode(message, params.b, params.n, bit_len=params.l)
+    ctx.engine.metrics.extra.setdefault("share_bits", 8 * len(shares[0].share))
+    z = blocks.eval_shares(ctx.session.ak, shares)
+    return shares, z
+
+
 def bare_acc(z_bytes: bytes, k: int) -> AccValue:
     return AccValue(data=z_bytes, nominal_bits=k)
 

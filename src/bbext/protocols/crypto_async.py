@@ -11,21 +11,12 @@ from __future__ import annotations
 from .. import blocks
 from ..oracles import ba_oracle, bcast_oracle
 from ..simnet import BOT, Ctx, InvariantViolation, Until
-from .base import ProtocolSpec, bare_acc
+from .base import ProtocolSpec, bare_acc, encode_input
 
 
 def _wait_mail(ctx: Ctx):
     size = len(ctx.mailbox)
     return Until(lambda: len(ctx.mailbox) > size)
-
-
-def _encode_input(ctx: Ctx, message: bytes, bit_len: int | None = None):
-    params = ctx.params
-    shares = blocks.encode(message, params.b, params.n,
-                           bit_len=params.l if bit_len is None else bit_len)
-    ctx.engine.metrics.extra.setdefault("share_bits", 8 * len(shares[0].share))
-    z = blocks.eval_shares(ctx.session.ak, shares)
-    return shares, z
 
 
 class _FwdTracker:
@@ -52,7 +43,7 @@ def async_ba_third(ctx: Ctx, my_input: bytes, sender: int | None = None):
     """Agreement for t < n/3 with eventual delivery."""
     params = ctx.params
     ctx.set_step("encode")
-    shares, z_mine = _encode_input(ctx, my_input)
+    shares, z_mine = encode_input(ctx, my_input)
     z = yield from ba_oracle(ctx, "async_ba_kbit", "ba_commit", z_mine.data, params.k)
     happy = z == z_mine.data
     ctx.set_happy(happy)
@@ -95,7 +86,7 @@ def async_rb_third(ctx: Ctx, my_input: bytes | None, sender: int):
     ctx.set_step("payload")
     z_bytes_own = None
     if ctx.pid == sender:
-        shares, z_mine = _encode_input(ctx, my_input)
+        shares, z_mine = encode_input(ctx, my_input)
         z_bytes_own = z_mine.data
         ctx.broadcast("payload", my_input, bits=params.l, step="payload")
     z = yield from bcast_oracle(ctx, "async_rb", "rb_commit", sender, z_bytes_own, params.k)
@@ -124,7 +115,7 @@ def async_rb_third(ctx: Ctx, my_input: bytes | None, sender: int):
                 m = payloads[0].payload
                 if isinstance(m, bytes):
                     try:
-                        cand_shares, cand_z = _encode_input(ctx, m)
+                        cand_shares, cand_z = encode_input(ctx, m)
                     except ValueError:
                         cand_shares, cand_z = None, None
                     if cand_z is not None and cand_z.data == z:

@@ -14,25 +14,18 @@ from ..simnet import BOT, Ctx, InvariantViolation, NEXT_ROUND
 from .base import (
     ProtocolSpec,
     bare_acc,
+    encode_input,
     first_valid_own_package,
     forwarded_packages,
     shared_sync_tail,
 )
 
 
-def _encode_input(ctx: Ctx, message: bytes):
-    params = ctx.params
-    shares = blocks.encode(message, params.b, params.n, bit_len=params.l)
-    ctx.engine.metrics.extra.setdefault("share_bits", 8 * len(shares[0].share))
-    z = blocks.eval_shares(ctx.session.ak, shares)
-    return shares, z
-
-
 def sync_ba_half(ctx: Ctx, my_input: bytes, sender: int | None = None):
     """Agreement for t < n/2: k-bit agreement on the commitment, one-bit
     agreement on the happy flags, then distribute / forward / reconstruct."""
     ctx.set_step("encode")
-    shares, z_mine = _encode_input(ctx, my_input)
+    shares, z_mine = encode_input(ctx, my_input)
     z = yield from ba_oracle(ctx, "sync_ba", "ba_commit", z_mine.data, ctx.params.k)
     happy = z == z_mine.data
     ctx.set_happy(happy)
@@ -54,7 +47,7 @@ def sync_bb_half(ctx: Ctx, my_input: bytes | None, sender: int):
     shares = None
     if ctx.pid == sender:
         message = my_input
-        shares, z_mine = _encode_input(ctx, message)
+        shares, z_mine = encode_input(ctx, message)
         z_bytes_own = z_mine.data
         ctx.broadcast("payload", message, bits=params.l, step="payload")
     z = yield from bcast_oracle(ctx, "sync_bb", "bb_commit", sender, z_bytes_own, params.k)
@@ -65,7 +58,7 @@ def sync_bb_half(ctx: Ctx, my_input: bytes | None, sender: int):
     happy = False
     if isinstance(message, bytes) and isinstance(z, bytes):
         try:
-            shares, z_mine = _encode_input(ctx, message)
+            shares, z_mine = encode_input(ctx, message)
             happy = z_mine.data == z
         except ValueError:
             happy = False
@@ -112,7 +105,7 @@ def sync_bb_high_threshold(ctx: Ctx, my_input: bytes | None, sender: int):
     if ctx.pid == sender:
         happy = True
         output = my_input
-        my_shares, z_mine = _encode_input(ctx, my_input)
+        my_shares, z_mine = encode_input(ctx, my_input)
         z_bytes_own = z_mine.data
     ctx.set_happy(happy)
     z = yield from bcast_oracle(ctx, "sync_bb", "bb_commit", sender, z_bytes_own, params.k)

@@ -4,9 +4,12 @@ Vertices are party ids 1..n. The star procedure finds vertex sets (C, D)
 with C subseteq D, |C| >= n-2t, |D| >= n-t, and every C x D pair adjacent,
 by taking a maximum matching of the complement graph and pruning.
 
-Matching is exact: a subset DP (deterministic, with lexicographically
-smallest edge-set tie-breaking) for n <= 14, and the general-graph matching
-from networkx beyond that. A recursive brute-force oracle for tests lives
+Matching is exact and canonical for every n: Edmonds' blossom algorithm
+("Paths, Trees, and Flowers", 1965) finds a maximum matching, then one pass
+over the edges in lex order keeps each edge whose endpoints can be removed
+at the cost of exactly one matched edge, with a blossom search as that size
+test. The result is the lexicographically smallest maximum matching as
+sorted edge lists compare. Brute-force and subset-DP oracles for tests live
 in the test suite, not here.
 """
 
@@ -16,8 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .simnet import InvariantViolation
-
-_DP_LIMIT = 14
 
 
 @dataclass(frozen=True)
@@ -115,46 +116,113 @@ class StarResult:
     D: frozenset[int]
 
 
-def _dp_best_table(n: int, rows: tuple[int, ...]) -> list[int]:
-    best = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        v = low.bit_length() - 1
-        rest = mask ^ low
-        b = best[rest]
-        m = rows[v] & rest
-        while m:
-            u = m & -m
-            cand = best[rest ^ u] + 1
-            if cand > b:
-                b = cand
-            m ^= u
-        best[mask] = b
-    return best
+def _augment(adj: list[list[int]], alive: int, match: list[int], root: int) -> bool:
+    """Edmonds search from the free vertex root within the alive vertices.
+
+    Grows an alternating tree, contracting each odd cycle (blossom) into its
+    base. Flips the augmenting path into match and returns True when one is
+    found; otherwise leaves match untouched and returns False.
+    """
+    n = len(adj)
+    base = list(range(n))
+    parent = [-1] * n
+    outer = 1 << root
+    queue = [root]
+
+    def lca(a: int, b: int) -> int:
+        seen = 0
+        while True:
+            a = base[a]
+            seen |= 1 << a
+            if match[a] < 0:
+                break
+            a = parent[match[a]]
+        while True:
+            b = base[b]
+            if seen >> b & 1:
+                return b
+            b = parent[match[b]]
+
+    def mark(v: int, b: int, child: int, blossom: set[int]) -> None:
+        while base[v] != b:
+            blossom.add(base[v])
+            blossom.add(base[match[v]])
+            parent[v] = child
+            child = match[v]
+            v = parent[match[v]]
+
+    head = 0
+    while head < len(queue):
+        v = queue[head]
+        head += 1
+        for u in adj[v]:
+            if not alive >> u & 1 or base[v] == base[u] or match[v] == u:
+                continue
+            if u == root or (match[u] >= 0 and parent[match[u]] >= 0):
+                b = lca(v, u)
+                blossom: set[int] = set()
+                mark(v, b, u, blossom)
+                mark(u, b, v, blossom)
+                for w in range(n):
+                    if base[w] in blossom:
+                        base[w] = b
+                        if not outer >> w & 1:
+                            outer |= 1 << w
+                            queue.append(w)
+            elif parent[u] < 0:
+                parent[u] = v
+                if match[u] < 0:
+                    while u >= 0:
+                        v = parent[u]
+                        nxt = match[v]
+                        match[u], match[v] = v, u
+                        u = nxt
+                    return True
+                outer |= 1 << match[u]
+                queue.append(match[u])
+    return False
 
 
 @lru_cache(maxsize=4096)
 def _matching_cached(n: int, rows: tuple[int, ...]) -> frozenset[tuple[int, int]]:
-    if n <= _DP_LIMIT:
-        best = _dp_best_table(n, rows)
-        mask = (1 << n) - 1
-        chosen = []
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rows[i] & (1 << j)]
-        for i, j in edges:
-            bi, bj = 1 << i, 1 << j
-            if mask & bi and mask & bj and best[mask ^ bi ^ bj] + 1 == best[mask]:
-                chosen.append((i + 1, j + 1))
-                mask ^= bi | bj
-        return frozenset(chosen)
-    import networkx as nx
-
-    g = nx.Graph()
-    g.add_nodes_from(range(n))
-    g.add_edges_from(
-        (i, j) for i in range(n) for j in range(i + 1, n) if rows[i] & (1 << j)
-    )
-    m = nx.max_weight_matching(g, maxcardinality=True)
-    return frozenset((min(u, v) + 1, max(u, v) + 1) for u, v in m)
+    adj = [[j for j in range(n) if r >> j & 1] for r in rows]
+    alive = (1 << n) - 1
+    match = [-1] * n
+    for v in range(n):
+        if match[v] < 0:
+            for u in adj[v]:
+                if match[u] < 0:
+                    match[u], match[v] = v, u
+                    break
+    for v in range(n):
+        if match[v] < 0:
+            _augment(adj, alive, match, v)
+    # Greedy pass in lex order: keep (i, j) when the alive vertices without
+    # i and j still have a matching one smaller than the current maximum.
+    # match is kept maximum on the alive vertices throughout.
+    chosen = []
+    for i in range(n):
+        if not alive >> i & 1:
+            continue
+        for j in adj[i]:
+            if j < i or not alive >> j & 1:
+                continue
+            mi, mj = match[i], match[j]
+            if mi != j and mi >= 0 and mj >= 0:
+                # An augmenting path of the rest must end at a freed mate.
+                rest = alive ^ (1 << i) ^ (1 << j)
+                match[i] = match[j] = match[mi] = match[mj] = -1
+                if not (_augment(adj, rest, match, mi) or _augment(adj, rest, match, mj)):
+                    match[i], match[j], match[mi], match[mj] = mi, mj, i, j
+                    continue
+            else:
+                for v in (mi, mj, i, j):
+                    if v >= 0:
+                        match[v] = -1
+            alive ^= (1 << i) | (1 << j)
+            chosen.append((i + 1, j + 1))
+            break
+    return frozenset(chosen)
 
 
 def max_matching(g: PartyGraph) -> frozenset[tuple[int, int]]:

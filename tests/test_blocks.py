@@ -87,19 +87,6 @@ def test_verify_package(ak):
     assert not blocks.verify_package(ak, z, "junk")
 
 
-def test_wire_roundtrip(ak):
-    shares = blocks.encode(b"payload!", b=2, n=4)
-    z = blocks.eval_shares(ak, shares)
-    pkg = blocks.make_packages(shares, ak, z)[3]
-    raw = blocks.encode_package_wire(pkg)
-    back = blocks.decode_package_wire(raw, pkg.witness.nominal_bits)
-    assert back.indexed_share == pkg.indexed_share
-    assert back.witness.data == pkg.witness.data
-    assert blocks.verify_package(ak, z, back, expect_index=3)
-    with pytest.raises(ValueError):
-        blocks.decode_package_wire(raw[:-1], pkg.witness.nominal_bits)
-
-
 def test_nominal_bits_accounting(ak):
     shares = blocks.encode(b"\x01\x02\x03\x04", b=2, n=4)
     z = blocks.eval_shares(ak, shares)
@@ -125,4 +112,5 @@ def test_two_distributors_produce_byte_identical_packages(ak):
     second = blocks.make_packages(blocks.encode(m, 3, 4), ak,
                                   blocks.eval_shares(ak, blocks.encode(m, 3, 4)))
     for j in range(1, 5):
-        assert blocks.encode_package_wire(first[j]) == blocks.encode_package_wire(second[j])
+        assert first[j].indexed_share == second[j].indexed_share
+        assert first[j].witness.data == second[j].witness.data

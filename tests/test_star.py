@@ -25,6 +25,40 @@ def brute_force_max_matching(g: PartyGraph) -> int:
     return rec(0, frozenset())
 
 
+def dp_canonical_matching(g: PartyGraph) -> frozenset[tuple[int, int]]:
+    """Exponential subset DP: best[mask] is the maximum matching size of the
+    subgraph induced by mask; a lex-order greedy pass keeps each edge whose
+    removal lowers that size by exactly one. Test oracle only."""
+    n, rows = g.n, g.rows
+    best = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        v = low.bit_length() - 1
+        rest = mask ^ low
+        b = best[rest]
+        m = rows[v] & rest
+        while m:
+            u = m & -m
+            b = max(b, best[rest ^ u] + 1)
+            m ^= u
+        best[mask] = b
+    mask = (1 << n) - 1
+    chosen = []
+    for i, j in g.edges():
+        bi, bj = 1 << (i - 1), 1 << (j - 1)
+        if mask & bi and mask & bj and best[mask ^ bi ^ bj] + 1 == best[mask]:
+            chosen.append((i, j))
+            mask ^= bi | bj
+    return frozenset(chosen)
+
+
+def assert_valid_matching(g: PartyGraph, m) -> None:
+    used = [v for e in m for v in e]
+    assert len(set(used)) == len(used), "matching edges must be disjoint"
+    for u, v in m:
+        assert u < v and g.has_edge(u, v)
+
+
 def random_graph(n: int, p: float, rng: random.Random) -> PartyGraph:
     edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
              if rng.random() < p]
@@ -92,10 +126,7 @@ def test_matching_cardinality_vs_brute_force():
         n = rng.randint(1, 10)
         g = random_graph(n, rng.choice([0.15, 0.3, 0.5, 0.8]), rng)
         m = max_matching(g)
-        used = [v for e in m for v in e]
-        assert len(set(used)) == len(used), "matching edges must be disjoint"
-        for u, v in m:
-            assert g.has_edge(u, v)
+        assert_valid_matching(g, m)
         assert len(m) == brute_force_max_matching(g)
 
 
@@ -264,12 +295,74 @@ def test_star_deterministic():
     assert max_matching(g) == max_matching(g)
 
 
-def test_large_graph_fallback_matching_is_valid():
-    rng = random.Random(0)
-    g = random_graph(16, 0.3, rng)
-    m = max_matching(g)
-    used = [v for e in m for v in e]
-    assert len(set(used)) == len(used)
-    for u, v in m:
-        assert g.has_edge(u, v)
-    assert m == max_matching(g)
+def test_matching_equals_subset_dp():
+    # n = 13..16 straddles the size where an earlier version switched
+    # algorithms, and picked a different maximum matching above it
+    rng = random.Random(7)
+    densities = (0.05, 0.15, 0.3, 0.5, 0.7, 0.85, 0.95)
+    sizes = [rng.randint(1, 12) for _ in range(300)] + [13, 14, 15, 16] * 7
+    for k, n in enumerate(sizes):
+        g = random_graph(n, densities[k % len(densities)], rng)
+        assert max_matching(g) == dp_canonical_matching(g), g.to_text()
+
+
+def _odd_cycles(n: int, lengths) -> PartyGraph:
+    """Disjoint cycles of the given lengths; leftover vertices stay isolated."""
+    edges, start = [], 1
+    for length in lengths:
+        ring = list(range(start, start + length))
+        edges += [(ring[k], ring[(k + 1) % length]) for k in range(length)]
+        start += length
+    assert start <= n + 1
+    return PartyGraph.from_edges(n, edges)
+
+
+@pytest.mark.parametrize("n", [31, 64])
+def test_matching_size_on_known_large_graphs(n):
+    rng = random.Random(n)
+    complete = PartyGraph.from_edges(n, list(itertools.combinations(range(1, n + 1), 2)))
+    pairs = [(v, v + 1) for v in range(1, n, 2)]
+    assert max_matching(complete) == frozenset(pairs)
+    assert max_matching(PartyGraph.from_edges(n, [])) == frozenset()
+    hub = PartyGraph.from_edges(n, [(1, v) for v in range(2, n + 1)])
+    assert max_matching(hub) == frozenset({(1, 2)})
+    lengths = [3, 5, 7, 9, 7] if n == 31 else [3, 5, 7, 9, 11, 13, 15]
+    cycles = _odd_cycles(n, lengths)
+    m = max_matching(cycles)
+    assert_valid_matching(cycles, m)
+    assert len(m) == sum(length // 2 for length in lengths)
+    for p in (0.05, 0.3):
+        extra = [(u, v) for u, v in itertools.combinations(range(1, n + 1), 2)
+                 if rng.random() < p]
+        g = PartyGraph.from_edges(n, pairs + extra)
+        m = max_matching(g)
+        assert_valid_matching(g, m)
+        assert len(m) == n // 2
+
+
+def test_no_networkx_needed():
+    # the matching and an n=16 error-free session run with networkx unimportable
+    code = (
+        "import sys\n"
+        "sys.modules['networkx'] = None\n"
+        "import random\n"
+        "from bbext.checks import evaluate_run\n"
+        "from bbext.protocols import SessionParams\n"
+        "from bbext.runner import run\n"
+        "from bbext.star import PartyGraph, max_matching\n"
+        "rng = random.Random(0)\n"
+        "g = PartyGraph.from_edges(16, [(u, v) for u in range(1, 17)\n"
+        "                               for v in range(u + 1, 17) if rng.random() < 0.3])\n"
+        "max_matching(g)\n"
+        "params = SessionParams(n=16, t=5, l=2 ** 10, threshold_regime='third_async')\n"
+        "inputs = {1: bytes(range(128))}\n"
+        "res = run('ef-async-rb-third', params, inputs, seed=0)\n"
+        "print(evaluate_run('rb', inputs, 1, res))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
