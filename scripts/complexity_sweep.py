@@ -21,7 +21,9 @@ from bbext.runner import run
 def sweep_linear(out: Path) -> None:
     n, k = 10, 256
     t = (n - 1) // 2
-    rows = linear_scaling_runs(n=n, k=k)
+    rows, failures = linear_scaling_runs(n=n, k=k)
+    if failures:
+        raise SystemExit("; ".join(failures))
     with (out / "linear_scaling.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["l_bits", "honest_bits", "oracle_bits"])

@@ -22,7 +22,6 @@ from .simnet import (
     RandomPolicy,
     SchedulerPolicy,
     StarvePolicy,
-    StopProtocol,
     _canon,
 )
 
@@ -71,59 +70,15 @@ def _tail_corrupt(n: int, t: int, exclude: frozenset[int] = frozenset()) -> froz
     return frozenset(picked)
 
 
-class CtxProxy:
-    """Wraps a party context so scripts can rewrite sends and oracle inputs."""
-
-    def __init__(self, ctx: Ctx, send_hook=None, oracle_hook=None, crash_after_steps=None):
-        self._ctx = ctx
-        self._send_hook = send_hook
-        self._oracle_hook = oracle_hook
-        self._crash_after = crash_after_steps
-        self._steps_seen = 0
-
-    def __getattr__(self, item):
-        return getattr(self._ctx, item)
-
-    def set_step(self, label: str) -> None:
-        self._steps_seen += 1
-        if self._crash_after is not None and self._steps_seen > self._crash_after:
-            raise StopProtocol()
-        self._ctx.set_step(label)
-
-    def send(self, dst, kind, payload, bits, step=None, instance=None, oracle=None):
-        if self._send_hook is not None:
-            out = self._send_hook(self._ctx, dst, kind, payload)
-            if out is None:
-                return
-            kind, payload = out
-        self._ctx.send(dst, kind, payload, bits, step=step, instance=instance, oracle=oracle)
-
-    def broadcast(self, kind, payload, bits, step=None, instance=None, oracle=None):
-        for dst in range(1, self._ctx.params.n + 1):
-            if dst != self._ctx.pid:
-                self.send(dst, kind, payload, bits, step=step, instance=instance, oracle=oracle)
-
-    def oracle_submit(self, kind, value, value_bits, instance=None, sender=None):
-        inst = instance or self._ctx._auto_instance(kind)
-        if self._oracle_hook is not None:
-            value = self._oracle_hook(self._ctx, kind, inst, value)
-        self._ctx.engine.oracle_submit(self._ctx.pid, kind, inst, value, value_bits, sender)
-        return inst
-
-    def ideal_oracle(self, kind, value, value_bits, instance=None, sender=None):
-        inst = self.oracle_submit(kind, value, value_bits, instance, sender)
-        yield from self._ctx.wait_oracle(inst)
-        return self._ctx.oracle_result(inst)
-
-    def set_happy(self, value: bool) -> None:
-        self._ctx.happy = bool(value)  # corrupt parties may flap the flag
-
-
 def hooked(honest_factory, send_hook=None, oracle_hook=None, crash_after_steps=None):
+    """Honest code on a corrupt party's context, with its rewrites set
+    (see ``simnet.Ctx``)."""
+
     def factory(ctx: Ctx):
-        proxy = CtxProxy(ctx, send_hook=send_hook, oracle_hook=oracle_hook,
-                         crash_after_steps=crash_after_steps)
-        return honest_factory(proxy)
+        ctx.send_hook = send_hook
+        ctx.oracle_hook = oracle_hook
+        ctx.crash_after_steps = crash_after_steps
+        return honest_factory(ctx)
 
     return factory
 

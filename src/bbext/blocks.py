@@ -62,16 +62,15 @@ def make_packages(shares: list[IndexedShare], ak: AccKey, z: AccValue) -> dict[i
     return out
 
 
-def distribute(ctx, shares: list[IndexedShare], ak: AccKey, z: AccValue, step: str,
-               kind: str = "share_pkg") -> None:
+def distribute(ctx, shares: list[IndexedShare], ak: AccKey, z: AccValue, step: str) -> None:
     """Send package j to party j for every j; own package delivers locally."""
     packages = make_packages(shares, ak, z)
     for j in sorted(packages):
         pkg = packages[j]
         if j == ctx.pid:
-            ctx.self_deliver(kind, pkg, step=step)
+            ctx.self_deliver("share_pkg", pkg, step=step)
         else:
-            ctx.send(j, kind, pkg, bits=pkg.nominal_bits(), step=step)
+            ctx.send(j, "share_pkg", pkg, bits=pkg.nominal_bits(), step=step)
 
 
 def verify_package(ak: AccKey, z: AccValue, pkg: SharePackage, expect_index: int | None = None) -> bool:

@@ -522,49 +522,21 @@ def check_oracles(seeds: int = 200, jobs: int | None = None) -> CheckReport:
                         result = run(spec, params, inputs, adversary=script, seed=seed,
                                      oracle_impl={kind: impl})
                         trials += 1
-                        outs = {p: result.outputs[p] for p in result.honest
-                                if p in result.outputs}
-                        kind_rule = "rb" if kind == "async_rb" else (
-                            "bb" if kind == "sync_bb" else "ba")
-                        for v in _oracle_eval(kind_rule, inputs, result, outs, bit):
+                        violations = evaluate_run(spec.kind, inputs,
+                                                  1 if spec.kind != "ba" else None, result)
+                        outs = [result.outputs[p] for p in result.honest
+                                if p in result.outputs]
+                        # binary agreement decides some honest party's proposal
+                        if bit and outs and outs[0] not in {inputs[p] for p in result.honest}:
+                            violations.append("binary validity: decided a value nobody "
+                                              "honest held")
+                        for v in violations:
                             failures.append(f"{kind}/{impl} n={n} script={script.name} "
                                             f"seed={seed}: {v}")
     details = _dolev_strong_cost_check(failures)
     details["aba_expected_rounds"] = _aba_round_measurement(failures)
     return CheckReport(name="oracles", passed=not failures, trials=trials,
                        failures=failures, details=details, elapsed=time.time() - t0)
-
-
-def _oracle_eval(kind: str, inputs, result: RunResult, outs, bit: bool) -> list[str]:
-    violations = []
-    honest = result.honest
-    if kind in ("ba", "bb"):
-        if set(outs) != set(honest):
-            violations.append("termination")
-    else:
-        if 1 in honest and set(outs) != set(honest):
-            violations.append("termination (honest sender)")
-        if outs and set(outs) != set(honest):
-            violations.append("all-or-none")
-    if len({repr(v) for v in outs.values()}) > 1:
-        violations.append(f"agreement {outs}")
-    if kind == "ba":
-        hvals = {repr(inputs[p]) for p in honest}
-        if len(hvals) == 1 and outs:
-            want = inputs[sorted(honest)[0]]
-            if any(repr(v) != repr(want) for v in outs.values()):
-                violations.append("validity")
-        if bit and outs:
-            # binary agreement decides some honest party's proposal
-            decided = next(iter(outs.values()))
-            if repr(decided) not in {repr(inputs[p]) for p in honest}:
-                violations.append("binary validity: decided a value nobody honest held")
-    else:
-        if 1 in honest and outs:
-            want = inputs[1]
-            if any(repr(v) != repr(want) for v in outs.values()):
-                violations.append("validity")
-    return violations
 
 
 def _dolev_strong_cost_check(failures: list[str]) -> dict:
@@ -609,15 +581,19 @@ def _aba_round_measurement(failures: list[str], seeds: int = 1000) -> float:
 
 def linear_scaling_runs(n: int = 10, k: int = 256,
                         ls=(2**14, 2**15, 2**16, 2**17, 2**18, 2**19, 2**20)):
+    """Unanimous half-BA runs over message lengths: (rows, failures), where a
+    row is (l, honest bits, metrics) and a run whose outputs miss the input
+    is a failure."""
     t = (n - 1) // 2
-    rows = []
+    rows, failures = [], []
     for l in ls:
         params = SessionParams(n=n, t=t, l=l, k=k, threshold_regime="half")
         inputs = build_inputs("ba", params, seed=1, unanimity="all")
         result = run("sync-ba-half", params, inputs, seed=1)
-        assert all(v == inputs[1] for v in result.outputs.values())
+        if any(v != inputs[1] for v in result.outputs.values()):
+            failures.append(f"l={l}: output differs from the unanimous input")
         rows.append((l, result.metrics.honest_bits_total, result.metrics))
-    return rows
+    return rows, failures
 
 
 def model_slope(n: int, t: int) -> float:
@@ -629,10 +605,9 @@ def model_slope(n: int, t: int) -> float:
 
 def check_complexity() -> CheckReport:
     t0 = time.time()
-    failures = []
     n, k = 10, 256
     t = (n - 1) // 2
-    rows = linear_scaling_runs(n=n, k=k)
+    rows, failures = linear_scaling_runs(n=n, k=k)
     ls = np.array([r[0] for r in rows], dtype=float)
     bits = np.array([r[1] for r in rows], dtype=float)
     slope, intercept = np.polyfit(ls, bits, 1)
@@ -667,7 +642,8 @@ def check_complexity() -> CheckReport:
                                threshold_regime="one_minus_eps", epsilon=eps)
         inputs = build_inputs("bb", params, seed=2, unanimity="all")
         result = run("sync-bb-highthresh", params, inputs, seed=2)
-        assert all(v == inputs[1] for v in result.outputs.values())
+        if any(v != inputs[1] for v in result.outputs.values()):
+            failures.append(f"eps={eps}: output differs from the sender's message")
         share = result.metrics.extra["share_bits"]
         expected = -(-l // (params.n - t12))  # ceil(l / (eps*n))
         blowup[f"eps={eps:.3f}"] = (share, expected)

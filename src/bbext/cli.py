@@ -1,9 +1,10 @@
-"""Experiment runner CLI: parameter sweeps and property-suite checks.
+"""Experiment runner CLI: parameter sweeps, message traces and property suites.
 
 ``bbext run`` executes one metrics run per (protocol, n, t, l, adversary,
 seed) cell, writing a JSON metrics file per cell and one aggregate CSV with
-fixed column order. ``bbext check <suite>`` runs a property suite and prints
-a machine-readable JSON report.
+fixed column order. ``bbext trace`` takes the same options for a single
+cell and prints its delivered messages as JSON lines. ``bbext check
+<suite>`` runs a property suite and prints a machine-readable JSON report.
 
 Exit codes: 0 ok, 1 property failure, 2 configuration error.
 """
@@ -22,7 +23,7 @@ from pathlib import Path
 from .adversary import adversary_battery
 from .checks import SUITES, build_inputs
 from .protocols import PROTOCOLS, SessionParams
-from .runner import ORACLE_KINDS, run
+from .runner import ORACLE_KINDS, RunResult, run
 
 CSV_COLUMNS = ["protocol", "n", "t", "l", "adversary", "seed",
                "honest_bits", "oracle_bits", "rounds"]
@@ -174,7 +175,7 @@ def _default_t_rule(protocol: str) -> str:
             "third_sync_ef": "max_third", "third_async": "max_third"}[regime]
 
 
-def run_cell(cell: dict) -> dict:
+def run_session(cell: dict, trace: bool = False) -> RunResult:
     spec = PROTOCOLS[cell["protocol"]]
     try:
         params = SessionParams(
@@ -185,10 +186,13 @@ def run_cell(cell: dict) -> dict:
         raise ConfigError(f"cell {cell['protocol']} n={cell['n']} t={cell['t']}: {exc}")
     scripts = {s.name: s for s in adversary_battery()}
     inputs = build_inputs(spec.kind, params, cell["seed"], unanimity="all")
-    result = run(cell["protocol"], params, inputs, adversary=scripts[cell["adversary"]],
-                 seed=cell["seed"], oracle_impl=cell["oracles"],
-                 acc_scheme=cell["accumulator"])
-    metrics = result.metrics
+    return run(cell["protocol"], params, inputs, adversary=scripts[cell["adversary"]],
+               seed=cell["seed"], oracle_impl=cell["oracles"],
+               acc_scheme=cell["accumulator"], trace=trace)
+
+
+def run_cell(cell: dict) -> dict:
+    metrics = run_session(cell).metrics
     return {
         "cell": {k: cell[k] for k in ("protocol", "n", "t", "l", "adversary", "seed")},
         "honest_bits": metrics.honest_bits_total,
@@ -231,6 +235,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def cmd_trace(args: argparse.Namespace) -> int:
+    cells = ExperimentConfig.load(args.config, args).cells()
+    if len(cells) != 1:
+        raise ConfigError(f"trace runs one cell; the options give {len(cells)}")
+    result = run_session(cells[0], trace=True)
+    for rec in result.trace:
+        print(json.dumps(rec))
+    print(json.dumps({"outputs": {p: repr(v) for p, v in result.outputs.items()},
+                      "honest_bits": result.metrics.honest_bits_total}),
+          file=sys.stderr)
+    return 0
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     if args.suite not in SUITES:
         print(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}",
@@ -249,19 +266,23 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="long-message agreement experiments")
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="execute a parameter sweep")
-    p_run.add_argument("--config", help="JSON experiment config")
-    p_run.add_argument("--protocol")
-    p_run.add_argument("--n", help="comma-separated party counts")
-    p_run.add_argument("--l", help="comma-separated input lengths in bits")
-    p_run.add_argument("--t", help="comma-separated explicit t per n")
-    p_run.add_argument("--seed", help="comma-separated seeds")
-    p_run.add_argument("--adversary", help="comma-separated script names")
-    p_run.add_argument("--oracle", action="append", help="kind=ideal|concrete")
-    p_run.add_argument("--acc", choices=["hash_tree", "bilinear_emulated"])
-    p_run.add_argument("--epsilon", type=float)
+    p_trace = sub.add_parser("trace", help="print the message trace of one cell "
+                                           "as JSON lines")
+    for p in (p_run, p_trace):
+        p.add_argument("--config", help="JSON experiment config")
+        p.add_argument("--protocol")
+        p.add_argument("--n", help="comma-separated party counts")
+        p.add_argument("--l", help="comma-separated input lengths in bits")
+        p.add_argument("--t", help="comma-separated explicit t per n")
+        p.add_argument("--seed", help="comma-separated seeds")
+        p.add_argument("--adversary", help="comma-separated script names")
+        p.add_argument("--oracle", action="append", help="kind=ideal|concrete")
+        p.add_argument("--acc", choices=["hash_tree", "bilinear_emulated"])
+        p.add_argument("--epsilon", type=float)
     p_run.add_argument("--out")
     p_run.add_argument("--jobs", type=int, default=1)
     p_run.set_defaults(func=cmd_run)
+    p_trace.set_defaults(func=cmd_trace, out=None, jobs=1)
     p_check = sub.add_parser("check", help="run a property suite")
     p_check.add_argument("suite")
     p_check.add_argument("--seeds", type=int, default=100)

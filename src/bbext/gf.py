@@ -43,10 +43,6 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray]:
 _EXP, _LOG = _build_tables()
 
 
-def gf_add(a: int, b: int) -> int:
-    return a ^ b
-
-
 def gf_mul(a: int, b: int) -> int:
     if a == 0 or b == 0:
         return 0
@@ -57,10 +53,6 @@ def gf_inv(a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("0 has no inverse in GF(2^16)")
     return int(_EXP[ORDER - _LOG[a]])
-
-
-def gf_div(a: int, b: int) -> int:
-    return gf_mul(a, gf_inv(b))
 
 
 def gf_pow(a: int, e: int) -> int:

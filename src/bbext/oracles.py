@@ -51,12 +51,16 @@ class CoinOracle:
 
 
 def value_to_bytes(v) -> bytes:
+    """Injective encoding of an oracle value: a type tag, then the value.
+
+    Signature-chain tags and vote tallies key on it, so values of different
+    types must never share an encoding."""
     if v is BOT:
-        return b"<bot>"
+        return b"N"
     if isinstance(v, bytes):
-        return v
+        return b"b" + v
     if isinstance(v, int) and -(2**63) <= int(v) < 2**63:
-        return int(v).to_bytes(9, "big", signed=True)
+        return b"i" + int(v).to_bytes(9, "big", signed=True)
     raise TypeError(f"unsupported oracle value type {type(v)!r}")
 
 

@@ -74,19 +74,19 @@ def bare_acc(z_bytes: bytes, k: int) -> AccValue:
     return AccValue(data=z_bytes, nominal_bits=k)
 
 
-def first_valid_own_package(ctx: Ctx, z: AccValue, kind: str = "share_pkg"):
+def first_valid_own_package(ctx: Ctx, z: AccValue):
     """Earliest received package for our own index that verifies under z."""
-    for env in ctx.inbox(kind=kind):
+    for env in ctx.inbox(kind="share_pkg"):
         pkg = env.payload
         if blocks.verify_package(ctx.session.ak, z, pkg, expect_index=ctx.pid):
             return pkg
     return None
 
 
-def forwarded_packages(ctx: Ctx, kind: str = "share_fwd") -> dict[int, object]:
+def forwarded_packages(ctx: Ctx) -> dict[int, object]:
     """First package per forwarding party, keyed by the forwarder id."""
     table: dict[int, object] = {}
-    for env in ctx.inbox(kind=kind):
+    for env in ctx.inbox(kind="share_fwd"):
         if env.src not in table:
             table[env.src] = env.payload
     return table

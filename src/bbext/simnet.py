@@ -206,7 +206,15 @@ class PrefixPolicy(SchedulerPolicy):
 
 
 class Ctx:
-    """Per-party handle into the engine: sending, mailbox, oracles, flags."""
+    """Per-party handle into the engine: sending, mailbox, oracles, flags.
+
+    A corrupt party that runs the honest code gets three rewrites here (see
+    ``adversary.hooked``): ``send_hook(ctx, dst, kind, payload)`` returns the
+    (kind, payload) actually sent or None to drop the message,
+    ``oracle_hook(ctx, kind, instance, value)`` returns the oracle input
+    actually submitted, and after ``crash_after_steps`` step markers the
+    party stops. Honest parties leave all three None.
+    """
 
     def __init__(self, engine: "Engine", pid: int):
         self.engine = engine
@@ -215,6 +223,10 @@ class Ctx:
         self.happy = False
         self.step = "init"
         self._oracle_seq: dict[str, int] = {}
+        self.send_hook: Callable | None = None
+        self.oracle_hook: Callable | None = None
+        self.crash_after_steps: int | None = None
+        self._steps_seen = 0
 
     @property
     def params(self):
@@ -225,15 +237,24 @@ class Ctx:
         return self.engine.session
 
     def set_step(self, label: str) -> None:
+        self._steps_seen += 1
+        if self.crash_after_steps is not None and self._steps_seen > self.crash_after_steps:
+            raise StopProtocol()
         self.step = label
 
     def set_happy(self, value: bool) -> None:
-        if self.happy and not value:
+        # corrupt parties may flap the flag
+        if self.happy and not value and self.pid in self.engine.honest:
             raise AssertionError(f"party {self.pid}: happy flag must be monotone")
         self.happy = bool(value)
 
     def send(self, dst: int, kind: str, payload, bits: int, step: str | None = None,
              instance: str | None = None, oracle: str | None = None) -> None:
+        if self.send_hook is not None:
+            out = self.send_hook(self, dst, kind, payload)
+            if out is None:
+                return
+            kind, payload = out
         self.engine.submit_send(
             self.pid, dst, kind, payload, bits, step or self.step, instance, oracle
         )
@@ -279,6 +300,8 @@ class Ctx:
     def oracle_submit(self, kind: str, value, value_bits: int,
                       instance: str | None = None, sender: int | None = None) -> str:
         inst = instance or self._auto_instance(kind)
+        if self.oracle_hook is not None:
+            value = self.oracle_hook(self, kind, inst, value)
         self.engine.oracle_submit(self.pid, kind, inst, value, value_bits, sender)
         return inst
 
@@ -327,13 +350,20 @@ class PartyHandle:
     has_output: bool = False
 
 
+MAX_ROUNDS = 10_000
+MAX_EVENTS = 2_000_000
+
+
 class Engine:
-    """Runs one session to quiescence under one scheduler mode."""
+    """Runs one session to quiescence under one scheduler mode.
+
+    ``tick`` is the round number in rounds mode and the number of delivered
+    envelopes in events mode; an envelope's age is ``tick - sent_tick``.
+    """
 
     def __init__(self, mode: str, params, session, factories: dict[int, Callable[[Ctx], Generator] | None],
                  honest: frozenset[int], adversary=None, policy: SchedulerPolicy | None = None,
-                 seed: int = 0, trace: bool = False, max_rounds: int = 10_000,
-                 max_events: int = 2_000_000):
+                 seed: int = 0, trace: bool = False):
         if mode not in ("rounds", "events"):
             raise ValueError("mode must be rounds or events")
         self.mode = mode
@@ -347,11 +377,7 @@ class Engine:
         self.trace: list[dict] | None = [] if trace else None
         self.tick = 0
         self._seq = 0
-        self.max_rounds = max_rounds
-        self.max_events = max_events
         self.pending: list[Envelope] = []
-        self._pending_age: dict[int, int] = {}
-        self._event_steps = 0
         self._received_bits = 0
         self.oracles: dict[str, IdealOracle] = {}
         self.parties: dict[int, PartyHandle] = {}
@@ -385,7 +411,6 @@ class Engine:
         if src in self.honest:
             self.metrics.add(bits, step=step, oracle=oracle)
         self.pending.append(env)
-        self._pending_age[env.seq] = self._event_steps
 
     def oracle_submit(self, pid, kind, instance, value, value_bits, sender) -> None:
         expected_mode = "rounds" if kind in SYNC_KINDS else "events"
@@ -455,7 +480,6 @@ class Engine:
                 sent_tick=self.tick,
             )
             self.pending.append(env)
-            self._pending_age[env.seq] = self._event_steps
 
     def _fire_ready_oracles(self) -> None:
         for name in sorted(self.oracles):
@@ -511,21 +535,19 @@ class Engine:
             self._run_rounds()
         else:
             self._run_events()
+        self.metrics.rounds_or_events_elapsed = self.tick
         self.metrics.extra["received_bits_total"] = self._received_bits
 
     def _run_rounds(self) -> None:
         for pid in sorted(self.parties):
             self._resume(self.parties[pid], first=True)
         self._fire_ready_oracles()
-        rounds = 0
         while any(not h.done for h in self.parties.values()):
-            rounds += 1
-            if rounds > self.max_rounds:
+            self.tick += 1
+            if self.tick > MAX_ROUNDS:
                 raise RuntimeError("round limit exceeded; protocol did not terminate")
-            self.tick = rounds
             batch = sorted(self.pending, key=lambda e: e.seq)
             self.pending.clear()
-            self._pending_age.clear()
             for env in batch:
                 self._deliver(env)
             for pid in sorted(self.parties):
@@ -535,7 +557,6 @@ class Engine:
                         continue
                     self._resume(h)
             self._fire_ready_oracles()
-        self.metrics.rounds_or_events_elapsed = rounds
 
     def _run_events(self) -> None:
         # Events-mode wait predicates must depend only on the waiting party's
@@ -545,23 +566,20 @@ class Engine:
             self._resume(self.parties[pid], first=True)
         self._fire_ready_oracles()
         while self.pending:
-            self._event_steps += 1
-            if self._event_steps > self.max_events:
+            self.tick += 1
+            if self.tick > MAX_EVENTS:
                 raise RuntimeError("event limit exceeded")
-            self.tick = self._event_steps
             # pending stays in send order, so the oldest envelope sits at 0
-            if self._event_steps - self._pending_age[self.pending[0].seq] >= n_fair:
+            if self.tick - self.pending[0].sent_tick >= n_fair:
                 idx = 0
             else:
                 idx = self.policy.pick(self.pending, self.rng)
             env = self.pending.pop(idx)
-            del self._pending_age[env.seq]
             self._deliver(env)
             handle = self.parties[env.dst]
             while self._runnable(handle):
                 self._resume(handle)
             self._fire_ready_oracles()
-        self.metrics.rounds_or_events_elapsed = self._event_steps
 
     def outputs(self) -> dict[int, object]:
         return {pid: h.output for pid, h in self.parties.items() if h.has_output}

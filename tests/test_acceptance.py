@@ -43,21 +43,21 @@ def test_criterion_1_protocol_correctness_battery():
 def test_criterion_2_linear_scaling_in_message_length():
     n, k = 10, 256
     t = (n - 1) // 2
-    rows = linear_scaling_runs(n=n, k=k)
+    rows, failures = linear_scaling_runs(n=n, k=k)
     ls = np.array([r[0] for r in rows], dtype=float)
     bits = np.array([r[1] for r in rows], dtype=float)
     slope, intercept = np.polyfit(ls, bits, 1)
     pred = slope * ls + intercept
     r2 = 1 - float(np.sum((bits - pred) ** 2)) / float(np.sum((bits - bits.mean()) ** 2))
     m = model_slope(n, t)
-    report = CheckReport(
-        name="linear-scaling", passed=(r2 >= 0.999 and 0.9 * m <= slope <= 1.3 * m),
-        trials=len(rows),
-        failures=[] if r2 >= 0.999 else [f"r2={r2}"],
-        details={"slope": float(slope), "model": m, "r2": r2},
-    )
+    if r2 < 0.999:
+        failures.append(f"r2={r2}")
     if not (0.9 * m <= slope <= 1.3 * m):
-        report.failures.append(f"slope {slope} vs model {m}")
+        failures.append(f"slope {slope} vs model {m}")
+    report = CheckReport(
+        name="linear-scaling", passed=not failures, trials=len(rows),
+        failures=failures, details={"slope": float(slope), "model": m, "r2": r2},
+    )
     _emit("2", report)
     # stash for criterion 3
     test_criterion_2_linear_scaling_in_message_length.rows = rows
@@ -67,8 +67,9 @@ def test_criterion_2_linear_scaling_in_message_length():
 def test_criterion_3_extension_overhead_bound():
     rows = getattr(test_criterion_2_linear_scaling_in_message_length, "rows", None)
     slope = getattr(test_criterion_2_linear_scaling_in_message_length, "slope", None)
+    failures = []
     if rows is None:
-        rows = linear_scaling_runs()
+        rows, failures = linear_scaling_runs()
         ls = np.array([r[0] for r in rows], dtype=float)
         bits = np.array([r[1] for r in rows], dtype=float)
         slope = float(np.polyfit(ls, bits, 1)[0])
@@ -77,7 +78,6 @@ def test_criterion_3_extension_overhead_bound():
 
     k_wit = witness_nominal_bits(HASH_TREE, n, k)
     bound = 2 * ((k + k) * n * n + n**3 + 2 * k_wit * n * n)
-    failures = []
     for l, total, _ in rows:
         residual = total - slope * l
         if residual > bound:

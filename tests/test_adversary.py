@@ -4,30 +4,38 @@ import pytest
 
 from bbext import blocks
 from bbext.accumulator import Witness
-from bbext.adversary import CorruptShareSender, Equivocator
+from bbext.adversary import CorruptShareSender, Equivocator, hooked
+from bbext.simnet import Ctx, StopProtocol
 
 PAYLOADS = [b"", b"\x00", b"\xff\xa5\x5a", bytes(range(256)), bytes(range(255, -1, -3)) * 40]
 PAYLOAD_IDS = ["empty", "zero", "mixed", "every-byte", "long"]
 
 
-class RecordingCtx:
+class RecordingEngine:
+    """Just enough engine for a Ctx: records what reaches the network."""
+
     def __init__(self, n):
         self.params = SimpleNamespace(n=n)
+        self.honest = frozenset(range(2, n + 1))
         self.sent = []
+        self.submitted = []
 
-    def send(self, dst, kind, payload, bits, step=None, instance=None, oracle=None):
+    def submit_send(self, src, dst, kind, payload, bits, step, instance, oracle):
         self.sent.append((dst, kind, payload))
+
+    def oracle_submit(self, pid, kind, instance, value, value_bits, sender):
+        self.submitted.append((pid, kind, instance, value))
 
 
 def sends_through(script, kind, payload, dst=2):
     """What the corrupt party actually sends when its honest code sends payload."""
-    ctx = RecordingCtx(n=4)
+    engine = RecordingEngine(n=4)
 
-    def honest(proxy):
-        proxy.send(dst, kind, payload, bits=0)
+    def honest(ctx):
+        ctx.send(dst, kind, payload, bits=0)
 
-    script.make_party(1, honest, env=None)(ctx)
-    [(_, sent_kind, sent)] = ctx.sent
+    script.make_party(1, honest, env=None)(Ctx(engine, 1))
+    [(_, sent_kind, sent)] = engine.sent
     assert sent_kind == kind
     return sent
 
@@ -45,3 +53,27 @@ def test_corrupt_share_sender_flips_every_byte(payload):
     sent = sends_through(CorruptShareSender(), "share_pkg", pkg)
     assert sent.indexed_share == blocks.IndexedShare(1, bytes(b ^ 0xA5 for b in payload))
     assert sent.witness == pkg.witness
+
+
+def test_hooks_rewrite_the_corrupt_partys_own_ctx():
+    engine = RecordingEngine(n=4)
+    ctx = Ctx(engine, 1)
+    hooked(lambda c: None, send_hook=lambda c, dst, kind, payload: None,
+           oracle_hook=lambda c, kind, inst, value: 1, crash_after_steps=1)(ctx)
+    ctx.broadcast("payload", b"m", bits=8)
+    assert engine.sent == []
+    ctx.oracle_submit("sync_ba", 0, 1, instance="ba_happy")
+    assert engine.submitted == [(1, "sync_ba", "ba_happy", 1)]
+    ctx.set_happy(True)
+    ctx.set_happy(False)  # corrupt parties may flap the flag
+    ctx.set_step("first")
+    with pytest.raises(StopProtocol):
+        ctx.set_step("second")
+    assert ctx.step == "first"
+
+
+def test_honest_happy_flag_only_rises():
+    ctx = Ctx(RecordingEngine(n=4), 2)
+    ctx.set_happy(True)
+    with pytest.raises(AssertionError, match="monotone"):
+        ctx.set_happy(False)

@@ -3,7 +3,11 @@ import json
 
 import pytest
 
+from bbext.adversary import WithholdCertificate
+from bbext.checks import build_inputs
 from bbext.cli import CSV_COLUMNS, ConfigError, ExperimentConfig, main
+from bbext.protocols import SessionParams
+from bbext.runner import run
 
 
 def run_cli(args):
@@ -125,3 +129,27 @@ def test_coding_check_fits_the_fresh_checkout_budget(capsys):
     assert run_cli(["check", "coding"]) == 0
     report = json.loads(capsys.readouterr().out.strip())
     assert report["elapsed_s"] < 60
+
+
+def test_trace_prints_one_cell_as_json_lines(capsys):
+    args = ["trace", "--protocol", "sync-bb-highthresh", "--n", "4", "--l", "96",
+            "--epsilon", "0.5", "--adversary", "withhold_cert", "--seed", "3"]
+    assert run_cli(args) == 0
+    captured = capsys.readouterr()
+    records = [json.loads(line) for line in captured.out.splitlines()]
+    params = SessionParams(n=4, t=2, l=96, k=256, threshold_regime="one_minus_eps",
+                           epsilon=0.5)
+    inputs = build_inputs("bb", params, 3, "all")
+    want = run("sync-bb-highthresh", params, inputs, adversary=WithholdCertificate(),
+               seed=3, trace=True)
+    assert records == want.trace
+    summary = json.loads(captured.err)
+    assert summary["honest_bits"] == want.metrics.honest_bits_total
+    assert summary["outputs"] == {str(p): repr(v) for p, v in want.outputs.items()}
+
+
+def test_trace_needs_exactly_one_cell(capsys):
+    assert run_cli(["trace", "--protocol", "sync-ba-half", "--n", "4,7"]) == 2
+    assert "the options give 2" in capsys.readouterr().err
+    assert run_cli(["trace", "--protocol", "sync-ba-half", "--n", "4", "--seed", "0,1"]) == 2
+    assert "the options give 2" in capsys.readouterr().err

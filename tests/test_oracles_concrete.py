@@ -2,14 +2,14 @@
 
 import pytest
 
-from bbext.adversary import AdversaryScript, ScheduledHonest, Silent
-from bbext.checks import explore_schedules
+from bbext.adversary import AdversaryScript, ScheduledHonest, Silent, hooked
+from bbext.checks import build_inputs, evaluate_run, explore_schedules
 from bbext.multisig import msig_combine
-from bbext.oracles import _chain_tag
+from bbext.oracles import _chain_tag, value_to_bytes
 from bbext.protocols import SessionParams
 from bbext.protocols.base import ProtocolSpec
 from bbext.runner import run
-from bbext.simnet import BOT
+from bbext.simnet import BOT, RandomPolicy, Until
 
 
 def chain_bb_spec():
@@ -362,3 +362,92 @@ def test_aba_poisoned_schedule_exploration():
         assert set(outs) == set(res.honest), prefix
         assert len(set(outs.values())) == 1, prefix
         assert next(iter(outs.values())) in {inputs[p] for p in res.honest}, prefix
+
+
+# --- values of different types must not share an encoding ----------------------
+
+# int 1's untyped 9-byte encoding, sent as a bytes value
+ONE_AS_BYTES = b"\x00" * 8 + b"\x01"
+
+
+def test_value_encoding_is_type_tagged():
+    assert value_to_bytes(1) != value_to_bytes(ONE_AS_BYTES)
+    assert value_to_bytes(0) != value_to_bytes(b"\x00" * 9)
+    assert value_to_bytes(BOT) != value_to_bytes(b"<bot>")
+    assert _chain_tag("ba_happy/s2", 1) != _chain_tag("ba_happy/s2", ONE_AS_BYTES)
+    with pytest.raises(TypeError):
+        value_to_bytes("text")
+
+
+class ChainRelayOneAsBytes(AdversaryScript):
+    """Party 1 runs the honest code but relays every chain value 1 as the
+    nine bytes above, keeping the signatures it received and added."""
+
+    name = "chain_one_as_bytes"
+
+    def corrupt_set(self, n, t, sender):
+        return frozenset({1})
+
+    def make_party(self, pid, honest_factory, env):
+        def send_hook(ctx, dst, kind, payload):
+            if kind == "ds":
+                slot, value, sig = payload
+                if type(value) is int and value == 1:
+                    payload = (slot, ONE_AS_BYTES, sig)
+            return kind, payload
+
+        return hooked(honest_factory, send_hook=send_hook)
+
+
+@pytest.mark.parametrize("n", [4, 7])
+def test_chain_relay_of_retyped_value_keeps_validity(n):
+    # before values were type-tagged, the relayed bytes verified under the
+    # signatures on 1, every honest happy slot extracted two values, and every
+    # honest party output BOT on unanimous inputs
+    params = SessionParams(n=n, t=(n - 1) // 2, l=96, k=128, threshold_regime="half")
+    for seed in range(3):
+        inputs = build_inputs("ba", params, seed, "all")
+        res = run("sync-ba-half", params, inputs, adversary=ChainRelayOneAsBytes(),
+                  seed=seed, oracle_impl={"sync_ba": "concrete"})
+        assert evaluate_run("ba", inputs, None, res) == [], (n, seed)
+
+
+class ReadyOneAsBytes(AdversaryScript):
+    """The last party answers every flag/j message with a ready vote for the
+    nine bytes above, under random delivery."""
+
+    name = "ready_one_as_bytes"
+
+    def corrupt_set(self, n, t, sender):
+        return frozenset({n})
+
+    def scheduler_policy(self, corrupt, seed):
+        return RandomPolicy()
+
+    def make_party(self, pid, honest_factory, env):
+        def party(ctx):
+            scanned = 0
+            while True:
+                box = ctx.mailbox
+                for e in box[scanned:]:
+                    if e.kind == "rb" and (e.instance or "").startswith("flag/"):
+                        ctx.broadcast("rb", ("ready", ONE_AS_BYTES), bits=1,
+                                      instance=e.instance, step="junk")
+                scanned = len(box)
+                yield Until(lambda: len(ctx.mailbox) > scanned)
+
+        return party
+
+
+def test_ready_votes_for_retyped_flag_keep_termination():
+    # before values were type-tagged, the bytes shared the flag's vote key and
+    # replaced the value 1 that honest readies delivered, so flags read as
+    # not-1 and the broadcast stalled on some schedules
+    for n in (4, 7, 10):
+        params = SessionParams(n=n, t=(n - 1) // 3, l=96, k=128,
+                               threshold_regime="third_async")
+        for seed in range(10):
+            inputs = build_inputs("rb", params, seed, "all")
+            res = run("ef-async-rb-third", params, inputs, adversary=ReadyOneAsBytes(),
+                      seed=seed, oracle_impl={"async_rb": "concrete"})
+            assert evaluate_run("rb", inputs, 1, res) == [], (n, seed)
