@@ -14,7 +14,7 @@ import random
 from typing import Callable
 
 from . import blocks
-from .multisig import msig_combine
+from .multisig import MultiSig, msig_combine
 from .simnet import (
     BOT,
     Ctx,
@@ -285,8 +285,8 @@ class WithholdCertificate(AdversaryScript):
             packages = blocks.make_packages(shares, ctx.session.ak, rich)
             for r in range(1, params.t + 2):
                 if r == release_iter:
-                    ctx.send(target, "happy_cert", cert, bits=params.k + params.n,
-                             step="distribute")
+                    ctx.send(target, "happy_cert", cert,
+                             bits=MultiSig.nominal_bits(params.n, params.k), step="distribute")
                     for j, pkg in sorted(packages.items()):
                         if j != ctx.pid:
                             ctx.send(j, "share_pkg", pkg, bits=pkg.nominal_bits(),

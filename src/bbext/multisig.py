@@ -22,7 +22,9 @@ class MultiSig:
     signers: frozenset[int]
     aggregate: bytes
 
-    def nominal_bits(self, n: int, k: int) -> int:
+    @staticmethod
+    def nominal_bits(n: int, k: int) -> int:
+        """Model size of any aggregate: k bits plus an n-bit signer list."""
         return k + n
 
 

@@ -25,7 +25,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .multisig import MsigAuthority, MultiSig, msig_combine
-from .simnet import BOT, Ctx, NEXT_ROUND, Until
+from .simnet import BOT, Ctx, NEXT_ROUND
 
 
 class CoinOracle:
@@ -55,13 +55,19 @@ def value_to_bytes(v) -> bytes:
 
     Signature-chain tags and vote tallies key on it, so values of different
     types must never share an encoding."""
+    if not _encodable(v):
+        raise TypeError(f"unsupported oracle value type {type(v)!r}")
     if v is BOT:
         return b"N"
     if isinstance(v, bytes):
         return b"b" + v
-    if isinstance(v, int) and -(2**63) <= int(v) < 2**63:
-        return b"i" + int(v).to_bytes(9, "big", signed=True)
-    raise TypeError(f"unsupported oracle value type {type(v)!r}")
+    return b"i" + int(v).to_bytes(9, "big", signed=True)
+
+
+def _encodable(v) -> bool:
+    """True when ``value_to_bytes(v)`` succeeds: BOT, bytes, or a 64-bit int."""
+    return (v is BOT or isinstance(v, bytes)
+            or (isinstance(v, int) and -(2**63) <= int(v) < 2**63))
 
 
 def _chain_tag(instance: str, value) -> bytes:
@@ -78,41 +84,36 @@ def dolev_strong(ctx: Ctx, instance: str, sender: int, my_value, value_bits: int
     n, t = ctx.params.n, ctx.params.t
     auth: MsigAuthority = ctx.session.msig
     step = f"oracle:{instance}"
-    relay_bits = value_bits + ctx.params.k + n
+    relay_bits = value_bits + MultiSig.nominal_bits(n, ctx.params.k)
     extracted: list = []
-
-    def relay(value, sig: MultiSig):
-        combined = msig_combine(sig, auth.sign(ctx.pid, _chain_tag(instance, value)))
-        ctx.broadcast("ds", (value, combined), bits=relay_bits, step=step,
-                      instance=instance, oracle="sync_bb")
 
     if ctx.pid == sender and my_value is not None:
         sig = auth.sign(ctx.pid, _chain_tag(instance, my_value))
         ctx.broadcast("ds", (my_value, sig), bits=relay_bits, step=step,
                       instance=instance, oracle="sync_bb")
         extracted.append(my_value)
-    processed = 0
+    mail = ctx.reader("ds", instance)
     for r in range(1, t + 2):
         yield NEXT_ROUND
-        box = ctx.inbox(kind="ds", instance=instance)
-        for env in box[processed:]:
+        for env in mail.new():
             try:
                 value, sig = env.payload
-                tag = _chain_tag(instance, value)
             except (TypeError, ValueError):
                 continue
-            if value in extracted or len(extracted) >= 2:
+            if not _encodable(value) or value in extracted or len(extracted) >= 2:
                 continue
             if not isinstance(sig, MultiSig) or sender not in sig.signers:
                 continue
             if len(sig.signers) < r or ctx.pid in sig.signers:
                 continue
+            tag = _chain_tag(instance, value)
             if not auth.verify(sig, tag):
                 continue
             extracted.append(value)
             if r <= t:
-                relay(value, sig)
-        processed = len(box)
+                combined = msig_combine(sig, auth.sign(ctx.pid, tag))
+                ctx.broadcast("ds", (value, combined), bits=relay_bits, step=step,
+                              instance=instance, oracle="sync_bb")
     return extracted[0] if len(extracted) == 1 else BOT
 
 
@@ -126,7 +127,7 @@ def parallel_chain_bcast(ctx: Ctx, instance: str, my_value, value_bits: int,
     n, t = ctx.params.n, ctx.params.t
     auth: MsigAuthority = ctx.session.msig
     step = f"oracle:{instance}"
-    relay_bits = 16 + value_bits + ctx.params.k + n
+    relay_bits = 16 + value_bits + MultiSig.nominal_bits(n, ctx.params.k)
     extracted: dict[int, list] = {s: [] for s in range(1, n + 1)}
 
     def tag(slot: int, value) -> bytes:
@@ -137,20 +138,15 @@ def parallel_chain_bcast(ctx: Ctx, instance: str, my_value, value_bits: int,
         ctx.broadcast("ds", (ctx.pid, my_value, sig), bits=relay_bits, step=step,
                       instance=instance, oracle=oracle_label)
         extracted[ctx.pid].append(my_value)
-    processed = 0
+    mail = ctx.reader("ds", instance)
     for r in range(1, t + 2):
         yield NEXT_ROUND
-        box = ctx.inbox(kind="ds", instance=instance)
-        for env in box[processed:]:
+        for env in mail.new():
             try:
                 slot, value, sig = env.payload
             except (TypeError, ValueError):
                 continue
-            if not isinstance(slot, int) or slot not in extracted:
-                continue
-            try:
-                tag(slot, value)
-            except TypeError:
+            if not isinstance(slot, int) or slot not in extracted or not _encodable(value):
                 continue
             if value in extracted[slot] or len(extracted[slot]) >= 2:
                 continue
@@ -158,14 +154,14 @@ def parallel_chain_bcast(ctx: Ctx, instance: str, my_value, value_bits: int,
                 continue
             if len(sig.signers) < r or ctx.pid in sig.signers:
                 continue
-            if not auth.verify(sig, tag(slot, value)):
+            slot_tag = tag(slot, value)
+            if not auth.verify(sig, slot_tag):
                 continue
             extracted[slot].append(value)
             if r <= t:
-                combined = msig_combine(sig, auth.sign(ctx.pid, tag(slot, value)))
+                combined = msig_combine(sig, auth.sign(ctx.pid, slot_tag))
                 ctx.broadcast("ds", (slot, value, combined), bits=relay_bits, step=step,
                               instance=instance, oracle=oracle_label)
-        processed = len(box)
     return {s: (extracted[s][0] if len(extracted[s]) == 1 else BOT) for s in range(1, n + 1)}
 
 
@@ -264,16 +260,13 @@ def bracha_rb(ctx: Ctx, instance: str, sender: int, my_value, value_bits: int):
     honest sender, all-or-none otherwise."""
     machine = BrachaMachine(ctx, instance, sender, value_bits)
     machine.start(my_value)
-    processed = 0
+    mail = ctx.reader("rb", instance)
     while not machine.has_delivered:
-        box = ctx.inbox(kind="rb", instance=instance)
-        for env in box[processed:]:
+        for env in mail.new():
             machine.feed(env)
-        processed = len(box)
         if machine.has_delivered:
             break
-        box_len = len(box)
-        yield Until(lambda: len(ctx.inbox(kind="rb", instance=instance)) > box_len)
+        yield mail.wait()
     return machine.delivered
 
 
@@ -318,7 +311,7 @@ def aba_binary(ctx: Ctx, instance: str, my_bit: int):
     ready_seen: dict[int, set[int]] = {}
     ready_sent: list = []
     decided: list = []
-    processed = 0
+    mail = ctx.reader("aba", instance)
 
     def rnd(r: int) -> _AbaRound:
         if r not in rounds:
@@ -363,9 +356,7 @@ def aba_binary(ctx: Ctx, instance: str, my_bit: int):
                 st.bin_values.append(v)
 
     def pump():
-        nonlocal processed
-        box = ctx.inbox(kind="aba", instance=instance)
-        for env in box[processed:]:
+        for env in mail.new():
             try:
                 tag, r, v = env.payload
             except (TypeError, ValueError):
@@ -388,15 +379,13 @@ def aba_binary(ctx: Ctx, instance: str, my_bit: int):
                 if len(ready_seen[v]) >= t + 1:
                     send_ready(v, r)
                 _check_output(r)
-        processed = len(box)
 
     def wait(pred):
         while True:
             pump()
             if pred() or decided:
                 return
-            box_len = len(ctx.inbox(kind="aba", instance=instance))
-            yield Until(lambda: len(ctx.inbox(kind="aba", instance=instance)) > box_len)
+            yield mail.wait()
 
     est = my_bit & 1
     r = 1

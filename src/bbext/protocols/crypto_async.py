@@ -10,13 +10,8 @@ from __future__ import annotations
 
 from .. import blocks
 from ..oracles import ba_oracle, bcast_oracle
-from ..simnet import BOT, Ctx, InvariantViolation, Until
+from ..simnet import BOT, Ctx, InvariantViolation
 from .base import ProtocolSpec, bare_acc, encode_input
-
-
-def _wait_mail(ctx: Ctx):
-    size = len(ctx.mailbox)
-    return Until(lambda: len(ctx.mailbox) > size)
 
 
 class _FwdTracker:
@@ -26,16 +21,14 @@ class _FwdTracker:
         self.ctx = ctx
         self.z = z
         self.table: dict[int, blocks.SharePackage] = {}
-        self._scanned = 0
+        self.mail = ctx.reader("share_fwd")
 
     def update(self) -> int:
-        box = self.ctx.inbox(kind="share_fwd")
-        for env in box[self._scanned :]:
+        for env in self.mail.new():
             if env.src not in self.table and blocks.verify_package(
                 self.ctx.session.ak, self.z, env.payload, expect_index=env.src
             ):
                 self.table[env.src] = env.payload
-        self._scanned = len(box)
         return len(self.table)
 
 
@@ -55,14 +48,15 @@ def async_ba_third(ctx: Ctx, my_input: bytes, sender: int | None = None):
     if happy:
         blocks.distribute(ctx, shares, ctx.session.ak, z_mine, step="distribute")
     ctx.set_step("share")
+    packages = ctx.reader("share_pkg")
     mine = None
     while mine is None:
-        for env in ctx.inbox(kind="share_pkg"):
+        for env in packages.new():
             if blocks.verify_package(ctx.session.ak, z_acc, env.payload, expect_index=ctx.pid):
                 mine = env.payload
                 break
         if mine is None:
-            yield _wait_mail(ctx)
+            yield packages.wait()
     ctx.broadcast("share_fwd", mine, bits=mine.nominal_bits(), step="share")
     ctx.self_deliver("share_fwd", mine, step="share")
     if happy:
@@ -72,7 +66,7 @@ def async_ba_third(ctx: Ctx, my_input: bytes, sender: int | None = None):
     ctx.set_step("reconstruct")
     tracker = _FwdTracker(ctx, z_acc)
     while tracker.update() < params.n - params.t:
-        yield _wait_mail(ctx)
+        yield tracker.mail.wait()
     got = blocks.reconstruct(tracker.table, ctx.session.ak, z_acc, d0=params.t, b=params.b)
     if got is None:
         raise AssertionError(f"party {ctx.pid}: reconstruction failed after a carried happy vote")
@@ -107,6 +101,8 @@ def async_rb_third(ctx: Ctx, my_input: bytes | None, sender: int):
             blocks.distribute(ctx, my_shares, ctx.session.ak, z_mine, step="distribute")
     forwarded = None
     tracker = _FwdTracker(ctx, z_acc)
+    packages = ctx.reader("share_pkg")
+    mail = ctx.reader()
     while True:
         if not happy_known:
             payloads = ctx.inbox(kind="payload", frm=sender)
@@ -126,7 +122,7 @@ def async_rb_third(ctx: Ctx, my_input: bytes | None, sender: int):
                         ctx.set_step("distribute")
                         blocks.distribute(ctx, my_shares, ctx.session.ak, cand_z, step="distribute")
         if forwarded is None:
-            for env in ctx.inbox(kind="share_pkg"):
+            for env in packages.new():
                 if blocks.verify_package(ctx.session.ak, z_acc, env.payload, expect_index=ctx.pid):
                     forwarded = env.payload
                     ctx.set_step("share")
@@ -152,7 +148,9 @@ def async_rb_third(ctx: Ctx, my_input: bytes | None, sender: int):
                 # party can ever be happy with it and witnesses for canonical
                 # shares cannot exist, so nobody outputs - an allowed outcome
                 # under a faulty sender
-        yield _wait_mail(ctx)
+        # any new mail, not only the kinds read above, wakes the loop again
+        mail.new()
+        yield mail.wait()
 
 
 ASYNC_PROTOCOLS = [

@@ -114,22 +114,22 @@ def sync_bb_high_threshold(ctx: Ctx, my_input: bytes | None, sender: int):
     distributed = False
     shared = False
     reconstructed = False
-    cert_ptr = 0
+    cert_mail = ctx.reader("happy_cert")
     for r in range(1, params.t + 2):
         ctx.set_step("distribute")
         if happy and not distributed:
             distributed = True
             own_sig = auth.sign(ctx.pid, _happy_tag(ctx))
             cert = msig_combine(trigger_cert, own_sig) if trigger_cert else own_sig
-            ctx.broadcast("happy_cert", cert, bits=params.k + params.n, step="distribute")
+            ctx.broadcast("happy_cert", cert, bits=MultiSig.nominal_bits(params.n, params.k),
+                          step="distribute")
             rich = blocks.eval_shares(ctx.session.ak, my_shares)
             if rich.data != z:
                 raise InvariantViolation(
                     "distributing party's shares must match the agreed commitment")
             blocks.distribute(ctx, my_shares, ctx.session.ak, rich, step="distribute")
         yield NEXT_ROUND
-        cert_envs = ctx.inbox(kind="happy_cert")[cert_ptr:]
-        cert_ptr += len(cert_envs)
+        cert_envs = cert_mail.new()
         ctx.set_step("share")
         if not shared:
             mine = first_valid_own_package(ctx, z_acc)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .. import blocks, rs
 from ..oracles import BrachaMachine, parallel_chain_bcast
-from ..simnet import Ctx, InvariantViolation, NEXT_ROUND, Until
+from ..simnet import Ctx, InvariantViolation, NEXT_ROUND
 from ..star import NOSTAR, PartyGraph, derive_fe, star
 from .base import ProtocolSpec
 
@@ -284,10 +284,9 @@ def ef_async_rb(ctx: Ctx, my_input: bytes | None, sender: int):
         ctx.broadcast("payload", my_input, bits=params.l, step="payload")
         adopt_message(my_input)
 
-    scanned = 0
+    mail = ctx.reader()
     while True:
-        box = ctx.mailbox
-        for env in box[scanned:]:
+        for env in mail.new():
             if env.kind == "payload" and env.src == sender:
                 adopt_message(env.payload)
             elif env.kind == "sym_self" and isinstance(env.payload, bytes):
@@ -318,7 +317,6 @@ def ef_async_rb(ctx: Ctx, my_input: bytes | None, sender: int):
                 e_vecs.setdefault(env.src, env.payload)
             elif env.kind == "maj_val":
                 majs.setdefault(env.src, env.payload)
-        scanned = len(box)
         for j, m in machines.items():
             if m.has_delivered:
                 flags.setdefault(j, m.delivered)
@@ -338,9 +336,7 @@ def ef_async_rb(ctx: Ctx, my_input: bytes | None, sender: int):
                                            absent_as_error=False)
             if payload is not None:
                 return payload
-        size = len(ctx.mailbox)
-        if size == scanned:
-            yield Until(lambda: len(ctx.mailbox) > size)
+        yield mail.wait()
 
 
 EF_PROTOCOLS = [

@@ -11,6 +11,13 @@ envelope; an envelope may be deferred at most 10*n^2 scheduling steps, which
 makes eventual delivery hold on every finite trace while leaving reordering
 fully adversarial inside that bound.
 
+Mail costs O(new mail), not O(mailbox). Each delivered or self-delivered
+envelope is filed once, into the party's mailbox and into an index by kind
+and by (kind, instance), so ``Ctx.inbox`` returns a list without scanning.
+A party reads new mail through a cursor (``Ctx.reader``) that remembers how
+far it has read. A broadcast by a party without a send hook is enqueued as
+n-1 envelopes in destination order and metered with one charge.
+
 Only bits sent by honest parties are metered, at nominal sizes. Ideal-oracle
 invocations are charged their model cost pro rata to the honest fraction.
 """
@@ -20,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Generator
 
@@ -205,21 +213,60 @@ class PrefixPolicy(SchedulerPolicy):
         return idx
 
 
+class Reader:
+    """A cursor over one of a party's filed inbox lists (see ``Ctx.reader``).
+
+    ``new()`` returns the envelopes filed since its last call, as a fresh
+    list, so the caller may self-deliver while iterating. ``wait()`` is the
+    wait condition "mail past the cursor has arrived"; it holds the filed
+    list, which later mail extends, so checking it costs one ``len``.
+    """
+
+    __slots__ = ("_ctx", "_kind", "_instance", "_pos")
+
+    def __init__(self, ctx: "Ctx", kind: str | None, instance: str | None):
+        self._ctx = ctx
+        self._kind = kind
+        self._instance = instance
+        self._pos = 0
+
+    def new(self) -> list[Envelope]:
+        box = self._ctx.inbox(self._kind, self._instance)
+        fresh = box[self._pos:]
+        self._pos = len(box)
+        return fresh
+
+    def wait(self) -> Until:
+        box = self._ctx.inbox(self._kind, self._instance)
+        return Until(lambda: len(box) > self._pos)
+
+
 class Ctx:
     """Per-party handle into the engine: sending, mailbox, oracles, flags.
+
+    Every envelope reaching the party is filed once (``_file``): appended to
+    ``mailbox`` and to the index lists of its kind and of its (kind,
+    instance). ``inbox`` returns one of those lists as it stands, in arrival
+    order; callers must not modify it. ``reader`` wraps one in a cursor for
+    loops that consume mail as it arrives. ``broadcast`` from a party without
+    a send hook goes to the engine in one call and is metered once.
 
     A corrupt party that runs the honest code gets three rewrites here (see
     ``adversary.hooked``): ``send_hook(ctx, dst, kind, payload)`` returns the
     (kind, payload) actually sent or None to drop the message,
     ``oracle_hook(ctx, kind, instance, value)`` returns the oracle input
     actually submitted, and after ``crash_after_steps`` step markers the
-    party stops. Honest parties leave all three None.
+    party stops. Honest parties leave all three None. A broadcast with a send
+    hook is sent one destination at a time, so the hook sees each one.
     """
 
     def __init__(self, engine: "Engine", pid: int):
         self.engine = engine
         self.pid = pid
         self.mailbox: list[Envelope] = []
+        # a kind keys every envelope of that kind, (kind, instance) those
+        # that also carry that instance
+        self._index: defaultdict[object, list[Envelope]] = defaultdict(list)
         self.happy = False
         self.step = "init"
         self._oracle_seq: dict[str, int] = {}
@@ -261,13 +308,18 @@ class Ctx:
 
     def broadcast(self, kind: str, payload, bits: int, step: str | None = None,
                   instance: str | None = None, oracle: str | None = None) -> None:
+        if self.send_hook is None:
+            self.engine.submit_broadcast(
+                self.pid, kind, payload, bits, step or self.step, instance, oracle
+            )
+            return
         for dst in range(1, self.engine.params.n + 1):
             if dst != self.pid:
                 self.send(dst, kind, payload, bits, step, instance, oracle)
 
     def self_deliver(self, kind: str, payload, step: str | None = None,
                      instance: str | None = None) -> None:
-        env = Envelope(
+        self._file(Envelope(
             seq=self.engine.next_seq(),
             src=self.pid,
             dst=self.pid,
@@ -277,18 +329,36 @@ class Ctx:
             step=step or self.step,
             instance=instance,
             sent_tick=self.engine.tick,
-        )
+        ))
+
+    def _file(self, env: Envelope) -> None:
         self.mailbox.append(env)
+        self._index[env.kind].append(env)
+        if env.instance is not None:
+            self._index[env.kind, env.instance].append(env)
 
     def inbox(self, kind: str | None = None, instance: str | None = None,
               frm: int | None = None) -> list[Envelope]:
-        return [
-            e
-            for e in self.mailbox
-            if (kind is None or e.kind == kind)
-            and (instance is None or e.instance == instance)
-            and (frm is None or e.src == frm)
-        ]
+        """Received envelopes in arrival order, filtered by kind, instance and
+        sender. Without ``frm`` (and with a kind or no filter at all) this is
+        the filed list itself, which later mail extends: read it, do not
+        modify it."""
+        if kind is not None:
+            box = self._index[kind if instance is None else (kind, instance)]
+        elif instance is None:
+            box = self.mailbox
+        else:
+            box = [e for e in self.mailbox if e.instance == instance]
+        if frm is not None:
+            box = [e for e in box if e.src == frm]
+        return box
+
+    def reader(self, kind: str | None = None, instance: str | None = None) -> Reader:
+        """A cursor over ``inbox(kind, instance)``, starting at its first
+        envelope: over one kind, one (kind, instance), or the whole mailbox."""
+        if kind is None and instance is not None:
+            raise ValueError("a cursor over one instance needs a kind")
+        return Reader(self, kind, instance)
 
     # --- ideal oracle access -------------------------------------------------
 
@@ -306,16 +376,13 @@ class Ctx:
         return inst
 
     def oracle_result(self, instance: str):
-        for e in self.mailbox:
-            if e.kind == "oracle_out" and e.instance == instance and e.src == 0:
+        for e in self._index.get(("oracle_out", instance), ()):
+            if e.src == 0:
                 return e.payload
         return None
 
     def has_oracle_result(self, instance: str) -> bool:
-        return any(
-            e.kind == "oracle_out" and e.instance == instance and e.src == 0
-            for e in self.mailbox
-        )
+        return any(e.src == 0 for e in self._index.get(("oracle_out", instance), ()))
 
     def ideal_oracle(self, kind: str, value, value_bits: int,
                      instance: str | None = None, sender: int | None = None):
@@ -398,19 +465,26 @@ class Engine:
             raise ValueError(f"bad destination {dst}")
         if dst == src:
             raise ValueError("use self_deliver for local delivery")
+        self._enqueue(src, (dst,), kind, payload, bits, step, instance, oracle)
+
+    def submit_broadcast(self, src, kind, payload, bits, step, instance, oracle) -> None:
+        """``submit_send`` to every party but src, in destination order, with
+        the n-1 sends metered as one charge."""
+        dsts = [dst for dst in range(1, self.params.n + 1) if dst != src]
+        self._enqueue(src, dsts, kind, payload, bits, step, instance, oracle)
+
+    def _enqueue(self, src, dsts, kind, payload, bits, step, instance, oracle) -> None:
         if kind == "oracle_out":
             # the trusted-functionality channel is unforgeable: corrupt
             # attempts are dropped, honest attempts are bugs
             if src in self.honest:
                 raise ValueError("oracle outputs are delivered by the engine only")
             return
-        env = Envelope(
-            seq=self.next_seq(), src=src, dst=dst, kind=kind, payload=payload,
-            bits=bits, step=step, instance=instance, sent_tick=self.tick,
-        )
-        if src in self.honest:
-            self.metrics.add(bits, step=step, oracle=oracle)
-        self.pending.append(env)
+        if src in self.honest and dsts:
+            self.metrics.add(bits * len(dsts), step=step, oracle=oracle)
+        for dst in dsts:
+            self.pending.append(Envelope(self.next_seq(), src, dst, kind, payload, bits, step,
+                                         instance, self.tick))
 
     def oracle_submit(self, pid, kind, instance, value, value_bits, sender) -> None:
         expected_mode = "rounds" if kind in SYNC_KINDS else "events"
@@ -518,7 +592,7 @@ class Engine:
         return False
 
     def _deliver(self, env: Envelope) -> None:
-        self.parties[env.dst].ctx.mailbox.append(env)
+        self.parties[env.dst].ctx._file(env)
         if env.dst in self.honest:
             # diagnostic only: includes Byzantine-sent traffic, never claimed
             self._received_bits += env.bits
@@ -546,8 +620,8 @@ class Engine:
             self.tick += 1
             if self.tick > MAX_ROUNDS:
                 raise RuntimeError("round limit exceeded; protocol did not terminate")
-            batch = sorted(self.pending, key=lambda e: e.seq)
-            self.pending.clear()
+            # every sender appends with a fresh seq, so pending is in seq order
+            batch, self.pending = self.pending, []
             for env in batch:
                 self._deliver(env)
             for pid in sorted(self.parties):

@@ -9,7 +9,7 @@ from bbext.oracles import _chain_tag, value_to_bytes
 from bbext.protocols import SessionParams
 from bbext.protocols.base import ProtocolSpec
 from bbext.runner import run
-from bbext.simnet import BOT, RandomPolicy, Until
+from bbext.simnet import BOT, RandomPolicy
 
 
 def chain_bb_spec():
@@ -426,15 +426,13 @@ class ReadyOneAsBytes(AdversaryScript):
 
     def make_party(self, pid, honest_factory, env):
         def party(ctx):
-            scanned = 0
+            mail = ctx.reader("rb")
             while True:
-                box = ctx.mailbox
-                for e in box[scanned:]:
-                    if e.kind == "rb" and (e.instance or "").startswith("flag/"):
+                for e in mail.new():
+                    if (e.instance or "").startswith("flag/"):
                         ctx.broadcast("rb", ("ready", ONE_AS_BYTES), bits=1,
                                       instance=e.instance, step="junk")
-                scanned = len(box)
-                yield Until(lambda: len(ctx.mailbox) > scanned)
+                yield mail.wait()
 
         return party
 

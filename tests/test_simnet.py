@@ -2,15 +2,18 @@ import json
 
 import pytest
 
-from bbext.adversary import AdversaryScript, Silent, adversary_battery
-from bbext.checks import build_inputs
-from bbext.protocols import SessionParams
+from bbext.adversary import AdversaryScript, JunkInjector, Silent, adversary_battery, hooked
+from bbext.checks import battery_configs, build_inputs
+from bbext.protocols import PROTOCOLS, SessionParams
 from bbext.protocols.base import ProtocolSpec
 from bbext.runner import run
 from bbext.simnet import (
     BOT,
     Bot,
+    Ctx,
+    Engine,
     LifoPolicy,
+    Reader,
     RunMetrics,
     Until,
     oracle_model_cost,
@@ -208,3 +211,117 @@ def test_paired_schedules_same_outputs_different_event_counts():
     assert fifo.outputs == lifo.outputs
     assert (fifo.metrics.rounds_or_events_elapsed
             != lifo.metrics.rounds_or_events_elapsed)
+
+
+CONCRETE = {"sync_bb": "concrete", "sync_ba": "concrete",
+            "async_rb": "concrete", "async_ba_bit": "concrete"}
+
+
+def _scan(ctx, kind=None, instance=None, frm=None):
+    return [e for e in ctx.mailbox
+            if (kind is None or e.kind == kind)
+            and (instance is None or e.instance == instance)
+            and (frm is None or e.src == frm)]
+
+
+@pytest.mark.parametrize("impl", ["ideal", "concrete"])
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+def test_indexed_reads_equal_full_mailbox_scans(monkeypatch, protocol, impl):
+    """Every inbox read, cursor read and oracle result of a session under
+    junk traffic equals a filtered scan of the reading party's mailbox, and
+    every mailbox holds exactly the envelopes filed to it, in order."""
+    filed: dict[int, list] = {}
+    ctxs: dict[int, Ctx] = {}
+    seen = {"frm": 0, "new": 0, "oracle": 0, "self": set()}
+    orig_file, orig_inbox = Ctx._file, Ctx.inbox
+    orig_new, orig_result = Reader.new, Ctx.oracle_result
+
+    def file(ctx, env):
+        ctxs[ctx.pid] = ctx
+        filed.setdefault(ctx.pid, []).append(env)
+        if env.src == env.dst:
+            seen["self"].add(env.kind)
+        orig_file(ctx, env)
+
+    def inbox(ctx, kind=None, instance=None, frm=None):
+        got = orig_inbox(ctx, kind, instance, frm)
+        assert got == _scan(ctx, kind, instance, frm)
+        seen["frm"] += frm is not None
+        return got
+
+    def new(reader):
+        ctx = reader._ctx
+        want = _scan(ctx, reader._kind, reader._instance)[reader._pos:]
+        got = orig_new(reader)
+        assert got == want
+        assert reader._pos == len(_scan(ctx, reader._kind, reader._instance))
+        seen["new"] += 1
+        return got
+
+    def oracle_result(ctx, instance):
+        outs = [e for e in _scan(ctx, "oracle_out", instance) if e.src == 0]
+        got = orig_result(ctx, instance)
+        assert got == (outs[0].payload if outs else None)
+        assert ctx.has_oracle_result(instance) == bool(outs)
+        seen["oracle"] += 1
+        return got
+
+    monkeypatch.setattr(Ctx, "_file", file)
+    monkeypatch.setattr(Ctx, "inbox", inbox)
+    monkeypatch.setattr(Reader, "new", new)
+    monkeypatch.setattr(Ctx, "oracle_result", oracle_result)
+    spec = PROTOCOLS[protocol]
+    params = battery_configs(protocol)[0]
+    inputs = build_inputs(spec.kind, params, 1, "majority")
+    run(protocol, params, inputs, adversary=JunkInjector(), seed=1,
+        oracle_impl=CONCRETE if impl == "concrete" else {})
+
+    assert ctxs and all(ctx.mailbox == filed[pid] for pid, ctx in ctxs.items())
+    if impl == "concrete" or spec.mode == "events" or protocol == "sync-bb-highthresh":
+        assert seen["new"] > 0
+    if impl == "ideal" and protocol != "ef-async-rb-third" or protocol == "async-ba-third":
+        assert seen["oracle"] > 0
+    if protocol in ("sync-bb-half", "async-rb-third"):
+        assert seen["frm"] > 0
+    if not protocol.startswith("ef-"):
+        assert {"share_pkg", "share_fwd"} <= seen["self"]
+
+
+def _engine(n=5, honest=frozenset({2, 3, 4, 5})):
+    params = _params(n=n, t=1)
+    return Engine("rounds", params, None, {}, honest)
+
+
+def test_honest_broadcast_is_metered_once_in_destination_order():
+    n = 5
+    engine = _engine(n)
+    engine.parties[3].ctx.broadcast("v_vec", 9, bits=7, step="vectors", instance="x",
+                                    oracle="sync_bb")
+    assert engine.metrics.honest_bits_total == 7 * (n - 1)
+    assert engine.metrics.bits_by_step == {"vectors": 7 * (n - 1)}
+    assert engine.metrics.bits_by_oracle == {"sync_bb": 7 * (n - 1)}
+    envs = engine.pending
+    assert [e.dst for e in envs] == [1, 2, 4, 5]
+    first = envs[0].seq
+    assert [e.seq for e in envs] == list(range(first, first + n - 1))
+    assert all((e.src, e.kind, e.payload, e.bits, e.step, e.instance) ==
+               (3, "v_vec", 9, 7, "vectors", "x") for e in envs)
+
+
+def test_hooked_broadcast_goes_per_destination_and_is_not_metered():
+    n = 5
+    engine = _engine(n)
+    seen = []
+
+    def drop_three(ctx, dst, kind, payload):
+        seen.append(dst)
+        return None if dst == 3 else (kind, payload)
+
+    factory = hooked(lambda ctx: None, send_hook=drop_three)
+    ctx = engine.parties[1].ctx
+    factory(ctx)
+    ctx.broadcast("v_vec", 9, bits=7, step="vectors")
+    assert seen == [2, 3, 4, 5]
+    assert [e.dst for e in engine.pending] == [2, 4, 5]
+    assert engine.metrics.honest_bits_total == 0
+    assert engine.metrics.bits_by_step == {}
