@@ -55,6 +55,18 @@ class AdversaryScript:
         return random.Random((self.name, seed).__repr__())
 
 
+class CorruptChoice(AdversaryScript):
+    """Base for scripts that resolve ideal-oracle slack toward a corrupt
+    submission."""
+
+    def pick_oracle_output(self, inst, submitted, engine):
+        """The first corrupt submission in pid order, otherwise the base choice."""
+        for pid, value in sorted(inst.submissions.items()):
+            if pid not in engine.honest:
+                return value
+        return super().pick_oracle_output(inst, submitted, engine)
+
+
 # bytes.translate tables that XOR every byte with a fixed key
 _FLIP_ALL = bytes(b ^ 0xFF for b in range(256))
 _FLIP_A5 = bytes(b ^ 0xA5 for b in range(256))
@@ -177,7 +189,7 @@ class ForgedWitness(AdversaryScript):
         return hooked(honest_factory, send_hook=send_hook)
 
 
-class WrongHappy(AdversaryScript):
+class WrongHappy(CorruptChoice):
     """Claims readiness it does not have: flips agreement-oracle inputs."""
 
     name = "wrong_happy"
@@ -197,15 +209,8 @@ class WrongHappy(AdversaryScript):
 
         return hooked(honest_factory, oracle_hook=oracle_hook)
 
-    def pick_oracle_output(self, inst, submitted, engine):
-        # prefer a corrupt submission when the definition allows a choice
-        corrupt_vals = [v for p, v in sorted(inst.submissions.items()) if p not in engine.honest]
-        if corrupt_vals:
-            return corrupt_vals[0]
-        return super().pick_oracle_output(inst, submitted, engine)
 
-
-class OracleLiar(AdversaryScript):
+class OracleLiar(CorruptChoice):
     """Silent on the wire, loud toward the ideal oracles."""
 
     name = "oracle_liar"
@@ -224,12 +229,6 @@ class OracleLiar(AdversaryScript):
                     width = max(inst.value_bits // 8, 1)
                     subs[pid] = bytes(rng.randrange(256) for _ in range(width))
         return subs
-
-    def pick_oracle_output(self, inst, submitted, engine):
-        corrupt_vals = [v for p, v in sorted(inst.submissions.items()) if p not in engine.honest]
-        if corrupt_vals:
-            return corrupt_vals[0]
-        return super().pick_oracle_output(inst, submitted, engine)
 
 
 class PartialPayloadSender(AdversaryScript):

@@ -78,13 +78,6 @@ def _product_tables(scalar: int) -> tuple[np.ndarray, np.ndarray]:
     return tables[0], tables[1]
 
 
-def vmul(scalar: int, v: np.ndarray) -> np.ndarray:
-    """Multiply every element of uint16 array v by a scalar."""
-    out = np.zeros(v.shape, dtype=np.uint16)
-    vmul_xor_into(out, scalar, v)
-    return out
-
-
 def vmul_xor_into(acc: np.ndarray, scalar: int, v: np.ndarray) -> None:
     """acc ^= scalar * v, elementwise, in place."""
     if scalar == 0:

@@ -132,7 +132,6 @@ def oracle_model_cost(kind: str, value_bits: int, n: int, k: int) -> int:
 
 
 SYNC_KINDS = {"sync_bb", "sync_ba"}
-ASYNC_KINDS = {"async_rb", "async_ba_bit", "async_ba_kbit"}
 SENDER_KINDS = {"sync_bb", "async_rb"}
 
 
@@ -340,15 +339,14 @@ class Ctx:
     def inbox(self, kind: str | None = None, instance: str | None = None,
               frm: int | None = None) -> list[Envelope]:
         """Received envelopes in arrival order, filtered by kind, instance and
-        sender. Without ``frm`` (and with a kind or no filter at all) this is
-        the filed list itself, which later mail extends: read it, do not
-        modify it."""
+        sender. Without ``frm`` this is the filed list itself, which later
+        mail extends: read it, do not modify it."""
         if kind is not None:
             box = self._index[kind if instance is None else (kind, instance)]
         elif instance is None:
             box = self.mailbox
         else:
-            box = [e for e in self.mailbox if e.instance == instance]
+            raise ValueError("an inbox of one instance needs a kind")
         if frm is not None:
             box = [e for e in box if e.src == frm]
         return box

@@ -90,22 +90,6 @@ class PartyGraph:
         r = self.rows[v - 1]
         return frozenset(j + 1 for j in range(self.n) if r & (1 << j))
 
-    def to_text(self) -> str:
-        return "\n".join(
-            "".join("1" if r & (1 << j) else "0" for j in range(self.n)) for r in self.rows
-        )
-
-    @staticmethod
-    def from_text(text: str) -> "PartyGraph":
-        lines = [ln.strip() for ln in text.strip().splitlines()]
-        n = len(lines)
-        rows = []
-        for ln in lines:
-            if len(ln) != n or set(ln) - {"0", "1"}:
-                raise ValueError("debug format rows must be 0/1 strings of length n")
-            rows.append(sum(1 << j for j, ch in enumerate(ln) if ch == "1"))
-        return PartyGraph(n=n, rows=tuple(rows))
-
 
 NOSTAR = "noSTAR"
 

@@ -4,8 +4,8 @@ import pytest
 
 from bbext import blocks
 from bbext.accumulator import Witness
-from bbext.adversary import CorruptShareSender, Equivocator, hooked
-from bbext.simnet import Ctx, StopProtocol
+from bbext.adversary import CorruptShareSender, Equivocator, OracleLiar, WrongHappy, hooked
+from bbext.simnet import BOT, Ctx, StopProtocol
 
 PAYLOADS = [b"", b"\x00", b"\xff\xa5\x5a", bytes(range(256)), bytes(range(255, -1, -3)) * 40]
 PAYLOAD_IDS = ["empty", "zero", "mixed", "every-byte", "long"]
@@ -77,3 +77,14 @@ def test_honest_happy_flag_only_rises():
     ctx.set_happy(True)
     with pytest.raises(AssertionError, match="monotone"):
         ctx.set_happy(False)
+
+
+@pytest.mark.parametrize("script", [WrongHappy(), OracleLiar()], ids=lambda s: s.name)
+def test_oracle_slack_goes_to_the_first_corrupt_submission(script):
+    engine = RecordingEngine(n=4)  # party 1 is corrupt
+    inst = SimpleNamespace(submissions={3: b"c", 1: b"z", 2: b"b"})
+    assert script.pick_oracle_output(inst, [b"z", b"b", b"c"], engine) == b"z"
+    # without a corrupt submission the base rule picks the smallest value
+    inst = SimpleNamespace(submissions={3: b"c", 2: b"b"})
+    assert script.pick_oracle_output(inst, [b"b", b"c"], engine) == b"b"
+    assert script.pick_oracle_output(SimpleNamespace(submissions={}), [], engine) is BOT

@@ -153,3 +153,31 @@ def test_trace_needs_exactly_one_cell(capsys):
     assert "the options give 2" in capsys.readouterr().err
     assert run_cli(["trace", "--protocol", "sync-ba-half", "--n", "4", "--seed", "0,1"]) == 2
     assert "the options give 2" in capsys.readouterr().err
+
+
+def test_complexity_sweep_numbers_come_from_run_and_check(tmp_path, capsys):
+    out = tmp_path / "linear"
+    assert run_cli(["run", "--protocol", "sync-ba-half", "--n", "10", "--l", "16384,32768",
+                    "--seed", "1", "--out", str(out)]) == 0
+    rows = list(csv.DictReader((out / "aggregate.csv").open()))
+    assert [int(r["l"]) for r in rows] == [16384, 32768]
+    for row in rows:
+        params = SessionParams(n=10, t=4, l=int(row["l"]), k=256, threshold_regime="half")
+        want = run("sync-ba-half", params, build_inputs("ba", params, 1, "all"), seed=1)
+        assert (int(row["honest_bits"]), int(row["oracle_bits"])) == (
+            want.metrics.honest_bits_total, want.metrics.oracle_bits())
+    out = tmp_path / "blowup"
+    eps = 1.0 / 6.0
+    assert run_cli(["run", "--protocol", "sync-bb-highthresh", "--n", "12", "--t", "10",
+                    "--epsilon", repr(eps), "--l", "262144", "--seed", "2",
+                    "--out", str(out)]) == 0
+    [cell] = out.glob("*.json")
+    share = json.loads(cell.read_text())["extra"]["share_bits"]
+    params = SessionParams(n=12, t=10, l=2**18, k=256, threshold_regime="one_minus_eps",
+                           epsilon=eps)
+    want = run("sync-bb-highthresh", params, build_inputs("bb", params, 2, "all"), seed=2)
+    assert share == want.metrics.extra["share_bits"]
+    capsys.readouterr()
+    assert run_cli(["check", "complexity"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["details"]["blowup"]["eps=0.167"][0] == share

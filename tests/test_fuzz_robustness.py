@@ -4,9 +4,8 @@ party or break termination/agreement/validity."""
 import itertools
 
 from bbext.adversary import JunkInjector
-from bbext.checks import battery_configs, build_inputs, evaluate_run
+from bbext.checks import battery_configs, build_inputs, judged_run
 from bbext.protocols import PROTOCOLS
-from bbext.runner import run
 
 
 def test_junk_injection_across_all_protocols():
@@ -21,10 +20,8 @@ def test_junk_injection_across_all_protocols():
         for impl, seed in itertools.product(impls, range(10)):
             inputs = build_inputs(spec.kind, params, seed,
                                   "majority" if seed % 2 else "all")
-            res = run(protocol, params, inputs, adversary=JunkInjector(),
-                      seed=seed, oracle_impl=impl)
-            violations = evaluate_run(spec.kind, inputs,
-                                      1 if spec.kind != "ba" else None, res)
+            _, violations = judged_run(protocol, params, inputs, adversary=JunkInjector(),
+                                       seed=seed, oracle_impl=impl)
             assert not violations, (protocol, impl, seed, violations)
 
 
@@ -34,7 +31,6 @@ def test_junk_injection_at_seven_parties():
         params = battery_configs(protocol, sizes=(7,))[0]
         for seed in range(10):
             inputs = build_inputs(spec.kind, params, seed, "all")
-            res = run(protocol, params, inputs, adversary=JunkInjector(), seed=seed)
-            violations = evaluate_run(spec.kind, inputs,
-                                      1 if spec.kind != "ba" else None, res)
+            _, violations = judged_run(protocol, params, inputs, adversary=JunkInjector(),
+                                       seed=seed)
             assert not violations, (protocol, seed, violations)

@@ -325,3 +325,12 @@ def test_hooked_broadcast_goes_per_destination_and_is_not_metered():
     assert [e.dst for e in engine.pending] == [2, 4, 5]
     assert engine.metrics.honest_bits_total == 0
     assert engine.metrics.bits_by_step == {}
+
+
+def test_instance_reads_need_a_kind():
+    ctx = _engine().parties[2].ctx
+    with pytest.raises(ValueError, match="needs a kind"):
+        ctx.inbox(instance="x")
+    with pytest.raises(ValueError, match="needs a kind"):
+        ctx.reader(instance="x")
+    assert ctx.inbox() is ctx.mailbox
