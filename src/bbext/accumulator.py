@@ -17,8 +17,12 @@ locally also retain the accumulated set so witnesses can be created for it.
 A hash-tree value produced by acc_eval also keeps the tree levels it
 computed (leaf hashes up to the root), so each witness is a read of the
 sibling path instead of a rebuild of the tree: one distribution hashes the
-n shares once, not n times. Like the value set, the levels are local state:
-they take no part in equality or hashing, and ``bare()`` drops them.
+n shares once, not n times. An emulated bilinear value keeps the prefix and
+suffix products of its (s + H(d_j)) factors instead, so each witness, the
+product of all factors but one, is one multiplication: n witnesses cost
+about 3n multiplications, not n^2. Like the value set, the levels and
+products are local state: they take no part in equality or hashing, and
+``bare()`` drops them.
 """
 
 from __future__ import annotations
@@ -67,9 +71,12 @@ class AccValue:
     nominal_bits: int
     source_values: tuple[bytes, ...] | None = field(default=None, repr=False, compare=False)
     levels: tuple[tuple[bytes, ...], ...] | None = field(default=None, repr=False, compare=False)
+    products: tuple[tuple[int, ...], tuple[int, ...]] | None = field(
+        default=None, repr=False, compare=False)
 
     def bare(self) -> "AccValue":
-        """Wire form: the commitment bytes without the local value set or levels."""
+        """Wire form: the commitment bytes without the local value set,
+        levels or products."""
         return AccValue(self.data, self.nominal_bits)
 
 
@@ -112,6 +119,20 @@ def _tree_levels(values: tuple[bytes, ...], k: int) -> tuple[tuple[bytes, ...], 
     return tuple(levels)
 
 
+def _factor_products(ak: AccKey, values: tuple[bytes, ...]
+                     ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(prefix, suffix) with prefix[i] the product of the first i factors
+    (s + H(d_j)) mod p and suffix[i] that of the factors from i on."""
+    p = ak.prime
+    factors = [(ak.setup_secret + _int_digest(v, ak.k)) % p for v in values]
+    prefix, suffix = [1], [1]
+    for f in factors:
+        prefix.append(prefix[-1] * f % p)
+    for f in reversed(factors):
+        suffix.append(suffix[-1] * f % p)
+    return tuple(prefix), tuple(reversed(suffix))
+
+
 def acc_eval(ak: AccKey, values: list[bytes] | tuple[bytes, ...]) -> AccValue:
     """Accumulate exactly-capacity distinct values into a short commitment."""
     values = tuple(values)
@@ -122,11 +143,10 @@ def acc_eval(ak: AccKey, values: list[bytes] | tuple[bytes, ...]) -> AccValue:
     if ak.scheme == HASH_TREE:
         levels = _tree_levels(values, ak.k)
         return AccValue(data=levels[-1][0], nominal_bits=ak.k, source_values=values, levels=levels)
-    p = ak.prime
-    z = 1
-    for v in values:
-        z = z * ((ak.setup_secret + _int_digest(v, ak.k)) % p) % p
-    return AccValue(data=z.to_bytes(2 * ak.k // 8, "big"), nominal_bits=ak.k, source_values=values)
+    products = _factor_products(ak, values)
+    z = products[0][-1]  # the product of every factor
+    return AccValue(data=z.to_bytes(2 * ak.k // 8, "big"), nominal_bits=ak.k,
+                    source_values=values, products=products)
 
 
 def _int_digest(v: bytes, k: int) -> int:
@@ -138,8 +158,9 @@ def acc_create_wit(ak: AccKey, z: AccValue, d: bytes) -> Witness | None:
 
     Requires z to have been produced locally by acc_eval (the accumulated
     set is needed to build the witness). A hash-tree witness reads the
-    sibling path from the levels acc_eval kept on z, and rebuilds the tree
-    only when z carries none.
+    sibling path from the levels acc_eval kept on z, and a bilinear one
+    multiplies the prefix and suffix products around d kept on z; each is
+    rebuilt only when z carries none.
     """
     if z.source_values is None:
         raise ValueError("witness creation needs the locally evaluated accumulation value")
@@ -156,11 +177,8 @@ def acc_create_wit(ak: AccKey, z: AccValue, d: bytes) -> Witness | None:
             pos >>= 1
         raw = idx.to_bytes(2, "big") + b"".join(path)
         return Witness(data=raw, nominal_bits=witness_nominal_bits(HASH_TREE, ak.capacity, ak.k))
-    p = ak.prime
-    w = 1
-    for j, v in enumerate(values):
-        if j != idx:
-            w = w * ((ak.setup_secret + _int_digest(v, ak.k)) % p) % p
+    prefix, suffix = z.products if z.products is not None else _factor_products(ak, values)
+    w = prefix[idx] * suffix[idx + 1] % ak.prime
     return Witness(data=w.to_bytes(2 * ak.k // 8, "big"), nominal_bits=ak.k)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import blocks, rs
+from . import blocks, gf, rs
 from .accumulator import BILINEAR, HASH_TREE, Witness, acc_create_wit, acc_eval, acc_gen, acc_verify, witness_nominal_bits
 from .adversary import AdversaryScript, adversary_battery
 from .multisig import MultiSig
@@ -273,10 +273,10 @@ def rs_decode_reference(cw: rs.Codeword, c: int, d: int) -> rs.DataBlocks | None
     present = [j for j in range(1, n + 1) if cw.symbols[j - 1] is not None]
     if len(present) < n - d:
         raise ValueError("erasures exceed budget")
-    seen: dict[bytes, list[np.ndarray]] = {}
+    seen: dict[bytes, np.ndarray] = {}
     for subset in itertools.combinations(present, b):
-        rec = rs._recover_matrix(n, b, subset)
-        cand = rs._apply_matrix(rec, [cw.symbols[p - 1] for p in subset], cw.stripes)
+        rec = gf.product_tables(rs._recover_matrix(n, b, subset))
+        cand = rs._apply_matrix(rec, np.stack([cw.symbols[p - 1] for p in subset]))
         full = rs.rs_encode(rs.DataBlocks(blocks=tuple(cand), original_bit_length=0), n)
         bad_blocks = sum(not np.array_equal(full.symbols[p - 1], cw.symbols[p - 1])
                          for p in present)
@@ -505,7 +505,7 @@ def _oracle_value(seed: int, pid: int, k: int, unanimity: str, bit: bool) -> obj
     return message_for(seed, 0 if unanimity == "all" else pid, k, unanimity)
 
 
-def check_oracles(seeds: int = 200, jobs: int | None = None) -> CheckReport:
+def check_oracles(seeds: int = 200) -> CheckReport:
     t0 = time.time()
     failures: list[str] = []
     trials = 0
@@ -706,12 +706,13 @@ def suite_protocols_async(seeds: int = 100, jobs: int | None = None) -> CheckRep
                            seeds=seeds, jobs=jobs, explore_async=True)
 
 
+# The CLI passes a suite only the options its function's signature names.
 SUITES = {
-    "coding": lambda **kw: check_coding(),
-    "accumulator": lambda **kw: check_accumulator(),
-    "star": lambda **kw: check_star(),
-    "oracles": lambda **kw: check_oracles(),
-    "protocols-sync": lambda **kw: suite_protocols_sync(**kw),
-    "protocols-async": lambda **kw: suite_protocols_async(**kw),
-    "complexity": lambda **kw: check_complexity(),
+    "coding": check_coding,
+    "accumulator": check_accumulator,
+    "star": check_star,
+    "oracles": check_oracles,
+    "protocols-sync": suite_protocols_sync,
+    "protocols-async": suite_protocols_async,
+    "complexity": check_complexity,
 }

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import os
 import sys
@@ -253,10 +254,14 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}",
               file=sys.stderr)
         return 2
-    kwargs = {}
-    if args.suite.startswith("protocols"):
-        kwargs = {"seeds": args.seeds, "jobs": args.jobs}
-    report = SUITES[args.suite](**kwargs)
+    suite = SUITES[args.suite]
+    options = {name: value for name in ("seeds", "jobs")
+               if (value := getattr(args, name)) is not None}
+    unused = [f"--{name}" for name in options if name not in inspect.signature(suite).parameters]
+    if unused:
+        print(f"suite {args.suite!r} does not take {', '.join(unused)}", file=sys.stderr)
+        return 2
+    report = suite(**options)
     print(json.dumps(report.to_dict(), sort_keys=True))
     return 0 if report.passed else 1
 
@@ -285,8 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.set_defaults(func=cmd_trace, out=None, jobs=1)
     p_check = sub.add_parser("check", help="run a property suite")
     p_check.add_argument("suite")
-    p_check.add_argument("--seeds", type=int, default=100)
-    p_check.add_argument("--jobs", type=int, default=1)
+    p_check.add_argument("--seeds", type=int,
+                         help="seeds per cell (protocols-* and oracles suites)")
+    p_check.add_argument("--jobs", type=int, help="worker processes (protocols-* suites)")
     p_check.set_defaults(func=cmd_check)
     return parser
 

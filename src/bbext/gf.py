@@ -4,17 +4,18 @@ Field elements are ints in [0, 2^16). Addition is XOR. Scalar
 multiplication goes through log/antilog tables built once at import for the
 fixed irreducible polynomial x^16 + x^12 + x^3 + x + 1 (0x1100B).
 
-Vector multiplication by a scalar c, elementwise on numpy uint16 arrays, uses
-split 8-bit product tables (Plank, Greenan and Miller, "Screaming Fast Galois
-Field Arithmetic Using Intel SIMD Instructions", FAST 2013): since
-multiplication distributes over XOR, c*v = LO[v & 0xFF] ^ HI[v >> 8] with
-LO[x] = c*x and HI[x] = c*(x << 8), two 256-entry lookups per element. The
-tables of the most recently used scalars are kept in a bounded cache.
+Matrix products over numpy uint16 arrays use split 8-bit product tables
+(Plank, Greenan and Miller, "Screaming Fast Galois Field Arithmetic Using
+Intel SIMD Instructions", FAST 2013): since multiplication distributes over
+XOR, c*v = LO[v & 0xFF] ^ HI[v >> 8] with LO[x] = c*x and HI[x] = c*(x << 8),
+two 256-entry lookups per element. ``product_tables`` builds the tables of
+every entry of an r x b matrix M at once, stacked by column; the kernel
+``vmul_xor_into`` then computes acc ^= M . V for a (b, S) stack of vectors V
+with two gathers per column, each reading the tables of all r rows, so one
+matrix apply costs 2b gathers whatever r is.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -61,30 +62,47 @@ def gf_pow(a: int, e: int) -> int:
     return int(_EXP[(_LOG[a] * e) % ORDER])
 
 
-_BYTES = np.arange(1, 256)
+# The 512 field elements a column's split tables multiply: x, then x << 8,
+# for every byte x.
+_SPLIT = np.concatenate([np.arange(256), np.arange(256) << 8])
+# For building tables: log 0 is placed past every sum of two valid logs, and
+# the antilog table reads 0 from there on, so a product with 0 needs no mask.
+_LOG_Z = _LOG.astype(np.int32)
+_LOG_Z[0] = 2 * ORDER
+_EXP_Z = np.zeros(4 * ORDER + 1, dtype=np.uint16)
+_EXP_Z[:2 * ORDER] = _EXP
 
 
-# Bounded (about 1 KiB of tables per scalar, so about 5 MB at most) however
-# many distinct coefficients the decoder's erasure patterns produce.
-@lru_cache(maxsize=4096)
-def _product_tables(scalar: int) -> tuple[np.ndarray, np.ndarray]:
-    """(LO, HI) with LO[x] = scalar*x and HI[x] = scalar*(x << 8), read-only;
-    scalar must be nonzero."""
-    tables = np.zeros((2, 256), dtype=np.uint16)
-    log_c = _LOG[scalar]
-    tables[0, 1:] = _EXP[log_c + _LOG[_BYTES]]
-    tables[1, 1:] = _EXP[log_c + _LOG[_BYTES << 8]]
+def product_tables(matrix) -> np.ndarray:
+    """Split product tables of an r x b matrix M, as a read-only uint16
+    array of shape (b, r, 512): tables[j, i, x] = M[i][j] * x and
+    tables[j, i, 256 + x] = M[i][j] * (x << 8) for every byte x."""
+    m = np.asarray(matrix, dtype=np.int64).T[..., None]
+    tables = _EXP_Z[_LOG_Z[m] + _LOG_Z[_SPLIT]]
     tables.setflags(write=False)
-    return tables[0], tables[1]
+    return tables
 
 
-def vmul_xor_into(acc: np.ndarray, scalar: int, v: np.ndarray) -> None:
-    """acc ^= scalar * v, elementwise, in place."""
-    if scalar == 0:
-        return
-    lo, hi = _product_tables(scalar)
-    acc ^= lo.take(v & 0xFF)
-    acc ^= hi.take(v >> 8)
+def vmul_xor_into(acc: np.ndarray, tables: np.ndarray, vectors: np.ndarray) -> None:
+    """acc ^= M . V over GF(2^16), in place.
+
+    acc is (r, S), V = vectors is (b, S), and M (r x b) is given by its
+    ``product_tables``, shape (b, r, 512). All three are uint16 arrays.
+    """
+    for name, arr in (("acc", acc), ("tables", tables), ("vectors", vectors)):
+        if not isinstance(arr, np.ndarray) or arr.dtype != np.uint16:
+            raise ValueError(f"{name} must be a uint16 numpy array")
+    if tables.ndim != 3 or tables.shape[2] != 512:
+        raise ValueError(f"tables must have shape (b, r, 512), got {tables.shape}")
+    b, r = tables.shape[:2]
+    if acc.ndim != 2 or acc.shape[0] != r or vectors.shape != (b, acc.shape[1]):
+        raise ValueError(f"shapes do not chain: acc {acc.shape}, tables {tables.shape}, "
+                         f"vectors {vectors.shape}")
+    lo = vectors & 0xFF
+    hi = (vectors >> 8) | 256
+    for column, lo_j, hi_j in zip(tables, lo, hi):
+        acc ^= column.take(lo_j, axis=1)
+        acc ^= column.take(hi_j, axis=1)
 
 
 def poly_eval(coeffs: list[int], x: int) -> int:

@@ -21,6 +21,13 @@ does not fit names the positions in error, those positions are erased, and
 the other such stripes are recovered together with one matrix apply from b
 positions not in error. Berlekamp-Welch runs stripe by stripe only where
 the errors move from stripe to stripe.
+
+Every matrix product is one call of the ``gf.vmul_xor_into`` kernel over all
+stripes at once: encoding is one apply of the parity rows of the encode
+matrix, and recovering stripes is one apply of the recovery matrix plus one
+apply of the encode rows of the other present positions, whose result is
+compared with what they received. The split tables of each matrix are
+cached beside it.
 """
 
 from __future__ import annotations
@@ -83,32 +90,28 @@ def _check_nb(n: int, b: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _vandermonde_row(x: int, b: int) -> tuple[int, ...]:
-    return tuple(gf.gf_pow(x, i) for i in range(b))
-
-
-@lru_cache(maxsize=None)
-def _coeff_to_data_matrix(b: int) -> tuple[tuple[int, ...], ...]:
-    # inverse of the b x b Vandermonde at points 1..b
-    v = [list(_vandermonde_row(x, b)) for x in range(1, b + 1)]
-    return tuple(tuple(r) for r in gf.invert_matrix(v))
-
-
-@lru_cache(maxsize=None)
 def _encode_matrix(n: int, b: int) -> tuple[tuple[int, ...], ...]:
-    """n x b matrix taking data values to codeword symbols (top b rows = I)."""
-    vinv = _coeff_to_data_matrix(b)
-    rows = []
-    for j in range(1, n + 1):
-        vr = _vandermonde_row(j, b)
-        row = []
-        for i in range(b):
-            acc = 0
-            for m in range(b):
-                acc ^= gf.gf_mul(vr[m], vinv[m][i])
-            row.append(acc)
-        rows.append(tuple(row))
-    return tuple(rows)
+    """n x b matrix taking data values to codeword symbols (top b rows = I).
+
+    Row j holds the Lagrange basis polynomials of the data points 1..b at
+    x_j = j: E[j][i] = prod over m != i of (x_j + x_m) / (x_i + x_m),
+    summed in logarithms.
+    """
+    x = np.arange(1, n + 1)
+    num = gf._LOG[x[b:, None] ^ x[:b]]  # log(x_j + x_m) for parity rows j
+    den = gf._LOG[x[:b, None] ^ x[:b]]  # log(x_i + x_m); log 0 on the diagonal
+    np.fill_diagonal(den, 0)
+    parity = gf._EXP[(num.sum(axis=1, keepdims=True) - num - den.sum(axis=1)) % gf.ORDER]
+    return tuple(map(tuple, np.vstack([np.eye(b, dtype=np.int64), parity]).tolist()))
+
+
+# Bounded: the rows in the key follow the erasure pattern, which Byzantine
+# parties choose, and tables take 1 KiB per matrix entry (1 MiB at n = 64).
+@lru_cache(maxsize=64)
+def _encode_tables(n: int, b: int, rows: tuple[int, ...]) -> np.ndarray:
+    """Split tables of the encode matrix's rows at the given positions."""
+    enc = np.array(_encode_matrix(n, b), dtype=np.int64)
+    return gf.product_tables(enc[[p - 1 for p in rows]])
 
 
 # Bounded: the key includes the erasure pattern, which Byzantine parties
@@ -121,13 +124,18 @@ def _recover_matrix(n: int, b: int, positions: tuple[int, ...]) -> tuple[tuple[i
     return tuple(tuple(r) for r in gf.invert_matrix(sub))
 
 
-def _apply_matrix(matrix, vectors: list[np.ndarray], stripes: int) -> list[np.ndarray]:
-    out = []
-    for row in matrix:
-        acc = np.zeros(stripes, dtype=np.uint16)
-        for coeff, vec in zip(row, vectors):
-            gf.vmul_xor_into(acc, coeff, vec)
-        out.append(acc)
+# Bounded tighter than the matrices: 1 KiB per entry, not one int.
+@lru_cache(maxsize=64)
+def _recover_tables(n: int, b: int, positions: tuple[int, ...]) -> np.ndarray:
+    """Split tables of the recovery matrix for the given positions."""
+    return gf.product_tables(_recover_matrix(n, b, positions))
+
+
+def _apply_matrix(tables: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """M . V, as an (r, S) array, for the r x b matrix M with the given split
+    tables and V the (b, S) stack of vectors."""
+    out = np.zeros((tables.shape[1], vectors.shape[1]), dtype=np.uint16)
+    gf.vmul_xor_into(out, tables, vectors)
     return out
 
 
@@ -135,12 +143,9 @@ def rs_encode(data: DataBlocks, n: int) -> Codeword:
     """Encode b data blocks into n codeword symbol-blocks (systematic)."""
     b = data.b
     _check_nb(n, b)
-    stripes = data.stripes
-    enc = _encode_matrix(n, b)
-    symbols: list[np.ndarray | None] = [blk.astype(np.uint16).copy() for blk in data.blocks]
-    parity = _apply_matrix(enc[b:], list(data.blocks), stripes)
-    symbols.extend(parity)
-    return Codeword(symbols=symbols, n=n, b=b)
+    blocks = np.stack(data.blocks).astype(np.uint16, copy=False)
+    parity = _apply_matrix(_encode_tables(n, b, tuple(range(b + 1, n + 1))), blocks)
+    return Codeword(symbols=[*blocks, *parity], n=n, b=b)
 
 
 def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -195,25 +200,19 @@ def _bw_decode_stripe(received: dict[int, int], n: int, b: int, c: int) -> list[
 
 
 def _recover_stripes(cw: Codeword, present: list[int], base: tuple[int, ...],
-                     sel: np.ndarray | None) -> tuple[list[np.ndarray], np.ndarray]:
+                     sel: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Data recovered from the base positions at the selected stripes (all
-    when sel is None), and per stripe the number of present positions whose
-    received symbol differs from the re-encoded one."""
+    when sel is None), as a (b, stripes) array, and per stripe the number of
+    present positions whose received symbol differs from the re-encoded one."""
     n, b = cw.n, cw.b
-    received = {p: cw.symbols[p - 1] if sel is None else cw.symbols[p - 1][sel]
-                for p in present}
-    width = len(received[base[0]])
-    data = _apply_matrix(_recover_matrix(n, b, base), [received[p] for p in base], width)
-    enc = _encode_matrix(n, b)
-    mismatch = np.zeros(width, dtype=np.int64)
-    for p in present:
-        if p in base:
-            continue  # re-encodes to what was received, by construction
-        acc = np.zeros(width, dtype=np.uint16)
-        for coeff, vec in zip(enc[p - 1], data):
-            gf.vmul_xor_into(acc, coeff, vec)
-        mismatch += acc != received[p]
-    return data, mismatch
+    # the base positions re-encode to what was received, by construction
+    others = tuple(p for p in present if p not in base)
+    received = np.stack([cw.symbols[p - 1] for p in base + others])
+    if sel is not None:
+        received = received[:, sel]
+    data = _apply_matrix(_recover_tables(n, b, base), received[:b])
+    reencoded = _apply_matrix(_encode_tables(n, b, others), data)
+    return data, (reencoded != received[b:]).sum(axis=0)
 
 
 def _error_positions(cw: Codeword, present: list[int], s: int, data: list[int]) -> set[int]:

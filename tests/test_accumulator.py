@@ -211,3 +211,30 @@ def test_accvalue_levels_are_local_state():
     assert z == without and hash(z) == hash(without)
     assert "levels" not in repr(z)
     assert z.bare().levels is None and z.bare().source_values is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 31])
+@pytest.mark.parametrize("k", [128, 256])
+def test_bilinear_witness_from_products_is_the_cofactor_product(n, k):
+    ak = acc_gen(BILINEAR, n, k, rng_seed=n)
+    vals = [b"share-%d" % i for i in range(n)]
+    z = acc_eval(ak, vals)
+    assert z.products is not None
+    no_products = AccValue(z.data, z.nominal_bits, source_values=z.source_values)
+    p = ak.prime
+    factors = [(ak.setup_secret + int.from_bytes(H(v, k), "big")) % p for v in vals]
+    zi = 1
+    for f in factors:
+        zi = zi * f % p
+    assert z.data == zi.to_bytes(2 * k // 8, "big")
+    for i, v in enumerate(vals):
+        w = 1
+        for j, f in enumerate(factors):
+            if j != i:
+                w = w * f % p
+        expected = w.to_bytes(2 * k // 8, "big")
+        assert acc_create_wit(ak, z, v).data == expected
+        assert acc_create_wit(ak, no_products, v).data == expected
+        assert acc_verify(ak, z, acc_create_wit(ak, z, v), v)
+    assert z == no_products and hash(z) == hash(no_products)
+    assert "products" not in repr(z) and z.bare().products is None

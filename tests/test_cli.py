@@ -18,6 +18,14 @@ def test_unknown_suite_is_config_error(capsys):
     assert run_cli(["check", "nonsense"]) == 2
 
 
+@pytest.mark.parametrize("args", [["complexity", "--seeds", "1"], ["coding", "--jobs", "4"],
+                                  ["oracles", "--jobs", "2"]])
+def test_check_rejects_options_the_suite_does_not_take(args, capsys):
+    assert run_cli(["check", *args]) == 2
+    err = capsys.readouterr().err
+    assert args[0] in err and args[1] in err
+
+
 def test_unknown_protocol_is_config_error(capsys):
     assert run_cli(["run", "--protocol", "nope", "--out", "/tmp/x"]) == 2
 

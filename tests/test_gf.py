@@ -60,45 +60,93 @@ def test_poly_eval_horner(coeffs, x):
     assert gf.poly_eval(coeffs, x) == expected
 
 
-def vmul(scalar: int, v: np.ndarray) -> np.ndarray:
-    """Every element of uint16 array v times a scalar."""
-    out = np.zeros(v.shape, dtype=np.uint16)
-    gf.vmul_xor_into(out, scalar, v)
+def matmul_reference(matrix: list[list[int]], vectors: list[list[int]]) -> list[list[int]]:
+    """M . V over GF(2^16) with scalar gf_mul, one entry at a time."""
+    width = len(vectors[0]) if vectors else 0
+    out = []
+    for row in matrix:
+        entries = []
+        for s in range(width):
+            acc = 0
+            for coeff, vec in zip(row, vectors):
+                acc ^= gf.gf_mul(coeff, vec[s])
+            entries.append(acc)
+        out.append(entries)
     return out
 
 
 def test_vmul_matches_scalar():
-    v = np.array([0, 1, 2, 777, 65535], dtype=np.uint16)
-    for s in [0, 1, 3, 65535]:
-        out = vmul(s, v)
-        assert [int(x) for x in out] == [gf.gf_mul(s, int(e)) for e in v]
+    # a 4 x 1 matrix of scalars times one vector
+    scalars = [0, 1, 3, 65535]
+    v = [0, 1, 2, 777, 65535]
+    out = np.zeros((4, 5), dtype=np.uint16)
+    gf.vmul_xor_into(out, gf.product_tables([[s] for s in scalars]),
+                     np.array([v], dtype=np.uint16))
+    assert out.tolist() == [[gf.gf_mul(s, e) for e in v] for s in scalars]
 
 
 # zeros drawn often: zero has no logarithm, so the tables special-case it
-vector_elems = st.one_of(st.just(0), elems)
+vector_elems = st.one_of(st.just(0), st.sampled_from([1, 65535]), elems)
 
 
-@given(st.one_of(st.sampled_from([0, 1, 65535]), elems),
-       st.lists(vector_elems, max_size=64), st.integers(1, 3), st.integers(0, 2**32))
-@example(7, [], 1, 0)
-@example(7, [0], 1, 0)
-@example(65535, [0x1234], 2, 0)
-def test_vmul_xor_into_matches_scalar_mul(scalar, values, step, seed):
+@st.composite
+def matrix_applies(draw):
+    r, b, width = draw(st.integers(0, 5)), draw(st.integers(1, 5)), draw(st.integers(0, 6))
+    matrix = draw(st.lists(st.lists(vector_elems, min_size=b, max_size=b),
+                           min_size=r, max_size=r))
+    vectors = draw(st.lists(st.lists(vector_elems, min_size=width, max_size=width),
+                            min_size=b, max_size=b))
+    return matrix, vectors, b, width, draw(st.integers(1, 3)), draw(st.integers(0, 2**32))
+
+
+@given(matrix_applies())
+@example(([], [[]], 1, 0, 1, 0))  # r = 0, S = 0
+@example(([[0, 0]], [[5], [6]], 2, 1, 2, 0))  # zero coefficients, S = 1
+@example(([[65535]], [[0x1234, 0, 1]], 1, 3, 3, 0))  # b = 1
+def test_vmul_xor_into_matches_scalar_mul(case):
+    matrix, vectors, b, width, step, seed = case
+    r = len(matrix)
     rng = np.random.default_rng(seed)
-    # v and acc are strided views into larger buffers (non-contiguous for
-    # step > 1), so an in-place update must land in acc's buffer alone
-    v_buf = rng.integers(0, gf.FIELD_SIZE, step * len(values), dtype=np.uint16)
-    v = v_buf[::step]
-    v[:] = values
+    # acc and V are strided views into larger buffers (non-contiguous for
+    # step > 1), so an in-place update must land in acc's view alone
+    v_buf = rng.integers(0, gf.FIELD_SIZE, (b * step, width * step), dtype=np.uint16)
+    v = v_buf[::step, ::step]
+    v[:] = np.array(vectors, dtype=np.uint16).reshape(b, width)
     v_before = v_buf.copy()
-    acc_buf = rng.integers(0, gf.FIELD_SIZE, step * len(values), dtype=np.uint16)
-    acc = acc_buf[::step]
+    acc_buf = rng.integers(0, gf.FIELD_SIZE, (r * step, width * step), dtype=np.uint16)
+    acc = acc_buf[::step, ::step]
     acc_before = acc_buf.copy()
-    assert gf.vmul_xor_into(acc, scalar, v) is None
+    tables = gf.product_tables(np.array(matrix, dtype=np.int64).reshape(r, b))
+    tables_before = tables.copy()
+    assert gf.vmul_xor_into(acc, tables, v) is None
     assert np.array_equal(v_buf, v_before)
+    assert np.array_equal(tables, tables_before)
     expected = acc_before.copy()
-    expected[::step] ^= np.array([gf.gf_mul(scalar, x) for x in values], dtype=np.uint16)
+    if r:
+        expected[::step, ::step] ^= np.array(matmul_reference(matrix, vectors),
+                                             dtype=np.uint16).reshape(r, width)
     assert np.array_equal(acc_buf, expected)
+
+
+def test_vmul_xor_into_rejects_mismatched_inputs():
+    import pytest
+
+    tables = gf.product_tables([[1, 2], [3, 4], [5, 6]])  # r = 3, b = 2
+    acc = np.zeros((3, 4), dtype=np.uint16)
+    good = np.zeros((2, 4), dtype=np.uint16)
+    bad_calls = [
+        (np.zeros((2, 4), dtype=np.uint16), tables, good),  # acc rows != r
+        (acc, tables, np.zeros((3, 4), dtype=np.uint16)),  # vectors rows != b
+        (acc, tables, np.zeros((2, 5), dtype=np.uint16)),  # widths differ
+        (acc, tables, good.astype(np.int64)),
+        (acc.astype(np.int64), tables, good),
+        (acc, tables[:, :, :256], good),
+        (acc, tables, [[0] * 4] * 2),
+    ]
+    for args in bad_calls:
+        with pytest.raises(ValueError):
+            gf.vmul_xor_into(*args)
+    assert not acc.any()
 
 
 def test_solve_linear_and_invert():

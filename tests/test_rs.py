@@ -241,7 +241,8 @@ def test_caches_keyed_by_attacker_input_are_bounded():
     # Byzantine parties choose the erasure pattern, and with it the
     # recovery matrix and the coefficients the codec multiplies by.
     assert rs._recover_matrix.cache_info().maxsize is not None
-    assert gf._product_tables.cache_info().maxsize is not None
+    assert rs._recover_tables.cache_info().maxsize is not None
+    assert rs._encode_tables.cache_info().maxsize is not None
 
 
 # --- error shapes: whole shares, parts of shares, per-stripe positions ---------
@@ -334,3 +335,77 @@ def test_error_positions_moving_every_stripe_decode_through_fallback(monkeypatch
     got = rs.rs_decode(rs.Codeword(symbols=symbols, n=n, b=b), c, 0)
     assert got is not None and rs.bits_from_data(got)[0] == payload
     assert calls[0] > c + 1
+
+
+# --- matrices and the matrix kernel against scalar references ----------------
+
+def _encode_matrix_scalar(n: int, b: int) -> tuple[tuple[int, ...], ...]:
+    """The Vandermonde rows at 1..n times the inverse of the Vandermonde
+    matrix at 1..b, in scalar arithmetic."""
+    vinv = gf.invert_matrix([[gf.gf_pow(x, i) for i in range(b)] for x in range(1, b + 1)])
+    rows = []
+    for x in range(1, n + 1):
+        powers = [gf.gf_pow(x, i) for i in range(b)]
+        row = []
+        for i in range(b):
+            acc = 0
+            for m in range(b):
+                acc ^= gf.gf_mul(powers[m], vinv[m][i])
+            row.append(acc)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 16, 33])
+def test_encode_matrix_matches_scalar_construction(n):
+    for b in sorted({1, 2, n // 2, n - 1, n} & set(range(1, n + 1))):
+        got = rs._encode_matrix(n, b)
+        assert got == _encode_matrix_scalar(n, b)
+        assert all(type(x) is int for row in got for x in row)
+
+
+def _matvec(matrix, values: list[int]) -> list[int]:
+    out = []
+    for row in matrix:
+        acc = 0
+        for coeff, x in zip(row, values):
+            acc ^= gf.gf_mul(coeff, x)
+        out.append(acc)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_recover_stripes_mismatch_counts_match_per_row_reference(data):
+    n = data.draw(st.integers(1, 10))
+    b = data.draw(st.integers(1, n))
+    stripes = data.draw(st.integers(1, 6))
+    rng = random.Random(data.draw(st.integers(0, 10_000)))
+    blocks = [[rng.randrange(65536) for _ in range(stripes)] for _ in range(b)]
+    cw = rs.rs_encode(make_data(blocks), n)
+    erased = set(rng.sample(range(1, n + 1), rng.randint(0, n - b)))
+    error_rate = rng.choice([0.0, 0.2, 0.6])
+    for j in range(1, n + 1):
+        if j in erased:
+            cw.symbols[j - 1] = None
+            continue
+        for s in range(stripes):
+            if rng.random() < error_rate:
+                cw.symbols[j - 1][s] ^= rng.randrange(1, 65536)
+    present = [j for j in range(1, n + 1) if j not in erased]
+    base = tuple(sorted(rng.sample(present, b)))
+    sel = None
+    if data.draw(st.booleans()):
+        sel = np.array(sorted(rng.sample(range(stripes), rng.randint(1, stripes))))
+    got_data, got_mismatch = rs._recover_stripes(cw, present, base, sel)
+
+    rec = rs._recover_matrix(n, b, base)
+    enc = rs._encode_matrix(n, b)
+    want_data, want_mismatch = [], []
+    for s in (range(stripes) if sel is None else sel.tolist()):
+        values = _matvec(rec, [int(cw.symbols[p - 1][s]) for p in base])
+        want_data.append(values)
+        want_mismatch.append(sum(_matvec([enc[p - 1]], values)[0] != int(cw.symbols[p - 1][s])
+                                 for p in present if p not in base))
+    assert got_data.T.tolist() == want_data
+    assert got_mismatch.tolist() == want_mismatch
