@@ -22,7 +22,7 @@ from .multisig import MultiSig
 from .protocols import PROTOCOLS, ProtocolSpec, SessionParams
 from .runner import RunResult, run
 from .simnet import PrefixPolicy, oracle_model_cost
-from .star import NOSTAR, PartyGraph, max_matching, star
+from .star import NOSTAR, GrowingStar, PartyGraph, _matching_cached, max_matching, star
 
 
 @dataclass
@@ -395,6 +395,24 @@ def check_star(graphs: int = 2000, seed: int = 0) -> CheckReport:
                 failures.append(f"clique yielded noSTAR t={t} trial={trial}")
             elif len(honest - result.C) > t:
                 failures.append(f"more than t honest excluded t={t} trial={trial}")
+    # the carried path of ef_async_rb: edges inserted one at a time into a
+    # GrowingStar must give the matching and star computed from scratch
+    for trial in range(200):
+        n = rng.randint(2, 10)
+        t = (n - 1) // 3
+        growing = GrowingStar(n, t)
+        edges = list(itertools.combinations(range(1, n + 1), 2))
+        rng.shuffle(edges)
+        trials += 1
+        for step, (u, v) in enumerate(edges):
+            result = growing.add_edge(u, v)
+            h = growing.graph.complement()
+            if growing.matching != _matching_cached.__wrapped__(n, h.rows):
+                failures.append(f"carried matching mismatch trial={trial} n={n} step={step}")
+                break
+            if result != star(growing.graph, n, t):
+                failures.append(f"carried star mismatch trial={trial} n={n} step={step}")
+                break
     return CheckReport(name="star", passed=not failures, trials=trials,
                        failures=failures, elapsed=time.time() - t0)
 

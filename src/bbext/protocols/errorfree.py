@@ -13,7 +13,7 @@ from __future__ import annotations
 from .. import blocks, rs
 from ..oracles import BrachaMachine, parallel_chain_bcast
 from ..simnet import Ctx, InvariantViolation, NEXT_ROUND
-from ..star import NOSTAR, PartyGraph, derive_fe, star
+from ..star import NOSTAR, GrowingStar, PartyGraph, derive_fe, star
 from .base import ProtocolSpec
 
 
@@ -199,7 +199,8 @@ def ef_sync_ba(ctx: Ctx, my_input: bytes, sender: int | None = None):
 def ef_async_rb(ctx: Ctx, my_input: bytes | None, sender: int):
     """Asynchronous error-free reliable broadcast: consistency edges arrive
     one acknowledgement pair at a time, the star is re-extracted per new
-    edge, and decoding retries as symbol votes accumulate."""
+    edge (over a carried complement matching), and decoding retries as
+    symbol votes accumulate."""
     _require_ef_threshold(ctx)
     params = ctx.params
     n, t = params.n, params.t
@@ -213,9 +214,10 @@ def ef_async_rb(ctx: Ctx, my_input: bytes | None, sender: int):
     priv_sym: dict[int, bytes] = {}
     ok_sent: set[int] = set()
     ok_seen: dict[int, set[int]] = {}
-    graph = PartyGraph(n=n, rows=tuple([0] * n))
+    growing = GrowingStar(n, t)
     frozen = False
     flags: dict[int, object] = {}
+    ones: list[int] = []  # flag owners whose flag equals 1
     e_vecs: dict[int, int] = {}
     majs: dict[int, bytes] = {}
     maj_sent = False
@@ -225,6 +227,12 @@ def ef_async_rb(ctx: Ctx, my_input: bytes | None, sender: int):
         if j not in machines:
             machines[j] = BrachaMachine(ctx, f"flag/{j}", j, 1)
         return machines[j]
+
+    def note_flag(j: int, value: object) -> None:
+        if j not in flags:
+            flags[j] = value
+            if value == 1:
+                ones.append(j)
 
     def adopt_message(m: bytes) -> None:
         nonlocal message
@@ -254,18 +262,17 @@ def ef_async_rb(ctx: Ctx, my_input: bytes | None, sender: int):
             note_ok(ctx.pid, j)
 
     def note_ok(x: int, y: int) -> None:
-        nonlocal graph, frozen
+        nonlocal frozen
         if not isinstance(y, int) or not (1 <= y <= n) or x == y:
             return
         ok_seen.setdefault(x, set()).add(y)
         if frozen:
             return
-        if y in ok_seen and x in ok_seen[y] and not graph.has_edge(x, y):
-            graph = graph.with_edge(x, y)
-            result = star(graph, n, t)
+        if y in ok_seen and x in ok_seen[y] and not growing.graph.has_edge(x, y):
+            result = growing.add_edge(x, y)
             if result is NOSTAR:
                 return
-            fe = derive_fe(graph, result.C, result.D, n, t)
+            fe = derive_fe(growing.graph, result.C, result.D, n, t)
             if fe is None:
                 return
             e_set = fe[1]
@@ -312,15 +319,14 @@ def ef_async_rb(ctx: Ctx, my_input: bytes | None, sender: int):
                   and env.instance.startswith("flag/")):
                 j = _flag_owner(env.instance, n)
                 if j is not None:
-                    flags.setdefault(j, env.payload)
+                    note_flag(j, env.payload)
             elif env.kind == "e_vec" and isinstance(env.payload, int):
                 e_vecs.setdefault(env.src, env.payload)
             elif env.kind == "maj_val":
                 majs.setdefault(env.src, env.payload)
         for j, m in machines.items():
             if m.has_delivered:
-                flags.setdefault(j, m.delivered)
-        ones = [j for j in range(1, n + 1) if flags.get(j) == 1]
+                note_flag(j, m.delivered)
         if not maj_sent and len(ones) >= 2 * t + 1:
             maj = _greedy_common_vote(
                 [x for x in ones if x in e_vecs], e_vecs, priv_sym, n, t

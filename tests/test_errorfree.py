@@ -239,3 +239,25 @@ def test_equivocator_at_every_placement(protocol, make_params, placement):
                           sender=sender or 1)
                 assert res.corrupt == corrupt
                 assert evaluate_run(kind, inputs, sender, res) == [], (n, seed, sender)
+
+
+# Read at the commit before the carried complement matching, with the star
+# extracted from scratch for every new edge; the golden digests stop at
+# n = 10, where blossoms and deletions of matched complement edges are rare.
+PINNED_RB = {
+    (16, 0): (1235776, "fab8634a270a858d0710af6bc256eee6c8ef518ef36f7a684e85b6fdabb04fa1"),
+    (16, 1): (1236736, "4e8a980a8bb2e218fb3519de9028a03953f0534e34f5064227f7250e4a102c37"),
+    (31, 0): (3295261, "ea24566162069131c0dbede686b4c8aedc22b4eeb3d883f04e838eb43b7205bd"),
+    (31, 1): (3295261, "ad3e270fbabdecec2e28f855fef499b0a85074849cdbbafc3d3cc0b3d3eb4a7b"),
+}
+
+
+@pytest.mark.parametrize("n,seed", sorted(PINNED_RB))
+def test_async_wide_sessions_match_pinned_digests(n, seed):
+    params = SessionParams(n=n, t=(n - 1) // 3, l=2 ** 13, threshold_regime="third_async")
+    inputs = build_inputs("rb", params, seed, "all")
+    script = {s.name: s for s in adversary_battery()}["sched_random"]
+    res = run("ef-async-rb-third", params, inputs, adversary=script, seed=seed)
+    assert evaluate_run("rb", inputs, 1, res) == []
+    got = (res.metrics.honest_bits_total, res.metrics.outputs_digest)
+    assert got == PINNED_RB[(n, seed)]

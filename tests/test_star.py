@@ -6,8 +6,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from bbext.star import NOSTAR, PartyGraph, StarResult, derive_fe, max_matching, star
+import bbext.star as star_module
+from bbext.star import (NOSTAR, GrowingStar, PartyGraph, StarResult, derive_fe, max_matching,
+                        star)
 
 
 def to_text(g: PartyGraph) -> str:
@@ -128,6 +132,13 @@ def test_star_invariant_is_checked_under_optimize():
     assert out.stdout.split() == ["True", "False"]
 
 
+def test_assert_star_names_a_missing_cross_edge():
+    g = PartyGraph.from_edges(4, [(1, 2), (1, 3), (1, 4), (2, 4), (3, 4)])
+    star_module._assert_star(g, frozenset({1, 4}), frozenset({1, 2, 3, 4}), 4, 1)
+    with pytest.raises(star_module.InvariantViolation, match=r"missing edge \(2,3\)"):
+        star_module._assert_star(g, frozenset({1, 2}), frozenset({1, 2, 3, 4}), 4, 1)
+
+
 def test_empty_graph_empty_matching():
     g = PartyGraph.from_edges(4, [])
     assert max_matching(g) == frozenset()
@@ -239,6 +250,37 @@ def test_honest_clique_never_nostar():
             result = star(g, n, t)
             assert result is not NOSTAR
             assert len(honest - result.C) <= t
+
+
+def derive_fe_reference(g: PartyGraph, c, d, n: int, t: int):
+    """derive_fe over vertex sets, one closed neighborhood at a time."""
+    def closed(v):
+        return {j for j in range(1, n + 1) if j == v or g.has_edge(v, j)}
+
+    f = frozenset(v for v in range(1, n + 1) if len(closed(v) & c) >= t + 1)
+    if len(f) < 2 * t + 1:
+        return None
+    e = frozenset(v for v in range(1, n + 1) if len(closed(v) & f) >= 2 * t + 1)
+    if len(e) < 2 * t + 1:
+        return None
+    return f, e
+
+
+def test_derive_fe_equals_set_reference():
+    rng = random.Random(12)
+    outcomes = set()
+    for trial in range(400):
+        n = rng.randint(4, 16)
+        t = (n - 1) // 3
+        g = random_graph(n, rng.choice([0.3, 0.6, 0.85, 0.95]), rng)
+        result = star(g, n, t)
+        if result is NOSTAR:
+            c = frozenset(rng.sample(range(1, n + 1), n - 2 * t))
+            result = StarResult(C=c, D=c)
+        got = derive_fe(g, result.C, result.D, n, t)
+        assert got == derive_fe_reference(g, result.C, result.D, n, t), to_text(g)
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
 
 
 def test_derive_fe_on_complete_graph():
@@ -384,3 +426,72 @@ def test_no_networkx_needed():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def fresh_matching(h: PartyGraph) -> frozenset[tuple[int, int]]:
+    """The canonical matching of h computed now, past the matching cache."""
+    return star_module._matching_cached.__wrapped__(h.n, h.rows)
+
+
+@given(st.data())
+def test_growing_star_equals_star_from_scratch(data):
+    n = data.draw(st.integers(min_value=2, max_value=16), label="n")
+    t = (n - 1) // 3
+    growing = GrowingStar(n, t)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=n * (n - 1) // 2))):
+        complement = growing.graph.complement().edges()
+        if not complement:
+            break
+        # half the insertions delete a matched complement edge, which forces
+        # a new matching; the others must keep the carried one
+        pool = sorted(growing.matching) if data.draw(st.booleans()) else complement
+        u, v = data.draw(st.sampled_from(pool))
+        result = growing.add_edge(u, v)
+        g = growing.graph
+        assert g.has_edge(u, v)
+        assert growing.matching == fresh_matching(g.complement())
+        if n <= 10:
+            assert growing.matching == dp_canonical_matching(g.complement())
+        assert result == star(g, n, t)
+
+
+def test_growing_star_matches_only_on_matched_deletions(monkeypatch):
+    # every insertion extracts a star through the module-level star(); only
+    # the insertions that delete a matched complement edge call max_matching
+    calls = {"star": 0, "max_matching": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(star_module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(star_module, name, counted)
+    rng = random.Random(2)
+    n, t = 13, 4
+    growing = GrowingStar(n, t)
+    edges = list(itertools.combinations(range(1, n + 1), 2))
+    rng.shuffle(edges)
+    recomputed = 0
+    for u, v in edges:
+        recomputed += (u, v) in growing.matching
+        growing.add_edge(u, v)
+    assert calls == {"star": len(edges), "max_matching": 1 + recomputed}
+    assert 0 < recomputed < len(edges) // 2
+
+
+@pytest.mark.parametrize("edge", [(3, 3), (0, 2), (2, 6), (-1, 1)])
+def test_growing_star_rejects_bad_edges(edge):
+    growing = GrowingStar(5, 1)
+    growing.add_edge(1, 2)
+    before = (growing.graph, growing.matching)
+    with pytest.raises(ValueError):
+        growing.add_edge(*edge)
+    with pytest.raises(ValueError):
+        PartyGraph.from_edges(5, []).with_edge(*edge)
+    assert (growing.graph, growing.matching) == before
+
+
+def test_star_module_caches_are_bounded():
+    # corrupt acknowledgements shape the graphs these caches are keyed by
+    caches = [obj for obj in vars(star_module).values() if hasattr(obj, "cache_info")]
+    assert caches
+    for cache in caches:
+        assert cache.cache_info().maxsize is not None, cache.__name__
