@@ -269,8 +269,7 @@ class WithholdCertificate(AdversaryScript):
         def party(ctx: Ctx):
             params = ctx.params
             m = env.inputs.get(env.sender, b"")
-            shares = blocks.encode(m, params.b, params.n, bit_len=params.l)
-            rich = blocks.eval_shares(ctx.session.ak, shares)
+            shares, rich = ctx.session.codec.commit(m, params.b, params.l)
             ctx.oracle_submit("sync_bb", rich.data, params.k, instance="bb_commit",
                               sender=ctx.pid)
             yield from ctx.wait_oracle("bb_commit")

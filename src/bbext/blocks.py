@@ -8,6 +8,17 @@ witness fails and erasure-decodes the rest.
 The canonical share encoding fed to the accumulator is normative for every
 scheme and protocol: 16-bit big-endian index followed by the symbol-block
 bytes.
+
+Honest parties of one session encode the same message and decode the same
+forwarded shares, so each session holds one `CodecMemo` (``session.codec``,
+made by ``runner.run``). Its ``commit`` keys on (message bytes, b, bit
+length) and returns the shares, as a tuple, with their accumulation value;
+its ``reconstruct`` verifies every package's witness on every call, then
+decodes each distinct verified share set, keyed by its sorted (index, share
+bytes) items, once. Each of the two holds at most `MEMO_ENTRIES` entries,
+dropping the least recently used; a call that raises stores nothing, and
+nothing outlives the session. On a miss the memo calls the pure `encode`,
+`eval_shares` and `reconstruct` below by their module names.
 """
 
 from __future__ import annotations
@@ -86,6 +97,18 @@ def verify_package(ak: AccKey, z: AccValue, pkg: SharePackage, expect_index: int
     return acc_verify(ak, z, pkg.witness, share.canonical())
 
 
+def _verified(packages: dict[int, SharePackage | None], ak: AccKey,
+              z: AccValue) -> dict[int, SharePackage]:
+    """The packages whose witness verifies under z for their own slot, by
+    ascending index."""
+    valid = {}
+    for j in range(1, ak.capacity + 1):
+        pkg = packages.get(j)
+        if pkg is not None and verify_package(ak, z, pkg, expect_index=j):
+            valid[j] = pkg
+    return valid
+
+
 def reconstruct(packages: dict[int, SharePackage | None], ak: AccKey, z: AccValue,
                 d0: int, b: int) -> tuple[bytes, int] | None:
     """Recover the committed (message, bit length), or None on failure.
@@ -94,11 +117,7 @@ def reconstruct(packages: dict[int, SharePackage | None], ak: AccKey, z: AccValu
     error budget and up to d0 erasures.
     """
     n = ak.capacity
-    valid: dict[int, bytes] = {}
-    for j in range(1, n + 1):
-        pkg = packages.get(j)
-        if pkg is not None and verify_package(ak, z, pkg, expect_index=j):
-            valid[j] = pkg.indexed_share.share
+    valid = {j: pkg.indexed_share.share for j, pkg in _verified(packages, ak, z).items()}
     if len(valid) < n - d0 or not valid:
         return None
     lengths = {len(s) for s in valid.values()}
@@ -120,3 +139,46 @@ def reconstruct(packages: dict[int, SharePackage | None], ak: AccKey, z: AccValu
         return None
     return payload, bit_len
 
+
+MEMO_ENTRIES = 16
+
+
+def _remember(table: dict, key, value) -> None:
+    """Store value as the most recent entry, dropping the least recently
+    used one beyond MEMO_ENTRIES."""
+    table[key] = value
+    if len(table) > MEMO_ENTRIES:
+        del table[next(iter(table))]
+
+
+class CodecMemo:
+    """One session's encodings, commitments and decodings, each computed once
+    (see the module docstring); bound to the session's accumulator key."""
+
+    def __init__(self, ak: AccKey):
+        self.ak = ak
+        self.commits: dict[tuple, tuple[tuple[IndexedShare, ...], AccValue]] = {}
+        self.decoded: dict[tuple, tuple[bytes, int] | None] = {}
+
+    def commit(self, m: bytes, b: int, bit_len: int) -> tuple[tuple[IndexedShare, ...], AccValue]:
+        """The n shares of the bit_len-bit message m and their accumulation value."""
+        key = (m, b, bit_len)
+        hit = self.commits.pop(key, None)
+        if hit is None:
+            shares = tuple(encode(m, b, self.ak.capacity, bit_len=bit_len))
+            hit = (shares, eval_shares(self.ak, shares))
+        _remember(self.commits, key, hit)
+        return hit
+
+    def reconstruct(self, packages: dict[int, SharePackage | None], z: AccValue,
+                    d0: int, b: int) -> tuple[bytes, int] | None:
+        """`reconstruct` over the packages that verify under z. A miss hands
+        `reconstruct` only those packages, and it verifies them once more."""
+        valid = _verified(packages, self.ak, z)
+        key = (d0, b, tuple((j, pkg.indexed_share.share) for j, pkg in valid.items()))
+        if key in self.decoded:
+            out = self.decoded.pop(key)
+        else:
+            out = reconstruct(valid, self.ak, z, d0, b)
+        _remember(self.decoded, key, out)
+        return out

@@ -21,7 +21,7 @@ from .adversary import AdversaryScript, adversary_battery
 from .multisig import MultiSig
 from .protocols import PROTOCOLS, ProtocolSpec, SessionParams
 from .runner import RunResult, run
-from .simnet import PrefixPolicy, oracle_model_cost
+from .simnet import BOT, PrefixPolicy, oracle_model_cost
 from .star import NOSTAR, GrowingStar, PartyGraph, _matching_cached, max_matching, star
 
 
@@ -70,6 +70,18 @@ def build_inputs(kind: str, params: SessionParams, seed: int, unanimity: str,
     }
 
 
+_EXACT_OUTPUTS = (bytes, int, type(BOT))
+
+
+def _output_key(v) -> object:
+    """What the agreement check compares: bytes, int and BOT outputs by their
+    exact type and value, which spares a repr of every long output; anything
+    else by its repr. Outputs whose reprs differ get different keys."""
+    if type(v) in _EXACT_OUTPUTS:
+        return type(v), v
+    return repr(v)
+
+
 def evaluate_run(kind: str, inputs: dict[int, bytes], sender: int | None,
                  result: RunResult) -> list[str]:
     """Termination / Agreement / Validity violations for one finished run."""
@@ -84,7 +96,7 @@ def evaluate_run(kind: str, inputs: dict[int, bytes], sender: int | None,
             violations.append(f"termination: honest sender but {sorted(set(honest) - set(outs))} silent")
         if outs and set(outs) != set(honest):
             violations.append(f"termination: partial output {sorted(outs)}")
-    if len({repr(v) for v in outs.values()}) > 1:
+    if len({_output_key(v) for v in outs.values()}) > 1:
         violations.append(f"agreement: {outs}")
     if kind == "ba":
         honest_inputs = {inputs[p] for p in honest}
@@ -396,7 +408,8 @@ def check_star(graphs: int = 2000, seed: int = 0) -> CheckReport:
             elif len(honest - result.C) > t:
                 failures.append(f"more than t honest excluded t={t} trial={trial}")
     # the carried path of ef_async_rb: edges inserted one at a time into a
-    # GrowingStar must give the matching and star computed from scratch
+    # GrowingStar must give the complement, matching and star computed from
+    # scratch
     for trial in range(200):
         n = rng.randint(2, 10)
         t = (n - 1) // 3
@@ -407,6 +420,9 @@ def check_star(graphs: int = 2000, seed: int = 0) -> CheckReport:
         for step, (u, v) in enumerate(edges):
             result = growing.add_edge(u, v)
             h = growing.graph.complement()
+            if growing.complement != h:
+                failures.append(f"carried complement mismatch trial={trial} n={n} step={step}")
+                break
             if growing.matching != _matching_cached.__wrapped__(n, h.rows):
                 failures.append(f"carried matching mismatch trial={trial} n={n} step={step}")
                 break

@@ -64,9 +64,8 @@ class ProtocolSpec:
 def encode_input(ctx: Ctx, message: bytes):
     """Shares of an l-bit message and their accumulator commitment."""
     params = ctx.params
-    shares = blocks.encode(message, params.b, params.n, bit_len=params.l)
+    shares, z = ctx.session.codec.commit(message, params.b, params.l)
     ctx.engine.metrics.extra.setdefault("share_bits", 8 * len(shares[0].share))
-    z = blocks.eval_shares(ctx.session.ak, shares)
     return shares, z
 
 
@@ -93,16 +92,17 @@ def forwarded_packages(ctx: Ctx) -> dict[int, object]:
 
 
 def shared_sync_tail(ctx: Ctx, z_bytes: bytes, happy: bool, my_message: bytes | None,
-                     my_shares, happy_vote: int):
+                     my_commit, happy_vote: int):
     """Distribution, one-shot forwarding, and reconstruction rounds common to
-    the synchronous minority-fault protocols."""
+    the synchronous minority-fault protocols; my_commit is the (shares,
+    accumulation value) pair of encode_input for my_message."""
     params = ctx.params
     if happy_vote != 1:
         return BOT
     z = bare_acc(z_bytes, params.k)
     ctx.set_step("distribute")
     if happy:
-        rich = blocks.eval_shares(ctx.session.ak, my_shares)
+        my_shares, rich = my_commit
         if rich.data != z_bytes:
             raise InvariantViolation("happy party's shares must match the agreed commitment")
         blocks.distribute(ctx, my_shares, ctx.session.ak, rich, step="distribute")
@@ -117,7 +117,7 @@ def shared_sync_tail(ctx: Ctx, z_bytes: bytes, happy: bool, my_message: bytes | 
     if happy:
         return my_message
     table = forwarded_packages(ctx)
-    out = blocks.reconstruct(table, ctx.session.ak, z, d0=params.t, b=params.b)
+    out = ctx.session.codec.reconstruct(table, z, d0=params.t, b=params.b)
     if out is None:
         raise AssertionError(
             f"party {ctx.pid}: reconstruction failed although the happy vote carried"

@@ -67,7 +67,7 @@ def async_ba_third(ctx: Ctx, my_input: bytes, sender: int | None = None):
     tracker = _FwdTracker(ctx, z_acc)
     while tracker.update() < params.n - params.t:
         yield tracker.mail.wait()
-    got = blocks.reconstruct(tracker.table, ctx.session.ak, z_acc, d0=params.t, b=params.b)
+    got = ctx.session.codec.reconstruct(tracker.table, z_acc, d0=params.t, b=params.b)
     if got is None:
         raise AssertionError(f"party {ctx.pid}: reconstruction failed after a carried happy vote")
     return got[0]
@@ -133,12 +133,10 @@ def async_rb_third(ctx: Ctx, my_input: bytes | None, sender: int):
             return message
         if not happy and forwarded is not None and tracker.update() >= params.n - params.t:
             ctx.set_step("reconstruct")
-            got = blocks.reconstruct(tracker.table, ctx.session.ak, z_acc,
-                                     d0=params.t, b=params.b)
+            got = ctx.session.codec.reconstruct(tracker.table, z_acc, d0=params.t, b=params.b)
             if got is not None:
                 m, bit_len = got
-                rebuilt = blocks.encode(m, params.b, params.n, bit_len=bit_len)
-                rich = blocks.eval_shares(ctx.session.ak, rebuilt)
+                rebuilt, rich = ctx.session.codec.commit(m, params.b, bit_len)
                 if rich.data == z:
                     ctx.set_step("redistribute")
                     blocks.distribute(ctx, rebuilt, ctx.session.ak, rich, step="redistribute")

@@ -31,7 +31,7 @@ def sync_ba_half(ctx: Ctx, my_input: bytes, sender: int | None = None):
     ctx.set_happy(happy)
     vote = yield from ba_oracle(ctx, "sync_ba", "ba_happy", int(happy), 1)
     out = yield from shared_sync_tail(ctx, z if isinstance(z, bytes) else b"", happy,
-                                      my_input, shares, 1 if vote == 1 else 0)
+                                      my_input, (shares, z_mine), 1 if vote == 1 else 0)
     if happy and out is not BOT and out != my_input:
         raise InvariantViolation("happy party must output its own message")
     return out
@@ -44,11 +44,10 @@ def sync_bb_half(ctx: Ctx, my_input: bytes | None, sender: int):
     ctx.set_step("payload")
     message = None
     z_bytes_own = None
-    shares = None
+    commit = None
     if ctx.pid == sender:
         message = my_input
-        shares, z_mine = encode_input(ctx, message)
-        z_bytes_own = z_mine.data
+        z_bytes_own = encode_input(ctx, message)[1].data
         ctx.broadcast("payload", message, bits=params.l, step="payload")
     z = yield from bcast_oracle(ctx, "sync_bb", "bb_commit", sender, z_bytes_own, params.k)
     if ctx.pid != sender:
@@ -58,15 +57,15 @@ def sync_bb_half(ctx: Ctx, my_input: bytes | None, sender: int):
     happy = False
     if isinstance(message, bytes) and isinstance(z, bytes):
         try:
-            shares, z_mine = encode_input(ctx, message)
-            happy = z_mine.data == z
+            commit = encode_input(ctx, message)
+            happy = commit[1].data == z
         except ValueError:
             happy = False
     ctx.set_happy(happy)
     vote = yield from ba_oracle(ctx, "sync_ba", "ba_happy", int(happy), 1)
     return (
         yield from shared_sync_tail(ctx, z if isinstance(z, bytes) else b"", happy,
-                                    message, shares, 1 if vote == 1 else 0)
+                                    message, commit, 1 if vote == 1 else 0)
     )
 
 
@@ -98,15 +97,15 @@ def sync_bb_high_threshold(ctx: Ctx, my_input: bytes | None, sender: int):
     auth = ctx.session.msig
     happy = False
     output = BOT
-    my_shares = None
+    my_shares = my_rich = None
     trigger_cert: MultiSig | None = None
     z_bytes_own = None
     ctx.set_step("commit")
     if ctx.pid == sender:
         happy = True
         output = my_input
-        my_shares, z_mine = encode_input(ctx, my_input)
-        z_bytes_own = z_mine.data
+        my_shares, my_rich = encode_input(ctx, my_input)
+        z_bytes_own = my_rich.data
     ctx.set_happy(happy)
     z = yield from bcast_oracle(ctx, "sync_bb", "bb_commit", sender, z_bytes_own, params.k)
     z_acc = bare_acc(z if isinstance(z, bytes) else b"", params.k)
@@ -123,11 +122,10 @@ def sync_bb_high_threshold(ctx: Ctx, my_input: bytes | None, sender: int):
             cert = msig_combine(trigger_cert, own_sig) if trigger_cert else own_sig
             ctx.broadcast("happy_cert", cert, bits=MultiSig.nominal_bits(params.n, params.k),
                           step="distribute")
-            rich = blocks.eval_shares(ctx.session.ak, my_shares)
-            if rich.data != z:
+            if my_rich.data != z:
                 raise InvariantViolation(
                     "distributing party's shares must match the agreed commitment")
-            blocks.distribute(ctx, my_shares, ctx.session.ak, rich, step="distribute")
+            blocks.distribute(ctx, my_shares, ctx.session.ak, my_rich, step="distribute")
         yield NEXT_ROUND
         cert_envs = cert_mail.new()
         ctx.set_step("share")
@@ -143,16 +141,16 @@ def sync_bb_high_threshold(ctx: Ctx, my_input: bytes | None, sender: int):
             chain_len, cert = _best_cert(ctx, cert_envs, exclude=ctx.pid)
             if chain_len >= r:
                 table = forwarded_packages(ctx)
-                got = blocks.reconstruct(table, ctx.session.ak, z_acc, d0=params.t, b=params.b)
+                got = ctx.session.codec.reconstruct(table, z_acc, d0=params.t, b=params.b)
                 if got is not None:
                     m, bit_len = got
-                    rebuilt = blocks.encode(m, params.b, params.n, bit_len=bit_len)
-                    if blocks.eval_shares(ctx.session.ak, rebuilt).data == z:
+                    rebuilt, rich = ctx.session.codec.commit(m, params.b, bit_len)
+                    if rich.data == z:
                         reconstructed = True
                         ctx.set_happy(True)
                         happy = True
                         output = m
-                        my_shares = rebuilt
+                        my_shares, my_rich = rebuilt, rich
                         trigger_cert = cert
                         ctx.engine.metrics.extra[f"happy_iter/{ctx.pid}"] = r
     return output

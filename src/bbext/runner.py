@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .accumulator import AccKey, acc_gen
+from .blocks import CodecMemo
 from .multisig import MsigAuthority
 from .oracles import CoinOracle
 from .protocols import PROTOCOLS, ProtocolSpec, SessionParams
@@ -15,13 +16,15 @@ ORACLE_KINDS = ("sync_bb", "sync_ba", "async_rb", "async_ba_bit", "async_ba_kbit
 
 @dataclass
 class Session:
-    """Shared trusted setup of one run: keys, coin, and oracle choices."""
+    """Shared trusted setup of one run: keys, coin, oracle choices, and the
+    run's codec memo."""
 
     session_id: str
     params: SessionParams
     ak: AccKey
     msig: MsigAuthority
     coin: CoinOracle
+    codec: CodecMemo
     oracle_impl: dict[str, str] = field(default_factory=dict)
 
 
@@ -76,12 +79,14 @@ def run(protocol: str | ProtocolSpec, params: SessionParams, inputs: dict[int, b
 
     session_id = f"{spec.name}/{seed}"
     impl = _normalize_oracle_impl(oracle_impl)
+    ak = acc_gen(acc_scheme, params.n, params.k, rng_seed=seed)
     session = Session(
         session_id=session_id,
         params=params,
-        ak=acc_gen(acc_scheme, params.n, params.k, rng_seed=seed),
+        ak=ak,
         msig=MsigAuthority(session_id, params.n, params.k, seed=seed),
         coin=CoinOracle(seed),
+        codec=CodecMemo(ak),
         oracle_impl=impl,
     )
 

@@ -16,8 +16,9 @@ Deletion lemma. A graph that gains an edge loses one edge e from its
 complement h. Let M be the canonical matching of h. If e is not in M, M is
 also the canonical matching of h - e: the maximum size cannot grow, M is
 still a matching of that size, and every maximum matching of h - e is one
-of h, so none of them is lex-smaller than M. `GrowingStar` carries M across
-insertions and runs the blossom again only when e is in M.
+of h, so none of them is lex-smaller than M. `GrowingStar` carries h and M
+across insertions, clears e's two bits in h's rows, and runs the blossom
+again only when e is in M.
 
 There is no star cache: within a session the graph only grows, so a star
 keyed by the whole graph is almost never asked for twice (a cache keyed
@@ -223,19 +224,22 @@ def max_matching(g: PartyGraph) -> frozenset[tuple[int, int]]:
 
 
 def star(g: PartyGraph, n: int, t: int, *,
-         _matching: frozenset[tuple[int, int]] | None = None):
+         _carried: tuple[PartyGraph, frozenset[tuple[int, int]]] | None = None):
     """Extract a star (C, D) from g, or NOSTAR when the pruning falls short.
 
     With h the complement of g and M its canonical maximum matching
-    (computed here, or carried in by `GrowingStar` only, which alone may
-    pass `_matching`): T holds the unmatched vertices adjacent in h to both
-    ends of one edge of M, C the other unmatched ones, B the matched
+    (computed here, or carried in as (h, M) by `GrowingStar` only, which
+    alone may pass `_carried`): T holds the unmatched vertices adjacent in h
+    to both ends of one edge of M, C the other unmatched ones, B the matched
     vertices adjacent in h to C, and D everyone outside B.
     """
     if g.n != n:
         raise ValueError("graph size mismatch")
-    h = g.complement()
-    matching = max_matching(h) if _matching is None else _matching
+    if _carried is None:
+        h = g.complement()
+        matching = max_matching(h)
+    else:
+        h, matching = _carried
     hr = h.rows
     matched = common = 0
     for u, v in matching:
@@ -258,21 +262,26 @@ def star(g: PartyGraph, n: int, t: int, *,
 
 
 class GrowingStar:
-    """A party graph that only gains edges, with the canonical matching of
-    its complement carried from one insertion to the next."""
+    """A party graph that only gains edges, with its complement and the
+    complement's canonical matching carried from one insertion to the next."""
 
     def __init__(self, n: int, t: int):
         self.n, self.t = n, t
         self.graph = PartyGraph(n=n, rows=(0,) * n)
-        self.matching = max_matching(self.graph.complement())
+        self.complement = self.graph.complement()
+        self.matching = max_matching(self.complement)
 
     def add_edge(self, u: int, v: int):
         """Insert the edge (u, v) and return the star of the new graph, or
         NOSTAR; raises ValueError for a self-loop or an id outside 1..n."""
         self.graph = self.graph.with_edge(u, v)
+        rows = list(self.complement.rows)
+        rows[u - 1] &= ~(1 << (v - 1))
+        rows[v - 1] &= ~(1 << (u - 1))
+        self.complement = PartyGraph._trusted(self.n, tuple(rows))
         if (min(u, v), max(u, v)) in self.matching:
-            self.matching = max_matching(self.graph.complement())
-        return star(self.graph, self.n, self.t, _matching=self.matching)
+            self.matching = max_matching(self.complement)
+        return star(self.graph, self.n, self.t, _carried=(self.complement, self.matching))
 
 
 def _mask(vertices) -> int:

@@ -1,9 +1,16 @@
+import dataclasses
 import itertools
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bbext import blocks
-from bbext.accumulator import HASH_TREE, acc_gen
+from bbext import accumulator, blocks, rs, runner
+from bbext.accumulator import BILINEAR, HASH_TREE, Witness, acc_gen
+from bbext.adversary import AdversaryScript, hooked
+from bbext.checks import evaluate_run
+from bbext.protocols import SessionParams
 
 
 @pytest.fixture
@@ -114,3 +121,220 @@ def test_two_distributors_produce_byte_identical_packages(ak):
     for j in range(1, 5):
         assert first[j].indexed_share == second[j].indexed_share
         assert first[j].witness.data == second[j].witness.data
+
+
+# --- the per-session codec memo ------------------------------------------------
+
+
+def _tamper(packages: dict, actions: dict[int, str]) -> dict:
+    """Packages with each slot kept, erased, given a zeroed witness, or
+    filled with the next slot's package (a wrong index)."""
+    n = len(packages)
+    out = {}
+    for j, pkg in packages.items():
+        action = actions.get(j, "keep")
+        if action == "keep":
+            out[j] = pkg
+        elif action == "bad_witness":
+            w = pkg.witness
+            out[j] = dataclasses.replace(pkg, witness=Witness(bytes(len(w.data)), w.nominal_bits))
+        elif action == "wrong_index":
+            out[j] = packages[j % n + 1]
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_codec_memo_equals_the_fresh_codec(data):
+    n = data.draw(st.integers(1, 12), label="n")
+    b = data.draw(st.integers(1, n), label="b")
+    ak = acc_gen(data.draw(st.sampled_from([HASH_TREE, BILINEAR])), n, 128, rng_seed=3)
+    m = data.draw(st.binary(max_size=40), label="m")
+    bit_len = data.draw(st.integers(0, 8 * len(m)), label="bit_len")
+    memo = blocks.CodecMemo(ak)
+    shares, z = memo.commit(m, b, bit_len)
+    fresh = blocks.encode(m, b, n, bit_len=bit_len)
+    fresh_z = blocks.eval_shares(ak, fresh)
+    assert shares == tuple(fresh)
+    assert (z, z.source_values) == (fresh_z, fresh_z.source_values)
+    assert memo.commit(m, b, bit_len) == (shares, z)
+
+    d0 = data.draw(st.integers(0, n - b), label="d0")
+    actions = data.draw(st.dictionaries(
+        st.integers(1, n), st.sampled_from(["erase", "bad_witness", "wrong_index"]),
+        max_size=min(n, d0 + 1)), label="actions")
+    packages = _tamper(blocks.make_packages(list(shares), ak, z), actions)
+    want = blocks.reconstruct(packages, ak, z, d0, b)
+    assert memo.reconstruct(packages, z, d0, b) == want
+    # a second call, with junk in an erased slot, decodes the same verified set
+    if len(packages) < n:
+        j = next(j for j in range(1, n + 1) if j not in packages)
+        packages = {**packages, j: "junk"}
+    assert memo.reconstruct(packages, z, d0, b) == want
+    assert len(memo.decoded) == 1
+    if len(actions) <= d0:  # within the erasure budget the message comes back
+        payload, got_len = want
+        assert got_len == bit_len and payload[:bit_len // 8] == m[:bit_len // 8]
+
+
+def test_commit_returns_one_shared_tuple(ak):
+    memo = blocks.CodecMemo(ak)
+    shares, z = memo.commit(b"abcd", 2, 32)
+    assert isinstance(shares, tuple)
+    with pytest.raises(TypeError):
+        shares[0] = shares[1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        shares[0].share = b""
+    again, z_again = memo.commit(b"abcd", 2, 32)
+    assert again is shares and z_again is z
+
+
+def test_a_call_that_raises_stores_nothing(ak):
+    memo = blocks.CodecMemo(ak)
+    with pytest.raises(ValueError):
+        memo.commit(b"ab", 2, 17)  # longer than the message
+    assert not memo.commits
+    memo.commit(b"ab", 2, 16)
+    assert len(memo.commits) == 1
+
+
+def test_decode_memo_is_bounded():
+    n, b = 8, 2
+    ak = acc_gen(HASH_TREE, n, 128, rng_seed=0)
+    memo = blocks.CodecMemo(ak)
+    shares, z = memo.commit(b"bounded", b, 56)
+    packages = blocks.make_packages(list(shares), ak, z)
+    patterns = list(itertools.combinations(range(1, n + 1), 3))
+    assert len(patterns) > blocks.MEMO_ENTRIES
+    for erased in patterns:
+        kept = {j: pkg for j, pkg in packages.items() if j not in erased}
+        assert memo.reconstruct(kept, z, n - b, b) == (b"bounded", 56)
+        assert len(memo.decoded) <= blocks.MEMO_ENTRIES
+    assert len(memo.decoded) == blocks.MEMO_ENTRIES
+
+
+class _RecordingMemo(blocks.CodecMemo):
+    """A session's memo that keeps the largest size each table reached."""
+
+    made: list = []
+
+    def __init__(self, ak):
+        super().__init__(ak)
+        self.made.append(self)
+        self.messages: set[bytes] = set()
+        self.peak = 0
+
+    def commit(self, m, b, bit_len):
+        self.messages.add(m)
+        try:
+            return super().commit(m, b, bit_len)
+        finally:
+            self.peak = max(self.peak, len(self.commits), len(self.decoded))
+
+    def reconstruct(self, packages, z, d0, b):
+        try:
+            return super().reconstruct(packages, z, d0, b)
+        finally:
+            self.peak = max(self.peak, len(self.commits), len(self.decoded))
+
+
+@pytest.fixture
+def recording(monkeypatch):
+    monkeypatch.setattr(_RecordingMemo, "made", [])
+    monkeypatch.setattr(runner, "CodecMemo", _RecordingMemo)
+    return _RecordingMemo.made
+
+
+class _PayloadPerParty(AdversaryScript):
+    """A corrupt sender whose payload differs for every recipient."""
+
+    name = "payload_per_party"
+
+    def corrupt_set(self, n, t, sender):
+        return frozenset({sender})
+
+    def make_party(self, pid, honest_factory, env):
+        def send_hook(ctx, dst, kind, payload):
+            if kind == "payload":
+                payload = bytes([dst]) + payload[1:]
+            return kind, payload
+
+        return hooked(honest_factory, send_hook=send_hook)
+
+
+def test_memo_keyed_by_attacker_payloads_is_bounded(recording):
+    n = 2 * blocks.MEMO_ENTRIES + 1
+    params = SessionParams(n=n, t=(n - 1) // 2, l=64, k=128, threshold_regime="half")
+    inputs = {1: bytes(range(8))}
+    res = runner.run("sync-bb-half", params, inputs, adversary=_PayloadPerParty(), seed=0)
+    assert not evaluate_run("bb", inputs, 1, res)
+    (memo,) = recording
+    assert len(memo.messages) == n
+    assert memo.peak == blocks.MEMO_ENTRIES
+
+
+def test_sessions_share_no_memo_entries(recording):
+    params = SessionParams(n=4, t=1, l=64, k=128, threshold_regime="half")
+    inputs = {p: b"8 bytes!" for p in range(1, 5)}
+    first = runner.run("sync-ba-half", params, inputs, seed=0)
+    second = runner.run("sync-ba-half", params, inputs, seed=0)
+    assert first.metrics.outputs_digest == second.metrics.outputs_digest
+    a, b = recording
+    assert a is not b and a.commits.keys() == b.commits.keys()
+    for key, (shares, z) in a.commits.items():
+        other_shares, other_z = b.commits[key]
+        assert shares == other_shares and shares is not other_shares and z is not other_z
+
+
+# --- duplicate codec work, counted ------------------------------------------------
+
+
+def _count(monkeypatch, owner, name: str) -> list[int]:
+    """Count calls to owner.name through every binding of it in bbext."""
+    original = getattr(owner, name)
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name == "bbext" or mod_name.startswith("bbext."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def test_unanimous_session_encodes_and_commits_once(monkeypatch):
+    encodes = _count(monkeypatch, rs, "rs_encode")
+    evals = _count(monkeypatch, accumulator, "acc_eval")
+    params = SessionParams(n=10, t=4, l=2**14, threshold_regime="half")
+    message = bytes(range(256)) * 8
+    inputs = {p: message for p in range(1, 11)}
+    res = runner.run("sync-ba-half", params, inputs, seed=0)
+    assert not evaluate_run("ba", inputs, None, res)
+    assert (encodes[0], evals[0]) == (1, 1)
+
+
+def test_high_threshold_decodes_once_per_verified_share_set(monkeypatch):
+    decodes = _count(monkeypatch, rs, "rs_decode")
+    share_sets, asked = set(), [0]
+    pure_reconstruct, memo_reconstruct = blocks.reconstruct, blocks.CodecMemo.reconstruct
+
+    def recording_reconstruct(packages, ak, z, d0, b):
+        share_sets.add(tuple((j, pkg.indexed_share.share) for j, pkg in packages.items()))
+        return pure_reconstruct(packages, ak, z, d0, b)
+
+    def counting_reconstruct(self, *args, **kwargs):
+        asked[0] += 1
+        return memo_reconstruct(self, *args, **kwargs)
+
+    monkeypatch.setattr(blocks, "reconstruct", recording_reconstruct)
+    monkeypatch.setattr(blocks.CodecMemo, "reconstruct", counting_reconstruct)
+    params = SessionParams(n=7, t=5, l=2**12, threshold_regime="one_minus_eps", epsilon=0.25)
+    inputs = {1: bytes(range(256)) * 2}
+    res = runner.run("sync-bb-highthresh", params, inputs, seed=0)
+    assert not evaluate_run("bb", inputs, 1, res)
+    assert asked[0] == params.n - 1  # every party but the sender reconstructs
+    assert decodes[0] == len(share_sets) == 1

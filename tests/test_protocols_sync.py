@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import pytest
@@ -16,8 +17,8 @@ from bbext.adversary import (
 )
 from bbext.checks import build_inputs, evaluate_run
 from bbext.protocols import SessionParams
-from bbext.runner import run
-from bbext.simnet import BOT
+from bbext.runner import RunResult, run
+from bbext.simnet import BOT, RunMetrics
 
 
 def p_half(n=4, l=96):
@@ -243,3 +244,25 @@ def test_ideal_and_concrete_oracles_output_equivalent():
     bb_concrete = run("sync-bb-half", params, {1: M}, adversary=Silent(), seed=4,
                       oracle_impl={"sync_bb": "concrete", "sync_ba": "concrete"})
     assert bb_ideal.outputs == bb_concrete.outputs
+
+
+def _judged(outputs: dict) -> list[str]:
+    """evaluate_run over these agreement outputs; the inputs differ, so only
+    termination and agreement are judged."""
+    res = RunResult(outputs=outputs, metrics=RunMetrics(), honest=frozenset(outputs),
+                    corrupt=frozenset())
+    return evaluate_run("ba", {p: bytes([p]) for p in outputs}, None, res)
+
+
+def test_agreement_flags_one_byte_of_a_long_output():
+    long = bytes(range(256)) * 512
+    last = long[:-1] + bytes([long[-1] ^ 1])
+    assert _judged({1: long, 2: bytes(bytearray(long)), 3: long}) == []
+    assert _judged({1: long, 2: last, 3: long}) == [f"agreement: {({1: long, 2: last, 3: long})}"]
+
+
+@pytest.mark.parametrize("a, b", list(itertools.combinations([1, b"\x01", True, BOT, None], 2)))
+def test_agreement_tells_apart_what_repr_tells_apart(a, b):
+    assert repr(a) != repr(b)
+    assert len(_judged({1: a, 2: b})) == 1
+    assert _judged({1: a, 2: a, 3: a}) == [] == _judged({1: b, 2: b})

@@ -449,6 +449,7 @@ def test_growing_star_equals_star_from_scratch(data):
         result = growing.add_edge(u, v)
         g = growing.graph
         assert g.has_edge(u, v)
+        assert growing.complement == g.complement()
         assert growing.matching == fresh_matching(g.complement())
         if n <= 10:
             assert growing.matching == dp_canonical_matching(g.complement())
@@ -477,16 +478,28 @@ def test_growing_star_matches_only_on_matched_deletions(monkeypatch):
     assert 0 < recomputed < len(edges) // 2
 
 
+def test_growing_star_builds_no_complement(monkeypatch):
+    # the carried complement loses the new edge's two bits; nothing rebuilds it
+    growing = GrowingStar(9, 2)
+    built = []
+    complement = PartyGraph.complement
+    monkeypatch.setattr(PartyGraph, "complement", lambda g: built.append(g) or complement(g))
+    for u, v in itertools.combinations(range(1, 10), 2):
+        growing.add_edge(u, v)
+    assert built == []
+    assert growing.complement == complement(growing.graph)
+
+
 @pytest.mark.parametrize("edge", [(3, 3), (0, 2), (2, 6), (-1, 1)])
 def test_growing_star_rejects_bad_edges(edge):
     growing = GrowingStar(5, 1)
     growing.add_edge(1, 2)
-    before = (growing.graph, growing.matching)
+    before = (growing.graph, growing.complement, growing.matching)
     with pytest.raises(ValueError):
         growing.add_edge(*edge)
     with pytest.raises(ValueError):
         PartyGraph.from_edges(5, []).with_edge(*edge)
-    assert (growing.graph, growing.matching) == before
+    assert (growing.graph, growing.complement, growing.matching) == before
 
 
 def test_star_module_caches_are_bounded():
