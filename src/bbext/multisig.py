@@ -38,6 +38,7 @@ class MsigAuthority:
             i: hashlib.sha256(f"msig/{session_id}/{seed}/{i}".encode()).digest()
             for i in range(1, n + 1)
         }
+        self._parties = frozenset(self._keys)
 
     def _mac(self, i: int, tag: bytes) -> bytes:
         return hmac.new(self._keys[i], tag, hashlib.sha256).digest()[: self.k // 8]
@@ -52,33 +53,32 @@ class MsigAuthority:
             return False
         if not isinstance(sig.aggregate, bytes):
             return False
-        if not sig.signers or not sig.signers <= set(self._keys):
+        if not sig.signers or not sig.signers <= self._parties:
             return False
-        parts = _split(sig, self.k)
-        if parts is None:
+        step = self.k // 8
+        agg = sig.aggregate
+        if len(agg) != step * len(sig.signers):
             return False
-        return all(hmac.compare_digest(parts[i], self._mac(i, tag)) for i in sig.signers)
-
-
-def _split(sig: MultiSig, k: int) -> dict[int, bytes] | None:
-    step = k // 8
-    order = sorted(sig.signers)
-    if len(sig.aggregate) != step * len(order):
-        return None
-    return {i: sig.aggregate[j * step : (j + 1) * step] for j, i in enumerate(order)}
+        # the j-th smallest signer's MAC is the j-th slice
+        return all(hmac.compare_digest(agg[j * step:(j + 1) * step], self._mac(i, tag))
+                   for j, i in enumerate(sorted(sig.signers)))
 
 
 def msig_combine(a: MultiSig, b: MultiSig) -> MultiSig:
     """Merge two aggregates over the same tag; signer sets may overlap."""
-    ka = len(a.aggregate) // max(len(a.signers), 1) * 8
-    parts_a = _split(a, ka)
-    parts_b = _split(b, ka)
-    if parts_a is None or parts_b is None:
+    step = len(a.aggregate) // max(len(a.signers), 1)
+    if (len(a.aggregate) != step * len(a.signers)
+            or len(b.aggregate) != step * len(b.signers)):
         raise ValueError("malformed aggregate")
-    merged = dict(parts_a)
-    for i, mac in parts_b.items():
-        if i in merged and merged[i] != mac:
+    # the running counts of a's and b's signers seen so far index their slices
+    macs, ia, ib = [], 0, 0
+    for s in sorted(a.signers | b.signers):
+        in_a, in_b = s in a.signers, s in b.signers
+        mac_b = b.aggregate[ib * step:(ib + 1) * step]
+        mac = a.aggregate[ia * step:(ia + 1) * step] if in_a else mac_b
+        if in_b and mac != mac_b:
             raise ValueError("conflicting signature shares for one signer")
-        merged[i] = mac
-    signers = frozenset(merged)
-    return MultiSig(signers=signers, aggregate=b"".join(merged[i] for i in sorted(signers)))
+        macs.append(mac)
+        ia += in_a
+        ib += in_b
+    return MultiSig(signers=a.signers | b.signers, aggregate=b"".join(macs))

@@ -100,7 +100,8 @@ def dolev_strong(ctx: Ctx, instance: str, sender: int, my_value, value_bits: int
                 value, sig = env.payload
             except (TypeError, ValueError):
                 continue
-            if not _encodable(value) or value in extracted or len(extracted) >= 2:
+            # the cheap filters first: the type check runs once per new value
+            if len(extracted) >= 2 or value in extracted or not _encodable(value):
                 continue
             if not isinstance(sig, MultiSig) or sender not in sig.signers:
                 continue
@@ -146,9 +147,12 @@ def parallel_chain_bcast(ctx: Ctx, instance: str, my_value, value_bits: int,
                 slot, value, sig = env.payload
             except (TypeError, ValueError):
                 continue
-            if not isinstance(slot, int) or slot not in extracted or not _encodable(value):
+            if not isinstance(slot, int) or slot not in extracted:
                 continue
-            if value in extracted[slot] or len(extracted[slot]) >= 2:
+            # the cheap filters first: the type check runs once per new
+            # (slot, value), not once per relay
+            got = extracted[slot]
+            if len(got) >= 2 or value in got or not _encodable(value):
                 continue
             if not isinstance(sig, MultiSig) or slot not in sig.signers:
                 continue

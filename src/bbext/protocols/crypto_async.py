@@ -101,14 +101,15 @@ def async_rb_third(ctx: Ctx, my_input: bytes | None, sender: int):
             blocks.distribute(ctx, my_shares, ctx.session.ak, z_mine, step="distribute")
     forwarded = None
     tracker = _FwdTracker(ctx, z_acc)
+    payloads = ctx.reader("payload")
     packages = ctx.reader("share_pkg")
     mail = ctx.reader()
     while True:
         if not happy_known:
-            payloads = ctx.inbox(kind="payload", frm=sender)
-            if payloads:
+            first = next((e for e in payloads.new() if e.src == sender), None)
+            if first is not None:
                 happy_known = True
-                m = payloads[0].payload
+                m = first.payload
                 if isinstance(m, bytes):
                     try:
                         cand_shares, cand_z = encode_input(ctx, m)

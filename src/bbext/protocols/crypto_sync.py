@@ -51,9 +51,9 @@ def sync_bb_half(ctx: Ctx, my_input: bytes | None, sender: int):
         ctx.broadcast("payload", message, bits=params.l, step="payload")
     z = yield from bcast_oracle(ctx, "sync_bb", "bb_commit", sender, z_bytes_own, params.k)
     if ctx.pid != sender:
-        payloads = ctx.inbox(kind="payload", frm=sender)
-        if payloads:
-            message = payloads[0].payload
+        first = next((e for e in ctx.reader("payload").new() if e.src == sender), None)
+        if first is not None:
+            message = first.payload
     happy = False
     if isinstance(message, bytes) and isinstance(z, bytes):
         try:

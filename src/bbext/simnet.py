@@ -11,12 +11,17 @@ envelope; an envelope may be deferred at most 10*n^2 scheduling steps, which
 makes eventual delivery hold on every finite trace while leaving reordering
 fully adversarial inside that bound.
 
-Mail costs O(new mail), not O(mailbox). Each delivered or self-delivered
-envelope is filed once, into the party's mailbox and into an index by kind
-and by (kind, instance), so ``Ctx.inbox`` returns a list without scanning.
-A party reads new mail through a cursor (``Ctx.reader``) that remembers how
-far it has read. A broadcast by a party without a send hook is enqueued as
-n-1 envelopes in destination order and metered with one charge.
+A send is one immutable ``Envelope``, built once however many parties it
+goes to: a broadcast by a party without a send hook, or an ideal oracle's
+output, is one record with its destination list, metered with one charge.
+Delivery files that same record into each destination's lists, in
+destination order.
+
+Mail costs O(new mail), not O(mailbox). A party's delivered and
+self-delivered envelopes are filed into its mailbox and into an index by
+kind and by (kind, instance), so ``Ctx.inbox`` returns a list without
+scanning. A party reads new mail through a cursor (``Ctx.reader``) that
+remembers how far it has read.
 
 Only bits sent by honest parties are metered, at nominal sizes. Ideal-oracle
 invocations are charged their model cost pro rata to the honest fraction.
@@ -29,7 +34,7 @@ import json
 import random
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Generator
+from typing import Callable, Generator, NamedTuple
 
 
 class Bot:
@@ -59,11 +64,11 @@ class InvariantViolation(AssertionError):
     failed assertion as a violation catch it too."""
 
 
-@dataclass
-class Envelope:
-    seq: int
+class Envelope(NamedTuple):
+    """One sent message. Immutable, because one record is filed into every
+    recipient's lists; who receives it is the engine's pending entry."""
+
     src: int
-    dst: int
     kind: str
     payload: object
     bits: int
@@ -155,11 +160,12 @@ def _oracle_domain_ok(inst: IdealOracle, value) -> bool:
 
 
 class SchedulerPolicy:
-    """Chooses the index of the next pending envelope (events mode)."""
+    """Chooses the index of the next pending (envelope, destination) entry
+    (events mode)."""
 
     name = "fifo"
 
-    def pick(self, pending: list[Envelope], rng: random.Random) -> int:
+    def pick(self, pending: list[tuple[Envelope, int]], rng: random.Random) -> int:
         return 0
 
 
@@ -186,8 +192,8 @@ class StarvePolicy(SchedulerPolicy):
         self.corrupt = corrupt
 
     def pick(self, pending, rng):
-        for i, env in enumerate(pending):
-            if env.src in self.corrupt or env.dst in self.corrupt:
+        for i, (env, dst) in enumerate(pending):
+            if env.src in self.corrupt or dst in self.corrupt:
                 return i
         return len(pending) - 1
 
@@ -245,10 +251,12 @@ class Ctx:
 
     Every envelope reaching the party is filed once (``_file``): appended to
     ``mailbox`` and to the index lists of its kind and of its (kind,
-    instance). ``inbox`` returns one of those lists as it stands, in arrival
-    order; callers must not modify it. ``reader`` wraps one in a cursor for
-    loops that consume mail as it arrives. ``broadcast`` from a party without
-    a send hook goes to the engine in one call and is metered once.
+    instance). A broadcast's one record is filed into every recipient's
+    lists, so an envelope is shared and immutable. ``inbox`` returns one of
+    those lists as it stands, in arrival order; callers must not modify it.
+    ``reader`` wraps one in a cursor for loops that consume mail as it
+    arrives. ``broadcast`` from a party without a send hook goes to the
+    engine in one call and is metered once.
 
     A corrupt party that runs the honest code gets three rewrites here (see
     ``adversary.hooked``): ``send_hook(ctx, dst, kind, payload)`` returns the
@@ -318,17 +326,8 @@ class Ctx:
 
     def self_deliver(self, kind: str, payload, step: str | None = None,
                      instance: str | None = None) -> None:
-        self._file(Envelope(
-            seq=self.engine.next_seq(),
-            src=self.pid,
-            dst=self.pid,
-            kind=kind,
-            payload=payload,
-            bits=0,
-            step=step or self.step,
-            instance=instance,
-            sent_tick=self.engine.tick,
-        ))
+        self._file(Envelope(self.pid, kind, payload, 0, step or self.step, instance,
+                            self.engine.tick))
 
     def _file(self, env: Envelope) -> None:
         self.mailbox.append(env)
@@ -336,20 +335,15 @@ class Ctx:
         if env.instance is not None:
             self._index[env.kind, env.instance].append(env)
 
-    def inbox(self, kind: str | None = None, instance: str | None = None,
-              frm: int | None = None) -> list[Envelope]:
-        """Received envelopes in arrival order, filtered by kind, instance and
-        sender. Without ``frm`` this is the filed list itself, which later
-        mail extends: read it, do not modify it."""
+    def inbox(self, kind: str | None = None, instance: str | None = None) -> list[Envelope]:
+        """Received envelopes in arrival order, filtered by kind and instance:
+        the filed list itself, which later mail extends. Read it, do not
+        modify it."""
         if kind is not None:
-            box = self._index[kind if instance is None else (kind, instance)]
-        elif instance is None:
-            box = self.mailbox
-        else:
-            raise ValueError("an inbox of one instance needs a kind")
-        if frm is not None:
-            box = [e for e in box if e.src == frm]
-        return box
+            return self._index[kind if instance is None else (kind, instance)]
+        if instance is None:
+            return self.mailbox
+        raise ValueError("an inbox of one instance needs a kind")
 
     def reader(self, kind: str | None = None, instance: str | None = None) -> Reader:
         """A cursor over ``inbox(kind, instance)``, starting at its first
@@ -424,6 +418,14 @@ class Engine:
 
     ``tick`` is the round number in rounds mode and the number of delivered
     envelopes in events mode; an envelope's age is ``tick - sent_tick``.
+
+    Each send builds one ``Envelope``. ``pending`` holds, in send order, one
+    ``(envelope, destinations)`` entry per send in rounds mode and one
+    ``(envelope, destination)`` entry per destination in events mode. A
+    delivery files the record into each destination's lists in destination
+    order, so the global delivery order is send order, then destination
+    order. Only the oracle instances submitted to since the last check are
+    checked for readiness, in name order.
     """
 
     def __init__(self, mode: str, params, session, factories: dict[int, Callable[[Ctx], Generator] | None],
@@ -441,20 +443,16 @@ class Engine:
         self.metrics = RunMetrics()
         self.trace: list[dict] | None = [] if trace else None
         self.tick = 0
-        self._seq = 0
-        self.pending: list[Envelope] = []
+        self.pending: list = []
         self._received_bits = 0
         self.oracles: dict[str, IdealOracle] = {}
+        self._submitted: set[str] = set()  # instances submitted to since the last check
         self.parties: dict[int, PartyHandle] = {}
         for pid in range(1, params.n + 1):
             ctx = Ctx(self, pid)
             factory = factories.get(pid)
             gen = factory(ctx) if factory is not None else None
             self.parties[pid] = PartyHandle(pid=pid, ctx=ctx, gen=gen, done=gen is None)
-
-    def next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
 
     # --- sending and oracles -------------------------------------------------
 
@@ -466,9 +464,9 @@ class Engine:
         self._enqueue(src, (dst,), kind, payload, bits, step, instance, oracle)
 
     def submit_broadcast(self, src, kind, payload, bits, step, instance, oracle) -> None:
-        """``submit_send`` to every party but src, in destination order, with
-        the n-1 sends metered as one charge."""
-        dsts = [dst for dst in range(1, self.params.n + 1) if dst != src]
+        """``submit_send`` to every party but src, in destination order, as
+        one record metered with one charge."""
+        dsts = (*range(1, src), *range(src + 1, self.params.n + 1))
         self._enqueue(src, dsts, kind, payload, bits, step, instance, oracle)
 
     def _enqueue(self, src, dsts, kind, payload, bits, step, instance, oracle) -> None:
@@ -480,9 +478,13 @@ class Engine:
             return
         if src in self.honest and dsts:
             self.metrics.add(bits * len(dsts), step=step, oracle=oracle)
-        for dst in dsts:
-            self.pending.append(Envelope(self.next_seq(), src, dst, kind, payload, bits, step,
-                                         instance, self.tick))
+        self._post(Envelope(src, kind, payload, bits, step, instance, self.tick), dsts)
+
+    def _post(self, env: Envelope, dsts: tuple[int, ...]) -> None:
+        if self.mode == "rounds":
+            self.pending.append((env, dsts))
+        else:
+            self.pending.extend([(env, dst) for dst in dsts])
 
     def oracle_submit(self, pid, kind, instance, value, value_bits, sender) -> None:
         expected_mode = "rounds" if kind in SYNC_KINDS else "events"
@@ -495,6 +497,7 @@ class Engine:
             inst = IdealOracle(kind, instance, value_bits, sender)
             self.oracles[instance] = inst
         inst.registered.add(pid)
+        self._submitted.add(instance)
         if value is not None:
             if pid in self.honest or _oracle_domain_ok(inst, value):
                 inst.submissions[pid] = value
@@ -545,16 +548,16 @@ class Engine:
         cost = oracle_model_cost(inst.kind, inst.value_bits, n, k)
         honest_cost = cost * len(self.honest) // n
         self.metrics.add(honest_cost, step=f"oracle:{inst.instance}", oracle=inst.kind)
-        for pid in range(1, n + 1):
-            env = Envelope(
-                seq=self.next_seq(), src=0, dst=pid, kind="oracle_out", payload=out,
-                bits=0, step=f"oracle:{inst.instance}", instance=inst.instance,
-                sent_tick=self.tick,
-            )
-            self.pending.append(env)
+        self._post(Envelope(0, "oracle_out", out, 0, f"oracle:{inst.instance}", inst.instance,
+                            self.tick), tuple(range(1, n + 1)))
 
     def _fire_ready_oracles(self) -> None:
-        for name in sorted(self.oracles):
+        # readiness depends only on an instance's submissions and registered
+        # parties, and the adversary is consulted once, on the first check
+        # after creation: an instance nobody submitted to since its last
+        # check stays as it was
+        submitted, self._submitted = self._submitted, set()
+        for name in sorted(submitted):
             inst = self.oracles[name]
             if not inst.fired:
                 self._consult_adversary_oracle(inst)
@@ -589,15 +592,19 @@ class Engine:
             return bool(w.pred())
         return False
 
-    def _deliver(self, env: Envelope) -> None:
-        self.parties[env.dst].ctx._file(env)
-        if env.dst in self.honest:
-            # diagnostic only: includes Byzantine-sent traffic, never claimed
-            self._received_bits += env.bits
+    def _deliver(self, env: Envelope, dsts: tuple[int, ...]) -> None:
+        """File one record into each destination's lists, in order."""
+        honest = 0
+        for dst in dsts:
+            self.parties[dst].ctx._file(env)
+            honest += dst in self.honest
+        # diagnostic only: includes Byzantine-sent traffic, never claimed
+        self._received_bits += env.bits * honest
         if self.trace is not None:
-            self.trace.append(
-                {"tick": self.tick, "from": env.src, "to": env.dst,
+            self.trace.extend(
+                {"tick": self.tick, "from": env.src, "to": dst,
                  "msg_kind": env.kind, "bits": env.bits}
+                for dst in dsts
             )
 
     # --- main loops ----------------------------------------------------------
@@ -618,10 +625,10 @@ class Engine:
             self.tick += 1
             if self.tick > MAX_ROUNDS:
                 raise RuntimeError("round limit exceeded; protocol did not terminate")
-            # every sender appends with a fresh seq, so pending is in seq order
+            # pending is in send order
             batch, self.pending = self.pending, []
-            for env in batch:
-                self._deliver(env)
+            for env, dsts in batch:
+                self._deliver(env, dsts)
             for pid in sorted(self.parties):
                 h = self.parties[pid]
                 if not h.done and isinstance(h.waiting, (NextRound, Until)):
@@ -642,13 +649,13 @@ class Engine:
             if self.tick > MAX_EVENTS:
                 raise RuntimeError("event limit exceeded")
             # pending stays in send order, so the oldest envelope sits at 0
-            if self.tick - self.pending[0].sent_tick >= n_fair:
+            if self.tick - self.pending[0][0].sent_tick >= n_fair:
                 idx = 0
             else:
                 idx = self.policy.pick(self.pending, self.rng)
-            env = self.pending.pop(idx)
-            self._deliver(env)
-            handle = self.parties[env.dst]
+            env, dst = self.pending.pop(idx)
+            self._deliver(env, (dst,))
+            handle = self.parties[dst]
             while self._runnable(handle):
                 self._resume(handle)
             self._fire_ready_oracles()

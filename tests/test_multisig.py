@@ -67,3 +67,34 @@ def test_growth_and_nominal_size(auth):
 def test_sign_outside_session_rejected(auth):
     with pytest.raises(ValueError):
         auth.sign(6, b"m")
+
+
+def _subsets(n):
+    return [frozenset(i for i in range(1, n + 1) if mask >> (i - 1) & 1)
+            for mask in range(1, 2**n)]
+
+
+def _signed(auth, signers, tag):
+    """The aggregate of ``signers`` as its definition spells it: their MACs
+    concatenated in ascending signer order."""
+    return MultiSig(signers, b"".join(auth.sign(i, tag).aggregate for i in sorted(signers)))
+
+
+def test_combine_of_any_two_signer_sets_is_the_union_aggregate(auth):
+    for a in _subsets(5):
+        for b in _subsets(5):
+            combined = msig_combine(_signed(auth, a, b"m"), _signed(auth, b, b"m"))
+            assert combined == _signed(auth, a | b, b"m")
+            assert auth.verify(combined, b"m")
+
+
+def test_each_signer_slice_is_checked_in_place(auth):
+    sig = _signed(auth, frozenset({1, 3, 4}), b"m")
+    step = len(sig.aggregate) // 3
+    for j in range(3):
+        bad = bytearray(sig.aggregate)
+        bad[j * step] ^= 1
+        assert not auth.verify(MultiSig(sig.signers, bytes(bad)), b"m")
+    swapped = sig.aggregate[step:2 * step] + sig.aggregate[:step] + sig.aggregate[2 * step:]
+    assert not auth.verify(MultiSig(sig.signers, swapped), b"m")
+    assert not auth.verify(MultiSig(sig.signers, sig.aggregate + b"\0"), b"m")

@@ -1,8 +1,18 @@
+import hashlib
 import json
 
 import pytest
 
-from bbext.adversary import AdversaryScript, JunkInjector, Silent, adversary_battery, hooked
+from bbext.adversary import (
+    AdversaryScript,
+    Equivocator,
+    JunkInjector,
+    ScheduledHonest,
+    Silent,
+    StarvingScheduler,
+    adversary_battery,
+    hooked,
+)
 from bbext.checks import battery_configs, build_inputs
 from bbext.protocols import PROTOCOLS, SessionParams
 from bbext.protocols.base import ProtocolSpec
@@ -217,11 +227,10 @@ CONCRETE = {"sync_bb": "concrete", "sync_ba": "concrete",
             "async_rb": "concrete", "async_ba_bit": "concrete"}
 
 
-def _scan(ctx, kind=None, instance=None, frm=None):
+def _scan(ctx, kind=None, instance=None):
     return [e for e in ctx.mailbox
             if (kind is None or e.kind == kind)
-            and (instance is None or e.instance == instance)
-            and (frm is None or e.src == frm)]
+            and (instance is None or e.instance == instance)]
 
 
 @pytest.mark.parametrize("impl", ["ideal", "concrete"])
@@ -232,21 +241,21 @@ def test_indexed_reads_equal_full_mailbox_scans(monkeypatch, protocol, impl):
     every mailbox holds exactly the envelopes filed to it, in order."""
     filed: dict[int, list] = {}
     ctxs: dict[int, Ctx] = {}
-    seen = {"frm": 0, "new": 0, "oracle": 0, "self": set()}
+    seen = {"payload": 0, "new": 0, "oracle": 0, "self": set()}
     orig_file, orig_inbox = Ctx._file, Ctx.inbox
     orig_new, orig_result = Reader.new, Ctx.oracle_result
 
     def file(ctx, env):
         ctxs[ctx.pid] = ctx
         filed.setdefault(ctx.pid, []).append(env)
-        if env.src == env.dst:
+        # no party sends to itself, so only self-delivery files its own mail
+        if env.src == ctx.pid:
             seen["self"].add(env.kind)
         orig_file(ctx, env)
 
-    def inbox(ctx, kind=None, instance=None, frm=None):
-        got = orig_inbox(ctx, kind, instance, frm)
-        assert got == _scan(ctx, kind, instance, frm)
-        seen["frm"] += frm is not None
+    def inbox(ctx, kind=None, instance=None):
+        got = orig_inbox(ctx, kind, instance)
+        assert got == _scan(ctx, kind, instance)
         return got
 
     def new(reader):
@@ -256,6 +265,7 @@ def test_indexed_reads_equal_full_mailbox_scans(monkeypatch, protocol, impl):
         assert got == want
         assert reader._pos == len(_scan(ctx, reader._kind, reader._instance))
         seen["new"] += 1
+        seen["payload"] += reader._kind == "payload"
         return got
 
     def oracle_result(ctx, instance):
@@ -282,7 +292,7 @@ def test_indexed_reads_equal_full_mailbox_scans(monkeypatch, protocol, impl):
     if impl == "ideal" and protocol != "ef-async-rb-third" or protocol == "async-ba-third":
         assert seen["oracle"] > 0
     if protocol in ("sync-bb-half", "async-rb-third"):
-        assert seen["frm"] > 0
+        assert seen["payload"] > 0
     if not protocol.startswith("ef-"):
         assert {"share_pkg", "share_fwd"} <= seen["self"]
 
@@ -300,12 +310,17 @@ def test_honest_broadcast_is_metered_once_in_destination_order():
     assert engine.metrics.honest_bits_total == 7 * (n - 1)
     assert engine.metrics.bits_by_step == {"vectors": 7 * (n - 1)}
     assert engine.metrics.bits_by_oracle == {"sync_bb": 7 * (n - 1)}
-    envs = engine.pending
-    assert [e.dst for e in envs] == [1, 2, 4, 5]
-    first = envs[0].seq
-    assert [e.seq for e in envs] == list(range(first, first + n - 1))
-    assert all((e.src, e.kind, e.payload, e.bits, e.step, e.instance) ==
-               (3, "v_vec", 9, 7, "vectors", "x") for e in envs)
+    # one record per send, with its destinations in order
+    [(env, dsts)] = engine.pending
+    assert list(dsts) == [1, 2, 4, 5]
+    assert (env.src, env.kind, env.payload, env.bits, env.step, env.instance) == (
+        3, "v_vec", 9, 7, "vectors", "x")
+    engine._deliver(env, dsts)
+    for pid in (1, 2, 4, 5):
+        [got] = engine.parties[pid].ctx.mailbox
+        assert got is env
+        assert engine.parties[pid].ctx.inbox("v_vec", "x") == [env]
+    assert engine.parties[3].ctx.mailbox == []
 
 
 def test_hooked_broadcast_goes_per_destination_and_is_not_metered():
@@ -322,7 +337,7 @@ def test_hooked_broadcast_goes_per_destination_and_is_not_metered():
     factory(ctx)
     ctx.broadcast("v_vec", 9, bits=7, step="vectors")
     assert seen == [2, 3, 4, 5]
-    assert [e.dst for e in engine.pending] == [2, 4, 5]
+    assert [list(dsts) for _, dsts in engine.pending] == [[2], [4], [5]]
     assert engine.metrics.honest_bits_total == 0
     assert engine.metrics.bits_by_step == {}
 
@@ -334,3 +349,41 @@ def test_instance_reads_need_a_kind():
     with pytest.raises(ValueError, match="needs a kind"):
         ctx.reader(instance="x")
     assert ctx.inbox() is ctx.mailbox
+
+
+def test_filed_envelopes_are_immutable():
+    engine = _engine()
+    engine.parties[2].ctx.broadcast("v_vec", 9, bits=7, step="vectors")
+    [(env, _)] = engine.pending
+    for field in env._fields:
+        with pytest.raises(AttributeError):
+            setattr(env, field, 0)
+    with pytest.raises(AttributeError):
+        env.dst = 1
+
+
+def _trace_digest(res) -> str:
+    blob = json.dumps({"trace": res.trace,
+                       "received_bits_total": res.metrics.extra["received_bits_total"]},
+                      sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+# Recorded with one envelope built per destination; one record per send must
+# deliver the same messages to the same parties at the same ticks.
+@pytest.mark.parametrize("protocol,regime,t,adversary,digest", [
+    ("sync-ba-half", "half", 3, None,
+     "01b9a2fedd1f0b3e1860588115fbe953253cf12058c5a5c7d63043e387cc01b8"),
+    ("sync-ba-half", "half", 3, Equivocator(),
+     "712ed2c5d844e7634cc7f52f8a055234ec0273dacc65f1f49d72c894de0255cd"),
+    ("async-rb-third", "third_async", 2, ScheduledHonest("random"),
+     "ea2bdb18a2b3cd1b4d7b275fb0cf96316d92927195bb8b2c9d6f3483dc193ce3"),
+    ("async-rb-third", "third_async", 2, StarvingScheduler(),
+     "c9fb1d73d8017aab3cf0a62a97e88aabb570b5ae0268718508c32fc3ea3bc34b"),
+])
+def test_trace_and_received_bits_are_pinned(protocol, regime, t, adversary, digest):
+    params = _params(n=7, t=t, regime=regime)
+    inputs = build_inputs(PROTOCOLS[protocol].kind, params, 4, "majority")
+    res = run(protocol, params, inputs, adversary=adversary, seed=4, oracle_impl=CONCRETE,
+              trace=True)
+    assert _trace_digest(res) == digest
