@@ -280,7 +280,7 @@ class WithholdCertificate(AdversaryScript):
             for signer in sorted(env.corrupt):
                 sig = ctx.session.msig.sign(signer, tag)
                 cert = sig if cert is None else msig_combine(cert, sig)
-            packages = blocks.make_packages(shares, ctx.session.ak, rich)
+            packages = ctx.session.codec.packages(shares, rich)
             for r in range(1, params.t + 2):
                 if r == release_iter:
                     ctx.send(target, "happy_cert", cert,

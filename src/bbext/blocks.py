@@ -9,16 +9,28 @@ The canonical share encoding fed to the accumulator is normative for every
 scheme and protocol: 16-bit big-endian index followed by the symbol-block
 bytes.
 
-Honest parties of one session encode the same message and decode the same
-forwarded shares, so each session holds one `CodecMemo` (``session.codec``,
-made by ``runner.run``). Its ``commit`` keys on (message bytes, b, bit
-length) and returns the shares, as a tuple, with their accumulation value;
-its ``reconstruct`` verifies every package's witness on every call, then
-decodes each distinct verified share set, keyed by its sorted (index, share
-bytes) items, once. Each of the two holds at most `MEMO_ENTRIES` entries,
-dropping the least recently used; a call that raises stores nothing, and
-nothing outlives the session. On a miss the memo calls the pure `encode`,
-`eval_shares` and `reconstruct` below by their module names.
+Honest parties of one session encode the same message, distribute the same
+packages and check the same forwarded shares, so each session holds one
+`CodecMemo` (``session.codec``, made by ``runner.run``) that does each of
+these once:
+
+- ``encode`` and ``commit`` key on (message bytes, b, bit length): the first
+  returns the shares, as a tuple, the second adds their accumulation value,
+  and ``packages`` builds a commitment's n witnessed packages on first use
+  and keeps them with it;
+- ``verify`` remembers the one package it accepted for each (commitment
+  bytes, index) and answers a package with the same share and witness bytes
+  without hashing again; any other package gets the full `verify_package`;
+- ``reconstruct`` keeps the packages that ``verify`` accepts and decodes
+  each distinct verified share set, keyed by its sorted (index, share bytes)
+  items, once.
+
+The message table and the table of accepted packages each hold at most
+`MEMO_ENTRIES` entries (messages, or commitments of at most n packages each),
+as does the decode table, dropping the least recently used; a call that
+raises stores nothing, and nothing outlives the session. On a miss the memo
+calls the pure `encode`, `eval_shares`, `make_packages` and `reconstruct`
+below by their module names.
 """
 
 from __future__ import annotations
@@ -73,9 +85,10 @@ def make_packages(shares: list[IndexedShare], ak: AccKey, z: AccValue) -> dict[i
     return out
 
 
-def distribute(ctx, shares: list[IndexedShare], ak: AccKey, z: AccValue, step: str) -> None:
-    """Send package j to party j for every j; own package delivers locally."""
-    packages = make_packages(shares, ak, z)
+def distribute(ctx, shares: tuple[IndexedShare, ...], z: AccValue, step: str) -> None:
+    """Send package j to party j for every j, taken from the session's memo;
+    own package delivers locally."""
+    packages = ctx.session.codec.packages(shares, z)
     for j in sorted(packages):
         pkg = packages[j]
         if j == ctx.pid:
@@ -84,29 +97,24 @@ def distribute(ctx, shares: list[IndexedShare], ak: AccKey, z: AccValue, step: s
             ctx.send(j, "share_pkg", pkg, bits=pkg.nominal_bits(), step=step)
 
 
-def verify_package(ak: AccKey, z: AccValue, pkg: SharePackage, expect_index: int | None = None) -> bool:
+def _checked_share(pkg, expect_index: int | None) -> IndexedShare | None:
+    """pkg's share if pkg is a package whose share encodes canonically and,
+    when an index is expected, carries that index; None otherwise."""
     if not isinstance(pkg, SharePackage) or not isinstance(pkg.indexed_share, IndexedShare):
-        return False
+        return None
     share = pkg.indexed_share
     if not isinstance(share.index, int) or not isinstance(share.share, bytes):
-        return False
+        return None
     if not 0 <= share.index < 2**16:
-        return False
+        return None
     if expect_index is not None and share.index != expect_index:
-        return False
-    return acc_verify(ak, z, pkg.witness, share.canonical())
+        return None
+    return share
 
 
-def _verified(packages: dict[int, SharePackage | None], ak: AccKey,
-              z: AccValue) -> dict[int, SharePackage]:
-    """The packages whose witness verifies under z for their own slot, by
-    ascending index."""
-    valid = {}
-    for j in range(1, ak.capacity + 1):
-        pkg = packages.get(j)
-        if pkg is not None and verify_package(ak, z, pkg, expect_index=j):
-            valid[j] = pkg
-    return valid
+def verify_package(ak: AccKey, z: AccValue, pkg: SharePackage, expect_index: int | None = None) -> bool:
+    share = _checked_share(pkg, expect_index)
+    return share is not None and acc_verify(ak, z, pkg.witness, share.canonical())
 
 
 def reconstruct(packages: dict[int, SharePackage | None], ak: AccKey, z: AccValue,
@@ -117,7 +125,8 @@ def reconstruct(packages: dict[int, SharePackage | None], ak: AccKey, z: AccValu
     error budget and up to d0 erasures.
     """
     n = ak.capacity
-    valid = {j: pkg.indexed_share.share for j, pkg in _verified(packages, ak, z).items()}
+    valid = {j: pkg.indexed_share.share for j in range(1, n + 1)
+             if (pkg := packages.get(j)) is not None and verify_package(ak, z, pkg, expect_index=j)}
     if len(valid) < n - d0 or not valid:
         return None
     lengths = {len(s) for s in valid.values()}
@@ -151,30 +160,95 @@ def _remember(table: dict, key, value) -> None:
         del table[next(iter(table))]
 
 
+def _plain_fields(pkg: SharePackage) -> tuple[int, bytes, bytes] | None:
+    """(index, share bytes, witness bytes) of a package built from the plain
+    types, whose fields read and compare as stored; None for any subclass."""
+    share, wit = pkg.indexed_share, pkg.witness
+    if (type(pkg) is SharePackage and type(share) is IndexedShare and type(wit) is Witness
+            and type(share.index) is int and type(share.share) is bytes
+            and type(wit.data) is bytes):
+        return share.index, share.share, wit.data
+    return None
+
+
+@dataclass(eq=False)
+class _Message:
+    """One message's shares and, once asked for, their accumulation value and
+    witnessed packages."""
+
+    shares: tuple[IndexedShare, ...]
+    z: AccValue | None = None
+    packages: dict[int, SharePackage] | None = None
+
+
 class CodecMemo:
-    """One session's encodings, commitments and decodings, each computed once
-    (see the module docstring); bound to the session's accumulator key."""
+    """One session's encodings, commitments, packages, verifications and
+    decodings, each computed once (see the module docstring); bound to the
+    session's accumulator key."""
 
     def __init__(self, ak: AccKey):
         self.ak = ak
-        self.commits: dict[tuple, tuple[tuple[IndexedShare, ...], AccValue]] = {}
+        self.commits: dict[tuple, _Message] = {}
+        # commitment bytes -> index -> plain fields of the package accepted
+        self.accepted: dict[bytes, dict[int, tuple[int, bytes, bytes]]] = {}
         self.decoded: dict[tuple, tuple[bytes, int] | None] = {}
+
+    def _message(self, m: bytes, b: int, bit_len: int) -> _Message:
+        key = (m, b, bit_len)
+        entry = self.commits.pop(key, None)
+        if entry is None:
+            entry = _Message(tuple(encode(m, b, self.ak.capacity, bit_len=bit_len)))
+        _remember(self.commits, key, entry)
+        return entry
+
+    def encode(self, m: bytes, b: int, bit_len: int) -> tuple[IndexedShare, ...]:
+        """The n shares of the bit_len-bit message m."""
+        return self._message(m, b, bit_len).shares
 
     def commit(self, m: bytes, b: int, bit_len: int) -> tuple[tuple[IndexedShare, ...], AccValue]:
         """The n shares of the bit_len-bit message m and their accumulation value."""
-        key = (m, b, bit_len)
-        hit = self.commits.pop(key, None)
-        if hit is None:
-            shares = tuple(encode(m, b, self.ak.capacity, bit_len=bit_len))
-            hit = (shares, eval_shares(self.ak, shares))
-        _remember(self.commits, key, hit)
-        return hit
+        entry = self._message(m, b, bit_len)
+        if entry.z is None:
+            entry.z = eval_shares(self.ak, entry.shares)
+        return entry.shares, entry.z
+
+    def packages(self, shares: tuple[IndexedShare, ...], z: AccValue) -> dict[int, SharePackage]:
+        """The witnessed packages of a (shares, z) pair that `commit` returned,
+        built on first use and kept with the message; built afresh if the
+        message has left the table. Callers only read the dict."""
+        for entry in self.commits.values():
+            if entry.z is z:
+                if entry.packages is None:
+                    entry.packages = make_packages(entry.shares, self.ak, z)
+                return entry.packages
+        return make_packages(shares, self.ak, z)
+
+    def verify(self, z: AccValue, pkg, index: int) -> bool:
+        """`verify_package(ak, z, pkg, expect_index=index)`. A package whose
+        share and witness bytes equal those of the package already accepted
+        for (z, index) is accepted without hashing; any other runs the full
+        check, and only an accepted one is remembered."""
+        share = _checked_share(pkg, index)
+        if share is None:
+            return False
+        fields = _plain_fields(pkg)
+        accepted = self.accepted.pop(z.data, {})
+        ok = fields is not None and accepted.get(index) == fields
+        if not ok:
+            ok = acc_verify(self.ak, z, pkg.witness, share.canonical())
+            if ok and fields is not None and index not in accepted:
+                accepted[index] = fields
+        if accepted:
+            _remember(self.accepted, z.data, accepted)
+        return ok
 
     def reconstruct(self, packages: dict[int, SharePackage | None], z: AccValue,
                     d0: int, b: int) -> tuple[bytes, int] | None:
-        """`reconstruct` over the packages that verify under z. A miss hands
-        `reconstruct` only those packages, and it verifies them once more."""
-        valid = _verified(packages, self.ak, z)
+        """`reconstruct` over the packages that `verify` accepts for their own
+        slot. A miss hands `reconstruct` only those packages, and it verifies
+        them once more: once per distinct share set."""
+        valid = {j: pkg for j in range(1, self.ak.capacity + 1)
+                 if (pkg := packages.get(j)) is not None and self.verify(z, pkg, j)}
         key = (d0, b, tuple((j, pkg.indexed_share.share) for j, pkg in valid.items()))
         if key in self.decoded:
             out = self.decoded.pop(key)

@@ -4,7 +4,9 @@ Each party i holds a MAC key derived from the session seed; a signature on a
 tag is the truncated HMAC under that key. An aggregate carries the signer
 set and the per-signer MACs concatenated in ascending signer order, which
 lets aggregates with overlapping signer sets merge consistently. The
-verifier is session-trusted: it knows every key and recomputes each MAC.
+verifier is session-trusted: it knows every key and recomputes each MAC,
+once per (signer, tag) while that pair stays among the authority's
+`MAC_ENTRIES` most recently used.
 
 Accounting uses the model sizes of the aggregate scheme: k bits for the
 aggregate plus an n-bit signer list, independent of signer count.
@@ -15,6 +17,8 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
+
+MAC_ENTRIES = 1024
 
 
 @dataclass(frozen=True)
@@ -39,9 +43,19 @@ class MsigAuthority:
             for i in range(1, n + 1)
         }
         self._parties = frozenset(self._keys)
+        self._macs: dict[tuple[int, bytes], bytes] = {}
 
     def _mac(self, i: int, tag: bytes) -> bytes:
-        return hmac.new(self._keys[i], tag, hashlib.sha256).digest()[: self.k // 8]
+        """Party i's MAC on tag, computed once while the pair stays among the
+        MAC_ENTRIES most recently used; the least recently used drops first."""
+        key = (i, tag)
+        mac = self._macs.pop(key, None)
+        if mac is None:
+            mac = hmac.new(self._keys[i], tag, hashlib.sha256).digest()[: self.k // 8]
+        self._macs[key] = mac
+        if len(self._macs) > MAC_ENTRIES:
+            del self._macs[next(iter(self._macs))]
+        return mac
 
     def sign(self, party: int, tag: bytes) -> MultiSig:
         if party not in self._keys:

@@ -76,9 +76,8 @@ def bare_acc(z_bytes: bytes, k: int) -> AccValue:
 def first_valid_own_package(ctx: Ctx, z: AccValue):
     """Earliest received package for our own index that verifies under z."""
     for env in ctx.inbox(kind="share_pkg"):
-        pkg = env.payload
-        if blocks.verify_package(ctx.session.ak, z, pkg, expect_index=ctx.pid):
-            return pkg
+        if ctx.session.codec.verify(z, env.payload, ctx.pid):
+            return env.payload
     return None
 
 
@@ -105,7 +104,7 @@ def shared_sync_tail(ctx: Ctx, z_bytes: bytes, happy: bool, my_message: bytes | 
         my_shares, rich = my_commit
         if rich.data != z_bytes:
             raise InvariantViolation("happy party's shares must match the agreed commitment")
-        blocks.distribute(ctx, my_shares, ctx.session.ak, rich, step="distribute")
+        blocks.distribute(ctx, my_shares, rich, step="distribute")
     yield NEXT_ROUND
     ctx.set_step("share")
     mine = first_valid_own_package(ctx, z)

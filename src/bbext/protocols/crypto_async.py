@@ -25,8 +25,8 @@ class _FwdTracker:
 
     def update(self) -> int:
         for env in self.mail.new():
-            if env.src not in self.table and blocks.verify_package(
-                self.ctx.session.ak, self.z, env.payload, expect_index=env.src
+            if env.src not in self.table and self.ctx.session.codec.verify(
+                self.z, env.payload, env.src
             ):
                 self.table[env.src] = env.payload
         return len(self.table)
@@ -46,13 +46,13 @@ def async_ba_third(ctx: Ctx, my_input: bytes, sender: int | None = None):
     z_acc = bare_acc(z, params.k)
     ctx.set_step("distribute")
     if happy:
-        blocks.distribute(ctx, shares, ctx.session.ak, z_mine, step="distribute")
+        blocks.distribute(ctx, shares, z_mine, step="distribute")
     ctx.set_step("share")
     packages = ctx.reader("share_pkg")
     mine = None
     while mine is None:
         for env in packages.new():
-            if blocks.verify_package(ctx.session.ak, z_acc, env.payload, expect_index=ctx.pid):
+            if ctx.session.codec.verify(z_acc, env.payload, ctx.pid):
                 mine = env.payload
                 break
         if mine is None:
@@ -98,9 +98,10 @@ def async_rb_third(ctx: Ctx, my_input: bytes | None, sender: int):
         my_shares = shares
         if happy:
             ctx.set_step("distribute")
-            blocks.distribute(ctx, my_shares, ctx.session.ak, z_mine, step="distribute")
+            blocks.distribute(ctx, my_shares, z_mine, step="distribute")
     forwarded = None
     tracker = _FwdTracker(ctx, z_acc)
+    tried = 0  # tracker table size at the last reconstruction
     payloads = ctx.reader("payload")
     packages = ctx.reader("share_pkg")
     mail = ctx.reader()
@@ -121,10 +122,10 @@ def async_rb_third(ctx: Ctx, my_input: bytes | None, sender: int):
                         message = m
                         my_shares = cand_shares
                         ctx.set_step("distribute")
-                        blocks.distribute(ctx, my_shares, ctx.session.ak, cand_z, step="distribute")
+                        blocks.distribute(ctx, my_shares, cand_z, step="distribute")
         if forwarded is None:
             for env in packages.new():
-                if blocks.verify_package(ctx.session.ak, z_acc, env.payload, expect_index=ctx.pid):
+                if ctx.session.codec.verify(z_acc, env.payload, ctx.pid):
                     forwarded = env.payload
                     ctx.set_step("share")
                     ctx.broadcast("share_fwd", forwarded, bits=forwarded.nominal_bits(), step="share")
@@ -134,13 +135,17 @@ def async_rb_third(ctx: Ctx, my_input: bytes | None, sender: int):
             return message
         if not happy and forwarded is not None and tracker.update() >= params.n - params.t:
             ctx.set_step("reconstruct")
-            got = ctx.session.codec.reconstruct(tracker.table, z_acc, d0=params.t, b=params.b)
+            got = None
+            if len(tracker.table) > tried:  # the same table decodes the same way
+                tried = len(tracker.table)
+                got = ctx.session.codec.reconstruct(tracker.table, z_acc, d0=params.t,
+                                                    b=params.b)
             if got is not None:
                 m, bit_len = got
                 rebuilt, rich = ctx.session.codec.commit(m, params.b, bit_len)
                 if rich.data == z:
                     ctx.set_step("redistribute")
-                    blocks.distribute(ctx, rebuilt, ctx.session.ak, rich, step="redistribute")
+                    blocks.distribute(ctx, rebuilt, rich, step="redistribute")
                     return m
                 # the committed set decodes but is not the canonical encoding
                 # of any message (e.g. padded with extra zero stripes): no

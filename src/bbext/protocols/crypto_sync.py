@@ -125,7 +125,7 @@ def sync_bb_high_threshold(ctx: Ctx, my_input: bytes | None, sender: int):
             if my_rich.data != z:
                 raise InvariantViolation(
                     "distributing party's shares must match the agreed commitment")
-            blocks.distribute(ctx, my_shares, ctx.session.ak, my_rich, step="distribute")
+            blocks.distribute(ctx, my_shares, my_rich, step="distribute")
         yield NEXT_ROUND
         cert_envs = cert_mail.new()
         ctx.set_step("share")

@@ -10,7 +10,7 @@ yields the output.
 
 from __future__ import annotations
 
-from .. import blocks, rs
+from .. import rs
 from ..oracles import BrachaMachine, parallel_chain_bcast
 from ..simnet import Ctx, InvariantViolation, NEXT_ROUND
 from ..star import NOSTAR, GrowingStar, PartyGraph, derive_fe, star
@@ -105,7 +105,7 @@ def ef_sync_ba(ctx: Ctx, my_input: bytes, sender: int | None = None):
     params = ctx.params
     n, t = params.n, params.t
     ctx.set_step("symbols")
-    shares = blocks.encode(my_input, t + 1, n, bit_len=params.l)
+    shares = ctx.session.codec.encode(my_input, t + 1, params.l)
     row = {j: shares[j - 1].share for j in range(1, n + 1)}
     sbits = 8 * len(row[1])
     ctx.engine.metrics.extra.setdefault("share_bits", sbits)
@@ -200,7 +200,7 @@ def ef_async_rb(ctx: Ctx, my_input: bytes | None, sender: int):
     """Asynchronous error-free reliable broadcast: consistency edges arrive
     one acknowledgement pair at a time, the star is re-extracted per new
     edge (over a carried complement matching), and decoding retries as
-    symbol votes accumulate."""
+    symbol votes accumulate (only when a new vote has arrived)."""
     _require_ef_threshold(ctx)
     params = ctx.params
     n, t = params.n, params.t
@@ -220,6 +220,7 @@ def ef_async_rb(ctx: Ctx, my_input: bytes | None, sender: int):
     ones: list[int] = []  # flag owners whose flag equals 1
     e_vecs: dict[int, int] = {}
     majs: dict[int, bytes] = {}
+    decode_tried_at = 0  # len(majs) at the last failed decode; majs only grows
     maj_sent = False
     machines: dict[int, BrachaMachine] = {}
 
@@ -240,7 +241,7 @@ def ef_async_rb(ctx: Ctx, my_input: bytes | None, sender: int):
             return
         message = m
         ctx.set_step("symbols")
-        shares = blocks.encode(message, t + 1, n, bit_len=8 * len(message))
+        shares = ctx.session.codec.encode(message, t + 1, 8 * len(message))
         for j in range(1, n + 1):
             row[j] = shares[j - 1].share
         self_sym.setdefault(ctx.pid, row[ctx.pid])
@@ -336,7 +337,8 @@ def ef_async_rb(ctx: Ctx, my_input: bytes | None, sender: int):
                 majs.setdefault(ctx.pid, maj)
                 ctx.set_step("majority")
                 ctx.broadcast("maj_val", maj, bits=8 * share_len, step="majority")
-        if len(majs) >= 2 * t + 1:
+        if len(majs) >= 2 * t + 1 and len(majs) > decode_tried_at:
+            decode_tried_at = len(majs)
             max_errors = min(len(majs) - (2 * t + 1), t)
             payload = _decode_symbol_table(majs, n, t, share_len, max_errors,
                                            absent_as_error=False)

@@ -110,6 +110,9 @@ def run(protocol: str | ProtocolSpec, params: SessionParams, inputs: dict[int, b
     )
     engine.run()
     outputs = engine.outputs()
+    # parties and engine refer to each other; dropping the parties frees the
+    # session's messages and memo on return, not at the next full collection
+    engine.parties.clear()
     engine.metrics.outputs_digest = outputs_digest(outputs)
     return RunResult(outputs=outputs, metrics=engine.metrics, honest=honest,
                      corrupt=corrupt, trace=engine.trace)

@@ -164,6 +164,10 @@ def test_codec_memo_equals_the_fresh_codec(data):
         st.integers(1, n), st.sampled_from(["erase", "bad_witness", "wrong_index"]),
         max_size=min(n, d0 + 1)), label="actions")
     packages = _tamper(blocks.make_packages(list(shares), ak, z), actions)
+    for j in range(1, n + 1):  # tampered packages before and after the genuine ones
+        for index in {j, j % n + 1}:
+            pkg = packages.get(j, "junk")
+            assert memo.verify(z, pkg, index) == blocks.verify_package(ak, z, pkg, index)
     want = blocks.reconstruct(packages, ak, z, d0, b)
     assert memo.reconstruct(packages, z, d0, b) == want
     # a second call, with junk in an erased slot, decodes the same verified set
@@ -213,6 +217,68 @@ def test_decode_memo_is_bounded():
     assert len(memo.decoded) == blocks.MEMO_ENTRIES
 
 
+def _genuine(n=4, b=2, m=b"genuine"):
+    ak = acc_gen(HASH_TREE, n, 128, rng_seed=0)
+    memo = blocks.CodecMemo(ak)
+    shares, z = memo.commit(m, b, 8 * len(m))
+    return ak, memo, z, memo.packages(shares, z)
+
+
+def test_a_cached_acceptance_cannot_be_poisoned():
+    ak, memo, z, packages = _genuine()
+    genuine = packages[2]
+    assert memo.verify(z, genuine, 2)
+    share, wit = genuine.indexed_share, genuine.witness
+    flipped = bytes([share.share[0] ^ 1]) + share.share[1:]
+    forgeries = [
+        dataclasses.replace(genuine, indexed_share=blocks.IndexedShare(2, flipped)),
+        dataclasses.replace(genuine, witness=Witness(bytes(len(wit.data)), wit.nominal_bits)),
+        packages[3],
+        (share, wit),
+        "junk",
+    ]
+    for forged in forgeries:
+        assert not blocks.verify_package(ak, z, forged, 2)
+        assert not memo.verify(z, forged, 2)
+    assert memo.accepted == {z.data: {2: (2, share.share, wit.data)}}
+    # an equal package built anew is accepted from the table, without hashing
+    copy = blocks.SharePackage(blocks.IndexedShare(2, bytes(share.share)),
+                               Witness(bytes(wit.data), wit.nominal_bits))
+    assert copy is not genuine and memo.verify(z, copy, 2)
+
+
+def test_a_rejected_package_never_enters_the_table():
+    ak, memo, z, packages = _genuine()
+    other_z = blocks.CodecMemo(ak).commit(b"another", 2, 56)[1]
+    wit = packages[1].witness
+    zeroed = dataclasses.replace(packages[1], witness=Witness(bytes(len(wit.data)), wit.nominal_bits))
+    for commitment, pkg, index in [(z, zeroed, 1), (z, packages[1], 2), (other_z, packages[1], 1),
+                                   (z, "junk", 1)]:
+        assert not memo.verify(commitment, pkg, index)
+    assert memo.accepted == {}
+    assert memo.verify(z.bare(), packages[1], 1)
+    assert list(memo.accepted) == [z.data] and list(memo.accepted[z.data]) == [1]
+
+
+def test_verification_table_is_bounded():
+    n = 4
+    ak, memo, _, _ = _genuine(n)
+    for i in range(2 * blocks.MEMO_ENTRIES + 1):
+        shares, z = memo.commit(bytes([i]) * 4, 2, 32)
+        assert all(memo.verify(z, pkg, j) for j, pkg in memo.packages(shares, z).items())
+        assert len(memo.accepted) <= blocks.MEMO_ENTRIES
+        assert all(len(table) <= n for table in memo.accepted.values())
+    assert len(memo.accepted) == blocks.MEMO_ENTRIES
+
+
+def test_packages_are_built_once_per_commitment():
+    ak, memo, z, packages = _genuine()
+    shares = memo.commits[(b"genuine", 2, 56)].shares
+    assert memo.packages(shares, z) is packages
+    assert packages == blocks.make_packages(list(shares), ak, z)
+    assert memo.encode(b"genuine", 2, 56) is shares
+
+
 class _RecordingMemo(blocks.CodecMemo):
     """A session's memo that keeps the largest size each table reached."""
 
@@ -222,7 +288,7 @@ class _RecordingMemo(blocks.CodecMemo):
         super().__init__(ak)
         self.made.append(self)
         self.messages: set[bytes] = set()
-        self.peak = 0
+        self.peak = self.peak_accepted = 0
 
     def commit(self, m, b, bit_len):
         self.messages.add(m)
@@ -236,6 +302,12 @@ class _RecordingMemo(blocks.CodecMemo):
             return super().reconstruct(packages, z, d0, b)
         finally:
             self.peak = max(self.peak, len(self.commits), len(self.decoded))
+
+    def verify(self, z, pkg, index):
+        try:
+            return super().verify(z, pkg, index)
+        finally:
+            self.peak_accepted = max(self.peak_accepted, sum(map(len, self.accepted.values())))
 
 
 @pytest.fixture
@@ -271,6 +343,8 @@ def test_memo_keyed_by_attacker_payloads_is_bounded(recording):
     (memo,) = recording
     assert len(memo.messages) == n
     assert memo.peak == blocks.MEMO_ENTRIES
+    assert memo.peak_accepted <= blocks.MEMO_ENTRIES * n
+    assert len(memo.accepted) <= blocks.MEMO_ENTRIES
 
 
 def test_sessions_share_no_memo_entries(recording):
@@ -281,9 +355,11 @@ def test_sessions_share_no_memo_entries(recording):
     assert first.metrics.outputs_digest == second.metrics.outputs_digest
     a, b = recording
     assert a is not b and a.commits.keys() == b.commits.keys()
-    for key, (shares, z) in a.commits.items():
-        other_shares, other_z = b.commits[key]
-        assert shares == other_shares and shares is not other_shares and z is not other_z
+    for key, entry in a.commits.items():
+        other = b.commits[key]
+        assert entry.shares == other.shares and entry.shares is not other.shares
+        assert entry.z is not other.z and entry.packages is not other.packages
+    assert a.accepted == b.accepted and a.accepted is not b.accepted
 
 
 # --- duplicate codec work, counted ------------------------------------------------
@@ -315,6 +391,19 @@ def test_unanimous_session_encodes_and_commits_once(monkeypatch):
     res = runner.run("sync-ba-half", params, inputs, seed=0)
     assert not evaluate_run("ba", inputs, None, res)
     assert (encodes[0], evals[0]) == (1, 1)
+
+
+def test_unanimous_session_witnesses_each_share_once(monkeypatch):
+    witnesses = _count(monkeypatch, accumulator, "acc_create_wit")
+    verifies = _count(monkeypatch, accumulator, "acc_verify")
+    params = SessionParams(n=10, t=4, l=2**14, threshold_regime="half")
+    message = bytes(range(256)) * 8
+    inputs = {p: message for p in range(1, 11)}
+    res = runner.run("sync-ba-half", params, inputs, seed=0)
+    assert not evaluate_run("ba", inputs, None, res)
+    # one commitment: n witnesses, and each party hashes only its own share
+    assert witnesses[0] <= params.n
+    assert verifies[0] == params.n
 
 
 def test_high_threshold_decodes_once_per_verified_share_set(monkeypatch):

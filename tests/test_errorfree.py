@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+from bbext import rs
 from bbext.adversary import (
     AdversaryScript,
     ConflictingViews,
@@ -11,7 +14,7 @@ from bbext.adversary import (
     hooked,
 )
 from bbext.checks import build_inputs, evaluate_run, explore_schedules
-from bbext.protocols import SessionParams
+from bbext.protocols import SessionParams, errorfree
 from bbext.runner import run
 
 M = bytes(range(12))
@@ -148,8 +151,6 @@ class EfPoisoner(AdversaryScript):
     def make_party(self, pid, honest_factory, env):
         import random as _r
 
-        from bbext import rs
-
         rng = _r.Random((self.name, env.seed, pid).__repr__())
 
         def party(ctx):
@@ -261,3 +262,66 @@ def test_async_wide_sessions_match_pinned_digests(n, seed):
     assert evaluate_run("rb", inputs, 1, res) == []
     got = (res.metrics.honest_bits_total, res.metrics.outputs_digest)
     assert got == PINNED_RB[(n, seed)]
+
+
+class _VoteFlooder(ScheduledHonest):
+    """Under random delivery, the t corrupt parties vote a wrong symbol at
+    once, then, when an honest symbol vote reaches them, send k junk
+    acknowledgements to every honest party: each junk message wakes its
+    recipient while it waits for the votes that outnumber the wrong ones,
+    without giving it anything new to decode."""
+
+    def __init__(self, k: int):
+        super().__init__("random")
+        self.k = k
+        self.name = f"vote_flooder_{k}"
+
+    def corrupt_set(self, n, t, sender):
+        return frozenset(range(n - t + 1, n + 1))
+
+    def make_party(self, pid, honest_factory, env):
+        def party(ctx):
+            n, t = ctx.params.n, ctx.params.t
+            share_len = rs.share_bits(ctx.params.l, t + 1) // 8
+            honest = [p for p in range(1, n + 1) if p not in env.corrupt]
+            for dst in honest:
+                ctx.send(dst, "maj_val", bytes([pid]) * share_len, bits=8 * share_len,
+                         step="junk")
+            votes = ctx.reader("maj_val")
+            while not votes.new():
+                yield votes.wait()
+            for _ in range(self.k):
+                for dst in honest:
+                    ctx.send(dst, "ok", (pid, pid), bits=32, step="junk")
+            return None
+
+        return party
+
+
+def _decode_attempts(monkeypatch, k: int, seed: int) -> dict[int, int]:
+    """Decode attempts per honest party in one flooded n=10 session; every
+    honest party must output the sender's message."""
+    attempts: dict[int, int] = {}
+    decode = errorfree._decode_symbol_table
+
+    def counted(*args, **kwargs):
+        pid = sys._getframe(1).f_locals["ctx"].pid
+        attempts[pid] = attempts.get(pid, 0) + 1
+        return decode(*args, **kwargs)
+
+    monkeypatch.setattr(errorfree, "_decode_symbol_table", counted)
+    params = p_async(n=10, l=2 ** 10)
+    inputs = build_inputs("rb", params, seed, "all")
+    res = run("ef-async-rb-third", params, inputs, adversary=_VoteFlooder(k), seed=seed)
+    monkeypatch.undo()
+    assert evaluate_run("rb", inputs, 1, res) == []
+    assert all(res.outputs.get(p) == inputs[1] for p in res.honest)
+    assert set(attempts) == set(res.honest)
+    return attempts
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_junk_traffic_adds_no_decode_attempts(monkeypatch, seed):
+    # decoding retries only when a new symbol vote has arrived, so junk that
+    # wakes a party after a failed decode costs it no further decode
+    assert _decode_attempts(monkeypatch, 0, seed) == _decode_attempts(monkeypatch, 300, seed)

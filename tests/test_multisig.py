@@ -1,5 +1,6 @@
 import pytest
 
+from bbext import multisig
 from bbext.multisig import MsigAuthority, MultiSig, msig_combine
 
 
@@ -98,3 +99,23 @@ def test_each_signer_slice_is_checked_in_place(auth):
     swapped = sig.aggregate[step:2 * step] + sig.aggregate[:step] + sig.aggregate[2 * step:]
     assert not auth.verify(MultiSig(sig.signers, swapped), b"m")
     assert not auth.verify(MultiSig(sig.signers, sig.aggregate + b"\0"), b"m")
+
+
+def test_each_mac_is_computed_once_in_a_bounded_table(auth, monkeypatch):
+    computed = []
+    real = multisig.hmac.new
+    monkeypatch.setattr(multisig.hmac, "new", lambda *a, **k: computed.append(a) or real(*a, **k))
+    sig = _signed(auth, frozenset({1, 2, 3}), b"m")
+    assert auth.verify(sig, b"m") and auth.verify(sig, b"m")
+    assert len(computed) == 3
+    monkeypatch.setattr(multisig, "MAC_ENTRIES", 4)
+    for i in range(10):
+        auth.sign(1 + i % 5, bytes([i]))
+        assert len(auth._macs) <= 4
+    # dropped and cached MACs alike still reject every malformed aggregate
+    for tag in (b"m", bytes([9])):
+        good = _signed(auth, frozenset({1, 2}), tag)
+        assert auth.verify(good, tag)
+        assert not auth.verify(MultiSig(good.signers, good.aggregate[:-1]), tag)
+        assert not auth.verify(MultiSig(good.signers, bytes(len(good.aggregate))), tag)
+        assert not auth.verify(MultiSig(frozenset({1, 3}), good.aggregate), tag)
