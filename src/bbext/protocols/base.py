@@ -73,9 +73,10 @@ def bare_acc(z_bytes: bytes, k: int) -> AccValue:
     return AccValue(data=z_bytes, nominal_bits=k)
 
 
-def first_valid_own_package(ctx: Ctx, z: AccValue):
-    """Earliest received package for our own index that verifies under z."""
-    for env in ctx.inbox(kind="share_pkg"):
+def first_valid_own_package(ctx: Ctx, z: AccValue, envs):
+    """Earliest package among envs (share_pkg envelopes in arrival order)
+    for our own index that verifies under z."""
+    for env in envs:
         if ctx.session.codec.verify(z, env.payload, ctx.pid):
             return env.payload
     return None
@@ -107,7 +108,7 @@ def shared_sync_tail(ctx: Ctx, z_bytes: bytes, happy: bool, my_message: bytes | 
         blocks.distribute(ctx, my_shares, rich, step="distribute")
     yield NEXT_ROUND
     ctx.set_step("share")
-    mine = first_valid_own_package(ctx, z)
+    mine = first_valid_own_package(ctx, z, ctx.inbox("share_pkg"))
     if mine is not None:
         ctx.broadcast("share_fwd", mine, bits=mine.nominal_bits(), step="share")
         ctx.self_deliver("share_fwd", mine, step="share")

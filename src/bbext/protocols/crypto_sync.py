@@ -114,6 +114,9 @@ def sync_bb_high_threshold(ctx: Ctx, my_input: bytes | None, sender: int):
     shared = False
     reconstructed = False
     cert_mail = ctx.reader("happy_cert")
+    # z_acc is fixed, so a package rejected once is rejected again: each
+    # iteration checks only the packages filed since the last
+    pkg_mail = ctx.reader("share_pkg")
     for r in range(1, params.t + 2):
         ctx.set_step("distribute")
         if happy and not distributed:
@@ -130,7 +133,7 @@ def sync_bb_high_threshold(ctx: Ctx, my_input: bytes | None, sender: int):
         cert_envs = cert_mail.new()
         ctx.set_step("share")
         if not shared:
-            mine = first_valid_own_package(ctx, z_acc)
+            mine = first_valid_own_package(ctx, z_acc, pkg_mail.new())
             if mine is not None:
                 shared = True
                 ctx.broadcast("share_fwd", mine, bits=mine.nominal_bits(), step="share")

@@ -224,26 +224,37 @@ class Reader:
     ``new()`` returns the envelopes filed since its last call, as a fresh
     list, so the caller may self-deliver while iterating. ``wait()`` is the
     wait condition "mail past the cursor has arrived"; it holds the filed
-    list, which later mail extends, so checking it costs one ``len``.
+    list, which later mail extends, so checking it costs one ``len``. The
+    reader builds that condition once and returns it on every call; it reads
+    the cursor from a one-item list, because a predicate holding the reader
+    would be a reference cycle that keeps the party's Ctx, and the session's
+    mail, alive until the next full collection.
     """
 
-    __slots__ = ("_ctx", "_kind", "_instance", "_pos")
+    __slots__ = ("_ctx", "_kind", "_instance", "_cursor", "_until")
 
     def __init__(self, ctx: "Ctx", kind: str | None, instance: str | None):
         self._ctx = ctx
         self._kind = kind
         self._instance = instance
-        self._pos = 0
+        self._cursor = cursor = [0]
+        box = ctx.inbox(kind, instance)
+        self._until = Until(lambda: len(box) > cursor[0])
+
+    @property
+    def _pos(self) -> int:
+        """How many envelopes of the list ``new()`` has returned so far."""
+        return self._cursor[0]
 
     def new(self) -> list[Envelope]:
         box = self._ctx.inbox(self._kind, self._instance)
-        fresh = box[self._pos:]
-        self._pos = len(box)
+        cursor = self._cursor
+        fresh = box[cursor[0]:]
+        cursor[0] = len(box)
         return fresh
 
     def wait(self) -> Until:
-        box = self._ctx.inbox(self._kind, self._instance)
-        return Until(lambda: len(box) > self._pos)
+        return self._until
 
 
 class Ctx:
@@ -658,7 +669,8 @@ class Engine:
             handle = self.parties[dst]
             while self._runnable(handle):
                 self._resume(handle)
-            self._fire_ready_oracles()
+            if self._submitted:
+                self._fire_ready_oracles()
 
     def outputs(self) -> dict[int, object]:
         return {pid: h.output for pid, h in self.parties.items() if h.has_output}

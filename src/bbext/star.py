@@ -20,6 +20,18 @@ of h, so none of them is lex-smaller than M. `GrowingStar` carries h and M
 across insertions, clears e's two bits in h's rows, and runs the blossom
 again only when e is in M.
 
+Size lemma. C is taken from the vertices M leaves unmatched, so
+|C| <= n - 2|M|, and star() returns NOSTAR whenever the complement's maximum
+matching has more than t edges. h only loses edges, so the edges of any
+matching of an earlier h that are still in h form a matching of the current
+h, and their count is a lower bound on its maximum. `GrowingStar` carries
+such a matching: the canonical one until a matched edge goes, then what
+survives of it. While more than t edges survive it returns NOSTAR without a
+blossom, a lex pass or the pruning. When t or fewer survive it first grows
+them along augmenting paths; a matching past t edges is again NOSTAR and is
+carried on. Only when none exists does it compute the canonical matching
+and prune.
+
 There is no star cache: within a session the graph only grows, so a star
 keyed by the whole graph is almost never asked for twice (a cache keyed
 that way missed on 95% of the error-free benchmark's calls), while the
@@ -109,14 +121,15 @@ class StarResult:
     D: frozenset[int]
 
 
-def _augment(adj: list[list[int]], alive: int, match: list[int], root: int) -> bool:
+def _augment(adj: list[list[int]] | dict[int, list[int]], alive: int, match: list[int],
+             root: int) -> bool:
     """Edmonds search from the free vertex root within the alive vertices.
 
     Grows an alternating tree, contracting each odd cycle (blossom) into its
     base. Flips the augmenting path into match and returns True when one is
     found; otherwise leaves match untouched and returns False.
     """
-    n = len(adj)
+    n = len(match)
     base = list(range(n))
     parent = [-1] * n
     outer = 1 << root
@@ -218,6 +231,45 @@ def _matching_cached(n: int, rows: tuple[int, ...]) -> frozenset[tuple[int, int]
     return frozenset(chosen)
 
 
+class _LazyAdjacency(dict):
+    """Ascending 0-based neighbor lists of a graph's rows, each built when a
+    search first reaches its vertex."""
+
+    def __init__(self, rows: tuple[int, ...]):
+        super().__init__()
+        self.rows = rows
+
+    def __missing__(self, v: int) -> list[int]:
+        out = []
+        mask = self.rows[v]
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        self[v] = out
+        return out
+
+
+def _outgrow(h: PartyGraph, matching: frozenset[tuple[int, int]], t: int):
+    """A matching of h with more than t edges, grown from `matching` (a
+    matching of h) along augmenting paths, or None when h has none. One
+    search per free vertex suffices: a vertex without an augmenting path
+    never gains one by later augmentations."""
+    n = h.n
+    adj = _LazyAdjacency(h.rows)
+    match = [-1] * n
+    for u, v in matching:
+        match[u - 1], match[v - 1] = v - 1, u - 1
+    size = len(matching)
+    alive = (1 << n) - 1
+    for v in range(n):
+        if match[v] < 0 and _augment(adj, alive, match, v):
+            size += 1
+            if size > t:
+                return frozenset((u + 1, w + 1) for u, w in enumerate(match) if u < w)
+    return None
+
+
 def max_matching(g: PartyGraph) -> frozenset[tuple[int, int]]:
     """Maximum-cardinality matching; deterministic for a fixed graph."""
     return _matching_cached(g.n, g.rows)
@@ -262,14 +314,22 @@ def star(g: PartyGraph, n: int, t: int, *,
 
 
 class GrowingStar:
-    """A party graph that only gains edges, with its complement and the
-    complement's canonical matching carried from one insertion to the next."""
+    """A party graph that only gains edges, with its complement and a
+    matching of the complement carried from one insertion to the next: the
+    canonical matching, or one of more than t edges that rules every star
+    out (see the size lemma above)."""
 
     def __init__(self, n: int, t: int):
         self.n, self.t = n, t
         self.graph = PartyGraph(n=n, rows=(0,) * n)
         self.complement = self.graph.complement()
-        self.matching = max_matching(self.complement)
+        self._matched = max_matching(self.complement)
+        self._canonical = True  # _matched is the canonical matching of complement
+
+    @property
+    def matching(self) -> frozenset[tuple[int, int]]:
+        """The canonical matching of the complement."""
+        return self._matched if self._canonical else max_matching(self.complement)
 
     def add_edge(self, u: int, v: int):
         """Insert the edge (u, v) and return the star of the new graph, or
@@ -279,9 +339,20 @@ class GrowingStar:
         rows[u - 1] &= ~(1 << (v - 1))
         rows[v - 1] &= ~(1 << (u - 1))
         self.complement = PartyGraph._trusted(self.n, tuple(rows))
-        if (min(u, v), max(u, v)) in self.matching:
-            self.matching = max_matching(self.complement)
-        return star(self.graph, self.n, self.t, _carried=(self.complement, self.matching))
+        edge = (min(u, v), max(u, v))
+        if edge in self._matched:
+            self._matched = self._matched - {edge}
+            self._canonical = False
+        if len(self._matched) > self.t:
+            return NOSTAR
+        if not self._canonical:
+            grown = _outgrow(self.complement, self._matched, self.t)
+            if grown is not None:
+                self._matched = grown
+                return NOSTAR
+            self._matched = max_matching(self.complement)
+            self._canonical = True
+        return star(self.graph, self.n, self.t, _carried=(self.complement, self._matched))
 
 
 def _mask(vertices) -> int:

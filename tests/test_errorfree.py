@@ -242,14 +242,20 @@ def test_equivocator_at_every_placement(protocol, make_params, placement):
                 assert evaluate_run(kind, inputs, sender, res) == [], (n, seed, sender)
 
 
-# Read at the commit before the carried complement matching, with the star
-# extracted from scratch for every new edge; the golden digests stop at
-# n = 10, where blossoms and deletions of matched complement edges are rare.
+# The n = 16 and 31 entries were read at the commit before the carried
+# complement matching, with the star extracted from scratch for every new
+# edge; the golden digests stop at n = 10, where blossoms and deletions of
+# matched complement edges are rare. The n = 46 and 64 entries were read at
+# the commit before the size bound, which ran the canonical matching after
+# every matched deletion and the pruning on every insertion.
 PINNED_RB = {
     (16, 0): (1235776, "fab8634a270a858d0710af6bc256eee6c8ef518ef36f7a684e85b6fdabb04fa1"),
     (16, 1): (1236736, "4e8a980a8bb2e218fb3519de9028a03953f0534e34f5064227f7250e4a102c37"),
     (31, 0): (3295261, "ea24566162069131c0dbede686b4c8aedc22b4eeb3d883f04e838eb43b7205bd"),
     (31, 1): (3295261, "ad3e270fbabdecec2e28f855fef499b0a85074849cdbbafc3d3cc0b3d3eb4a7b"),
+    (46, 0): (6820876, "353052989271b4827180308460b1af322692de3afa13a32cdfda606342feb9fd"),
+    (46, 1): (6820876, "63f3c1d457caffe8ebe48adfd16f8360703e8de9756887cf5d1b80c300d15f0f"),
+    (64, 0): (13809664, "8a28e5554fa80096bc6d0fa652d3cf15444fbf7c43ac125f476e1ca2384f0a02"),
 }
 
 

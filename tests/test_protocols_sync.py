@@ -8,15 +8,18 @@ from bbext.adversary import (
     CorruptShareSender,
     Equivocator,
     ForgedWitness,
+    JunkInjector,
     OracleLiar,
     PushyChoice,
     Silent,
     WithholdCertificate,
     WrongHappy,
+    _tail_corrupt,
     adversary_battery,
 )
+from bbext.blocks import CodecMemo
 from bbext.checks import build_inputs, evaluate_run
-from bbext.protocols import SessionParams
+from bbext.protocols import SessionParams, crypto_sync
 from bbext.runner import RunResult, run
 from bbext.simnet import BOT, RunMetrics
 
@@ -145,6 +148,56 @@ def test_high_threshold_one_shot_steps():
     assert all(v <= n - 1 for v in per_party_cert.values())
 
 
+class JunkSender(JunkInjector):
+    """The junk injector with the sender among its corrupt parties: the
+    commitment is never agreed, so every honest party rejects every package
+    it receives and keeps looking through all t+1 iterations."""
+
+    name = "junk_sender"
+
+    def corrupt_set(self, n, t, sender):
+        return frozenset({sender}) | _tail_corrupt(n, t - 1, exclude=frozenset({sender}))
+
+
+@pytest.mark.parametrize("script", [JunkInjector(), JunkSender()])
+def test_high_threshold_checks_each_own_package_once(monkeypatch, script):
+    # first_valid_own_package verifies each share_pkg envelope a party has
+    # received at most once, across all iterations until it shares
+    checked = Counter()
+    rejected = set()
+    active: list[int] = []
+    orig_first, orig_verify = crypto_sync.first_valid_own_package, CodecMemo.verify
+
+    def first_valid(ctx, z, envs):
+        active.append(ctx.pid)
+        try:
+            return orig_first(ctx, z, envs)
+        finally:
+            active.pop()
+
+    def verify(memo, z, pkg, index):
+        ok = orig_verify(memo, z, pkg, index)
+        if active:
+            checked[active[-1], id(pkg)] += 1
+            if not ok:
+                rejected.add((active[-1], id(pkg)))
+        return ok
+
+    monkeypatch.setattr(crypto_sync, "first_valid_own_package", first_valid)
+    monkeypatch.setattr(CodecMemo, "verify", verify)
+    params = p_eps(n=7, eps=0.5)
+    for seed in range(3):
+        checked.clear()
+        rejected.clear()
+        res = run("sync-bb-highthresh", params, {1: M}, adversary=script, seed=seed)
+        assert not evaluate_run("bb", {1: M}, 1, res), (script.name, seed)
+        assert checked and max(checked.values()) == 1, (script.name, seed)
+        # junk reaches the check; with a junk sender nothing is accepted
+        assert rejected
+        if script.name == "junk_sender":
+            assert rejected == set(checked)
+
+
 def test_full_battery_spot_check_n7():
     # one seed through every script at n=7 for each synchronous protocol
     for protocol, params in [("sync-ba-half", p_half(n=7)),
@@ -167,8 +220,6 @@ class CertGames(AdversaryScript):
         self.name = f"certgames_{mode}"
 
     def corrupt_set(self, n, t, sender):
-        from bbext.adversary import _tail_corrupt
-
         base = {sender} if sender else set()
         return frozenset(base) | _tail_corrupt(n, max(t - len(base), 0),
                                                exclude=frozenset(base))

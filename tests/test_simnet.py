@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import weakref
 
 import pytest
 
@@ -295,6 +297,31 @@ def test_indexed_reads_equal_full_mailbox_scans(monkeypatch, protocol, impl):
         assert seen["payload"] > 0
     if not protocol.startswith("ef-"):
         assert {"share_pkg", "share_fwd"} <= seen["self"]
+
+
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+def test_finished_session_frees_its_contexts_without_collection(monkeypatch, protocol):
+    # a reference cycle through a party's Ctx would keep the session's mail
+    # alive until the next full collection: every Ctx must go when run returns
+    refs = []
+    orig_init = Ctx.__init__
+
+    def init(ctx, engine, pid):
+        orig_init(ctx, engine, pid)
+        refs.append(weakref.ref(ctx))
+
+    monkeypatch.setattr(Ctx, "__init__", init)
+    spec = PROTOCOLS[protocol]
+    params = battery_configs(protocol)[0]
+    inputs = build_inputs(spec.kind, params, 1, "majority")
+    gc.collect()
+    gc.disable()
+    try:
+        run(protocol, params, inputs, adversary=JunkInjector(), seed=1)
+        alive = [ref().pid for ref in refs if ref() is not None]
+    finally:
+        gc.enable()
+    assert refs and alive == []
 
 
 def _engine(n=5, honest=frozenset({2, 3, 4, 5})):

@@ -456,9 +456,32 @@ def test_growing_star_equals_star_from_scratch(data):
         assert result == star(g, n, t)
 
 
-def test_growing_star_matches_only_on_matched_deletions(monkeypatch):
-    # every insertion extracts a star through the module-level star(); only
-    # the insertions that delete a matched complement edge call max_matching
+@given(st.data())
+def test_growing_star_results_equal_star_from_scratch(data):
+    # only add_edge's result is read, never the carried matching, so a
+    # matching left stale by the size bound is checked where it is used
+    n = data.draw(st.integers(min_value=2, max_value=16), label="n")
+    t = (n - 1) // 3
+    growing = GrowingStar(n, t)
+    g = PartyGraph.from_edges(n, [])
+    for _ in range(data.draw(st.integers(min_value=1, max_value=n * (n - 1) // 2))):
+        h = g.complement()
+        complement = h.edges()
+        if not complement:
+            break
+        # half the insertions delete an edge of the complement's canonical
+        # matching, the others any complement edge
+        pool = sorted(fresh_matching(h)) if data.draw(st.booleans()) else complement
+        u, v = data.draw(st.sampled_from(pool))
+        g = g.with_edge(u, v)
+        assert growing.add_edge(u, v) == star(g, n, t)
+
+
+def test_growing_star_counts_follow_the_size_bound(monkeypatch):
+    # star() runs exactly on the insertions whose complement has a maximum
+    # matching of at most t edges; max_matching runs once at the start and
+    # then on such an insertion only when the canonical matching it had
+    # before is not carried: it had more than t edges, or lost the new edge
     calls = {"star": 0, "max_matching": 0}
     for name in calls:
         def counted(*args, _fn=getattr(star_module, name), _name=name, **kwargs):
@@ -468,14 +491,23 @@ def test_growing_star_matches_only_on_matched_deletions(monkeypatch):
     rng = random.Random(2)
     n, t = 13, 4
     growing = GrowingStar(n, t)
+    g = PartyGraph.from_edges(n, [])
     edges = list(itertools.combinations(range(1, n + 1), 2))
     rng.shuffle(edges)
-    recomputed = 0
+    small = recomputed = 0
+    before = fresh_matching(g.complement())
     for u, v in edges:
-        recomputed += (u, v) in growing.matching
+        g = g.with_edge(u, v)
+        after = fresh_matching(g.complement())
+        if len(after) <= t:
+            small += 1
+            recomputed += len(before) > t or (u, v) in before
+        before = after
         growing.add_edge(u, v)
-    assert calls == {"star": len(edges), "max_matching": 1 + recomputed}
-    assert 0 < recomputed < len(edges) // 2
+    assert calls == {"star": small, "max_matching": 1 + recomputed}
+    # the old mechanism ran star() on all 78 insertions and max_matching
+    # after each of the 21 matched deletions
+    assert (small, recomputed) == (7, 5)
 
 
 def test_growing_star_builds_no_complement(monkeypatch):
