@@ -23,14 +23,17 @@ these once:
   without hashing again; any other package gets the full `verify_package`;
 - ``reconstruct`` keeps the packages that ``verify`` accepts and decodes
   each distinct verified share set, keyed by its sorted (index, share bytes)
-  items, once.
+  items, once;
+- ``decode_symbols`` decodes each distinct table of symbol-blocks with
+  errors (the error-free protocols' majority votes), keyed by the table
+  the decoder sees and its (b, share length, error budget), once.
 
 The message table and the table of accepted packages each hold at most
 `MEMO_ENTRIES` entries (messages, or commitments of at most n packages each),
-as does the decode table, dropping the least recently used; a call that
+as do the two decode tables, dropping the least recently used; a call that
 raises stores nothing, and nothing outlives the session. On a miss the memo
-calls the pure `encode`, `eval_shares`, `make_packages` and `reconstruct`
-below by their module names.
+calls the pure `encode`, `eval_shares`, `make_packages`, `reconstruct` and
+`decode_symbols` below by their module names.
 """
 
 from __future__ import annotations
@@ -149,6 +152,25 @@ def reconstruct(packages: dict[int, SharePackage | None], ak: AccKey, z: AccValu
     return payload, bit_len
 
 
+def decode_symbols(table: tuple[bytes | None, ...], b: int, max_errors: int) -> bytes | None:
+    """Decode a table of n symbol-blocks, entry j - 1 being position j's
+    share bytes or None for an erasure, tolerating up to max_errors wrong
+    entries; the message, or None on failure."""
+    symbols = [None if raw is None else rs.unpack_symbols(raw) for raw in table]
+    cw = rs.Codeword(symbols=symbols, n=len(table), b=b)
+    try:
+        data = rs.rs_decode(cw, max_errors, table.count(None))
+    except ValueError:
+        return None
+    if data is None:
+        return None
+    try:
+        payload, _ = rs.bits_from_data(data)
+    except ValueError:
+        return None
+    return payload
+
+
 MEMO_ENTRIES = 16
 
 
@@ -192,6 +214,7 @@ class CodecMemo:
         # commitment bytes -> index -> plain fields of the package accepted
         self.accepted: dict[bytes, dict[int, tuple[int, bytes, bytes]]] = {}
         self.decoded: dict[tuple, tuple[bytes, int] | None] = {}
+        self.symbol_decodes: dict[tuple, bytes | None] = {}
 
     def _message(self, m: bytes, b: int, bit_len: int) -> _Message:
         key = (m, b, bit_len)
@@ -255,4 +278,16 @@ class CodecMemo:
         else:
             out = reconstruct(valid, self.ak, z, d0, b)
         _remember(self.decoded, key, out)
+        return out
+
+    def decode_symbols(self, table: tuple[bytes | None, ...], b: int, share_len: int,
+                       max_errors: int) -> bytes | None:
+        """`decode_symbols` of a table whose entries are share_len bytes or
+        None, once per distinct (table, b, share_len, max_errors)."""
+        key = (b, share_len, max_errors, table)
+        if key in self.symbol_decodes:
+            out = self.symbol_decodes.pop(key)
+        else:
+            out = decode_symbols(table, b, max_errors)
+        _remember(self.symbol_decodes, key, out)
         return out

@@ -10,8 +10,11 @@ from __future__ import annotations
 import itertools
 import random
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -367,6 +370,19 @@ def _brute_force_matching_size(g: PartyGraph) -> int:
     return rec(0, frozenset())
 
 
+@contextmanager
+def _failure_on_raise(failures: list[str], where: str):
+    """Record an exception of the checked code as one failure line of the
+    trial ``where``, naming the line that raised it, and go on to the next
+    trial: the report lists every failing trial instead of a traceback."""
+    try:
+        yield
+    except Exception as exc:
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        failures.append(f"{where}: raised {type(exc).__name__}: {exc} "
+                        f"({Path(frame.filename).name}:{frame.lineno})")
+
+
 def check_star(graphs: int = 2000, seed: int = 0) -> CheckReport:
     t0 = time.time()
     rng = random.Random(seed)
@@ -378,18 +394,19 @@ def check_star(graphs: int = 2000, seed: int = 0) -> CheckReport:
         edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
                  if rng.random() < p]
         g = PartyGraph.from_edges(n, edges)
-        m = max_matching(g)
         trials += 1
-        if len(m) != _brute_force_matching_size(g):
-            failures.append(f"matching size mismatch trial={trial} n={n}")
-        t = (n - 1) // 3
-        result = star(g, n, t)
-        if result is not NOSTAR:
-            ok = (result.C <= result.D and len(result.C) >= n - 2 * t
-                  and len(result.D) >= n - t
-                  and all(g.has_edge(c, d) for c in result.C for d in result.D if c != d))
-            if not ok:
-                failures.append(f"invalid star trial={trial} n={n}")
+        with _failure_on_raise(failures, f"trial={trial} n={n}"):
+            m = max_matching(g)
+            if len(m) != _brute_force_matching_size(g):
+                failures.append(f"matching size mismatch trial={trial} n={n}")
+            t = (n - 1) // 3
+            result = star(g, n, t)
+            if result is not NOSTAR:
+                ok = (result.C <= result.D and len(result.C) >= n - 2 * t
+                      and len(result.D) >= n - t
+                      and all(g.has_edge(c, d) for c in result.C for d in result.D if c != d))
+                if not ok:
+                    failures.append(f"invalid star trial={trial} n={n}")
     # honest-clique guarantee
     for t in (1, 2, 3):
         n = 3 * t + 1
@@ -401,12 +418,13 @@ def check_star(graphs: int = 2000, seed: int = 0) -> CheckReport:
                     if (u not in honest or v not in honest) and rng.random() < 0.5:
                         edges.append((u, v))
             g = PartyGraph.from_edges(n, edges)
-            result = star(g, n, t)
             trials += 1
-            if result is NOSTAR:
-                failures.append(f"clique yielded noSTAR t={t} trial={trial}")
-            elif len(honest - result.C) > t:
-                failures.append(f"more than t honest excluded t={t} trial={trial}")
+            with _failure_on_raise(failures, f"t={t} trial={trial}"):
+                result = star(g, n, t)
+                if result is NOSTAR:
+                    failures.append(f"clique yielded noSTAR t={t} trial={trial}")
+                elif len(honest - result.C) > t:
+                    failures.append(f"more than t honest excluded t={t} trial={trial}")
     # the carried path of ef_async_rb: edges inserted one at a time into a
     # GrowingStar must give the complement, matching and star computed from
     # scratch; the wide orders pass through long stretches where the size
@@ -414,22 +432,23 @@ def check_star(graphs: int = 2000, seed: int = 0) -> CheckReport:
     sizes = [rng.randint(2, 10) for _ in range(200)] + [16] * 4 + [31] * 4
     for trial, n in enumerate(sizes):
         t = (n - 1) // 3
-        growing = GrowingStar(n, t)
         edges = list(itertools.combinations(range(1, n + 1), 2))
         rng.shuffle(edges)
         trials += 1
-        for step, (u, v) in enumerate(edges):
-            result = growing.add_edge(u, v)
-            h = growing.graph.complement()
-            if growing.complement != h:
-                failures.append(f"carried complement mismatch trial={trial} n={n} step={step}")
-                break
-            if growing.matching != _matching_cached.__wrapped__(n, h.rows):
-                failures.append(f"carried matching mismatch trial={trial} n={n} step={step}")
-                break
-            if result != star(growing.graph, n, t):
-                failures.append(f"carried star mismatch trial={trial} n={n} step={step}")
-                break
+        with _failure_on_raise(failures, f"carried trial={trial} n={n}"):
+            growing = GrowingStar(n, t)
+            for step, (u, v) in enumerate(edges):
+                result = growing.add_edge(u, v)
+                h = growing.graph.complement()
+                if growing.complement != h:
+                    failures.append(f"carried complement mismatch trial={trial} n={n} step={step}")
+                    break
+                if growing.matching != _matching_cached.__wrapped__(n, h.rows):
+                    failures.append(f"carried matching mismatch trial={trial} n={n} step={step}")
+                    break
+                if result != star(growing.graph, n, t):
+                    failures.append(f"carried star mismatch trial={trial} n={n} step={step}")
+                    break
     return CheckReport(name="star", passed=not failures, trials=trials,
                        failures=failures, elapsed=time.time() - t0)
 

@@ -1,8 +1,10 @@
 """Arithmetic in GF(2^16).
 
 Field elements are ints in [0, 2^16). Addition is XOR. Scalar
-multiplication goes through log/antilog tables built once at import for the
-fixed irreducible polynomial x^16 + x^12 + x^3 + x + 1 (0x1100B).
+multiplication goes through log/antilog tables built once at import, as
+stdlib arrays, for the fixed irreducible polynomial x^16 + x^12 + x^3 + x + 1
+(0x1100B). Gaussian elimination (``solve_linear``, ``invert_matrix``) takes
+each pivot row's logarithms once and runs its row operations on them.
 
 Matrix products over numpy uint16 arrays use split 8-bit product tables
 (Plank, Greenan and Miller, "Screaming Fast Galois Field Arithmetic Using
@@ -17,6 +19,8 @@ matrix apply costs 2b gathers whatever r is.
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 FIELD_BITS = 16
@@ -25,41 +29,43 @@ ORDER = FIELD_SIZE - 1  # multiplicative group order
 _PRIM_POLY = 0x1100B
 
 
-def _build_tables() -> tuple[np.ndarray, np.ndarray]:
-    exp = np.zeros(2 * ORDER, dtype=np.int64)
-    log = np.zeros(FIELD_SIZE, dtype=np.int64)
+def _build_tables() -> tuple[array, array]:
+    """Antilog table of length 2 * ORDER (so a sum of two logs needs no
+    reduction) and log table with log 0 = -1, never a valid exponent."""
+    exp = array("H")
+    log = array("i", [-1]) * FIELD_SIZE
     x = 1
     for i in range(ORDER):
-        exp[i] = x
+        exp.append(x)
         log[x] = i
         x <<= 1
         if x & FIELD_SIZE:
             x ^= _PRIM_POLY
     if x != 1:
         raise AssertionError("generator 2 is not primitive for 0x1100B")
-    exp[ORDER:] = exp[:ORDER]
-    log[0] = -1  # sentinel, never a valid exponent
+    exp.extend(exp)
     return exp, log
 
+# Scalar code indexes these stdlib arrays, which return Python ints.
 _EXP, _LOG = _build_tables()
 
 
 def gf_mul(a: int, b: int) -> int:
     if a == 0 or b == 0:
         return 0
-    return int(_EXP[_LOG[a] + _LOG[b]])
+    return _EXP[_LOG[a] + _LOG[b]]
 
 
 def gf_inv(a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("0 has no inverse in GF(2^16)")
-    return int(_EXP[ORDER - _LOG[a]])
+    return _EXP[ORDER - _LOG[a]]
 
 
 def gf_pow(a: int, e: int) -> int:
     if a == 0:
         return 0 if e else 1
-    return int(_EXP[(_LOG[a] * e) % ORDER])
+    return _EXP[(_LOG[a] * e) % ORDER]
 
 
 # The 512 field elements a column's split tables multiply: x, then x << 8,
@@ -67,10 +73,11 @@ def gf_pow(a: int, e: int) -> int:
 _SPLIT = np.concatenate([np.arange(256), np.arange(256) << 8])
 # For building tables: log 0 is placed past every sum of two valid logs, and
 # the antilog table reads 0 from there on, so a product with 0 needs no mask.
-_LOG_Z = _LOG.astype(np.int32)
+# Both are built from the scalar arrays' buffers.
+_LOG_Z = np.frombuffer(_LOG, dtype=np.int32).copy()
 _LOG_Z[0] = 2 * ORDER
 _EXP_Z = np.zeros(4 * ORDER + 1, dtype=np.uint16)
-_EXP_Z[:2 * ORDER] = _EXP
+_EXP_Z[:2 * ORDER] = np.frombuffer(_EXP, dtype=np.uint16)
 
 
 def product_tables(matrix) -> np.ndarray:
@@ -113,6 +120,23 @@ def poly_eval(coeffs: list[int], x: int) -> int:
     return acc
 
 
+def _eliminate(rows: list[list[int]], r: int, col: int) -> None:
+    """Scale rows[r] so its entry at col is 1, then clear col from every
+    other row. The pivot row's nonzero entries are turned into logarithms
+    once, and each row operation adds them to the factor's logarithm."""
+    pivot = rows[r]
+    shift = ORDER - _LOG[pivot[col]]  # log of the pivot's inverse
+    logs = [(j, (_LOG[v] + shift) % ORDER) for j, v in enumerate(pivot) if v]
+    for j, lv in logs:
+        pivot[j] = _EXP[lv]
+    for i, row in enumerate(rows):
+        f = row[col]
+        if i != r and f:
+            lf = _LOG[f]
+            for j, lv in logs:
+                row[j] ^= _EXP[lf + lv]
+
+
 def solve_linear(a: list[list[int]], b: list[int]) -> list[int] | None:
     """Solve A*x = b over GF(2^16) by Gaussian elimination.
 
@@ -129,12 +153,7 @@ def solve_linear(a: list[list[int]], b: list[int]) -> list[int] | None:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = gf_inv(rows[r][col])
-        rows[r] = [gf_mul(inv, v) for v in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [vi ^ gf_mul(f, vr) for vi, vr in zip(rows[i], rows[r])]
+        _eliminate(rows, r, col)
         pivot_cols.append(col)
         r += 1
         if r == m:
@@ -157,10 +176,5 @@ def invert_matrix(a: list[list[int]]) -> list[list[int]]:
         if piv is None:
             raise ValueError("singular matrix")
         aug[col], aug[piv] = aug[piv], aug[col]
-        inv = gf_inv(aug[col][col])
-        aug[col] = [gf_mul(inv, v) for v in aug[col]]
-        for i in range(k):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [vi ^ gf_mul(f, vc) for vi, vc in zip(aug[i], aug[col])]
+        _eliminate(aug, col, col)
     return [row[k:] for row in aug]

@@ -11,6 +11,7 @@ yields the output.
 from __future__ import annotations
 
 from .. import rs
+from ..blocks import CodecMemo
 from ..oracles import BrachaMachine, parallel_chain_bcast
 from ..simnet import Ctx, InvariantViolation, NEXT_ROUND
 from ..star import NOSTAR, GrowingStar, PartyGraph, derive_fe, star
@@ -68,34 +69,31 @@ def _greedy_common_vote(candidates: list[int], e_vecs: dict[int, int],
     return None
 
 
-def _decode_symbol_table(majs: dict[int, bytes], n: int, t: int, share_len: int,
-                         max_errors: int, absent_as_error: bool) -> bytes | None:
-    """Decode from per-party symbol votes.
+def _decode_symbol_table(codec: CodecMemo, majs: dict[int, object], n: int, t: int,
+                         share_len: int, max_errors: int,
+                         absent_as_error: bool) -> bytes | None:
+    """Decode from per-party symbol votes, through the session's codec memo.
 
-    Wrong-length entries count toward the error budget. Absent entries are
-    zero-filled errors in the synchronous protocol (fixed error budget t,
-    no erasures) and erasures in the asynchronous retry loop.
+    A vote that is not share_len bytes is a zero-filled error and counts
+    toward the error budget. Absent entries are zero-filled errors in the
+    synchronous protocol (fixed error budget t, no erasures) and erasures in
+    the asynchronous retry loop. Only this normalized table of plain bytes
+    reaches the memo key, never a raw vote: a corrupt party may send an
+    unhashable one, or a bytes subclass with its own equality.
     """
-    symbols: list = [None] * n
+    zero = bytes(share_len)
+    table = []
     for j in range(1, n + 1):
         raw = majs.get(j)
+        if isinstance(raw, bytes) and type(raw) is not bytes:
+            raw = bytes(memoryview(raw))  # the buffer the decoder would read
         if isinstance(raw, bytes) and len(raw) == share_len:
-            symbols[j - 1] = rs.unpack_symbols(raw)
+            table.append(raw)
         elif j in majs or absent_as_error:
-            symbols[j - 1] = rs.unpack_symbols(bytes(share_len))
-    cw = rs.Codeword(symbols=symbols, n=n, b=t + 1)
-    erasures = sum(1 for s in symbols if s is None)
-    try:
-        data = rs.rs_decode(cw, max_errors, erasures)
-    except ValueError:
-        return None
-    if data is None:
-        return None
-    try:
-        payload, _ = rs.bits_from_data(data)
-    except ValueError:
-        return None
-    return payload
+            table.append(zero)
+        else:
+            table.append(None)
+    return codec.decode_symbols(tuple(table), t + 1, share_len, max_errors)
 
 
 def ef_sync_ba(ctx: Ctx, my_input: bytes, sender: int | None = None):
@@ -189,8 +187,8 @@ def ef_sync_ba(ctx: Ctx, my_input: bytes, sender: int | None = None):
     ctx.set_step("decode")
     for env in ctx.inbox(kind="maj_val"):
         majs.setdefault(env.src, env.payload)
-    payload = _decode_symbol_table(majs, n, t, len(row[1]), max_errors=t,
-                                   absent_as_error=True)
+    payload = _decode_symbol_table(ctx.session.codec, majs, n, t, len(row[1]),
+                                   max_errors=t, absent_as_error=True)
     if payload is None:
         raise InvariantViolation("decoding must carry with 2t+1 honest symbols")
     return payload
@@ -340,8 +338,8 @@ def ef_async_rb(ctx: Ctx, my_input: bytes | None, sender: int):
         if len(majs) >= 2 * t + 1 and len(majs) > decode_tried_at:
             decode_tried_at = len(majs)
             max_errors = min(len(majs) - (2 * t + 1), t)
-            payload = _decode_symbol_table(majs, n, t, share_len, max_errors,
-                                           absent_as_error=False)
+            payload = _decode_symbol_table(ctx.session.codec, majs, n, t, share_len,
+                                           max_errors, absent_as_error=False)
             if payload is not None:
                 return payload
         yield mail.wait()

@@ -98,10 +98,10 @@ def _encode_matrix(n: int, b: int) -> tuple[tuple[int, ...], ...]:
     summed in logarithms.
     """
     x = np.arange(1, n + 1)
-    num = gf._LOG[x[b:, None] ^ x[:b]]  # log(x_j + x_m) for parity rows j
-    den = gf._LOG[x[:b, None] ^ x[:b]]  # log(x_i + x_m); log 0 on the diagonal
+    num = gf._LOG_Z[x[b:, None] ^ x[:b]]  # log(x_j + x_m) for parity rows j
+    den = gf._LOG_Z[x[:b, None] ^ x[:b]]  # log(x_i + x_m); log 0 on the diagonal
     np.fill_diagonal(den, 0)
-    parity = gf._EXP[(num.sum(axis=1, keepdims=True) - num - den.sum(axis=1)) % gf.ORDER]
+    parity = gf._EXP_Z[(num.sum(axis=1, keepdims=True) - num - den.sum(axis=1)) % gf.ORDER]
     return tuple(map(tuple, np.vstack([np.eye(b, dtype=np.int64), parity]).tolist()))
 
 
@@ -177,10 +177,12 @@ def _bw_decode_stripe(received: dict[int, int], n: int, b: int, c: int) -> list[
     rhs = []
     for p in pts:
         r = received[p]
-        xp = [gf.gf_pow(p, i) for i in range(b + 2 * c)]
-        row = xp[: b + c] + [gf.gf_mul(r, xp[i]) for i in range(c)]
+        xp = [1]  # p^0 .. p^(b+c-1)
+        for _ in range(b + c - 1):
+            xp.append(gf.gf_mul(xp[-1], p))
+        row = xp + [gf.gf_mul(r, xp[i]) for i in range(c)]
         rows.append(row)
-        rhs.append(gf.gf_mul(r, gf.gf_pow(p, c)))
+        rhs.append(gf.gf_mul(r, xp[c]))
     sol = gf.solve_linear(rows, rhs)
     if sol is None:
         return None

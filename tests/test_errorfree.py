@@ -331,3 +331,120 @@ def test_junk_traffic_adds_no_decode_attempts(monkeypatch, seed):
     # decoding retries only when a new symbol vote has arrived, so junk that
     # wakes a party after a failed decode costs it no further decode
     assert _decode_attempts(monkeypatch, 0, seed) == _decode_attempts(monkeypatch, 300, seed)
+
+
+def _decoder_table(majs: dict, n: int, share_len: int, absent_as_error: bool) -> tuple:
+    """What the decoder reads at each position: the vote if it is share_len
+    bytes, the zero block for any other vote (and for an absent one when
+    absences count as errors), None for an erasure."""
+    zero = bytes(share_len)
+    table = []
+    for j in range(1, n + 1):
+        vote = majs.get(j)
+        if isinstance(vote, bytes) and len(vote) == share_len:
+            table.append(bytes(vote))
+        elif j in majs or absent_as_error:
+            table.append(zero)
+        else:
+            table.append(None)
+    return tuple(table)
+
+
+def test_head_equivocator_session_decodes_each_distinct_table_once(monkeypatch):
+    from tests.test_blocks import _count
+
+    decodes = _count(monkeypatch, rs, "rs_decode")
+    asked: list[tuple] = []
+    decode = errorfree._decode_symbol_table
+
+    def recording(codec, majs, n, t, share_len, max_errors, absent_as_error):
+        asked.append((_decoder_table(majs, n, share_len, absent_as_error), t + 1,
+                      share_len, max_errors))
+        return decode(codec, majs, n, t, share_len, max_errors, absent_as_error)
+
+    monkeypatch.setattr(errorfree, "_decode_symbol_table", recording)
+    params = p_sync(n=10, l=2 ** 10)
+    inputs = build_inputs("ba", params, 0, "all")
+    res = run("ef-sync-ba-third", params, inputs, adversary=_PlacedEquivocator("head"), seed=0)
+    assert evaluate_run("ba", inputs, None, res) == []
+    # every party, the equivocators too, decodes once
+    assert len(asked) == params.n
+    assert decodes[0] == len(set(asked)) < len(asked)
+
+
+class _TableFlooder(ScheduledHonest):
+    """Under random delivery, each corrupt party sends every honest party k
+    symbol votes, no two alike: random bytes of the share length,
+    wrong-length bytes, unhashable lists and bytes subclasses that claim to
+    equal anything, each recipient's first vote of another kind than its
+    neighbour's. A recipient keeps the first to arrive, so the honest
+    parties decode tables that differ from party to party and attempt to
+    attempt."""
+
+    class _EqualsAnything(bytes):
+        def __eq__(self, other):
+            return True
+
+        def __hash__(self):
+            return 0
+
+    def __init__(self, k: int):
+        super().__init__("random")
+        self.k = k
+        self.name = f"table_flooder_{k}"
+
+    def corrupt_set(self, n, t, sender):
+        return frozenset(range(n - t + 1, n + 1))
+
+    def make_party(self, pid, honest_factory, env):
+        import random as _r
+
+        rng = _r.Random(repr((self.name, env.seed, pid)))
+
+        def party(ctx):
+            n = ctx.params.n
+            share_len = rs.share_bits(ctx.params.l, ctx.params.t + 1) // 8
+            honest = [p for p in range(1, n + 1) if p not in env.corrupt]
+            for i in range(self.k):
+                for dst in honest:
+                    vote = (rng.randbytes(share_len), rng.randbytes(share_len + 2),
+                            [pid, dst, i],
+                            self._EqualsAnything(rng.randbytes(share_len)))[(i + dst) % 4]
+                    ctx.send(dst, "maj_val", vote, bits=8 * share_len, step="junk")
+            return None
+            yield  # pragma: no cover
+
+        return party
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_flooded_votes_keep_the_decode_table_bounded(monkeypatch, seed):
+    from bbext.blocks import MEMO_ENTRIES, CodecMemo
+
+    sizes: list[int] = []
+    keys: set = set()
+    decode = CodecMemo.decode_symbols
+
+    def watched(self, table, b, share_len, max_errors):
+        out = decode(self, table, b, share_len, max_errors)
+        keys.add((b, share_len, max_errors, table))
+        sizes.append(len(self.symbol_decodes))
+        return out
+
+    monkeypatch.setattr(CodecMemo, "decode_symbols", watched)
+    params = p_async(n=10, l=2 ** 10)
+    inputs = build_inputs("rb", params, seed, "all")
+    res = run("ef-async-rb-third", params, inputs, adversary=_TableFlooder(12), seed=seed)
+    assert evaluate_run("rb", inputs, 1, res) == []
+    assert all(res.outputs.get(p) == inputs[1] for p in res.honest)
+    # more distinct tables than the memo holds, so entries were dropped
+    assert len(keys) > MEMO_ENTRIES
+    assert max(sizes) == MEMO_ENTRIES
+
+
+def test_flooded_votes_in_the_synchronous_protocol():
+    params = p_sync(n=10, l=2 ** 10)
+    for seed in range(2):
+        inputs = build_inputs("ba", params, seed, "all")
+        res = run("ef-sync-ba-third", params, inputs, adversary=_TableFlooder(4), seed=seed)
+        assert evaluate_run("ba", inputs, None, res) == []

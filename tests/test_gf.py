@@ -170,3 +170,122 @@ def test_solve_linear_and_invert():
 def test_solve_linear_inconsistent_returns_none():
     # [1 1; 1 1] x = [1, 0] has no solution in characteristic 2
     assert gf.solve_linear([[1, 1], [1, 1]], [1, 0]) is None
+
+
+def test_inverse_matches_numpy_tables_for_every_nonzero_element():
+    a = np.arange(1, gf.FIELD_SIZE)
+    want = gf._EXP_Z[gf.ORDER - gf._LOG_Z[a]].tolist()
+    got = [gf.gf_inv(x) for x in range(1, gf.FIELD_SIZE)]
+    assert all(type(x) is int for x in got)
+    assert got == want
+
+
+def test_mul_and_pow_match_numpy_tables():
+    rng = np.random.default_rng(0)
+    size = 5000
+    a = np.concatenate([[0, 0, 1, 65535, 7], rng.integers(0, gf.FIELD_SIZE, size)])
+    b = np.concatenate([[0, 9, 0, 0, 65535], rng.integers(0, gf.FIELD_SIZE, size)])
+    a[5::7] = 0  # zero on either side, among the random pairs too
+    b[8::11] = 0
+    products = gf._EXP_Z[gf._LOG_Z[a] + gf._LOG_Z[b]].tolist()
+    assert [gf.gf_mul(x, y) for x, y in zip(a.tolist(), b.tolist())] == products
+    e = np.concatenate([[0, 1, 0, 3, gf.ORDER], rng.integers(0, 3 * gf.ORDER, size)])
+    powers = np.where(a == 0, (e == 0).astype(np.int64),
+                      gf._EXP_Z[(gf._LOG_Z[a].astype(np.int64) * e) % gf.ORDER]).tolist()
+    assert [gf.gf_pow(x, y) for x, y in zip(a.tolist(), e.tolist())] == powers
+
+
+def solve_linear_reference(a: list[list[int]], b: list[int]) -> list[int] | None:
+    """The elementwise Gaussian elimination that ``solve_linear`` replaced:
+    every entry through scalar ``gf_mul``."""
+    m = len(a)
+    k = len(a[0]) if m else 0
+    rows = [list(row) + [rhs] for row, rhs in zip(a, b)]
+    pivot_cols: list[int] = []
+    r = 0
+    for col in range(k):
+        piv = next((i for i in range(r, m) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = gf.gf_inv(rows[r][col])
+        rows[r] = [gf.gf_mul(inv, v) for v in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [vi ^ gf.gf_mul(f, vr) for vi, vr in zip(rows[i], rows[r])]
+        pivot_cols.append(col)
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if rows[i][k] != 0:
+            return None
+    x = [0] * k
+    for i, col in enumerate(pivot_cols):
+        x[col] = rows[i][k]
+    return x
+
+
+def invert_matrix_reference(a: list[list[int]]) -> list[list[int]]:
+    """The elementwise inversion that ``invert_matrix`` replaced."""
+    k = len(a)
+    aug = [list(row) + [1 if i == j else 0 for j in range(k)] for i, row in enumerate(a)]
+    for col in range(k):
+        piv = next((i for i in range(col, k) if aug[i][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = gf.gf_inv(aug[col][col])
+        aug[col] = [gf.gf_mul(inv, v) for v in aug[col]]
+        for i in range(k):
+            if i != col and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [vi ^ gf.gf_mul(f, vc) for vi, vc in zip(aug[i], aug[col])]
+    return [row[k:] for row in aug]
+
+
+@st.composite
+def linear_systems(draw):
+    m, k = draw(st.integers(1, 7)), draw(st.integers(1, 6))
+    a = draw(st.lists(st.lists(vector_elems, min_size=k, max_size=k), min_size=m, max_size=m))
+    b = draw(st.lists(vector_elems, min_size=m, max_size=m))
+    return a, b
+
+
+@given(linear_systems())
+@example(([[1, 1], [1, 1]], [1, 0]))  # inconsistent
+@example(([[1, 1], [1, 1], [2, 3]], [1, 1, 5]))  # more rows than unknowns, consistent
+@example(([[0, 0, 0]], [0]))  # no pivot at all
+def test_solve_linear_matches_elementwise_reference(system):
+    a, b = system
+    a_before, b_before = [list(row) for row in a], list(b)
+    assert gf.solve_linear(a, b) == solve_linear_reference(a, b)
+    assert (a, b) == (a_before, b_before)
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda k: st.lists(st.lists(vector_elems, min_size=k, max_size=k), min_size=k, max_size=k)))
+@example([[0, 1], [1, 0]])  # pivot swap
+@example([[1, 2], [2, 4]])  # singular: the second row is twice the first
+def test_invert_matrix_matches_elementwise_reference(a):
+    a_before = [list(row) for row in a]
+    try:
+        want = invert_matrix_reference(a)
+    except ValueError:
+        import pytest
+
+        with pytest.raises(ValueError, match="singular"):
+            gf.invert_matrix(a)
+    else:
+        assert gf.invert_matrix(a) == want
+    assert a == a_before
+
+
+def test_invert_matrix_matches_reference_on_vandermonde_matrices():
+    # the recovery matrices of rs are inverses of Vandermonde-like rows
+    for k in (1, 4, 11, 24):
+        rng = np.random.default_rng(k)
+        xs = rng.choice(np.arange(1, gf.FIELD_SIZE), size=k, replace=False).tolist()
+        a = [[gf.gf_pow(x, i) for i in range(k)] for x in xs]
+        assert gf.invert_matrix(a) == invert_matrix_reference(a)

@@ -540,3 +540,35 @@ def test_star_module_caches_are_bounded():
     assert caches
     for cache in caches:
         assert cache.cache_info().maxsize is not None, cache.__name__
+
+
+class _StaleMatchingStar(GrowingStar):
+    """GrowingStar with a planted bug: deleting a matched complement edge
+    drops it from the carried matching without marking the rest stale, so
+    star() is handed a matching that may not be maximum."""
+
+    def add_edge(self, u, v):
+        self.graph = self.graph.with_edge(u, v)
+        rows = list(self.complement.rows)
+        rows[u - 1] &= ~(1 << (v - 1))
+        rows[v - 1] &= ~(1 << (u - 1))
+        self.complement = PartyGraph._trusted(self.n, tuple(rows))
+        self._matched = self._matched - {(min(u, v), max(u, v))}
+        if len(self._matched) > self.t:
+            return NOSTAR
+        return star(self.graph, self.n, self.t, _carried=(self.complement, self._matched))
+
+
+def test_check_star_reports_an_exception_as_a_failure(monkeypatch):
+    from bbext import checks
+
+    monkeypatch.setattr(checks, "GrowingStar", _StaleMatchingStar)
+    report = checks.check_star(graphs=20)
+    assert not report.passed
+    # star() raises in some carried trials; each becomes a line naming the
+    # trial and the raising line, and the other trials still run
+    raised = [f for f in report.failures if ": raised InvariantViolation: " in f]
+    assert raised and all(f.startswith("carried trial=") and "(star.py:" in f for f in raised)
+    assert len(report.failures) > len(raised)
+    monkeypatch.undo()
+    assert checks.check_star(graphs=20).passed
