@@ -8,13 +8,16 @@ Library layout:
 - ``blocks``: the encode / distribute / reconstruct dissemination blocks.
 - ``star``: maximum matching and the star-extraction procedure used by the
   error-free protocols.
-- ``simnet``: deterministic round and event schedulers, adversary scripts,
-  and honest-bit metering.
+- ``simnet``: deterministic round and event schedulers, party contexts
+  with indexed mailboxes, and honest-bit metering.
 - ``oracles``: short-message broadcast/agreement primitives (ideal and
   concrete) plus the common-coin source.
-- ``protocols``: the seven long-message protocols as party coroutines.
+- ``adversary``: scripted Byzantine adversaries and the standard battery.
+- ``protocols``: the seven long-message protocols as party coroutines, the
+  four authenticated ones sharing one share-dissemination path.
 - ``runner``: one-call session execution.
-- ``cli``: experiment sweeps and property-suite checks.
+- ``checks``: the property suites behind the acceptance tests and the CLI.
+- ``cli``: experiment sweeps, message traces and property-suite checks.
 """
 
 from .protocols import PROTOCOLS, SessionParams

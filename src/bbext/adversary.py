@@ -26,13 +26,28 @@ from .simnet import (
 )
 
 
+PLACEMENTS = ("none", "tail", "tail_but_sender", "sender_and_tail")
+
+
 class AdversaryScript:
     """Base script: no corruption at all."""
 
     name = "honest"
+    # where corrupt_set puts the corrupt parties: "none"; "tail", the t
+    # highest ids; "tail_but_sender", the t highest ids other than the
+    # sender's; "sender_and_tail", the sender (when there is one) and the
+    # highest other ids, t in all
+    placement = "none"
 
     def corrupt_set(self, n: int, t: int, sender: int | None) -> frozenset[int]:
-        return frozenset()
+        if self.placement not in PLACEMENTS:
+            raise ValueError(f"unknown placement {self.placement!r}")
+        if self.placement == "none":
+            return frozenset()
+        # every rule but "tail" keeps the sender out of the tail
+        not_tail = frozenset({sender} if sender and self.placement != "tail" else ())
+        head = not_tail if self.placement == "sender_and_tail" else frozenset()
+        return head | _tail_corrupt(n, t - len(head), exclude=not_tail)
 
     def make_party(self, pid: int, honest_factory: Callable, env) -> Callable | None:
         """Behavior of corrupt party pid; None means fully silent."""
@@ -100,19 +115,17 @@ class Silent(AdversaryScript):
 
     name = "silent"
 
-    def corrupt_set(self, n, t, sender):
-        return _tail_corrupt(n, t, exclude=frozenset({sender} if sender else ()))
+    placement = "tail_but_sender"
 
 
 class CrashAtStep(AdversaryScript):
     """Honest behavior until the s-th step marker, then nothing."""
 
+    placement = "tail"
+
     def __init__(self, steps: int, name: str):
         self.steps = steps
         self.name = name
-
-    def corrupt_set(self, n, t, sender):
-        return _tail_corrupt(n, t)
 
     def make_party(self, pid, honest_factory, env):
         return hooked(honest_factory, crash_after_steps=self.steps)
@@ -125,9 +138,7 @@ class Equivocator(AdversaryScript):
 
     _KINDS = ("payload", "sym_self", "v_vec", "e_vec", "maj_val")
 
-    def corrupt_set(self, n, t, sender):
-        base = {sender} if sender else set()
-        return frozenset(base) | _tail_corrupt(n, t - len(base), exclude=frozenset(base))
+    placement = "sender_and_tail"
 
     def make_party(self, pid, honest_factory, env):
         def send_hook(ctx, dst, kind, payload):
@@ -146,9 +157,7 @@ class CorruptShareSender(AdversaryScript):
 
     name = "corrupt_share"
 
-    def corrupt_set(self, n, t, sender):
-        base = {sender} if sender else set()
-        return frozenset(base) | _tail_corrupt(n, t - len(base), exclude=frozenset(base))
+    placement = "sender_and_tail"
 
     def make_party(self, pid, honest_factory, env):
         def send_hook(ctx, dst, kind, payload):
@@ -169,9 +178,7 @@ class ForgedWitness(AdversaryScript):
 
     name = "forge_witness"
 
-    def corrupt_set(self, n, t, sender):
-        base = {sender} if sender else set()
-        return frozenset(base) | _tail_corrupt(n, t - len(base), exclude=frozenset(base))
+    placement = "sender_and_tail"
 
     def make_party(self, pid, honest_factory, env):
         rng = self._rng(env.seed * 1000 + pid)
@@ -194,8 +201,7 @@ class WrongHappy(CorruptChoice):
 
     name = "wrong_happy"
 
-    def corrupt_set(self, n, t, sender):
-        return _tail_corrupt(n, t)
+    placement = "tail"
 
     def make_party(self, pid, honest_factory, env):
         rng = self._rng(env.seed * 1000 + pid)
@@ -215,8 +221,7 @@ class OracleLiar(CorruptChoice):
 
     name = "oracle_liar"
 
-    def corrupt_set(self, n, t, sender):
-        return _tail_corrupt(n, t, exclude=frozenset({sender} if sender else ()))
+    placement = "tail_but_sender"
 
     def oracle_submissions(self, inst, engine):
         rng = random.Random((self.name, inst.instance).__repr__())
@@ -258,9 +263,7 @@ class WithholdCertificate(AdversaryScript):
 
     name = "withhold_cert"
 
-    def corrupt_set(self, n, t, sender):
-        base = {sender} if sender else set()
-        return frozenset(base) | _tail_corrupt(n, t - len(base), exclude=frozenset(base))
+    placement = "sender_and_tail"
 
     def make_party(self, pid, honest_factory, env):
         if env.spec.name != "sync-bb-highthresh" or pid != env.sender:
@@ -299,8 +302,7 @@ class ConflictingViews(AdversaryScript):
 
     name = "conflicting_views"
 
-    def corrupt_set(self, n, t, sender):
-        return _tail_corrupt(n, t)
+    placement = "tail"
 
     def make_party(self, pid, honest_factory, env):
         rng = self._rng(env.seed * 1000 + pid)
@@ -328,8 +330,7 @@ class JunkInjector(AdversaryScript):
     _INSTANCES = (None, "ba_commit", "ba_happy", "bb_commit", "rb_commit",
                   "flag/1", "flag/abc", "flag/999", "bb0", "rb0", "aba0")
 
-    def corrupt_set(self, n, t, sender):
-        return _tail_corrupt(n, t, exclude=frozenset({sender} if sender else ()))
+    placement = "tail_but_sender"
 
     def make_party(self, pid, honest_factory, env):
         rng = self._rng(env.seed * 991 + pid)
@@ -385,8 +386,7 @@ class PushyChoice(AdversaryScript):
 
     name = "pushy_choice"
 
-    def corrupt_set(self, n, t, sender):
-        return _tail_corrupt(n, t, exclude=frozenset({sender} if sender else ()))
+    placement = "tail_but_sender"
 
     def pick_oracle_output(self, inst, submitted, engine):
         if not submitted:
@@ -401,9 +401,6 @@ class ScheduledHonest(AdversaryScript):
         self.policy_name = policy_name
         self.name = f"sched_{policy_name}"
 
-    def corrupt_set(self, n, t, sender):
-        return frozenset()
-
     def scheduler_policy(self, corrupt, seed):
         if self.policy_name == "lifo":
             return LifoPolicy()
@@ -417,8 +414,7 @@ class StarvingScheduler(AdversaryScript):
 
     name = "sched_starve"
 
-    def corrupt_set(self, n, t, sender):
-        return _tail_corrupt(n, t, exclude=frozenset({sender} if sender else ()))
+    placement = "tail_but_sender"
 
     def scheduler_policy(self, corrupt, seed):
         return StarvePolicy(corrupt)

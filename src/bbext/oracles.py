@@ -220,7 +220,7 @@ class BrachaMachine:
             self.sent_echo = True
             self.echoes.setdefault(key, set()).add(self.ctx.pid)
             self._bcast("echo", my_value)
-            self._progress()
+            self._progress(key)
 
     def feed(self, env) -> None:
         try:
@@ -240,23 +240,20 @@ class BrachaMachine:
             self.echoes.setdefault(key, set()).add(env.src)
         elif tag == "ready":
             self.readies.setdefault(key, set()).add(env.src)
-        self._progress()
+        self._progress(key)
 
-    def _progress(self) -> None:
-        if not self.sent_ready:
-            for key in sorted(self.values):
-                if (len(self.echoes.get(key, ())) >= self.echo_thresh
-                        or len(self.readies.get(key, ())) >= self.ready_amplify):
-                    self.sent_ready = True
-                    self.readies.setdefault(key, set()).add(self.ctx.pid)
-                    self._bcast("ready", self.values[key])
-                    break
-        if not self.has_delivered:
-            for key in sorted(self.values):
-                if len(self.readies.get(key, ())) >= self.ready_deliver:
-                    self.has_delivered = True
-                    self.delivered = self.values[key]
-                    break
+    def _progress(self, key: bytes) -> None:
+        """Send ready and deliver on the thresholds key now meets. Each call
+        follows a change to key's counts alone, and every earlier call left
+        no key at a threshold it acts on, so key is the only one to check."""
+        if not self.sent_ready and (len(self.echoes.get(key, ())) >= self.echo_thresh
+                                    or len(self.readies.get(key, ())) >= self.ready_amplify):
+            self.sent_ready = True
+            self.readies.setdefault(key, set()).add(self.ctx.pid)
+            self._bcast("ready", self.values[key])
+        if not self.has_delivered and len(self.readies.get(key, ())) >= self.ready_deliver:
+            self.has_delivered = True
+            self.delivered = self.values[key]
 
 
 def bracha_rb(ctx: Ctx, instance: str, sender: int, my_value, value_bits: int):

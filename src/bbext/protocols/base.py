@@ -1,4 +1,7 @@
-"""Session parameters and helpers shared by the extension protocols."""
+"""Session parameters, and the share-dissemination steps that the four
+authenticated protocols run after agreeing on a commitment z: a payload
+that commits to z, the forward of one's own valid package, and the
+collection and decoding of every party's first valid forward."""
 
 from __future__ import annotations
 
@@ -73,6 +76,19 @@ def bare_acc(z_bytes: bytes, k: int) -> AccValue:
     return AccValue(data=z_bytes, nominal_bits=k)
 
 
+def payload_commitment(ctx: Ctx, message, z):
+    """encode_input's (shares, accumulation value) for a received payload
+    that commits to z; None for a payload that is not bytes, does not
+    encode, or commits to something else, and whenever z is not bytes."""
+    if not (isinstance(message, bytes) and isinstance(z, bytes)):
+        return None
+    try:
+        commit = encode_input(ctx, message)
+    except ValueError:
+        return None
+    return commit if commit[1].data == z else None
+
+
 def first_valid_own_package(ctx: Ctx, z: AccValue, envs):
     """Earliest package among envs (share_pkg envelopes in arrival order)
     for our own index that verifies under z."""
@@ -82,24 +98,60 @@ def first_valid_own_package(ctx: Ctx, z: AccValue, envs):
     return None
 
 
-def forwarded_packages(ctx: Ctx) -> dict[int, object]:
-    """First package per forwarding party, keyed by the forwarder id."""
-    table: dict[int, object] = {}
-    for env in ctx.inbox(kind="share_fwd"):
-        if env.src not in table:
-            table[env.src] = env.payload
-    return table
+def forward_own_package(ctx: Ctx, pkg) -> None:
+    """Send our own verified package to every party, ourselves included."""
+    ctx.broadcast("share_fwd", pkg, bits=pkg.nominal_bits(), step="share")
+    ctx.self_deliver("share_fwd", pkg, step="share")
 
 
-def shared_sync_tail(ctx: Ctx, z_bytes: bytes, happy: bool, my_message: bytes | None,
-                     my_commit, happy_vote: int):
+class ForwardCollector:
+    """Forwarded packages: the first one per forwarder that verifies under z
+    for the forwarder's own index, read through a cursor."""
+
+    def __init__(self, ctx: Ctx, z: AccValue):
+        self.ctx = ctx
+        self.z = z
+        self.table: dict[int, blocks.SharePackage] = {}
+        self.mail = ctx.reader("share_fwd")
+        self._tried = 0  # table size at the last decode; the table only grows
+
+    def update(self) -> int:
+        """Take the forwards filed since the last call; the table's size."""
+        codec = self.ctx.session.codec
+        for env in self.mail.new():
+            if env.src not in self.table and codec.verify(self.z, env.payload, env.src):
+                self.table[env.src] = env.payload
+        return len(self.table)
+
+    def reconstruct(self):
+        """(message, shares, accumulation value) when the table decodes to a
+        message whose shares commit to z again; None otherwise, which
+        includes a committed set that decodes but is not the canonical
+        encoding of any message (e.g. padded with extra zero stripes). A
+        table that has not grown since the last call decodes the same way,
+        so it gives None without decoding again."""
+        size = self.update()
+        if size <= self._tried:
+            return None
+        self._tried = size
+        codec, params = self.ctx.session.codec, self.ctx.params
+        got = codec.reconstruct(self.table, self.z, d0=params.t, b=params.b)
+        if got is None:
+            return None
+        shares, rich = codec.commit(got[0], params.b, got[1])
+        return (got[0], shares, rich) if rich.data == self.z.data else None
+
+
+def shared_sync_tail(ctx: Ctx, z, happy: bool, my_message: bytes | None, my_commit,
+                     happy_vote):
     """Distribution, one-shot forwarding, and reconstruction rounds common to
-    the synchronous minority-fault protocols; my_commit is the (shares,
-    accumulation value) pair of encode_input for my_message."""
-    params = ctx.params
+    the synchronous minority-fault protocols, after the agreed commitment z
+    and the agreed happy vote; my_commit is the (shares, accumulation value)
+    pair of encode_input for my_message."""
     if happy_vote != 1:
         return BOT
-    z = bare_acc(z_bytes, params.k)
+    z_bytes = z if isinstance(z, bytes) else b""
+    z = bare_acc(z_bytes, ctx.params.k)
     ctx.set_step("distribute")
     if happy:
         my_shares, rich = my_commit
@@ -110,14 +162,12 @@ def shared_sync_tail(ctx: Ctx, z_bytes: bytes, happy: bool, my_message: bytes | 
     ctx.set_step("share")
     mine = first_valid_own_package(ctx, z, ctx.inbox("share_pkg"))
     if mine is not None:
-        ctx.broadcast("share_fwd", mine, bits=mine.nominal_bits(), step="share")
-        ctx.self_deliver("share_fwd", mine, step="share")
+        forward_own_package(ctx, mine)
     yield NEXT_ROUND
     ctx.set_step("reconstruct")
     if happy:
         return my_message
-    table = forwarded_packages(ctx)
-    out = ctx.session.codec.reconstruct(table, z, d0=params.t, b=params.b)
+    out = ForwardCollector(ctx, z).reconstruct()
     if out is None:
         raise AssertionError(
             f"party {ctx.pid}: reconstruction failed although the happy vote carried"

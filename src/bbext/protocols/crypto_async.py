@@ -11,25 +11,8 @@ from __future__ import annotations
 from .. import blocks
 from ..oracles import ba_oracle, bcast_oracle
 from ..simnet import BOT, Ctx, InvariantViolation
-from .base import ProtocolSpec, bare_acc, encode_input
-
-
-class _FwdTracker:
-    """First forwarded package per sender, verified against the commitment."""
-
-    def __init__(self, ctx: Ctx, z):
-        self.ctx = ctx
-        self.z = z
-        self.table: dict[int, blocks.SharePackage] = {}
-        self.mail = ctx.reader("share_fwd")
-
-    def update(self) -> int:
-        for env in self.mail.new():
-            if env.src not in self.table and self.ctx.session.codec.verify(
-                self.z, env.payload, env.src
-            ):
-                self.table[env.src] = env.payload
-        return len(self.table)
+from .base import (ForwardCollector, ProtocolSpec, bare_acc, encode_input,
+                   first_valid_own_package, forward_own_package, payload_commitment)
 
 
 def async_ba_third(ctx: Ctx, my_input: bytes, sender: int | None = None):
@@ -49,25 +32,20 @@ def async_ba_third(ctx: Ctx, my_input: bytes, sender: int | None = None):
         blocks.distribute(ctx, shares, z_mine, step="distribute")
     ctx.set_step("share")
     packages = ctx.reader("share_pkg")
-    mine = None
+    mine = first_valid_own_package(ctx, z_acc, packages.new())
     while mine is None:
-        for env in packages.new():
-            if ctx.session.codec.verify(z_acc, env.payload, ctx.pid):
-                mine = env.payload
-                break
-        if mine is None:
-            yield packages.wait()
-    ctx.broadcast("share_fwd", mine, bits=mine.nominal_bits(), step="share")
-    ctx.self_deliver("share_fwd", mine, step="share")
+        yield packages.wait()
+        mine = first_valid_own_package(ctx, z_acc, packages.new())
+    forward_own_package(ctx, mine)
     if happy:
         if z_mine.data != z:
             raise InvariantViolation("happy party's commitment must match the agreed one")
         return my_input
     ctx.set_step("reconstruct")
-    tracker = _FwdTracker(ctx, z_acc)
-    while tracker.update() < params.n - params.t:
-        yield tracker.mail.wait()
-    got = ctx.session.codec.reconstruct(tracker.table, z_acc, d0=params.t, b=params.b)
+    forwards = ForwardCollector(ctx, z_acc)
+    while forwards.update() < params.n - params.t:
+        yield forwards.mail.wait()
+    got = forwards.reconstruct()
     if got is None:
         raise AssertionError(f"party {ctx.pid}: reconstruction failed after a carried happy vote")
     return got[0]
@@ -91,17 +69,14 @@ def async_rb_third(ctx: Ctx, my_input: bytes | None, sender: int):
     happy = False
     message = my_input if ctx.pid == sender else None
     happy_known = ctx.pid == sender
-    my_shares = None
     if ctx.pid == sender:
         happy = z_mine.data == z
         ctx.set_happy(happy)
-        my_shares = shares
         if happy:
             ctx.set_step("distribute")
-            blocks.distribute(ctx, my_shares, z_mine, step="distribute")
+            blocks.distribute(ctx, shares, z_mine, step="distribute")
     forwarded = None
-    tracker = _FwdTracker(ctx, z_acc)
-    tried = 0  # tracker table size at the last reconstruction
+    forwards = ForwardCollector(ctx, z_acc)
     payloads = ctx.reader("payload")
     packages = ctx.reader("share_pkg")
     mail = ctx.reader()
@@ -110,48 +85,30 @@ def async_rb_third(ctx: Ctx, my_input: bytes | None, sender: int):
             first = next((e for e in payloads.new() if e.src == sender), None)
             if first is not None:
                 happy_known = True
-                m = first.payload
-                if isinstance(m, bytes):
-                    try:
-                        cand_shares, cand_z = encode_input(ctx, m)
-                    except ValueError:
-                        cand_shares, cand_z = None, None
-                    if cand_z is not None and cand_z.data == z:
-                        happy = True
-                        ctx.set_happy(True)
-                        message = m
-                        my_shares = cand_shares
-                        ctx.set_step("distribute")
-                        blocks.distribute(ctx, my_shares, cand_z, step="distribute")
+                commit = payload_commitment(ctx, first.payload, z)
+                if commit is not None:
+                    happy = True
+                    ctx.set_happy(True)
+                    message = first.payload
+                    ctx.set_step("distribute")
+                    blocks.distribute(ctx, *commit, step="distribute")
         if forwarded is None:
-            for env in packages.new():
-                if ctx.session.codec.verify(z_acc, env.payload, ctx.pid):
-                    forwarded = env.payload
-                    ctx.set_step("share")
-                    ctx.broadcast("share_fwd", forwarded, bits=forwarded.nominal_bits(), step="share")
-                    ctx.self_deliver("share_fwd", forwarded, step="share")
-                    break
+            forwarded = first_valid_own_package(ctx, z_acc, packages.new())
+            if forwarded is not None:
+                ctx.set_step("share")
+                forward_own_package(ctx, forwarded)
         if happy and forwarded is not None:
             return message
-        if not happy and forwarded is not None and tracker.update() >= params.n - params.t:
+        if not happy and forwarded is not None and forwards.update() >= params.n - params.t:
             ctx.set_step("reconstruct")
-            got = None
-            if len(tracker.table) > tried:  # the same table decodes the same way
-                tried = len(tracker.table)
-                got = ctx.session.codec.reconstruct(tracker.table, z_acc, d0=params.t,
-                                                    b=params.b)
+            # a set that decodes to no canonical encoding makes nobody happy
+            # and nobody output - an allowed outcome under a faulty sender
+            got = forwards.reconstruct()
             if got is not None:
-                m, bit_len = got
-                rebuilt, rich = ctx.session.codec.commit(m, params.b, bit_len)
-                if rich.data == z:
-                    ctx.set_step("redistribute")
-                    blocks.distribute(ctx, rebuilt, rich, step="redistribute")
-                    return m
-                # the committed set decodes but is not the canonical encoding
-                # of any message (e.g. padded with extra zero stripes): no
-                # party can ever be happy with it and witnesses for canonical
-                # shares cannot exist, so nobody outputs - an allowed outcome
-                # under a faulty sender
+                m, rebuilt, rich = got
+                ctx.set_step("redistribute")
+                blocks.distribute(ctx, rebuilt, rich, step="redistribute")
+                return m
         # any new mail, not only the kinds read above, wakes the loop again
         mail.new()
         yield mail.wait()

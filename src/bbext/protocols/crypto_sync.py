@@ -11,14 +11,9 @@ from .. import blocks
 from ..multisig import MultiSig, msig_combine
 from ..oracles import ba_oracle, bcast_oracle
 from ..simnet import BOT, Ctx, InvariantViolation, NEXT_ROUND
-from .base import (
-    ProtocolSpec,
-    bare_acc,
-    encode_input,
-    first_valid_own_package,
-    forwarded_packages,
-    shared_sync_tail,
-)
+from .base import (ForwardCollector, ProtocolSpec, bare_acc, encode_input,
+                   first_valid_own_package, forward_own_package, payload_commitment,
+                   shared_sync_tail)
 
 
 def sync_ba_half(ctx: Ctx, my_input: bytes, sender: int | None = None):
@@ -30,8 +25,7 @@ def sync_ba_half(ctx: Ctx, my_input: bytes, sender: int | None = None):
     happy = z == z_mine.data
     ctx.set_happy(happy)
     vote = yield from ba_oracle(ctx, "sync_ba", "ba_happy", int(happy), 1)
-    out = yield from shared_sync_tail(ctx, z if isinstance(z, bytes) else b"", happy,
-                                      my_input, (shares, z_mine), 1 if vote == 1 else 0)
+    out = yield from shared_sync_tail(ctx, z, happy, my_input, (shares, z_mine), vote)
     if happy and out is not BOT and out != my_input:
         raise InvariantViolation("happy party must output its own message")
     return out
@@ -44,7 +38,6 @@ def sync_bb_half(ctx: Ctx, my_input: bytes | None, sender: int):
     ctx.set_step("payload")
     message = None
     z_bytes_own = None
-    commit = None
     if ctx.pid == sender:
         message = my_input
         z_bytes_own = encode_input(ctx, message)[1].data
@@ -54,19 +47,11 @@ def sync_bb_half(ctx: Ctx, my_input: bytes | None, sender: int):
         first = next((e for e in ctx.reader("payload").new() if e.src == sender), None)
         if first is not None:
             message = first.payload
-    happy = False
-    if isinstance(message, bytes) and isinstance(z, bytes):
-        try:
-            commit = encode_input(ctx, message)
-            happy = commit[1].data == z
-        except ValueError:
-            happy = False
+    commit = payload_commitment(ctx, message, z)
+    happy = commit is not None
     ctx.set_happy(happy)
     vote = yield from ba_oracle(ctx, "sync_ba", "ba_happy", int(happy), 1)
-    return (
-        yield from shared_sync_tail(ctx, z if isinstance(z, bytes) else b"", happy,
-                                    message, commit, 1 if vote == 1 else 0)
-    )
+    return (yield from shared_sync_tail(ctx, z, happy, message, commit, vote))
 
 
 def _happy_tag(ctx: Ctx) -> bytes:
@@ -111,12 +96,13 @@ def sync_bb_high_threshold(ctx: Ctx, my_input: bytes | None, sender: int):
     z_acc = bare_acc(z if isinstance(z, bytes) else b"", params.k)
 
     distributed = False
-    shared = False
+    mine = None
     reconstructed = False
     cert_mail = ctx.reader("happy_cert")
     # z_acc is fixed, so a package rejected once is rejected again: each
     # iteration checks only the packages filed since the last
     pkg_mail = ctx.reader("share_pkg")
+    forwards = ForwardCollector(ctx, z_acc)
     for r in range(1, params.t + 2):
         ctx.set_step("distribute")
         if happy and not distributed:
@@ -132,30 +118,21 @@ def sync_bb_high_threshold(ctx: Ctx, my_input: bytes | None, sender: int):
         yield NEXT_ROUND
         cert_envs = cert_mail.new()
         ctx.set_step("share")
-        if not shared:
+        if mine is None:
             mine = first_valid_own_package(ctx, z_acc, pkg_mail.new())
             if mine is not None:
-                shared = True
-                ctx.broadcast("share_fwd", mine, bits=mine.nominal_bits(), step="share")
-                ctx.self_deliver("share_fwd", mine, step="share")
+                forward_own_package(ctx, mine)
         yield NEXT_ROUND
         # reconstruction: no communication
         if not reconstructed:
             chain_len, cert = _best_cert(ctx, cert_envs, exclude=ctx.pid)
-            if chain_len >= r:
-                table = forwarded_packages(ctx)
-                got = ctx.session.codec.reconstruct(table, z_acc, d0=params.t, b=params.b)
-                if got is not None:
-                    m, bit_len = got
-                    rebuilt, rich = ctx.session.codec.commit(m, params.b, bit_len)
-                    if rich.data == z:
-                        reconstructed = True
-                        ctx.set_happy(True)
-                        happy = True
-                        output = m
-                        my_shares, my_rich = rebuilt, rich
-                        trigger_cert = cert
-                        ctx.engine.metrics.extra[f"happy_iter/{ctx.pid}"] = r
+            got = forwards.reconstruct() if chain_len >= r else None
+            if got is not None:
+                output, my_shares, my_rich = got
+                reconstructed = happy = True
+                ctx.set_happy(True)
+                trigger_cert = cert
+                ctx.engine.metrics.extra[f"happy_iter/{ctx.pid}"] = r
     return output
 
 

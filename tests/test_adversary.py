@@ -4,7 +4,16 @@ import pytest
 
 from bbext import blocks
 from bbext.accumulator import Witness
-from bbext.adversary import CorruptShareSender, Equivocator, OracleLiar, WrongHappy, hooked
+from bbext.adversary import (
+    AdversaryScript,
+    CorruptShareSender,
+    Equivocator,
+    OracleLiar,
+    WrongHappy,
+    _tail_corrupt,
+    adversary_battery,
+    hooked,
+)
 from bbext.simnet import BOT, Ctx, StopProtocol
 
 PAYLOADS = [b"", b"\x00", b"\xff\xa5\x5a", bytes(range(256)), bytes(range(255, -1, -3)) * 40]
@@ -88,3 +97,45 @@ def test_oracle_slack_goes_to_the_first_corrupt_submission(script):
     inst = SimpleNamespace(submissions={3: b"c", 2: b"b"})
     assert script.pick_oracle_output(inst, [b"b", b"c"], engine) == b"b"
     assert script.pick_oracle_output(SimpleNamespace(submissions={}), [], engine) is BOT
+
+
+# reference: each battery script's corrupt set, spelled out with
+# _tail_corrupt rule by rule (tail, tail avoiding the sender, sender plus tail)
+_TAIL = {"crash_early", "crash_mid", "wrong_happy", "conflicting_views"}
+_TAIL_BUT_SENDER = {"silent", "oracle_liar", "junk_injector", "pushy_choice", "sched_starve"}
+_SENDER_AND_TAIL = {"equivocator", "corrupt_share", "forge_witness", "withhold_cert"}
+_NONE = {"honest", "sched_lifo", "sched_random"}
+
+
+def _expected_corrupt(name, n, t, sender):
+    if name in _NONE:
+        return frozenset()
+    if name in _TAIL:
+        return _tail_corrupt(n, t)
+    if name in _TAIL_BUT_SENDER:
+        return _tail_corrupt(n, t, exclude=frozenset({sender} if sender else ()))
+    if name in _SENDER_AND_TAIL:
+        base = {sender} if sender else set()
+        return frozenset(base) | _tail_corrupt(n, t - len(base), exclude=frozenset(base))
+    assert name == "partial_payload"
+    return frozenset({sender}) if sender else _tail_corrupt(n, t)
+
+
+def test_battery_placements_match_each_scripts_rule():
+    scripts = adversary_battery()
+    assert {s.name for s in scripts} == (_TAIL | _TAIL_BUT_SENDER | _SENDER_AND_TAIL | _NONE
+                                         | {"partial_payload"})
+    for script in scripts:
+        for n in range(1, 11):
+            for t in range(1, n):
+                for sender in (None, 1, 2, n):
+                    assert (script.corrupt_set(n, t, sender)
+                            == _expected_corrupt(script.name, n, t, sender)), (script.name, n, t,
+                                                                              sender)
+
+
+def test_unknown_placement_is_rejected():
+    script = AdversaryScript()
+    script.placement = "head"
+    with pytest.raises(ValueError, match="placement"):
+        script.corrupt_set(4, 1, None)

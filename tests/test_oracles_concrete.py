@@ -1,15 +1,17 @@
 """Black-box behavior of the concrete oracle constructions."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bbext.adversary import AdversaryScript, ScheduledHonest, Silent, hooked
 from bbext.checks import build_inputs, evaluate_run, explore_schedules
 from bbext.multisig import msig_combine
-from bbext.oracles import _chain_tag, value_to_bytes
+from bbext.oracles import BrachaMachine, _chain_tag, value_to_bytes
 from bbext.protocols import SessionParams
 from bbext.protocols.base import ProtocolSpec
 from bbext.runner import run
-from bbext.simnet import BOT, RandomPolicy
+from bbext.simnet import BOT, RandomPolicy, _canon
 
 
 def chain_bb_spec():
@@ -449,3 +451,102 @@ def test_ready_votes_for_retyped_flag_keep_termination():
             res = run("ef-async-rb-third", params, inputs, adversary=ReadyOneAsBytes(),
                       seed=seed, oracle_impl={"async_rb": "concrete"})
             assert evaluate_run("rb", inputs, 1, res) == [], (n, seed)
+
+
+# --- BrachaMachine: thresholds checked on the fed key only -------------------
+
+
+class _FakeCtx:
+    """The parts of a party context a BrachaMachine reads: its id, the
+    session sizes, and a broadcast that records (kind, payload)."""
+
+    def __init__(self, pid: int, n: int, t: int):
+        self.pid = pid
+        self.params = SessionParams(n=n, t=t, l=8, threshold_regime="third_async")
+        self.sent: list = []
+
+    def broadcast(self, kind, payload, **_):
+        self.sent.append((kind, payload))
+
+
+class _Env:
+    def __init__(self, src, payload):
+        self.src = src
+        self.payload = payload
+
+
+class _SortedScanBracha(BrachaMachine):
+    """Reference: every distinct value seen, in sorted key order, checked
+    against both thresholds after each step."""
+
+    def _progress(self, key=None) -> None:
+        if not self.sent_ready:
+            for k in sorted(self.values):
+                if (len(self.echoes.get(k, ())) >= self.echo_thresh
+                        or len(self.readies.get(k, ())) >= self.ready_amplify):
+                    self.sent_ready = True
+                    self.readies.setdefault(k, set()).add(self.ctx.pid)
+                    self._bcast("ready", self.values[k])
+                    break
+        if not self.has_delivered:
+            for k in sorted(self.values):
+                if len(self.readies.get(k, ())) >= self.ready_deliver:
+                    self.has_delivered = True
+                    self.delivered = self.values[k]
+                    break
+
+
+_VALUES = st.sampled_from([b"", b"a", b"b", b"ab", 0, 1, 7, -1, BOT, "text", 2**80])
+_PAYLOADS = st.one_of(
+    # a few values, often repeated, so the thresholds are reached
+    st.tuples(st.sampled_from(["send", "echo", "ready"]), st.sampled_from([b"a", b"b", 1])),
+    st.tuples(st.sampled_from(["send", "echo", "ready", "other"]), _VALUES),
+    st.sampled_from([None, 3, ("echo",), ("a", "b", "c")]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([(4, 1), (7, 2), (10, 3)]), st.integers(1, 3), st.booleans(),
+       st.lists(st.tuples(st.integers(1, 10), _PAYLOADS), min_size=20, max_size=80))
+def test_bracha_machine_matches_sorted_scan(nt, sender, start_as_sender, feeds):
+    n, t = nt
+    pid = sender if start_as_sender else 1 + sender % n
+    machines = []
+    for cls in (BrachaMachine, _SortedScanBracha):
+        ctx = _FakeCtx(pid, n, t)
+        m = cls(ctx, "rb0", sender, 8)
+        m.start(b"mine" if pid == sender else None)
+        for src, payload in feeds:
+            m.feed(_Env(1 + (src - 1) % n, payload))
+        machines.append((m, ctx))
+    (got, got_ctx), (ref, ref_ctx) = machines
+    assert got_ctx.sent == ref_ctx.sent
+    assert (got.sent_ready, got.has_delivered) == (ref.sent_ready, ref.has_delivered)
+    assert _canon(got.delivered) == _canon(ref.delivered)
+
+
+class _CountingDict(dict):
+    """A dict that counts the keys looked up in it."""
+
+    looked_up = 0
+
+    def get(self, key, default=None):
+        _CountingDict.looked_up += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        _CountingDict.looked_up += 1
+        return super().__getitem__(key)
+
+
+def test_bracha_machine_work_per_junk_value_is_constant():
+    # a corrupt party floods distinct echo values: each feed inspects a
+    # constant number of keys, not every value seen so far
+    floods = 400
+    m = BrachaMachine(_FakeCtx(2, 10, 3), "rb0", 1, 8)
+    m.echoes, m.readies = _CountingDict(), _CountingDict()
+    _CountingDict.looked_up = 0
+    for i in range(floods):
+        m.feed(_Env(10, ("echo", i.to_bytes(4, "big"))))
+    assert _CountingDict.looked_up <= 3 * floods
+    assert not m.sent_ready and not m.has_delivered

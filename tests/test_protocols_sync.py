@@ -16,8 +16,9 @@ from bbext.adversary import (
     WrongHappy,
     _tail_corrupt,
     adversary_battery,
+    hooked,
 )
-from bbext.blocks import CodecMemo
+from bbext.blocks import CodecMemo, IndexedShare, SharePackage, verify_package
 from bbext.checks import build_inputs, evaluate_run
 from bbext.protocols import SessionParams, crypto_sync
 from bbext.runner import RunResult, run
@@ -317,3 +318,43 @@ def test_agreement_tells_apart_what_repr_tells_apart(a, b):
     assert repr(a) != repr(b)
     assert len(_judged({1: a, 2: b})) == 1
     assert _judged({1: a, 2: a, 3: a}) == [] == _judged({1: b, 2: b})
+
+
+class JunkThenForward(PushyChoice):
+    """Corrupt parties run the honest code but send each recipient their own
+    package with every share byte flipped just before its forward; oracle
+    slack goes to the largest value, so the happy vote carries and the
+    unhappy honest parties reconstruct."""
+
+    name = "junk_then_forward"
+
+    def make_party(self, pid, honest_factory, env):
+        def send_hook(ctx, dst, kind, payload):
+            if kind == "share_fwd":
+                share = payload.indexed_share
+                flipped = bytes(x ^ 0xFF for x in share.share)
+                junk = SharePackage(IndexedShare(share.index, flipped), payload.witness)
+                ctx.engine.submit_send(ctx.pid, dst, kind, junk, 8, "share", None, None)
+            return kind, payload
+
+        return hooked(honest_factory, send_hook=send_hook)
+
+
+def test_forwarded_table_keeps_the_first_valid_package(monkeypatch):
+    # a forwarder's junk arriving first must not erase its valid share
+    tables = []
+    orig = CodecMemo.reconstruct
+
+    def reconstruct(memo, packages, z, d0, b):
+        tables.append((memo, dict(packages), z))
+        return orig(memo, packages, z, d0, b)
+
+    monkeypatch.setattr(CodecMemo, "reconstruct", reconstruct)
+    params = p_half(n=5)
+    inputs = {pid: M if pid != 2 else M[::-1] for pid in range(1, 6)}
+    res = run("sync-ba-half", params, inputs, adversary=JunkThenForward(), seed=0)
+    assert not evaluate_run("ba", inputs, None, res)
+    assert tables
+    for memo, table, z in tables:
+        for pid in res.corrupt:
+            assert verify_package(memo.ak, z, table[pid], expect_index=pid)
