@@ -319,6 +319,26 @@ class ConflictingViews(AdversaryScript):
         return hooked(honest_factory, send_hook=send_hook)
 
 
+def _junk_value(rng: random.Random, depth: int = 0):
+    """A malformed payload. Module-level, not a closure that calls itself:
+    such a closure is a reference cycle that keeps it and its ``Random``
+    alive until the next collection."""
+    draws = [
+        lambda: rng.randrange(-5, 300),
+        lambda: bytes(rng.randrange(256) for _ in range(rng.randrange(0, 8))),
+        lambda: "text",
+        lambda: None,
+        lambda: (rng.randrange(5), rng.randrange(5)),
+        lambda: ("est", rng.randrange(3), rng.randrange(4)),
+        lambda: ("send", b"x"),
+        lambda: [1, 2],
+        lambda: 2**80,
+    ]
+    if depth == 0:
+        draws.append(lambda: (_junk_value(rng, 1), _junk_value(rng, 1), _junk_value(rng, 1)))
+    return rng.choice(draws)()
+
+
 class JunkInjector(AdversaryScript):
     """Sprays structurally malformed payloads of every message kind; honest
     parties must ignore them without crashing or losing their guarantees."""
@@ -335,22 +355,6 @@ class JunkInjector(AdversaryScript):
     def make_party(self, pid, honest_factory, env):
         rng = self._rng(env.seed * 991 + pid)
 
-        def junk_value(depth=0):
-            draws = [
-                lambda: rng.randrange(-5, 300),
-                lambda: bytes(rng.randrange(256) for _ in range(rng.randrange(0, 8))),
-                lambda: "text",
-                lambda: None,
-                lambda: (rng.randrange(5), rng.randrange(5)),
-                lambda: ("est", rng.randrange(3), rng.randrange(4)),
-                lambda: ("send", b"x"),
-                lambda: [1, 2],
-                lambda: 2**80,
-            ]
-            if depth == 0:
-                draws.append(lambda: (junk_value(1), junk_value(1), junk_value(1)))
-            return rng.choice(draws)()
-
         def party(ctx):
             from .accumulator import Witness
             from .blocks import IndexedShare, SharePackage
@@ -359,7 +363,7 @@ class JunkInjector(AdversaryScript):
                 if dst == ctx.pid:
                     continue
                 kind = rng.choice(self._KINDS)
-                payload = junk_value()
+                payload = _junk_value(rng)
                 if kind in ("share_pkg", "share_fwd") and rng.random() < 0.5:
                     payload = SharePackage(
                         indexed_share=IndexedShare(

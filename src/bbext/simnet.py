@@ -14,14 +14,18 @@ fully adversarial inside that bound.
 A send is one immutable ``Envelope``, built once however many parties it
 goes to: a broadcast by a party without a send hook, or an ideal oracle's
 output, is one record with its destination list, metered with one charge.
-Delivery files that same record into each destination's lists, in
+Delivery appends that same record to each destination's mailbox, in
 destination order.
 
-Mail costs O(new mail), not O(mailbox). A party's delivered and
-self-delivered envelopes are filed into its mailbox and into an index by
-kind and by (kind, instance), so ``Ctx.inbox`` returns a list without
-scanning. A party reads new mail through a cursor (``Ctx.reader``) that
-remembers how far it has read.
+Mail is filed only where it is read. Every envelope reaching a party goes
+into its mailbox; a list of its mail of one kind, or of one (kind,
+instance), exists only once the party has asked for it (``Ctx.inbox``,
+``Ctx.reader``, ``Ctx.oracle_result``). The first request builds it by one
+scan of the mailbox, in arrival order, or starts it empty if no mail of
+that key has been filed to anyone yet; from then on delivery appends to
+it, at one table lookup per envelope and key, so reading it costs nothing.
+A party reads new mail through a cursor (``Ctx.reader``) that remembers how
+far it has read.
 
 Only bits sent by honest parties are metered, at nominal sizes. Ideal-oracle
 invocations are charged their model cost pro rata to the honest fraction.
@@ -32,7 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from collections import defaultdict
+from operator import attrgetter
 from dataclasses import dataclass
 from typing import Callable, Generator, NamedTuple
 
@@ -219,26 +223,23 @@ class PrefixPolicy(SchedulerPolicy):
 
 
 class Reader:
-    """A cursor over one of a party's filed inbox lists (see ``Ctx.reader``).
+    """A cursor over one of a party's inbox lists (see ``Ctx.reader``).
 
     ``new()`` returns the envelopes filed since its last call, as a fresh
-    list, so the caller may self-deliver while iterating. ``wait()`` is the
-    wait condition "mail past the cursor has arrived"; it holds the filed
-    list, which later mail extends, so checking it costs one ``len``. The
-    reader builds that condition once and returns it on every call; it reads
-    the cursor from a one-item list, because a predicate holding the reader
-    would be a reference cycle that keeps the party's Ctx, and the session's
-    mail, alive until the next full collection.
+    list, so the caller may self-deliver while iterating. The reader holds
+    the list it reads, which later mail extends, so ``new()`` does no lookup.
+    ``wait()`` is the wait condition "mail past the cursor has arrived";
+    checking it costs one ``len``. The reader builds that condition once and
+    returns it on every call; it reads the cursor from a one-item list,
+    because a predicate holding the reader would be a reference cycle that
+    keeps the session's mail alive until the next full collection.
     """
 
-    __slots__ = ("_ctx", "_kind", "_instance", "_cursor", "_until")
+    __slots__ = ("_box", "_cursor", "_until")
 
-    def __init__(self, ctx: "Ctx", kind: str | None, instance: str | None):
-        self._ctx = ctx
-        self._kind = kind
-        self._instance = instance
+    def __init__(self, box: list[Envelope]):
+        self._box = box
         self._cursor = cursor = [0]
-        box = ctx.inbox(kind, instance)
         self._until = Until(lambda: len(box) > cursor[0])
 
     @property
@@ -247,8 +248,7 @@ class Reader:
         return self._cursor[0]
 
     def new(self) -> list[Envelope]:
-        box = self._ctx.inbox(self._kind, self._instance)
-        cursor = self._cursor
+        box, cursor = self._box, self._cursor
         fresh = box[cursor[0]:]
         cursor[0] = len(box)
         return fresh
@@ -260,14 +260,17 @@ class Reader:
 class Ctx:
     """Per-party handle into the engine: sending, mailbox, oracles, flags.
 
-    Every envelope reaching the party is filed once (``_file``): appended to
-    ``mailbox`` and to the index lists of its kind and of its (kind,
-    instance). A broadcast's one record is filed into every recipient's
-    lists, so an envelope is shared and immutable. ``inbox`` returns one of
-    those lists as it stands, in arrival order; callers must not modify it.
-    ``reader`` wraps one in a cursor for loops that consume mail as it
-    arrives. ``broadcast`` from a party without a send hook goes to the
-    engine in one call and is metered once.
+    Every envelope reaching the party is appended to ``mailbox``. A list of
+    the party's mail of one kind, or of one (kind, instance), is built on
+    its first request, by one scan of the mailbox unless nothing has been
+    filed under its key yet, and registered with the engine, whose
+    deliveries extend it from then on; mail of a key nobody asked for is
+    filed in the mailbox alone. A broadcast's one record is
+    filed into every recipient's lists, so an envelope is shared and
+    immutable. ``inbox`` returns one of those lists as it stands, in arrival
+    order; callers must not modify it. ``reader`` wraps one in a cursor for
+    loops that consume mail as it arrives. ``broadcast`` from a party
+    without a send hook goes to the engine in one call and is metered once.
 
     A corrupt party that runs the honest code gets three rewrites here (see
     ``adversary.hooked``): ``send_hook(ctx, dst, kind, payload)`` returns the
@@ -282,9 +285,9 @@ class Ctx:
         self.engine = engine
         self.pid = pid
         self.mailbox: list[Envelope] = []
-        # a kind keys every envelope of that kind, (kind, instance) those
-        # that also carry that instance
-        self._index: defaultdict[object, list[Envelope]] = defaultdict(list)
+        # the lists asked for so far: a kind keys every envelope of that
+        # kind, (kind, instance) those that also carry that instance
+        self._lists: dict[object, list[Envelope]] = {}
         self.happy = False
         self.step = "init"
         self._oracle_seq: dict[str, int] = {}
@@ -337,31 +340,28 @@ class Ctx:
 
     def self_deliver(self, kind: str, payload, step: str | None = None,
                      instance: str | None = None) -> None:
-        self._file(Envelope(self.pid, kind, payload, 0, step or self.step, instance,
-                            self.engine.tick))
-
-    def _file(self, env: Envelope) -> None:
-        self.mailbox.append(env)
-        self._index[env.kind].append(env)
-        if env.instance is not None:
-            self._index[env.kind, env.instance].append(env)
+        self.engine._file(Envelope(self.pid, kind, payload, 0, step or self.step, instance,
+                                   self.engine.tick), self.pid)
 
     def inbox(self, kind: str | None = None, instance: str | None = None) -> list[Envelope]:
         """Received envelopes in arrival order, filtered by kind and instance:
         the filed list itself, which later mail extends. Read it, do not
-        modify it."""
-        if kind is not None:
-            return self._index[kind if instance is None else (kind, instance)]
-        if instance is None:
-            return self.mailbox
-        raise ValueError("an inbox of one instance needs a kind")
+        modify it. The first request for a (kind, instance) or kind builds
+        its list from the mailbox."""
+        if kind is None:
+            if instance is None:
+                return self.mailbox
+            raise ValueError("an inbox of one instance needs a kind")
+        key = kind if instance is None else (kind, instance)
+        box = self._lists.get(key)
+        if box is None:
+            box = self._lists[key] = self.engine._open(self.pid, key)
+        return box
 
     def reader(self, kind: str | None = None, instance: str | None = None) -> Reader:
         """A cursor over ``inbox(kind, instance)``, starting at its first
         envelope: over one kind, one (kind, instance), or the whole mailbox."""
-        if kind is None and instance is not None:
-            raise ValueError("a cursor over one instance needs a kind")
-        return Reader(self, kind, instance)
+        return Reader(self.inbox(kind, instance))
 
     # --- ideal oracle access -------------------------------------------------
 
@@ -376,16 +376,19 @@ class Ctx:
         if self.oracle_hook is not None:
             value = self.oracle_hook(self, kind, inst, value)
         self.engine.oracle_submit(self.pid, kind, inst, value, value_bits, sender)
+        # ask for the output's list now: before the oracle fires it costs no
+        # mailbox scan
+        self.inbox("oracle_out", inst)
         return inst
 
     def oracle_result(self, instance: str):
-        for e in self._index.get(("oracle_out", instance), ()):
+        for e in self.inbox("oracle_out", instance):
             if e.src == 0:
                 return e.payload
         return None
 
     def has_oracle_result(self, instance: str) -> bool:
-        return any(e.src == 0 for e in self._index.get(("oracle_out", instance), ()))
+        return any(e.src == 0 for e in self.inbox("oracle_out", instance))
 
     def ideal_oracle(self, kind: str, value, value_bits: int,
                      instance: str | None = None, sender: int | None = None):
@@ -433,10 +436,11 @@ class Engine:
     Each send builds one ``Envelope``. ``pending`` holds, in send order, one
     ``(envelope, destinations)`` entry per send in rounds mode and one
     ``(envelope, destination)`` entry per destination in events mode. A
-    delivery files the record into each destination's lists in destination
-    order, so the global delivery order is send order, then destination
-    order. Only the oracle instances submitted to since the last check are
-    checked for readiness, in name order.
+    delivery files the record into each destination's mailbox and the lists
+    the destinations asked for, in destination order, so the global delivery
+    order is send order, then destination order. Only the oracle instances
+    submitted to since the last check are checked for readiness, in name
+    order.
     """
 
     def __init__(self, mode: str, params, session, factories: dict[int, Callable[[Ctx], Generator] | None],
@@ -455,12 +459,24 @@ class Engine:
         self.trace: list[dict] | None = [] if trace else None
         self.tick = 0
         self.pending: list = []
-        self._received_bits = 0
         self.oracles: dict[str, IdealOracle] = {}
         self._submitted: set[str] = set()  # instances submitted to since the last check
+        n = params.n
+        self._everyone = tuple(range(1, n + 1))
+        self._broadcast_dsts = [()] + [(*range(1, src), *range(src + 1, n + 1))
+                                       for src in self._everyone]
+        # where delivery files: each party's mailbox by pid, and a row for
+        # each kind or (kind, instance) key. A key some party asked for
+        # (Ctx.inbox) has the askers' lists by pid, None for the others, and
+        # in slot 0 whether any mail was filed under it; a key only filed
+        # under has (), so a first request for a key in neither state skips
+        # the mailbox scan
+        self._mailboxes: list[list[Envelope]] = [[]]  # pid 0, the oracles, gets none
+        self._filing: dict[object, list | tuple] = {}
         self.parties: dict[int, PartyHandle] = {}
-        for pid in range(1, params.n + 1):
+        for pid in self._everyone:
             ctx = Ctx(self, pid)
+            self._mailboxes.append(ctx.mailbox)
             factory = factories.get(pid)
             gen = factory(ctx) if factory is not None else None
             self.parties[pid] = PartyHandle(pid=pid, ctx=ctx, gen=gen, done=gen is None)
@@ -477,8 +493,8 @@ class Engine:
     def submit_broadcast(self, src, kind, payload, bits, step, instance, oracle) -> None:
         """``submit_send`` to every party but src, in destination order, as
         one record metered with one charge."""
-        dsts = (*range(1, src), *range(src + 1, self.params.n + 1))
-        self._enqueue(src, dsts, kind, payload, bits, step, instance, oracle)
+        self._enqueue(src, self._broadcast_dsts[src], kind, payload, bits, step, instance,
+                      oracle)
 
     def _enqueue(self, src, dsts, kind, payload, bits, step, instance, oracle) -> None:
         if kind == "oracle_out":
@@ -560,7 +576,7 @@ class Engine:
         honest_cost = cost * len(self.honest) // n
         self.metrics.add(honest_cost, step=f"oracle:{inst.instance}", oracle=inst.kind)
         self._post(Envelope(0, "oracle_out", out, 0, f"oracle:{inst.instance}", inst.instance,
-                            self.tick), tuple(range(1, n + 1)))
+                            self.tick), self._everyone)
 
     def _fire_ready_oracles(self) -> None:
         # readiness depends only on an instance's submissions and registered
@@ -603,14 +619,50 @@ class Engine:
             return bool(w.pred())
         return False
 
+    def _open(self, pid: int, key) -> list[Envelope]:
+        """pid's list of mail under key, built by one scan of its mailbox in
+        arrival order, which delivery extends from now on. Before any mail
+        has been filed under key, the list starts empty without a scan."""
+        row = self._filing.get(key)
+        filed = row is not None and (not row or row[0])
+        if not filed:
+            box = []
+        elif isinstance(key, tuple):
+            kind, instance = key
+            box = [e for e in self._mailboxes[pid] if e.kind == kind and e.instance == instance]
+        else:
+            box = [e for e in self._mailboxes[pid] if e.kind == key]
+        if not row:
+            row = self._filing[key] = [filed] + [None] * self.params.n
+        row[pid] = box
+        return box
+
+    def _file(self, env: Envelope, dst: int) -> None:
+        """File one record for one destination: its mailbox, and the lists of
+        the record's keys that it asked for."""
+        self._mailboxes[dst].append(env)
+        filing = self._filing
+        if row := filing.setdefault(env.kind, ()):
+            row[0] = True
+            if (box := row[dst]) is not None:
+                box.append(env)
+        if env.instance is not None:
+            if row := filing.setdefault((env.kind, env.instance), ()):
+                row[0] = True
+                if (box := row[dst]) is not None:
+                    box.append(env)
+
     def _deliver(self, env: Envelope, dsts: tuple[int, ...]) -> None:
-        """File one record into each destination's lists, in order."""
-        honest = 0
+        """File one record for each destination, in order (rounds mode)."""
+        mailboxes = self._mailboxes
         for dst in dsts:
-            self.parties[dst].ctx._file(env)
-            honest += dst in self.honest
-        # diagnostic only: includes Byzantine-sent traffic, never claimed
-        self._received_bits += env.bits * honest
+            mailboxes[dst].append(env)
+        filing = self._filing
+        if row := filing.setdefault(env.kind, ()):
+            _file_each(row, dsts, env)
+        if env.instance is not None:
+            if row := filing.setdefault((env.kind, env.instance), ()):
+                _file_each(row, dsts, env)
         if self.trace is not None:
             self.trace.extend(
                 {"tick": self.tick, "from": env.src, "to": dst,
@@ -626,7 +678,11 @@ class Engine:
         else:
             self._run_events()
         self.metrics.rounds_or_events_elapsed = self.tick
-        self.metrics.extra["received_bits_total"] = self._received_bits
+        # diagnostic only: the bits of all mail honest parties received,
+        # Byzantine-sent traffic included, never claimed; self-delivered
+        # envelopes carry 0 bits
+        self.metrics.extra["received_bits_total"] = sum(
+            sum(map(_BITS, self._mailboxes[pid])) for pid in self.honest)
 
     def _run_rounds(self) -> None:
         for pid in sorted(self.parties):
@@ -665,7 +721,10 @@ class Engine:
             else:
                 idx = self.policy.pick(self.pending, self.rng)
             env, dst = self.pending.pop(idx)
-            self._deliver(env, (dst,))
+            self._file(env, dst)
+            if self.trace is not None:
+                self.trace.append({"tick": self.tick, "from": env.src, "to": dst,
+                                   "msg_kind": env.kind, "bits": env.bits})
             handle = self.parties[dst]
             while self._runnable(handle):
                 self._resume(handle)
@@ -674,6 +733,18 @@ class Engine:
 
     def outputs(self) -> dict[int, object]:
         return {pid: h.output for pid, h in self.parties.items() if h.has_output}
+
+
+_BITS = attrgetter("bits")
+
+
+def _file_each(row: list, dsts: tuple[int, ...], env: Envelope) -> None:
+    """Append env to the list of each destination that has one, and mark
+    the row's key as filed under."""
+    row[0] = True
+    for dst in dsts:
+        if (box := row[dst]) is not None:
+            box.append(env)
 
 
 def _canon(v) -> tuple:

@@ -4,6 +4,8 @@ import json
 import weakref
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bbext.adversary import (
     AdversaryScript,
@@ -21,6 +23,7 @@ from bbext.protocols.base import ProtocolSpec
 from bbext.runner import run
 from bbext.simnet import (
     BOT,
+    NEXT_ROUND,
     Bot,
     Ctx,
     Engine,
@@ -235,39 +238,64 @@ def _scan(ctx, kind=None, instance=None):
             and (instance is None or e.instance == instance)]
 
 
+def _expected_mailboxes(trace, self_filed):
+    """Each party's mailbox as the trace and the self-deliveries say it must
+    be, as (src, kind, bits) in arrival order. Within a tick, network mail
+    comes first: it is delivered before the parties it reaches resume."""
+    arrivals: dict[int, list] = {}
+    for rec in trace:
+        arrivals.setdefault(rec["to"], []).append(
+            ((rec["tick"], 0), (rec["from"], rec["msg_kind"], rec["bits"])))
+    for pid, filed in self_filed.items():
+        arrivals.setdefault(pid, []).extend(
+            ((tick, 1), (pid, kind, 0)) for tick, kind, _, _ in filed)
+    return {pid: [mail for _, mail in sorted(got, key=lambda a: a[0])]
+            for pid, got in arrivals.items()}
+
+
 @pytest.mark.parametrize("impl", ["ideal", "concrete"])
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
 def test_indexed_reads_equal_full_mailbox_scans(monkeypatch, protocol, impl):
     """Every inbox read, cursor read and oracle result of a session under
     junk traffic equals a filtered scan of the reading party's mailbox, and
-    every mailbox holds exactly the envelopes filed to it, in order."""
-    filed: dict[int, list] = {}
+    every mailbox holds exactly the envelopes filed to it, in order. What
+    was filed is read from the delivery trace and from the self-deliveries,
+    not from the filing code."""
     ctxs: dict[int, Ctx] = {}
+    self_filed: dict[int, list] = {}
+    readers: dict[int, tuple] = {}
     seen = {"payload": 0, "new": 0, "oracle": 0, "self": set()}
-    orig_file, orig_inbox = Ctx._file, Ctx.inbox
-    orig_new, orig_result = Reader.new, Ctx.oracle_result
+    orig_init, orig_self, orig_inbox = Ctx.__init__, Ctx.self_deliver, Ctx.inbox
+    orig_reader, orig_new, orig_result = Ctx.reader, Reader.new, Ctx.oracle_result
 
-    def file(ctx, env):
-        ctxs[ctx.pid] = ctx
-        filed.setdefault(ctx.pid, []).append(env)
-        # no party sends to itself, so only self-delivery files its own mail
-        if env.src == ctx.pid:
-            seen["self"].add(env.kind)
-        orig_file(ctx, env)
+    def init(ctx, engine, pid):
+        orig_init(ctx, engine, pid)
+        ctxs[pid] = ctx
+
+    def self_deliver(ctx, kind, payload, step=None, instance=None):
+        self_filed.setdefault(ctx.pid, []).append((ctx.engine.tick, kind, payload, instance))
+        seen["self"].add(kind)
+        orig_self(ctx, kind, payload, step, instance)
 
     def inbox(ctx, kind=None, instance=None):
         got = orig_inbox(ctx, kind, instance)
         assert got == _scan(ctx, kind, instance)
         return got
 
-    def new(reader):
-        ctx = reader._ctx
-        want = _scan(ctx, reader._kind, reader._instance)[reader._pos:]
-        got = orig_new(reader)
+    def reader(ctx, kind=None, instance=None):
+        got = orig_reader(ctx, kind, instance)
+        # the reader is kept, so its id names it for the whole session
+        readers[id(got)] = (got, ctx, kind, instance)
+        return got
+
+    def new(rd):
+        _, ctx, kind, instance = readers[id(rd)]
+        want = _scan(ctx, kind, instance)[rd._pos:]
+        got = orig_new(rd)
         assert got == want
-        assert reader._pos == len(_scan(ctx, reader._kind, reader._instance))
+        assert rd._pos == len(_scan(ctx, kind, instance))
         seen["new"] += 1
-        seen["payload"] += reader._kind == "payload"
+        seen["payload"] += kind == "payload"
         return got
 
     def oracle_result(ctx, instance):
@@ -278,17 +306,29 @@ def test_indexed_reads_equal_full_mailbox_scans(monkeypatch, protocol, impl):
         seen["oracle"] += 1
         return got
 
-    monkeypatch.setattr(Ctx, "_file", file)
+    monkeypatch.setattr(Ctx, "__init__", init)
+    monkeypatch.setattr(Ctx, "self_deliver", self_deliver)
     monkeypatch.setattr(Ctx, "inbox", inbox)
+    monkeypatch.setattr(Ctx, "reader", reader)
     monkeypatch.setattr(Reader, "new", new)
     monkeypatch.setattr(Ctx, "oracle_result", oracle_result)
     spec = PROTOCOLS[protocol]
     params = battery_configs(protocol)[0]
     inputs = build_inputs(spec.kind, params, 1, "majority")
-    run(protocol, params, inputs, adversary=JunkInjector(), seed=1,
-        oracle_impl=CONCRETE if impl == "concrete" else {})
+    res = run(protocol, params, inputs, adversary=JunkInjector(), seed=1,
+              oracle_impl=CONCRETE if impl == "concrete" else {}, trace=True)
 
-    assert ctxs and all(ctx.mailbox == filed[pid] for pid, ctx in ctxs.items())
+    expected = _expected_mailboxes(res.trace, self_filed)
+    assert ctxs and set(expected) <= set(ctxs)
+    for pid, ctx in ctxs.items():
+        # no party sends to itself, so only self-delivery files its own mail
+        assert [(e.src, e.kind, e.bits) for e in ctx.mailbox] == expected.get(pid, [])
+        own = [e for e in ctx.mailbox if e.src == pid]
+        filed = self_filed.get(pid, [])
+        assert len(own) == len(filed)
+        for e, (tick, kind, payload, instance) in zip(own, filed):
+            assert (e.sent_tick, e.kind, e.instance) == (tick, kind, instance)
+            assert e.payload is payload
     if impl == "concrete" or spec.mode == "events" or protocol == "sync-bb-highthresh":
         assert seen["new"] > 0
     if impl == "ideal" and protocol != "ef-async-rb-third" or protocol == "async-ba-third":
@@ -301,16 +341,29 @@ def test_indexed_reads_equal_full_mailbox_scans(monkeypatch, protocol, impl):
 
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
 def test_finished_session_frees_its_contexts_without_collection(monkeypatch, protocol):
-    # a reference cycle through a party's Ctx would keep the session's mail
-    # alive until the next full collection: every Ctx must go when run returns
+    # a reference cycle through a party's Ctx, or through the engine and its
+    # filing tables, would keep the session's mail alive until the next full
+    # collection: every Ctx and the engine must go when run returns
     refs = []
-    orig_init = Ctx.__init__
+    engines = []
+    filed_keys = []
+    orig_init, orig_engine_init, orig_run = Ctx.__init__, Engine.__init__, Engine.run
 
     def init(ctx, engine, pid):
         orig_init(ctx, engine, pid)
         refs.append(weakref.ref(ctx))
 
+    def engine_init(engine, *args, **kwargs):
+        orig_engine_init(engine, *args, **kwargs)
+        engines.append(weakref.ref(engine))
+
+    def engine_run(engine):
+        orig_run(engine)
+        filed_keys.append(sum(isinstance(row, list) for row in engine._filing.values()))
+
     monkeypatch.setattr(Ctx, "__init__", init)
+    monkeypatch.setattr(Engine, "__init__", engine_init)
+    monkeypatch.setattr(Engine, "run", engine_run)
     spec = PROTOCOLS[protocol]
     params = battery_configs(protocol)[0]
     inputs = build_inputs(spec.kind, params, 1, "majority")
@@ -319,9 +372,14 @@ def test_finished_session_frees_its_contexts_without_collection(monkeypatch, pro
     try:
         run(protocol, params, inputs, adversary=JunkInjector(), seed=1)
         alive = [ref().pid for ref in refs if ref() is not None]
+        engine_alive = [ref for ref in engines if ref() is not None]
+        cyclic_garbage = gc.collect()
     finally:
         gc.enable()
+    assert cyclic_garbage == 0
     assert refs and alive == []
+    # the engine held lists asked for by key, and freed them with itself
+    assert len(engines) == 1 and filed_keys[0] > 0 and engine_alive == []
 
 
 def _engine(n=5, honest=frozenset({2, 3, 4, 5})):
@@ -369,6 +427,147 @@ def test_hooked_broadcast_goes_per_destination_and_is_not_metered():
     assert engine.metrics.bits_by_step == {}
 
 
+@pytest.mark.parametrize("mode,regime", [("rounds", "half"), ("events", "third_async")])
+def test_list_first_asked_for_after_its_mail_equals_the_scan_and_grows(mode, regime):
+    n = 4
+    checked = []
+
+    def wait_for(ctx, count):
+        if mode == "rounds":
+            yield NEXT_ROUND
+        else:
+            yield Until(lambda: len(ctx.mailbox) >= count)
+
+    def party(ctx, my_input, sender):
+        ctx.broadcast("m", ctx.pid, bits=1, step="s", instance="x")
+        ctx.broadcast("m", -ctx.pid, bits=1, step="s", instance="y")
+        ctx.broadcast("other", 0, bits=1, step="s")
+        yield from wait_for(ctx, 3 * (n - 1))
+        # asked for only now, after all matching mail has arrived
+        by_inst, by_kind = ctx.inbox("m", "x"), ctx.inbox("m")
+        assert by_inst == _scan(ctx, "m", "x") and len(by_inst) == n - 1
+        assert by_kind == _scan(ctx, "m") and len(by_kind) == 2 * (n - 1)
+        before = list(by_inst), list(by_kind)
+        ctx.self_deliver("m", 0, instance="x")
+        ctx.broadcast("m", 10 + ctx.pid, bits=1, step="s", instance="x")
+        yield from wait_for(ctx, 4 * (n - 1) + 1)
+        assert ctx.inbox("m", "x") is by_inst and ctx.inbox("m") is by_kind
+        assert by_inst == _scan(ctx, "m", "x") and len(by_inst) == 2 * n - 1
+        assert by_kind == _scan(ctx, "m") and len(by_kind) == 3 * n - 2
+        assert by_inst[:n - 1] == before[0] and by_kind[:2 * (n - 1)] == before[1]
+        assert by_inst[n - 1].payload == 0
+        assert sorted(e.payload for e in by_inst[n:]) == [
+            10 + pid for pid in range(1, n + 1) if pid != ctx.pid]
+        checked.append(ctx.pid)
+        return b"done"
+
+    spec = ProtocolSpec(name="late-reader", mode=mode, kind="ba", regime=regime, party=party)
+    res = run(spec, _params(regime=regime), {i: b"" for i in range(1, n + 1)}, seed=0)
+    assert sorted(checked) == list(range(1, n + 1))
+    assert all(out == b"done" for out in res.outputs.values())
+
+
+def test_chain_oracles_file_no_kind_level_ds_list(monkeypatch):
+    # the signature-chain oracles read their mail by (kind, instance) only,
+    # so no party's "ds" mail is filed by kind
+    ctxs = []
+    orig_init = Ctx.__init__
+
+    def init(ctx, engine, pid):
+        orig_init(ctx, engine, pid)
+        ctxs.append(ctx)
+
+    monkeypatch.setattr(Ctx, "__init__", init)
+    params = _params(n=7, t=3)
+    res = run("sync-ba-half", params, build_inputs("ba", params, 0, "all"), seed=0,
+              oracle_impl=CONCRETE)
+    assert len(res.outputs) == 7
+    assert len(ctxs) == 7
+    for ctx in ctxs:
+        assert "ds" not in ctx._lists
+        assert any(isinstance(key, tuple) and key[0] == "ds" for key in ctx._lists)
+
+
+_KINDS = st.sampled_from(["a", "b"])
+_INSTANCES = st.sampled_from([None, "x", "y"])
+_PIDS = st.integers(1, 4)
+_OPS = st.one_of(
+    st.tuples(st.just("broadcast"), _PIDS, _KINDS, _INSTANCES),
+    st.tuples(st.just("send"), _PIDS, st.integers(1, 3), _KINDS, _INSTANCES),
+    st.tuples(st.just("self"), _PIDS, _KINDS, _INSTANCES),
+    st.tuples(st.just("ask"), _PIDS, st.sampled_from(
+        [(None, None), ("a", None), ("b", None), ("a", "x"), ("a", "y"), ("b", "x")]),
+        st.booleans()),
+    st.tuples(st.just("deliver"), st.integers(0, 63)),
+)
+
+
+# one party asks for a key before any mail is filed under it, another only
+# after: the second list must still come from a scan
+_ASK_BEFORE_AND_AFTER = [
+    ("ask", 1, ("a", "x"), False), ("ask", 1, ("a", None), True),
+    ("broadcast", 3, "a", "x"), ("deliver", 0), ("deliver", 0),
+    ("ask", 2, ("a", "x"), True), ("ask", 2, ("a", None), False),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(mode=st.sampled_from(["rounds", "events"]), ops=st.lists(_OPS, max_size=60))
+@example(mode="rounds", ops=_ASK_BEFORE_AND_AFTER)
+@example(mode="events", ops=_ASK_BEFORE_AND_AFTER)
+def test_lists_equal_reference_scans_under_interleaved_filing(mode, ops):
+    """Broadcasts, single sends, self-deliveries, deliveries in any order
+    and first requests for any key, interleaved: every list a party asked
+    for equals the filtered scan of a reference mailbox, and so does every
+    cursor's new mail."""
+    engine = Engine(mode, _params(n=4, t=1), None, {}, frozenset({1, 2, 3, 4}))
+    ref: dict[int, list] = {pid: [] for pid in range(1, 5)}
+    opened = []  # (pid, kind, instance, list, reader or None, mail the reader returned)
+
+    def mail(envs):
+        return [(e.src, e.kind, e.payload, e.instance) for e in envs]
+
+    def ref_scan(pid, kind, instance):
+        return [m for m in ref[pid] if (kind is None or m[1] == kind)
+                and (instance is None or m[3] == instance)]
+
+    for seq, op in enumerate(ops):
+        what, *args = op
+        if what == "broadcast":
+            pid, kind, instance = args
+            engine.parties[pid].ctx.broadcast(kind, seq, bits=1, step="s", instance=instance)
+        elif what == "send":
+            pid, shift, kind, instance = args
+            engine.parties[pid].ctx.send((pid + shift - 1) % 4 + 1, kind, seq, bits=1,
+                                         step="s", instance=instance)
+        elif what == "self":
+            pid, kind, instance = args
+            engine.parties[pid].ctx.self_deliver(kind, seq, instance=instance)
+            ref[pid].append((pid, kind, seq, instance))
+        elif what == "deliver" and engine.pending:
+            env, dsts = engine.pending.pop(args[0] % len(engine.pending))
+            if mode == "rounds":
+                engine._deliver(env, dsts)
+            else:
+                engine._file(env, dsts)
+                dsts = (dsts,)
+            for dst in dsts:
+                ref[dst].append((env.src, env.kind, env.payload, env.instance))
+        elif what == "ask":
+            pid, (kind, instance), as_reader = args
+            ctx = engine.parties[pid].ctx
+            rd = ctx.reader(kind, instance) if as_reader else None
+            opened.append((pid, kind, instance, ctx.inbox(kind, instance), rd, []))
+        for pid, kind, instance, box, rd, got in opened:
+            want = ref_scan(pid, kind, instance)
+            assert mail(box) == want
+            if rd is not None:
+                got += mail(rd.new())
+                assert got == want
+    for pid in range(1, 5):
+        assert mail(engine.parties[pid].ctx.mailbox) == ref[pid]
+
+
 def test_instance_reads_need_a_kind():
     ctx = _engine().parties[2].ctx
     with pytest.raises(ValueError, match="needs a kind"):
@@ -414,3 +613,14 @@ def test_trace_and_received_bits_are_pinned(protocol, regime, t, adversary, dige
     res = run(protocol, params, inputs, adversary=adversary, seed=4, oracle_impl=CONCRETE,
               trace=True)
     assert _trace_digest(res) == digest
+
+
+def test_widest_concrete_session_is_pinned():
+    # sync-ba-half at n = 64 with every concrete oracle: Theta(n^3) chain
+    # relays, the most deliveries of any concrete session
+    params = SessionParams(n=64, t=31, l=2**14, threshold_regime="half")
+    res = run("sync-ba-half", params, build_inputs("ba", params, 0, "all"), seed=0,
+              oracle_impl=CONCRETE)
+    assert res.metrics.honest_bits_total == 256_370_688
+    assert res.metrics.outputs_digest == (
+        "1805d567eb4a2347ccbfdfa435a88d919eef7fe327574e689bd9c62ca57f26f3")
