@@ -26,7 +26,14 @@ these once:
   items, once;
 - ``decode_symbols`` decodes each distinct table of symbol-blocks with
   errors (the error-free protocols' majority votes), keyed by the table
-  the decoder sees and its (b, share length, error budget), once.
+  the decoder sees and its (b, share length, error budget), once;
+- a table it has not decoded before that equals, at every present position,
+  the shares of a message the memo holds (same b and share length), and
+  lies inside the decoder's radius (2 * error budget + erasures <= n - b),
+  is answered with that message as ``bits_from_data`` reads it, without
+  decoding: a decoder inside its radius returns the one codeword that
+  agrees with every present symbol. The agreement is exact; a table
+  within the error budget of a held codeword still goes to the decoder.
 
 The message table and the table of accepted packages each hold at most
 `MEMO_ENTRIES` entries (messages, or commitments of at most n packages each),
@@ -201,6 +208,7 @@ class _Message:
     shares: tuple[IndexedShare, ...]
     z: AccValue | None = None
     packages: dict[int, SharePackage] | None = None
+    payload: bytes | None = None  # the message as a decode of its shares reads it
 
 
 class CodecMemo:
@@ -283,11 +291,34 @@ class CodecMemo:
     def decode_symbols(self, table: tuple[bytes | None, ...], b: int, share_len: int,
                        max_errors: int) -> bytes | None:
         """`decode_symbols` of a table whose entries are share_len bytes or
-        None, once per distinct (table, b, share_len, max_errors)."""
+        None, once per distinct (table, b, share_len, max_errors). A table
+        equal at every present position to the shares of a held message
+        with the same b and share length, with 2 * max_errors + erasures
+        <= n - b, is that message's payload without decoding."""
         key = (b, share_len, max_errors, table)
         if key in self.symbol_decodes:
             out = self.symbol_decodes.pop(key)
         else:
-            out = decode_symbols(table, b, max_errors)
+            out = self._held_payload(table, b, share_len, max_errors)
+            if out is None:
+                out = decode_symbols(table, b, max_errors)
         _remember(self.symbol_decodes, key, out)
         return out
+
+    def _held_payload(self, table: tuple[bytes | None, ...], b: int, share_len: int,
+                      max_errors: int) -> bytes | None:
+        """The payload of a held message whose shares agree with every
+        present entry of table, when the decoder's precondition holds;
+        None otherwise."""
+        n = len(table)
+        if max_errors < 0 or 2 * max_errors + table.count(None) > n - b:
+            return None
+        for (m, mb, bit_len), entry in self.commits.items():
+            shares = entry.shares
+            if mb != b or len(shares) != n or len(shares[0].share) != share_len:
+                continue
+            if all(raw is None or raw == s.share for raw, s in zip(table, shares)):
+                if entry.payload is None:
+                    entry.payload = rs.bits_from_data(rs.data_from_bits(m, bit_len, b))[0]
+                return entry.payload
+        return None

@@ -330,6 +330,7 @@ def check_coding(max_exhaustive_n: int = 8, random_trials: int = 1000,
                                 failures.append(f"exhaustive n={n} b={b} c={c} d={d} "
                                                 f"errs={err_pos} eras={era_pos}")
     # randomized up to n=12, cross-checked against the brute-force decoder
+    memo_keys = {n: acc_gen(HASH_TREE, n, 128, rng_seed=0) for n in range(2, 13)}
     for trial in range(random_trials):
         n = rng.randint(2, 12)
         b = rng.randint(1, n)
@@ -349,6 +350,21 @@ def check_coding(max_exhaustive_n: int = 8, random_trials: int = 1000,
             continue
         if n <= 9 and rs_decode_reference(bad, c, d) != got:
             failures.append(f"reference mismatch n={n} b={b} c={c} d={d} trial={trial}")
+        # the same tables through a codec memo that holds the codeword: the
+        # corrupted one and the one with the erasures alone, at the trial's
+        # error budget and one past the radius, answered as the pure decoder does
+        memo = blocks.CodecMemo(memo_keys[n])
+        share_len = len(memo.encode(payload, b, 8 * len(payload))[0].share)
+        tables = [tuple(None if s is None else rs.pack_symbols(s) for s in bad.symbols),
+                  tuple(None if s is None else rs.pack_symbols(k)
+                        for s, k in zip(bad.symbols, cw.symbols))]
+        for table in tables:
+            for max_errors in (c, (budget - d) // 2 + 1):
+                trials += 1
+                want = blocks.decode_symbols(table, b, max_errors)
+                if memo.decode_symbols(table, b, share_len, max_errors) != want:
+                    failures.append(f"memo n={n} b={b} c={c} d={d} max_errors={max_errors} "
+                                    f"trial={trial}")
     return CheckReport(name="coding", passed=not failures, trials=trials,
                        failures=failures, elapsed=time.time() - t0)
 

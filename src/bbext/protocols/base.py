@@ -1,7 +1,11 @@
 """Session parameters, and the share-dissemination steps that the four
 authenticated protocols run after agreeing on a commitment z: a payload
 that commits to z, the forward of one's own valid package, and the
-collection and decoding of every party's first valid forward."""
+collection and decoding of every party's first valid forward.
+
+Each protocol opens the cursors it reads (``share_mail`` and the like) at
+its start, before any mail of their kinds can arrive, so the engine never
+builds one of those lists by scanning the mailbox."""
 
 from __future__ import annotations
 
@@ -10,7 +14,7 @@ from typing import Callable
 
 from .. import blocks
 from ..accumulator import AccValue
-from ..simnet import BOT, Ctx, InvariantViolation, NEXT_ROUND
+from ..simnet import BOT, Ctx, InvariantViolation, NEXT_ROUND, Reader
 
 REGIMES = ("half", "one_minus_eps", "third_sync_ef", "third_async")
 
@@ -89,6 +93,12 @@ def payload_commitment(ctx: Ctx, message, z):
     return commit if commit[1].data == z else None
 
 
+def share_mail(ctx: Ctx) -> tuple[Reader, Reader]:
+    """Cursors over the party's share_pkg and share_fwd mail; a protocol
+    opens them at its start."""
+    return ctx.reader("share_pkg"), ctx.reader("share_fwd")
+
+
 def first_valid_own_package(ctx: Ctx, z: AccValue, envs):
     """Earliest package among envs (share_pkg envelopes in arrival order)
     for our own index that verifies under z."""
@@ -106,13 +116,14 @@ def forward_own_package(ctx: Ctx, pkg) -> None:
 
 class ForwardCollector:
     """Forwarded packages: the first one per forwarder that verifies under z
-    for the forwarder's own index, read through a cursor."""
+    for the forwarder's own index, read through mail, the share_fwd cursor
+    of ``share_mail``."""
 
-    def __init__(self, ctx: Ctx, z: AccValue):
+    def __init__(self, ctx: Ctx, z: AccValue, mail: Reader):
         self.ctx = ctx
         self.z = z
         self.table: dict[int, blocks.SharePackage] = {}
-        self.mail = ctx.reader("share_fwd")
+        self.mail = mail
         self._tried = 0  # table size at the last decode; the table only grows
 
     def update(self) -> int:
@@ -143,11 +154,13 @@ class ForwardCollector:
 
 
 def shared_sync_tail(ctx: Ctx, z, happy: bool, my_message: bytes | None, my_commit,
-                     happy_vote):
+                     happy_vote, mail: tuple[Reader, Reader]):
     """Distribution, one-shot forwarding, and reconstruction rounds common to
     the synchronous minority-fault protocols, after the agreed commitment z
     and the agreed happy vote; my_commit is the (shares, accumulation value)
-    pair of encode_input for my_message."""
+    pair of encode_input for my_message, and mail the cursors of
+    ``share_mail``."""
+    pkg_mail, fwd_mail = mail
     if happy_vote != 1:
         return BOT
     z_bytes = z if isinstance(z, bytes) else b""
@@ -160,14 +173,14 @@ def shared_sync_tail(ctx: Ctx, z, happy: bool, my_message: bytes | None, my_comm
         blocks.distribute(ctx, my_shares, rich, step="distribute")
     yield NEXT_ROUND
     ctx.set_step("share")
-    mine = first_valid_own_package(ctx, z, ctx.inbox("share_pkg"))
+    mine = first_valid_own_package(ctx, z, pkg_mail.new())
     if mine is not None:
         forward_own_package(ctx, mine)
     yield NEXT_ROUND
     ctx.set_step("reconstruct")
     if happy:
         return my_message
-    out = ForwardCollector(ctx, z).reconstruct()
+    out = ForwardCollector(ctx, z, fwd_mail).reconstruct()
     if out is None:
         raise AssertionError(
             f"party {ctx.pid}: reconstruction failed although the happy vote carried"

@@ -12,12 +12,14 @@ from .. import blocks
 from ..oracles import ba_oracle, bcast_oracle
 from ..simnet import BOT, Ctx, InvariantViolation
 from .base import (ForwardCollector, ProtocolSpec, bare_acc, encode_input,
-                   first_valid_own_package, forward_own_package, payload_commitment)
+                   first_valid_own_package, forward_own_package, payload_commitment,
+                   share_mail)
 
 
 def async_ba_third(ctx: Ctx, my_input: bytes, sender: int | None = None):
     """Agreement for t < n/3 with eventual delivery."""
     params = ctx.params
+    packages, fwd_mail = share_mail(ctx)
     ctx.set_step("encode")
     shares, z_mine = encode_input(ctx, my_input)
     z = yield from ba_oracle(ctx, "async_ba_kbit", "ba_commit", z_mine.data, params.k)
@@ -31,7 +33,6 @@ def async_ba_third(ctx: Ctx, my_input: bytes, sender: int | None = None):
     if happy:
         blocks.distribute(ctx, shares, z_mine, step="distribute")
     ctx.set_step("share")
-    packages = ctx.reader("share_pkg")
     mine = first_valid_own_package(ctx, z_acc, packages.new())
     while mine is None:
         yield packages.wait()
@@ -42,7 +43,7 @@ def async_ba_third(ctx: Ctx, my_input: bytes, sender: int | None = None):
             raise InvariantViolation("happy party's commitment must match the agreed one")
         return my_input
     ctx.set_step("reconstruct")
-    forwards = ForwardCollector(ctx, z_acc)
+    forwards = ForwardCollector(ctx, z_acc, fwd_mail)
     while forwards.update() < params.n - params.t:
         yield forwards.mail.wait()
     got = forwards.reconstruct()
@@ -55,6 +56,8 @@ def async_rb_third(ctx: Ctx, my_input: bytes | None, sender: int):
     """Reliable broadcast for t < n/3: all-or-none delivery under a faulty
     sender; every reconstructing party re-distributes its result."""
     params = ctx.params
+    payloads = ctx.reader("payload")
+    packages, fwd_mail = share_mail(ctx)
     ctx.set_step("payload")
     z_bytes_own = None
     if ctx.pid == sender:
@@ -76,9 +79,7 @@ def async_rb_third(ctx: Ctx, my_input: bytes | None, sender: int):
             ctx.set_step("distribute")
             blocks.distribute(ctx, shares, z_mine, step="distribute")
     forwarded = None
-    forwards = ForwardCollector(ctx, z_acc)
-    payloads = ctx.reader("payload")
-    packages = ctx.reader("share_pkg")
+    forwards = ForwardCollector(ctx, z_acc, fwd_mail)
     mail = ctx.reader()
     while True:
         if not happy_known:

@@ -13,19 +13,20 @@ from ..oracles import ba_oracle, bcast_oracle
 from ..simnet import BOT, Ctx, InvariantViolation, NEXT_ROUND
 from .base import (ForwardCollector, ProtocolSpec, bare_acc, encode_input,
                    first_valid_own_package, forward_own_package, payload_commitment,
-                   shared_sync_tail)
+                   share_mail, shared_sync_tail)
 
 
 def sync_ba_half(ctx: Ctx, my_input: bytes, sender: int | None = None):
     """Agreement for t < n/2: k-bit agreement on the commitment, one-bit
     agreement on the happy flags, then distribute / forward / reconstruct."""
+    mail = share_mail(ctx)
     ctx.set_step("encode")
     shares, z_mine = encode_input(ctx, my_input)
     z = yield from ba_oracle(ctx, "sync_ba", "ba_commit", z_mine.data, ctx.params.k)
     happy = z == z_mine.data
     ctx.set_happy(happy)
     vote = yield from ba_oracle(ctx, "sync_ba", "ba_happy", int(happy), 1)
-    out = yield from shared_sync_tail(ctx, z, happy, my_input, (shares, z_mine), vote)
+    out = yield from shared_sync_tail(ctx, z, happy, my_input, (shares, z_mine), vote, mail)
     if happy and out is not BOT and out != my_input:
         raise InvariantViolation("happy party must output its own message")
     return out
@@ -35,6 +36,8 @@ def sync_bb_half(ctx: Ctx, my_input: bytes | None, sender: int):
     """Broadcast for t < n/2: the sender fans out the payload and broadcasts
     the commitment; the rest matches the agreement protocol."""
     params = ctx.params
+    payloads = ctx.reader("payload")
+    mail = share_mail(ctx)
     ctx.set_step("payload")
     message = None
     z_bytes_own = None
@@ -44,14 +47,14 @@ def sync_bb_half(ctx: Ctx, my_input: bytes | None, sender: int):
         ctx.broadcast("payload", message, bits=params.l, step="payload")
     z = yield from bcast_oracle(ctx, "sync_bb", "bb_commit", sender, z_bytes_own, params.k)
     if ctx.pid != sender:
-        first = next((e for e in ctx.reader("payload").new() if e.src == sender), None)
+        first = next((e for e in payloads.new() if e.src == sender), None)
         if first is not None:
             message = first.payload
     commit = payload_commitment(ctx, message, z)
     happy = commit is not None
     ctx.set_happy(happy)
     vote = yield from ba_oracle(ctx, "sync_ba", "ba_happy", int(happy), 1)
-    return (yield from shared_sync_tail(ctx, z, happy, message, commit, vote))
+    return (yield from shared_sync_tail(ctx, z, happy, message, commit, vote, mail))
 
 
 def _happy_tag(ctx: Ctx) -> bytes:
@@ -80,6 +83,10 @@ def sync_bb_high_threshold(ctx: Ctx, my_input: bytes | None, sender: int):
     that a party only accepts in iteration r with r signers vouching."""
     params = ctx.params
     auth = ctx.session.msig
+    cert_mail = ctx.reader("happy_cert")
+    # z_acc is fixed once agreed, so a package rejected once is rejected
+    # again: each iteration checks only the packages filed since the last
+    pkg_mail, fwd_mail = share_mail(ctx)
     happy = False
     output = BOT
     my_shares = my_rich = None
@@ -98,11 +105,7 @@ def sync_bb_high_threshold(ctx: Ctx, my_input: bytes | None, sender: int):
     distributed = False
     mine = None
     reconstructed = False
-    cert_mail = ctx.reader("happy_cert")
-    # z_acc is fixed, so a package rejected once is rejected again: each
-    # iteration checks only the packages filed since the last
-    pkg_mail = ctx.reader("share_pkg")
-    forwards = ForwardCollector(ctx, z_acc)
+    forwards = ForwardCollector(ctx, z_acc, fwd_mail)
     for r in range(1, params.t + 2):
         ctx.set_step("distribute")
         if happy and not distributed:

@@ -96,12 +96,18 @@ def _decode_symbol_table(codec: CodecMemo, majs: dict[int, object], n: int, t: i
     return codec.decode_symbols(tuple(table), t + 1, share_len, max_errors)
 
 
+_SYNC_KINDS = ("sym_self", "sym_priv", "v_vec", "e_vec", "maj_val")
+
+
 def ef_sync_ba(ctx: Ctx, my_input: bytes, sender: int | None = None):
     """Synchronous error-free agreement; falls back to the all-zero message
     when fewer than 2t+1 parties report a usable core set."""
     _require_ef_threshold(ctx)
     params = ctx.params
     n, t = params.n, params.t
+    # each kind is read after its round; its list is opened before any of
+    # its mail can arrive, so none is built by a mailbox scan
+    inbox = {kind: ctx.inbox(kind) for kind in _SYNC_KINDS}
     ctx.set_step("symbols")
     shares = ctx.session.codec.encode(my_input, t + 1, params.l)
     row = {j: shares[j - 1].share for j in range(1, n + 1)}
@@ -116,10 +122,10 @@ def ef_sync_ba(ctx: Ctx, my_input: bytes, sender: int | None = None):
     yield NEXT_ROUND
 
     ctx.set_step("vectors")
-    for env in ctx.inbox(kind="sym_self"):
+    for env in inbox["sym_self"]:
         if isinstance(env.payload, bytes):
             self_sym.setdefault(env.src, env.payload)
-    for env in ctx.inbox(kind="sym_priv"):
+    for env in inbox["sym_priv"]:
         if isinstance(env.payload, bytes):
             priv_sym.setdefault(env.src, env.payload)
     v = 1 << (ctx.pid - 1)
@@ -132,7 +138,7 @@ def ef_sync_ba(ctx: Ctx, my_input: bytes, sender: int | None = None):
     yield NEXT_ROUND
 
     ctx.set_step("core")
-    for env in ctx.inbox(kind="v_vec"):
+    for env in inbox["v_vec"]:
         if isinstance(env.payload, int):
             vectors.setdefault(env.src, env.payload & ((1 << n) - 1))
     edges = [
@@ -172,7 +178,7 @@ def ef_sync_ba(ctx: Ctx, my_input: bytes, sender: int | None = None):
     ones = [j for j in range(1, n + 1) if flags.get(j) == 1]
     if len(ones) < 2 * t + 1:
         return bytes((params.l + 7) // 8)
-    for env in ctx.inbox(kind="e_vec"):
+    for env in inbox["e_vec"]:
         if isinstance(env.payload, int):
             e_vecs.setdefault(env.src, env.payload)
     maj = _greedy_common_vote(
@@ -185,7 +191,7 @@ def ef_sync_ba(ctx: Ctx, my_input: bytes, sender: int | None = None):
     yield NEXT_ROUND
 
     ctx.set_step("decode")
-    for env in ctx.inbox(kind="maj_val"):
+    for env in inbox["maj_val"]:
         majs.setdefault(env.src, env.payload)
     payload = _decode_symbol_table(ctx.session.codec, majs, n, t, len(row[1]),
                                    max_errors=t, absent_as_error=True)
@@ -267,7 +273,7 @@ def ef_async_rb(ctx: Ctx, my_input: bytes | None, sender: int):
         ok_seen.setdefault(x, set()).add(y)
         if frozen:
             return
-        if y in ok_seen and x in ok_seen[y] and not growing.graph.has_edge(x, y):
+        if y in ok_seen and x in ok_seen[y] and not growing.has_edge(x, y):
             result = growing.add_edge(x, y)
             if result is NOSTAR:
                 return

@@ -17,8 +17,8 @@ complement h. Let M be the canonical matching of h. If e is not in M, M is
 also the canonical matching of h - e: the maximum size cannot grow, M is
 still a matching of that size, and every maximum matching of h - e is one
 of h, so none of them is lex-smaller than M. `GrowingStar` carries h and M
-across insertions, clears e's two bits in h's rows, and runs the blossom
-again only when e is in M.
+across insertions, clears e's two bits in h's rows in place, and runs the
+blossom again only when e is in M.
 
 Size lemma. C is taken from the vertices M leaves unmatched, so
 |C| <= n - 2|M|, and star() returns NOSTAR whenever the complement's maximum
@@ -54,8 +54,9 @@ class PartyGraph:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        # Graphs built here from a valid graph (with_edge, complement) skip
-        # this O(n^2) check through _trusted.
+        # Graphs built here whose rows are valid by construction (from_edges,
+        # with_edge, complement, GrowingStar's views) skip this O(n^2) check
+        # through _trusted.
         if len(self.rows) != self.n:
             raise ValueError("row count must equal n")
         for i, r in enumerate(self.rows):
@@ -84,7 +85,7 @@ class PartyGraph:
                 raise ValueError(f"bad edge ({u},{v})")
             rows[u - 1] |= 1 << (v - 1)
             rows[v - 1] |= 1 << (u - 1)
-        return PartyGraph(n=n, rows=tuple(rows))
+        return PartyGraph._trusted(n, tuple(rows))
 
     def with_edge(self, u: int, v: int) -> "PartyGraph":
         if u == v or not (1 <= u <= self.n and 1 <= v <= self.n):
@@ -317,42 +318,62 @@ class GrowingStar:
     """A party graph that only gains edges, with its complement and a
     matching of the complement carried from one insertion to the next: the
     canonical matching, or one of more than t edges that rules every star
-    out (see the size lemma above)."""
+    out (see the size lemma above).
+
+    The graph's and the complement's rows are lists edited in place, so an
+    insertion sets two bits and clears two. `PartyGraph` views of them are
+    built only when the size bound no longer rules a star out, and when
+    ``graph`` or ``complement`` is read."""
 
     def __init__(self, n: int, t: int):
         self.n, self.t = n, t
-        self.graph = PartyGraph(n=n, rows=(0,) * n)
-        self.complement = self.graph.complement()
+        self._rows = [0] * n
+        full = (1 << n) - 1
+        self._co_rows = [full ^ (1 << i) for i in range(n)]
         self._matched = max_matching(self.complement)
         self._canonical = True  # _matched is the canonical matching of complement
+
+    @property
+    def graph(self) -> PartyGraph:
+        return PartyGraph._trusted(self.n, tuple(self._rows))
+
+    @property
+    def complement(self) -> PartyGraph:
+        return PartyGraph._trusted(self.n, tuple(self._co_rows))
 
     @property
     def matching(self) -> frozenset[tuple[int, int]]:
         """The canonical matching of the complement."""
         return self._matched if self._canonical else max_matching(self.complement)
 
+    def has_edge(self, u: int, v: int) -> bool:
+        return bool(self._rows[u - 1] >> (v - 1) & 1)
+
     def add_edge(self, u: int, v: int):
         """Insert the edge (u, v) and return the star of the new graph, or
         NOSTAR; raises ValueError for a self-loop or an id outside 1..n."""
-        self.graph = self.graph.with_edge(u, v)
-        rows = list(self.complement.rows)
-        rows[u - 1] &= ~(1 << (v - 1))
-        rows[v - 1] &= ~(1 << (u - 1))
-        self.complement = PartyGraph._trusted(self.n, tuple(rows))
-        edge = (min(u, v), max(u, v))
+        if u == v or not (1 <= u <= self.n and 1 <= v <= self.n):
+            raise ValueError(f"bad edge ({u},{v})")
+        bu, bv = 1 << (u - 1), 1 << (v - 1)
+        self._rows[u - 1] |= bv
+        self._rows[v - 1] |= bu
+        self._co_rows[u - 1] &= ~bv
+        self._co_rows[v - 1] &= ~bu
+        edge = (u, v) if u < v else (v, u)
         if edge in self._matched:
             self._matched = self._matched - {edge}
             self._canonical = False
         if len(self._matched) > self.t:
             return NOSTAR
+        complement = self.complement
         if not self._canonical:
-            grown = _outgrow(self.complement, self._matched, self.t)
+            grown = _outgrow(complement, self._matched, self.t)
             if grown is not None:
                 self._matched = grown
                 return NOSTAR
-            self._matched = max_matching(self.complement)
+            self._matched = max_matching(complement)
             self._canonical = True
-        return star(self.graph, self.n, self.t, _carried=(self.complement, self._matched))
+        return star(self.graph, self.n, self.t, _carried=(complement, self._matched))
 
 
 def _mask(vertices) -> int:

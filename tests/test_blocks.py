@@ -217,6 +217,61 @@ def test_decode_memo_is_bounded():
     assert len(memo.decoded) == blocks.MEMO_ENTRIES
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_held_codeword_answers_decode_symbols_as_the_decoder_does(data):
+    n = data.draw(st.integers(1, 12), label="n")
+    b = data.draw(st.integers(1, n), label="b")
+    m = data.draw(st.binary(max_size=40), label="m")
+    bit_len = data.draw(st.integers(0, 8 * len(m)), label="bit_len")
+    memo = blocks.CodecMemo(acc_gen(HASH_TREE, n, 128, rng_seed=0))
+    held = memo.encode(m, b, bit_len)
+    case = data.draw(st.sampled_from(["agree", "one_symbol", "other_length", "other_b"]),
+                     label="case")
+    entries = [s.share for s in held]
+    decode_b = b
+    if case == "one_symbol":
+        j = data.draw(st.integers(0, n - 1), label="position")
+        i = data.draw(st.integers(0, len(entries[j]) - 1), label="byte")
+        entry = bytearray(entries[j])
+        entry[i] ^= data.draw(st.integers(1, 255), label="flip")
+        entries[j] = bytes(entry)
+    elif case == "other_length":
+        m2 = data.draw(st.binary(min_size=len(m) + 2 * b + 9, max_size=80), label="m2")
+        entries = [s.share for s in blocks.encode(m2, b, n)]
+        assert len(entries[0]) != len(held[0].share)
+    elif case == "other_b":
+        decode_b = data.draw(st.integers(1, n + 1).filter(lambda x: x != b), label="decode_b")
+    erased = data.draw(st.sets(st.integers(0, n - 1)), label="erased")
+    table = tuple(None if j in erased else e for j, e in enumerate(entries))
+    # error budgets past the radius too: 2 * max_errors + erasures > n - b
+    max_errors = data.draw(st.integers(0, n), label="max_errors")
+    want = blocks.decode_symbols(table, decode_b, max_errors)
+    share_len = len(entries[0])
+    assert memo.decode_symbols(table, decode_b, share_len, max_errors) == want
+    assert memo.decode_symbols(table, decode_b, share_len, max_errors) == want
+
+
+def test_a_held_codeword_skips_the_decoder_only_on_exact_agreement(monkeypatch):
+    n, b = 7, 3
+    memo = blocks.CodecMemo(acc_gen(HASH_TREE, n, 128, rng_seed=0))
+    shares = memo.encode(b"held message", b, 96)
+    decodes = _count(monkeypatch, rs, "rs_decode")
+    table = tuple(s.share for s in shares)
+    erased = (None,) + table[1:]
+    assert memo.decode_symbols(table, b, len(table[0]), 2) == b"held message"
+    assert memo.decode_symbols(erased, b, len(table[0]), 1) == b"held message"
+    assert decodes[0] == 0
+    # one wrong symbol is within the error budget, so the decoder runs
+    wrong = (bytes(len(table[0])),) + table[1:]
+    assert memo.decode_symbols(wrong, b, len(table[0]), 2) == b"held message"
+    assert decodes[0] == 1
+    # past the radius the held codeword is not used: the decoder is asked,
+    # and its None stands
+    assert memo.decode_symbols(erased, b, len(table[0]), 2) is None
+    assert decodes[0] == 2
+
+
 def _genuine(n=4, b=2, m=b"genuine"):
     ak = acc_gen(HASH_TREE, n, 128, rng_seed=0)
     memo = blocks.CodecMemo(ak)

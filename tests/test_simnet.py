@@ -467,6 +467,36 @@ def test_list_first_asked_for_after_its_mail_equals_the_scan_and_grows(mode, reg
     assert all(out == b"done" for out in res.outputs.values())
 
 
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+def test_protocols_open_their_lists_before_their_mail_arrives(monkeypatch, protocol):
+    # every list a protocol reads is asked for at its start, so no honest
+    # session builds one by scanning a mailbox; the runs keep their golden
+    # digests
+    from tests.test_golden import GOLDEN, SEEDS, UNANIMITY
+
+    golden = json.loads(GOLDEN.read_text())
+    scans = []
+    opened = Engine._open
+
+    def watched(self, pid, key):
+        row = self._filing.get(key)
+        if row is not None and (not row or row[0]):
+            scans.append((pid, key))
+        return opened(self, pid, key)
+
+    monkeypatch.setattr(Engine, "_open", watched)
+    honest = next(s for s in adversary_battery() if s.name == "honest")
+    params = battery_configs(protocol)[-1]
+    for seed in SEEDS:
+        inputs = build_inputs(PROTOCOLS[protocol].kind, params, seed, UNANIMITY[seed])
+        res = run(protocol, params, inputs, adversary=honest, seed=seed)
+        key = (f"{protocol} n={params.n} t={params.t} eps={params.epsilon} "
+               f"honest ideal seed={seed}")
+        metrics = hashlib.sha256(res.metrics.to_json().encode()).hexdigest()
+        assert [metrics, res.metrics.outputs_digest] == golden[key]
+    assert scans == []
+
+
 def test_chain_oracles_file_no_kind_level_ds_list(monkeypatch):
     # the signature-chain oracles read their mail by (kind, instance) only,
     # so no party's "ds" mail is filed by kind

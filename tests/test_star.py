@@ -522,6 +522,50 @@ def test_growing_star_builds_no_complement(monkeypatch):
     assert growing.complement == complement(growing.graph)
 
 
+def test_growing_star_has_edge_agrees_with_its_graph():
+    rng = random.Random(5)
+    for n in (2, 5, 10, 16):
+        growing = GrowingStar(n, (n - 1) // 3)
+        edges = list(itertools.combinations(range(1, n + 1), 2))
+        rng.shuffle(edges)
+        for u, v in edges:
+            growing.add_edge(u, v)
+            g = growing.graph
+            assert all(growing.has_edge(x, y) == g.has_edge(x, y)
+                       for x in range(1, n + 1) for y in range(1, n + 1))
+
+
+def test_growing_star_builds_no_graph_while_the_size_bound_rules_a_star_out(monkeypatch):
+    # an insertion that leaves more than t carried matching edges edits the
+    # rows in place and returns NOSTAR without building a PartyGraph view
+    n, t = 13, 4
+    growing = GrowingStar(n, t)
+    built = [0]
+    trusted, checked = PartyGraph._trusted.__func__, PartyGraph.__post_init__
+
+    def counted_trusted(cls, *args):
+        built[0] += 1
+        return trusted(cls, *args)
+
+    def counted_checked(self):
+        built[0] += 1
+        checked(self)
+
+    monkeypatch.setattr(PartyGraph, "_trusted", classmethod(counted_trusted))
+    monkeypatch.setattr(PartyGraph, "__post_init__", counted_checked)
+    edges = list(itertools.combinations(range(1, n + 1), 2))
+    random.Random(2).shuffle(edges)
+    ruled_out = 0
+    for u, v in edges:
+        survivors = growing._matched - {(u, v)}
+        before = built[0]
+        result = growing.add_edge(u, v)
+        if len(survivors) > t:
+            ruled_out += 1
+            assert result is NOSTAR and built[0] == before
+    assert ruled_out > len(edges) // 2 and built[0] > 0
+
+
 @pytest.mark.parametrize("edge", [(3, 3), (0, 2), (2, 6), (-1, 1)])
 def test_growing_star_rejects_bad_edges(edge):
     growing = GrowingStar(5, 1)
@@ -548,11 +592,10 @@ class _StaleMatchingStar(GrowingStar):
     star() is handed a matching that may not be maximum."""
 
     def add_edge(self, u, v):
-        self.graph = self.graph.with_edge(u, v)
-        rows = list(self.complement.rows)
-        rows[u - 1] &= ~(1 << (v - 1))
-        rows[v - 1] &= ~(1 << (u - 1))
-        self.complement = PartyGraph._trusted(self.n, tuple(rows))
+        self._rows[u - 1] |= 1 << (v - 1)
+        self._rows[v - 1] |= 1 << (u - 1)
+        self._co_rows[u - 1] &= ~(1 << (v - 1))
+        self._co_rows[v - 1] &= ~(1 << (u - 1))
         self._matched = self._matched - {(min(u, v), max(u, v))}
         if len(self._matched) > self.t:
             return NOSTAR
