@@ -15,6 +15,7 @@ from typing import Callable
 
 from . import blocks
 from .multisig import MultiSig, msig_combine
+from .oracles import bcast_oracle
 from .simnet import (
     BOT,
     Ctx,
@@ -273,9 +274,7 @@ class WithholdCertificate(AdversaryScript):
             params = ctx.params
             m = env.inputs.get(env.sender, b"")
             shares, rich = ctx.session.codec.commit(m, params.b, params.l)
-            ctx.oracle_submit("sync_bb", rich.data, params.k, instance="bb_commit",
-                              sender=ctx.pid)
-            yield from ctx.wait_oracle("bb_commit")
+            yield from bcast_oracle(ctx, "sync_bb", "bb_commit", ctx.pid, rich.data, params.k)
             target = min(p for p in range(1, params.n + 1) if p not in env.corrupt)
             release_iter = max(len(env.corrupt), 1)
             tag = b"HAPPY/" + ctx.session.session_id.encode()

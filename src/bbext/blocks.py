@@ -21,26 +21,27 @@ these once:
 - ``verify`` remembers the one package it accepted for each (commitment
   bytes, index) and answers a package with the same share and witness bytes
   without hashing again; any other package gets the full `verify_package`;
-- ``reconstruct`` keeps the packages that ``verify`` accepts and decodes
-  each distinct verified share set, keyed by its sorted (index, share bytes)
-  items, once;
-- ``decode_symbols`` decodes each distinct table of symbol-blocks with
-  errors (the error-free protocols' majority votes), keyed by the table
-  the decoder sees and its (b, share length, error budget), once;
-- a table it has not decoded before that equals, at every present position,
-  the shares of a message the memo holds (same b and share length), and
-  lies inside the decoder's radius (2 * error budget + erasures <= n - b),
-  is answered with that message as ``bits_from_data`` reads it, without
-  decoding: a decoder inside its radius returns the one codeword that
-  agrees with every present symbol. The agreement is exact; a table
-  within the error budget of a held codeword still goes to the decoder.
+- ``reconstruct`` (the packages ``verify`` accepts) and ``decode_symbols``
+  (the error-free protocols' tables of majority votes) share one decode
+  table, keyed by (b, error budget, erasure budget, the table of n share
+  bytes or None the decoder sees), so each distinct table is decoded once;
+  a malformed table (an entry of odd length, budgets past the decoder's
+  radius) decodes to None in both, never to an exception;
+- a vote table it has not decoded before that equals, at every present
+  position, the shares of a message the memo holds (same b and share
+  length), and lies inside the decoder's radius (2 * error budget +
+  erasures <= n - b), is answered with that message as ``bits_from_data``
+  reads it, without decoding: a decoder inside its radius returns the one
+  codeword that agrees with every present symbol. The agreement is exact;
+  a table within the error budget of a held codeword still goes to the
+  decoder.
 
-The message table and the table of accepted packages each hold at most
-`MEMO_ENTRIES` entries (messages, or commitments of at most n packages each),
-as do the two decode tables, dropping the least recently used; a call that
-raises stores nothing, and nothing outlives the session. On a miss the memo
-calls the pure `encode`, `eval_shares`, `make_packages`, `reconstruct` and
-`decode_symbols` below by their module names.
+The message table, the table of accepted packages and the decode table
+each hold at most `MEMO_ENTRIES` entries (messages, commitments of at most
+n packages each, or decodes), dropping the least recently used; a call
+that raises stores nothing, and nothing outlives the session. On a miss
+the memo calls the pure `encode`, `eval_shares`, `make_packages` and
+`reconstruct` below by their module names.
 """
 
 from __future__ import annotations
@@ -137,45 +138,32 @@ def reconstruct(packages: dict[int, SharePackage | None], ak: AccKey, z: AccValu
     n = ak.capacity
     valid = {j: pkg.indexed_share.share for j in range(1, n + 1)
              if (pkg := packages.get(j)) is not None and verify_package(ak, z, pkg, expect_index=j)}
-    if len(valid) < n - d0 or not valid:
+    if len(valid) < n - d0 or not valid or len({len(s) for s in valid.values()}) != 1:
         return None
-    lengths = {len(s) for s in valid.values()}
-    if len(lengths) != 1:
-        return None
-    symbols: list = [None] * n
-    for j, raw in valid.items():
-        symbols[j - 1] = rs.unpack_symbols(raw)
-    cw = rs.Codeword(symbols=symbols, n=n, b=b)
-    try:
-        data = rs.rs_decode(cw, 0, d0)
-    except ValueError:
-        return None
-    if data is None:
-        return None
-    try:
-        payload, bit_len = rs.bits_from_data(data)
-    except ValueError:
-        return None
-    return payload, bit_len
+    return _decode(tuple(valid.get(j) for j in range(1, n + 1)), b, 0, d0)
 
 
 def decode_symbols(table: tuple[bytes | None, ...], b: int, max_errors: int) -> bytes | None:
     """Decode a table of n symbol-blocks, entry j - 1 being position j's
     share bytes or None for an erasure, tolerating up to max_errors wrong
     entries; the message, or None on failure."""
-    symbols = [None if raw is None else rs.unpack_symbols(raw) for raw in table]
-    cw = rs.Codeword(symbols=symbols, n=len(table), b=b)
+    out = _decode(table, b, max_errors, table.count(None))
+    return None if out is None else out[0]
+
+
+def _decode(table: tuple[bytes | None, ...], b: int, max_errors: int,
+            max_erasures: int) -> tuple[bytes, int] | None:
+    """(message, bit length) of a table of n symbol-blocks (None for an
+    erasure) decoded within the given budgets; None when the table is
+    malformed (an entry of odd length), outside the decoder's radius, or
+    decodes to no message."""
     try:
-        data = rs.rs_decode(cw, max_errors, table.count(None))
+        symbols = [None if raw is None else rs.unpack_symbols(raw) for raw in table]
+        data = rs.rs_decode(rs.Codeword(symbols=symbols, n=len(table), b=b),
+                            max_errors, max_erasures)
+        return None if data is None else rs.bits_from_data(data)
     except ValueError:
         return None
-    if data is None:
-        return None
-    try:
-        payload, _ = rs.bits_from_data(data)
-    except ValueError:
-        return None
-    return payload
 
 
 MEMO_ENTRIES = 16
@@ -208,7 +196,7 @@ class _Message:
     shares: tuple[IndexedShare, ...]
     z: AccValue | None = None
     packages: dict[int, SharePackage] | None = None
-    payload: bytes | None = None  # the message as a decode of its shares reads it
+    decoded: tuple[bytes, int] | None = None  # (message, bit length) as a decode reads it
 
 
 class CodecMemo:
@@ -221,8 +209,8 @@ class CodecMemo:
         self.commits: dict[tuple, _Message] = {}
         # commitment bytes -> index -> plain fields of the package accepted
         self.accepted: dict[bytes, dict[int, tuple[int, bytes, bytes]]] = {}
+        # (b, error budget, erasure budget, table) -> (message, bit length) or None
         self.decoded: dict[tuple, tuple[bytes, int] | None] = {}
-        self.symbol_decodes: dict[tuple, bytes | None] = {}
 
     def _message(self, m: bytes, b: int, bit_len: int) -> _Message:
         key = (m, b, bit_len)
@@ -278,9 +266,11 @@ class CodecMemo:
         """`reconstruct` over the packages that `verify` accepts for their own
         slot. A miss hands `reconstruct` only those packages, and it verifies
         them once more: once per distinct share set."""
-        valid = {j: pkg for j in range(1, self.ak.capacity + 1)
+        n = self.ak.capacity
+        valid = {j: pkg for j in range(1, n + 1)
                  if (pkg := packages.get(j)) is not None and self.verify(z, pkg, j)}
-        key = (d0, b, tuple((j, pkg.indexed_share.share) for j, pkg in valid.items()))
+        key = (b, 0, d0, tuple(valid[j].indexed_share.share if j in valid else None
+                               for j in range(1, n + 1)))
         if key in self.decoded:
             out = self.decoded.pop(key)
         else:
@@ -291,24 +281,25 @@ class CodecMemo:
     def decode_symbols(self, table: tuple[bytes | None, ...], b: int, share_len: int,
                        max_errors: int) -> bytes | None:
         """`decode_symbols` of a table whose entries are share_len bytes or
-        None, once per distinct (table, b, share_len, max_errors). A table
-        equal at every present position to the shares of a held message
-        with the same b and share length, with 2 * max_errors + erasures
-        <= n - b, is that message's payload without decoding."""
-        key = (b, share_len, max_errors, table)
-        if key in self.symbol_decodes:
-            out = self.symbol_decodes.pop(key)
+        None, once per distinct (b, max_errors, table). A table equal at
+        every present position to the shares of a held message with the
+        same b and share length, with 2 * max_errors + erasures <= n - b, is
+        that message without decoding."""
+        erasures = table.count(None)
+        key = (b, max_errors, erasures, table)
+        if key in self.decoded:
+            out = self.decoded.pop(key)
         else:
-            out = self._held_payload(table, b, share_len, max_errors)
+            out = self._held(table, b, share_len, max_errors)
             if out is None:
-                out = decode_symbols(table, b, max_errors)
-        _remember(self.symbol_decodes, key, out)
-        return out
+                out = _decode(table, b, max_errors, erasures)
+        _remember(self.decoded, key, out)
+        return None if out is None else out[0]
 
-    def _held_payload(self, table: tuple[bytes | None, ...], b: int, share_len: int,
-                      max_errors: int) -> bytes | None:
-        """The payload of a held message whose shares agree with every
-        present entry of table, when the decoder's precondition holds;
+    def _held(self, table: tuple[bytes | None, ...], b: int, share_len: int,
+              max_errors: int) -> tuple[bytes, int] | None:
+        """(message, bit length) of a held message whose shares agree with
+        every present entry of table, when the decoder's precondition holds;
         None otherwise."""
         n = len(table)
         if max_errors < 0 or 2 * max_errors + table.count(None) > n - b:
@@ -318,7 +309,7 @@ class CodecMemo:
             if mb != b or len(shares) != n or len(shares[0].share) != share_len:
                 continue
             if all(raw is None or raw == s.share for raw, s in zip(table, shares)):
-                if entry.payload is None:
-                    entry.payload = rs.bits_from_data(rs.data_from_bits(m, bit_len, b))[0]
-                return entry.payload
+                if entry.decoded is None:
+                    entry.decoded = rs.bits_from_data(rs.data_from_bits(m, bit_len, b))
+                return entry.decoded
         return None

@@ -350,11 +350,18 @@ def check_coding(max_exhaustive_n: int = 8, random_trials: int = 1000,
             continue
         if n <= 9 and rs_decode_reference(bad, c, d) != got:
             failures.append(f"reference mismatch n={n} b={b} c={c} d={d} trial={trial}")
-        # the same tables through a codec memo that holds the codeword: the
-        # corrupted one and the one with the erasures alone, at the trial's
-        # error budget and one past the radius, answered as the pure decoder does
+        # the trial's committed packages with its erasures, then the same
+        # tables through the codec memo that holds the codeword: the corrupted
+        # one and the one with the erasures alone, at the trial's error budget
+        # and one past the radius; both routes share one decode table and
+        # answer as the pure decoder does
         memo = blocks.CodecMemo(memo_keys[n])
-        share_len = len(memo.encode(payload, b, 8 * len(payload))[0].share)
+        shares, z = memo.commit(payload, b, 8 * len(payload))
+        kept = {j: pkg for j, pkg in memo.packages(shares, z).items() if j not in positions[:d]}
+        trials += 1
+        if memo.reconstruct(kept, z, d, b) != blocks.reconstruct(kept, memo.ak, z, d, b):
+            failures.append(f"memo reconstruct n={n} b={b} d={d} trial={trial}")
+        share_len = len(shares[0].share)
         tables = [tuple(None if s is None else rs.pack_symbols(s) for s in bad.symbols),
                   tuple(None if s is None else rs.pack_symbols(k)
                         for s, k in zip(bad.symbols, cw.symbols))]

@@ -84,6 +84,16 @@ def test_reconstruct_rejects_misplaced_package(ak):
     assert blocks.reconstruct(shuffled, ak, z, d0=1, b=3) is None
 
 
+def test_odd_length_shares_decode_to_failure(ak):
+    # a committed set of 1-byte shares is no symbol-block table: failure, not an exception
+    shares = [blocks.IndexedShare(j, bytes([j])) for j in range(1, 5)]
+    z = blocks.eval_shares(ak, shares)
+    packages = blocks.make_packages(shares, ak, z)
+    assert blocks.reconstruct(packages, ak, z, d0=1, b=2) is None
+    assert blocks.CodecMemo(ak).reconstruct(packages, z, 1, 2) is None
+    assert blocks.decode_symbols(tuple(s.share for s in shares), 2, 1) is None
+
+
 def test_verify_package(ak):
     m = b"xyzw"
     shares = blocks.encode(m, b=2, n=4)

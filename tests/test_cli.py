@@ -133,12 +133,6 @@ def test_invalid_cell_rejected(tmp_path):
     assert code == 2
 
 
-def test_coding_check_fits_the_fresh_checkout_budget(capsys):
-    assert run_cli(["check", "coding"]) == 0
-    report = json.loads(capsys.readouterr().out.strip())
-    assert report["elapsed_s"] < 60
-
-
 def test_trace_prints_one_cell_as_json_lines(capsys):
     args = ["trace", "--protocol", "sync-bb-highthresh", "--n", "4", "--l", "96",
             "--epsilon", "0.5", "--adversary", "withhold_cert", "--seed", "3"]

@@ -446,7 +446,7 @@ def test_flooded_votes_keep_the_decode_table_bounded(monkeypatch, seed):
     def watched(self, table, b, share_len, max_errors):
         out = decode(self, table, b, share_len, max_errors)
         keys.add((b, share_len, max_errors, table))
-        sizes.append(len(self.symbol_decodes))
+        sizes.append(len(self.decoded))
         return out
 
     monkeypatch.setattr(CodecMemo, "decode_symbols", watched)

@@ -3,9 +3,15 @@ party or break termination/agreement/validity."""
 
 import itertools
 
-from bbext.adversary import JunkInjector
-from bbext.checks import battery_configs, build_inputs, judged_run
+import pytest
+
+from bbext import blocks
+from bbext.adversary import AdversaryScript, JunkInjector
+from bbext.checks import battery_configs, build_inputs, evaluate_run, judged_run
+from bbext.multisig import MultiSig
+from bbext.oracles import bcast_oracle
 from bbext.protocols import PROTOCOLS
+from bbext.runner import run
 
 
 def test_junk_injection_across_all_protocols():
@@ -34,3 +40,42 @@ def test_junk_injection_at_seven_parties():
             _, violations = judged_run(protocol, params, inputs, adversary=JunkInjector(),
                                        seed=seed)
             assert not violations, (protocol, seed, violations)
+
+
+class OddLengthShareSender(AdversaryScript):
+    """A corrupt sender that commits to 1-byte shares, which no decoder can
+    read as 16-bit symbol-blocks, and sends each party its witnessed share;
+    in the high-threshold protocol it also sends its own signature on the
+    HAPPY marker, so the honest parties reconstruct in the first iteration."""
+
+    name = "odd_length_shares"
+
+    def corrupt_set(self, n, t, sender):
+        return frozenset({sender})
+
+    def make_party(self, pid, honest_factory, env):
+        def party(ctx):
+            params, ak = ctx.params, ctx.session.ak
+            shares = [blocks.IndexedShare(j, bytes([j])) for j in range(1, params.n + 1)]
+            z = blocks.eval_shares(ak, shares)
+            packages = blocks.make_packages(shares, ak, z)
+            if env.spec.mode == "rounds":
+                yield from bcast_oracle(ctx, "sync_bb", "bb_commit", ctx.pid, z.data, params.k)
+                sig = ctx.session.msig.sign(ctx.pid, b"HAPPY/" + ctx.session.session_id.encode())
+                ctx.broadcast("happy_cert", sig, bits=MultiSig.nominal_bits(params.n, params.k),
+                              step="distribute")
+            else:
+                yield from bcast_oracle(ctx, "async_rb", "rb_commit", ctx.pid, z.data, params.k)
+            for j, pkg in sorted(packages.items()):
+                if j != ctx.pid:
+                    ctx.send(j, "share_pkg", pkg, bits=pkg.nominal_bits(), step="distribute")
+
+        return party
+
+
+@pytest.mark.parametrize("protocol", ["async-rb-third", "sync-bb-highthresh"])
+def test_committed_odd_length_shares_crash_no_honest_party(protocol):
+    for params, seed in itertools.product(battery_configs(protocol, sizes=(4,)), range(3)):
+        inputs = build_inputs("bb", params, seed, "all")
+        res = run(protocol, params, inputs, adversary=OddLengthShareSender(), seed=seed)
+        assert evaluate_run(PROTOCOLS[protocol].kind, inputs, 1, res) == [], (params, seed)

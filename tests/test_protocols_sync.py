@@ -129,6 +129,17 @@ def test_high_threshold_withholder_accepts_in_final_iteration():
     assert min(honest_iters.values()) == len(res.corrupt)
 
 
+def test_withholder_commits_through_the_concrete_broadcast():
+    # the corrupt sender commits through Dolev-Strong as an honest sender
+    # would, so the honest parties output its message as under ideal oracles
+    params = p_eps(n=7, eps=0.25)
+    ideal = run("sync-bb-highthresh", params, {1: M}, adversary=WithholdCertificate(), seed=0)
+    concrete = run("sync-bb-highthresh", params, {1: M}, adversary=WithholdCertificate(),
+                   seed=0, oracle_impl={"sync_bb": "concrete"})
+    assert all(concrete.outputs[p] == M for p in concrete.honest)
+    assert concrete.outputs == ideal.outputs
+
+
 def test_high_threshold_one_shot_steps():
     # every party's distribution / sharing traffic appears at most once
     params = p_eps(n=7, eps=0.5)
