@@ -6,11 +6,9 @@ code; criterion 5 runs through it. Criteria 2-4 read one module-scoped run
 of `checks.complexity_reports`, the sweeps `bbext check complexity` judges.
 """
 
-import json
 import os
 
 import pytest
-from bbext import cli
 from bbext.checks import (
     CheckReport,
     check_accumulator,
@@ -59,10 +57,9 @@ def test_criterion_4_high_threshold_share_blowup(complexity):
     _emit("4", complexity[2])
 
 
-def test_criterion_5_codec_recovery(capsys):
+def test_criterion_5_codec_recovery(coding_check_run):
     # through the CLI, as a fresh checkout runs it, within its time budget
-    code = cli.main(["check", "coding"])
-    out = json.loads(capsys.readouterr().out)
+    code, out = coding_check_run
     _emit("5", CheckReport(name=out["name"], passed=out["passed"], trials=out["trials"],
                            failures=out["failures"], elapsed=out["elapsed_s"]))
     assert code == 0 and out["elapsed_s"] < 60

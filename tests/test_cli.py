@@ -133,6 +133,12 @@ def test_invalid_cell_rejected(tmp_path):
     assert code == 2
 
 
+def test_coding_check_fits_the_fresh_checkout_budget(coding_check_run):
+    code, report = coding_check_run
+    assert code == 0
+    assert report["elapsed_s"] < 60
+
+
 def test_trace_prints_one_cell_as_json_lines(capsys):
     args = ["trace", "--protocol", "sync-bb-highthresh", "--n", "4", "--l", "96",
             "--epsilon", "0.5", "--adversary", "withhold_cert", "--seed", "3"]
