@@ -23,7 +23,8 @@ from .simnet import (
     RandomPolicy,
     SchedulerPolicy,
     StarvePolicy,
-    _canon,
+    default_output,
+    value_to_bytes,
 )
 
 
@@ -60,9 +61,7 @@ class AdversaryScript:
 
     def pick_oracle_output(self, inst, submitted: list, engine):
         """Output choice when the definition does not pin one."""
-        if not submitted:
-            return BOT
-        return min(submitted, key=_canon)
+        return default_output(submitted)
 
     def scheduler_policy(self, corrupt: frozenset[int], seed: int) -> SchedulerPolicy:
         return SchedulerPolicy()
@@ -392,9 +391,7 @@ class PushyChoice(AdversaryScript):
     placement = "tail_but_sender"
 
     def pick_oracle_output(self, inst, submitted, engine):
-        if not submitted:
-            return BOT
-        return max(submitted, key=_canon)
+        return max(submitted, key=value_to_bytes, default=BOT)
 
 
 class ScheduledHonest(AdversaryScript):

@@ -24,7 +24,7 @@ from pathlib import Path
 from .adversary import adversary_battery
 from .checks import SUITES, build_inputs
 from .protocols import PROTOCOLS, SessionParams
-from .runner import ORACLE_KINDS, RunResult, run
+from .runner import RunResult, _normalize_oracle_impl, run
 
 CSV_COLUMNS = ["protocol", "n", "t", "l", "adversary", "seed",
                "honest_bits", "oracle_bits", "rounds"]
@@ -118,9 +118,10 @@ class ExperimentConfig:
         if not seeds:
             raise ConfigError("seed list must be non-empty")
         oracles = dict(raw.get("oracles", {}))
-        for kind, impl in oracles.items():
-            if kind not in ORACLE_KINDS or impl not in ("ideal", "concrete"):
-                raise ConfigError(f"bad oracle setting {kind}={impl}")
+        try:
+            _normalize_oracle_impl(oracles)
+        except ValueError as exc:
+            raise ConfigError(f"bad oracle setting: {exc}")
         adversaries = list(raw.get("adversaries", ["honest"]))
         known = {s.name for s in adversary_battery()}
         for name in adversaries:

@@ -25,7 +25,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .multisig import MsigAuthority, MultiSig, msig_combine
-from .simnet import BOT, Ctx, NEXT_ROUND
+from .simnet import BOT, Ctx, NEXT_ROUND, _encodable, value_to_bytes
 
 
 class CoinOracle:
@@ -48,26 +48,6 @@ class CoinOracle:
         if (instance, rnd) in self._revealed:
             return self._bit(instance, rnd)
         return None
-
-
-def value_to_bytes(v) -> bytes:
-    """Injective encoding of an oracle value: a type tag, then the value.
-
-    Signature-chain tags and vote tallies key on it, so values of different
-    types must never share an encoding."""
-    if not _encodable(v):
-        raise TypeError(f"unsupported oracle value type {type(v)!r}")
-    if v is BOT:
-        return b"N"
-    if isinstance(v, bytes):
-        return b"b" + v
-    return b"i" + int(v).to_bytes(9, "big", signed=True)
-
-
-def _encodable(v) -> bool:
-    """True when ``value_to_bytes(v)`` succeeds: BOT, bytes, or a 64-bit int."""
-    return (v is BOT or isinstance(v, bytes)
-            or (isinstance(v, int) and -(2**63) <= int(v) < 2**63))
 
 
 def _chain_tag(instance: str, value) -> bytes:
@@ -267,7 +247,7 @@ def bracha_rb(ctx: Ctx, instance: str, sender: int, my_value, value_bits: int):
             machine.feed(env)
         if machine.has_delivered:
             break
-        yield mail.wait()
+        yield mail
     return machine.delivered
 
 
@@ -280,10 +260,8 @@ class _AbaRound:
     est_relayed: set[int] = field(default_factory=set)
     bin_values: list[int] = field(default_factory=list)
     aux_seen: dict[int, set[int]] = field(default_factory=dict)
-    aux_sent: bool = False
     conf_seen: dict[int, set[int]] = field(default_factory=dict)
     conf_srcs: set[int] = field(default_factory=set)
-    conf_sent: bool = False
     est_sent: set[int] = field(default_factory=set)
 
 
@@ -386,7 +364,7 @@ def aba_binary(ctx: Ctx, instance: str, my_bit: int):
             pump()
             if pred() or decided:
                 return
-            yield mail.wait()
+            yield mail
 
     est = my_bit & 1
     r = 1
@@ -396,11 +374,9 @@ def aba_binary(ctx: Ctx, instance: str, my_bit: int):
         yield from wait(lambda: st.bin_values)
         if decided:
             break
-        if not st.aux_sent:
-            st.aux_sent = True
-            w = st.bin_values[0]
-            st.aux_seen.setdefault(w, set()).add(ctx.pid)
-            bcast("aux", r, w)
+        w = st.bin_values[0]
+        st.aux_seen.setdefault(w, set()).add(ctx.pid)
+        bcast("aux", r, w)
 
         def aux_quorum():
             srcs = set()
@@ -413,13 +389,11 @@ def aba_binary(ctx: Ctx, instance: str, my_bit: int):
             break
         vals = [v for v in (0, 1) if v in st.bin_values and st.aux_seen.get(v, set())]
         vote = vals[0] if len(vals) == 1 else CONF_NONE
-        if not st.conf_sent:
-            st.conf_sent = True
-            st.conf_seen.setdefault(vote, set()).add(ctx.pid)
-            st.conf_srcs.add(ctx.pid)
-            bcast("conf", r, vote)
-            if vote in (0, 1) and len(st.conf_seen.get(vote, ())) >= n:
-                send_ready(vote, r)
+        st.conf_seen.setdefault(vote, set()).add(ctx.pid)
+        st.conf_srcs.add(ctx.pid)
+        bcast("conf", r, vote)
+        if vote in (0, 1) and len(st.conf_seen.get(vote, ())) >= n:
+            send_ready(vote, r)
         yield from wait(lambda: len(st.conf_srcs) >= n - t)
         if decided:
             break

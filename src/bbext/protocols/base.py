@@ -182,7 +182,7 @@ def shared_sync_tail(ctx: Ctx, z, happy: bool, my_message: bytes | None, my_comm
         return my_message
     out = ForwardCollector(ctx, z, fwd_mail).reconstruct()
     if out is None:
-        raise AssertionError(
+        raise InvariantViolation(
             f"party {ctx.pid}: reconstruction failed although the happy vote carried"
         )
     return out[0]

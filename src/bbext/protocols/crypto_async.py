@@ -35,7 +35,7 @@ def async_ba_third(ctx: Ctx, my_input: bytes, sender: int | None = None):
     ctx.set_step("share")
     mine = first_valid_own_package(ctx, z_acc, packages.new())
     while mine is None:
-        yield packages.wait()
+        yield packages
         mine = first_valid_own_package(ctx, z_acc, packages.new())
     forward_own_package(ctx, mine)
     if happy:
@@ -45,10 +45,11 @@ def async_ba_third(ctx: Ctx, my_input: bytes, sender: int | None = None):
     ctx.set_step("reconstruct")
     forwards = ForwardCollector(ctx, z_acc, fwd_mail)
     while forwards.update() < params.n - params.t:
-        yield forwards.mail.wait()
+        yield forwards.mail
     got = forwards.reconstruct()
     if got is None:
-        raise AssertionError(f"party {ctx.pid}: reconstruction failed after a carried happy vote")
+        raise InvariantViolation(
+            f"party {ctx.pid}: reconstruction failed after a carried happy vote")
     return got[0]
 
 
@@ -112,7 +113,7 @@ def async_rb_third(ctx: Ctx, my_input: bytes | None, sender: int):
                 return m
         # any new mail, not only the kinds read above, wakes the loop again
         mail.new()
-        yield mail.wait()
+        yield mail
 
 
 ASYNC_PROTOCOLS = [

@@ -348,7 +348,7 @@ def ef_async_rb(ctx: Ctx, my_input: bytes | None, sender: int):
                                            max_errors, absent_as_error=False)
             if payload is not None:
                 return payload
-        yield mail.wait()
+        yield mail
 
 
 EF_PROTOCOLS = [

@@ -1,9 +1,11 @@
 """Deterministic network simulation: round and event schedulers, metering.
 
 One engine executes one protocol session. Parties are generators that yield
-wait conditions (NextRound in rounds mode, Until(predicate) in events mode)
-and return their output. The engine owns delivery, ideal-oracle rendezvous,
-and honest-bit accounting.
+a wait condition and return their output. The one condition on mail is a
+``Reader``: a party yielding its reader resumes once mail past the reader's
+cursor has arrived, which the engine checks as ``len(box) > pos``; in rounds
+mode a party may also yield ``NEXT_ROUND``. The engine owns delivery,
+ideal-oracle rendezvous, and honest-bit accounting.
 
 Rounds mode: every message sent in round r reaches honest mailboxes at the
 start of round r+1. Events mode: a scheduling policy picks the next pending
@@ -15,7 +17,8 @@ A send is one immutable ``Envelope``, built once however many parties it
 goes to: a broadcast by a party without a send hook, or an ideal oracle's
 output, is one record with its destination list, metered with one charge.
 Delivery appends that same record to each destination's mailbox, in
-destination order.
+destination order, through one filing routine (``Engine._deliver``) that
+serves rounds-mode sends, events-mode deliveries and self-deliveries alike.
 
 Mail is filed only where it is read. Every envelope reaching a party goes
 into its mailbox; a list of its mail of one kind, or of one (kind,
@@ -25,7 +28,16 @@ scan of the mailbox, in arrival order, or starts it empty if no mail of
 that key has been filed to anyone yet; from then on delivery appends to
 it, at one table lookup per envelope and key, so reading it costs nothing.
 A party reads new mail through a cursor (``Ctx.reader``) that remembers how
-far it has read.
+far it has read, and waits for more by yielding that cursor.
+
+An ideal oracle fires on two facts. A sender kind (``sync_bb``,
+``async_rb``) fires when its sender has submitted, and in rounds mode also
+once every honest party has registered; an agreement kind fires when every
+honest party has submitted. Its output goes to every party on the
+(``oracle_out``, instance) list, which only the engine files; where the
+definition leaves the output open, the adversary picks, or else
+``default_output``: the least submitted value in the ``value_to_bytes``
+order.
 
 Only bits sent by honest parties are metered, at nominal sizes. Ideal-oracle
 invocations are charged their model cost pro rata to the honest fraction.
@@ -83,11 +95,6 @@ class Envelope(NamedTuple):
 
 class NextRound:
     pass
-
-
-@dataclass
-class Until:
-    pred: Callable[[], bool]
 
 
 NEXT_ROUND = NextRound()
@@ -163,34 +170,53 @@ def _oracle_domain_ok(inst: IdealOracle, value) -> bool:
     return isinstance(value, bytes)
 
 
+def value_to_bytes(v) -> bytes:
+    """Injective encoding of an oracle value: a type tag, then the value.
+
+    Signature-chain tags and vote tallies key on it, so values of different
+    types must never share an encoding. It is also the one order over
+    oracle values: within bytes it is lexicographic, within ints numeric."""
+    if not _encodable(v):
+        raise TypeError(f"unsupported oracle value type {type(v)!r}")
+    if v is BOT:
+        return b"N"
+    if isinstance(v, bytes):
+        return b"b" + v
+    return b"i" + int(v).to_bytes(9, "big", signed=True)
+
+
+def _encodable(v) -> bool:
+    """True when ``value_to_bytes(v)`` succeeds: BOT, bytes, or a 64-bit int."""
+    return (v is BOT or isinstance(v, bytes)
+            or (isinstance(v, int) and -(2**63) <= int(v) < 2**63))
+
+
+def default_output(submitted: list):
+    """An oracle's output where its definition leaves the choice open and no
+    adversary makes it: the least submitted value, BOT if there is none."""
+    return min(submitted, key=value_to_bytes, default=BOT)
+
+
 class SchedulerPolicy:
     """Chooses the index of the next pending (envelope, destination) entry
     (events mode)."""
-
-    name = "fifo"
 
     def pick(self, pending: list[tuple[Envelope, int]], rng: random.Random) -> int:
         return 0
 
 
 class LifoPolicy(SchedulerPolicy):
-    name = "lifo"
-
     def pick(self, pending, rng):
         return len(pending) - 1
 
 
 class RandomPolicy(SchedulerPolicy):
-    name = "random"
-
     def pick(self, pending, rng):
         return rng.randrange(len(pending))
 
 
 class StarvePolicy(SchedulerPolicy):
     """Serve corrupt-endpoint traffic first, newest honest traffic last."""
-
-    name = "starve"
 
     def __init__(self, corrupt: frozenset[int]):
         self.corrupt = corrupt
@@ -204,8 +230,6 @@ class StarvePolicy(SchedulerPolicy):
 
 class PrefixPolicy(SchedulerPolicy):
     """Follow an explicit decision prefix, then FIFO; used by schedule search."""
-
-    name = "prefix"
 
     def __init__(self, decisions: tuple[int, ...]):
         self.decisions = decisions
@@ -223,38 +247,27 @@ class PrefixPolicy(SchedulerPolicy):
 
 
 class Reader:
-    """A cursor over one of a party's inbox lists (see ``Ctx.reader``).
+    """A cursor over one of a party's inbox lists (see ``Ctx.reader``), and
+    the wait condition on it.
 
     ``new()`` returns the envelopes filed since its last call, as a fresh
     list, so the caller may self-deliver while iterating. The reader holds
     the list it reads, which later mail extends, so ``new()`` does no lookup.
-    ``wait()`` is the wait condition "mail past the cursor has arrived";
-    checking it costs one ``len``. The reader builds that condition once and
-    returns it on every call; it reads the cursor from a one-item list,
-    because a predicate holding the reader would be a reference cycle that
-    keeps the session's mail alive until the next full collection.
+    A party that yields the reader resumes once mail past the cursor has
+    arrived: the engine checks ``len(_box) > _pos``.
     """
 
-    __slots__ = ("_box", "_cursor", "_until")
+    __slots__ = ("_box", "_pos")
 
     def __init__(self, box: list[Envelope]):
         self._box = box
-        self._cursor = cursor = [0]
-        self._until = Until(lambda: len(box) > cursor[0])
-
-    @property
-    def _pos(self) -> int:
-        """How many envelopes of the list ``new()`` has returned so far."""
-        return self._cursor[0]
+        self._pos = 0  # how many envelopes of the list new() has returned
 
     def new(self) -> list[Envelope]:
-        box, cursor = self._box, self._cursor
-        fresh = box[cursor[0]:]
-        cursor[0] = len(box)
+        box = self._box
+        fresh = box[self._pos:]
+        self._pos = len(box)
         return fresh
-
-    def wait(self) -> Until:
-        return self._until
 
 
 class Ctx:
@@ -290,7 +303,6 @@ class Ctx:
         self._lists: dict[object, list[Envelope]] = {}
         self.happy = False
         self.step = "init"
-        self._oracle_seq: dict[str, int] = {}
         self.send_hook: Callable | None = None
         self.oracle_hook: Callable | None = None
         self.crash_after_steps: int | None = None
@@ -313,7 +325,7 @@ class Ctx:
     def set_happy(self, value: bool) -> None:
         # corrupt parties may flap the flag
         if self.happy and not value and self.pid in self.engine.honest:
-            raise AssertionError(f"party {self.pid}: happy flag must be monotone")
+            raise InvariantViolation(f"party {self.pid}: happy flag must be monotone")
         self.happy = bool(value)
 
     def send(self, dst: int, kind: str, payload, bits: int, step: str | None = None,
@@ -340,8 +352,11 @@ class Ctx:
 
     def self_deliver(self, kind: str, payload, step: str | None = None,
                      instance: str | None = None) -> None:
-        self.engine._file(Envelope(self.pid, kind, payload, 0, step or self.step, instance,
-                                   self.engine.tick), self.pid)
+        """File mail to oneself at once, unmetered and untraced."""
+        if kind == "oracle_out":
+            raise ValueError("oracle outputs are delivered by the engine only")
+        self.engine._deliver(Envelope(self.pid, kind, payload, 0, step or self.step, instance,
+                                      self.engine.tick), (self.pid,))
 
     def inbox(self, kind: str | None = None, instance: str | None = None) -> list[Envelope]:
         """Received envelopes in arrival order, filtered by kind and instance:
@@ -365,44 +380,36 @@ class Ctx:
 
     # --- ideal oracle access -------------------------------------------------
 
-    def _auto_instance(self, kind: str) -> str:
-        c = self._oracle_seq.get(kind, 0)
-        self._oracle_seq[kind] = c + 1
-        return f"{kind}#{c}"
-
-    def oracle_submit(self, kind: str, value, value_bits: int,
-                      instance: str | None = None, sender: int | None = None) -> str:
-        inst = instance or self._auto_instance(kind)
+    def oracle_submit(self, kind: str, value, value_bits: int, instance: str,
+                      sender: int | None = None) -> None:
         if self.oracle_hook is not None:
-            value = self.oracle_hook(self, kind, inst, value)
-        self.engine.oracle_submit(self.pid, kind, inst, value, value_bits, sender)
+            value = self.oracle_hook(self, kind, instance, value)
+        self.engine.oracle_submit(self.pid, kind, instance, value, value_bits, sender)
         # ask for the output's list now: before the oracle fires it costs no
         # mailbox scan
-        self.inbox("oracle_out", inst)
-        return inst
+        self.inbox("oracle_out", instance)
 
     def oracle_result(self, instance: str):
-        for e in self.inbox("oracle_out", instance):
-            if e.src == 0:
-                return e.payload
-        return None
+        """The instance's output, None before it fires. Only the engine files
+        oracle_out (party sends of it are dropped or refused), so the
+        instance's list holds its output and nothing else."""
+        box = self.inbox("oracle_out", instance)
+        return box[0].payload if box else None
 
     def has_oracle_result(self, instance: str) -> bool:
-        return any(e.src == 0 for e in self.inbox("oracle_out", instance))
+        return bool(self.inbox("oracle_out", instance))
 
-    def ideal_oracle(self, kind: str, value, value_bits: int,
-                     instance: str | None = None, sender: int | None = None):
+    def ideal_oracle(self, kind: str, value, value_bits: int, instance: str,
+                     sender: int | None = None):
         """Submit and wait for an ideal oracle instance; yields until done."""
-        inst = self.oracle_submit(kind, value, value_bits, instance, sender)
-        yield from self.wait_oracle(inst)
-        return self.oracle_result(inst)
+        self.oracle_submit(kind, value, value_bits, instance, sender)
+        yield from self.wait_oracle(instance)
+        return self.oracle_result(instance)
 
     def wait_oracle(self, instance: str):
-        if self.engine.mode == "rounds":
-            while not self.has_oracle_result(instance):
-                yield NEXT_ROUND
-        else:
-            yield Until(lambda: self.has_oracle_result(instance))
+        box = self.inbox("oracle_out", instance)
+        if not box:
+            yield Reader(box)
 
     def wait_rounds(self, r: int = 1):
         for _ in range(r):
@@ -539,39 +546,32 @@ class Engine:
                 inst.submissions[pid] = value
 
     def _oracle_ready(self, inst: IdealOracle) -> bool:
-        if inst.fired:
-            return False
-        if inst.kind == "async_rb":
-            # conditional termination: nothing happens until the sender speaks
-            return inst.sender in inst.submissions
-        if inst.kind == "sync_bb":
-            # unconditional termination: a silent sender still yields an output
-            return inst.sender in inst.submissions or self.honest <= inst.registered
-        waiting_honest = [p for p in self.honest if p not in inst.submissions]
-        return not waiting_honest
+        if inst.kind in SENDER_KINDS:
+            # a synchronous sender kind terminates unconditionally: a silent
+            # sender still yields an output once every honest party is in
+            return inst.sender in inst.submissions or (
+                self.mode == "rounds" and self.honest <= inst.registered)
+        return self.honest <= inst.submissions.keys()
 
     def _fire_oracle(self, inst: IdealOracle) -> None:
         inst.fired = True
         n, k = self.params.n, self.params.k
+        subs = inst.submissions
+        # the definition pins the sender's value, and the honest parties'
+        # value when they agree; anything else is open
         if inst.kind in SENDER_KINDS:
-            if inst.sender in inst.submissions:
-                out = inst.submissions[inst.sender]
-            else:
-                submitted = [inst.submissions[p] for p in sorted(inst.submissions)]
-                if self.adversary is not None:
-                    out = self.adversary.pick_oracle_output(inst, submitted, self)
-                else:
-                    out = min(submitted, key=_canon) if submitted else BOT
+            pinned, first = inst.sender in subs, inst.sender
         else:
-            honest_vals = [inst.submissions[p] for p in sorted(self.honest)]
-            if len(set(map(_canon, honest_vals))) == 1:
-                out = honest_vals[0]
+            pinned = len({value_to_bytes(subs[p]) for p in self.honest}) == 1
+            first = min(self.honest)
+        if pinned:
+            out = subs[first]
+        else:
+            submitted = [subs[p] for p in sorted(subs)]
+            if self.adversary is not None:
+                out = self.adversary.pick_oracle_output(inst, submitted, self)
             else:
-                submitted = [inst.submissions[p] for p in sorted(inst.submissions)]
-                if self.adversary is not None:
-                    out = self.adversary.pick_oracle_output(inst, submitted, self)
-                else:
-                    out = min(submitted, key=_canon)
+                out = default_output(submitted)
         cost = oracle_model_cost(inst.kind, inst.value_bits, n, k)
         honest_cost = cost * len(self.honest) // n
         self.metrics.add(honest_cost, step=f"oracle:{inst.instance}", oracle=inst.kind)
@@ -604,20 +604,19 @@ class Engine:
             handle.waiting = None
             if stop.value is not None:
                 if handle.has_output:
-                    raise AssertionError(f"party {handle.pid} produced two outputs")
+                    raise InvariantViolation(f"party {handle.pid} produced two outputs")
                 handle.output = stop.value
                 handle.has_output = True
         except StopProtocol:
             handle.done = True
             handle.waiting = None
 
-    def _runnable(self, handle: PartyHandle) -> bool:
-        if handle.done or handle.gen is None:
-            return False
+    @staticmethod
+    def _runnable(handle: PartyHandle) -> bool:
+        """Whether the party waits on a reader with mail past its cursor (a
+        finished party waits on nothing)."""
         w = handle.waiting
-        if isinstance(w, Until):
-            return bool(w.pred())
-        return False
+        return isinstance(w, Reader) and len(w._box) > w._pos
 
     def _open(self, pid: int, key) -> list[Envelope]:
         """pid's list of mail under key, built by one scan of its mailbox in
@@ -637,23 +636,9 @@ class Engine:
         row[pid] = box
         return box
 
-    def _file(self, env: Envelope, dst: int) -> None:
-        """File one record for one destination: its mailbox, and the lists of
-        the record's keys that it asked for."""
-        self._mailboxes[dst].append(env)
-        filing = self._filing
-        if row := filing.setdefault(env.kind, ()):
-            row[0] = True
-            if (box := row[dst]) is not None:
-                box.append(env)
-        if env.instance is not None:
-            if row := filing.setdefault((env.kind, env.instance), ()):
-                row[0] = True
-                if (box := row[dst]) is not None:
-                    box.append(env)
-
     def _deliver(self, env: Envelope, dsts: tuple[int, ...]) -> None:
-        """File one record for each destination, in order (rounds mode)."""
+        """File one record for each destination, in order: its mailbox, and
+        the lists of the record's keys that the destination asked for."""
         mailboxes = self._mailboxes
         for dst in dsts:
             mailboxes[dst].append(env)
@@ -663,12 +648,6 @@ class Engine:
         if env.instance is not None:
             if row := filing.setdefault((env.kind, env.instance), ()):
                 _file_each(row, dsts, env)
-        if self.trace is not None:
-            self.trace.extend(
-                {"tick": self.tick, "from": env.src, "to": dst,
-                 "msg_kind": env.kind, "bits": env.bits}
-                for dst in dsts
-            )
 
     # --- main loops ----------------------------------------------------------
 
@@ -696,17 +675,19 @@ class Engine:
             batch, self.pending = self.pending, []
             for env, dsts in batch:
                 self._deliver(env, dsts)
+                if self.trace is not None:
+                    self.trace.extend({"tick": self.tick, "from": env.src, "to": dst,
+                                       "msg_kind": env.kind, "bits": env.bits}
+                                      for dst in dsts)
             for pid in sorted(self.parties):
                 h = self.parties[pid]
-                if not h.done and isinstance(h.waiting, (NextRound, Until)):
-                    if isinstance(h.waiting, Until) and not h.waiting.pred():
-                        continue
+                if h.waiting is NEXT_ROUND or self._runnable(h):
                     self._resume(h)
             self._fire_ready_oracles()
 
     def _run_events(self) -> None:
-        # Events-mode wait predicates must depend only on the waiting party's
-        # own mailbox and state, so only the delivery target needs re-checking.
+        # a party waits only on its own lists, so only the delivery target
+        # needs re-checking
         n_fair = 10 * self.params.n * self.params.n
         for pid in sorted(self.parties):
             self._resume(self.parties[pid], first=True)
@@ -721,7 +702,7 @@ class Engine:
             else:
                 idx = self.policy.pick(self.pending, self.rng)
             env, dst = self.pending.pop(idx)
-            self._file(env, dst)
+            self._deliver(env, (dst,))
             if self.trace is not None:
                 self.trace.append({"tick": self.tick, "from": env.src, "to": dst,
                                    "msg_kind": env.kind, "bits": env.bits})
@@ -745,15 +726,6 @@ def _file_each(row: list, dsts: tuple[int, ...], env: Envelope) -> None:
     for dst in dsts:
         if (box := row[dst]) is not None:
             box.append(env)
-
-
-def _canon(v) -> tuple:
-    """Total order over oracle values of mixed types."""
-    if isinstance(v, bytes):
-        return (1, v)
-    if isinstance(v, int):
-        return (0, v.to_bytes(8, "big", signed=False) if v >= 0 else b"")
-    return (2, repr(v).encode())
 
 
 def outputs_digest(outputs: dict[int, object]) -> str:

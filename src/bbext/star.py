@@ -331,7 +331,7 @@ class GrowingStar:
         full = (1 << n) - 1
         self._co_rows = [full ^ (1 << i) for i in range(n)]
         self._matched = max_matching(self.complement)
-        self._canonical = True  # _matched is the canonical matching of complement
+        self._lex_matched = True  # _matched is the canonical matching of complement
 
     @property
     def graph(self) -> PartyGraph:
@@ -344,7 +344,7 @@ class GrowingStar:
     @property
     def matching(self) -> frozenset[tuple[int, int]]:
         """The canonical matching of the complement."""
-        return self._matched if self._canonical else max_matching(self.complement)
+        return self._matched if self._lex_matched else max_matching(self.complement)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self._rows[u - 1] >> (v - 1) & 1)
@@ -362,17 +362,17 @@ class GrowingStar:
         edge = (u, v) if u < v else (v, u)
         if edge in self._matched:
             self._matched = self._matched - {edge}
-            self._canonical = False
+            self._lex_matched = False
         if len(self._matched) > self.t:
             return NOSTAR
         complement = self.complement
-        if not self._canonical:
+        if not self._lex_matched:
             grown = _outgrow(complement, self._matched, self.t)
             if grown is not None:
                 self._matched = grown
                 return NOSTAR
             self._matched = max_matching(complement)
-            self._canonical = True
+            self._lex_matched = True
         return star(self.graph, self.n, self.t, _carried=(complement, self._matched))
 
 

@@ -14,7 +14,7 @@ from bbext.adversary import (
     adversary_battery,
     hooked,
 )
-from bbext.simnet import BOT, Ctx, StopProtocol
+from bbext.simnet import BOT, Ctx, InvariantViolation, StopProtocol
 
 PAYLOADS = [b"", b"\x00", b"\xff\xa5\x5a", bytes(range(256)), bytes(range(255, -1, -3)) * 40]
 PAYLOAD_IDS = ["empty", "zero", "mixed", "every-byte", "long"]
@@ -88,7 +88,7 @@ def test_hooks_rewrite_the_corrupt_partys_own_ctx():
 def test_honest_happy_flag_only_rises():
     ctx = Ctx(RecordingEngine(n=4), 2)
     ctx.set_happy(True)
-    with pytest.raises(AssertionError, match="monotone"):
+    with pytest.raises(InvariantViolation, match="monotone"):
         ctx.set_happy(False)
 
 

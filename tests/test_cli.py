@@ -30,6 +30,15 @@ def test_unknown_protocol_is_config_error(capsys):
     assert run_cli(["run", "--protocol", "nope", "--out", "/tmp/x"]) == 2
 
 
+@pytest.mark.parametrize("command", ["run", "trace"])
+def test_concrete_kbit_oracle_is_a_config_error(command, tmp_path, capsys):
+    # exit 2 (bad configuration), not 1 (a property failed)
+    assert run_cli([command, "--protocol", "async-ba-third", "--n", "4", "--l", "96",
+                    "--oracle", "async_ba_kbit=concrete",
+                    *(["--out", str(tmp_path)] if command == "run" else [])]) == 2
+    assert "ideal-only" in capsys.readouterr().err
+
+
 def test_config_file_plus_overrides(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -295,7 +295,7 @@ class _VoteFlooder(ScheduledHonest):
                          step="junk")
             votes = ctx.reader("maj_val")
             while not votes.new():
-                yield votes.wait()
+                yield votes
             for _ in range(self.k):
                 for dst in honest:
                     ctx.send(dst, "ok", (pid, pid), bits=32, step="junk")

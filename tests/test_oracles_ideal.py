@@ -1,20 +1,24 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from bbext.adversary import AdversaryScript, OracleLiar, Silent
+from bbext.adversary import AdversaryScript, OracleLiar, PushyChoice, Silent
 from bbext.oracles import CoinOracle
 from bbext.protocols import SessionParams
 from bbext.protocols.base import ProtocolSpec
 from bbext.runner import run
-from bbext.simnet import BOT
+from bbext.simnet import BOT, default_output
 
 
 def harness(kind: str, bit: bool = False):
     def ba_party(ctx, my_input, sender):
-        out = yield from ctx.ideal_oracle(kind, my_input, 1 if bit else ctx.params.k)
+        out = yield from ctx.ideal_oracle(kind, my_input, 1 if bit else ctx.params.k,
+                                          instance="h")
         return out
 
     def bcast_party(ctx, my_input, sender):
-        out = yield from ctx.ideal_oracle(kind, my_input, ctx.params.k, sender=sender)
+        out = yield from ctx.ideal_oracle(kind, my_input, ctx.params.k, instance="h",
+                                          sender=sender)
         return out
 
     mode = "rounds" if kind.startswith("sync") else "events"
@@ -146,7 +150,7 @@ class OracleForger(AdversaryScript):
             for dst in range(1, ctx.params.n + 1):
                 if dst != ctx.pid:
                     ctx.send(dst, "oracle_out", b"forged", bits=0,
-                             instance="sync_ba#0", step="forge")
+                             instance="h", step="forge")
             return None
             yield  # pragma: no cover
 
@@ -159,6 +163,20 @@ def test_forged_oracle_outputs_are_dropped():
     res = run(spec, params, {i: b"same" for i in range(1, 5)},
               adversary=OracleForger(), seed=0)
     assert all(res.outputs[p] == b"same" for p in res.honest)
+
+
+@given(st.lists(st.binary(max_size=6), min_size=1), st.lists(st.sampled_from([0, 1]),
+                                                              min_size=1))
+def test_default_output_is_the_least_submitted_value(values, bits):
+    # bytes lexicographically, bits 0 before 1, BOT when nothing came in;
+    # the pushy adversary takes the other end of the same order
+    assert default_output(values) == min(values)
+    assert default_output(bits) == min(bits)
+    assert default_output([]) is BOT
+    assert PushyChoice().pick_oracle_output(None, [], None) is BOT
+    assert AdversaryScript().pick_oracle_output(None, values, None) == min(values)
+    assert PushyChoice().pick_oracle_output(None, values, None) == max(values)
+    assert PushyChoice().pick_oracle_output(None, bits, None) == max(bits)
 
 
 def test_coin_oracle_consistency_and_adaptivity_gate():

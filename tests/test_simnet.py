@@ -27,10 +27,10 @@ from bbext.simnet import (
     Bot,
     Ctx,
     Engine,
+    InvariantViolation,
     LifoPolicy,
     Reader,
     RunMetrics,
-    Until,
     oracle_model_cost,
 )
 
@@ -134,7 +134,7 @@ def test_regime_mismatch_rejected():
 
 def test_sync_oracle_on_event_scheduler_rejected():
     def party(ctx, my_input, sender):
-        out = yield from ctx.ideal_oracle("sync_ba", my_input, 8)
+        out = yield from ctx.ideal_oracle("sync_ba", my_input, 8, instance="ba")
         return out
 
     spec = ProtocolSpec(name="bad-harness", mode="events", kind="ba",
@@ -162,13 +162,13 @@ def test_fairness_bound_forces_stale_delivery():
             if ctx.pid == 1:
                 ctx.send(peer, "ping", 0, bits=1, step="chat")
                 ctx.send(3, "hello", 0, bits=1, step="chat")
+            pings = ctx.reader("ping")
             for _ in range(rounds):
-                seen = len(ctx.inbox(kind="ping"))
-                yield Until(lambda s=seen: len(ctx.inbox(kind="ping")) > s)
+                pings.new()
+                yield pings
                 ctx.send(peer, "ping", 0, bits=1, step="chat")
             return b"done"
-        seen = len(ctx.inbox(kind="hello"))
-        yield Until(lambda s=seen: len(ctx.inbox(kind="hello")) > s)
+        yield ctx.reader("hello")
         return b"got it"
 
     spec = ProtocolSpec(name="pingpong", mode="events", kind="ba",
@@ -189,7 +189,7 @@ def test_happy_flag_is_monotone():
     spec = ProtocolSpec(name="flapper", mode="rounds", kind="ba", regime="half",
                         party=party)
     params = _params()
-    with pytest.raises(AssertionError, match="monotone"):
+    with pytest.raises(InvariantViolation, match="monotone"):
         run(spec, params, {i: b"" for i in range(1, 5)}, seed=0)
 
 
@@ -435,8 +435,11 @@ def test_list_first_asked_for_after_its_mail_equals_the_scan_and_grows(mode, reg
     def wait_for(ctx, count):
         if mode == "rounds":
             yield NEXT_ROUND
-        else:
-            yield Until(lambda: len(ctx.mailbox) >= count)
+            return
+        mail = ctx.reader()
+        while len(ctx.mailbox) < count:
+            mail.new()
+            yield mail
 
     def party(ctx, my_input, sender):
         ctx.broadcast("m", ctx.pid, bits=1, step="s", instance="x")
@@ -576,11 +579,8 @@ def test_lists_equal_reference_scans_under_interleaved_filing(mode, ops):
             ref[pid].append((pid, kind, seq, instance))
         elif what == "deliver" and engine.pending:
             env, dsts = engine.pending.pop(args[0] % len(engine.pending))
-            if mode == "rounds":
-                engine._deliver(env, dsts)
-            else:
-                engine._file(env, dsts)
-                dsts = (dsts,)
+            dsts = dsts if mode == "rounds" else (dsts,)
+            engine._deliver(env, dsts)
             for dst in dsts:
                 ref[dst].append((env.src, env.kind, env.payload, env.instance))
         elif what == "ask":
@@ -605,6 +605,20 @@ def test_instance_reads_need_a_kind():
     with pytest.raises(ValueError, match="needs a kind"):
         ctx.reader(instance="x")
     assert ctx.inbox() is ctx.mailbox
+
+
+def test_only_the_engine_files_oracle_outputs():
+    # a party can neither send nor self-deliver an oracle output, so an
+    # instance's oracle_out list holds the engine's output alone
+    engine = _engine()
+    ctx = engine.parties[2].ctx
+    with pytest.raises(ValueError, match="engine only"):
+        ctx.self_deliver("oracle_out", b"forged", instance="ba")
+    with pytest.raises(ValueError, match="engine only"):
+        ctx.send(3, "oracle_out", b"forged", bits=0, instance="ba")
+    engine.parties[1].ctx.send(3, "oracle_out", b"forged", bits=0, instance="ba")
+    assert engine.pending == [] and ctx.mailbox == []
+    assert not ctx.has_oracle_result("ba") and ctx.oracle_result("ba") is None
 
 
 def test_filed_envelopes_are_immutable():
