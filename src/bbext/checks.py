@@ -53,7 +53,8 @@ class CheckReport:
 
 
 def message_for(seed: int, pid: int, l_bits: int, unanimity: str) -> bytes:
-    """Deterministic per-party input; unanimity in {all, none, majority}."""
+    """Deterministic per-party input of l_bits bits, the bits past l_bits of
+    its last byte cleared; unanimity in {all, none, majority}."""
     if unanimity == "all":
         tag = 0
     elif unanimity == "none":
@@ -61,7 +62,10 @@ def message_for(seed: int, pid: int, l_bits: int, unanimity: str) -> bytes:
     else:
         tag = 0 if pid % 4 else pid
     rng = random.Random(("msg", seed, tag).__repr__())
-    return bytes(rng.randrange(256) for _ in range(l_bits // 8))
+    m = bytearray(rng.randrange(256) for _ in range((l_bits + 7) // 8))
+    if l_bits % 8:
+        m[-1] &= (0xFF << (8 - l_bits % 8)) & 0xFF
+    return bytes(m)
 
 
 def build_inputs(kind: str, params: SessionParams, seed: int, unanimity: str,
@@ -185,8 +189,8 @@ def _battery_worker(args) -> tuple[str, list[str]]:
     return key, battery_cell(protocol, params, script, range(start, stop))
 
 
-def check_protocols(protocols: list[str], seeds: int = 100, jobs: int | None = None,
-                    explore_async: bool = True) -> CheckReport:
+def check_protocols(protocols: list[str], seeds: int = 100,
+                    jobs: int | None = None) -> CheckReport:
     t0 = time.time()
     scripts = adversary_battery()
     cells = []
@@ -195,7 +199,6 @@ def check_protocols(protocols: list[str], seeds: int = 100, jobs: int | None = N
             for script_idx in range(len(scripts)):
                 cells.append((protocol, cfg_idx, script_idx, 0, seeds))
     failures: list[str] = []
-    trials = 0
     if jobs and jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for _, cell_failures in sorted(pool.map(_battery_worker, cells)):
@@ -203,11 +206,8 @@ def check_protocols(protocols: list[str], seeds: int = 100, jobs: int | None = N
     else:
         for cell in cells:
             failures.extend(_battery_worker(cell)[1])
-    trials += len(cells) * seeds
-    explored = 0
-    if explore_async:
-        explored = _explore_async_protocols(protocols, failures)
-        trials += explored
+    explored = _explore_async_protocols(protocols, failures)
+    trials = len(cells) * seeds + explored
     return CheckReport(
         name="protocols:" + ",".join(protocols),
         passed=not failures,
@@ -774,13 +774,12 @@ def check_complexity() -> CheckReport:
 
 def suite_protocols_sync(seeds: int = 100, jobs: int | None = None) -> CheckReport:
     return check_protocols(["sync-ba-half", "sync-bb-half", "sync-bb-highthresh",
-                            "ef-sync-ba-third"], seeds=seeds, jobs=jobs,
-                           explore_async=False)
+                            "ef-sync-ba-third"], seeds=seeds, jobs=jobs)
 
 
 def suite_protocols_async(seeds: int = 100, jobs: int | None = None) -> CheckReport:
     return check_protocols(["async-ba-third", "async-rb-third", "ef-async-rb-third"],
-                           seeds=seeds, jobs=jobs, explore_async=True)
+                           seeds=seeds, jobs=jobs)
 
 
 # The CLI passes a suite only the options its function's signature names.

@@ -21,6 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
+from .accumulator import acc_gen
 from .adversary import adversary_battery
 from .checks import SUITES, build_inputs
 from .protocols import PROTOCOLS, SessionParams
@@ -122,6 +123,12 @@ class ExperimentConfig:
             _normalize_oracle_impl(oracles)
         except ValueError as exc:
             raise ConfigError(f"bad oracle setting: {exc}")
+        accumulator = raw.get("accumulator", "hash_tree")
+        try:
+            k = int(raw.get("k", 256))
+            acc_gen(accumulator, 1, k)  # the runner's key checks, on a one-element key
+        except ValueError as exc:
+            raise ConfigError(f"bad accumulator setting: {exc}")
         adversaries = list(raw.get("adversaries", ["honest"]))
         known = {s.name for s in adversary_battery()}
         for name in adversaries:
@@ -133,10 +140,10 @@ class ExperimentConfig:
             t_rule=t_rule,
             t_list=list(t_list) if t_list else None,
             l_list=l_list,
-            k=int(raw.get("k", 256)),
+            k=k,
             epsilon=raw.get("epsilon"),
             oracles=oracles,
-            accumulator=raw.get("accumulator", "hash_tree"),
+            accumulator=accumulator,
             adversaries=adversaries,
             seeds=seeds,
             out=Path(raw.get("out", "results")),

@@ -2,7 +2,7 @@
 
 Every oracle kind exists as an ideal trusted functionality (see
 simnet.Engine) charged at its model cost. This module adds the concrete
-constructions and a dispatcher that protocols call, so a session can swap
+constructions and the front doors protocols call, so a session can swap
 implementations per kind:
 
 - sync_bb: signature-chain broadcast (t+1 relay rounds, any t < n).
@@ -13,6 +13,11 @@ implementations per kind:
   sets, coin-matched deciding, and a round-independent ready layer for
   propagation and halting (t < n/3).
 - async_ba_kbit: ideal only.
+
+The front doors are the only code that reads the session's ideal/concrete
+choice: ``ba_oracle`` and ``bcast_oracle`` run one instance, ``bb_slots``
+runs n concurrent ``sync_bb`` broadcasts (party j the sender of slot j), and
+``RbSlots`` keeps n concurrent ``async_rb`` broadcasts inside one party loop.
 
 Concrete oracles meter their real traffic; the common coin is an ideal
 source revealing a round's bit to the adversary only after the first honest
@@ -440,3 +445,81 @@ def bcast_oracle(ctx: Ctx, kind: str, instance: str, sender: int, value, value_b
     if kind == "async_rb":
         return (yield from bracha_rb(ctx, instance, sender, value, value_bits))
     raise ValueError(f"no concrete implementation for oracle kind {kind!r}")
+
+
+def bb_slots(ctx: Ctx, instance: str, my_value, value_bits: int):
+    """n concurrent sync_bb broadcasts, party j the sender of slot j, with
+    my_value in one's own slot; returns {slot: output}.
+
+    Ideal: one instance ``<instance>/<j>`` per slot. Concrete:
+    ``parallel_chain_bcast`` over the one instance name."""
+    if ctx.session.oracle_impl.get("sync_bb", "ideal") == "concrete":
+        return (yield from parallel_chain_bcast(ctx, instance, my_value, value_bits, "sync_bb"))
+    names = {j: f"{instance}/{j}" for j in range(1, ctx.params.n + 1)}
+    for j, name in names.items():
+        ctx.oracle_submit("sync_bb", my_value if j == ctx.pid else None, value_bits,
+                          instance=name, sender=j)
+    for name in names.values():
+        yield from ctx.wait_oracle(name)
+    return {j: ctx.oracle_result(name) for j, name in names.items()}
+
+
+class RbSlots:
+    """n concurrent async_rb broadcasts inside one party loop, party j the
+    sender of slot j under instance ``<instance>/<j>``.
+
+    The loop passes every envelope it reads to ``feed``, which takes only the
+    mail of the session's implementation: the engine's outputs when ideal,
+    ``rb`` mail to one ``BrachaMachine`` per slot when concrete. ``ones``
+    lists the slots delivered as 1, in delivery order."""
+
+    def __init__(self, ctx: Ctx, instance: str, value_bits: int):
+        self.ctx = ctx
+        self.value_bits = value_bits
+        self._ideal = ctx.session.oracle_impl.get("async_rb", "ideal") == "ideal"
+        self._names = {j: f"{instance}/{j}" for j in range(1, ctx.params.n + 1)}
+        self._slots = {name: j for j, name in self._names.items()}
+        self._machines: dict[int, BrachaMachine] = {}
+        self._delivered: set[int] = set()
+        self.ones: list[int] = []
+
+    def _machine(self, j: int) -> BrachaMachine:
+        machine = self._machines.get(j)
+        if machine is None:
+            machine = self._machines[j] = BrachaMachine(self.ctx, self._names[j], j,
+                                                        self.value_bits)
+        return machine
+
+    def _note(self, j: int, value) -> None:
+        # the engine fires an ideal instance once; a machine keeps its
+        # delivered value, so note it once
+        if j not in self._delivered:
+            self._delivered.add(j)
+            if value == 1:
+                self.ones.append(j)
+
+    def start(self, my_value) -> None:
+        """Broadcast my_value in one's own slot."""
+        pid = self.ctx.pid
+        if self._ideal:
+            self.ctx.oracle_submit("async_rb", my_value, self.value_bits,
+                                   instance=self._names[pid], sender=pid)
+            return
+        machine = self._machine(pid)
+        machine.start(my_value)
+        if machine.has_delivered:
+            self._note(pid, machine.delivered)
+
+    def feed(self, env) -> None:
+        if env.kind != ("oracle_out" if self._ideal else "rb"):
+            return
+        j = self._slots.get(env.instance)
+        if j is None:
+            return
+        if self._ideal:
+            self._note(j, env.payload)
+            return
+        machine = self._machine(j)
+        machine.feed(env)
+        if machine.has_delivered:
+            self._note(j, machine.delivered)

@@ -6,13 +6,18 @@ consistency graph, extract a star from it, and derive a core set whose
 honest members provably hold one common message. Majority votes over those
 sets recover one symbol per party, and decoding the collected symbols
 yields the output.
+
+Each party broadcasts a one-bit flag: in n concurrent BB instances when
+synchronous (``oracles.bb_slots``), in n concurrent RB instances when
+asynchronous (``oracles.RbSlots``). Only ``oracles`` picks their ideal or
+concrete implementation; this module treats them as black boxes.
 """
 
 from __future__ import annotations
 
 from .. import rs
 from ..blocks import CodecMemo
-from ..oracles import BrachaMachine, parallel_chain_bcast
+from ..oracles import RbSlots, bb_slots
 from ..simnet import Ctx, InvariantViolation, NEXT_ROUND
 from ..star import NOSTAR, GrowingStar, PartyGraph, derive_fe, star
 from .base import ProtocolSpec
@@ -22,14 +27,6 @@ def _require_ef_threshold(ctx: Ctx) -> None:
     n, t = ctx.params.n, ctx.params.t
     if t != (n - 1) // 3:
         raise ValueError("error-free protocols fix t = floor((n-1)/3)")
-
-
-def _flag_owner(instance: str, n: int) -> int | None:
-    tail = instance.split("/", 1)[1]
-    if not tail.isdigit():
-        return None
-    j = int(tail)
-    return j if 1 <= j <= n else None
 
 
 def _popcount_set(bitmap: int, n: int) -> frozenset[int]:
@@ -96,6 +93,20 @@ def _decode_symbol_table(codec: CodecMemo, majs: dict[int, object], n: int, t: i
     return codec.decode_symbols(tuple(table), t + 1, share_len, max_errors)
 
 
+def _send_symbols(ctx: Ctx, message: bytes, bit_len: int) -> dict[int, bytes]:
+    """Encode the bit_len-bit message into t+1 blocks, broadcast one's own
+    symbol and send each other party its symbol; returns the n symbols."""
+    n, t = ctx.params.n, ctx.params.t
+    ctx.set_step("symbols")
+    shares = ctx.session.codec.encode(message, t + 1, bit_len)
+    row = {j: shares[j - 1].share for j in range(1, n + 1)}
+    ctx.broadcast("sym_self", row[ctx.pid], bits=8 * len(row[ctx.pid]), step="symbols")
+    for j in range(1, n + 1):
+        if j != ctx.pid:
+            ctx.send(j, "sym_priv", row[j], bits=8 * len(row[j]), step="symbols")
+    return row
+
+
 _SYNC_KINDS = ("sym_self", "sym_priv", "v_vec", "e_vec", "maj_val")
 
 
@@ -108,17 +119,11 @@ def ef_sync_ba(ctx: Ctx, my_input: bytes, sender: int | None = None):
     # each kind is read after its round; its list is opened before any of
     # its mail can arrive, so none is built by a mailbox scan
     inbox = {kind: ctx.inbox(kind) for kind in _SYNC_KINDS}
-    ctx.set_step("symbols")
-    shares = ctx.session.codec.encode(my_input, t + 1, params.l)
-    row = {j: shares[j - 1].share for j in range(1, n + 1)}
+    row = _send_symbols(ctx, my_input, params.l)
     sbits = 8 * len(row[1])
     ctx.engine.metrics.extra.setdefault("share_bits", sbits)
     self_sym: dict[int, bytes] = {ctx.pid: row[ctx.pid]}
     priv_sym: dict[int, bytes] = {ctx.pid: row[ctx.pid]}
-    ctx.broadcast("sym_self", row[ctx.pid], bits=sbits, step="symbols")
-    for j in range(1, n + 1):
-        if j != ctx.pid:
-            ctx.send(j, "sym_priv", row[j], bits=sbits, step="symbols")
     yield NEXT_ROUND
 
     ctx.set_step("vectors")
@@ -162,17 +167,7 @@ def ef_sync_ba(ctx: Ctx, my_input: bytes, sender: int | None = None):
         bitmap = sum(1 << (j - 1) for j in e_set)
         e_vecs[ctx.pid] = bitmap
         ctx.broadcast("e_vec", bitmap, bits=n, step="flags")
-    impl = ctx.session.oracle_impl.get("sync_bb", "ideal")
-    flags: dict[int, object] = {}
-    if impl == "ideal":
-        for j in range(1, n + 1):
-            ctx.oracle_submit("sync_bb", flag if j == ctx.pid else None, 1,
-                              instance=f"flag/{j}", sender=j)
-        while not all(ctx.has_oracle_result(f"flag/{j}") for j in range(1, n + 1)):
-            yield NEXT_ROUND
-        flags = {j: ctx.oracle_result(f"flag/{j}") for j in range(1, n + 1)}
-    else:
-        flags = yield from parallel_chain_bcast(ctx, "flag", flag, 1, "sync_bb")
+    flags = yield from bb_slots(ctx, "flag", flag, 1)
 
     ctx.set_step("majority")
     ones = [j for j in range(1, n + 1) if flags.get(j) == 1]
@@ -210,7 +205,6 @@ def ef_async_rb(ctx: Ctx, my_input: bytes | None, sender: int):
     n, t = params.n, params.t
     share_len = rs.share_bits(params.l, t + 1) // 8
     ctx.engine.metrics.extra.setdefault("share_bits", 8 * share_len)
-    impl = ctx.session.oracle_impl.get("async_rb", "ideal")
 
     message: bytes | None = None
     row: dict[int, bytes] = {}
@@ -220,40 +214,20 @@ def ef_async_rb(ctx: Ctx, my_input: bytes | None, sender: int):
     ok_seen: dict[int, set[int]] = {}
     growing = GrowingStar(n, t)
     frozen = False
-    flags: dict[int, object] = {}
-    ones: list[int] = []  # flag owners whose flag equals 1
+    flags = RbSlots(ctx, "flag", 1)
     e_vecs: dict[int, int] = {}
     majs: dict[int, bytes] = {}
     decode_tried_at = 0  # len(majs) at the last failed decode; majs only grows
     maj_sent = False
-    machines: dict[int, BrachaMachine] = {}
-
-    def machine(j: int) -> BrachaMachine:
-        if j not in machines:
-            machines[j] = BrachaMachine(ctx, f"flag/{j}", j, 1)
-        return machines[j]
-
-    def note_flag(j: int, value: object) -> None:
-        if j not in flags:
-            flags[j] = value
-            if value == 1:
-                ones.append(j)
 
     def adopt_message(m: bytes) -> None:
         nonlocal message
         if message is not None or not isinstance(m, bytes):
             return
         message = m
-        ctx.set_step("symbols")
-        shares = ctx.session.codec.encode(message, t + 1, 8 * len(message))
-        for j in range(1, n + 1):
-            row[j] = shares[j - 1].share
+        row.update(_send_symbols(ctx, message, 8 * len(message)))
         self_sym.setdefault(ctx.pid, row[ctx.pid])
         priv_sym.setdefault(ctx.pid, row[ctx.pid])
-        ctx.broadcast("sym_self", row[ctx.pid], bits=8 * len(row[ctx.pid]), step="symbols")
-        for j in range(1, n + 1):
-            if j != ctx.pid:
-                ctx.send(j, "sym_priv", row[j], bits=8 * len(row[j]), step="symbols")
         for j in list(self_sym):
             maybe_ok(j)
 
@@ -285,10 +259,7 @@ def ef_async_rb(ctx: Ctx, my_input: bytes | None, sender: int):
             bitmap = sum(1 << (j - 1) for j in e_set)
             e_vecs[ctx.pid] = bitmap
             ctx.set_step("flags")
-            if impl == "ideal":
-                ctx.oracle_submit("async_rb", 1, 1, instance=f"flag/{ctx.pid}", sender=ctx.pid)
-            else:
-                machine(ctx.pid).start(1)
+            flags.start(1)
             ctx.broadcast("e_vec", bitmap, bits=n, step="flags")
 
     if ctx.pid == sender and my_input is not None:
@@ -316,25 +287,15 @@ def ef_async_rb(ctx: Ctx, my_input: bytes | None, sender: int):
                     continue
                 if x == env.src:
                     note_ok(x, y)
-            elif env.kind == "rb" and env.instance and env.instance.startswith("flag/"):
-                j = _flag_owner(env.instance, n)
-                if j is not None:
-                    machine(j).feed(env)
-            elif (env.kind == "oracle_out" and env.src == 0 and env.instance
-                  and env.instance.startswith("flag/")):
-                j = _flag_owner(env.instance, n)
-                if j is not None:
-                    note_flag(j, env.payload)
             elif env.kind == "e_vec" and isinstance(env.payload, int):
                 e_vecs.setdefault(env.src, env.payload)
             elif env.kind == "maj_val":
                 majs.setdefault(env.src, env.payload)
-        for j, m in machines.items():
-            if m.has_delivered:
-                note_flag(j, m.delivered)
-        if not maj_sent and len(ones) >= 2 * t + 1:
+            else:
+                flags.feed(env)
+        if not maj_sent and len(flags.ones) >= 2 * t + 1:
             maj = _greedy_common_vote(
-                [x for x in ones if x in e_vecs], e_vecs, priv_sym, n, t
+                [x for x in flags.ones if x in e_vecs], e_vecs, priv_sym, n, t
             )
             if maj is not None:
                 maj_sent = True

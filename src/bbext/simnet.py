@@ -37,7 +37,8 @@ honest party has submitted. Its output goes to every party on the
 (``oracle_out``, instance) list, which only the engine files; where the
 definition leaves the output open, the adversary picks, or else
 ``default_output``: the least submitted value in the ``value_to_bytes``
-order.
+order. A submission to a kind the session runs concretely is refused:
+dropped from a corrupt party, an error from an honest one.
 
 Only bits sent by honest parties are metered, at nominal sizes. Ideal-oracle
 invocations are charged their model cost pro rata to the honest fraction.
@@ -396,9 +397,6 @@ class Ctx:
         box = self.inbox("oracle_out", instance)
         return box[0].payload if box else None
 
-    def has_oracle_result(self, instance: str) -> bool:
-        return bool(self.inbox("oracle_out", instance))
-
     def ideal_oracle(self, kind: str, value, value_bits: int, instance: str,
                      sender: int | None = None):
         """Submit and wait for an ideal oracle instance; yields until done."""
@@ -524,6 +522,12 @@ class Engine:
         expected_mode = "rounds" if kind in SYNC_KINDS else "events"
         if self.mode != expected_mode:
             raise ValueError(f"oracle kind {kind} not usable under {self.mode} scheduler")
+        if self.session.oracle_impl.get(kind) == "concrete":
+            # the session runs this kind concretely: a corrupt submission
+            # would charge honest model cost for an instance nobody uses
+            if pid in self.honest:
+                raise ValueError(f"oracle kind {kind} runs concretely in this session")
+            return
         inst = self.oracles.get(instance)
         if inst is None:
             if kind in SENDER_KINDS and sender is None:

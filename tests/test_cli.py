@@ -4,7 +4,7 @@ import json
 import pytest
 
 from bbext.adversary import WithholdCertificate
-from bbext.checks import build_inputs
+from bbext.checks import build_inputs, message_for
 from bbext.cli import CSV_COLUMNS, ConfigError, ExperimentConfig, main
 from bbext.protocols import SessionParams
 from bbext.runner import run
@@ -37,6 +37,25 @@ def test_concrete_kbit_oracle_is_a_config_error(command, tmp_path, capsys):
                     "--oracle", "async_ba_kbit=concrete",
                     *(["--out", str(tmp_path)] if command == "run" else [])]) == 2
     assert "ideal-only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting,reason", [({"k": 64}, "k must be one of"),
+                                           ({"accumulator": "nope"}, "unknown accumulator")])
+def test_bad_accumulator_setting_is_a_config_error(setting, reason, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"protocol": "sync-ba-half", "n": [4], "l": [96], **setting}))
+    assert run_cli(["trace", "--config", str(cfg)]) == 2
+    assert reason in capsys.readouterr().err
+
+
+def test_trace_runs_a_length_that_is_not_whole_bytes(capsys):
+    assert run_cli(["trace", "--protocol", "sync-ba-half", "--n", "4", "--l", "100",
+                    "--seed", "0"]) == 0
+    # ceil(100/8) input bytes, the 4 bits past l cleared, output by every party
+    m = message_for(0, 0, 100, "all")
+    assert len(m) == 13 and m[-1] & 0x0F == 0
+    summary = json.loads(capsys.readouterr().err)
+    assert summary["outputs"] == {str(p): repr(m) for p in range(1, 5)}
 
 
 def test_config_file_plus_overrides(tmp_path):

@@ -193,6 +193,40 @@ def test_async_poisoned_core_sets_and_votes(flavor):
             assert all(res.outputs.get(p) == M for p in res.honest)
 
 
+class FlagSlotForger(AdversaryScript):
+    """A tail-placed corrupt party that only opens its own flag slot through
+    the implementation the session does not run: a Bracha ``send`` under
+    ideal oracles, an ideal submission under concrete ones."""
+
+    name = "flag_slot_forger"
+    placement = "tail"
+
+    def make_party(self, pid, honest_factory, env):
+        def party(ctx):
+            instance = f"flag/{ctx.pid}"
+            if ctx.session.oracle_impl["async_rb"] == "ideal":
+                ctx.broadcast("rb", ("send", 1), bits=1, step="junk", instance=instance,
+                              oracle="async_rb")
+            else:
+                ctx.oracle_submit("async_rb", 1, 1, instance=instance, sender=ctx.pid)
+            return None
+            yield  # pragma: no cover
+
+        return party
+
+
+@pytest.mark.parametrize("impl", ["ideal", "concrete"])
+def test_flag_slots_take_only_their_own_implementations_mail(impl):
+    res = run("ef-async-rb-third", p_async(), {1: M}, adversary=FlagSlotForger(), seed=0,
+              oracle_impl={"async_rb": impl}, trace=True)
+    [forger] = res.corrupt
+    assert res.metrics.bits_by_step.get(f"oracle:flag/{forger}", 0) == 0
+    # no honest echo of the forged send; no ideal output for the submission
+    foreign = "rb" if impl == "ideal" else "oracle_out"
+    assert [r for r in res.trace if r["msg_kind"] == foreign and r["from"] != forger] == []
+    assert all(res.outputs.get(p) == M for p in res.honest)
+
+
 def test_battery_spot_check_errorfree():
     for protocol, params in [("ef-sync-ba-third", p_sync(n=7)),
                              ("ef-async-rb-third", p_async(n=7))]:

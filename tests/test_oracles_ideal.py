@@ -129,6 +129,13 @@ def test_ideal_oracle_charges_model_cost_pro_rata():
     assert part.metrics.bits_by_oracle["sync_ba"] == model * 3 // 4
 
 
+@pytest.mark.parametrize("kind", ["sync_bb", "async_rb"])
+def test_honest_ideal_submission_to_a_concrete_kind_is_refused(kind):
+    with pytest.raises(ValueError, match="runs concretely"):
+        run(harness(kind), params_for(kind), {1: b"msg"}, seed=0,
+            oracle_impl={kind: "concrete"})
+
+
 def test_out_of_domain_byzantine_submission_ignored():
     spec = harness("async_ba_bit", bit=True)
     params = params_for("async_ba_bit")

@@ -302,7 +302,6 @@ def test_indexed_reads_equal_full_mailbox_scans(monkeypatch, protocol, impl):
         outs = [e for e in _scan(ctx, "oracle_out", instance) if e.src == 0]
         got = orig_result(ctx, instance)
         assert got == (outs[0].payload if outs else None)
-        assert ctx.has_oracle_result(instance) == bool(outs)
         seen["oracle"] += 1
         return got
 
@@ -618,7 +617,7 @@ def test_only_the_engine_files_oracle_outputs():
         ctx.send(3, "oracle_out", b"forged", bits=0, instance="ba")
     engine.parties[1].ctx.send(3, "oracle_out", b"forged", bits=0, instance="ba")
     assert engine.pending == [] and ctx.mailbox == []
-    assert not ctx.has_oracle_result("ba") and ctx.oracle_result("ba") is None
+    assert ctx.oracle_result("ba") is None
 
 
 def test_filed_envelopes_are_immutable():
