@@ -459,8 +459,7 @@ def bb_slots(ctx: Ctx, instance: str, my_value, value_bits: int):
     for j, name in names.items():
         ctx.oracle_submit("sync_bb", my_value if j == ctx.pid else None, value_bits,
                           instance=name, sender=j)
-    for name in names.values():
-        yield from ctx.wait_oracle(name)
+    yield from ctx.wait_oracle(*names.values())
     return {j: ctx.oracle_result(name) for j, name in names.items()}
 
 

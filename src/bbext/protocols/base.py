@@ -4,8 +4,8 @@ that commits to z, the forward of one's own valid package, and the
 collection and decoding of every party's first valid forward.
 
 Each protocol opens the cursors it reads (``share_mail`` and the like) at
-its start, before any mail of their kinds can arrive, so the engine never
-builds one of those lists by scanning the mailbox."""
+its start, before any mail of their kinds can arrive, so delivery files
+all of that mail and no later mailbox scan has any of it to pick out."""
 
 from __future__ import annotations
 

@@ -117,7 +117,7 @@ def ef_sync_ba(ctx: Ctx, my_input: bytes, sender: int | None = None):
     params = ctx.params
     n, t = params.n, params.t
     # each kind is read after its round; its list is opened before any of
-    # its mail can arrive, so none is built by a mailbox scan
+    # its mail can arrive, so delivery files all of it
     inbox = {kind: ctx.inbox(kind) for kind in _SYNC_KINDS}
     row = _send_symbols(ctx, my_input, params.l)
     sbits = 8 * len(row[1])

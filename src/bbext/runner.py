@@ -9,9 +9,9 @@ from .blocks import CodecMemo
 from .multisig import MsigAuthority
 from .oracles import CoinOracle
 from .protocols import PROTOCOLS, ProtocolSpec, SessionParams
-from .simnet import Engine, RunMetrics, SchedulerPolicy, outputs_digest
+from .simnet import ASYNC_KINDS, SYNC_KINDS, Engine, RunMetrics, SchedulerPolicy, outputs_digest
 
-ORACLE_KINDS = ("sync_bb", "sync_ba", "async_rb", "async_ba_bit", "async_ba_kbit")
+ORACLE_KINDS = SYNC_KINDS + ASYNC_KINDS
 
 
 @dataclass

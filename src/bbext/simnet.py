@@ -23,12 +23,18 @@ serves rounds-mode sends, events-mode deliveries and self-deliveries alike.
 Mail is filed only where it is read. Every envelope reaching a party goes
 into its mailbox; a list of its mail of one kind, or of one (kind,
 instance), exists only once the party has asked for it (``Ctx.inbox``,
-``Ctx.reader``, ``Ctx.oracle_result``). The first request builds it by one
-scan of the mailbox, in arrival order, or starts it empty if no mail of
-that key has been filed to anyone yet; from then on delivery appends to
-it, at one table lookup per envelope and key, so reading it costs nothing.
-A party reads new mail through a cursor (``Ctx.reader``) that remembers how
-far it has read, and waits for more by yielding that cursor.
+``Ctx.reader``, ``Ctx.oracle_result``). Every first request builds it by
+one scan of the mailbox, in arrival order; from then on delivery appends
+to it, at one table lookup per envelope and key, so mail nobody asked for
+grows no table. A party reads new mail through a cursor (``Ctx.reader``)
+and waits for more by yielding that cursor.
+
+A send needs a ``str`` kind, a None or ``str`` instance, a destination in
+1..n other than the sender, and not to forge ``oracle_out``; an ideal
+submission a kind of the scheduler mode not run concretely, a sender in
+1..n for a sender kind, an int width of at least 1 and a ``str`` instance.
+Anything else is dropped from a corrupt party (not filed, metered or
+traced) and raises ``ValueError`` from an honest one.
 
 An ideal oracle fires on two facts. A sender kind (``sync_bb``,
 ``async_rb``) fires when its sender has submitted, and in rounds mode also
@@ -37,8 +43,7 @@ honest party has submitted. Its output goes to every party on the
 (``oracle_out``, instance) list, which only the engine files; where the
 definition leaves the output open, the adversary picks, or else
 ``default_output``: the least submitted value in the ``value_to_bytes``
-order. A submission to a kind the session runs concretely is refused:
-dropped from a corrupt party, an error from an honest one.
+order.
 
 Only bits sent by honest parties are metered, at nominal sizes. Ideal-oracle
 invocations are charged their model cost pro rata to the honest fraction.
@@ -148,8 +153,9 @@ def oracle_model_cost(kind: str, value_bits: int, n: int, k: int) -> int:
     raise ValueError(f"unknown oracle kind {kind!r}")
 
 
-SYNC_KINDS = {"sync_bb", "sync_ba"}
-SENDER_KINDS = {"sync_bb", "async_rb"}
+SYNC_KINDS = ("sync_bb", "sync_ba")
+ASYNC_KINDS = ("async_rb", "async_ba_bit", "async_ba_kbit")
+SENDER_KINDS = ("sync_bb", "async_rb")
 
 
 class IdealOracle:
@@ -275,11 +281,10 @@ class Ctx:
     """Per-party handle into the engine: sending, mailbox, oracles, flags.
 
     Every envelope reaching the party is appended to ``mailbox``. A list of
-    the party's mail of one kind, or of one (kind, instance), is built on
-    its first request, by one scan of the mailbox unless nothing has been
-    filed under its key yet, and registered with the engine, whose
-    deliveries extend it from then on; mail of a key nobody asked for is
-    filed in the mailbox alone. A broadcast's one record is
+    its mail of one kind, or of one (kind, instance), is built on its first
+    request by one scan of the mailbox and kept in the engine's row for
+    that key, which delivery extends from then on; mail of a key nobody
+    asked for is filed in the mailbox alone. A broadcast's one record is
     filed into every recipient's lists, so an envelope is shared and
     immutable. ``inbox`` returns one of those lists as it stands, in arrival
     order; callers must not modify it. ``reader`` wraps one in a cursor for
@@ -299,9 +304,6 @@ class Ctx:
         self.engine = engine
         self.pid = pid
         self.mailbox: list[Envelope] = []
-        # the lists asked for so far: a kind keys every envelope of that
-        # kind, (kind, instance) those that also carry that instance
-        self._lists: dict[object, list[Envelope]] = {}
         self.happy = False
         self.step = "init"
         self.send_hook: Callable | None = None
@@ -369,10 +371,10 @@ class Ctx:
                 return self.mailbox
             raise ValueError("an inbox of one instance needs a kind")
         key = kind if instance is None else (kind, instance)
-        box = self._lists.get(key)
-        if box is None:
-            box = self._lists[key] = self.engine._open(self.pid, key)
-        return box
+        row = self.engine._filing.get(key)
+        if row is None or row[self.pid] is None:
+            return self.engine._open(self.pid, key)
+        return row[self.pid]
 
     def reader(self, kind: str | None = None, instance: str | None = None) -> Reader:
         """A cursor over ``inbox(kind, instance)``, starting at its first
@@ -386,9 +388,6 @@ class Ctx:
         if self.oracle_hook is not None:
             value = self.oracle_hook(self, kind, instance, value)
         self.engine.oracle_submit(self.pid, kind, instance, value, value_bits, sender)
-        # ask for the output's list now: before the oracle fires it costs no
-        # mailbox scan
-        self.inbox("oracle_out", instance)
 
     def oracle_result(self, instance: str):
         """The instance's output, None before it fires. Only the engine files
@@ -404,10 +403,12 @@ class Ctx:
         yield from self.wait_oracle(instance)
         return self.oracle_result(instance)
 
-    def wait_oracle(self, instance: str):
-        box = self.inbox("oracle_out", instance)
-        if not box:
-            yield Reader(box)
+    def wait_oracle(self, *instances: str):
+        """Wait until every instance has fired, all their lists opened first."""
+        boxes = [self.inbox("oracle_out", instance) for instance in instances]
+        for box in boxes:
+            if not box:
+                yield Reader(box)
 
     def wait_rounds(self, r: int = 1):
         for _ in range(r):
@@ -470,14 +471,10 @@ class Engine:
         self._everyone = tuple(range(1, n + 1))
         self._broadcast_dsts = [()] + [(*range(1, src), *range(src + 1, n + 1))
                                        for src in self._everyone]
-        # where delivery files: each party's mailbox by pid, and a row for
-        # each kind or (kind, instance) key. A key some party asked for
-        # (Ctx.inbox) has the askers' lists by pid, None for the others, and
-        # in slot 0 whether any mail was filed under it; a key only filed
-        # under has (), so a first request for a key in neither state skips
-        # the mailbox scan
+        # where delivery files: each party's mailbox by pid, and for each kind
+        # or (kind, instance) some party asked for (Ctx.inbox) a row of lists by pid
         self._mailboxes: list[list[Envelope]] = [[]]  # pid 0, the oracles, gets none
-        self._filing: dict[object, list | tuple] = {}
+        self._filing: dict[object, list[list[Envelope] | None]] = {}
         self.parties: dict[int, PartyHandle] = {}
         for pid in self._everyone:
             ctx = Ctx(self, pid)
@@ -489,10 +486,9 @@ class Engine:
     # --- sending and oracles -------------------------------------------------
 
     def submit_send(self, src, dst, kind, payload, bits, step, instance, oracle) -> None:
-        if not (1 <= dst <= self.params.n):
-            raise ValueError(f"bad destination {dst}")
-        if dst == src:
-            raise ValueError("use self_deliver for local delivery")
+        if type(dst) is not int or not 0 < dst <= self.params.n or dst == src:
+            self._refuse(src, f"party {src} cannot send to {dst!r}; self_deliver is local")
+            return
         self._enqueue(src, (dst,), kind, payload, bits, step, instance, oracle)
 
     def submit_broadcast(self, src, kind, payload, bits, step, instance, oracle) -> None:
@@ -501,12 +497,18 @@ class Engine:
         self._enqueue(src, self._broadcast_dsts[src], kind, payload, bits, step, instance,
                       oracle)
 
+    def _refuse(self, pid: int, why: str) -> None:
+        """Drop a corrupt party's malformed request; an honest party's is a bug."""
+        if pid in self.honest:
+            raise ValueError(why)
+
     def _enqueue(self, src, dsts, kind, payload, bits, step, instance, oracle) -> None:
+        if type(kind) is not str or not (instance is None or type(instance) is str):
+            self._refuse(src, f"no message of kind {kind!r} and instance {instance!r}")
+            return
         if kind == "oracle_out":
-            # the trusted-functionality channel is unforgeable: corrupt
-            # attempts are dropped, honest attempts are bugs
-            if src in self.honest:
-                raise ValueError("oracle outputs are delivered by the engine only")
+            # the trusted-functionality channel is unforgeable
+            self._refuse(src, "oracle outputs are delivered by the engine only")
             return
         if src in self.honest and dsts:
             self.metrics.add(bits * len(dsts), step=step, oracle=oracle)
@@ -519,19 +521,12 @@ class Engine:
             self.pending.extend([(env, dst) for dst in dsts])
 
     def oracle_submit(self, pid, kind, instance, value, value_bits, sender) -> None:
-        expected_mode = "rounds" if kind in SYNC_KINDS else "events"
-        if self.mode != expected_mode:
-            raise ValueError(f"oracle kind {kind} not usable under {self.mode} scheduler")
-        if self.session.oracle_impl.get(kind) == "concrete":
-            # the session runs this kind concretely: a corrupt submission
-            # would charge honest model cost for an instance nobody uses
-            if pid in self.honest:
-                raise ValueError(f"oracle kind {kind} runs concretely in this session")
+        fault = self._submission_fault(kind, instance, value_bits, sender)
+        if fault is not None:
+            self._refuse(pid, fault)
             return
         inst = self.oracles.get(instance)
         if inst is None:
-            if kind in SENDER_KINDS and sender is None:
-                raise ValueError(f"{kind} oracle needs a designated sender")
             inst = IdealOracle(kind, instance, value_bits, sender)
             self.oracles[instance] = inst
         inst.registered.add(pid)
@@ -539,6 +534,18 @@ class Engine:
         if value is not None:
             if pid in self.honest or _oracle_domain_ok(inst, value):
                 inst.submissions[pid] = value
+
+    def _submission_fault(self, kind, instance, value_bits, sender) -> str | None:
+        """Why an ideal submission cannot be taken, None if it can."""
+        if kind not in (SYNC_KINDS if self.mode == "rounds" else ASYNC_KINDS):
+            return f"oracle kind {kind!r} not usable under {self.mode} scheduler"
+        if self.session.oracle_impl.get(kind) == "concrete":
+            return f"oracle kind {kind} runs concretely in this session"
+        if kind in SENDER_KINDS and (type(sender) is not int or not 0 < sender <= self.params.n):
+            return f"{kind} oracle needs a designated sender in 1..n, not {sender!r}"
+        if type(value_bits) is not int or value_bits < 1 or type(instance) is not str:
+            return f"no oracle instance {instance!r} of width {value_bits!r}"
+        return None
 
     def _consult_adversary_oracle(self, inst: IdealOracle) -> None:
         if inst.byz_consulted or self.adversary is None:
@@ -597,12 +604,11 @@ class Engine:
 
     # --- party stepping ------------------------------------------------------
 
-    def _resume(self, handle: PartyHandle, first: bool = False) -> None:
+    def _resume(self, handle: PartyHandle) -> None:
         if handle.done or handle.gen is None:
             return
         try:
-            wait = next(handle.gen) if first else handle.gen.send(None)
-            handle.waiting = wait
+            handle.waiting = handle.gen.send(None)
         except StopIteration as stop:
             handle.done = True
             handle.waiting = None
@@ -624,19 +630,15 @@ class Engine:
 
     def _open(self, pid: int, key) -> list[Envelope]:
         """pid's list of mail under key, built by one scan of its mailbox in
-        arrival order, which delivery extends from now on. Before any mail
-        has been filed under key, the list starts empty without a scan."""
-        row = self._filing.get(key)
-        filed = row is not None and (not row or row[0])
-        if not filed:
-            box = []
-        elif isinstance(key, tuple):
+        arrival order, which delivery extends from now on."""
+        if isinstance(key, tuple):
             kind, instance = key
             box = [e for e in self._mailboxes[pid] if e.kind == kind and e.instance == instance]
         else:
             box = [e for e in self._mailboxes[pid] if e.kind == key]
-        if not row:
-            row = self._filing[key] = [filed] + [None] * self.params.n
+        row = self._filing.get(key)
+        if row is None:
+            row = self._filing[key] = [None] * (self.params.n + 1)
         row[pid] = box
         return box
 
@@ -647,11 +649,10 @@ class Engine:
         for dst in dsts:
             mailboxes[dst].append(env)
         filing = self._filing
-        if row := filing.setdefault(env.kind, ()):
+        if row := filing.get(env.kind):
             _file_each(row, dsts, env)
-        if env.instance is not None:
-            if row := filing.setdefault((env.kind, env.instance), ()):
-                _file_each(row, dsts, env)
+        if env.instance is not None and (row := filing.get((env.kind, env.instance))):
+            _file_each(row, dsts, env)
 
     # --- main loops ----------------------------------------------------------
 
@@ -669,7 +670,7 @@ class Engine:
 
     def _run_rounds(self) -> None:
         for pid in sorted(self.parties):
-            self._resume(self.parties[pid], first=True)
+            self._resume(self.parties[pid])
         self._fire_ready_oracles()
         while any(not h.done for h in self.parties.values()):
             self.tick += 1
@@ -694,7 +695,7 @@ class Engine:
         # needs re-checking
         n_fair = 10 * self.params.n * self.params.n
         for pid in sorted(self.parties):
-            self._resume(self.parties[pid], first=True)
+            self._resume(self.parties[pid])
         self._fire_ready_oracles()
         while self.pending:
             self.tick += 1
@@ -724,9 +725,7 @@ _BITS = attrgetter("bits")
 
 
 def _file_each(row: list, dsts: tuple[int, ...], env: Envelope) -> None:
-    """Append env to the list of each destination that has one, and mark
-    the row's key as filed under."""
-    row[0] = True
+    """Append env to the list of each destination that has one."""
     for dst in dsts:
         if (box := row[dst]) is not None:
             box.append(env)

@@ -35,10 +35,6 @@ class RecordingEngine:
     def oracle_submit(self, pid, kind, instance, value, value_bits, sender):
         self.submitted.append((pid, kind, instance, value))
 
-    def _open(self, pid, key):
-        # no mail is delivered here, so every list a Ctx asks for is empty
-        return []
-
 
 def sends_through(script, kind, payload, dst=2):
     """What the corrupt party actually sends when its honest code sends payload."""

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import weakref
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -358,7 +359,7 @@ def test_finished_session_frees_its_contexts_without_collection(monkeypatch, pro
 
     def engine_run(engine):
         orig_run(engine)
-        filed_keys.append(sum(isinstance(row, list) for row in engine._filing.values()))
+        filed_keys.append(len(engine._filing))
 
     monkeypatch.setattr(Ctx, "__init__", init)
     monkeypatch.setattr(Engine, "__init__", engine_init)
@@ -377,8 +378,10 @@ def test_finished_session_frees_its_contexts_without_collection(monkeypatch, pro
         gc.enable()
     assert cyclic_garbage == 0
     assert refs and alive == []
-    # the engine held lists asked for by key, and freed them with itself
-    assert len(engines) == 1 and filed_keys[0] > 0 and engine_alive == []
+    # the engine held lists asked for by key, and freed them with itself;
+    # ef-async-rb-third reads its whole mailbox and asks for no keyed list
+    assert len(engines) == 1 and engine_alive == []
+    assert filed_keys[0] > 0 or protocol == "ef-async-rb-third"
 
 
 def _engine(n=5, honest=frozenset({2, 3, 4, 5})):
@@ -471,9 +474,9 @@ def test_list_first_asked_for_after_its_mail_equals_the_scan_and_grows(mode, reg
 
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
 def test_protocols_open_their_lists_before_their_mail_arrives(monkeypatch, protocol):
-    # every list a protocol reads is asked for at its start, so no honest
-    # session builds one by scanning a mailbox; the runs keep their golden
-    # digests
+    # every list a protocol reads is asked for at its start, so in no honest
+    # session does a first request find mail in the mailbox; the runs keep
+    # their golden digests
     from tests.test_golden import GOLDEN, SEEDS, UNANIMITY
 
     golden = json.loads(GOLDEN.read_text())
@@ -481,10 +484,10 @@ def test_protocols_open_their_lists_before_their_mail_arrives(monkeypatch, proto
     opened = Engine._open
 
     def watched(self, pid, key):
-        row = self._filing.get(key)
-        if row is not None and (not row or row[0]):
+        box = opened(self, pid, key)
+        if box:
             scans.append((pid, key))
-        return opened(self, pid, key)
+        return box
 
     monkeypatch.setattr(Engine, "_open", watched)
     honest = next(s for s in adversary_battery() if s.name == "honest")
@@ -516,8 +519,9 @@ def test_chain_oracles_file_no_kind_level_ds_list(monkeypatch):
     assert len(res.outputs) == 7
     assert len(ctxs) == 7
     for ctx in ctxs:
-        assert "ds" not in ctx._lists
-        assert any(isinstance(key, tuple) and key[0] == "ds" for key in ctx._lists)
+        asked = [key for key, row in ctx.engine._filing.items() if row[ctx.pid] is not None]
+        assert "ds" not in asked
+        assert any(isinstance(key, tuple) and key[0] == "ds" for key in asked)
 
 
 _KINDS = st.sampled_from(["a", "b"])
@@ -618,6 +622,127 @@ def test_only_the_engine_files_oracle_outputs():
     engine.parties[1].ctx.send(3, "oracle_out", b"forged", bits=0, instance="ba")
     assert engine.pending == [] and ctx.mailbox == []
     assert ctx.oracle_result("ba") is None
+
+
+class Misfit(AdversaryScript):
+    """A tail-placed corrupt party whose one act is ``act(ctx)``."""
+
+    name = "misfit"
+    placement = "tail"
+
+    def __init__(self, act):
+        self.act = act
+
+    def make_party(self, pid, honest_factory, env):
+        def party(ctx):
+            self.act(ctx)
+            return None
+            yield  # pragma: no cover
+
+        return party
+
+
+def _same_as_silent(protocol, act):
+    """Run protocol at n=4, seed 0, once with a silent corrupt party and once
+    with a misfit doing act, and check the misfit changed nothing."""
+    spec = PROTOCOLS[protocol]
+    params = _params(regime=spec.regime)
+    inputs = build_inputs(spec.kind, params, 0, "all")
+    quiet = run(protocol, params, inputs, adversary=Silent(), seed=0)
+    res = run(protocol, params, inputs, adversary=Misfit(act), seed=0, trace=True)
+    assert res.corrupt == quiet.corrupt == frozenset({4})
+    assert res.metrics.outputs_digest == quiet.metrics.outputs_digest
+    assert res.metrics.honest_bits_total == quiet.metrics.honest_bits_total
+    assert res.metrics.rounds_or_events_elapsed == quiet.metrics.rounds_or_events_elapsed
+    assert [r for r in res.trace if r["from"] == 4] == []
+
+
+_MISSENDS = {
+    "list-kind": lambda ctx: ctx.broadcast(["payload"], b"m", bits=8),
+    "list-instance": lambda ctx: ctx.broadcast("payload", b"m", bits=8, instance=["x"]),
+    "dict-instance": lambda ctx: ctx.send(1, "payload", b"m", bits=8, instance={"a": 1}),
+    "absent-destination": lambda ctx: ctx.send(9, "payload", b"m", bits=8),
+    "own-destination": lambda ctx: ctx.send(ctx.pid, "payload", b"m", bits=8),
+}
+
+
+@pytest.mark.parametrize("protocol", ["sync-ba-half", "async-rb-third"])
+@pytest.mark.parametrize("what", sorted(_MISSENDS))
+def test_corrupt_sends_the_network_has_no_place_for_are_dropped(protocol, what):
+    _same_as_silent(protocol, _MISSENDS[what])
+
+
+def test_honest_sends_the_network_has_no_place_for_raise():
+    engine = _engine()  # party 1 corrupt
+    for act in _MISSENDS.values():
+        act(engine.parties[1].ctx)
+        with pytest.raises(ValueError):
+            act(engine.parties[2].ctx)
+    assert engine.pending == [] and engine.metrics.honest_bits_total == 0
+
+
+_MISSUBMITS = {
+    "sync-ba-half": {
+        "wrong-mode": lambda ctx: ctx.oracle_submit("async_rb", b"m", 8, instance="j",
+                                                    sender=ctx.pid),
+        "unknown-kind": lambda ctx: ctx.oracle_submit("sync_xx", 1, 1, instance="j"),
+        "no-sender": lambda ctx: ctx.oracle_submit("sync_bb", 1, 1, instance="j"),
+        "absent-sender": lambda ctx: ctx.oracle_submit("sync_bb", 1, 1, instance="j",
+                                                       sender=9),
+    },
+    "async-rb-third": {
+        "negative-width": lambda ctx: ctx.oracle_submit("async_rb", b"m", -1000, instance="j",
+                                                        sender=ctx.pid),
+        "str-width": lambda ctx: ctx.oracle_submit("async_rb", b"m", "x", instance="j",
+                                                   sender=ctx.pid),
+        "list-instance": lambda ctx: ctx.oracle_submit("async_rb", 1, 1, instance=["j"],
+                                                       sender=ctx.pid),
+        "list-kind": lambda ctx: ctx.oracle_submit(["async_rb"], 1, 1, instance="j",
+                                                   sender=ctx.pid),
+    },
+}
+
+
+@pytest.mark.parametrize("protocol,what", [(p, w) for p, acts in _MISSUBMITS.items()
+                                           for w in sorted(acts)])
+def test_malformed_corrupt_ideal_submissions_are_dropped(protocol, what):
+    _same_as_silent(protocol, _MISSUBMITS[protocol][what])
+
+
+@pytest.mark.parametrize("mode,protocol", [("rounds", "sync-ba-half"),
+                                           ("events", "async-rb-third")])
+def test_malformed_honest_ideal_submissions_raise(mode, protocol):
+    engine = Engine(mode, _params(), SimpleNamespace(oracle_impl={}), {},
+                    frozenset({1, 2, 3}))
+    for act in _MISSUBMITS[protocol].values():
+        act(engine.parties[4].ctx)
+        with pytest.raises(ValueError):
+            act(engine.parties[1].ctx)
+    assert engine.oracles == {} and engine._submitted == set()
+
+
+def test_junk_instance_flood_grows_no_engine_table(monkeypatch):
+    # rows exist only for keys some party asked for, so 1,000 instance
+    # names nobody reads leave the engine's filing table as it was
+    sizes = []
+    orig_run = Engine.run
+
+    def engine_run(engine):
+        orig_run(engine)
+        sizes.append(len(engine._filing))
+
+    def flood(ctx):
+        for i in range(1000):
+            ctx.broadcast("payload", b"junk", bits=32, instance=f"junk/{i}")
+
+    monkeypatch.setattr(Engine, "run", engine_run)
+    params = _params()
+    inputs = build_inputs("ba", params, 0, "all")
+    quiet = run("sync-ba-half", params, inputs, adversary=Silent(), seed=0)
+    loud = run("sync-ba-half", params, inputs, adversary=Misfit(flood), seed=0)
+    assert sizes[1] == sizes[0]
+    assert loud.metrics.honest_bits_total == quiet.metrics.honest_bits_total == 10_764
+    assert loud.metrics.outputs_digest == quiet.metrics.outputs_digest
 
 
 def test_filed_envelopes_are_immutable():
