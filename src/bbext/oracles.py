@@ -5,9 +5,10 @@ simnet.Engine) charged at its model cost. This module adds the concrete
 constructions and the front doors protocols call, so a session can swap
 implementations per kind:
 
-- sync_bb: signature-chain broadcast (t+1 relay rounds, any t < n).
-- sync_ba: n parallel signature-chain broadcasts plus strict majority
-  (t < n/2).
+- sync_bb: one slot of the signature-chain routine (t+1 relay rounds,
+  any t < n).
+- sync_ba: the same routine with n slots, one per sender, plus strict
+  majority (t < n/2).
 - async_rb: echo/ready reliable broadcast (t < n/3).
 - async_ba_bit: round-based binary agreement with broadcast-justified value
   sets, coin-matched deciding, and a round-independent ready layer for
@@ -59,77 +60,43 @@ def _chain_tag(instance: str, value) -> bytes:
     return hashlib.sha256(f"ds/{instance}/".encode() + value_to_bytes(value)).digest()
 
 
+def _slot_tag(instance: str, slot: int, value) -> bytes:
+    """What each signer of a chain for value in one slot of instance signs."""
+    return _chain_tag(f"{instance}/s{slot}", value)
+
+
 # --- synchronous broadcast via signature chains -------------------------------
 
 
-def dolev_strong(ctx: Ctx, instance: str, sender: int, my_value, value_bits: int):
-    """Authenticated broadcast: accept at round r on a chain of r distinct
-    signers that includes the sender; relay once with own signature added.
-    Outputs the unique accepted value, BOT otherwise."""
-    n, t = ctx.params.n, ctx.params.t
-    auth: MsigAuthority = ctx.session.msig
-    step = f"oracle:{instance}"
-    relay_bits = value_bits + MultiSig.nominal_bits(n, ctx.params.k)
-    extracted: list = []
-
-    if ctx.pid == sender and my_value is not None:
-        sig = auth.sign(ctx.pid, _chain_tag(instance, my_value))
-        ctx.broadcast("ds", (my_value, sig), bits=relay_bits, step=step,
-                      instance=instance, oracle="sync_bb")
-        extracted.append(my_value)
-    mail = ctx.reader("ds", instance)
-    for r in range(1, t + 2):
-        yield NEXT_ROUND
-        for env in mail.new():
-            try:
-                value, sig = env.payload
-            except (TypeError, ValueError):
-                continue
-            # the cheap filters first: the type check runs once per new value
-            if len(extracted) >= 2 or value in extracted or not _encodable(value):
-                continue
-            if not isinstance(sig, MultiSig) or sender not in sig.signers:
-                continue
-            if len(sig.signers) < r or ctx.pid in sig.signers:
-                continue
-            tag = _chain_tag(instance, value)
-            if not auth.verify(sig, tag):
-                continue
-            extracted.append(value)
-            if r <= t:
-                combined = msig_combine(sig, auth.sign(ctx.pid, tag))
-                ctx.broadcast("ds", (value, combined), bits=relay_bits, step=step,
-                              instance=instance, oracle="sync_bb")
-    return extracted[0] if len(extracted) == 1 else BOT
-
-
 def parallel_chain_bcast(ctx: Ctx, instance: str, my_value, value_bits: int,
-                         oracle_label: str):
-    """n concurrent signature-chain broadcasts, party j the sender of slot j.
-
-    Returns the per-slot outputs as a dict {slot: value-or-BOT}. Slots run in
-    the same t+1 relay rounds so chain lengths line up across slots.
-    """
+                         oracle_label: str, senders=None):
+    """Signature-chain broadcasts, one slot per sender (every party by
+    default), run in the same t+1 relay rounds; a sender puts my_value in
+    its own slot. A party accepts a slot's value at round r on a chain of r
+    distinct signers that includes the slot's sender, then relays (slot,
+    value, sig) once with its own signature added. A relay carries a 16-bit
+    slot id only when there are several slots: one slot names its sender.
+    Returns {slot: the unique accepted value, BOT otherwise}."""
     n, t = ctx.params.n, ctx.params.t
     auth: MsigAuthority = ctx.session.msig
     step = f"oracle:{instance}"
-    relay_bits = 16 + value_bits + MultiSig.nominal_bits(n, ctx.params.k)
-    extracted: dict[int, list] = {s: [] for s in range(1, n + 1)}
+    slots = range(1, n + 1) if senders is None else senders
+    extracted: dict[int, list] = {s: [] for s in slots}
+    relay_bits = value_bits + MultiSig.nominal_bits(n, ctx.params.k)
+    if len(extracted) > 1:
+        relay_bits += 16
 
-    def tag(slot: int, value) -> bytes:
-        return _chain_tag(f"{instance}/s{slot}", value)
-
-    if my_value is not None:
-        sig = auth.sign(ctx.pid, tag(ctx.pid, my_value))
+    if ctx.pid in extracted and my_value is not None:
+        sig = auth.sign(ctx.pid, _slot_tag(instance, ctx.pid, my_value))
         ctx.broadcast("ds", (ctx.pid, my_value, sig), bits=relay_bits, step=step,
                       instance=instance, oracle=oracle_label)
         extracted[ctx.pid].append(my_value)
     mail = ctx.reader("ds", instance)
     for r in range(1, t + 2):
         yield NEXT_ROUND
-        for env in mail.new():
+        for relay in mail.new():
             try:
-                slot, value, sig = env.payload
+                slot, value, sig = relay.payload
             except (TypeError, ValueError):
                 continue
             if not isinstance(slot, int) or slot not in extracted:
@@ -143,15 +110,23 @@ def parallel_chain_bcast(ctx: Ctx, instance: str, my_value, value_bits: int,
                 continue
             if len(sig.signers) < r or ctx.pid in sig.signers:
                 continue
-            slot_tag = tag(slot, value)
-            if not auth.verify(sig, slot_tag):
+            tag = _slot_tag(instance, slot, value)
+            if not auth.verify(sig, tag):
                 continue
-            extracted[slot].append(value)
+            got.append(value)
             if r <= t:
-                combined = msig_combine(sig, auth.sign(ctx.pid, slot_tag))
+                combined = msig_combine(sig, auth.sign(ctx.pid, tag))
                 ctx.broadcast("ds", (slot, value, combined), bits=relay_bits, step=step,
                               instance=instance, oracle=oracle_label)
-    return {s: (extracted[s][0] if len(extracted[s]) == 1 else BOT) for s in range(1, n + 1)}
+    return {s: (got[0] if len(got) == 1 else BOT) for s, got in extracted.items()}
+
+
+def dolev_strong(ctx: Ctx, instance: str, sender: int, my_value, value_bits: int):
+    """Authenticated broadcast (Dolev-Strong): the one-slot chain broadcast
+    of ``sender``. Outputs the unique accepted value, BOT otherwise."""
+    out = yield from parallel_chain_bcast(ctx, instance, my_value, value_bits, "sync_bb",
+                                          senders=(sender,))
+    return out[sender]
 
 
 def sync_ba_majority(ctx: Ctx, instance: str, my_value, value_bits: int):

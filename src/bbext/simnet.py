@@ -29,12 +29,15 @@ to it, at one table lookup per envelope and key, so mail nobody asked for
 grows no table. A party reads new mail through a cursor (``Ctx.reader``)
 and waits for more by yielding that cursor.
 
-A send needs a ``str`` kind, a None or ``str`` instance, a destination in
-1..n other than the sender, and not to forge ``oracle_out``; an ideal
-submission a kind of the scheduler mode not run concretely, a sender in
-1..n for a sender kind, an int width of at least 1 and a ``str`` instance.
-Anything else is dropped from a corrupt party (not filed, metered or
-traced) and raises ``ValueError`` from an honest one.
+Every request naming a mail key (a send, a self-delivery, a read) needs a
+``str`` kind and a None or ``str`` instance, and a send or self-delivery
+must not forge ``oracle_out``; a send also needs a destination in 1..n
+other than the sender. An ideal submission needs a kind of the scheduler
+mode not run concretely, a sender in 1..n for a sender kind, an int width
+of at least 1 and a ``str`` instance. Anything else is refused: from a
+corrupt party a send, self-delivery or submission is dropped (not filed,
+metered or traced) and a read gets an empty list nothing files into; from
+an honest party it raises ``ValueError``.
 
 An ideal oracle fires on two facts. A sender kind (``sync_bb``,
 ``async_rb``) fires when its sender has submitted, and in rounds mode also
@@ -356,20 +359,20 @@ class Ctx:
     def self_deliver(self, kind: str, payload, step: str | None = None,
                      instance: str | None = None) -> None:
         """File mail to oneself at once, unmetered and untraced."""
-        if kind == "oracle_out":
-            raise ValueError("oracle outputs are delivered by the engine only")
-        self.engine._deliver(Envelope(self.pid, kind, payload, 0, step or self.step, instance,
-                                      self.engine.tick), (self.pid,))
+        if self.engine._names_key(self.pid, kind, instance, write=True):
+            self.engine._deliver(Envelope(self.pid, kind, payload, 0, step or self.step,
+                                          instance, self.engine.tick), (self.pid,))
 
     def inbox(self, kind: str | None = None, instance: str | None = None) -> list[Envelope]:
         """Received envelopes in arrival order, filtered by kind and instance:
         the filed list itself, which later mail extends. Read it, do not
         modify it. The first request for a (kind, instance) or kind builds
-        its list from the mailbox."""
-        if kind is None:
-            if instance is None:
-                return self.mailbox
-            raise ValueError("an inbox of one instance needs a kind")
+        its list from the mailbox. A request naming no key gets a fresh
+        empty list that nothing files into."""
+        if kind is None and instance is None:
+            return self.mailbox
+        if not self.engine._names_key(self.pid, kind, instance, write=False):
+            return []
         key = kind if instance is None else (kind, instance)
         row = self.engine._filing.get(key)
         if row is None or row[self.pid] is None:
@@ -502,13 +505,23 @@ class Engine:
         if pid in self.honest:
             raise ValueError(why)
 
-    def _enqueue(self, src, dsts, kind, payload, bits, step, instance, oracle) -> None:
+    def _names_key(self, pid: int, kind, instance, write: bool) -> bool:
+        """Whether a request by pid names a mail key: a str kind, a None or
+        str instance, and for a send or self-delivery not ``oracle_out``,
+        which only the engine files, so the trusted-functionality channel is
+        unforgeable. A request naming none is refused."""
         if type(kind) is not str or not (instance is None or type(instance) is str):
-            self._refuse(src, f"no message of kind {kind!r} and instance {instance!r}")
-            return
-        if kind == "oracle_out":
-            # the trusted-functionality channel is unforgeable
-            self._refuse(src, "oracle outputs are delivered by the engine only")
+            why = (f"a mail key needs a kind of type str and a None or str instance, "
+                   f"not {kind!r} and {instance!r}")
+        elif write and kind == "oracle_out":
+            why = "oracle outputs are delivered by the engine only"
+        else:
+            return True
+        self._refuse(pid, why)
+        return False
+
+    def _enqueue(self, src, dsts, kind, payload, bits, step, instance, oracle) -> None:
+        if not self._names_key(src, kind, instance, write=True):
             return
         if src in self.honest and dsts:
             self.metrics.add(bits * len(dsts), step=step, oracle=oracle)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from bbext.adversary import AdversaryScript, ScheduledHonest, Silent, hooked
 from bbext.checks import build_inputs, evaluate_run, explore_schedules
 from bbext.multisig import msig_combine
-from bbext.oracles import BrachaMachine, _chain_tag, value_to_bytes
+from bbext.oracles import BrachaMachine, _chain_tag, _slot_tag, value_to_bytes
 from bbext.protocols import SessionParams
 from bbext.protocols.base import ProtocolSpec
 from bbext.runner import run
@@ -47,13 +47,13 @@ class EquivocatingChainSender(AdversaryScript):
         def party(ctx):
             auth = ctx.session.msig
             for value in (b"left", b"right"):
-                sig = auth.sign(ctx.pid, _chain_tag("bb0", value))
+                sig = auth.sign(ctx.pid, _slot_tag("bb0", ctx.pid, value))
                 bits = ctx.params.k + ctx.params.k + ctx.params.n
                 for dst in range(1, ctx.params.n + 1):
                     if dst == ctx.pid:
                         continue
                     if (dst % 2 == 0) == (value == b"left"):
-                        ctx.send(dst, "ds", (value, sig), bits=bits, instance="bb0",
+                        ctx.send(dst, "ds", (ctx.pid, value, sig), bits=bits, instance="bb0",
                                  step="oracle:bb0")
             return None
             yield  # pragma: no cover
@@ -83,21 +83,26 @@ class LateReleaseChain(AdversaryScript):
             auth = ctx.session.msig
             n = ctx.params.n
             bits = ctx.params.k + ctx.params.k + n
-            sig_a = auth.sign(ctx.pid, _chain_tag("bb0", b"public"))
-            ctx.broadcast("ds", (b"public", sig_a), bits=bits, instance="bb0",
+            sig_a = auth.sign(ctx.pid, _slot_tag("bb0", ctx.pid, b"public"))
+            ctx.broadcast("ds", (ctx.pid, b"public", sig_a), bits=bits, instance="bb0",
                           step="oracle:bb0")
             cert = None
             for signer in sorted(env.corrupt):
-                s = auth.sign(signer, _chain_tag("bb0", b"hidden"))
+                s = auth.sign(signer, _slot_tag("bb0", ctx.pid, b"hidden"))
                 cert = s if cert is None else msig_combine(cert, s)
             target = min(p for p in range(1, n + 1) if p not in env.corrupt)
             for r in range(1, len(env.corrupt)):
                 yield from ctx.wait_rounds(1)
-            ctx.send(target, "ds", (b"hidden", cert), bits=bits, instance="bb0",
+            ctx.send(target, "ds", (ctx.pid, b"hidden", cert), bits=bits, instance="bb0",
                      step="oracle:bb0")
             return None
 
         return party
+
+
+# three honest relays, each to n-1 = 3 parties at value_bits + k + n = 260
+# bits (no slot id in a one-sender chain): the scripts' mail was parsed
+THREE_RELAYS_BITS = 3 * 3 * (128 + 128 + 4)
 
 
 def test_chain_broadcast_equivocating_sender_agrees():
@@ -108,6 +113,8 @@ def test_chain_broadcast_equivocating_sender_agrees():
         assert set(outs) == set(res.honest)
         assert len({repr(v) for v in outs.values()}) == 1
         assert next(iter(outs.values())) in (b"left", b"right", BOT)
+        # each honest party accepts its half's value in round 1 and relays it
+        assert res.metrics.honest_bits_total == THREE_RELAYS_BITS
 
 
 def test_chain_broadcast_late_release_still_agrees():
@@ -115,6 +122,8 @@ def test_chain_broadcast_late_release_still_agrees():
               adversary=LateReleaseChain(), seed=0)
     outs = {p: res.outputs[p] for p in res.honest}
     assert len({repr(v) for v in outs.values()}) == 1
+    # both honest parties relay the public value, the target the hidden one
+    assert res.metrics.honest_bits_total == THREE_RELAYS_BITS
 
 
 def test_chain_broadcast_cost_within_twice_model():

@@ -721,6 +721,45 @@ def test_malformed_honest_ideal_submissions_raise(mode, protocol):
     assert engine.oracles == {} and engine._submitted == set()
 
 
+_MISKEYED = {
+    "self-deliver-list-kind": lambda ctx: ctx.self_deliver(["x"], 1),
+    "self-deliver-list-instance": lambda ctx: ctx.self_deliver("x", 1, instance=["y"]),
+    "self-deliver-oracle-out": lambda ctx: ctx.self_deliver("oracle_out", 1),
+    "inbox-list-kind": lambda ctx: ctx.inbox(["x"]),
+    "inbox-no-kind": lambda ctx: ctx.inbox(None, "x"),
+    "reader-list-instance": lambda ctx: ctx.reader("x", ["y"]).new(),
+    "oracle-result-list": lambda ctx: ctx.oracle_result(["i"]),
+    "wait-oracle-list": lambda ctx: list(ctx.wait_oracle(["i"])),
+}
+
+
+@pytest.mark.parametrize("protocol", ["sync-ba-half", "async-rb-third"])
+@pytest.mark.parametrize("what", sorted(_MISKEYED))
+def test_corrupt_requests_naming_no_mail_key_are_refused(protocol, what):
+    # a corrupt self-delivery is dropped; a corrupt read gets an empty list
+    # nothing files into, and the engine's filing table gains no row
+    seen = []
+
+    def act(ctx):
+        before = len(ctx.engine._filing)
+        got = _MISKEYED[what](ctx)
+        seen.append((before, len(ctx.engine._filing), got))
+
+    _same_as_silent(protocol, act)
+    [(before, after, got)] = seen
+    assert after == before
+    assert got in (None, []) or [r.new() for r in got] == [[]]
+
+
+def test_honest_requests_naming_no_mail_key_raise():
+    engine = _engine()  # party 1 corrupt
+    for act in _MISKEYED.values():
+        act(engine.parties[1].ctx)
+        with pytest.raises(ValueError):
+            act(engine.parties[2].ctx)
+    assert engine._filing == {} and engine.parties[1].ctx.mailbox == []
+
+
 def test_junk_instance_flood_grows_no_engine_table(monkeypatch):
     # rows exist only for keys some party asked for, so 1,000 instance
     # names nobody reads leave the engine's filing table as it was
