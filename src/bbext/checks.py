@@ -288,9 +288,11 @@ def rs_decode_reference(cw: rs.Codeword, c: int, d: int) -> rs.DataBlocks | None
     present = [j for j in range(1, n + 1) if cw.symbols[j - 1] is not None]
     if len(present) < n - d:
         raise ValueError("erasures exceed budget")
+    enc = rs._encode_matrix(n, b)
     seen: dict[bytes, np.ndarray] = {}
     for subset in itertools.combinations(present, b):
-        rec = gf.product_tables(rs._recover_matrix(n, b, subset))
+        # by elimination, to cross-check the codec's closed-form recovery
+        rec = gf.product_tables(gf.invert_matrix([list(enc[p - 1]) for p in subset]))
         cand = rs._apply_matrix(rec, np.stack([cw.symbols[p - 1] for p in subset]))
         full = rs.rs_encode(rs.DataBlocks(blocks=tuple(cand), original_bit_length=0), n)
         bad_blocks = sum(not np.array_equal(full.symbols[p - 1], cw.symbols[p - 1])

@@ -191,6 +191,7 @@ def run_session(cell: dict, trace: bool = False) -> RunResult:
             n=cell["n"], t=cell["t"], l=cell["l"], k=cell["k"],
             threshold_regime=spec.regime, epsilon=cell["epsilon"],
         )
+        spec.check(params)
     except ValueError as exc:
         raise ConfigError(f"cell {cell['protocol']} n={cell['n']} t={cell['t']}: {exc}")
     scripts = {s.name: s for s in adversary_battery()}

@@ -5,6 +5,9 @@ multiplication goes through log/antilog tables built once at import, as
 stdlib arrays, for the fixed irreducible polynomial x^16 + x^12 + x^3 + x + 1
 (0x1100B). Gaussian elimination (``solve_linear``, ``invert_matrix``) takes
 each pivot row's logarithms once and runs its row operations on them.
+``solve_linear`` serves Berlekamp-Welch; ``invert_matrix`` serves only the
+brute-force reference decoder in ``checks``, since the codec builds its
+matrices in closed form.
 
 Matrix products over numpy uint16 arrays use split 8-bit product tables
 (Plank, Greenan and Miller, "Screaming Fast Galois Field Arithmetic Using

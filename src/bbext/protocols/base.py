@@ -66,6 +66,18 @@ class ProtocolSpec:
     kind: str  # ba | bb | rb
     regime: str
     party: Callable
+    # runs only at the regime's largest t, floor((n-1)/3)
+    max_third_only: bool = False
+
+    def check(self, params: SessionParams) -> None:
+        """Raise ValueError unless the protocol runs with these parameters."""
+        if params.threshold_regime != self.regime:
+            raise ValueError(
+                f"protocol {self.name} needs regime {self.regime}, got {params.threshold_regime}"
+            )
+        if self.max_third_only and params.t != (params.n - 1) // 3:
+            raise ValueError(f"protocol {self.name} fixes t = floor((n-1)/3) = "
+                             f"{(params.n - 1) // 3}, got t = {params.t}")
 
 
 def encode_input(ctx: Ctx, message: bytes):

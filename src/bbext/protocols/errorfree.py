@@ -19,19 +19,8 @@ from .. import rs
 from ..blocks import CodecMemo
 from ..oracles import RbSlots, bb_slots
 from ..simnet import Ctx, InvariantViolation, NEXT_ROUND
-from ..star import NOSTAR, GrowingStar, PartyGraph, derive_fe, star
+from ..star import NOSTAR, GrowingStar, PartyGraph, _mask, _members, derive_fe, star
 from .base import ProtocolSpec
-
-
-def _require_ef_threshold(ctx: Ctx) -> None:
-    n, t = ctx.params.n, ctx.params.t
-    if t != (n - 1) // 3:
-        raise ValueError("error-free protocols fix t = floor((n-1)/3)")
-
-
-def _popcount_set(bitmap: int, n: int) -> frozenset[int]:
-    bitmap &= (1 << n) - 1
-    return frozenset(j + 1 for j in range(n) if bitmap & (1 << j))
 
 
 def _strict_majority(votes: list[bytes], member_count: int) -> bytes | None:
@@ -53,7 +42,7 @@ def _greedy_common_vote(candidates: list[int], e_vecs: dict[int, int],
         bitmap = e_vecs.get(x)
         if bitmap is None:
             continue
-        members = _popcount_set(bitmap, n)
+        members = _members(bitmap, n)
         if not members:
             continue
         votes = [priv_sym[j] for j in sorted(members) if j in priv_sym]
@@ -113,7 +102,6 @@ _SYNC_KINDS = ("sym_self", "sym_priv", "v_vec", "e_vec", "maj_val")
 def ef_sync_ba(ctx: Ctx, my_input: bytes, sender: int | None = None):
     """Synchronous error-free agreement; falls back to the all-zero message
     when fewer than 2t+1 parties report a usable core set."""
-    _require_ef_threshold(ctx)
     params = ctx.params
     n, t = params.n, params.t
     # each kind is read after its round; its list is opened before any of
@@ -157,14 +145,14 @@ def ef_sync_ba(ctx: Ctx, my_input: bytes, sender: int | None = None):
     result = star(graph, n, t)
     e_set: frozenset[int] = frozenset()
     if result is not NOSTAR:
-        fe = derive_fe(graph, result.C, result.D, n, t)
+        fe = derive_fe(graph, result.C, n, t)
         if fe is not None:
             e_set = fe[1]
     flag = 1 if e_set else 0
     ctx.set_step("flags")
     e_vecs: dict[int, int] = {}
     if e_set:
-        bitmap = sum(1 << (j - 1) for j in e_set)
+        bitmap = _mask(e_set)
         e_vecs[ctx.pid] = bitmap
         ctx.broadcast("e_vec", bitmap, bits=n, step="flags")
     flags = yield from bb_slots(ctx, "flag", flag, 1)
@@ -200,7 +188,6 @@ def ef_async_rb(ctx: Ctx, my_input: bytes | None, sender: int):
     one acknowledgement pair at a time, the star is re-extracted per new
     edge (over a carried complement matching), and decoding retries as
     symbol votes accumulate (only when a new vote has arrived)."""
-    _require_ef_threshold(ctx)
     params = ctx.params
     n, t = params.n, params.t
     share_len = rs.share_bits(params.l, t + 1) // 8
@@ -251,12 +238,12 @@ def ef_async_rb(ctx: Ctx, my_input: bytes | None, sender: int):
             result = growing.add_edge(x, y)
             if result is NOSTAR:
                 return
-            fe = derive_fe(growing.graph, result.C, result.D, n, t)
+            fe = derive_fe(growing.graph, result.C, n, t)
             if fe is None:
                 return
             e_set = fe[1]
             frozen = True
-            bitmap = sum(1 << (j - 1) for j in e_set)
+            bitmap = _mask(e_set)
             e_vecs[ctx.pid] = bitmap
             ctx.set_step("flags")
             flags.start(1)
@@ -314,7 +301,7 @@ def ef_async_rb(ctx: Ctx, my_input: bytes | None, sender: int):
 
 EF_PROTOCOLS = [
     ProtocolSpec(name="ef-sync-ba-third", mode="rounds", kind="ba", regime="third_sync_ef",
-                 party=ef_sync_ba),
+                 party=ef_sync_ba, max_third_only=True),
     ProtocolSpec(name="ef-async-rb-third", mode="events", kind="rb", regime="third_async",
-                 party=ef_async_rb),
+                 party=ef_async_rb, max_third_only=True),
 ]

@@ -17,17 +17,18 @@ failure) rather than raising; callers that retry rely on this.
 A wrong share is usually wrong in every stripe, since a Byzantine party
 sends whole symbol-blocks. The decoder therefore locates errors once rather
 than per stripe: Berlekamp-Welch on one stripe that the first candidate
-does not fit names the positions in error, those positions are erased, and
-the other such stripes are recovered together with one matrix apply from b
-positions not in error. Berlekamp-Welch runs stripe by stripe only where
-the errors move from stripe to stripe.
+does not fit names the positions where the received symbol differs from the
+codeword it decodes to, those positions are erased, and the other such
+stripes are recovered together with one matrix apply from b positions not
+in error. Berlekamp-Welch runs stripe by stripe only where the errors move
+from stripe to stripe.
 
-Every matrix product is one call of the ``gf.vmul_xor_into`` kernel over all
-stripes at once: encoding is one apply of the parity rows of the encode
-matrix, and recovering stripes is one apply of the recovery matrix plus one
-apply of the encode rows of the other present positions, whose result is
-compared with what they received. The split tables of each matrix are
-cached beside it.
+Every matrix the codec applies interpolates between two sets of evaluation
+points, and all are built by one closed form, ``_interpolation``: parity is
+1..b -> b+1..n, recovery is base -> 1..b for b present positions, and the
+re-encode check is 1..b -> the other present positions. Each apply is one
+call of the ``gf.vmul_xor_into`` kernel over all stripes at once, and one
+bounded cache, ``_tables``, holds the split tables by (sources, targets).
 """
 
 from __future__ import annotations
@@ -53,10 +54,6 @@ class DataBlocks:
     @property
     def b(self) -> int:
         return len(self.blocks)
-
-    @property
-    def stripes(self) -> int:
-        return len(self.blocks[0]) if self.blocks else 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DataBlocks):
@@ -89,46 +86,37 @@ def _check_nb(n: int, b: int) -> None:
         raise ValueError(f"require 1 <= b <= n <= {MAX_N}, got n={n} b={b}")
 
 
-@lru_cache(maxsize=None)
-def _encode_matrix(n: int, b: int) -> tuple[tuple[int, ...], ...]:
-    """n x b matrix taking data values to codeword symbols (top b rows = I).
+def _interpolation(sources, targets) -> np.ndarray:
+    """len(targets) x len(sources) matrix taking the values of a degree <
+    len(sources) polynomial at the sources to its values at the targets.
 
-    Row j holds the Lagrange basis polynomials of the data points 1..b at
-    x_j = j: E[j][i] = prod over m != i of (x_j + x_m) / (x_i + x_m),
-    summed in logarithms.
+    Entry [j][i] is the Lagrange basis polynomial of source i at target j:
+    prod over m != i of (y_j + x_m) / (x_i + x_m), summed in logarithms. A
+    target that is itself a source gets the identity row.
     """
-    x = np.arange(1, n + 1)
-    num = gf._LOG_Z[x[b:, None] ^ x[:b]]  # log(x_j + x_m) for parity rows j
-    den = gf._LOG_Z[x[:b, None] ^ x[:b]]  # log(x_i + x_m); log 0 on the diagonal
+    x = np.array(sources, dtype=np.int64)
+    y = np.array(targets, dtype=np.int64)
+    num = gf._LOG_Z[y[:, None] ^ x]  # log(y_j + x_m); log 0 where y_j is a source
+    den = gf._LOG_Z[x[:, None] ^ x]  # log(x_i + x_m); log 0 on the diagonal
     np.fill_diagonal(den, 0)
-    parity = gf._EXP_Z[(num.sum(axis=1, keepdims=True) - num - den.sum(axis=1)) % gf.ORDER]
-    return tuple(map(tuple, np.vstack([np.eye(b, dtype=np.int64), parity]).tolist()))
+    out = gf._EXP_Z[(num.sum(axis=1, keepdims=True) - num - den.sum(axis=1)) % gf.ORDER]
+    hit = y[:, None] == x
+    rows = hit.any(axis=1)
+    out[rows] = hit[rows]
+    return out
 
 
-# Bounded: the rows in the key follow the erasure pattern, which Byzantine
-# parties choose, and tables take 1 KiB per matrix entry (1 MiB at n = 64).
-@lru_cache(maxsize=64)
-def _encode_tables(n: int, b: int, rows: tuple[int, ...]) -> np.ndarray:
-    """Split tables of the encode matrix's rows at the given positions."""
-    enc = np.array(_encode_matrix(n, b), dtype=np.int64)
-    return gf.product_tables(enc[[p - 1 for p in rows]])
+def _encode_matrix(n: int, b: int) -> tuple[tuple[int, ...], ...]:
+    """n x b matrix taking data values to codeword symbols (top b rows = I)."""
+    return tuple(map(tuple, _interpolation(range(1, b + 1), range(1, n + 1)).tolist()))
 
 
-# Bounded: the key includes the erasure pattern, which Byzantine parties
-# choose, and an entry holds b*b ints.
-@lru_cache(maxsize=256)
-def _recover_matrix(n: int, b: int, positions: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """b x b matrix recovering the data values from symbols at the given rows."""
-    enc = _encode_matrix(n, b)
-    sub = [list(enc[p - 1]) for p in positions]
-    return tuple(tuple(r) for r in gf.invert_matrix(sub))
-
-
-# Bounded tighter than the matrices: 1 KiB per entry, not one int.
-@lru_cache(maxsize=64)
-def _recover_tables(n: int, b: int, positions: tuple[int, ...]) -> np.ndarray:
-    """Split tables of the recovery matrix for the given positions."""
-    return gf.product_tables(_recover_matrix(n, b, positions))
+# Bounded: the keys follow the erasure pattern, which Byzantine parties
+# choose, and tables take 1 KiB per matrix entry (1 MiB at n = 64).
+@lru_cache(maxsize=128)
+def _tables(sources: tuple[int, ...], targets: tuple[int, ...]) -> np.ndarray:
+    """Split tables of the interpolation matrix from sources to targets."""
+    return gf.product_tables(_interpolation(sources, targets))
 
 
 def _apply_matrix(tables: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -144,7 +132,7 @@ def rs_encode(data: DataBlocks, n: int) -> Codeword:
     b = data.b
     _check_nb(n, b)
     blocks = np.stack(data.blocks).astype(np.uint16, copy=False)
-    parity = _apply_matrix(_encode_tables(n, b, tuple(range(b + 1, n + 1))), blocks)
+    parity = _apply_matrix(_tables(tuple(range(1, b + 1)), tuple(range(b + 1, n + 1))), blocks)
     return Codeword(symbols=[*blocks, *parity], n=n, b=b)
 
 
@@ -170,8 +158,12 @@ def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     return quot, num
 
 
-def _bw_decode_stripe(received: dict[int, int], n: int, b: int, c: int) -> list[int] | None:
-    """Berlekamp-Welch on one stripe: positions -> symbol, up to c errors."""
+def _bw_decode_stripe(received: dict[int, int], n: int, b: int,
+                      c: int) -> tuple[list[int], set[int]] | None:
+    """Berlekamp-Welch on one stripe: positions -> symbol, up to c errors.
+
+    Returns the data and the positions whose received symbol differs from
+    the decoded codeword's."""
     pts = sorted(received)
     rows = []
     rhs = []
@@ -195,10 +187,10 @@ def _bw_decode_stripe(received: dict[int, int], n: int, b: int, c: int) -> list[
         return None
     quot = (quot + [0] * b)[:b]
     data = [gf.poly_eval(quot, x) for x in range(1, b + 1)]
-    mismatches = sum(1 for p in pts if gf.poly_eval(quot, p) != received[p])
-    if mismatches > c:
+    errors = {p for p in pts if gf.poly_eval(quot, p) != received[p]}
+    if len(errors) > c:
         return None
-    return data
+    return data, errors
 
 
 def _recover_stripes(cw: Codeword, present: list[int], base: tuple[int, ...],
@@ -212,22 +204,10 @@ def _recover_stripes(cw: Codeword, present: list[int], base: tuple[int, ...],
     received = np.stack([cw.symbols[p - 1] for p in base + others])
     if sel is not None:
         received = received[:, sel]
-    data = _apply_matrix(_recover_tables(n, b, base), received[:b])
-    reencoded = _apply_matrix(_encode_tables(n, b, others), data)
+    data_points = tuple(range(1, b + 1))
+    data = _apply_matrix(_tables(base, data_points), received[:b])
+    reencoded = _apply_matrix(_tables(data_points, others), data)
     return data, (reencoded != received[b:]).sum(axis=0)
-
-
-def _error_positions(cw: Codeword, present: list[int], s: int, data: list[int]) -> set[int]:
-    """Present positions whose symbol in stripe s differs from the encoding of data."""
-    enc = _encode_matrix(cw.n, cw.b)
-    errors = set()
-    for p in present:
-        sym = 0
-        for coeff, x in zip(enc[p - 1], data):
-            sym ^= gf.gf_mul(coeff, x)
-        if sym != int(cw.symbols[p - 1][s]):
-            errors.add(p)
-    return errors
 
 
 def rs_decode(cw: Codeword, c: int, d: int) -> DataBlocks | None:
@@ -257,20 +237,22 @@ def rs_decode(cw: Codeword, c: int, d: int) -> DataBlocks | None:
     if bad.size and c == 0:
         return None
 
-    def decode_stripe(s: int) -> list[int] | None:
+    def decode_stripe(s: int) -> set[int] | None:
+        """Decode stripe s in place; its error positions, or None on failure."""
         fixed = _bw_decode_stripe({p: int(cw.symbols[p - 1][s]) for p in present}, n, b, c)
-        if fixed is not None:
-            for i in range(b):
-                blocks[i][s] = fixed[i]
-        return fixed
+        if fixed is None:
+            return None
+        for i in range(b):
+            blocks[i][s] = fixed[0][i]
+        return fixed[1]
 
     suspects: set[int] = set()
     while bad.size:
         s, bad = int(bad[0]), bad[1:]
-        fixed = decode_stripe(s)
-        if fixed is None:
+        errors = decode_stripe(s)
+        if errors is None:
             return None
-        new = _error_positions(cw, present, s, fixed) - suspects
+        new = errors - suspects
         clean = [p for p in present if p not in suspects and p not in new]
         if not bad.size or not new or len(clean) < b:
             break

@@ -62,10 +62,7 @@ def run(protocol: str | ProtocolSpec, params: SessionParams, inputs: dict[int, b
     delivery order.
     """
     spec = PROTOCOLS[protocol] if isinstance(protocol, str) else protocol
-    if params.threshold_regime != spec.regime:
-        raise ValueError(
-            f"protocol {spec.name} needs regime {spec.regime}, got {params.threshold_regime}"
-        )
+    spec.check(params)
     from .adversary import AdversaryScript  # runner and adversary are peers
 
     adversary = adversary or AdversaryScript()

@@ -397,7 +397,7 @@ def _assert_star(g: PartyGraph, c: frozenset[int], d: frozenset[int], n: int, t:
             raise InvariantViolation(f"missing edge ({ci},{dj}) across C x D")
 
 
-def derive_fe(g: PartyGraph, c: frozenset[int], d: frozenset[int], n: int, t: int):
+def derive_fe(g: PartyGraph, c: frozenset[int], n: int, t: int):
     """Core/extended sets: F has >= t+1 neighbors in C; E has >= 2t+1 in F.
 
     A vertex counts as its own neighbor in both tallies. (With strict

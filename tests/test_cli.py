@@ -39,6 +39,16 @@ def test_concrete_kbit_oracle_is_a_config_error(command, tmp_path, capsys):
     assert "ideal-only" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("protocol", ["ef-sync-ba-third", "ef-async-rb-third"])
+@pytest.mark.parametrize("command", ["run", "trace"])
+def test_error_free_protocol_below_max_t_is_a_config_error(command, protocol, tmp_path,
+                                                           capsys):
+    # the error-free protocols run only at t = floor((n-1)/3) = 3 for n = 10
+    assert run_cli([command, "--protocol", protocol, "--n", "10", "--t", "2", "--l", "64",
+                    *(["--out", str(tmp_path)] if command == "run" else [])]) == 2
+    assert "floor((n-1)/3)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("setting,reason", [({"k": 64}, "k must be one of"),
                                            ({"accumulator": "nope"}, "unknown accumulator")])
 def test_bad_accumulator_setting_is_a_config_error(setting, reason, tmp_path, capsys):

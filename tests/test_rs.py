@@ -239,10 +239,8 @@ def test_symbol_pack_roundtrip():
 
 def test_caches_keyed_by_attacker_input_are_bounded():
     # Byzantine parties choose the erasure pattern, and with it the
-    # recovery matrix and the coefficients the codec multiplies by.
-    assert rs._recover_matrix.cache_info().maxsize is not None
-    assert rs._recover_tables.cache_info().maxsize is not None
-    assert rs._encode_tables.cache_info().maxsize is not None
+    # interpolation matrices and the coefficients the codec multiplies by.
+    assert rs._tables.cache_info().maxsize is not None
 
 
 # --- error shapes: whole shares, parts of shares, per-stripe positions ---------
@@ -337,14 +335,34 @@ def test_error_positions_moving_every_stripe_decode_through_fallback(monkeypatch
     assert calls[0] > c + 1
 
 
+def test_decode_with_errors_and_erasures_never_inverts_a_matrix(monkeypatch):
+    # every recovery matrix comes from the closed form, even on a fresh cache
+    n, b, c, d = 10, 4, 2, 2
+    rng = random.Random(4)
+    payload = bytes(rng.randrange(256) for _ in range(64))
+    cw = rs.rs_encode(rs.data_from_bits(payload, 8 * len(payload), b), n)
+    bad = _apply_errors(cw, [1, 2], [3, 4], "whole", rng)
+    calls = {"invert_matrix": 0, "solve_linear": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(gf, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(gf, name, counted)
+    rs._tables.cache_clear()
+    got = rs.rs_decode(bad, c, d)
+    assert got is not None and rs.bits_from_data(got)[0] == payload
+    assert calls["solve_linear"] >= 1  # Berlekamp-Welch ran
+    assert calls["invert_matrix"] == 0
+
+
 # --- matrices and the matrix kernel against scalar references ----------------
 
-def _encode_matrix_scalar(n: int, b: int) -> tuple[tuple[int, ...], ...]:
-    """The Vandermonde rows at 1..n times the inverse of the Vandermonde
-    matrix at 1..b, in scalar arithmetic."""
+def _encode_rows_scalar(b: int, xs) -> list[list[int]]:
+    """The Vandermonde rows at xs times the inverse of the Vandermonde
+    matrix at 1..b, in scalar arithmetic: the encode matrix's rows at xs."""
     vinv = gf.invert_matrix([[gf.gf_pow(x, i) for i in range(b)] for x in range(1, b + 1)])
     rows = []
-    for x in range(1, n + 1):
+    for x in xs:
         powers = [gf.gf_pow(x, i) for i in range(b)]
         row = []
         for i in range(b):
@@ -352,16 +370,38 @@ def _encode_matrix_scalar(n: int, b: int) -> tuple[tuple[int, ...], ...]:
             for m in range(b):
                 acc ^= gf.gf_mul(powers[m], vinv[m][i])
             row.append(acc)
-        rows.append(tuple(row))
-    return tuple(rows)
+        rows.append(row)
+    return rows
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 16, 33])
 def test_encode_matrix_matches_scalar_construction(n):
     for b in sorted({1, 2, n // 2, n - 1, n} & set(range(1, n + 1))):
         got = rs._encode_matrix(n, b)
-        assert got == _encode_matrix_scalar(n, b)
+        assert got == tuple(map(tuple, _encode_rows_scalar(b, range(1, n + 1))))
         assert all(type(x) is int for row in got for x in row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_interpolation_to_data_points_inverts_encode_rows(data):
+    n = data.draw(st.integers(1, 64))
+    b = data.draw(st.integers(1, n))
+    base = sorted(data.draw(st.permutations(range(1, n + 1)))[:b])
+    want = gf.invert_matrix(_encode_rows_scalar(b, base))
+    assert rs._interpolation(base, range(1, b + 1)).tolist() == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_interpolation_from_data_points_gives_encode_rows(data):
+    # targets in any order, inside 1..b as well as past it
+    n = data.draw(st.integers(1, 64))
+    b = data.draw(st.integers(1, n))
+    targets = data.draw(st.permutations(range(1, n + 1)))[:data.draw(st.integers(0, n))]
+    got = rs._interpolation(range(1, b + 1), targets)
+    assert got.shape == (len(targets), b)
+    assert got.tolist() == _encode_rows_scalar(b, targets)
 
 
 def _matvec(matrix, values: list[int]) -> list[int]:
@@ -399,8 +439,8 @@ def test_recover_stripes_mismatch_counts_match_per_row_reference(data):
         sel = np.array(sorted(rng.sample(range(stripes), rng.randint(1, stripes))))
     got_data, got_mismatch = rs._recover_stripes(cw, present, base, sel)
 
-    rec = rs._recover_matrix(n, b, base)
     enc = rs._encode_matrix(n, b)
+    rec = gf.invert_matrix([list(enc[p - 1]) for p in base])
     want_data, want_mismatch = [], []
     for s in (range(stripes) if sel is None else sel.tolist()):
         values = _matvec(rec, [int(cw.symbols[p - 1][s]) for p in base])

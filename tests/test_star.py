@@ -252,7 +252,7 @@ def test_honest_clique_never_nostar():
             assert len(honest - result.C) <= t
 
 
-def derive_fe_reference(g: PartyGraph, c, d, n: int, t: int):
+def derive_fe_reference(g: PartyGraph, c, n: int, t: int):
     """derive_fe over vertex sets, one closed neighborhood at a time."""
     def closed(v):
         return {j for j in range(1, n + 1) if j == v or g.has_edge(v, j)}
@@ -277,8 +277,8 @@ def test_derive_fe_equals_set_reference():
         if result is NOSTAR:
             c = frozenset(rng.sample(range(1, n + 1), n - 2 * t))
             result = StarResult(C=c, D=c)
-        got = derive_fe(g, result.C, result.D, n, t)
-        assert got == derive_fe_reference(g, result.C, result.D, n, t), to_text(g)
+        got = derive_fe(g, result.C, n, t)
+        assert got == derive_fe_reference(g, result.C, n, t), to_text(g)
         outcomes.add(got is None)
     assert outcomes == {True, False}
 
@@ -287,7 +287,7 @@ def test_derive_fe_on_complete_graph():
     n, t = 4, 1
     g = PartyGraph.from_edges(n, [(u, v) for u in range(1, 5) for v in range(u + 1, 5)])
     result = star(g, n, t)
-    fe = derive_fe(g, result.C, result.D, n, t)
+    fe = derive_fe(g, result.C, n, t)
     assert fe is not None
     f, e = fe
     assert f == frozenset(range(1, 5))
@@ -302,7 +302,7 @@ def test_derive_fe_clique_contains_honest():
     g = PartyGraph.from_edges(n, edges)
     result = star(g, n, t)
     assert result is not NOSTAR
-    fe = derive_fe(g, result.C, result.D, n, t)
+    fe = derive_fe(g, result.C, n, t)
     assert fe is not None
     assert set(honest) <= fe[1]
     assert len(fe[1]) >= 2 * t + 1
@@ -321,7 +321,7 @@ def test_derive_fe_sparse_star_yields_none():
         for dj in d:
             if ci != dj:
                 assert g.has_edge(ci, dj)
-    assert derive_fe(g, c, d, n, t) is None
+    assert derive_fe(g, c, n, t) is None
 
 
 def test_self_neighbor_rule_keeps_clique_in_core_sets():
@@ -331,7 +331,7 @@ def test_self_neighbor_rule_keeps_clique_in_core_sets():
     clique = [1, 2, 3, 4, 5]
     g = PartyGraph.from_edges(n, list(itertools.combinations(clique, 2)))
     result = star(g, n, t)
-    fe = derive_fe(g, result.C, result.D, n, t)
+    fe = derive_fe(g, result.C, n, t)
     assert fe is not None
     f, e = fe
     assert f == frozenset(clique)
