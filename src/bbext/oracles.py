@@ -20,6 +20,10 @@ choice: ``ba_oracle`` and ``bcast_oracle`` run one instance, ``bb_slots``
 runs n concurrent ``sync_bb`` broadcasts (party j the sender of slot j), and
 ``RbSlots`` keeps n concurrent ``async_rb`` broadcasts inside one party loop.
 
+In both chain kinds a party sends at most one "ds" record per instance and
+round: a tuple of (slot, value, sig) triples, metered as one relay per
+triple (see ``parallel_chain_bcast``).
+
 Concrete oracles meter their real traffic; the common coin is an ideal
 source revealing a round's bit to the adversary only after the first honest
 query.
@@ -74,9 +78,18 @@ def parallel_chain_bcast(ctx: Ctx, instance: str, my_value, value_bits: int,
     default), run in the same t+1 relay rounds; a sender puts my_value in
     its own slot. A party accepts a slot's value at round r on a chain of r
     distinct signers that includes the slot's sender, then relays (slot,
-    value, sig) once with its own signature added. A relay carries a 16-bit
-    slot id only when there are several slots: one slot names its sender.
-    Returns {slot: the unique accepted value, BOT otherwise}."""
+    value, sig) once with its own signature added.
+
+    Wire format: a party sends at most one ``"ds"`` record per round, a
+    tuple of (slot, value, sig) triples: at round 0 its own slot, at rounds
+    1..t every relay it accepted that round, in acceptance order. The record
+    is metered as one relay per triple, v+k+n bits each for a v-bit value,
+    plus a 16-bit slot id when there are several slots (one slot names its
+    sender). A receiver reads records in arrival order and triples in batch
+    order, so it accepts in the same order as if each relay were a record
+    of its own; a payload that is not a tuple, or a triple that fails a
+    check, is skipped. Returns {slot: the unique accepted value, BOT
+    otherwise}."""
     n, t = ctx.params.n, ctx.params.t
     auth: MsigAuthority = ctx.session.msig
     step = f"oracle:{instance}"
@@ -86,38 +99,45 @@ def parallel_chain_bcast(ctx: Ctx, instance: str, my_value, value_bits: int,
     if len(extracted) > 1:
         relay_bits += 16
 
-    if ctx.pid in extracted and my_value is not None:
-        sig = auth.sign(ctx.pid, _slot_tag(instance, ctx.pid, my_value))
-        ctx.broadcast("ds", (ctx.pid, my_value, sig), bits=relay_bits, step=step,
+    def send(batch: list) -> None:
+        ctx.broadcast("ds", tuple(batch), bits=relay_bits * len(batch), step=step,
                       instance=instance, oracle=oracle_label)
+
+    if ctx.pid in extracted and my_value is not None:
+        send([(ctx.pid, my_value, auth.sign(ctx.pid, _slot_tag(instance, ctx.pid, my_value)))])
         extracted[ctx.pid].append(my_value)
     mail = ctx.reader("ds", instance)
     for r in range(1, t + 2):
         yield NEXT_ROUND
-        for relay in mail.new():
-            try:
-                slot, value, sig = relay.payload
-            except (TypeError, ValueError):
+        accepted = []
+        for record in mail.new():
+            if not isinstance(record.payload, tuple):
                 continue
-            if not isinstance(slot, int) or slot not in extracted:
-                continue
-            # the cheap filters first: the type check runs once per new
-            # (slot, value), not once per relay
-            got = extracted[slot]
-            if len(got) >= 2 or value in got or not _encodable(value):
-                continue
-            if not isinstance(sig, MultiSig) or slot not in sig.signers:
-                continue
-            if len(sig.signers) < r or ctx.pid in sig.signers:
-                continue
-            tag = _slot_tag(instance, slot, value)
-            if not auth.verify(sig, tag):
-                continue
-            got.append(value)
-            if r <= t:
-                combined = msig_combine(sig, auth.sign(ctx.pid, tag))
-                ctx.broadcast("ds", (slot, value, combined), bits=relay_bits, step=step,
-                              instance=instance, oracle=oracle_label)
+            for relay in record.payload:
+                try:
+                    slot, value, sig = relay
+                except (TypeError, ValueError):
+                    continue
+                # an int slot before any lookup: an unhashable one would raise
+                if not isinstance(slot, int) or slot not in extracted:
+                    continue
+                # the cheap filters first: the type check runs once per new
+                # (slot, value), not once per relay
+                got = extracted[slot]
+                if len(got) >= 2 or value in got or not _encodable(value):
+                    continue
+                if not isinstance(sig, MultiSig) or slot not in sig.signers:
+                    continue
+                if len(sig.signers) < r or ctx.pid in sig.signers:
+                    continue
+                tag = _slot_tag(instance, slot, value)
+                if not auth.verify(sig, tag):
+                    continue
+                got.append(value)
+                if r <= t:
+                    accepted.append((slot, value, msig_combine(sig, auth.sign(ctx.pid, tag))))
+        if accepted:
+            send(accepted)
     return {s: (got[0] if len(got) == 1 else BOT) for s, got in extracted.items()}
 
 

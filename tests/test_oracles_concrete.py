@@ -4,14 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbext.adversary import AdversaryScript, ScheduledHonest, Silent, hooked
+from bbext.adversary import (
+    AdversaryScript,
+    Equivocator,
+    JunkInjector,
+    ScheduledHonest,
+    Silent,
+    hooked,
+)
 from bbext.checks import build_inputs, evaluate_run, explore_schedules
-from bbext.multisig import msig_combine
+from bbext.multisig import MsigAuthority, MultiSig, msig_combine
 from bbext.oracles import BrachaMachine, _chain_tag, _slot_tag, value_to_bytes
-from bbext.protocols import SessionParams
+from bbext.protocols import PROTOCOLS, SessionParams
 from bbext.protocols.base import ProtocolSpec
 from bbext.runner import run
-from bbext.simnet import BOT, RandomPolicy
+from bbext.simnet import BOT, Engine, RandomPolicy
 
 
 def chain_bb_spec():
@@ -53,7 +60,7 @@ class EquivocatingChainSender(AdversaryScript):
                     if dst == ctx.pid:
                         continue
                     if (dst % 2 == 0) == (value == b"left"):
-                        ctx.send(dst, "ds", (ctx.pid, value, sig), bits=bits, instance="bb0",
+                        ctx.send(dst, "ds", ((ctx.pid, value, sig),), bits=bits, instance="bb0",
                                  step="oracle:bb0")
             return None
             yield  # pragma: no cover
@@ -84,7 +91,7 @@ class LateReleaseChain(AdversaryScript):
             n = ctx.params.n
             bits = ctx.params.k + ctx.params.k + n
             sig_a = auth.sign(ctx.pid, _slot_tag("bb0", ctx.pid, b"public"))
-            ctx.broadcast("ds", (ctx.pid, b"public", sig_a), bits=bits, instance="bb0",
+            ctx.broadcast("ds", ((ctx.pid, b"public", sig_a),), bits=bits, instance="bb0",
                           step="oracle:bb0")
             cert = None
             for signer in sorted(env.corrupt):
@@ -93,7 +100,7 @@ class LateReleaseChain(AdversaryScript):
             target = min(p for p in range(1, n + 1) if p not in env.corrupt)
             for r in range(1, len(env.corrupt)):
                 yield from ctx.wait_rounds(1)
-            ctx.send(target, "ds", (ctx.pid, b"hidden", cert), bits=bits, instance="bb0",
+            ctx.send(target, "ds", ((ctx.pid, b"hidden", cert),), bits=bits, instance="bb0",
                      step="oracle:bb0")
             return None
 
@@ -402,9 +409,8 @@ class ChainRelayOneAsBytes(AdversaryScript):
     def make_party(self, pid, honest_factory, env):
         def send_hook(ctx, dst, kind, payload):
             if kind == "ds":
-                slot, value, sig = payload
-                if type(value) is int and value == 1:
-                    payload = (slot, ONE_AS_BYTES, sig)
+                payload = tuple((slot, ONE_AS_BYTES if type(value) is int and value == 1
+                                 else value, sig) for slot, value, sig in payload)
             return kind, payload
 
         return hooked(honest_factory, send_hook=send_hook)
@@ -421,6 +427,133 @@ def test_chain_relay_of_retyped_value_keeps_validity(n):
         res = run("sync-ba-half", params, inputs, adversary=ChainRelayOneAsBytes(),
                   seed=seed, oracle_impl={"sync_ba": "concrete"})
         assert evaluate_run("ba", inputs, None, res) == [], (n, seed)
+
+
+# --- chain records: a party's relays of a round travel as one batch ----------
+
+
+class ChainBatchSender(AdversaryScript):
+    """The last party sends one hand-built "ds" record to everyone under
+    ba_commit before the chain starts; ``build(good)`` makes its payload
+    from a triple every honest party accepts: its own slot, b"x" and its
+    signature."""
+
+    name = "chain_batch"
+
+    placement = "tail_but_sender"
+
+    def __init__(self, build):
+        self.build = build
+
+    def make_party(self, pid, honest_factory, env):
+        def party(ctx):
+            sig = ctx.session.msig.sign(ctx.pid, _slot_tag("ba_commit", ctx.pid, b"x"))
+            ctx.broadcast("ds", self.build((ctx.pid, b"x", sig)), bits=1,
+                          instance="ba_commit", step="junk")
+            return None
+            yield  # pragma: no cover
+
+        return party
+
+
+def _ba_commit_run(adversary):
+    params = SessionParams(n=4, t=1, l=96, k=128, threshold_regime="half")
+    return run("sync-ba-half", params, build_inputs("ba", params, 0, "all"),
+               adversary=adversary, seed=0, oracle_impl={"sync_ba": "concrete"})
+
+
+def _honest_view(res):
+    return res.metrics.honest_bits_total, {p: res.outputs[p] for p in res.honest}
+
+
+# triples that fail a structural check, each built from the good one
+_BAD_TRIPLES = {
+    "short triple": lambda good: good[:2],
+    "long triple": lambda good: good + (0,),
+    "no triple": lambda good: 7,
+    "str slot": lambda good: ("4",) + good[1:],
+    "unhashable slot": lambda good: ([1], b"x", None),
+    "unhashable slot, real sig": lambda good: ([4],) + good[1:],
+    "no sig": lambda good: good[:2] + (None,),
+    "bytes sig": lambda good: good[:2] + (b"sig",),
+}
+_MALFORMED_BATCHES = {
+    "list payload": lambda good: [good],
+    "bytes payload": lambda good: b"abc",
+    "no payload": lambda good: None,
+    **{name: (lambda good, bad=bad: (bad(good),)) for name, bad in _BAD_TRIPLES.items()},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_BATCHES))
+def test_malformed_chain_batches_are_skipped(case):
+    # a record nobody may act on leaves the honest parties as if its sender
+    # were silent; an unhashable slot must not reach a dict lookup
+    res = _ba_commit_run(ChainBatchSender(_MALFORMED_BATCHES[case]))
+    assert _honest_view(res) == _honest_view(_ba_commit_run(Silent()))
+
+
+def test_valid_triple_in_a_junk_batch_is_relayed_and_the_junk_costs_nothing(monkeypatch):
+    verifies = []
+    verify = MsigAuthority.verify
+
+    def counting_verify(auth, sig, tag):
+        verifies.append(tag)
+        return verify(auth, sig, tag)
+
+    monkeypatch.setattr(MsigAuthority, "verify", counting_verify)
+    bad = list(_BAD_TRIPLES.values())
+
+    def junk_around(good, k):
+        junk = tuple(bad[i % len(bad)](good) for i in range(k))
+        return junk[:k // 2] + (good,) + junk[k // 2:]
+
+    seen = {}
+    for k in (0, 300):
+        verifies.clear()
+        res = _ba_commit_run(ChainBatchSender(lambda good, k=k: junk_around(good, k)))
+        seen[k] = (_honest_view(res), res.metrics.bits_by_step, len(verifies))
+    assert seen[0] == seen[300]
+    verifies.clear()
+    silent = _ba_commit_run(Silent())
+    # each of the 3 honest parties verifies the good triple once and relays
+    # it once to the other 3 parties
+    relay_bits = 128 + MultiSig.nominal_bits(4, 128) + 16
+    (_, bits_by_step, n_verifies) = seen[0]
+    assert n_verifies == len(verifies) + 3
+    assert (bits_by_step["oracle:ba_commit"]
+            == silent.metrics.bits_by_step["oracle:ba_commit"] + 3 * 3 * relay_bits)
+
+
+@pytest.mark.parametrize("protocol,regime,t", [
+    ("sync-ba-half", "half", 3),
+    ("sync-bb-half", "half", 3),
+    ("ef-sync-ba-third", "third_sync_ef", 2),
+])
+def test_honest_parties_send_one_chain_record_per_instance_and_round(monkeypatch, protocol,
+                                                                      regime, t):
+    records = []
+    enqueue = Engine._enqueue
+
+    def spy(engine, src, dsts, kind, payload, bits, step, instance, oracle):
+        if kind == "ds" and src in engine.honest:
+            records.append(((src, instance, engine.tick), len(payload)))
+        return enqueue(engine, src, dsts, kind, payload, bits, step, instance, oracle)
+
+    monkeypatch.setattr(Engine, "_enqueue", spy)
+    params = SessionParams(n=7, t=t, l=96, k=128, threshold_regime=regime)
+    concrete = {"sync_bb": "concrete", "sync_ba": "concrete"}
+    sizes = []
+    for adversary in (AdversaryScript(), Equivocator(), JunkInjector()):
+        records.clear()
+        run(protocol, params, build_inputs(PROTOCOLS[protocol].kind, params, 4, "majority"),
+            adversary=adversary, seed=4, oracle_impl=concrete)
+        keys = [key for key, _ in records]
+        assert keys and len(keys) == len(set(keys)), adversary.name
+        sizes += [size for _, size in records]
+    # with n slots a party accepts several relays in a round, and batches them
+    if protocol != "sync-bb-half":
+        assert max(sizes) > 1
 
 
 class ReadyOneAsBytes(AdversaryScript):

@@ -803,12 +803,14 @@ def _trace_digest(res) -> str:
 
 
 # Recorded with one envelope built per destination; one record per send must
-# deliver the same messages to the same parties at the same ticks.
+# deliver the same messages to the same parties at the same ticks. The
+# sync-ba-half digests also fix how chain relays are grouped into records;
+# the summed pin below holds whatever that grouping is.
 @pytest.mark.parametrize("protocol,regime,t,adversary,digest", [
     ("sync-ba-half", "half", 3, None,
-     "01b9a2fedd1f0b3e1860588115fbe953253cf12058c5a5c7d63043e387cc01b8"),
+     "a9bbd1f503b3ff44034c0607ae904f42575c7c3c5930c97034ee8b9c2951d863"),
     ("sync-ba-half", "half", 3, Equivocator(),
-     "712ed2c5d844e7634cc7f52f8a055234ec0273dacc65f1f49d72c894de0255cd"),
+     "5256d61dbe91518ad9b73be06b189fec3ac1442e31280cad0d8e2ac0c1d2c3c2"),
     ("async-rb-third", "third_async", 2, ScheduledHonest("random"),
      "ea2bdb18a2b3cd1b4d7b275fb0cf96316d92927195bb8b2c9d6f3483dc193ce3"),
     ("async-rb-third", "third_async", 2, StarvingScheduler(),
@@ -822,9 +824,46 @@ def test_trace_and_received_bits_are_pinned(protocol, regime, t, adversary, dige
     assert _trace_digest(res) == digest
 
 
+def _summed_trace_digest(res) -> str:
+    """The trace's bits summed per (tick, from, to, msg_kind), and the
+    received bits: what is left of the trace when records are merged."""
+    sums: dict[tuple, int] = {}
+    for rec in res.trace:
+        key = (rec["tick"], rec["from"], rec["to"], rec["msg_kind"])
+        sums[key] = sums.get(key, 0) + rec["bits"]
+    blob = json.dumps({"trace": sorted([*key, bits] for key, bits in sums.items()),
+                       "received_bits_total": res.metrics.extra["received_bits_total"]},
+                      separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+# Recorded with one "ds" record per chain relay; they hold with one record
+# per party, instance and round, since merging records keeps these sums.
+@pytest.mark.parametrize("protocol,regime,t,eps,adversary,digest", [
+    ("sync-ba-half", "half", 3, None, None,
+     "6b22401a2ba4e04196051f3e7d76c4eb73ab5732c344a52fde47abf2c67ef043"),
+    ("sync-ba-half", "half", 3, None, Equivocator(),
+     "b25a095eb48b071f99ca4d292a61a70482cf9584fe73c8b13957931e9494db42"),
+    ("sync-bb-half", "half", 3, None, JunkInjector(),
+     "5301c46a4c6f080a5bbb6570808485267452aa04844c1d591f9920ee945895d3"),
+    ("sync-bb-highthresh", "one_minus_eps", 5, 1 / 7, Equivocator(),
+     "998ac74e394b59c17a00be03eb6a7896f182a72576e2db98382c25859b6a7178"),
+    ("ef-sync-ba-third", "third_sync_ef", 2, None, Equivocator(),
+     "f14636819195092f9969d09e543a022014b045b1ebdefc92571982bfc33ee8fd"),
+])
+def test_summed_trace_of_concrete_sync_cells_is_pinned(protocol, regime, t, eps, adversary,
+                                                       digest):
+    params = _params(n=7, t=t, regime=regime, eps=eps)
+    inputs = build_inputs(PROTOCOLS[protocol].kind, params, 4, "majority")
+    res = run(protocol, params, inputs, adversary=adversary, seed=4, oracle_impl=CONCRETE,
+              trace=True)
+    assert _summed_trace_digest(res) == digest
+
+
 def test_widest_concrete_session_is_pinned():
-    # sync-ba-half at n = 64 with every concrete oracle: Theta(n^3) chain
-    # relays, the most deliveries of any concrete session
+    # sync-ba-half at n = 64 with every concrete oracle: each party sends at
+    # most one chain record per instance and round, Theta(n^2) records
+    # carrying Theta(n^3) relays, the most relays of any concrete session
     params = SessionParams(n=64, t=31, l=2**14, threshold_regime="half")
     res = run("sync-ba-half", params, build_inputs("ba", params, 0, "all"), seed=0,
               oracle_impl=CONCRETE)
