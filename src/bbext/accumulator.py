@@ -74,11 +74,6 @@ class AccValue:
     products: tuple[tuple[int, ...], tuple[int, ...]] | None = field(
         default=None, repr=False, compare=False)
 
-    def bare(self) -> "AccValue":
-        """Wire form: the commitment bytes without the local value set,
-        levels or products."""
-        return AccValue(self.data, self.nominal_bits)
-
 
 @dataclass(frozen=True)
 class Witness:

@@ -22,9 +22,10 @@ from . import blocks, gf, rs
 from .accumulator import BILINEAR, HASH_TREE, Witness, acc_create_wit, acc_eval, acc_gen, acc_verify, witness_nominal_bits
 from .adversary import AdversaryScript, adversary_battery
 from .multisig import MultiSig
+from .oracles import CONCRETE, ba_oracle, bcast_oracle
 from .protocols import PROTOCOLS, ProtocolSpec, SessionParams
 from .runner import RunResult, run
-from .simnet import BOT, PrefixPolicy, oracle_model_cost
+from .simnet import BOT, ORACLE_KINDS, PrefixPolicy, oracle_model_cost
 from .star import NOSTAR, GrowingStar, PartyGraph, _matching_cached, max_matching, star
 
 
@@ -538,42 +539,27 @@ def check_accumulator(binding_pairs: int = 10_000, seed: int = 0) -> CheckReport
 
 
 def _oracle_harness_spec(kind: str, impl: str):
-    """A one-shot protocol that just runs the oracle and returns its output."""
-    def ba_party(ctx, my_input, sender):
-        from .oracles import ba_oracle
+    """A one-shot protocol that runs the oracle in its kind's mode and regime."""
+    facts = ORACLE_KINDS[kind]
+
+    def party(ctx, my_input, sender):
+        if facts.sender:
+            return (yield from bcast_oracle(ctx, kind, "bb0", sender, my_input,
+                                            value_bits=ctx.params.k))
         width = 1 if kind == "async_ba_bit" else ctx.params.k
-        out = yield from ba_oracle(ctx, kind, "bb0", my_input, value_bits=width)
-        return out
+        return (yield from ba_oracle(ctx, kind, "bb0", my_input, value_bits=width))
 
-    def bcast_party(ctx, my_input, sender):
-        from .oracles import bcast_oracle
-        out = yield from bcast_oracle(ctx, kind, "bb0", sender, my_input,
-                                      value_bits=ctx.params.k)
-        return out
-
-    mode = "rounds" if kind.startswith("sync") else "events"
-    if kind in ("sync_bb", "async_rb"):
-        problem = "bb" if kind == "sync_bb" else "rb"
-        party = bcast_party
-    else:
-        problem = "ba"
-        party = ba_party
-    regime = {"sync_bb": "one_minus_eps", "sync_ba": "half",
-              "async_rb": "third_async", "async_ba_bit": "third_async"}[kind]
-    return ProtocolSpec(name=f"oracle-{kind}-{impl}", mode=mode, kind=problem,
-                        regime=regime, party=party)
+    problem = ("bb" if facts.mode == "rounds" else "rb") if facts.sender else "ba"
+    return ProtocolSpec(name=f"oracle-{kind}-{impl}", mode=facts.mode, kind=problem,
+                        regime=facts.regime, party=party)
 
 
 def _oracle_params(kind: str, n: int) -> SessionParams:
-    if kind == "sync_bb":
-        # chains tolerate any t < n; stress the maximum
-        return SessionParams(n=n, t=n - 1, l=BATTERY_K, k=BATTERY_K,
-                             threshold_regime="one_minus_eps", epsilon=1.0 / n)
-    if kind == "sync_ba":
-        return SessionParams(n=n, t=(n - 1) // 2, l=BATTERY_K, k=BATTERY_K,
-                             threshold_regime="half")
-    return SessionParams(n=n, t=(n - 1) // 3, l=BATTERY_K, k=BATTERY_K,
-                         threshold_regime="third_async")
+    """The kind's regime at its largest t (a chain tolerates any t < n)."""
+    regime = ORACLE_KINDS[kind].regime
+    t = {"one_minus_eps": n - 1, "half": (n - 1) // 2, "third_async": (n - 1) // 3}[regime]
+    return SessionParams(n=n, t=t, l=BATTERY_K, k=BATTERY_K, threshold_regime=regime,
+                         epsilon=1.0 / n if regime == "one_minus_eps" else None)
 
 
 def _oracle_value(seed: int, pid: int, k: int, unanimity: str, bit: bool) -> object:
@@ -591,7 +577,7 @@ def check_oracles(seeds: int = 200) -> CheckReport:
     scripts = [s for s in adversary_battery()
                if s.name in ("honest", "silent", "crash_early", "oracle_liar",
                              "sched_lifo", "sched_random", "sched_starve")]
-    for kind in ("sync_bb", "sync_ba", "async_rb", "async_ba_bit"):
+    for kind in CONCRETE:
         bit = kind == "async_ba_bit"
         for impl in ("ideal", "concrete"):
             spec = _oracle_harness_spec(kind, impl)

@@ -61,17 +61,19 @@ class ExperimentConfig:
                 raw = json.loads(Path(path).read_text())
             except (OSError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"cannot read config {path}: {exc}")
+            if not isinstance(raw, dict):
+                raise ConfigError(f"config {path} must be a JSON object")
         if overrides.protocol:
             raw["protocol"] = overrides.protocol
         if overrides.n:
-            raw["n"] = [int(x) for x in overrides.n.split(",")]
+            raw["n"] = overrides.n
         if overrides.l:
-            raw["l"] = [int(x) for x in overrides.l.split(",")]
+            raw["l"] = overrides.l
         if overrides.t:
             raw["t_rule"] = "explicit"
-            raw["t"] = [int(x) for x in overrides.t.split(",")]
+            raw["t"] = overrides.t
         if overrides.seed:
-            raw["seeds"] = [int(x) for x in overrides.seed.split(",")]
+            raw["seeds"] = overrides.seed
         if overrides.adversary:
             raw["adversaries"] = overrides.adversary.split(",")
         if overrides.acc:
@@ -93,17 +95,17 @@ class ExperimentConfig:
             protocol = raw["protocol"]
         except KeyError:
             raise ConfigError("config needs a protocol name")
-        if protocol not in PROTOCOLS:
+        if type(protocol) is not str or protocol not in PROTOCOLS:
             raise ConfigError(f"unknown protocol {protocol!r}; "
                               f"choose from {sorted(PROTOCOLS)}")
-        n_list = list(raw.get("n", [4]))
-        l_list = list(raw.get("l", [1024]))
+        n_list = _int_list("n", raw.get("n", [4]))
+        l_list = _int_list("l", raw.get("l", [1024]))
         if not n_list or not l_list:
             raise ConfigError("n and l lists must be non-empty")
         t_rule = raw.get("t_rule", _default_t_rule(protocol))
         if t_rule not in T_RULES:
             raise ConfigError(f"unknown t rule {t_rule!r}")
-        t_list = raw.get("t")
+        t_list = None if raw.get("t") is None else _int_list("t", raw["t"])
         if t_rule == "explicit":
             if not t_list or len(t_list) != len(n_list):
                 raise ConfigError("explicit t rule needs one t per n")
@@ -112,36 +114,40 @@ class ExperimentConfig:
             default = int(os.environ.get("BBEXT_SEED", "0"))
             seeds = [default]
         elif isinstance(seeds_raw, dict):
-            seeds = list(range(seeds_raw.get("start", 0),
-                               seeds_raw.get("start", 0) + seeds_raw["count"]))
+            start, count = _int_list("seeds start and count",
+                                     [seeds_raw.get("start", 0), seeds_raw.get("count")])
+            seeds = list(range(start, start + count))
         else:
-            seeds = [int(s) for s in seeds_raw]
+            seeds = _int_list("seeds", seeds_raw)
         if not seeds:
             raise ConfigError("seed list must be non-empty")
-        oracles = dict(raw.get("oracles", {}))
         try:
+            oracles = dict(raw.get("oracles", {}))
             _normalize_oracle_impl(oracles)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad oracle setting: {exc}")
         accumulator = raw.get("accumulator", "hash_tree")
         try:
             k = int(raw.get("k", 256))
             acc_gen(accumulator, 1, k)  # the runner's key checks, on a one-element key
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad accumulator setting: {exc}")
+        epsilon = raw.get("epsilon")
+        if not (epsilon is None or type(epsilon) in (int, float)):
+            raise ConfigError(f"epsilon must be a number, got {epsilon!r}")
         adversaries = list(raw.get("adversaries", ["honest"]))
-        known = {s.name for s in adversary_battery()}
+        known = sorted(s.name for s in adversary_battery())
         for name in adversaries:
             if name not in known:
-                raise ConfigError(f"unknown adversary {name!r}; choose from {sorted(known)}")
+                raise ConfigError(f"unknown adversary {name!r}; choose from {known}")
         return ExperimentConfig(
             protocol=protocol,
             n_list=n_list,
             t_rule=t_rule,
-            t_list=list(t_list) if t_list else None,
+            t_list=t_list or None,
             l_list=l_list,
             k=k,
-            epsilon=raw.get("epsilon"),
+            epsilon=epsilon,
             oracles=oracles,
             accumulator=accumulator,
             adversaries=adversaries,
@@ -176,6 +182,19 @@ class ExperimentConfig:
         if not eps:
             raise ConfigError("max_eps t rule needs epsilon")
         return int((1 - eps) * n)
+
+
+def _int_list(what: str, value) -> list[int]:
+    """value as a list of ints: a comma-separated command-line option, or a
+    config file's list of ints; anything else is a ConfigError."""
+    if isinstance(value, str):
+        try:
+            return [int(x) for x in value.split(",")]
+        except ValueError:
+            raise ConfigError(f"{what} must be comma-separated integers, got {value!r}")
+    if not isinstance(value, list) or not all(type(x) is int for x in value):
+        raise ConfigError(f"{what} must be a list of integers, got {value!r}")
+    return list(value)
 
 
 def _default_t_rule(protocol: str) -> str:

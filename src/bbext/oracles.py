@@ -1,9 +1,9 @@
 """Short-message broadcast/agreement oracles.
 
-Every oracle kind exists as an ideal trusted functionality (see
-simnet.Engine) charged at its model cost. This module adds the concrete
-constructions and the front doors protocols call, so a session can swap
-implementations per kind:
+Every kind of ``simnet.ORACLE_KINDS`` exists as an ideal trusted
+functionality (see simnet.Engine) charged at its model cost. This module
+adds the concrete constructions, one ``CONCRETE`` entry per kind, and the
+front doors protocols call, so a session can swap implementations per kind:
 
 - sync_bb: one slot of the signature-chain routine (t+1 relay rounds,
   any t < n).
@@ -13,12 +13,15 @@ implementations per kind:
 - async_ba_bit: round-based binary agreement with broadcast-justified value
   sets, coin-matched deciding, and a round-independent ready layer for
   propagation and halting (t < n/3).
-- async_ba_kbit: ideal only.
+- async_ba_kbit: ideal only (no entry).
 
 The front doors are the only code that reads the session's ideal/concrete
-choice: ``ba_oracle`` and ``bcast_oracle`` run one instance, ``bb_slots``
-runs n concurrent ``sync_bb`` broadcasts (party j the sender of slot j), and
-``RbSlots`` keeps n concurrent ``async_rb`` broadcasts inside one party loop.
+choice: ``ba_oracle`` and ``bcast_oracle`` run one instance (through
+``CONCRETE``), ``bb_slots`` runs n concurrent ``sync_bb`` broadcasts (party
+j the sender of slot j), and ``RbSlots`` keeps n concurrent ``async_rb``
+broadcasts inside one party loop. A ``CONCRETE`` entry calls its
+construction by its module-level name, so a rebinding of that name (a
+tracer's wrapper, a test's spy) sees every call; the function objects would not.
 
 In both chain kinds a party sends at most one "ds" record per instance and
 round: a tuple of (slot, value, sig) triples, metered as one relay per
@@ -416,30 +419,29 @@ def aba_binary(ctx: Ctx, instance: str, my_bit: int):
 # --- dispatch ------------------------------------------------------------------
 
 
+# kind -> construction(ctx, instance, sender, value, value_bits); sender None for agreement
+CONCRETE = {
+    "sync_bb": lambda ctx, inst, sender, v, bits: dolev_strong(ctx, inst, sender, v, bits),
+    "sync_ba": lambda ctx, inst, sender, v, bits: sync_ba_majority(ctx, inst, v, bits),
+    "async_rb": lambda ctx, inst, sender, v, bits: bracha_rb(ctx, inst, sender, v, bits),
+    "async_ba_bit": lambda ctx, inst, sender, v, bits: aba_binary(ctx, inst, v),
+}
+
+
 def ba_oracle(ctx: Ctx, kind: str, instance: str, value, value_bits: int):
     """Run one agreement oracle instance (ideal or concrete) to completion."""
-    impl = ctx.session.oracle_impl.get(kind, "ideal")
-    if impl == "ideal":
+    if ctx.session.oracle_impl.get(kind, "ideal") == "ideal":
         return (yield from ctx.ideal_oracle(kind, value, value_bits, instance=instance))
-    if kind == "sync_ba":
-        return (yield from sync_ba_majority(ctx, instance, value, value_bits))
-    if kind == "async_ba_bit":
-        return (yield from aba_binary(ctx, instance, value))
-    raise ValueError(f"no concrete implementation for oracle kind {kind!r}")
+    return (yield from CONCRETE[kind](ctx, instance, None, value, value_bits))
 
 
 def bcast_oracle(ctx: Ctx, kind: str, instance: str, sender: int, value, value_bits: int):
     """Run one broadcast oracle instance; non-senders pass value=None."""
-    impl = ctx.session.oracle_impl.get(kind, "ideal")
-    if impl == "ideal":
+    if ctx.session.oracle_impl.get(kind, "ideal") == "ideal":
         return (
             yield from ctx.ideal_oracle(kind, value, value_bits, instance=instance, sender=sender)
         )
-    if kind == "sync_bb":
-        return (yield from dolev_strong(ctx, instance, sender, value, value_bits))
-    if kind == "async_rb":
-        return (yield from bracha_rb(ctx, instance, sender, value, value_bits))
-    raise ValueError(f"no concrete implementation for oracle kind {kind!r}")
+    return (yield from CONCRETE[kind](ctx, instance, sender, value, value_bits))
 
 
 def bb_slots(ctx: Ctx, instance: str, my_value, value_bits: int):

@@ -73,13 +73,6 @@ class Codeword:
     n: int
     b: int
 
-    @property
-    def stripes(self) -> int:
-        for s in self.symbols:
-            if s is not None:
-                return len(s)
-        return 0
-
 
 def _check_nb(n: int, b: int) -> None:
     if not (1 <= b <= n <= MAX_N):

@@ -7,11 +7,9 @@ from dataclasses import dataclass, field
 from .accumulator import AccKey, acc_gen
 from .blocks import CodecMemo
 from .multisig import MsigAuthority
-from .oracles import CoinOracle
+from .oracles import CONCRETE, CoinOracle
 from .protocols import PROTOCOLS, ProtocolSpec, SessionParams
-from .simnet import ASYNC_KINDS, SYNC_KINDS, Engine, RunMetrics, SchedulerPolicy, outputs_digest
-
-ORACLE_KINDS = SYNC_KINDS + ASYNC_KINDS
+from .simnet import ORACLE_KINDS, Engine, RunMetrics, SchedulerPolicy, outputs_digest
 
 
 @dataclass
@@ -44,9 +42,9 @@ def _normalize_oracle_impl(oracle_impl: dict[str, str] | None) -> dict[str, str]
             raise ValueError(f"unknown oracle kind {kind!r}")
         if choice not in ("ideal", "concrete"):
             raise ValueError(f"oracle impl must be ideal or concrete, got {choice!r}")
+        if choice == "concrete" and kind not in CONCRETE:
+            raise ValueError(f"the {kind} oracle is ideal-only")
         impl[kind] = choice
-    if impl["async_ba_kbit"] == "concrete":
-        raise ValueError("the k-bit asynchronous agreement oracle is ideal-only")
     return impl
 
 

@@ -39,14 +39,13 @@ corrupt party a send, self-delivery or submission is dropped (not filed,
 metered or traced) and a read gets an empty list nothing files into; from
 an honest party it raises ``ValueError``.
 
-An ideal oracle fires on two facts. A sender kind (``sync_bb``,
-``async_rb``) fires when its sender has submitted, and in rounds mode also
+An ideal oracle fires on two facts of its kind's ``ORACLE_KINDS`` entry.
+A sender kind fires when its sender has submitted, and in rounds mode also
 once every honest party has registered; an agreement kind fires when every
 honest party has submitted. Its output goes to every party on the
 (``oracle_out``, instance) list, which only the engine files; where the
-definition leaves the output open, the adversary picks, or else
-``default_output``: the least submitted value in the ``value_to_bytes``
-order.
+definition leaves the output open, the adversary script picks (by default
+``default_output``: the least submitted value in ``value_to_bytes`` order).
 
 Only bits sent by honest parties are metered, at nominal sizes. Ideal-oracle
 invocations are charged their model cost pro rata to the honest fraction.
@@ -145,20 +144,29 @@ class RunMetrics:
         )
 
 
-# Model communication costs charged for ideal oracle invocations.
+class OracleKind(NamedTuple):
+    """What the engine, the runner and the checks know of one oracle kind."""
+
+    mode: str  # the scheduler mode it runs under: rounds | events
+    sender: bool  # broadcast from one designated sender, else agreement
+    regime: str  # the SessionParams regime its construction tolerates
+    cost: Callable[[int, int, int], int]  # model bits of one (value_bits, n, k) call
+
+
+ORACLE_KINDS = {
+    "sync_bb": OracleKind("rounds", True, "one_minus_eps", lambda v, n, k: (v + k) * n * n + n**3),
+    "sync_ba": OracleKind("rounds", False, "half", lambda v, n, k: (v + k) * n * n + n**3),
+    "async_rb": OracleKind("events", True, "third_async", lambda v, n, k: v * n * n),
+    "async_ba_bit": OracleKind("events", False, "third_async", lambda v, n, k: (v + k) * n * n),
+    "async_ba_kbit": OracleKind("events", False, "third_async", lambda v, n, k: (v + k) * n * n),
+}
+
+
 def oracle_model_cost(kind: str, value_bits: int, n: int, k: int) -> int:
-    if kind in ("sync_bb", "sync_ba"):
-        return (value_bits + k) * n * n + n**3
-    if kind == "async_rb":
-        return value_bits * n * n
-    if kind in ("async_ba_bit", "async_ba_kbit"):
-        return (value_bits + k) * n * n
-    raise ValueError(f"unknown oracle kind {kind!r}")
-
-
-SYNC_KINDS = ("sync_bb", "sync_ba")
-ASYNC_KINDS = ("async_rb", "async_ba_bit", "async_ba_kbit")
-SENDER_KINDS = ("sync_bb", "async_rb")
+    """Model communication cost charged for one ideal invocation of kind."""
+    if kind not in ORACLE_KINDS:
+        raise ValueError(f"unknown oracle kind {kind!r}")
+    return ORACLE_KINDS[kind].cost(value_bits, n, k)
 
 
 class IdealOracle:
@@ -174,9 +182,10 @@ class IdealOracle:
 
 
 def _oracle_domain_ok(inst: IdealOracle, value) -> bool:
-    """Byzantine oracle inputs must live in the oracle's value domain."""
+    """Byzantine oracle inputs must live in the oracle's value domain: the
+    ints 0 and 1 (not 1.0 or a numpy 1, which do not encode) or bytes."""
     if inst.value_bits == 1:
-        return value in (0, 1)
+        return type(value) is int and value in (0, 1)
     return isinstance(value, bytes)
 
 
@@ -202,8 +211,8 @@ def _encodable(v) -> bool:
 
 
 def default_output(submitted: list):
-    """An oracle's output where its definition leaves the choice open and no
-    adversary makes it: the least submitted value, BOT if there is none."""
+    """An oracle's output where its definition leaves the choice open and the
+    adversary script does not pick: the least submitted value, else BOT."""
     return min(submitted, key=value_to_bytes, default=BOT)
 
 
@@ -453,7 +462,7 @@ class Engine:
     """
 
     def __init__(self, mode: str, params, session, factories: dict[int, Callable[[Ctx], Generator] | None],
-                 honest: frozenset[int], adversary=None, policy: SchedulerPolicy | None = None,
+                 honest: frozenset[int], adversary, policy: SchedulerPolicy | None = None,
                  seed: int = 0, trace: bool = False):
         if mode not in ("rounds", "events"):
             raise ValueError("mode must be rounds or events")
@@ -550,18 +559,19 @@ class Engine:
 
     def _submission_fault(self, kind, instance, value_bits, sender) -> str | None:
         """Why an ideal submission cannot be taken, None if it can."""
-        if kind not in (SYNC_KINDS if self.mode == "rounds" else ASYNC_KINDS):
+        facts = ORACLE_KINDS.get(kind) if type(kind) is str else None
+        if facts is None or facts.mode != self.mode:
             return f"oracle kind {kind!r} not usable under {self.mode} scheduler"
         if self.session.oracle_impl.get(kind) == "concrete":
             return f"oracle kind {kind} runs concretely in this session"
-        if kind in SENDER_KINDS and (type(sender) is not int or not 0 < sender <= self.params.n):
+        if facts.sender and (type(sender) is not int or not 0 < sender <= self.params.n):
             return f"{kind} oracle needs a designated sender in 1..n, not {sender!r}"
         if type(value_bits) is not int or value_bits < 1 or type(instance) is not str:
             return f"no oracle instance {instance!r} of width {value_bits!r}"
         return None
 
     def _consult_adversary_oracle(self, inst: IdealOracle) -> None:
-        if inst.byz_consulted or self.adversary is None:
+        if inst.byz_consulted:
             return
         inst.byz_consulted = True
         subs = self.adversary.oracle_submissions(inst, self)
@@ -570,7 +580,7 @@ class Engine:
                 inst.submissions[pid] = value
 
     def _oracle_ready(self, inst: IdealOracle) -> bool:
-        if inst.kind in SENDER_KINDS:
+        if ORACLE_KINDS[inst.kind].sender:
             # a synchronous sender kind terminates unconditionally: a silent
             # sender still yields an output once every honest party is in
             return inst.sender in inst.submissions or (
@@ -580,10 +590,11 @@ class Engine:
     def _fire_oracle(self, inst: IdealOracle) -> None:
         inst.fired = True
         n, k = self.params.n, self.params.k
+        facts = ORACLE_KINDS[inst.kind]
         subs = inst.submissions
         # the definition pins the sender's value, and the honest parties'
         # value when they agree; anything else is open
-        if inst.kind in SENDER_KINDS:
+        if facts.sender:
             pinned, first = inst.sender in subs, inst.sender
         else:
             pinned = len({value_to_bytes(subs[p]) for p in self.honest}) == 1
@@ -591,13 +602,8 @@ class Engine:
         if pinned:
             out = subs[first]
         else:
-            submitted = [subs[p] for p in sorted(subs)]
-            if self.adversary is not None:
-                out = self.adversary.pick_oracle_output(inst, submitted, self)
-            else:
-                out = default_output(submitted)
-        cost = oracle_model_cost(inst.kind, inst.value_bits, n, k)
-        honest_cost = cost * len(self.honest) // n
+            out = self.adversary.pick_oracle_output(inst, [subs[p] for p in sorted(subs)], self)
+        honest_cost = facts.cost(inst.value_bits, n, k) * len(self.honest) // n
         self.metrics.add(honest_cost, step=f"oracle:{inst.instance}", oracle=inst.kind)
         self._post(Envelope(0, "oracle_out", out, 0, f"oracle:{inst.instance}", inst.instance,
                             self.tick), self._everyone)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bbext import accumulator, blocks, rs, runner
-from bbext.accumulator import BILINEAR, HASH_TREE, Witness, acc_gen
+from bbext.accumulator import BILINEAR, HASH_TREE, AccValue, Witness, acc_gen
 from bbext.adversary import AdversaryScript, hooked
 from bbext.checks import evaluate_run
 from bbext.protocols import SessionParams
@@ -321,7 +321,7 @@ def test_a_rejected_package_never_enters_the_table():
                                    (z, "junk", 1)]:
         assert not memo.verify(commitment, pkg, index)
     assert memo.accepted == {}
-    assert memo.verify(z.bare(), packages[1], 1)
+    assert memo.verify(AccValue(z.data, z.nominal_bits), packages[1], 1)
     assert list(memo.accepted) == [z.data] and list(memo.accepted[z.data]) == [1]
 
 

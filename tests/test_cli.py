@@ -58,6 +58,31 @@ def test_bad_accumulator_setting_is_a_config_error(setting, reason, tmp_path, ca
     assert reason in capsys.readouterr().err
 
 
+_BASE = {"protocol": "sync-ba-half", "n": [4], "l": [96]}
+
+
+@pytest.mark.parametrize("config,options", [
+    ({**_BASE, "n": ["4"]}, []),
+    ({**_BASE, "n": 4}, []),
+    ({**_BASE, "seeds": {"start": 0}}, []),
+    ({**_BASE, "k": [256]}, []),
+    ({**_BASE, "oracles": ["sync_ba"]}, []),
+    ({**_BASE, "adversaries": [["honest"]]}, []),
+    ({**_BASE, "protocol": "sync-bb-highthresh", "epsilon": "0.25"}, []),
+    ([_BASE], []),
+    (None, ["--protocol", "sync-ba-half", "--n", "4,x"]),
+    (None, ["--protocol", "sync-ba-half", "--n", "4", "--seed", "a"]),
+], ids=["str-n", "int-n", "seeds-without-count", "list-k", "list-oracles", "list-adversary",
+        "str-epsilon", "list-config", "n-option", "seed-option"])
+def test_malformed_input_is_a_config_error(config, options, tmp_path, capsys):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        options = ["--config", str(cfg)]
+    assert run_cli(["run", *options, "--out", str(tmp_path / "out")]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_trace_runs_a_length_that_is_not_whole_bytes(capsys):
     assert run_cli(["trace", "--protocol", "sync-ba-half", "--n", "4", "--l", "100",
                     "--seed", "0"]) == 0

@@ -692,3 +692,26 @@ def test_bracha_machine_work_per_junk_value_is_constant():
         m.feed(_Env(10, ("echo", i.to_bytes(4, "big"))))
     assert _CountingDict.looked_up <= 3 * floods
     assert not m.sent_ready and not m.has_delivered
+
+
+def test_front_doors_call_each_construction_by_its_module_name(monkeypatch):
+    # a layer tracer times a construction by rebinding its name in the
+    # module; the front doors must look that name up at every call
+    from bbext import oracles
+    from bbext.checks import _oracle_harness_spec, _oracle_params, _oracle_value
+
+    calls = dict.fromkeys(["dolev_strong", "sync_ba_majority", "bracha_rb", "aba_binary"], 0)
+    for name in calls:
+        def spy(*args, _name=name, _original=getattr(oracles, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(oracles, name, spy)
+    for kind in oracles.CONCRETE:
+        spec = _oracle_harness_spec(kind, "concrete")
+        params = _oracle_params(kind, 4)
+        bit = kind == "async_ba_bit"
+        inputs = {p: _oracle_value(0, p, params.k, "all", bit) for p in range(1, 5)}
+        res = run(spec, params, inputs, seed=0, oracle_impl={kind: "concrete"})
+        assert len(res.outputs) == 4, kind
+    assert all(calls.values()), calls

@@ -4,6 +4,7 @@ import json
 import weakref
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -386,7 +387,7 @@ def test_finished_session_frees_its_contexts_without_collection(monkeypatch, pro
 
 def _engine(n=5, honest=frozenset({2, 3, 4, 5})):
     params = _params(n=n, t=1)
-    return Engine("rounds", params, None, {}, honest)
+    return Engine("rounds", params, None, {}, honest, AdversaryScript())
 
 
 def test_honest_broadcast_is_metered_once_in_destination_order():
@@ -556,7 +557,8 @@ def test_lists_equal_reference_scans_under_interleaved_filing(mode, ops):
     and first requests for any key, interleaved: every list a party asked
     for equals the filtered scan of a reference mailbox, and so does every
     cursor's new mail."""
-    engine = Engine(mode, _params(n=4, t=1), None, {}, frozenset({1, 2, 3, 4}))
+    engine = Engine(mode, _params(n=4, t=1), None, {}, frozenset({1, 2, 3, 4}),
+                    AdversaryScript())
     ref: dict[int, list] = {pid: [] for pid in range(1, 5)}
     opened = []  # (pid, kind, instance, list, reader or None, mail the reader returned)
 
@@ -713,12 +715,45 @@ def test_malformed_corrupt_ideal_submissions_are_dropped(protocol, what):
                                            ("events", "async-rb-third")])
 def test_malformed_honest_ideal_submissions_raise(mode, protocol):
     engine = Engine(mode, _params(), SimpleNamespace(oracle_impl={}), {},
-                    frozenset({1, 2, 3}))
+                    frozenset({1, 2, 3}), AdversaryScript())
     for act in _MISSUBMITS[protocol].values():
         act(engine.parties[4].ctx)
         with pytest.raises(ValueError):
             act(engine.parties[1].ctx)
     assert engine.oracles == {} and engine._submitted == set()
+
+
+class ScriptedSubmission(AdversaryScript):
+    """A silent tail-placed corrupt party 4 on whose behalf the script
+    submits value to one ideal instance."""
+
+    placement = "tail"
+
+    def __init__(self, instance, value):
+        self.instance, self.value = instance, value
+
+    def oracle_submissions(self, inst, engine):
+        return {4: self.value} if inst.instance == self.instance else {}
+
+
+@pytest.mark.parametrize("seed", [0, 3, 4, 5])
+@pytest.mark.parametrize("value", [1.0, np.int64(1)])
+@pytest.mark.parametrize("path", ["party", "script"])
+def test_a_one_bit_submission_that_is_not_the_int_0_or_1_is_dropped(path, value, seed):
+    # 1.0 and np.int64(1) equal 1 but do not encode: were either taken, split
+    # honest bits would leave the output to default_output, which raised
+    params = _params(regime="third_async")
+    inputs = build_inputs("ba", params, seed, "none")
+    if path == "party":
+        adversary = Misfit(lambda ctx: ctx.oracle_submit("async_ba_bit", value, 1,
+                                                         instance="ba_happy"))
+    else:
+        adversary = ScriptedSubmission("ba_happy", value)
+    quiet = run("async-ba-third", params, inputs, adversary=Misfit(lambda ctx: None), seed=seed)
+    res = run("async-ba-third", params, inputs, adversary=adversary, seed=seed)
+    assert res.corrupt == quiet.corrupt == frozenset({4})
+    assert res.metrics.outputs_digest == quiet.metrics.outputs_digest
+    assert res.metrics.honest_bits_total == quiet.metrics.honest_bits_total
 
 
 _MISKEYED = {
