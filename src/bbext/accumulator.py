@@ -21,8 +21,9 @@ n shares once, not n times. An emulated bilinear value keeps the prefix and
 suffix products of its (s + H(d_j)) factors instead, so each witness, the
 product of all factors but one, is one multiplication: n witnesses cost
 about 3n multiplications, not n^2. Like the value set, the levels and
-products are local state: they take no part in equality or hashing, and
-``bare()`` drops them.
+products are local state: they take no part in equality or hashing, and a
+value rebuilt from its commitment bytes alone, as a received one is, has
+none of them.
 """
 
 from __future__ import annotations

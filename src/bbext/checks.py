@@ -23,8 +23,8 @@ from .accumulator import BILINEAR, HASH_TREE, Witness, acc_create_wit, acc_eval,
 from .adversary import AdversaryScript, adversary_battery
 from .multisig import MultiSig
 from .oracles import CONCRETE, ba_oracle, bcast_oracle
-from .protocols import PROTOCOLS, ProtocolSpec, SessionParams
-from .runner import RunResult, run
+from .protocols import PROTOCOLS, ProtocolSpec, SessionParams, max_t
+from .runner import SENDER, RunResult, run
 from .simnet import BOT, ORACLE_KINDS, PrefixPolicy, oracle_model_cost
 from .star import NOSTAR, GrowingStar, PartyGraph, _matching_cached, max_matching, star
 
@@ -69,10 +69,11 @@ def message_for(seed: int, pid: int, l_bits: int, unanimity: str) -> bytes:
     return bytes(m)
 
 
-def build_inputs(kind: str, params: SessionParams, seed: int, unanimity: str,
-                 sender: int = 1) -> dict[int, bytes]:
+def build_inputs(kind: str, params: SessionParams, seed: int, unanimity: str) -> dict[int, bytes]:
+    """A session's inputs: the sender's message for a broadcast kind,
+    every party's for agreement."""
     if kind in ("bb", "rb"):
-        return {sender: message_for(seed, 0, params.l, "all")}
+        return {SENDER: message_for(seed, 0, params.l, "all")}
     return {
         pid: message_for(seed, pid, params.l, unanimity) for pid in range(1, params.n + 1)
     }
@@ -122,7 +123,7 @@ def evaluate_run(kind: str, inputs: dict[int, bytes], sender: int | None,
 
 def judged_run(protocol: str | ProtocolSpec, params: SessionParams, inputs: dict,
                **run_kw) -> tuple[RunResult | None, list[str]]:
-    """Run one session and judge it with ``evaluate_run``; party 1 is the
+    """Run one session and judge it with ``evaluate_run``; ``SENDER`` is the
     sender unless the problem is agreement. An ``AssertionError`` or
     ``RuntimeError`` from the session becomes the one violation, and the
     result is then None."""
@@ -131,7 +132,7 @@ def judged_run(protocol: str | ProtocolSpec, params: SessionParams, inputs: dict
         result = run(protocol, params, inputs, **run_kw)
     except (AssertionError, RuntimeError) as exc:
         return None, [f"invariant violation: {exc}"]
-    return result, evaluate_run(kind, inputs, 1 if kind != "ba" else None, result)
+    return result, evaluate_run(kind, inputs, SENDER if kind != "ba" else None, result)
 
 
 # --- protocol battery (criterion 1) ---------------------------------------------
@@ -141,21 +142,13 @@ BATTERY_K = 128
 
 
 def battery_configs(protocol: str, sizes=(4, 7, 10)) -> list[SessionParams]:
-    spec = PROTOCOLS[protocol]
-    configs = []
-    for n in sizes:
-        if spec.regime == "half":
-            configs.append(SessionParams(n=n, t=(n - 1) // 2, l=BATTERY_L, k=BATTERY_K,
-                                         threshold_regime="half"))
-        elif spec.regime == "one_minus_eps":
-            for eps in (0.25, 0.5):
-                t = int((1 - eps) * n)
-                configs.append(SessionParams(n=n, t=t, l=BATTERY_L, k=BATTERY_K,
-                                             threshold_regime="one_minus_eps", epsilon=eps))
-        else:
-            configs.append(SessionParams(n=n, t=(n - 1) // 3, l=BATTERY_L, k=BATTERY_K,
-                                         threshold_regime=spec.regime))
-    return configs
+    """The protocol's regime at its largest t, for each size (and each
+    epsilon of ``one_minus_eps``)."""
+    regime = PROTOCOLS[protocol].regime
+    epsilons = (0.25, 0.5) if regime == "one_minus_eps" else (None,)
+    return [SessionParams(n=n, t=max_t(regime, n, eps), l=BATTERY_L, k=BATTERY_K,
+                          threshold_regime=regime, epsilon=eps)
+            for n in sizes for eps in epsilons]
 
 
 def _unanimity_for_seed(seed: int) -> str:
@@ -425,7 +418,7 @@ def check_star(graphs: int = 2000, seed: int = 0) -> CheckReport:
             m = max_matching(g)
             if len(m) != _brute_force_matching_size(g):
                 failures.append(f"matching size mismatch trial={trial} n={n}")
-            t = (n - 1) // 3
+            t = max_t("third_async", n)
             result = star(g, n, t)
             if result is not NOSTAR:
                 ok = (result.C <= result.D and len(result.C) >= n - 2 * t
@@ -457,7 +450,7 @@ def check_star(graphs: int = 2000, seed: int = 0) -> CheckReport:
     # bound rules the star out
     sizes = [rng.randint(2, 10) for _ in range(200)] + [16] * 4 + [31] * 4
     for trial, n in enumerate(sizes):
-        t = (n - 1) // 3
+        t = max_t("third_async", n)
         edges = list(itertools.combinations(range(1, n + 1), 2))
         rng.shuffle(edges)
         trials += 1
@@ -555,11 +548,12 @@ def _oracle_harness_spec(kind: str, impl: str):
 
 
 def _oracle_params(kind: str, n: int) -> SessionParams:
-    """The kind's regime at its largest t (a chain tolerates any t < n)."""
+    """The kind's regime at its largest t; a chain tolerates any t < n, which
+    epsilon = 1/n allows."""
     regime = ORACLE_KINDS[kind].regime
-    t = {"one_minus_eps": n - 1, "half": (n - 1) // 2, "third_async": (n - 1) // 3}[regime]
-    return SessionParams(n=n, t=t, l=BATTERY_K, k=BATTERY_K, threshold_regime=regime,
-                         epsilon=1.0 / n if regime == "one_minus_eps" else None)
+    eps = 1.0 / n if regime == "one_minus_eps" else None
+    return SessionParams(n=n, t=max_t(regime, n, eps), l=BATTERY_K, k=BATTERY_K,
+                         threshold_regime=regime, epsilon=eps)
 
 
 def _oracle_value(seed: int, pid: int, k: int, unanimity: str, bit: bool) -> object:
@@ -587,7 +581,7 @@ def check_oracles(seeds: int = 200) -> CheckReport:
                     for seed in range(seeds):
                         unanimity = "all" if seed % 2 == 0 else "none"
                         if spec.kind in ("bb", "rb"):
-                            inputs = {1: _oracle_value(seed, 0, params.k, "all", bit)}
+                            inputs = {SENDER: _oracle_value(seed, 0, params.k, "all", bit)}
                         else:
                             inputs = {p: _oracle_value(seed, p, params.k, unanimity, bit)
                                       for p in range(1, n + 1)}
@@ -610,11 +604,11 @@ def check_oracles(seeds: int = 200) -> CheckReport:
 
 
 def _dolev_strong_cost_check(failures: list[str]) -> dict:
-    n, k = 7, 256
-    params = SessionParams(n=n, t=n - 1, l=k, k=k, threshold_regime="one_minus_eps",
-                           epsilon=1.0 / n)
+    n, k, eps = 7, 256, 1.0 / 7
+    params = SessionParams(n=n, t=max_t("one_minus_eps", n, eps), l=k, k=k,
+                           threshold_regime="one_minus_eps", epsilon=eps)
     spec = _oracle_harness_spec("sync_bb", "concrete")
-    inputs = {1: message_for(0, 0, k, "all")}
+    inputs = build_inputs("bb", params, 0, "all")
     result, violations = judged_run(spec, params, inputs, seed=0,
                                     oracle_impl={"sync_bb": "concrete"})
     failures.extend(f"chain-broadcast: {v}" for v in violations)
@@ -675,7 +669,7 @@ def complexity_reports() -> tuple[CheckReport, CheckReport, CheckReport]:
     """
     t0 = time.time()
     n, k = 10, 256
-    t = (n - 1) // 2
+    t = max_t("half", n)
     sweep, run_failures = [], []
     for l in SWEEP_LS:
         params = SessionParams(n=n, t=t, l=l, k=k, threshold_regime="half")
@@ -725,7 +719,7 @@ def complexity_reports() -> tuple[CheckReport, CheckReport, CheckReport]:
     n12, l = 12, 2**18
     blowup_failures, blowup = [], {}
     for eps in BLOWUP_EPSILONS:
-        t12 = int(round((1 - eps) * n12))
+        t12 = max_t("one_minus_eps", n12, eps)
         params = SessionParams(n=n12, t=t12, l=l, k=k,
                                threshold_regime="one_minus_eps", epsilon=eps)
         inputs = build_inputs("bb", params, seed=2, unanimity="all")

@@ -15,7 +15,6 @@ import argparse
 import csv
 import inspect
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -24,13 +23,16 @@ from pathlib import Path
 from .accumulator import acc_gen
 from .adversary import adversary_battery
 from .checks import SUITES, build_inputs
-from .protocols import PROTOCOLS, SessionParams
+from .protocols import PROTOCOLS, SessionParams, max_t
 from .runner import RunResult, _normalize_oracle_impl, run
 
 CSV_COLUMNS = ["protocol", "n", "t", "l", "adversary", "seed",
                "honest_bits", "oracle_bits", "rounds"]
 
-T_RULES = ("max_half", "max_third", "max_eps", "explicit")
+# each t rule but explicit takes its regime's largest t; with no rule a
+# protocol runs at its own regime's largest t
+T_RULES = {"max_half": "half", "max_third": "third_async", "max_eps": "one_minus_eps",
+           "explicit": None}
 
 
 class ConfigError(Exception):
@@ -41,7 +43,7 @@ class ConfigError(Exception):
 class ExperimentConfig:
     protocol: str
     n_list: list[int]
-    t_rule: str
+    t_rule: str | None
     t_list: list[int] | None
     l_list: list[int]
     k: int
@@ -102,8 +104,8 @@ class ExperimentConfig:
         l_list = _int_list("l", raw.get("l", [1024]))
         if not n_list or not l_list:
             raise ConfigError("n and l lists must be non-empty")
-        t_rule = raw.get("t_rule", _default_t_rule(protocol))
-        if t_rule not in T_RULES:
+        t_rule = raw.get("t_rule")
+        if not (t_rule is None or type(t_rule) is str and t_rule in T_RULES):
             raise ConfigError(f"unknown t rule {t_rule!r}")
         t_list = None if raw.get("t") is None else _int_list("t", raw["t"])
         if t_rule == "explicit":
@@ -111,8 +113,7 @@ class ExperimentConfig:
                 raise ConfigError("explicit t rule needs one t per n")
         seeds_raw = raw.get("seeds")
         if seeds_raw is None:
-            default = int(os.environ.get("BBEXT_SEED", "0"))
-            seeds = [default]
+            seeds = [0]
         elif isinstance(seeds_raw, dict):
             start, count = _int_list("seeds start and count",
                                      [seeds_raw.get("start", 0), seeds_raw.get("count")])
@@ -121,6 +122,8 @@ class ExperimentConfig:
             seeds = _int_list("seeds", seeds_raw)
         if not seeds:
             raise ConfigError("seed list must be non-empty")
+        if jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {jobs}")
         try:
             oracles = dict(raw.get("oracles", {}))
             _normalize_oracle_impl(oracles)
@@ -174,14 +177,11 @@ class ExperimentConfig:
     def _t_for(self, n: int, idx: int) -> int:
         if self.t_rule == "explicit":
             return self.t_list[idx]
-        if self.t_rule == "max_half":
-            return (n - 1) // 2
-        if self.t_rule == "max_third":
-            return (n - 1) // 3
-        eps = self.epsilon
-        if not eps:
-            raise ConfigError("max_eps t rule needs epsilon")
-        return int((1 - eps) * n)
+        regime = T_RULES[self.t_rule] if self.t_rule else PROTOCOLS[self.protocol].regime
+        try:
+            return max_t(regime, n, self.epsilon)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
 
 
 def _int_list(what: str, value) -> list[int]:
@@ -195,12 +195,6 @@ def _int_list(what: str, value) -> list[int]:
     if not isinstance(value, list) or not all(type(x) is int for x in value):
         raise ConfigError(f"{what} must be a list of integers, got {value!r}")
     return list(value)
-
-
-def _default_t_rule(protocol: str) -> str:
-    regime = PROTOCOLS[protocol].regime
-    return {"half": "max_half", "one_minus_eps": "max_eps",
-            "third_sync_ef": "max_third", "third_async": "max_third"}[regime]
 
 
 def run_session(cell: dict, trace: bool = False) -> RunResult:
@@ -285,6 +279,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     suite = SUITES[args.suite]
     options = {name: value for name in ("seeds", "jobs")
                if (value := getattr(args, name)) is not None}
+    below_one = [f"--{name}" for name, value in options.items() if value < 1]
+    if below_one:
+        print(f"{', '.join(below_one)} must be at least 1", file=sys.stderr)
+        return 2
     unused = [f"--{name}" for name in options if name not in inspect.signature(suite).parameters]
     if unused:
         print(f"suite {args.suite!r} does not take {', '.join(unused)}", file=sys.stderr)

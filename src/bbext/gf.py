@@ -65,12 +65,6 @@ def gf_inv(a: int) -> int:
     return _EXP[ORDER - _LOG[a]]
 
 
-def gf_pow(a: int, e: int) -> int:
-    if a == 0:
-        return 0 if e else 1
-    return _EXP[(_LOG[a] * e) % ORDER]
-
-
 # The 512 field elements a column's split tables multiply: x, then x << 8,
 # for every byte x.
 _SPLIT = np.concatenate([np.arange(256), np.arange(256) << 8])

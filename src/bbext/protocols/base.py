@@ -16,7 +16,20 @@ from .. import blocks
 from ..accumulator import AccValue
 from ..simnet import BOT, Ctx, InvariantViolation, NEXT_ROUND, Reader
 
-REGIMES = ("half", "one_minus_eps", "third_sync_ef", "third_async")
+def max_t(regime: str, n: int, epsilon: float | None = None) -> int:
+    """The largest t that the resilience regime allows among n parties:
+    t < n/2 for ``half``, t <= (1-epsilon)n for ``one_minus_eps`` (which
+    needs 0 < epsilon <= 1), and t < n/3 for ``third_sync_ef`` and
+    ``third_async``. The one place that knows these bounds."""
+    if regime == "half":
+        return (n - 1) // 2
+    if regime == "one_minus_eps":
+        if epsilon is None or not 0 < epsilon <= 1:
+            raise ValueError(f"one_minus_eps regime needs 0 < epsilon <= 1, got {epsilon!r}")
+        return int((1 - epsilon) * n)
+    if regime in ("third_sync_ef", "third_async"):
+        return (n - 1) // 3
+    raise ValueError(f"unknown regime {regime!r}")
 
 
 @dataclass(frozen=True)
@@ -31,21 +44,14 @@ class SessionParams:
     epsilon: float | None = None
 
     def __post_init__(self):
-        if self.threshold_regime not in REGIMES:
-            raise ValueError(f"unknown regime {self.threshold_regime!r}")
         if self.n < 1 or self.t < 0 or self.l < 0:
             raise ValueError("bad session sizes")
         if self.b < 1:
             raise ValueError("need at least one honest party (b >= 1)")
-        reg = self.threshold_regime
-        if reg == "half" and not self.t < self.n / 2:
-            raise ValueError("half regime needs t < n/2")
-        if reg == "one_minus_eps":
-            eps = self.epsilon if self.epsilon is not None else 0.0
-            if not (eps > 0 and self.t <= (1 - eps) * self.n):
-                raise ValueError("one_minus_eps regime needs epsilon > 0 and t <= (1-eps)n")
-        if reg in ("third_sync_ef", "third_async") and not self.t < self.n / 3:
-            raise ValueError("third regime needs t < n/3")
+        most = max_t(self.threshold_regime, self.n, self.epsilon)
+        if self.t > most:
+            raise ValueError(f"{self.threshold_regime} regime allows t <= {most} "
+                             f"at n = {self.n}, got t = {self.t}")
 
     @property
     def b(self) -> int:
@@ -75,9 +81,11 @@ class ProtocolSpec:
             raise ValueError(
                 f"protocol {self.name} needs regime {self.regime}, got {params.threshold_regime}"
             )
-        if self.max_third_only and params.t != (params.n - 1) // 3:
-            raise ValueError(f"protocol {self.name} fixes t = floor((n-1)/3) = "
-                             f"{(params.n - 1) // 3}, got t = {params.t}")
+        if self.max_third_only:
+            most = max_t(self.regime, params.n)
+            if params.t != most:
+                raise ValueError(f"protocol {self.name} fixes t = floor((n-1)/3) = "
+                                 f"{most}, got t = {params.t}")
 
 
 def encode_input(ctx: Ctx, message: bytes):

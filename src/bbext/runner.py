@@ -11,6 +11,8 @@ from .oracles import CONCRETE, CoinOracle
 from .protocols import PROTOCOLS, ProtocolSpec, SessionParams
 from .simnet import ORACLE_KINDS, Engine, RunMetrics, SchedulerPolicy, outputs_digest
 
+SENDER = 1  # the sender of a broadcast session unless the caller names another
+
 
 @dataclass
 class Session:
@@ -50,7 +52,7 @@ def _normalize_oracle_impl(oracle_impl: dict[str, str] | None) -> dict[str, str]
 
 def run(protocol: str | ProtocolSpec, params: SessionParams, inputs: dict[int, bytes],
         adversary=None, seed: int = 0, oracle_impl: dict[str, str] | None = None,
-        acc_scheme: str = "hash_tree", sender: int = 1, trace: bool = False,
+        acc_scheme: str = "hash_tree", sender: int = SENDER, trace: bool = False,
         policy: SchedulerPolicy | None = None) -> RunResult:
     """Execute one protocol session deterministically.
 

@@ -48,34 +48,14 @@ from .simnet import InvariantViolation
 
 @dataclass(frozen=True)
 class PartyGraph:
-    """Undirected graph on parties 1..n; rows[i] is a bitmask over 0-based ids."""
+    """Undirected graph on parties 1..n; rows[i] is a bitmask over 0-based ids.
+
+    The rows are not checked: every graph is built here (from_edges,
+    with_edge, complement, GrowingStar's views), symmetric and loop-free by
+    construction."""
 
     n: int
     rows: tuple[int, ...]
-
-    def __post_init__(self):
-        # Graphs built here whose rows are valid by construction (from_edges,
-        # with_edge, complement, GrowingStar's views) skip this O(n^2) check
-        # through _trusted.
-        if len(self.rows) != self.n:
-            raise ValueError("row count must equal n")
-        for i, r in enumerate(self.rows):
-            if r >> self.n:
-                raise ValueError("adjacency bits out of range")
-            if r & (1 << i):
-                raise ValueError("self-loops not allowed")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if bool(self.rows[i] & (1 << j)) != bool(self.rows[j] & (1 << i)):
-                    raise ValueError("adjacency must be symmetric")
-
-    @classmethod
-    def _trusted(cls, n: int, rows: tuple[int, ...]) -> "PartyGraph":
-        """A graph whose rows are symmetric and loop-free by construction."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "rows", rows)
-        return g
 
     @staticmethod
     def from_edges(n: int, edges) -> "PartyGraph":
@@ -85,7 +65,7 @@ class PartyGraph:
                 raise ValueError(f"bad edge ({u},{v})")
             rows[u - 1] |= 1 << (v - 1)
             rows[v - 1] |= 1 << (u - 1)
-        return PartyGraph._trusted(n, tuple(rows))
+        return PartyGraph(n, tuple(rows))
 
     def with_edge(self, u: int, v: int) -> "PartyGraph":
         if u == v or not (1 <= u <= self.n and 1 <= v <= self.n):
@@ -93,7 +73,7 @@ class PartyGraph:
         rows = list(self.rows)
         rows[u - 1] |= 1 << (v - 1)
         rows[v - 1] |= 1 << (u - 1)
-        return PartyGraph._trusted(self.n, tuple(rows))
+        return PartyGraph(self.n, tuple(rows))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u - 1] & (1 << (v - 1)))
@@ -108,9 +88,7 @@ class PartyGraph:
 
     def complement(self) -> "PartyGraph":
         full = (1 << self.n) - 1
-        return PartyGraph._trusted(
-            self.n, tuple((full ^ r ^ (1 << i)) for i, r in enumerate(self.rows))
-        )
+        return PartyGraph(self.n, tuple((full ^ r ^ (1 << i)) for i, r in enumerate(self.rows)))
 
 
 NOSTAR = "noSTAR"
@@ -335,11 +313,11 @@ class GrowingStar:
 
     @property
     def graph(self) -> PartyGraph:
-        return PartyGraph._trusted(self.n, tuple(self._rows))
+        return PartyGraph(self.n, tuple(self._rows))
 
     @property
     def complement(self) -> PartyGraph:
-        return PartyGraph._trusted(self.n, tuple(self._co_rows))
+        return PartyGraph(self.n, tuple(self._co_rows))
 
     @property
     def matching(self) -> frozenset[tuple[int, int]]:

@@ -6,7 +6,7 @@ import pytest
 from bbext.adversary import WithholdCertificate
 from bbext.checks import build_inputs, message_for
 from bbext.cli import CSV_COLUMNS, ConfigError, ExperimentConfig, main
-from bbext.protocols import SessionParams
+from bbext.protocols import PROTOCOLS, SessionParams, max_t
 from bbext.runner import run
 
 
@@ -24,6 +24,23 @@ def test_check_rejects_options_the_suite_does_not_take(args, capsys):
     assert run_cli(["check", *args]) == 2
     err = capsys.readouterr().err
     assert args[0] in err and args[1] in err
+
+
+@pytest.mark.parametrize("suite", ["protocols-sync", "oracles"])
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_check_seeds_below_one_is_a_config_error(suite, seeds, capsys):
+    # no battery runs, rather than a report of zero or negative trials
+    assert run_cli(["check", suite, "--seeds", seeds]) == 2
+    assert "--seeds must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["check", "protocols-async"],
+                                     ["run", "--protocol", "sync-ba-half"]])
+def test_jobs_below_one_is_a_config_error(command, tmp_path, capsys):
+    out = ["--out", str(tmp_path)] if command[0] == "run" else []
+    assert run_cli([*command, "--jobs", "0", *out]) == 2
+    assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_unknown_protocol_is_config_error(capsys):
@@ -137,10 +154,29 @@ def test_cells_and_t_rules():
                                     "oracles": {"sync_ba": "quantum"}})
 
 
-def test_seed_env_default(monkeypatch):
-    monkeypatch.setenv("BBEXT_SEED", "42")
-    cfg = ExperimentConfig.from_dict({"protocol": "sync-ba-half"})
-    assert cfg.seeds == [42]
+def test_max_t_rejects_unknown_regime_and_bad_epsilon():
+    with pytest.raises(ValueError, match="unknown regime"):
+        max_t("two_thirds", 10)
+    for eps in (None, 0, -0.5, 1.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="epsilon"):
+            max_t("one_minus_eps", 10, eps)
+
+
+@pytest.mark.parametrize("regime", ["half", "one_minus_eps", "third_sync_ef", "third_async"])
+def test_max_t_is_the_largest_t_sessions_and_configs_allow(regime):
+    for n in range(1, 65):
+        for eps in (1 / n, 1 / 6, 1 / 4, 1 / 3, 1 / 2):
+            t = max_t(regime, n, eps)
+            SessionParams(n=n, t=t, l=8, threshold_regime=regime, epsilon=eps)
+            with pytest.raises(ValueError):
+                SessionParams(n=n, t=t + 1, l=8, threshold_regime=regime, epsilon=eps)
+    sizes = [4, 7, 10]
+    for name, spec in PROTOCOLS.items():
+        if spec.regime != regime:
+            continue
+        for eps in (1 / 6, 1 / 4, 1 / 3, 1 / 2):
+            cfg = ExperimentConfig.from_dict({"protocol": name, "n": sizes, "epsilon": eps})
+            assert [c["t"] for c in cfg.cells()] == [max_t(regime, n, eps) for n in sizes]
 
 
 def test_seed_range_form():

@@ -15,7 +15,7 @@ from bbext.adversary import (
 )
 from bbext.checks import build_inputs, evaluate_run, explore_schedules
 from bbext.protocols import SessionParams, errorfree
-from bbext.runner import run
+from bbext.runner import SENDER, run
 
 M = bytes(range(12))
 
@@ -269,9 +269,11 @@ def test_equivocator_at_every_placement(protocol, make_params, placement):
         senders = (None,) if kind == "ba" else (1, min(set(range(1, n + 1)) - corrupt))
         for seed in range(2):
             for sender in senders:
-                inputs = build_inputs(kind, params, seed, "all", sender=sender or 1)
+                inputs = build_inputs(kind, params, seed, "all")
+                if sender is not None:  # the broadcast message, moved to this sender
+                    inputs = {sender: inputs[SENDER]}
                 res = run(protocol, params, inputs, adversary=script, seed=seed,
-                          sender=sender or 1)
+                          sender=sender or SENDER)
                 assert res.corrupt == corrupt
                 assert evaluate_run(kind, inputs, sender, res) == [], (n, seed, sender)
 

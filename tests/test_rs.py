@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bbext import gf, rs
 from bbext.checks import rs_decode_reference
-from tests.test_gf import slow_mul
+from tests.test_gf import gf_pow, slow_mul
 
 
 # --- independent evaluation oracle (Lagrange, slow_mul arithmetic only) --------
@@ -364,10 +364,10 @@ def test_decode_with_errors_and_erasures_never_inverts_a_matrix(monkeypatch):
 def _encode_rows_scalar(b: int, xs) -> list[list[int]]:
     """The Vandermonde rows at xs times the inverse of the Vandermonde
     matrix at 1..b, in scalar arithmetic: the encode matrix's rows at xs."""
-    vinv = gf.invert_matrix([[gf.gf_pow(x, i) for i in range(b)] for x in range(1, b + 1)])
+    vinv = gf.invert_matrix([[gf_pow(x, i) for i in range(b)] for x in range(1, b + 1)])
     rows = []
     for x in xs:
-        powers = [gf.gf_pow(x, i) for i in range(b)]
+        powers = [gf_pow(x, i) for i in range(b)]
         row = []
         for i in range(b):
             acc = 0

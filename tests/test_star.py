@@ -21,6 +21,24 @@ def to_text(g: PartyGraph) -> str:
     )
 
 
+def validated(n: int, rows: tuple[int, ...]) -> PartyGraph:
+    """PartyGraph(n, rows) after an O(n^2) check that the rows describe an
+    undirected graph on 1..n: n rows, no bit past n, no self-loop, symmetric.
+    The library builds every graph valid by construction and checks none."""
+    if len(rows) != n:
+        raise ValueError("row count must equal n")
+    for i, r in enumerate(rows):
+        if r >> n:
+            raise ValueError("adjacency bits out of range")
+        if r & (1 << i):
+            raise ValueError("self-loops not allowed")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if bool(rows[i] & (1 << j)) != bool(rows[j] & (1 << i)):
+                raise ValueError("adjacency must be symmetric")
+    return PartyGraph(n=n, rows=rows)
+
+
 def from_text(text: str) -> PartyGraph:
     lines = [ln.strip() for ln in text.strip().splitlines()]
     n = len(lines)
@@ -29,7 +47,7 @@ def from_text(text: str) -> PartyGraph:
         if len(ln) != n or set(ln) - {"0", "1"}:
             raise ValueError("debug format rows must be 0/1 strings of length n")
         rows.append(sum(1 << j for j, ch in enumerate(ln) if ch == "1"))
-    return PartyGraph(n=n, rows=tuple(rows))
+    return validated(n, tuple(rows))
 
 
 def brute_force_max_matching(g: PartyGraph) -> int:
@@ -89,9 +107,9 @@ def random_graph(n: int, p: float, rng: random.Random) -> PartyGraph:
 
 def test_graph_validation():
     with pytest.raises(ValueError):
-        PartyGraph(n=2, rows=(1, 0))  # self loop on vertex 1
+        validated(2, (1, 0))  # self loop on vertex 1
     with pytest.raises(ValueError):
-        PartyGraph(n=2, rows=(2, 0))  # asymmetric
+        validated(2, (2, 0))  # asymmetric
     with pytest.raises(ValueError):
         PartyGraph.from_edges(2, [(1, 1)])
     with pytest.raises(ValueError):
@@ -101,15 +119,15 @@ def test_graph_validation():
 
 
 def test_derived_graphs_equal_validated_ones():
-    # with_edge and complement skip the symmetry check; what they build must
-    # pass it
+    # the library checks no graph it builds; what with_edge and complement
+    # build must pass the check
     rng = random.Random(4)
     for _ in range(20):
         n = rng.randint(2, 9)
         g = random_graph(n, 0.4, rng)
         u, v = rng.sample(range(1, n + 1), 2)
         for h in (g.with_edge(u, v), g.complement()):
-            assert h == PartyGraph(n=h.n, rows=h.rows)
+            assert h == validated(h.n, h.rows)
 
 
 def test_star_invariant_is_checked_under_optimize():
@@ -541,18 +559,13 @@ def test_growing_star_builds_no_graph_while_the_size_bound_rules_a_star_out(monk
     n, t = 13, 4
     growing = GrowingStar(n, t)
     built = [0]
-    trusted, checked = PartyGraph._trusted.__func__, PartyGraph.__post_init__
+    init = PartyGraph.__init__
 
-    def counted_trusted(cls, *args):
+    def counted_init(self, *args, **kwargs):
         built[0] += 1
-        return trusted(cls, *args)
+        init(self, *args, **kwargs)
 
-    def counted_checked(self):
-        built[0] += 1
-        checked(self)
-
-    monkeypatch.setattr(PartyGraph, "_trusted", classmethod(counted_trusted))
-    monkeypatch.setattr(PartyGraph, "__post_init__", counted_checked)
+    monkeypatch.setattr(PartyGraph, "__init__", counted_init)
     edges = list(itertools.combinations(range(1, n + 1), 2))
     random.Random(2).shuffle(edges)
     ruled_out = 0
