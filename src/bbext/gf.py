@@ -14,15 +14,23 @@ Matrix products over numpy uint16 arrays use split 8-bit product tables
 Intel SIMD Instructions", FAST 2013): since multiplication distributes over
 XOR, c*v = LO[v & 0xFF] ^ HI[v >> 8] with LO[x] = c*x and HI[x] = c*(x << 8),
 two 256-entry lookups per element. ``product_tables`` builds the tables of
-every entry of an r x b matrix M at once, stacked by column; the kernel
-``vmul_xor_into`` then computes acc ^= M . V for a (b, S) stack of vectors V
-with two gathers per column, each reading the tables of all r rows, so one
-matrix apply costs 2b gathers whatever r is.
+an r x b matrix M column by column, and at each of a column's 512 entries
+packs the products of all r rows side by side, four 16-bit products to a
+uint64 lane. The kernel ``vmul_xor_into`` computes acc ^= M . V for a (b, S)
+stack of vectors V with two gathers per column, one per byte half, each
+fetching the lanes of every row at once, so one matrix apply costs 2b
+gathers whatever r is, and each gathered lane carries four products.
+
+A matrix of 9 to 12 rows gets four lanes, not three: numpy's ``take``
+copies rows of 8, 16 and 32 bytes on a fast path, and gathers 24-byte rows
+about three times slower than 32-byte ones. Wider rows all take its general
+copy, whose time grows with the row, so they are not padded.
 """
 
 from __future__ import annotations
 
 from array import array
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,36 +85,66 @@ _EXP_Z = np.zeros(4 * ORDER + 1, dtype=np.uint16)
 _EXP_Z[:2 * ORDER] = np.frombuffer(_EXP, dtype=np.uint16)
 
 
-def product_tables(matrix) -> np.ndarray:
-    """Split product tables of an r x b matrix M, as a read-only uint16
-    array of shape (b, r, 512): tables[j, i, x] = M[i][j] * x and
-    tables[j, i, 256 + x] = M[i][j] * (x << 8) for every byte x."""
-    m = np.asarray(matrix, dtype=np.int64).T[..., None]
-    tables = _EXP_Z[_LOG_Z[m] + _LOG_Z[_SPLIT]]
-    tables.setflags(write=False)
-    return tables
+class ProductTables(NamedTuple):
+    """Split product tables of an r x b matrix M, made by ``product_tables``.
+
+    ``lanes`` is a read-only uint64 array of shape (b, 512, L) whose row
+    [j, x] holds, read as 4L uint16 values, M[i][j] * x at slot i when
+    x < 256 and M[i][j] * ((x - 256) << 8) when x >= 256, for i < r, and
+    zeros in the slots past r. ``rows`` is r, which L alone cannot give."""
+
+    rows: int
+    lanes: np.ndarray
 
 
-def vmul_xor_into(acc: np.ndarray, tables: np.ndarray, vectors: np.ndarray) -> None:
+def _lane_count(rows: int) -> int:
+    """uint64 lanes for rows 16-bit products, four to a lane, three lanes
+    padded to four (see the module docstring)."""
+    need = -(-rows // 4)
+    return 4 if need == 3 else need
+
+
+def product_tables(matrix) -> ProductTables:
+    """The split product tables of an r x b matrix (see ``ProductTables``)."""
+    m = np.asarray(matrix, dtype=np.int64)
+    r, b = m.shape
+    slots = np.zeros((b, 512, 4 * _lane_count(r)), dtype=np.uint16)
+    slots[:, :, :r] = _EXP_Z[_LOG_Z[m.T[:, None, :]] + _LOG_Z[_SPLIT][:, None]]
+    lanes = slots.view(np.uint64)
+    lanes.setflags(write=False)
+    return ProductTables(r, lanes)
+
+
+def vmul_xor_into(acc: np.ndarray, tables: ProductTables, vectors: np.ndarray) -> None:
     """acc ^= M . V over GF(2^16), in place.
 
-    acc is (r, S), V = vectors is (b, S), and M (r x b) is given by its
-    ``product_tables``, shape (b, r, 512). All three are uint16 arrays.
+    acc is (r, S), V = vectors is (b, S), both uint16 arrays, and M (r x b)
+    is given by its ``product_tables``.
     """
-    for name, arr in (("acc", acc), ("tables", tables), ("vectors", vectors)):
+    for name, arr in (("acc", acc), ("vectors", vectors)):
         if not isinstance(arr, np.ndarray) or arr.dtype != np.uint16:
             raise ValueError(f"{name} must be a uint16 numpy array")
-    if tables.ndim != 3 or tables.shape[2] != 512:
-        raise ValueError(f"tables must have shape (b, r, 512), got {tables.shape}")
-    b, r = tables.shape[:2]
+    if not isinstance(tables, ProductTables):
+        raise ValueError("tables must come from product_tables")
+    r, lanes = tables
+    if (not isinstance(lanes, np.ndarray) or lanes.dtype != np.uint64
+            or lanes.shape[1:] != (512, _lane_count(r))):
+        raise ValueError(f"tables of {r} rows must be uint64 lanes of shape "
+                         f"(b, 512, {_lane_count(r)})")
+    b = lanes.shape[0]
     if acc.ndim != 2 or acc.shape[0] != r or vectors.shape != (b, acc.shape[1]):
-        raise ValueError(f"shapes do not chain: acc {acc.shape}, tables {tables.shape}, "
+        raise ValueError(f"shapes do not chain: acc {acc.shape}, tables of {r} x {b}, "
                          f"vectors {vectors.shape}")
+    if not r:  # acc is empty, and numpy gathers rows of 0 bytes slowly
+        return
     lo = vectors & 0xFF
     hi = (vectors >> 8) | 256
-    for column, lo_j, hi_j in zip(tables, lo, hi):
-        acc ^= column.take(lo_j, axis=1)
-        acc ^= column.take(hi_j, axis=1)
+    # the products of row i sit at uint16 slot i of each gathered row
+    products = np.zeros((acc.shape[1], lanes.shape[2]), dtype=np.uint64)
+    for column, lo_j, hi_j in zip(lanes, lo, hi):
+        products ^= column.take(lo_j, axis=0)
+        products ^= column.take(hi_j, axis=0)
+    acc ^= products.view(np.uint16)[:, :r].T
 
 
 def poly_eval(coeffs: list[int], x: int) -> int:

@@ -67,6 +67,14 @@ def _chain_tag(instance: str, value) -> bytes:
     return hashlib.sha256(f"ds/{instance}/".encode() + value_to_bytes(value)).digest()
 
 
+def _plain(value) -> bool:
+    """True for BOT and for an encodable value of exactly type bytes or int.
+    Between such values == agrees with ``value_to_bytes``, which chain tags
+    sign; a subclass may define == otherwise, and so pass as a second value
+    under a chain that verifies for the first."""
+    return value is BOT or (type(value) in (bytes, int) and _encodable(value))
+
+
 def _slot_tag(instance: str, slot: int, value) -> bytes:
     """What each signer of a chain for value in one slot of instance signs."""
     return _chain_tag(f"{instance}/s{slot}", value)
@@ -127,7 +135,7 @@ def parallel_chain_bcast(ctx: Ctx, instance: str, my_value, value_bits: int,
                 # the cheap filters first: the type check runs once per new
                 # (slot, value), not once per relay
                 got = extracted[slot]
-                if len(got) >= 2 or value in got or not _encodable(value):
+                if len(got) >= 2 or value in got or not _plain(value):
                     continue
                 if not isinstance(sig, MultiSig) or slot not in sig.signers:
                     continue

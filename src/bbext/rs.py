@@ -28,7 +28,9 @@ points, and all are built by one closed form, ``_interpolation``: parity is
 1..b -> b+1..n, recovery is base -> 1..b for b present positions, and the
 re-encode check is 1..b -> the other present positions. Each apply is one
 call of the ``gf.vmul_xor_into`` kernel over all stripes at once, and one
-bounded cache, ``_tables``, holds the split tables by (sources, targets).
+bounded cache, ``_tables``, holds the split tables by (sources, targets),
+each column's products packed four matrix rows to a uint64 lane, so a
+gather in the kernel fetches up to four products per symbol.
 """
 
 from __future__ import annotations
@@ -105,17 +107,18 @@ def _encode_matrix(n: int, b: int) -> tuple[tuple[int, ...], ...]:
 
 
 # Bounded: the keys follow the erasure pattern, which Byzantine parties
-# choose, and tables take 1 KiB per matrix entry (1 MiB at n = 64).
+# choose, and tables take 4 KiB per uint64 lane per matrix column, a lane
+# holding four rows: about 1 KiB per matrix entry (1 MiB at n = 64).
 @lru_cache(maxsize=128)
-def _tables(sources: tuple[int, ...], targets: tuple[int, ...]) -> np.ndarray:
+def _tables(sources: tuple[int, ...], targets: tuple[int, ...]) -> gf.ProductTables:
     """Split tables of the interpolation matrix from sources to targets."""
     return gf.product_tables(_interpolation(sources, targets))
 
 
-def _apply_matrix(tables: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+def _apply_matrix(tables: gf.ProductTables, vectors: np.ndarray) -> np.ndarray:
     """M . V, as an (r, S) array, for the r x b matrix M with the given split
     tables and V the (b, S) stack of vectors."""
-    out = np.zeros((tables.shape[1], vectors.shape[1]), dtype=np.uint16)
+    out = np.zeros((tables.rows, vectors.shape[1]), dtype=np.uint16)
     gf.vmul_xor_into(out, tables, vectors)
     return out
 

@@ -8,6 +8,12 @@ import pytest
 hypothesis.settings.register_profile(
     "suite", max_examples=60, deadline=None, derandomize=True
 )
+# For a deeper run of chosen files, e.g. the codec's:
+# pytest --hypothesis-profile=deep tests/test_gf.py tests/test_rs.py
+# A test's own @settings(max_examples=...) still wins over either profile.
+hypothesis.settings.register_profile(
+    "deep", max_examples=2000, deadline=None, derandomize=True
+)
 hypothesis.settings.load_profile("suite")
 
 

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -45,8 +46,6 @@ def test_every_nonzero_element_has_inverse(a):
 
 
 def test_inverse_of_zero_rejected():
-    import pytest
-
     with pytest.raises(ZeroDivisionError):
         gf.gf_inv(0)
 
@@ -96,20 +95,47 @@ def test_vmul_matches_scalar():
 vector_elems = st.one_of(st.just(0), st.sampled_from([1, 65535]), elems)
 
 
+def field_rows(draw, rows: int, cols: int) -> list[list[int]]:
+    """A rows x cols list of field elements from one draw of bytes, a third
+    of them 0, 1 or 65535 like ``vector_elems`` (one draw per element is
+    slow at 33 x 34)."""
+    raw = np.frombuffer(draw(st.binary(min_size=2 * rows * cols, max_size=2 * rows * cols)),
+                        dtype=np.uint16).astype(np.int64)
+    values = np.where(raw % 9 < 3, np.array([0, 1, 65535])[raw % 9 % 3], raw)
+    return values.reshape(rows, cols).tolist()
+
+
 @st.composite
 def matrix_applies(draw):
-    r, b, width = draw(st.integers(0, 5)), draw(st.integers(1, 5)), draw(st.integers(0, 6))
-    matrix = draw(st.lists(st.lists(vector_elems, min_size=b, max_size=b),
-                           min_size=r, max_size=r))
-    vectors = draw(st.lists(st.lists(vector_elems, min_size=width, max_size=width),
-                            min_size=b, max_size=b))
+    # up to 33 rows: nine uint64 lanes
+    r, b, width = draw(st.integers(0, 33)), draw(st.integers(1, 34)), draw(st.integers(0, 6))
+    matrix, vectors = field_rows(draw, r, b), field_rows(draw, b, width)
     return matrix, vectors, b, width, draw(st.integers(1, 3)), draw(st.integers(0, 2**32))
+
+
+def apply_case(r: int, b: int, width: int, step: int = 1):
+    """A fixed matrix_applies case: an r x b matrix whose first entry is 0
+    and whose others run through the field, times b vectors of the given
+    width."""
+    matrix = [[(i * b + j) * 0x9E37 % gf.FIELD_SIZE for j in range(b)] for i in range(r)]
+    vectors = [[(j * width + s) * 0x51ED % gf.FIELD_SIZE for s in range(width)]
+               for j in range(b)]
+    return matrix, vectors, b, width, step, r
 
 
 @given(matrix_applies())
 @example(([], [[]], 1, 0, 1, 0))  # r = 0, S = 0
 @example(([[0, 0]], [[5], [6]], 2, 1, 2, 0))  # zero coefficients, S = 1
 @example(([[65535]], [[0x1234, 0, 1]], 1, 3, 3, 0))  # b = 1
+# one, two, four and eight full lanes, and one row past each
+@example(apply_case(4, 3, 0))
+@example(apply_case(5, 2, 1, 2))
+@example(apply_case(8, 34, 1))
+@example(apply_case(9, 3, 0, 3))
+@example(apply_case(16, 1, 1))
+@example(apply_case(17, 5, 0, 2))
+@example(apply_case(32, 7, 1, 3))
+@example(apply_case(33, 34, 1))
 def test_vmul_xor_into_matches_scalar_mul(case):
     matrix, vectors, b, width, step, seed = case
     r = len(matrix)
@@ -124,10 +150,10 @@ def test_vmul_xor_into_matches_scalar_mul(case):
     acc = acc_buf[::step, ::step]
     acc_before = acc_buf.copy()
     tables = gf.product_tables(np.array(matrix, dtype=np.int64).reshape(r, b))
-    tables_before = tables.copy()
+    lanes_before = tables.lanes.copy()
     assert gf.vmul_xor_into(acc, tables, v) is None
     assert np.array_equal(v_buf, v_before)
-    assert np.array_equal(tables, tables_before)
+    assert np.array_equal(tables.lanes, lanes_before)
     expected = acc_before.copy()
     if r:
         expected[::step, ::step] ^= np.array(matmul_reference(matrix, vectors),
@@ -135,19 +161,39 @@ def test_vmul_xor_into_matches_scalar_mul(case):
     assert np.array_equal(acc_buf, expected)
 
 
-def test_vmul_xor_into_rejects_mismatched_inputs():
-    import pytest
+@pytest.mark.parametrize("r,lanes", [(0, 0), (1, 1), (4, 1), (5, 2), (8, 2), (9, 4), (12, 4),
+                                     (13, 4), (16, 4), (17, 5), (32, 8), (33, 9)])
+def test_product_tables_pack_four_rows_per_lane_and_pad_three_lanes_to_four(r, lanes):
+    matrix = np.arange(1, 2 * r + 1, dtype=np.int64).reshape(r, 2)
+    tables = gf.product_tables(matrix)
+    assert tables.rows == r
+    assert tables.lanes.shape == (2, 512, lanes) and tables.lanes.dtype == np.uint64
+    assert not tables.lanes.flags.writeable
+    slots = tables.lanes.view(np.uint16)
+    assert not slots[:, :, r:].any()
+    x = np.arange(256)
+    for i in range(r):
+        for j in range(2):
+            assert slots[j, :256, i].tolist() == [gf.gf_mul(int(matrix[i, j]), v) for v in x]
+            assert slots[j, 256:, i].tolist() == [gf.gf_mul(int(matrix[i, j]), v << 8)
+                                                  for v in x]
 
-    tables = gf.product_tables([[1, 2], [3, 4], [5, 6]])  # r = 3, b = 2
+
+def test_vmul_xor_into_rejects_mismatched_inputs():
+    tables = gf.product_tables([[1, 2], [3, 4], [5, 6]])  # r = 3, b = 2: one lane
     acc = np.zeros((3, 4), dtype=np.uint16)
     good = np.zeros((2, 4), dtype=np.uint16)
     bad_calls = [
         (np.zeros((2, 4), dtype=np.uint16), tables, good),  # acc rows != r
+        (np.zeros((4, 4), dtype=np.uint16), tables, good),  # ... in the same lane count
         (acc, tables, np.zeros((3, 4), dtype=np.uint16)),  # vectors rows != b
         (acc, tables, np.zeros((2, 5), dtype=np.uint16)),  # widths differ
         (acc, tables, good.astype(np.int64)),
         (acc.astype(np.int64), tables, good),
-        (acc, tables[:, :, :256], good),
+        (acc, gf.ProductTables(3, tables.lanes[:, :256]), good),  # half the entries
+        (acc, gf.ProductTables(5, tables.lanes), good),  # 5 rows need 2 lanes
+        (acc, gf.ProductTables(3, tables.lanes.view(np.uint16)), good),
+        (acc, tables.lanes, good),  # lanes without their row count
         (acc, tables, [[0] * 4] * 2),
     ]
     for args in bad_calls:
@@ -280,8 +326,6 @@ def test_invert_matrix_matches_elementwise_reference(a):
     try:
         want = invert_matrix_reference(a)
     except ValueError:
-        import pytest
-
         with pytest.raises(ValueError, match="singular"):
             gf.invert_matrix(a)
     else:

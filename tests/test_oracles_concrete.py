@@ -429,6 +429,50 @@ def test_chain_relay_of_retyped_value_keeps_validity(n):
         assert evaluate_run("ba", inputs, None, res) == [], (n, seed)
 
 
+class Twin(bytes):
+    """Bytes that compare unequal to everything, itself included."""
+
+    def __eq__(self, other):
+        return False
+
+    def __ne__(self, other):
+        return True
+
+    __hash__ = bytes.__hash__
+
+
+class ChainRelayTwin(AdversaryScript):
+    """Party 4 runs the honest code but relays every chain value as a Twin
+    of itself, under the chain it received with its own signature added:
+    the chain verifies, since the tag encodes the twin's bytes."""
+
+    name = "chain_twin"
+
+    def corrupt_set(self, n, t, sender):
+        return frozenset({4})
+
+    def make_party(self, pid, honest_factory, env):
+        def send_hook(ctx, dst, kind, payload):
+            if kind == "ds":
+                payload = tuple((slot, Twin(value) if type(value) is bytes else value, sig)
+                                for slot, value, sig in payload)
+            return kind, payload
+
+        return hooked(honest_factory, send_hook=send_hook)
+
+
+def test_chain_relay_of_a_twin_value_keeps_validity():
+    # a twin passed the duplicate check (``in`` uses ==) while its chain
+    # verified, so every honest party extracted two values and output BOT
+    params = SessionParams(n=4, t=1, l=256, k=128, threshold_regime="half")
+    inputs = build_inputs("bb", params, 0, "random")
+    res = run("sync-bb-half", params, inputs, adversary=ChainRelayTwin(), seed=0,
+              oracle_impl={"sync_bb": "concrete"})
+    assert res.honest == frozenset({1, 2, 3})
+    assert evaluate_run("bb", inputs, 1, res) == []
+    assert all(res.outputs[p] == inputs[1] for p in res.honest)
+
+
 # --- chain records: a party's relays of a round travel as one batch ----------
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -235,6 +236,44 @@ def test_symbol_pack_roundtrip():
     assert np.array_equal(rs.unpack_symbols(rs.pack_symbols(block)), block)
     with pytest.raises(ValueError):
         rs.unpack_symbols(b"\x01")
+
+
+# sha256 of the n shares' bytes, in order, for the message below at b = n - 2t
+_PINNED_SHARES = {
+    4: "6303774478cb573612a79a37bbc8be73c35869a5f8128dd1db22a0df6d4e98a1",
+    31: "aa0c7326f2dff4be35e7022b44debb20be26229388addbb11d24be63ae4c5753",
+    64: "9c4f12dd0100c570a62b529c9728f959d23c93a690284694798780dff4287677",
+}
+
+
+@pytest.mark.parametrize("n", sorted(_PINNED_SHARES))
+def test_encode_and_decode_give_the_pinned_shares_byte_for_byte(n):
+    # the shares are protocol bytes: a kernel or table layout change must
+    # leave them as they are
+    t = (n - 1) // 3
+    b = n - 2 * t
+    payload = bytes((i * 131 + 7) % 256 for i in range(3001))
+    bit_len = 8 * len(payload) - 3
+    cw = rs.rs_encode(rs.data_from_bits(payload, bit_len, b), n)
+    shares = [rs.pack_symbols(s) for s in cw.symbols]
+    assert hashlib.sha256(b"".join(shares)).hexdigest() == _PINNED_SHARES[n]
+    # a quarter of t erased, the rest of the radius in shares wrong at every
+    # symbol, at random positions
+    d = 2 * (t // 4)
+    c = t - d // 2
+    rng = random.Random(n)
+    hit = rng.sample(range(n), c + d)
+    received = [rs.unpack_symbols(share) for share in shares]
+    for j in hit[:c]:
+        received[j] ^= np.uint16(1 + j)
+    for j in hit[c:]:
+        received[j] = None
+    got = rs.rs_decode(rs.Codeword(received, n, b), c, d)
+    assert got is not None
+    assert [rs.pack_symbols(s) for s in rs.rs_encode(got, n).symbols] == shares
+    want = bytearray(payload[:(bit_len + 7) // 8])
+    want[-1] &= 0xFF << 3 & 0xFF
+    assert rs.bits_from_data(got) == (bytes(want), bit_len)
 
 
 def test_caches_keyed_by_attacker_input_are_bounded():
