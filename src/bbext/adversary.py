@@ -56,7 +56,7 @@ class AdversaryScript:
         return None
 
     def oracle_submissions(self, inst, engine) -> dict[int, object]:
-        """Extra ideal-oracle inputs on behalf of corrupt parties."""
+        """Ideal-oracle inputs on behalf of corrupt parties, asked at session start."""
         return {}
 
     def pick_oracle_output(self, inst, submitted: list, engine):
@@ -206,7 +206,7 @@ class WrongHappy(CorruptChoice):
     def make_party(self, pid, honest_factory, env):
         rng = self._rng(env.seed * 1000 + pid)
 
-        def oracle_hook(ctx, kind, instance, value):
+        def oracle_hook(ctx, instance, value):
             if instance.startswith("ba_happy"):
                 return 1
             if instance.startswith("ba_commit") and isinstance(value, bytes):
@@ -273,7 +273,7 @@ class WithholdCertificate(AdversaryScript):
             params = ctx.params
             m = env.inputs.get(env.sender, b"")
             shares, rich = ctx.session.codec.commit(m, params.b, params.l)
-            yield from bcast_oracle(ctx, "sync_bb", "bb_commit", ctx.pid, rich.data, params.k)
+            yield from bcast_oracle(ctx, "bb_commit", rich.data)
             target = min(p for p in range(1, params.n + 1) if p not in env.corrupt)
             release_iter = max(len(env.corrupt), 1)
             tag = b"HAPPY/" + ctx.session.session_id.encode()

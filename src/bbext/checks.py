@@ -25,7 +25,7 @@ from .multisig import MultiSig
 from .oracles import CONCRETE, ba_oracle, bcast_oracle
 from .protocols import PROTOCOLS, ProtocolSpec, SessionParams, max_t
 from .runner import SENDER, RunResult, run
-from .simnet import BOT, ORACLE_KINDS, PrefixPolicy, oracle_model_cost
+from .simnet import BOT, ORACLE_KINDS, OracleInstance, PrefixPolicy, oracle_model_cost
 from .star import NOSTAR, GrowingStar, PartyGraph, _matching_cached, max_matching, star
 
 
@@ -53,15 +53,17 @@ class CheckReport:
 # --- run evaluation -------------------------------------------------------------
 
 
-def message_for(seed: int, pid: int, l_bits: int, unanimity: str) -> bytes:
-    """Deterministic per-party input of l_bits bits, the bits past l_bits of
-    its last byte cleared; unanimity in {all, none, majority}."""
+def _message_tag(pid: int, unanimity: str) -> int:
+    """Parties of one tag hold one message: all of them under "all", none
+    under "none", all but every fourth party under "majority"."""
     if unanimity == "all":
-        tag = 0
-    elif unanimity == "none":
-        tag = pid
-    else:
-        tag = 0 if pid % 4 else pid
+        return 0
+    if unanimity == "none":
+        return pid
+    return 0 if pid % 4 else pid
+
+
+def _draw_message(seed: int, tag: int, l_bits: int) -> bytes:
     rng = random.Random(("msg", seed, tag).__repr__())
     m = bytearray(rng.randrange(256) for _ in range((l_bits + 7) // 8))
     if l_bits % 8:
@@ -69,14 +71,20 @@ def message_for(seed: int, pid: int, l_bits: int, unanimity: str) -> bytes:
     return bytes(m)
 
 
+def message_for(seed: int, pid: int, l_bits: int, unanimity: str) -> bytes:
+    """Deterministic per-party input of l_bits bits, the bits past l_bits of
+    its last byte cleared; unanimity in {all, none, majority}."""
+    return _draw_message(seed, _message_tag(pid, unanimity), l_bits)
+
+
 def build_inputs(kind: str, params: SessionParams, seed: int, unanimity: str) -> dict[int, bytes]:
     """A session's inputs: the sender's message for a broadcast kind,
-    every party's for agreement."""
+    every party's for agreement, each distinct message drawn once."""
     if kind in ("bb", "rb"):
         return {SENDER: message_for(seed, 0, params.l, "all")}
-    return {
-        pid: message_for(seed, pid, params.l, unanimity) for pid in range(1, params.n + 1)
-    }
+    tags = {pid: _message_tag(pid, unanimity) for pid in range(1, params.n + 1)}
+    drawn = {tag: _draw_message(seed, tag, params.l) for tag in set(tags.values())}
+    return {pid: drawn[tag] for pid, tag in tags.items()}
 
 
 _EXACT_OUTPUTS = (bytes, int, type(BOT))
@@ -534,17 +542,13 @@ def check_accumulator(binding_pairs: int = 10_000, seed: int = 0) -> CheckReport
 def _oracle_harness_spec(kind: str, impl: str):
     """A one-shot protocol that runs the oracle in its kind's mode and regime."""
     facts = ORACLE_KINDS[kind]
-
-    def party(ctx, my_input, sender):
-        if facts.sender:
-            return (yield from bcast_oracle(ctx, kind, "bb0", sender, my_input,
-                                            value_bits=ctx.params.k))
-        width = 1 if kind == "async_ba_bit" else ctx.params.k
-        return (yield from ba_oracle(ctx, kind, "bb0", my_input, value_bits=width))
-
+    bit = kind == "async_ba_bit"
     problem = ("bb" if facts.mode == "rounds" else "rb") if facts.sender else "ba"
-    return ProtocolSpec(name=f"oracle-{kind}-{impl}", mode=facts.mode, kind=problem,
-                        regime=facts.regime, party=party)
+    return ProtocolSpec(
+        name=f"oracle-{kind}-{impl}", mode=facts.mode, kind=problem, regime=facts.regime,
+        party=lambda ctx, my_input, sender: (bcast_oracle if facts.sender else ba_oracle)(
+            ctx, "bb0", my_input),
+        oracles=lambda p, sender: {"bb0": OracleInstance(kind, sender, 1 if bit else p.k)})
 
 
 def _oracle_params(kind: str, n: int) -> SessionParams:

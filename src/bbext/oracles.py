@@ -15,13 +15,13 @@ front doors protocols call, so a session can swap implementations per kind:
   propagation and halting (t < n/3).
 - async_ba_kbit: ideal only (no entry).
 
-The front doors are the only code that reads the session's ideal/concrete
-choice: ``ba_oracle`` and ``bcast_oracle`` run one instance (through
-``CONCRETE``), ``bb_slots`` runs n concurrent ``sync_bb`` broadcasts (party
-j the sender of slot j), and ``RbSlots`` keeps n concurrent ``async_rb``
-broadcasts inside one party loop. A ``CONCRETE`` entry calls its
-construction by its module-level name, so a rebinding of that name (a
-tracer's wrapper, a test's spy) sees every call; the function objects would not.
+The front doors name an instance, read its kind, sender and width from the
+session's declaration (``session.oracles``) and are the only code that reads
+its ideal/concrete choice: ``ba_oracle`` and ``bcast_oracle`` run one
+instance (through ``CONCRETE``), ``bb_slots`` and ``RbSlots`` run the n slots
+that ``slot_instances`` declares (party j the sender of slot j). A
+``CONCRETE`` entry calls its construction by its module-level name, so a
+rebinding of that name (a tracer's wrapper, a test's spy) sees every call.
 
 In both chain kinds a party sends at most one "ds" record per instance and
 round: a tuple of (slot, value, sig) triples, metered as one relay per
@@ -38,7 +38,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .multisig import MsigAuthority, MultiSig, msig_combine
-from .simnet import BOT, Ctx, NEXT_ROUND, _encodable, value_to_bytes
+from .simnet import BOT, Ctx, NEXT_ROUND, OracleInstance, _encodable, value_to_bytes
 
 
 class CoinOracle:
@@ -436,52 +436,60 @@ CONCRETE = {
 }
 
 
-def ba_oracle(ctx: Ctx, kind: str, instance: str, value, value_bits: int):
+def _run_instance(ctx: Ctx, instance: str, value):
+    """The generator both front doors return: two names, not one aliased, so
+    that rebinding either name (a tracer's wrapper) wraps its own calls."""
+    decl = ctx.session.oracles[instance]
+    if ctx.session.oracle_impl[decl.kind] == "ideal":
+        return ctx.ideal_oracle(instance, value)
+    return CONCRETE[decl.kind](ctx, instance, decl.sender, value, decl.width)
+
+
+def ba_oracle(ctx: Ctx, instance: str, value):
     """Run one agreement oracle instance (ideal or concrete) to completion."""
-    if ctx.session.oracle_impl.get(kind, "ideal") == "ideal":
-        return (yield from ctx.ideal_oracle(kind, value, value_bits, instance=instance))
-    return (yield from CONCRETE[kind](ctx, instance, None, value, value_bits))
+    return _run_instance(ctx, instance, value)
 
 
-def bcast_oracle(ctx: Ctx, kind: str, instance: str, sender: int, value, value_bits: int):
+def bcast_oracle(ctx: Ctx, instance: str, value):
     """Run one broadcast oracle instance; non-senders pass value=None."""
-    if ctx.session.oracle_impl.get(kind, "ideal") == "ideal":
-        return (
-            yield from ctx.ideal_oracle(kind, value, value_bits, instance=instance, sender=sender)
-        )
-    return (yield from CONCRETE[kind](ctx, instance, sender, value, value_bits))
+    return _run_instance(ctx, instance, value)
 
 
-def bb_slots(ctx: Ctx, instance: str, my_value, value_bits: int):
+def slot_instances(prefix: str, kind: str, width: int, n: int) -> dict[str, OracleInstance]:
+    """n broadcasts of one kind, instance ``<prefix>/<j>`` sent by party j."""
+    return {f"{prefix}/{j}": OracleInstance(kind, j, width) for j in range(1, n + 1)}
+
+
+def bb_slots(ctx: Ctx, prefix: str, my_value):
     """n concurrent sync_bb broadcasts, party j the sender of slot j, with
     my_value in one's own slot; returns {slot: output}.
 
-    Ideal: one instance ``<instance>/<j>`` per slot. Concrete:
-    ``parallel_chain_bcast`` over the one instance name."""
-    if ctx.session.oracle_impl.get("sync_bb", "ideal") == "concrete":
-        return (yield from parallel_chain_bcast(ctx, instance, my_value, value_bits, "sync_bb"))
-    names = {j: f"{instance}/{j}" for j in range(1, ctx.params.n + 1)}
+    Ideal: one instance ``<prefix>/<j>`` per slot. Concrete:
+    ``parallel_chain_bcast`` over the one instance name prefix."""
+    names = {j: f"{prefix}/{j}" for j in range(1, ctx.params.n + 1)}
+    decl = ctx.session.oracles[names[ctx.pid]]
+    if ctx.session.oracle_impl[decl.kind] == "concrete":
+        return (yield from parallel_chain_bcast(ctx, prefix, my_value, decl.width, decl.kind))
     for j, name in names.items():
-        ctx.oracle_submit("sync_bb", my_value if j == ctx.pid else None, value_bits,
-                          instance=name, sender=j)
+        ctx.oracle_submit(name, my_value if j == ctx.pid else None)
     yield from ctx.wait_oracle(*names.values())
     return {j: ctx.oracle_result(name) for j, name in names.items()}
 
 
 class RbSlots:
     """n concurrent async_rb broadcasts inside one party loop, party j the
-    sender of slot j under instance ``<instance>/<j>``.
+    sender of slot j under instance ``<prefix>/<j>``.
 
     The loop passes every envelope it reads to ``feed``, which takes only the
     mail of the session's implementation: the engine's outputs when ideal,
     ``rb`` mail to one ``BrachaMachine`` per slot when concrete. ``ones``
     lists the slots delivered as 1, in delivery order."""
 
-    def __init__(self, ctx: Ctx, instance: str, value_bits: int):
+    def __init__(self, ctx: Ctx, prefix: str):
         self.ctx = ctx
-        self.value_bits = value_bits
-        self._ideal = ctx.session.oracle_impl.get("async_rb", "ideal") == "ideal"
-        self._names = {j: f"{instance}/{j}" for j in range(1, ctx.params.n + 1)}
+        self._names = {j: f"{prefix}/{j}" for j in range(1, ctx.params.n + 1)}
+        self._decl = ctx.session.oracles[self._names[ctx.pid]]
+        self._ideal = ctx.session.oracle_impl[self._decl.kind] == "ideal"
         self._slots = {name: j for j, name in self._names.items()}
         self._machines: dict[int, BrachaMachine] = {}
         self._delivered: set[int] = set()
@@ -491,7 +499,7 @@ class RbSlots:
         machine = self._machines.get(j)
         if machine is None:
             machine = self._machines[j] = BrachaMachine(self.ctx, self._names[j], j,
-                                                        self.value_bits)
+                                                        self._decl.width)
         return machine
 
     def _note(self, j: int, value) -> None:
@@ -506,8 +514,7 @@ class RbSlots:
         """Broadcast my_value in one's own slot."""
         pid = self.ctx.pid
         if self._ideal:
-            self.ctx.oracle_submit("async_rb", my_value, self.value_bits,
-                                   instance=self._names[pid], sender=pid)
+            self.ctx.oracle_submit(self._names[pid], my_value)
             return
         machine = self._machine(pid)
         machine.start(my_value)

@@ -60,7 +60,7 @@ class SessionParams:
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """A runnable protocol: scheduler mode, problem kind, and party factory.
+    """A runnable protocol: scheduler mode, problem kind, party factory, oracles.
 
     ``party(ctx, my_input, sender)`` returns the party generator; for
     agreement protocols sender is None and every party holds an input, for
@@ -74,6 +74,7 @@ class ProtocolSpec:
     party: Callable
     # runs only at the regime's largest t, floor((n-1)/3)
     max_third_only: bool = False
+    oracles: Callable = lambda params, sender: {}  # -> {name: simnet.OracleInstance}
 
     def check(self, params: SessionParams) -> None:
         """Raise ValueError unless the protocol runs with these parameters."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .. import blocks
 from ..oracles import ba_oracle, bcast_oracle
-from ..simnet import BOT, Ctx, InvariantViolation
+from ..simnet import BOT, Ctx, InvariantViolation, OracleInstance
 from .base import (ForwardCollector, ProtocolSpec, bare_acc, encode_input,
                    first_valid_own_package, forward_own_package, payload_commitment,
                    share_mail)
@@ -22,10 +22,10 @@ def async_ba_third(ctx: Ctx, my_input: bytes, sender: int | None = None):
     packages, fwd_mail = share_mail(ctx)
     ctx.set_step("encode")
     shares, z_mine = encode_input(ctx, my_input)
-    z = yield from ba_oracle(ctx, "async_ba_kbit", "ba_commit", z_mine.data, params.k)
+    z = yield from ba_oracle(ctx, "ba_commit", z_mine.data)
     happy = z == z_mine.data
     ctx.set_happy(happy)
-    vote = yield from ba_oracle(ctx, "async_ba_bit", "ba_happy", int(happy), 1)
+    vote = yield from ba_oracle(ctx, "ba_happy", int(happy))
     if vote != 1:
         return BOT
     z_acc = bare_acc(z, params.k)
@@ -65,7 +65,7 @@ def async_rb_third(ctx: Ctx, my_input: bytes | None, sender: int):
         shares, z_mine = encode_input(ctx, my_input)
         z_bytes_own = z_mine.data
         ctx.broadcast("payload", my_input, bits=params.l, step="payload")
-    z = yield from bcast_oracle(ctx, "async_rb", "rb_commit", sender, z_bytes_own, params.k)
+    z = yield from bcast_oracle(ctx, "rb_commit", z_bytes_own)
     if not isinstance(z, bytes):
         return None  # commitment never resolves to a usable value
     z_acc = bare_acc(z, params.k)
@@ -118,7 +118,10 @@ def async_rb_third(ctx: Ctx, my_input: bytes | None, sender: int):
 
 ASYNC_PROTOCOLS = [
     ProtocolSpec(name="async-ba-third", mode="events", kind="ba", regime="third_async",
-                 party=async_ba_third),
+                 party=async_ba_third, oracles=lambda params, sender: {
+                     "ba_commit": OracleInstance("async_ba_kbit", None, params.k),
+                     "ba_happy": OracleInstance("async_ba_bit", None, 1)}),
     ProtocolSpec(name="async-rb-third", mode="events", kind="rb", regime="third_async",
-                 party=async_rb_third),
+                 party=async_rb_third, oracles=lambda params, sender: {
+                     "rb_commit": OracleInstance("async_rb", sender, params.k)}),
 ]

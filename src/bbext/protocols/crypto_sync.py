@@ -10,7 +10,7 @@ from __future__ import annotations
 from .. import blocks
 from ..multisig import MultiSig, msig_combine
 from ..oracles import ba_oracle, bcast_oracle
-from ..simnet import BOT, Ctx, InvariantViolation, NEXT_ROUND
+from ..simnet import BOT, Ctx, InvariantViolation, NEXT_ROUND, OracleInstance
 from .base import (ForwardCollector, ProtocolSpec, bare_acc, encode_input,
                    first_valid_own_package, forward_own_package, payload_commitment,
                    share_mail, shared_sync_tail)
@@ -22,10 +22,10 @@ def sync_ba_half(ctx: Ctx, my_input: bytes, sender: int | None = None):
     mail = share_mail(ctx)
     ctx.set_step("encode")
     shares, z_mine = encode_input(ctx, my_input)
-    z = yield from ba_oracle(ctx, "sync_ba", "ba_commit", z_mine.data, ctx.params.k)
+    z = yield from ba_oracle(ctx, "ba_commit", z_mine.data)
     happy = z == z_mine.data
     ctx.set_happy(happy)
-    vote = yield from ba_oracle(ctx, "sync_ba", "ba_happy", int(happy), 1)
+    vote = yield from ba_oracle(ctx, "ba_happy", int(happy))
     out = yield from shared_sync_tail(ctx, z, happy, my_input, (shares, z_mine), vote, mail)
     if happy and out is not BOT and out != my_input:
         raise InvariantViolation("happy party must output its own message")
@@ -45,7 +45,7 @@ def sync_bb_half(ctx: Ctx, my_input: bytes | None, sender: int):
         message = my_input
         z_bytes_own = encode_input(ctx, message)[1].data
         ctx.broadcast("payload", message, bits=params.l, step="payload")
-    z = yield from bcast_oracle(ctx, "sync_bb", "bb_commit", sender, z_bytes_own, params.k)
+    z = yield from bcast_oracle(ctx, "bb_commit", z_bytes_own)
     if ctx.pid != sender:
         first = next((e for e in payloads.new() if e.src == sender), None)
         if first is not None:
@@ -53,7 +53,7 @@ def sync_bb_half(ctx: Ctx, my_input: bytes | None, sender: int):
     commit = payload_commitment(ctx, message, z)
     happy = commit is not None
     ctx.set_happy(happy)
-    vote = yield from ba_oracle(ctx, "sync_ba", "ba_happy", int(happy), 1)
+    vote = yield from ba_oracle(ctx, "ba_happy", int(happy))
     return (yield from shared_sync_tail(ctx, z, happy, message, commit, vote, mail))
 
 
@@ -99,7 +99,7 @@ def sync_bb_high_threshold(ctx: Ctx, my_input: bytes | None, sender: int):
         my_shares, my_rich = encode_input(ctx, my_input)
         z_bytes_own = my_rich.data
     ctx.set_happy(happy)
-    z = yield from bcast_oracle(ctx, "sync_bb", "bb_commit", sender, z_bytes_own, params.k)
+    z = yield from bcast_oracle(ctx, "bb_commit", z_bytes_own)
     z_acc = bare_acc(z if isinstance(z, bytes) else b"", params.k)
 
     distributed = False
@@ -141,9 +141,14 @@ def sync_bb_high_threshold(ctx: Ctx, my_input: bytes | None, sender: int):
 
 SYNC_PROTOCOLS = [
     ProtocolSpec(name="sync-ba-half", mode="rounds", kind="ba", regime="half",
-                 party=sync_ba_half),
+                 party=sync_ba_half, oracles=lambda params, sender: {
+                     "ba_commit": OracleInstance("sync_ba", None, params.k),
+                     "ba_happy": OracleInstance("sync_ba", None, 1)}),
     ProtocolSpec(name="sync-bb-half", mode="rounds", kind="bb", regime="half",
-                 party=sync_bb_half),
-    ProtocolSpec(name="sync-bb-highthresh", mode="rounds", kind="bb",
-                 regime="one_minus_eps", party=sync_bb_high_threshold),
+                 party=sync_bb_half, oracles=lambda params, sender: {
+                     "bb_commit": OracleInstance("sync_bb", sender, params.k),
+                     "ba_happy": OracleInstance("sync_ba", None, 1)}),
+    ProtocolSpec(name="sync-bb-highthresh", mode="rounds", kind="bb", regime="one_minus_eps",
+                 party=sync_bb_high_threshold, oracles=lambda params, sender: {
+                     "bb_commit": OracleInstance("sync_bb", sender, params.k)}),
 ]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .. import rs
 from ..blocks import CodecMemo
-from ..oracles import RbSlots, bb_slots
+from ..oracles import RbSlots, bb_slots, slot_instances
 from ..simnet import Ctx, InvariantViolation, NEXT_ROUND
 from ..star import NOSTAR, GrowingStar, PartyGraph, _mask, _members, derive_fe, star
 from .base import ProtocolSpec
@@ -155,7 +155,7 @@ def ef_sync_ba(ctx: Ctx, my_input: bytes, sender: int | None = None):
         bitmap = _mask(e_set)
         e_vecs[ctx.pid] = bitmap
         ctx.broadcast("e_vec", bitmap, bits=n, step="flags")
-    flags = yield from bb_slots(ctx, "flag", flag, 1)
+    flags = yield from bb_slots(ctx, "flag", flag)
 
     ctx.set_step("majority")
     ones = [j for j in range(1, n + 1) if flags.get(j) == 1]
@@ -201,7 +201,7 @@ def ef_async_rb(ctx: Ctx, my_input: bytes | None, sender: int):
     ok_seen: dict[int, set[int]] = {}
     growing = GrowingStar(n, t)
     frozen = False
-    flags = RbSlots(ctx, "flag", 1)
+    flags = RbSlots(ctx, "flag")
     e_vecs: dict[int, int] = {}
     majs: dict[int, bytes] = {}
     decode_tried_at = 0  # len(majs) at the last failed decode; majs only grows
@@ -301,7 +301,9 @@ def ef_async_rb(ctx: Ctx, my_input: bytes | None, sender: int):
 
 EF_PROTOCOLS = [
     ProtocolSpec(name="ef-sync-ba-third", mode="rounds", kind="ba", regime="third_sync_ef",
-                 party=ef_sync_ba, max_third_only=True),
+                 party=ef_sync_ba, max_third_only=True,
+                 oracles=lambda params, sender: slot_instances("flag", "sync_bb", 1, params.n)),
     ProtocolSpec(name="ef-async-rb-third", mode="events", kind="rb", regime="third_async",
-                 party=ef_async_rb, max_third_only=True),
+                 party=ef_async_rb, max_third_only=True,
+                 oracles=lambda params, sender: slot_instances("flag", "async_rb", 1, params.n)),
 ]

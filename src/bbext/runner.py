@@ -9,15 +9,16 @@ from .blocks import CodecMemo
 from .multisig import MsigAuthority
 from .oracles import CONCRETE, CoinOracle
 from .protocols import PROTOCOLS, ProtocolSpec, SessionParams
-from .simnet import ORACLE_KINDS, Engine, RunMetrics, SchedulerPolicy, outputs_digest
+from .simnet import (ORACLE_KINDS, Engine, OracleInstance, RunMetrics, SchedulerPolicy,
+                     outputs_digest)
 
 SENDER = 1  # the sender of a broadcast session unless the caller names another
 
 
 @dataclass
 class Session:
-    """Shared trusted setup of one run: keys, coin, oracle choices, and the
-    run's codec memo."""
+    """Shared trusted setup of one run: keys, coin, oracle choices, the
+    declared oracle instances, and the run's codec memo."""
 
     session_id: str
     params: SessionParams
@@ -26,6 +27,7 @@ class Session:
     coin: CoinOracle
     codec: CodecMemo
     oracle_impl: dict[str, str] = field(default_factory=dict)
+    oracles: dict[str, OracleInstance] = field(default_factory=dict)
 
 
 @dataclass
@@ -73,6 +75,13 @@ def run(protocol: str | ProtocolSpec, params: SessionParams, inputs: dict[int, b
     if not corrupt <= set(range(1, params.n + 1)):
         raise ValueError("corrupt set out of range")
     honest = frozenset(range(1, params.n + 1)) - corrupt
+    oracles = spec.oracles(params, sender_arg)
+    for name, (kind, who, width) in oracles.items():
+        facts = ORACLE_KINDS.get(kind)
+        if not (facts and facts.mode == spec.mode and type(width) is int and width > 0 and (
+                type(who) is int and 0 < who <= params.n if facts.sender else who is None)):
+            raise ValueError(f"protocol {spec.name}: oracle instance {name!r} = "
+                             f"{oracles[name]!r} cannot run under the {spec.mode} scheduler")
 
     session_id = f"{spec.name}/{seed}"
     impl = _normalize_oracle_impl(oracle_impl)
@@ -85,6 +94,7 @@ def run(protocol: str | ProtocolSpec, params: SessionParams, inputs: dict[int, b
         coin=CoinOracle(seed),
         codec=CodecMemo(ak),
         oracle_impl=impl,
+        oracles=oracles,
     )
 
     def honest_factory(pid: int):

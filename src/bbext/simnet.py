@@ -32,16 +32,18 @@ and waits for more by yielding that cursor.
 Every request naming a mail key (a send, a self-delivery, a read) needs a
 ``str`` kind and a None or ``str`` instance, and a send or self-delivery
 must not forge ``oracle_out``; a send also needs a destination in 1..n
-other than the sender. An ideal submission needs a kind of the scheduler
-mode not run concretely, a sender in 1..n for a sender kind, an int width
-of at least 1 and a ``str`` instance. Anything else is refused: from a
-corrupt party a send, self-delivery or submission is dropped (not filed,
-metered or traced) and a read gets an empty list nothing files into; from
-an honest party it raises ``ValueError``.
+other than the sender, and an ideal submission the name of an instance
+the engine built. Anything else is refused: from a corrupt party a send,
+self-delivery or submission is dropped (not filed, metered or traced) and
+a read gets an empty list nothing files into; from an honest party it
+raises ``ValueError``.
 
-An ideal oracle fires on two facts of its kind's ``ORACLE_KINDS`` entry.
-A sender kind fires when its sender has submitted, and in rounds mode also
-once every honest party has registered; an agreement kind fires when every
+The protocol's spec fixes each ideal instance's kind, sender and width
+(``session.oracles``); the engine builds the instances it runs as ideal,
+with the adversary script's submissions, before any party runs. An ideal
+oracle fires on two facts of its kind's ``ORACLE_KINDS`` entry. A sender
+kind fires when its sender has submitted, and in rounds mode also once
+every honest party has registered; an agreement kind fires when every
 honest party has submitted. Its output goes to every party on the
 (``oracle_out``, instance) list, which only the engine files; where the
 definition leaves the output open, the adversary script picks (by default
@@ -162,6 +164,14 @@ ORACLE_KINDS = {
 }
 
 
+class OracleInstance(NamedTuple):
+    """An oracle instance as a protocol declares it (sender None for agreement)."""
+
+    kind: str
+    sender: int | None
+    width: int
+
+
 def oracle_model_cost(kind: str, value_bits: int, n: int, k: int) -> int:
     """Model communication cost charged for one ideal invocation of kind."""
     if kind not in ORACLE_KINDS:
@@ -170,23 +180,20 @@ def oracle_model_cost(kind: str, value_bits: int, n: int, k: int) -> int:
 
 
 class IdealOracle:
-    def __init__(self, kind: str, instance: str, value_bits: int, sender: int | None):
-        self.kind = kind
+    def __init__(self, instance: str, decl: OracleInstance):
         self.instance = instance
-        self.value_bits = value_bits
-        self.sender = sender
+        self.kind, self.sender, self.value_bits = decl
         self.submissions: dict[int, object] = {}
         self.registered: set[int] = set()
         self.fired = False
-        self.byz_consulted = False
 
 
 def _oracle_domain_ok(inst: IdealOracle, value) -> bool:
-    """Byzantine oracle inputs must live in the oracle's value domain: the
-    ints 0 and 1 (not 1.0 or a numpy 1, which do not encode) or bytes."""
+    """A Byzantine input must be the int 0 or 1 (not 1.0 or a numpy 1, which
+    do not encode) or bytes, exactly: a subclass's == may claim any value."""
     if inst.value_bits == 1:
         return type(value) is int and value in (0, 1)
-    return isinstance(value, bytes)
+    return type(value) is bytes
 
 
 def value_to_bytes(v) -> bytes:
@@ -306,7 +313,7 @@ class Ctx:
     A corrupt party that runs the honest code gets three rewrites here (see
     ``adversary.hooked``): ``send_hook(ctx, dst, kind, payload)`` returns the
     (kind, payload) actually sent or None to drop the message,
-    ``oracle_hook(ctx, kind, instance, value)`` returns the oracle input
+    ``oracle_hook(ctx, instance, value)`` returns the oracle input
     actually submitted, and after ``crash_after_steps`` step markers the
     party stops. Honest parties leave all three None. A broadcast with a send
     hook is sent one destination at a time, so the hook sees each one.
@@ -395,11 +402,11 @@ class Ctx:
 
     # --- ideal oracle access -------------------------------------------------
 
-    def oracle_submit(self, kind: str, value, value_bits: int, instance: str,
-                      sender: int | None = None) -> None:
+    def oracle_submit(self, instance: str, value) -> None:
+        """Submit value (None to only register) to an ideal instance."""
         if self.oracle_hook is not None:
-            value = self.oracle_hook(self, kind, instance, value)
-        self.engine.oracle_submit(self.pid, kind, instance, value, value_bits, sender)
+            value = self.oracle_hook(self, instance, value)
+        self.engine.oracle_submit(self.pid, instance, value)
 
     def oracle_result(self, instance: str):
         """The instance's output, None before it fires. Only the engine files
@@ -408,10 +415,9 @@ class Ctx:
         box = self.inbox("oracle_out", instance)
         return box[0].payload if box else None
 
-    def ideal_oracle(self, kind: str, value, value_bits: int, instance: str,
-                     sender: int | None = None):
+    def ideal_oracle(self, instance: str, value):
         """Submit and wait for an ideal oracle instance; yields until done."""
-        self.oracle_submit(kind, value, value_bits, instance, sender)
+        self.oracle_submit(instance, value)
         yield from self.wait_oracle(instance)
         return self.oracle_result(instance)
 
@@ -438,7 +444,6 @@ class PartyHandle:
     waiting: object = None
     done: bool = False
     output: object = None
-    has_output: bool = False
 
 
 MAX_ROUNDS = 10_000
@@ -458,7 +463,7 @@ class Engine:
     the destinations asked for, in destination order, so the global delivery
     order is send order, then destination order. Only the oracle instances
     submitted to since the last check are checked for readiness, in name
-    order.
+    order: readiness depends on nothing else.
     """
 
     def __init__(self, mode: str, params, session, factories: dict[int, Callable[[Ctx], Generator] | None],
@@ -477,7 +482,6 @@ class Engine:
         self.trace: list[dict] | None = [] if trace else None
         self.tick = 0
         self.pending: list = []
-        self.oracles: dict[str, IdealOracle] = {}
         self._submitted: set[str] = set()  # instances submitted to since the last check
         n = params.n
         self._everyone = tuple(range(1, n + 1))
@@ -494,6 +498,13 @@ class Engine:
             factory = factories.get(pid)
             gen = factory(ctx) if factory is not None else None
             self.parties[pid] = PartyHandle(pid=pid, ctx=ctx, gen=gen, done=gen is None)
+        self.oracles: dict[str, IdealOracle] = {}
+        for name, decl in sorted(session.oracles.items()):
+            if session.oracle_impl[decl.kind] == "ideal":
+                inst = self.oracles[name] = IdealOracle(name, decl)
+                for pid, value in sorted(adversary.oracle_submissions(inst, self).items()):
+                    if pid not in honest and _oracle_domain_ok(inst, value):
+                        inst.submissions[pid] = value
 
     # --- sending and oracles -------------------------------------------------
 
@@ -542,42 +553,15 @@ class Engine:
         else:
             self.pending.extend([(env, dst) for dst in dsts])
 
-    def oracle_submit(self, pid, kind, instance, value, value_bits, sender) -> None:
-        fault = self._submission_fault(kind, instance, value_bits, sender)
-        if fault is not None:
-            self._refuse(pid, fault)
-            return
-        inst = self.oracles.get(instance)
+    def oracle_submit(self, pid, instance, value) -> None:
+        inst = self.oracles.get(instance) if type(instance) is str else None
         if inst is None:
-            inst = IdealOracle(kind, instance, value_bits, sender)
-            self.oracles[instance] = inst
+            self._refuse(pid, f"no ideal oracle instance {instance!r} in this session")
+            return
         inst.registered.add(pid)
         self._submitted.add(instance)
-        if value is not None:
-            if pid in self.honest or _oracle_domain_ok(inst, value):
-                inst.submissions[pid] = value
-
-    def _submission_fault(self, kind, instance, value_bits, sender) -> str | None:
-        """Why an ideal submission cannot be taken, None if it can."""
-        facts = ORACLE_KINDS.get(kind) if type(kind) is str else None
-        if facts is None or facts.mode != self.mode:
-            return f"oracle kind {kind!r} not usable under {self.mode} scheduler"
-        if self.session.oracle_impl.get(kind) == "concrete":
-            return f"oracle kind {kind} runs concretely in this session"
-        if facts.sender and (type(sender) is not int or not 0 < sender <= self.params.n):
-            return f"{kind} oracle needs a designated sender in 1..n, not {sender!r}"
-        if type(value_bits) is not int or value_bits < 1 or type(instance) is not str:
-            return f"no oracle instance {instance!r} of width {value_bits!r}"
-        return None
-
-    def _consult_adversary_oracle(self, inst: IdealOracle) -> None:
-        if inst.byz_consulted:
-            return
-        inst.byz_consulted = True
-        subs = self.adversary.oracle_submissions(inst, self)
-        for pid, value in sorted(subs.items()):
-            if pid not in self.honest and _oracle_domain_ok(inst, value):
-                inst.submissions[pid] = value
+        if value is not None and (pid in self.honest or _oracle_domain_ok(inst, value)):
+            inst.submissions[pid] = value
 
     def _oracle_ready(self, inst: IdealOracle) -> bool:
         if ORACLE_KINDS[inst.kind].sender:
@@ -609,36 +593,24 @@ class Engine:
                             self.tick), self._everyone)
 
     def _fire_ready_oracles(self) -> None:
-        # readiness depends only on an instance's submissions and registered
-        # parties, and the adversary is consulted once, on the first check
-        # after creation: an instance nobody submitted to since its last
-        # check stays as it was
         submitted, self._submitted = self._submitted, set()
         for name in sorted(submitted):
             inst = self.oracles[name]
-            if not inst.fired:
-                self._consult_adversary_oracle(inst)
-                if self._oracle_ready(inst):
-                    self._fire_oracle(inst)
+            if not inst.fired and self._oracle_ready(inst):
+                self._fire_oracle(inst)
 
     # --- party stepping ------------------------------------------------------
 
     def _resume(self, handle: PartyHandle) -> None:
-        if handle.done or handle.gen is None:
+        if handle.done:
             return
         try:
             handle.waiting = handle.gen.send(None)
         except StopIteration as stop:
-            handle.done = True
-            handle.waiting = None
-            if stop.value is not None:
-                if handle.has_output:
-                    raise InvariantViolation(f"party {handle.pid} produced two outputs")
-                handle.output = stop.value
-                handle.has_output = True
+            handle.output = stop.value
+            handle.done, handle.waiting = True, None
         except StopProtocol:
-            handle.done = True
-            handle.waiting = None
+            handle.done, handle.waiting = True, None
 
     @staticmethod
     def _runnable(handle: PartyHandle) -> bool:
@@ -737,7 +709,7 @@ class Engine:
                 self._fire_ready_oracles()
 
     def outputs(self) -> dict[int, object]:
-        return {pid: h.output for pid, h in self.parties.items() if h.has_output}
+        return {pid: h.output for pid, h in self.parties.items() if h.output is not None}
 
 
 _BITS = attrgetter("bits")

@@ -32,8 +32,8 @@ class RecordingEngine:
     def submit_send(self, src, dst, kind, payload, bits, step, instance, oracle):
         self.sent.append((dst, kind, payload))
 
-    def oracle_submit(self, pid, kind, instance, value, value_bits, sender):
-        self.submitted.append((pid, kind, instance, value))
+    def oracle_submit(self, pid, instance, value):
+        self.submitted.append((pid, instance, value))
 
 
 def sends_through(script, kind, payload, dst=2):
@@ -68,11 +68,11 @@ def test_hooks_rewrite_the_corrupt_partys_own_ctx():
     engine = RecordingEngine(n=4)
     ctx = Ctx(engine, 1)
     hooked(lambda c: None, send_hook=lambda c, dst, kind, payload: None,
-           oracle_hook=lambda c, kind, inst, value: 1, crash_after_steps=1)(ctx)
+           oracle_hook=lambda c, inst, value: 1, crash_after_steps=1)(ctx)
     ctx.broadcast("payload", b"m", bits=8)
     assert engine.sent == []
-    ctx.oracle_submit("sync_ba", 0, 1, instance="ba_happy")
-    assert engine.submitted == [(1, "sync_ba", "ba_happy", 1)]
+    ctx.oracle_submit("ba_happy", 0)
+    assert engine.submitted == [(1, "ba_happy", 1)]
     ctx.set_happy(True)
     ctx.set_happy(False)  # corrupt parties may flap the flag
     ctx.set_step("first")

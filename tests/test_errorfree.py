@@ -162,8 +162,7 @@ class EfPoisoner(AdversaryScript):
                         for dst in range(1, n + 1):
                             if dst != ctx.pid:
                                 ctx.send(dst, "ok", (x, y), bits=32, step="junk")
-            ctx.oracle_submit("async_rb", 1, 1, instance=f"flag/{ctx.pid}",
-                              sender=ctx.pid)
+            ctx.oracle_submit(f"flag/{ctx.pid}", 1)
             bitmap = ((1 << (2 * t + 1)) - 1 if self.flavor == 0
                       else rng.getrandbits(n))
             for dst in range(1, n + 1):
@@ -208,7 +207,7 @@ class FlagSlotForger(AdversaryScript):
                 ctx.broadcast("rb", ("send", 1), bits=1, step="junk", instance=instance,
                               oracle="async_rb")
             else:
-                ctx.oracle_submit("async_rb", 1, 1, instance=instance, sender=ctx.pid)
+                ctx.oracle_submit(instance, 1)
             return None
             yield  # pragma: no cover
 

@@ -60,12 +60,12 @@ class OddLengthShareSender(AdversaryScript):
             z = blocks.eval_shares(ak, shares)
             packages = blocks.make_packages(shares, ak, z)
             if env.spec.mode == "rounds":
-                yield from bcast_oracle(ctx, "sync_bb", "bb_commit", ctx.pid, z.data, params.k)
+                yield from bcast_oracle(ctx, "bb_commit", z.data)
                 sig = ctx.session.msig.sign(ctx.pid, b"HAPPY/" + ctx.session.session_id.encode())
                 ctx.broadcast("happy_cert", sig, bits=MultiSig.nominal_bits(params.n, params.k),
                               step="distribute")
             else:
-                yield from bcast_oracle(ctx, "async_rb", "rb_commit", ctx.pid, z.data, params.k)
+                yield from bcast_oracle(ctx, "rb_commit", z.data)
             for j, pkg in sorted(packages.items()):
                 if j != ctx.pid:
                     ctx.send(j, "share_pkg", pkg, bits=pkg.nominal_bits(), step="distribute")

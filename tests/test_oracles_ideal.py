@@ -2,33 +2,32 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bbext.adversary import AdversaryScript, OracleLiar, PushyChoice, Silent
+from bbext.adversary import (AdversaryScript, CorruptChoice, Equivocator, OracleLiar,
+                             PushyChoice, Silent)
+from bbext.checks import build_inputs, judged_run
 from bbext.oracles import CoinOracle
-from bbext.protocols import SessionParams
+from bbext.protocols import PROTOCOLS, SessionParams, max_t
 from bbext.protocols.base import ProtocolSpec
 from bbext.runner import run
-from bbext.simnet import BOT, default_output
+from bbext.simnet import BOT, OracleInstance, default_output
 
 
 def harness(kind: str, bit: bool = False):
-    def ba_party(ctx, my_input, sender):
-        out = yield from ctx.ideal_oracle(kind, my_input, 1 if bit else ctx.params.k,
-                                          instance="h")
+    def party(ctx, my_input, sender):
+        out = yield from ctx.ideal_oracle("h", my_input)
         return out
 
-    def bcast_party(ctx, my_input, sender):
-        out = yield from ctx.ideal_oracle(kind, my_input, ctx.params.k, instance="h",
-                                          sender=sender)
-        return out
+    def oracles(params, sender):
+        return {"h": OracleInstance(kind, sender, 1 if bit else params.k)}
 
     mode = "rounds" if kind.startswith("sync") else "events"
+    regime = "half" if kind.startswith("sync") else "third_async"
     if kind in ("sync_bb", "async_rb"):
-        return ProtocolSpec(name=f"h-{kind}", mode=mode, kind="bb" if kind == "sync_bb" else "rb",
-                            regime="half" if kind == "sync_bb" else "third_async",
-                            party=bcast_party)
-    return ProtocolSpec(name=f"h-{kind}", mode=mode, kind="ba",
-                        regime="half" if kind == "sync_ba" else "third_async",
-                        party=ba_party)
+        problem = "bb" if kind == "sync_bb" else "rb"
+    else:
+        problem = "ba"
+    return ProtocolSpec(name=f"h-{kind}", mode=mode, kind=problem, regime=regime, party=party,
+                        oracles=oracles)
 
 
 def params_for(kind: str, n: int = 4) -> SessionParams:
@@ -131,7 +130,8 @@ def test_ideal_oracle_charges_model_cost_pro_rata():
 
 @pytest.mark.parametrize("kind", ["sync_bb", "async_rb"])
 def test_honest_ideal_submission_to_a_concrete_kind_is_refused(kind):
-    with pytest.raises(ValueError, match="runs concretely"):
+    # an instance of a kind the session runs concretely is not built
+    with pytest.raises(ValueError, match="no ideal oracle instance 'h'"):
         run(harness(kind), params_for(kind), {1: b"msg"}, seed=0,
             oracle_impl={kind: "concrete"})
 
@@ -170,6 +170,49 @@ def test_forged_oracle_outputs_are_dropped():
     res = run(spec, params, {i: b"same" for i in range(1, 5)},
               adversary=OracleForger(), seed=0)
     assert all(res.outputs[p] == b"same" for p in res.honest)
+
+
+class Twin(bytes):
+    """Bytes that equal everything, so the twin of any honest value."""
+
+    def __eq__(self, other):
+        return True
+
+    def __ne__(self, other):
+        return False
+
+    __hash__ = bytes.__hash__
+
+
+class TwinSubmitter(Equivocator, CorruptChoice):
+    """The equivocator, whose parties also submit a twin of every multi-bit
+    oracle input, and which resolves oracle slack toward a corrupt
+    submission."""
+
+    name = "twin_submitter"
+
+    def make_party(self, pid, honest_factory, env):
+        equivocator = super().make_party(pid, honest_factory, env)
+
+        def factory(ctx):
+            gen = equivocator(ctx)
+            ctx.oracle_hook = lambda ctx, instance, v: Twin(v) if type(v) is bytes else v
+            return gen
+
+        return factory
+
+
+@pytest.mark.parametrize("protocol,n", [("sync-bb-half", 5), ("async-rb-third", 4),
+                                        ("sync-ba-half", 5), ("async-ba-third", 4)])
+def test_a_bytes_subclass_is_no_oracle_input(protocol, n):
+    spec = PROTOCOLS[protocol]
+    params = SessionParams(n=n, t=max_t(spec.regime, n), l=2**10, k=128,
+                           threshold_regime=spec.regime)
+    for seed in range(10):
+        inputs = build_inputs(spec.kind, params, seed, "none")
+        _, violations = judged_run(protocol, params, inputs, adversary=TwinSubmitter(),
+                                   seed=seed)
+        assert violations == [], seed
 
 
 @given(st.lists(st.binary(max_size=6), min_size=1), st.lists(st.sampled_from([0, 1]),

@@ -141,8 +141,7 @@ class NoncanonicalCommitter(AdversaryScript):
             shares = [blocks.IndexedShare(j, rs.pack_symbols(cw.symbols[j - 1]))
                       for j in range(1, params.n + 1)]
             z = blocks.eval_shares(ctx.session.ak, shares)
-            ctx.oracle_submit("async_rb", z.data, params.k, instance="rb_commit",
-                              sender=ctx.pid)
+            ctx.oracle_submit("rb_commit", z.data)
             ctx.broadcast("payload", m, bits=params.l, step="payload")
             packages = blocks.make_packages(shares, ctx.session.ak, z)
             for j, pkg in sorted(packages.items()):

@@ -249,8 +249,7 @@ class CertGames(AdversaryScript):
             m = env.inputs.get(env.sender, b"")
             shares = blocks.encode(m, params.b, params.n, bit_len=params.l)
             rich = blocks.eval_shares(ctx.session.ak, shares)
-            ctx.oracle_submit("sync_bb", rich.data, params.k, instance="bb_commit",
-                              sender=ctx.pid)
+            ctx.oracle_submit("bb_commit", rich.data)
             yield from ctx.wait_oracle("bb_commit")
             tag = b"HAPPY/" + ctx.session.session_id.encode()
             sigs = {s: ctx.session.msig.sign(s, tag) for s in sorted(env.corrupt)}

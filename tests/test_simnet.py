@@ -26,11 +26,13 @@ from bbext.runner import run
 from bbext.simnet import (
     BOT,
     NEXT_ROUND,
+    ORACLE_KINDS,
     Bot,
     Ctx,
     Engine,
     InvariantViolation,
     LifoPolicy,
+    OracleInstance,
     Reader,
     RunMetrics,
     oracle_model_cost,
@@ -136,14 +138,38 @@ def test_regime_mismatch_rejected():
 
 def test_sync_oracle_on_event_scheduler_rejected():
     def party(ctx, my_input, sender):
-        out = yield from ctx.ideal_oracle("sync_ba", my_input, 8, instance="ba")
+        out = yield from ctx.ideal_oracle("ba", my_input)
         return out
 
     spec = ProtocolSpec(name="bad-harness", mode="events", kind="ba",
-                        regime="third_async", party=party)
+                        regime="third_async", party=party,
+                        oracles=lambda params, sender: {"ba": OracleInstance("sync_ba", None, 8)})
     params = _params(regime="third_async")
     with pytest.raises(ValueError, match="scheduler"):
         run(spec, params, {i: b"x" for i in range(1, 5)}, seed=0)
+
+
+_MISDECLARED = {
+    "wrong-mode": OracleInstance("async_rb", 1, 8),
+    "unknown-kind": OracleInstance("sync_xx", None, 1),
+    "no-sender": OracleInstance("sync_bb", None, 1),
+    "absent-sender": OracleInstance("sync_bb", 9, 1),
+    "agreement-sender": OracleInstance("sync_ba", 1, 1),
+    "negative-width": OracleInstance("sync_bb", 1, -1000),
+    "str-width": OracleInstance("sync_bb", 1, "x"),
+}
+
+
+@pytest.mark.parametrize("what", sorted(_MISDECLARED))
+def test_malformed_oracle_declarations_are_refused(what):
+    # the session checks each declared instance once, before any party runs
+    def party(ctx, my_input, sender):
+        return (yield from ctx.ideal_oracle("j", my_input))
+
+    spec = ProtocolSpec(name="misdeclared", mode="rounds", kind="ba", regime="half",
+                        party=party, oracles=lambda params, sender: {"j": _MISDECLARED[what]})
+    with pytest.raises(ValueError, match="oracle instance 'j'"):
+        run(spec, _params(), {i: b"x" for i in range(1, 5)}, seed=0)
 
 
 def test_concrete_kbit_async_agreement_rejected():
@@ -385,9 +411,13 @@ def test_finished_session_frees_its_contexts_without_collection(monkeypatch, pro
     assert filed_keys[0] > 0 or protocol == "ef-async-rb-third"
 
 
+# a session that declares no oracle instance, for engines built by hand
+_NO_ORACLES = SimpleNamespace(oracles={}, oracle_impl={})
+
+
 def _engine(n=5, honest=frozenset({2, 3, 4, 5})):
     params = _params(n=n, t=1)
-    return Engine("rounds", params, None, {}, honest, AdversaryScript())
+    return Engine("rounds", params, _NO_ORACLES, {}, honest, AdversaryScript())
 
 
 def test_honest_broadcast_is_metered_once_in_destination_order():
@@ -557,7 +587,7 @@ def test_lists_equal_reference_scans_under_interleaved_filing(mode, ops):
     and first requests for any key, interleaved: every list a party asked
     for equals the filtered scan of a reference mailbox, and so does every
     cursor's new mail."""
-    engine = Engine(mode, _params(n=4, t=1), None, {}, frozenset({1, 2, 3, 4}),
+    engine = Engine(mode, _params(n=4, t=1), _NO_ORACLES, {}, frozenset({1, 2, 3, 4}),
                     AdversaryScript())
     ref: dict[int, list] = {pid: [] for pid in range(1, 5)}
     opened = []  # (pid, kind, instance, list, reader or None, mail the reader returned)
@@ -657,6 +687,7 @@ def _same_as_silent(protocol, act):
     assert res.metrics.honest_bits_total == quiet.metrics.honest_bits_total
     assert res.metrics.rounds_or_events_elapsed == quiet.metrics.rounds_or_events_elapsed
     assert [r for r in res.trace if r["from"] == 4] == []
+    return res
 
 
 _MISSENDS = {
@@ -683,24 +714,17 @@ def test_honest_sends_the_network_has_no_place_for_raise():
     assert engine.pending == [] and engine.metrics.honest_bits_total == 0
 
 
+# a submission names an instance and nothing else: a kind in its place, an
+# instance another protocol declares, or a name that is no str names none
 _MISSUBMITS = {
     "sync-ba-half": {
-        "wrong-mode": lambda ctx: ctx.oracle_submit("async_rb", b"m", 8, instance="j",
-                                                    sender=ctx.pid),
-        "unknown-kind": lambda ctx: ctx.oracle_submit("sync_xx", 1, 1, instance="j"),
-        "no-sender": lambda ctx: ctx.oracle_submit("sync_bb", 1, 1, instance="j"),
-        "absent-sender": lambda ctx: ctx.oracle_submit("sync_bb", 1, 1, instance="j",
-                                                       sender=9),
+        "wrong-mode": lambda ctx: ctx.oracle_submit("rb_commit", b"m"),
+        "unknown-kind": lambda ctx: ctx.oracle_submit("sync_xx", 1),
     },
     "async-rb-third": {
-        "negative-width": lambda ctx: ctx.oracle_submit("async_rb", b"m", -1000, instance="j",
-                                                        sender=ctx.pid),
-        "str-width": lambda ctx: ctx.oracle_submit("async_rb", b"m", "x", instance="j",
-                                                   sender=ctx.pid),
-        "list-instance": lambda ctx: ctx.oracle_submit("async_rb", 1, 1, instance=["j"],
-                                                       sender=ctx.pid),
-        "list-kind": lambda ctx: ctx.oracle_submit(["async_rb"], 1, 1, instance="j",
-                                                   sender=ctx.pid),
+        "list-instance": lambda ctx: ctx.oracle_submit(["j"], 1),
+        "list-kind": lambda ctx: ctx.oracle_submit(["async_rb"], 1),
+        "int-name": lambda ctx: ctx.oracle_submit(7, b"m"),
     },
 }
 
@@ -714,13 +738,34 @@ def test_malformed_corrupt_ideal_submissions_are_dropped(protocol, what):
 @pytest.mark.parametrize("mode,protocol", [("rounds", "sync-ba-half"),
                                            ("events", "async-rb-third")])
 def test_malformed_honest_ideal_submissions_raise(mode, protocol):
-    engine = Engine(mode, _params(), SimpleNamespace(oracle_impl={}), {},
-                    frozenset({1, 2, 3}), AdversaryScript())
+    params = _params()
+    session = SimpleNamespace(oracles=PROTOCOLS[protocol].oracles(params, 1),
+                              oracle_impl={kind: "ideal" for kind in ORACLE_KINDS})
+    engine = Engine(mode, params, session, {}, frozenset({1, 2, 3}), AdversaryScript())
     for act in _MISSUBMITS[protocol].values():
         act(engine.parties[4].ctx)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no ideal oracle instance"):
             act(engine.parties[1].ctx)
-    assert engine.oracles == {} and engine._submitted == set()
+    assert engine.oracles.keys() == session.oracles.keys()
+    assert all(not inst.registered and not inst.submissions for inst in engine.oracles.values())
+    assert engine._submitted == set()
+
+
+def test_a_corrupt_submission_cannot_define_an_honest_partys_flag_slot():
+    # the spec declares flag/j with sender j, so party 4's 0 on another
+    # party's slot is not that party's flag
+    res = _same_as_silent("ef-async-rb-third",
+                          lambda ctx: [ctx.oracle_submit(f"flag/{j}", 0) for j in (1, 2, 3)])
+    sent = build_inputs("rb", _params(regime="third_async"), 0, "all")[1]
+    assert all(res.outputs.get(p) == sent for p in res.honest)
+
+
+@pytest.mark.parametrize("protocol", ["ef-async-rb-third", "async-rb-third"])
+def test_junk_instances_cost_honest_parties_nothing(protocol):
+    # an instance no spec declares does not exist: it never fires and is
+    # never charged
+    _same_as_silent(protocol,
+                    lambda ctx: [ctx.oracle_submit(f"junk/{i}", 1) for i in range(100)])
 
 
 class ScriptedSubmission(AdversaryScript):
@@ -745,8 +790,7 @@ def test_a_one_bit_submission_that_is_not_the_int_0_or_1_is_dropped(path, value,
     params = _params(regime="third_async")
     inputs = build_inputs("ba", params, seed, "none")
     if path == "party":
-        adversary = Misfit(lambda ctx: ctx.oracle_submit("async_ba_bit", value, 1,
-                                                         instance="ba_happy"))
+        adversary = Misfit(lambda ctx: ctx.oracle_submit("ba_happy", value))
     else:
         adversary = ScriptedSubmission("ba_happy", value)
     quiet = run("async-ba-third", params, inputs, adversary=Misfit(lambda ctx: None), seed=seed)
