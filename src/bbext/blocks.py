@@ -18,8 +18,10 @@ these once:
   returns the shares, as a tuple, the second adds their accumulation value,
   and ``packages`` builds a commitment's n witnessed packages on first use
   and keeps them with it;
-- ``verify`` remembers the one package it accepted for each (commitment
-  bytes, index) and answers a package with the same share and witness bytes
+- ``verify`` takes, as `verify_package` does, only a package of the exact
+  types below with an ``int`` index and ``bytes`` share and witness data;
+  it remembers the one package it accepted for each (commitment bytes,
+  index) and answers a package with the same share and witness bytes
   without hashing again; any other package gets the full `verify_package`;
 - ``reconstruct`` (the packages ``verify`` accepts) and ``decode_symbols``
   (the error-free protocols' tables of majority votes) share one decode
@@ -109,12 +111,17 @@ def distribute(ctx, shares: tuple[IndexedShare, ...], z: AccValue, step: str) ->
 
 
 def _checked_share(pkg, expect_index: int | None) -> IndexedShare | None:
-    """pkg's share if pkg is a package whose share encodes canonically and,
-    when an index is expected, carries that index; None otherwise."""
-    if not isinstance(pkg, SharePackage) or not isinstance(pkg.indexed_share, IndexedShare):
+    """pkg's share if pkg, its share and its witness are of exact type, with
+    an int index and bytes share and witness data, and the share encodes
+    canonically and, when an index is expected, carries that index; None
+    otherwise."""
+    if type(pkg) is not SharePackage:
         return None
-    share = pkg.indexed_share
-    if not isinstance(share.index, int) or not isinstance(share.share, bytes):
+    share, wit = pkg.indexed_share, pkg.witness
+    if type(share) is not IndexedShare or type(wit) is not Witness:
+        return None
+    if (type(share.index) is not int or type(share.share) is not bytes
+            or type(wit.data) is not bytes):
         return None
     if not 0 <= share.index < 2**16:
         return None
@@ -177,17 +184,6 @@ def _remember(table: dict, key, value) -> None:
         del table[next(iter(table))]
 
 
-def _plain_fields(pkg: SharePackage) -> tuple[int, bytes, bytes] | None:
-    """(index, share bytes, witness bytes) of a package built from the plain
-    types, whose fields read and compare as stored; None for any subclass."""
-    share, wit = pkg.indexed_share, pkg.witness
-    if (type(pkg) is SharePackage and type(share) is IndexedShare and type(wit) is Witness
-            and type(share.index) is int and type(share.share) is bytes
-            and type(wit.data) is bytes):
-        return share.index, share.share, wit.data
-    return None
-
-
 @dataclass(eq=False)
 class _Message:
     """One message's shares and, once asked for, their accumulation value and
@@ -207,7 +203,7 @@ class CodecMemo:
     def __init__(self, ak: AccKey):
         self.ak = ak
         self.commits: dict[tuple, _Message] = {}
-        # commitment bytes -> index -> plain fields of the package accepted
+        # commitment bytes -> index -> fields of the package accepted
         self.accepted: dict[bytes, dict[int, tuple[int, bytes, bytes]]] = {}
         # (b, error budget, erasure budget, table) -> (message, bit length) or None
         self.decoded: dict[tuple, tuple[bytes, int] | None] = {}
@@ -250,12 +246,12 @@ class CodecMemo:
         share = _checked_share(pkg, index)
         if share is None:
             return False
-        fields = _plain_fields(pkg)
+        fields = (share.index, share.share, pkg.witness.data)
         accepted = self.accepted.pop(z.data, {})
-        ok = fields is not None and accepted.get(index) == fields
+        ok = accepted.get(index) == fields
         if not ok:
             ok = acc_verify(self.ak, z, pkg.witness, share.canonical())
-            if ok and fields is not None and index not in accepted:
+            if ok and index not in accepted:
                 accepted[index] = fields
         if accepted:
             _remember(self.accepted, z.data, accepted)

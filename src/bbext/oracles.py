@@ -27,6 +27,10 @@ In both chain kinds a party sends at most one "ds" record per instance and
 round: a tuple of (slot, value, sig) triples, metered as one relay per
 triple (see ``parallel_chain_bcast``).
 
+A chain relay or echo/ready value that is not ``simnet.admissible`` at the
+instance's width is skipped, as the engine drops such an ideal submission;
+binary agreement takes a round and a vote only of exact type ``int``.
+
 Concrete oracles meter their real traffic; the common coin is an ideal
 source revealing a round's bit to the adversary only after the first honest
 query.
@@ -37,8 +41,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from .multisig import MsigAuthority, MultiSig, msig_combine
-from .simnet import BOT, Ctx, NEXT_ROUND, OracleInstance, _encodable, value_to_bytes
+from .multisig import MsigAuthority, MultiSig, msig_combine, well_formed
+from .simnet import BOT, Ctx, NEXT_ROUND, OracleInstance, admissible, value_to_bytes
 
 
 class CoinOracle:
@@ -65,14 +69,6 @@ class CoinOracle:
 
 def _chain_tag(instance: str, value) -> bytes:
     return hashlib.sha256(f"ds/{instance}/".encode() + value_to_bytes(value)).digest()
-
-
-def _plain(value) -> bool:
-    """True for BOT and for an encodable value of exactly type bytes or int.
-    Between such values == agrees with ``value_to_bytes``, which chain tags
-    sign; a subclass may define == otherwise, and so pass as a second value
-    under a chain that verifies for the first."""
-    return value is BOT or (type(value) in (bytes, int) and _encodable(value))
 
 
 def _slot_tag(instance: str, slot: int, value) -> bytes:
@@ -135,9 +131,9 @@ def parallel_chain_bcast(ctx: Ctx, instance: str, my_value, value_bits: int,
                 # the cheap filters first: the type check runs once per new
                 # (slot, value), not once per relay
                 got = extracted[slot]
-                if len(got) >= 2 or value in got or not _plain(value):
+                if len(got) >= 2 or value in got or not admissible(value, value_bits):
                     continue
-                if not isinstance(sig, MultiSig) or slot not in sig.signers:
+                if not well_formed(sig) or slot not in sig.signers:
                     continue
                 if len(sig.signers) < r or ctx.pid in sig.signers:
                     continue
@@ -218,10 +214,9 @@ class BrachaMachine:
             tag, value = env.payload
         except (TypeError, ValueError):
             return
-        try:
-            key = value_to_bytes(value)
-        except TypeError:
+        if not admissible(value, self.value_bits):
             return
+        key = value_to_bytes(value)
         self.values[key] = value
         if tag == "send" and env.src == self.sender and not self.sent_echo:
             self.sent_echo = True
@@ -351,7 +346,7 @@ def aba_binary(ctx: Ctx, instance: str, my_bit: int):
                 tag, r, v = env.payload
             except (TypeError, ValueError):
                 continue
-            if not isinstance(r, int) or r < 1 or v not in (0, 1, CONF_NONE):
+            if type(r) is not int or r < 1 or type(v) is not int or v not in (0, 1, CONF_NONE):
                 continue
             st = rnd(r)
             if tag == "est" and v in (0, 1):

@@ -67,8 +67,6 @@ def _best_cert(ctx: Ctx, envs, exclude: int) -> tuple[int, MultiSig | None]:
     best_len, best = 0, None
     for env in envs:
         cert = env.payload
-        if not isinstance(cert, MultiSig):
-            continue
         if not ctx.session.msig.verify(cert, _happy_tag(ctx)):
             continue
         r = len(cert.signers - {exclude})

@@ -36,7 +36,14 @@ other than the sender, and an ideal submission the name of an instance
 the engine built. Anything else is refused: from a corrupt party a send,
 self-delivery or submission is dropped (not filed, metered or traced) and
 a read gets an empty list nothing files into; from an honest party it
-raises ``ValueError``.
+raises ``ValueError``. A value from a corrupt party is ``admissible`` only
+of exact type: the ``int`` 0 or 1 for one bit (not ``True``, ``1.0`` or a
+numpy int), ``bytes`` otherwise, since a subclass may hash and compare as
+any honest value. The engine drops any other ideal submission; the
+concrete constructions skip any other relayed, echoed or voted value;
+honest code takes payloads, symbols, vectors, share packages (``blocks``)
+and signatures (``multisig``) only of exact type, and counts any other
+symbol vote as a wrong one.
 
 The protocol's spec fixes each ideal instance's kind, sender and width
 (``session.oracles``); the engine builds the instances it runs as ideal,
@@ -188,10 +195,10 @@ class IdealOracle:
         self.fired = False
 
 
-def _oracle_domain_ok(inst: IdealOracle, value) -> bool:
-    """A Byzantine input must be the int 0 or 1 (not 1.0 or a numpy 1, which
-    do not encode) or bytes, exactly: a subclass's == may claim any value."""
-    if inst.value_bits == 1:
+def admissible(value, width: int) -> bool:
+    """Whether honest code may take value from a corrupt party for a field
+    of width bits (see the module docstring)."""
+    if width == 1:
         return type(value) is int and value in (0, 1)
     return type(value) is bytes
 
@@ -202,19 +209,13 @@ def value_to_bytes(v) -> bytes:
     Signature-chain tags and vote tallies key on it, so values of different
     types must never share an encoding. It is also the one order over
     oracle values: within bytes it is lexicographic, within ints numeric."""
-    if not _encodable(v):
-        raise TypeError(f"unsupported oracle value type {type(v)!r}")
     if v is BOT:
         return b"N"
     if isinstance(v, bytes):
         return b"b" + v
-    return b"i" + int(v).to_bytes(9, "big", signed=True)
-
-
-def _encodable(v) -> bool:
-    """True when ``value_to_bytes(v)`` succeeds: BOT, bytes, or a 64-bit int."""
-    return (v is BOT or isinstance(v, bytes)
-            or (isinstance(v, int) and -(2**63) <= int(v) < 2**63))
+    if isinstance(v, int) and -(2**63) <= int(v) < 2**63:
+        return b"i" + int(v).to_bytes(9, "big", signed=True)
+    raise TypeError(f"unsupported oracle value type {type(v)!r}")
 
 
 def default_output(submitted: list):
@@ -503,7 +504,7 @@ class Engine:
             if session.oracle_impl[decl.kind] == "ideal":
                 inst = self.oracles[name] = IdealOracle(name, decl)
                 for pid, value in sorted(adversary.oracle_submissions(inst, self).items()):
-                    if pid not in honest and _oracle_domain_ok(inst, value):
+                    if pid not in honest and admissible(value, inst.value_bits):
                         inst.submissions[pid] = value
 
     # --- sending and oracles -------------------------------------------------
@@ -560,7 +561,7 @@ class Engine:
             return
         inst.registered.add(pid)
         self._submitted.add(instance)
-        if value is not None and (pid in self.honest or _oracle_domain_ok(inst, value)):
+        if value is not None and (pid in self.honest or admissible(value, inst.value_bits)):
             inst.submissions[pid] = value
 
     def _oracle_ready(self, inst: IdealOracle) -> bool:

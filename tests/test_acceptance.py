@@ -76,5 +76,5 @@ def test_criterion_7_oracle_black_box():
 
 
 def test_criterion_8_accumulator_suites():
-    report = check_accumulator(binding_pairs=10_000)
+    report = check_accumulator()
     _emit("8", report)

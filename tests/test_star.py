@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import bbext.star as star_module
+from bbext.checks import _brute_force_matching_size
 from bbext.star import (NOSTAR, GrowingStar, PartyGraph, StarResult, derive_fe, max_matching,
                         star)
 
@@ -48,21 +49,6 @@ def from_text(text: str) -> PartyGraph:
             raise ValueError("debug format rows must be 0/1 strings of length n")
         rows.append(sum(1 << j for j, ch in enumerate(ln) if ch == "1"))
     return validated(n, tuple(rows))
-
-
-def brute_force_max_matching(g: PartyGraph) -> int:
-    """Recursive enumeration of all matchings; exponential, test oracle only."""
-    edges = g.edges()
-
-    def rec(idx: int, used: frozenset[int]) -> int:
-        best = 0
-        for i in range(idx, len(edges)):
-            u, v = edges[i]
-            if u not in used and v not in used:
-                best = max(best, 1 + rec(i + 1, used | {u, v}))
-        return best
-
-    return rec(0, frozenset())
 
 
 def dp_canonical_matching(g: PartyGraph) -> frozenset[tuple[int, int]]:
@@ -174,7 +160,7 @@ def test_matching_cardinality_vs_brute_force():
         g = random_graph(n, rng.choice([0.15, 0.3, 0.5, 0.8]), rng)
         m = max_matching(g)
         assert_valid_matching(g, m)
-        assert len(m) == brute_force_max_matching(g)
+        assert len(m) == _brute_force_matching_size(g)
 
 
 def test_matching_is_lexicographically_canonical():
