@@ -18,11 +18,12 @@ these once:
   returns the shares, as a tuple, the second adds their accumulation value,
   and ``packages`` builds a commitment's n witnessed packages on first use
   and keeps them with it;
-- ``verify`` takes, as `verify_package` does, only a package of the exact
-  types below with an ``int`` index and ``bytes`` share and witness data;
-  it remembers the one package it accepted for each (commitment bytes,
-  index) and answers a package with the same share and witness bytes
-  without hashing again; any other package gets the full `verify_package`;
+- ``verify`` takes, as `verify_package` does, a package of the shape
+  ``wire`` admits (the engine refuses a corrupt party's package of any
+  other); it remembers the one package it accepted for each (commitment
+  bytes, index) and answers a package with the same share and witness
+  bytes without hashing again; any other package gets the full
+  `verify_package`;
 - ``reconstruct`` (the packages ``verify`` accepts) and ``decode_symbols``
   (the error-free protocols' tables of majority votes) share one decode
   table, keyed by (b, error budget, erasure budget, the table of n share
@@ -110,19 +111,10 @@ def distribute(ctx, shares: tuple[IndexedShare, ...], z: AccValue, step: str) ->
             ctx.send(j, "share_pkg", pkg, bits=pkg.nominal_bits(), step=step)
 
 
-def _checked_share(pkg, expect_index: int | None) -> IndexedShare | None:
-    """pkg's share if pkg, its share and its witness are of exact type, with
-    an int index and bytes share and witness data, and the share encodes
-    canonically and, when an index is expected, carries that index; None
-    otherwise."""
-    if type(pkg) is not SharePackage:
-        return None
-    share, wit = pkg.indexed_share, pkg.witness
-    if type(share) is not IndexedShare or type(wit) is not Witness:
-        return None
-    if (type(share.index) is not int or type(share.share) is not bytes
-            or type(wit.data) is not bytes):
-        return None
+def _checked_share(pkg: SharePackage, expect_index: int | None) -> IndexedShare | None:
+    """pkg's share if it encodes canonically and, when an index is expected,
+    carries that index; None otherwise."""
+    share = pkg.indexed_share
     if not 0 <= share.index < 2**16:
         return None
     if expect_index is not None and share.index != expect_index:

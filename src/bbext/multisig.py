@@ -6,8 +6,9 @@ set and the per-signer MACs concatenated in ascending signer order, which
 lets aggregates with overlapping signer sets merge consistently. The
 verifier is session-trusted: it knows every key and recomputes each MAC,
 once per (signer, tag) while that pair stays among the authority's
-`MAC_ENTRIES` most recently used. It takes only a ``well_formed``
-aggregate, as a corrupt party may send any object in its place.
+`MAC_ENTRIES` most recently used. It takes an aggregate of the shape
+``wire`` admits: the engine refuses a corrupt party's signature of any
+other shape, as a subclass could report more signers than its MACs carry.
 
 Accounting uses the model sizes of the aggregate scheme: k bits for the
 aggregate plus an n-bit signer list, independent of signer count.
@@ -64,8 +65,6 @@ class MsigAuthority:
         return MultiSig(signers=frozenset([party]), aggregate=self._mac(party, tag))
 
     def verify(self, sig: MultiSig, tag: bytes) -> bool:
-        if not well_formed(sig):
-            return False
         if not sig.signers or not sig.signers <= self._parties:
             return False
         step = self.k // 8
@@ -75,14 +74,6 @@ class MsigAuthority:
         # the j-th smallest signer's MAC is the j-th slice
         return all(hmac.compare_digest(agg[j * step:(j + 1) * step], self._mac(i, tag))
                    for j, i in enumerate(sorted(sig.signers)))
-
-
-def well_formed(sig) -> bool:
-    """Whether sig is a MultiSig with a frozenset signer set and a bytes
-    aggregate, each of exact type: a subclass could report another size or
-    membership than the one its MACs carry."""
-    return (type(sig) is MultiSig and type(sig.signers) is frozenset
-            and type(sig.aggregate) is bytes)
 
 
 def msig_combine(a: MultiSig, b: MultiSig) -> MultiSig:

@@ -27,9 +27,9 @@ In both chain kinds a party sends at most one "ds" record per instance and
 round: a tuple of (slot, value, sig) triples, metered as one relay per
 triple (see ``parallel_chain_bcast``).
 
-A chain relay or echo/ready value that is not ``simnet.admissible`` at the
-instance's width is skipped, as the engine drops such an ideal submission;
-binary agreement takes a round and a vote only of exact type ``int``.
+The constructions read "ds", "rb" and "aba" mail as ``wire`` shapes it,
+since the engine parses a corrupt party's envelope before filing it; they
+check only ranges and signatures.
 
 Concrete oracles meter their real traffic; the common coin is an ideal
 source revealing a round's bit to the adversary only after the first honest
@@ -41,8 +41,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from .multisig import MsigAuthority, MultiSig, msig_combine, well_formed
-from .simnet import BOT, Ctx, NEXT_ROUND, OracleInstance, admissible, value_to_bytes
+from .multisig import MsigAuthority, MultiSig, msig_combine
+from .simnet import BOT, Ctx, NEXT_ROUND, OracleInstance, value_to_bytes
 
 
 class CoinOracle:
@@ -94,9 +94,8 @@ def parallel_chain_bcast(ctx: Ctx, instance: str, my_value, value_bits: int,
     plus a 16-bit slot id when there are several slots (one slot names its
     sender). A receiver reads records in arrival order and triples in batch
     order, so it accepts in the same order as if each relay were a record
-    of its own; a payload that is not a tuple, or a triple that fails a
-    check, is skipped. Returns {slot: the unique accepted value, BOT
-    otherwise}."""
+    of its own, and skips a triple that fails a check. Returns {slot: the
+    unique accepted value, BOT otherwise}."""
     n, t = ctx.params.n, ctx.params.t
     auth: MsigAuthority = ctx.session.msig
     step = f"oracle:{instance}"
@@ -118,24 +117,11 @@ def parallel_chain_bcast(ctx: Ctx, instance: str, my_value, value_bits: int,
         yield NEXT_ROUND
         accepted = []
         for record in mail.new():
-            if not isinstance(record.payload, tuple):
-                continue
-            for relay in record.payload:
-                try:
-                    slot, value, sig = relay
-                except (TypeError, ValueError):
+            for slot, value, sig in record.payload:
+                got = extracted.get(slot)
+                if got is None or len(got) >= 2 or value in got:
                     continue
-                # an int slot before any lookup: an unhashable one would raise
-                if not isinstance(slot, int) or slot not in extracted:
-                    continue
-                # the cheap filters first: the type check runs once per new
-                # (slot, value), not once per relay
-                got = extracted[slot]
-                if len(got) >= 2 or value in got or not admissible(value, value_bits):
-                    continue
-                if not well_formed(sig) or slot not in sig.signers:
-                    continue
-                if len(sig.signers) < r or ctx.pid in sig.signers:
+                if slot not in sig.signers or len(sig.signers) < r or ctx.pid in sig.signers:
                     continue
                 tag = _slot_tag(instance, slot, value)
                 if not auth.verify(sig, tag):
@@ -210,12 +196,7 @@ class BrachaMachine:
             self._progress(key)
 
     def feed(self, env) -> None:
-        try:
-            tag, value = env.payload
-        except (TypeError, ValueError):
-            return
-        if not admissible(value, self.value_bits):
-            return
+        tag, value = env.payload
         key = value_to_bytes(value)
         self.values[key] = value
         if tag == "send" and env.src == self.sender and not self.sent_echo:
@@ -342,11 +323,8 @@ def aba_binary(ctx: Ctx, instance: str, my_bit: int):
 
     def pump():
         for env in mail.new():
-            try:
-                tag, r, v = env.payload
-            except (TypeError, ValueError):
-                continue
-            if type(r) is not int or r < 1 or type(v) is not int or v not in (0, 1, CONF_NONE):
+            tag, r, v = env.payload
+            if r < 1 or v not in (0, 1, CONF_NONE):
                 continue
             st = rnd(r)
             if tag == "est" and v in (0, 1):

@@ -103,10 +103,9 @@ def bare_acc(z_bytes: bytes, k: int) -> AccValue:
 
 def payload_commitment(ctx: Ctx, message, z):
     """encode_input's (shares, accumulation value) for a received payload
-    that commits to z; None for a payload that is not of exact type bytes
-    (a subclass could find the committed message's codec memo entry), does
-    not encode, or commits to something else, and whenever z is not bytes."""
-    if type(message) is not bytes or type(z) is not bytes:
+    that commits to z; None when no payload arrived, it does not encode, or
+    it commits to something else, and whenever z is BOT."""
+    if message is None or z is BOT:
         return None
     try:
         commit = encode_input(ctx, message)

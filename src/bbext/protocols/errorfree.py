@@ -55,23 +55,22 @@ def _greedy_common_vote(candidates: list[int], e_vecs: dict[int, int],
     return None
 
 
-def _decode_symbol_table(codec: CodecMemo, majs: dict[int, object], n: int, t: int,
+def _decode_symbol_table(codec: CodecMemo, majs: dict[int, bytes], n: int, t: int,
                          share_len: int, max_errors: int,
                          absent_as_error: bool) -> bytes | None:
     """Decode from per-party symbol votes, through the session's codec memo.
 
-    A vote that is not share_len bytes of exact type bytes is a zero-filled
-    error and counts toward the error budget. Absent entries are zero-filled
-    errors in the synchronous protocol (fixed error budget t, no erasures)
-    and erasures in the asynchronous retry loop. Only this normalized table
-    reaches the memo key, never a raw vote of another type: a corrupt party
-    may send an unhashable one, or a bytes subclass with its own equality.
+    A vote that is not share_len bytes long is a zero-filled error and
+    counts toward the error budget (``wire`` makes a corrupt vote of
+    another shape ``b""``). Absent entries are zero-filled errors in the
+    synchronous protocol (fixed error budget t, no erasures) and erasures in
+    the asynchronous retry loop.
     """
     zero = bytes(share_len)
     table = []
     for j in range(1, n + 1):
         raw = majs.get(j)
-        if type(raw) is bytes and len(raw) == share_len:
+        if raw is not None and len(raw) == share_len:
             table.append(raw)
         elif j in majs or absent_as_error:
             table.append(zero)
@@ -114,11 +113,9 @@ def ef_sync_ba(ctx: Ctx, my_input: bytes, sender: int | None = None):
 
     ctx.set_step("vectors")
     for env in inbox["sym_self"]:
-        if type(env.payload) is bytes:
-            self_sym.setdefault(env.src, env.payload)
+        self_sym.setdefault(env.src, env.payload)
     for env in inbox["sym_priv"]:
-        if type(env.payload) is bytes:
-            priv_sym.setdefault(env.src, env.payload)
+        priv_sym.setdefault(env.src, env.payload)
     v = 1 << (ctx.pid - 1)
     for j in range(1, n + 1):
         if j != ctx.pid and j in self_sym and j in priv_sym:
@@ -130,8 +127,7 @@ def ef_sync_ba(ctx: Ctx, my_input: bytes, sender: int | None = None):
 
     ctx.set_step("core")
     for env in inbox["v_vec"]:
-        if type(env.payload) is int:
-            vectors.setdefault(env.src, env.payload & ((1 << n) - 1))
+        vectors.setdefault(env.src, env.payload & ((1 << n) - 1))
     edges = [
         (x, y)
         for x in range(1, n + 1)
@@ -160,8 +156,7 @@ def ef_sync_ba(ctx: Ctx, my_input: bytes, sender: int | None = None):
     if len(ones) < 2 * t + 1:
         return bytes((params.l + 7) // 8)
     for env in inbox["e_vec"]:
-        if type(env.payload) is int:
-            e_vecs.setdefault(env.src, env.payload)
+        e_vecs.setdefault(env.src, env.payload)
     maj = _greedy_common_vote(
         [x for x in ones if x in e_vecs], e_vecs, priv_sym, n, t
     )
@@ -207,7 +202,7 @@ def ef_async_rb(ctx: Ctx, my_input: bytes | None, sender: int):
 
     def adopt_message(m: bytes) -> None:
         nonlocal message
-        if message is not None or type(m) is not bytes:
+        if message is not None:
             return
         message = m
         row.update(_send_symbols(ctx, message, 8 * len(message)))
@@ -227,7 +222,7 @@ def ef_async_rb(ctx: Ctx, my_input: bytes | None, sender: int):
 
     def note_ok(x: int, y: int) -> None:
         nonlocal frozen
-        if type(y) is not int or not (1 <= y <= n) or x == y:
+        if not 1 <= y <= n or x == y:
             return
         ok_seen.setdefault(x, set()).add(y)
         if frozen:
@@ -257,22 +252,19 @@ def ef_async_rb(ctx: Ctx, my_input: bytes | None, sender: int):
         for env in mail.new():
             if env.kind == "payload" and env.src == sender:
                 adopt_message(env.payload)
-            elif env.kind == "sym_self" and type(env.payload) is bytes:
+            elif env.kind == "sym_self":
                 if env.src not in self_sym:
                     self_sym[env.src] = env.payload
                     maybe_ok(env.src)
-            elif env.kind == "sym_priv" and type(env.payload) is bytes:
+            elif env.kind == "sym_priv":
                 if env.src not in priv_sym:
                     priv_sym[env.src] = env.payload
                     maybe_ok(env.src)
             elif env.kind == "ok":
-                try:
-                    x, y = env.payload
-                except (TypeError, ValueError):
-                    continue
-                if type(x) is int and x == env.src:
+                x, y = env.payload
+                if x == env.src:
                     note_ok(x, y)
-            elif env.kind == "e_vec" and type(env.payload) is int:
+            elif env.kind == "e_vec":
                 e_vecs.setdefault(env.src, env.payload)
             elif env.kind == "maj_val":
                 majs.setdefault(env.src, env.payload)

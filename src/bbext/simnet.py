@@ -21,13 +21,14 @@ destination order, through one filing routine (``Engine._deliver``) that
 serves rounds-mode sends, events-mode deliveries and self-deliveries alike.
 
 Mail is filed only where it is read. Every envelope reaching a party goes
-into its mailbox; a list of its mail of one kind, or of one (kind,
-instance), exists only once the party has asked for it (``Ctx.inbox``,
-``Ctx.reader``, ``Ctx.oracle_result``). Every first request builds it by
-one scan of the mailbox, in arrival order; from then on delivery appends
-to it, at one table lookup per envelope and key, so mail nobody asked for
-grows no table. A party reads new mail through a cursor (``Ctx.reader``)
-and waits for more by yielding that cursor.
+into its mailbox, unless ``wire`` refused it (see below); a list of its
+mail of one kind, or of one (kind, instance), exists only once the party
+has asked for it (``Ctx.inbox``, ``Ctx.reader``, ``Ctx.oracle_result``).
+Every first request builds it by one scan of the mailbox, in arrival
+order; from then on delivery appends to it, at one table lookup per
+envelope and key, so mail nobody asked for grows no table. A party reads
+new mail through a cursor (``Ctx.reader``) and waits for more by yielding
+that cursor.
 
 Every request naming a mail key (a send, a self-delivery, a read) needs a
 ``str`` kind and a None or ``str`` instance, and a send or self-delivery
@@ -36,14 +37,13 @@ other than the sender, and an ideal submission the name of an instance
 the engine built. Anything else is refused: from a corrupt party a send,
 self-delivery or submission is dropped (not filed, metered or traced) and
 a read gets an empty list nothing files into; from an honest party it
-raises ``ValueError``. A value from a corrupt party is ``admissible`` only
-of exact type: the ``int`` 0 or 1 for one bit (not ``True``, ``1.0`` or a
-numpy int), ``bytes`` otherwise, since a subclass may hash and compare as
-any honest value. The engine drops any other ideal submission; the
-concrete constructions skip any other relayed, echoed or voted value;
-honest code takes payloads, symbols, vectors, share packages (``blocks``)
-and signatures (``multisig``) only of exact type, and counts any other
-symbol vote as a wrong one.
+raises ``ValueError``. Values from a corrupt party pass the one gate that
+``wire`` states: the engine drops a corrupt ideal submission that is not
+``wire.value_ok``, outputs BOT for an adversary-picked oracle output that
+is not, and parses each envelope a corrupt party sends once, at send
+(``wire.parse``). A refused envelope still travels: it is delivered at its
+tick, traced and counted in ``received_bits_total``, but filed into no
+list, not even the mailbox. Honest envelopes are not parsed.
 
 The protocol's spec fixes each ideal instance's kind, sender and width
 (``session.oracles``); the engine builds the instances it runs as ideal,
@@ -68,6 +68,8 @@ import random
 from operator import attrgetter
 from dataclasses import dataclass
 from typing import Callable, Generator, NamedTuple
+
+from . import wire
 
 
 class Bot:
@@ -195,14 +197,6 @@ class IdealOracle:
         self.fired = False
 
 
-def admissible(value, width: int) -> bool:
-    """Whether honest code may take value from a corrupt party for a field
-    of width bits (see the module docstring)."""
-    if width == 1:
-        return type(value) is int and value in (0, 1)
-    return type(value) is bytes
-
-
 def value_to_bytes(v) -> bytes:
     """Injective encoding of an oracle value: a type tag, then the value.
 
@@ -300,11 +294,12 @@ class Reader:
 class Ctx:
     """Per-party handle into the engine: sending, mailbox, oracles, flags.
 
-    Every envelope reaching the party is appended to ``mailbox``. A list of
-    its mail of one kind, or of one (kind, instance), is built on its first
-    request by one scan of the mailbox and kept in the engine's row for
-    that key, which delivery extends from then on; mail of a key nobody
-    asked for is filed in the mailbox alone. A broadcast's one record is
+    Every envelope reaching the party that ``wire`` did not refuse is
+    appended to ``mailbox``. A list of its mail of one kind, or of one
+    (kind, instance), is built on its first request by one scan of the
+    mailbox and kept in the engine's row for that key, which delivery
+    extends from then on; mail of a key nobody asked for is filed in the
+    mailbox alone. A broadcast's one record is
     filed into every recipient's lists, so an envelope is shared and
     immutable. ``inbox`` returns one of those lists as it stands, in arrival
     order; callers must not modify it. ``reader`` wraps one in a cursor for
@@ -499,12 +494,14 @@ class Engine:
             factory = factories.get(pid)
             gen = factory(ctx) if factory is not None else None
             self.parties[pid] = PartyHandle(pid=pid, ctx=ctx, gen=gen, done=gen is None)
+        self._widths = wire.widths(session.oracles)  # value width by rb/ds instance
+        self._refused_bits = 0  # bits of refused records reaching honest parties
         self.oracles: dict[str, IdealOracle] = {}
         for name, decl in sorted(session.oracles.items()):
             if session.oracle_impl[decl.kind] == "ideal":
                 inst = self.oracles[name] = IdealOracle(name, decl)
                 for pid, value in sorted(adversary.oracle_submissions(inst, self).items()):
-                    if pid not in honest and admissible(value, inst.value_bits):
+                    if pid not in honest and wire.value_ok(value, inst.value_bits):
                         inst.submissions[pid] = value
 
     # --- sending and oracles -------------------------------------------------
@@ -544,7 +541,9 @@ class Engine:
     def _enqueue(self, src, dsts, kind, payload, bits, step, instance, oracle) -> None:
         if not self._names_key(src, kind, instance, write=True):
             return
-        if src in self.honest and dsts:
+        if src not in self.honest:
+            payload = wire.parse(kind, payload, self._widths.get(instance))
+        elif dsts:
             self.metrics.add(bits * len(dsts), step=step, oracle=oracle)
         self._post(Envelope(src, kind, payload, bits, step, instance, self.tick), dsts)
 
@@ -561,7 +560,7 @@ class Engine:
             return
         inst.registered.add(pid)
         self._submitted.add(instance)
-        if value is not None and (pid in self.honest or admissible(value, inst.value_bits)):
+        if value is not None and (pid in self.honest or wire.value_ok(value, inst.value_bits)):
             inst.submissions[pid] = value
 
     def _oracle_ready(self, inst: IdealOracle) -> bool:
@@ -588,6 +587,8 @@ class Engine:
             out = subs[first]
         else:
             out = self.adversary.pick_oracle_output(inst, [subs[p] for p in sorted(subs)], self)
+            if not wire.value_ok(out, inst.value_bits):
+                out = BOT
         honest_cost = facts.cost(inst.value_bits, n, k) * len(self.honest) // n
         self.metrics.add(honest_cost, step=f"oracle:{inst.instance}", oracle=inst.kind)
         self._post(Envelope(0, "oracle_out", out, 0, f"oracle:{inst.instance}", inst.instance,
@@ -636,7 +637,12 @@ class Engine:
 
     def _deliver(self, env: Envelope, dsts: tuple[int, ...]) -> None:
         """File one record for each destination, in order: its mailbox, and
-        the lists of the record's keys that the destination asked for."""
+        the lists of the record's keys that the destination asked for. A
+        refused record is filed nowhere; its bits still count as received."""
+        if env.payload is wire.REFUSED:
+            honest = self.honest
+            self._refused_bits += env.bits * sum(dst in honest for dst in dsts)
+            return
         mailboxes = self._mailboxes
         for dst in dsts:
             mailboxes[dst].append(env)
@@ -657,7 +663,7 @@ class Engine:
         # diagnostic only: the bits of all mail honest parties received,
         # Byzantine-sent traffic included, never claimed; self-delivered
         # envelopes carry 0 bits
-        self.metrics.extra["received_bits_total"] = sum(
+        self.metrics.extra["received_bits_total"] = self._refused_bits + sum(
             sum(map(_BITS, self._mailboxes[pid])) for pid in self.honest)
 
     def _run_rounds(self) -> None:

@@ -3,27 +3,27 @@
 A corrupt party may hand honest code a value whose type only resembles the
 one expected: a ``bytes`` subclass whose ``==`` and hash claim an honest
 value, an int subclass with its own operators, ``True`` or ``1.0`` for a
-bit. The engine, the concrete oracle constructions, the protocols and the
-codec memo take such a value nowhere (``simnet.admissible``,
-``blocks._checked_share``, ``multisig.well_formed``). These tests depend on
+bit, a tag whose ``==`` raises. The engine parses every corrupt envelope
+and submission through ``wire``, so the oracle constructions, the protocols
+and the codec memo see such a value nowhere. These tests depend on
 ``hash()``, so CI also runs them under other ``PYTHONHASHSEED`` values.
 """
 
 import numpy as np
 import pytest
 
-from bbext import simnet
+from bbext import wire
 from bbext.accumulator import Witness
 from bbext.adversary import AdversaryScript, hooked
-from bbext.blocks import IndexedShare, SharePackage, _checked_share
+from bbext.blocks import IndexedShare, SharePackage
 from bbext.checks import (SENDER, _oracle_harness_spec, _oracle_params, _oracle_value,
                           build_inputs, judged_run)
 from bbext.multisig import MultiSig
-from bbext.oracles import BrachaMachine, _slot_tag
+from bbext.oracles import _slot_tag
 from bbext.protocols import PROTOCOLS, SessionParams, max_t
 from bbext.runner import run
 from bbext.simnet import BOT, NEXT_ROUND, RandomPolicy, SchedulerPolicy
-from tests.test_oracles_concrete import _Env, _FakeCtx, chain_bb_spec, chain_params
+from tests.test_oracles_concrete import chain_bb_spec, chain_params
 
 
 class AlwaysEqual(bytes):
@@ -157,6 +157,33 @@ def test_a_payload_twin_does_not_find_the_committed_message_in_the_memo(n):
     assert all(res.outputs[p] is BOT for p in res.honest)
 
 
+# --- an oracle output the adversary picks ------------------------------------------
+
+
+class TwinPicker(AdversaryScript):
+    """Where an ideal agreement leaves its output open, picks an
+    always-equal twin of zero bytes."""
+
+    name = "twin_picker"
+    placement = "tail"
+
+    def pick_oracle_output(self, inst, submitted, engine):
+        if inst.value_bits == 1:
+            return super().pick_oracle_output(inst, submitted, engine)
+        return AlwaysEqual(bytes(inst.value_bits // 8))
+
+
+@pytest.mark.parametrize("n", [4, 7])
+def test_a_picked_twin_output_is_bot(n):
+    # the twin equalled every honest commitment, so every honest party was
+    # happy with its own message and output it: agreement broke
+    params = _params("sync-ba-half", n)
+    inputs = build_inputs("ba", params, 0, "none")
+    res, violations = judged_run("sync-ba-half", params, inputs, adversary=TwinPicker(), seed=0)
+    assert violations == []
+    assert all(res.outputs[p] is BOT for p in res.honest)
+
+
 # --- each admission site refuses each hostile value -----------------------------
 
 
@@ -205,20 +232,42 @@ def _packages_holding(value) -> list:
     ]
 
 
+_SIG = MultiSig(frozenset({1, 2}), bytes(32))
+
+
+def _carriers(value) -> dict[str, list]:
+    """Payloads of each kind with value at one of their leaves; every other
+    leaf is of the shape the kind's parser admits."""
+    sigs = [MultiSig(value, _SIG.aggregate), MultiSig(frozenset({2, value}), _SIG.aggregate),
+            MultiSig(_SIG.signers, value), value]
+    return {
+        **{kind: [value] for kind in ("payload", "sym_self", "sym_priv", "maj_val",
+                                      "v_vec", "e_vec")},
+        "share_pkg": _packages_holding(value),
+        "share_fwd": _packages_holding(value),
+        "happy_cert": sigs,
+        "ok": [(value, 1), (1, value)],
+        "aba": [("est", value, 1), ("est", 1, value)],
+        "rb": [("echo", value)],
+        "ds": [((value, b"v", _SIG),), ((1, value, _SIG),)] + [((1, b"v", sig),) for sig in sigs],
+    }
+
+
 @pytest.mark.parametrize("value", HOSTILE.values(), ids=HOSTILE.keys())
 def test_each_admission_site_refuses_a_value_of_another_type(value):
-    assert _checked_share(SharePackage(_SHARE, _WITNESS), 1) == _SHARE
+    good = {"share_pkg": SharePackage(_SHARE, _WITNESS), "happy_cert": _SIG,
+            "rb": ("echo", b"v"), "ds": ((1, b"v", _SIG),)}
+    for kind, payload in good.items():
+        assert wire.parse(kind, payload, 128) is payload
     for width in (1, 128):
-        assert not simnet.admissible(value, width)
-        machine = BrachaMachine(_FakeCtx(2, 4, 1), "rb0", 1, width)
-        for src in (1, 3, 4):
-            for tag in ("send", "echo", "ready"):
-                machine.feed(_Env(src, (tag, value)))
-        assert (machine.values, machine.echoes, machine.readies) == ({}, {}, {})
-        assert machine.ctx.sent == [] and not machine.has_delivered
-    for pkg in _packages_holding(value):
-        assert _checked_share(pkg, None) is None
-        assert _checked_share(pkg, 1) is None
+        assert not wire.value_ok(value, width)
+        for kind, payloads in _carriers(value).items():
+            for payload in payloads:
+                # a wrong symbol vote, a record without the triple, or nothing;
+                # the type first, as a hostile value's == may lie
+                want = {"maj_val": b"", "ds": ()}.get(kind, wire.REFUSED)
+                got = wire.parse(kind, payload, width)
+                assert type(got) is type(want) and got == want, (kind, payload)
 
 
 # --- error-free protocols: subclassed vectors, acknowledgements and symbols ----
@@ -323,29 +372,61 @@ class LongSet(frozenset):
         return 64
 
 
+class LateTwin(int):
+    """An int that hashes as the id it twins and compares as its own value
+    until armed; armed, it equals the id."""
+
+    def __new__(cls, value: int, twin: int):
+        obj = super().__new__(cls, value)
+        obj.twin, obj.armed = twin, False
+        return obj
+
+    def __eq__(self, other):
+        return other == self.twin if self.armed else int.__eq__(self, other)
+
+    def __hash__(self):
+        return hash(self.twin)
+
+
+def _twin_set(pid: int, t: int) -> frozenset:
+    """An exact frozenset of pid and t armed twins of it."""
+    twins = [LateTwin(1000 + j, pid) for j in range(t)]
+    signers = frozenset([pid, *twins])
+    for twin in twins:
+        twin.armed = True
+    return signers
+
+
 class ChainForger(AdversaryScript):
-    """The sender is corrupt and signs nothing in round 0. When late, it
-    sends party 2 alone, in round t, a chain for b"late" that carries its
-    own signature under a LongSet; otherwise it sends every party in round 0
-    a triple whose signer set is an int."""
+    """The sender is corrupt and signs nothing in round 0. A late form
+    sends party 2 alone, in round t, a chain for b"late" that carries only
+    its own signature: under a LongSet, with its MAC padded to 64, or under
+    a frozenset of its id and t twins of it, with its MAC repeated t+1
+    times. The int-set form sends every party in round 0 a triple whose
+    signer set is an int."""
 
     name = "chain_forger"
 
-    def __init__(self, late: bool):
-        self.late = late
+    def __init__(self, form: str):
+        self.form = form
 
     def corrupt_set(self, n, t, sender):
         return frozenset({sender})
 
     def make_party(self, pid, honest_factory, env):
         def party(ctx):
-            if self.late:
-                for _ in range(ctx.params.t):
+            t = ctx.params.t
+            if self.form == "int-set":
+                sig, dsts = MultiSig(5, b""), range(2, ctx.params.n + 1)
+            else:
+                for _ in range(t):
                     yield NEXT_ROUND
                 own = ctx.session.msig.sign(pid, _slot_tag("bb0", pid, b"late"))
-                sig, dsts = MultiSig(LongSet({pid}), own.aggregate * 64), [2]
-            else:
-                sig, dsts = MultiSig(5, b""), range(2, ctx.params.n + 1)
+                if self.form == "long-set":
+                    sig = MultiSig(LongSet({pid}), own.aggregate * 64)
+                else:
+                    sig = MultiSig(_twin_set(pid, t), own.aggregate * (t + 1))
+                dsts = [2]
             for dst in dsts:
                 ctx.send(dst, "ds", ((pid, b"late", sig),), bits=1, instance="bb0",
                          step="junk")
@@ -354,12 +435,57 @@ class ChainForger(AdversaryScript):
         return party
 
 
-@pytest.mark.parametrize("late", [True, False], ids=["late-long-set", "int-set"])
-@pytest.mark.parametrize("n,t", [(4, 1), (7, 6)])
-def test_a_signer_set_of_another_type_carries_no_chain(late, n, t):
-    # the LongSet chain verified with its aggregate padded to 64 MACs, so
-    # party 2 alone accepted b"late" in the last round; the int signer set
-    # raised TypeError at the membership check
+@pytest.mark.parametrize("form", ["long-set", "int-set", "twin-set"],
+                         ids=["late-long-set", "int-set", "late-twin-set"])
+@pytest.mark.parametrize("n,t", [(4, 1), (7, 3), (7, 6)])
+def test_a_signer_set_of_another_type_carries_no_chain(form, n, t):
+    # the LongSet chain verified with its aggregate padded to 64 MACs, and
+    # the twin set, of exact type, with its MAC repeated: each twin found the
+    # sender's key, so party 2 alone accepted b"late" in the last round; the
+    # int signer set raised TypeError at the membership check
     res = run(chain_bb_spec(), chain_params(n, t), {SENDER: b"m" * 16},
-              adversary=ChainForger(late), seed=0, oracle_impl={"sync_bb": "concrete"})
+              adversary=ChainForger(form), seed=0, oracle_impl={"sync_bb": "concrete"})
     assert all(res.outputs[p] is BOT for p in res.honest)
+
+
+# --- tags whose == raises ---------------------------------------------------------
+
+
+class RaisingTag(str):
+    def __eq__(self, other):
+        raise RuntimeError("a corrupt tag was compared")
+
+    __hash__ = str.__hash__
+
+
+class RaisingTagSender(AdversaryScript):
+    """The tail parties send each honest party, at the start, an echo/ready
+    record under rb_commit (a k-bit value) and flag/1 (a bit), and a binary
+    agreement estimate under ba_happy, each with a RaisingTag for its tag."""
+
+    name = "raising_tag"
+    placement = "tail"
+
+    def make_party(self, pid, honest_factory, env):
+        def party(ctx):
+            for dst in sorted(set(range(1, ctx.params.n + 1)) - env.corrupt):
+                for instance, value in (("rb_commit", bytes(ctx.params.k // 8)), ("flag/1", 1)):
+                    ctx.send(dst, "rb", (RaisingTag("echo"), value), bits=1,
+                             instance=instance, step="junk")
+                ctx.send(dst, "aba", (RaisingTag("est"), 1, 1), bits=1, instance="ba_happy",
+                         step="junk")
+            return None
+            yield  # pragma: no cover
+
+        return party
+
+
+@pytest.mark.parametrize("protocol", ["async-rb-third", "ef-async-rb-third", "async-ba-third"])
+def test_a_tag_whose_equality_raises_is_refused(protocol):
+    # the echo/ready machine and binary agreement compared the tag with
+    # "send" and "est", and the raise stopped the run
+    params = _params(protocol, 7)
+    inputs = build_inputs(PROTOCOLS[protocol].kind, params, 0, "all")
+    _, violations = judged_run(protocol, params, inputs, adversary=RaisingTagSender(), seed=0,
+                               oracle_impl={"async_rb": "concrete", "async_ba_bit": "concrete"})
+    assert violations == []

@@ -101,7 +101,6 @@ def test_verify_package(ak):
     packages = blocks.make_packages(shares, ak, z)
     assert blocks.verify_package(ak, z, packages[1], expect_index=1)
     assert not blocks.verify_package(ak, z, packages[1], expect_index=2)
-    assert not blocks.verify_package(ak, z, "junk")
 
 
 def test_nominal_bits_accounting(ak):
@@ -173,17 +172,19 @@ def test_codec_memo_equals_the_fresh_codec(data):
     actions = data.draw(st.dictionaries(
         st.integers(1, n), st.sampled_from(["erase", "bad_witness", "wrong_index"]),
         max_size=min(n, d0 + 1)), label="actions")
-    packages = _tamper(blocks.make_packages(list(shares), ak, z), actions)
-    for j in range(1, n + 1):  # tampered packages before and after the genuine ones
+    genuine = blocks.make_packages(list(shares), ak, z)
+    packages = _tamper(genuine, actions)
+    for j, pkg in sorted(packages.items()):  # tampered packages before and after the genuine ones
         for index in {j, j % n + 1}:
-            pkg = packages.get(j, "junk")
             assert memo.verify(z, pkg, index) == blocks.verify_package(ak, z, pkg, index)
     want = blocks.reconstruct(packages, ak, z, d0, b)
     assert memo.reconstruct(packages, z, d0, b) == want
-    # a second call, with junk in an erased slot, decodes the same verified set
+    # a second call, with a lengthened share in an erased slot, decodes the same verified set
     if len(packages) < n:
         j = next(j for j in range(1, n + 1) if j not in packages)
-        packages = {**packages, j: "junk"}
+        share, wit = genuine[j].indexed_share, genuine[j].witness
+        packages = {**packages, j: blocks.SharePackage(
+            blocks.IndexedShare(j, share.share + b"\x00"), wit)}
     assert memo.reconstruct(packages, z, d0, b) == want
     assert len(memo.decoded) == 1
     if len(actions) <= d0:  # within the erasure budget the message comes back
@@ -299,8 +300,6 @@ def test_a_cached_acceptance_cannot_be_poisoned():
         dataclasses.replace(genuine, indexed_share=blocks.IndexedShare(2, flipped)),
         dataclasses.replace(genuine, witness=Witness(bytes(len(wit.data)), wit.nominal_bits)),
         packages[3],
-        (share, wit),
-        "junk",
     ]
     for forged in forgeries:
         assert not blocks.verify_package(ak, z, forged, 2)
@@ -317,8 +316,7 @@ def test_a_rejected_package_never_enters_the_table():
     other_z = blocks.CodecMemo(ak).commit(b"another", 2, 56)[1]
     wit = packages[1].witness
     zeroed = dataclasses.replace(packages[1], witness=Witness(bytes(len(wit.data)), wit.nominal_bits))
-    for commitment, pkg, index in [(z, zeroed, 1), (z, packages[1], 2), (other_z, packages[1], 1),
-                                   (z, "junk", 1)]:
+    for commitment, pkg, index in [(z, zeroed, 1), (z, packages[1], 2), (other_z, packages[1], 1)]:
         assert not memo.verify(commitment, pkg, index)
     assert memo.accepted == {}
     assert memo.verify(AccValue(z.data, z.nominal_bits), packages[1], 1)

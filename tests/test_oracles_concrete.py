@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bbext import wire
 from bbext.adversary import (
     AdversaryScript,
     Equivocator,
@@ -18,7 +19,7 @@ from bbext.oracles import BrachaMachine, _chain_tag, _slot_tag, value_to_bytes
 from bbext.protocols import PROTOCOLS, SessionParams
 from bbext.protocols.base import ProtocolSpec
 from bbext.runner import run
-from bbext.simnet import BOT, Engine, RandomPolicy
+from bbext.simnet import BOT, Engine, OracleInstance, RandomPolicy
 
 
 def chain_bb_spec():
@@ -27,8 +28,9 @@ def chain_bb_spec():
         out = yield from dolev_strong(ctx, "bb0", sender, my_input, ctx.params.k)
         return out
 
-    return ProtocolSpec(name="h-ds", mode="rounds", kind="bb",
-                        regime="one_minus_eps", party=party)
+    return ProtocolSpec(name="h-ds", mode="rounds", kind="bb", regime="one_minus_eps",
+                        party=party, oracles=lambda params, sender: {
+                            "bb0": OracleInstance("sync_bb", sender, params.k)})
 
 
 def chain_params(n: int, t: int) -> SessionParams:
@@ -703,7 +705,10 @@ def test_bracha_machine_matches_sorted_scan(nt, sender, start_as_sender, feeds):
         m = cls(ctx, "rb0", sender, 8)
         m.start(b"mine" if pid == sender else None)
         for src, payload in feeds:
-            m.feed(_Env(1 + (src - 1) % n, payload))
+            # the engine parses a corrupt party's payload before it is filed
+            payload = wire.parse("rb", payload, 8)
+            if payload is not wire.REFUSED:
+                m.feed(_Env(1 + (src - 1) % n, payload))
         machines.append((m, ctx))
     (got, got_ctx), (ref, ref_ctx) = machines
     assert got_ctx.sent == ref_ctx.sent
@@ -759,3 +764,97 @@ def test_front_doors_call_each_construction_by_its_module_name(monkeypatch):
         res = run(spec, params, inputs, seed=0, oracle_impl={kind: "concrete"})
         assert len(res.outputs) == 4, kind
     assert all(calls.values()), calls
+
+
+# --- equivocation inside the concrete constructions ---------------------------
+
+
+def _flip(value):
+    return 1 - value if type(value) is int else bytes(b ^ 0xFF for b in value)
+
+
+class OracleEquivocator(AdversaryScript):
+    """The sender (when there is one) and the tail run the honest code, but
+    equivocate inside the concrete constructions toward even-numbered
+    parties: each echo/ready value and binary agreement bit is flipped, and
+    a chain slot's own round-0 value is flipped and signed anew. Delivery is
+    FIFO or uniformly random. Not in ``adversary_battery()``."""
+
+    name = "oracle_equivocator"
+    placement = "sender_and_tail"
+
+    def __init__(self, random_delivery: bool):
+        self.random_delivery = random_delivery
+
+    def scheduler_policy(self, corrupt, seed):
+        return RandomPolicy() if self.random_delivery else super().scheduler_policy(corrupt, seed)
+
+    def make_party(self, pid, honest_factory, env):
+        auth = env.session.msig
+        chains = wire.widths(env.session.oracles)  # every name a chain runs under
+
+        def resign(triple):
+            slot, value, sig = triple
+            if slot != pid or sig.signers != {pid}:
+                return triple  # another slot's chain: not the party's to forge
+            name = next(name for name in chains if auth.verify(sig, _slot_tag(name, slot, value)))
+            return slot, _flip(value), auth.sign(pid, _slot_tag(name, slot, _flip(value)))
+
+        def send_hook(ctx, dst, kind, payload):
+            if dst % 2 == 0:
+                if kind == "rb":
+                    payload = (payload[0], _flip(payload[1]))
+                elif kind == "aba" and payload[2] in (0, 1):
+                    payload = (*payload[:2], _flip(payload[2]))
+                elif kind == "ds":
+                    payload = tuple(map(resign, payload))
+            return kind, payload
+
+        return hooked(honest_factory, send_hook=send_hook)
+
+
+ALL_CONCRETE = {"sync_bb": "concrete", "sync_ba": "concrete",
+                "async_rb": "concrete", "async_ba_bit": "concrete"}
+
+
+def _equivocation_violations(protocol: str, random_delivery: bool, seeds):
+    """(n, seed, violations) of every broken run of protocol, all oracles
+    concrete, at the battery's sizes."""
+    from bbext.checks import battery_configs, judged_run
+
+    spec = PROTOCOLS[protocol]
+    broken = []
+    for params in battery_configs(protocol):
+        for seed in seeds:
+            inputs = build_inputs(spec.kind, params, seed, "majority")
+            _, violations = judged_run(protocol, params, inputs, seed=seed,
+                                       adversary=OracleEquivocator(random_delivery),
+                                       oracle_impl=ALL_CONCRETE)
+            if violations:
+                broken.append((params.n, seed, violations))
+    return broken
+
+
+@pytest.mark.parametrize("protocol,random_delivery", [
+    (protocol, random_delivery) for protocol in sorted(PROTOCOLS)
+    # rounds mode has no delivery policy
+    for random_delivery in ((False, True) if PROTOCOLS[protocol].mode == "events" else (False,))])
+def test_equivocation_inside_the_constructions_breaks_nothing(protocol, random_delivery):
+    assert _equivocation_violations(protocol, random_delivery, range(5)) == []
+
+
+@pytest.mark.parametrize("random_delivery", [False, True], ids=["fifo", "random"])
+def test_equivocation_catches_lowered_echo_ready_thresholds(monkeypatch, random_delivery):
+    # with echo and delivery at t + 1, the flipped echoes and readies split
+    # the honest parties of async-rb-third: all-or-none delivery breaks (in
+    # 20 of these 60 runs under FIFO delivery and 30 under random delivery)
+    init = BrachaMachine.__init__
+
+    def lowered(machine, ctx, *args):
+        init(machine, ctx, *args)
+        machine.echo_thresh = machine.ready_deliver = ctx.params.t + 1
+
+    monkeypatch.setattr(BrachaMachine, "__init__", lowered)
+    broken = _equivocation_violations("async-rb-third", random_delivery, range(20))
+    assert broken
+    assert all(v.startswith("termination: partial output") for _, _, vs in broken for v in vs)

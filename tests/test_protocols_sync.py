@@ -18,11 +18,12 @@ from bbext.adversary import (
     adversary_battery,
     hooked,
 )
+from bbext.accumulator import Witness
 from bbext.blocks import CodecMemo, IndexedShare, SharePackage, verify_package
 from bbext.checks import build_inputs, evaluate_run
 from bbext.protocols import SessionParams, crypto_sync
 from bbext.runner import RunResult, run
-from bbext.simnet import BOT, RunMetrics
+from bbext.simnet import BOT, NEXT_ROUND, RunMetrics
 
 
 def p_half(n=4, l=96):
@@ -161,14 +162,34 @@ def test_high_threshold_one_shot_steps():
 
 
 class JunkSender(JunkInjector):
-    """The junk injector with the sender among its corrupt parties: the
-    commitment is never agreed, so every honest party rejects every package
-    it receives and keeps looking through all t+1 iterations."""
+    """The junk injector with the sender among its corrupt parties. The
+    sender also sends every party, in each of the t+1 iterations, a
+    well-formed package for its index under a zero witness. The commitment
+    is never agreed, so every honest party rejects every package it
+    receives and keeps looking through all t+1 iterations."""
 
     name = "junk_sender"
 
     def corrupt_set(self, n, t, sender):
         return frozenset({sender}) | _tail_corrupt(n, t - 1, exclude=frozenset({sender}))
+
+    def make_party(self, pid, honest_factory, env):
+        junk = super().make_party(pid, honest_factory, env)
+        if pid != env.sender:
+            return junk
+
+        def party(ctx):
+            yield from junk(ctx)
+            n = ctx.params.n
+            for _ in range(ctx.params.t + 1):
+                for dst in range(1, n + 1):
+                    if dst != ctx.pid:
+                        pkg = SharePackage(IndexedShare(dst, bytes(2)), Witness(bytes(8), 8))
+                        ctx.send(dst, "share_pkg", pkg, bits=8, step="junk")
+                yield NEXT_ROUND
+                yield NEXT_ROUND
+
+        return party
 
 
 @pytest.mark.parametrize("script", [JunkInjector(), JunkSender()])

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bbext import wire
 from bbext.adversary import (
     AdversaryScript,
     Equivocator,
@@ -266,12 +267,17 @@ def _scan(ctx, kind=None, instance=None):
             and (instance is None or e.instance == instance)]
 
 
-def _expected_mailboxes(trace, self_filed):
+def _expected_mailboxes(trace, self_filed, refused):
     """Each party's mailbox as the trace and the self-deliveries say it must
     be, as (src, kind, bits) in arrival order. Within a tick, network mail
-    comes first: it is delivered before the parties it reaches resume."""
+    comes first: it is delivered before the parties it reaches resume.
+    refused lists, per (src, dst), whether ``wire.parse`` refused each of
+    src's sends to dst, in send order, which under FIFO delivery is the
+    order of their trace records; a refused record is in no mailbox."""
     arrivals: dict[int, list] = {}
     for rec in trace:
+        if (rec["from"], rec["to"]) in refused and refused[rec["from"], rec["to"]].pop(0):
+            continue
         arrivals.setdefault(rec["to"], []).append(
             ((rec["tick"], 0), (rec["from"], rec["msg_kind"], rec["bits"])))
     for pid, filed in self_filed.items():
@@ -287,18 +293,27 @@ def test_indexed_reads_equal_full_mailbox_scans(monkeypatch, protocol, impl):
     """Every inbox read, cursor read and oracle result of a session under
     junk traffic equals a filtered scan of the reading party's mailbox, and
     every mailbox holds exactly the envelopes filed to it, in order. What
-    was filed is read from the delivery trace and from the self-deliveries,
-    not from the filing code."""
+    was filed is read from the delivery trace, the self-deliveries and the
+    schema's verdict on each corrupt send, not from the filing code."""
     ctxs: dict[int, Ctx] = {}
+    refused: dict[tuple[int, int], list[bool]] = {}
     self_filed: dict[int, list] = {}
     readers: dict[int, tuple] = {}
     seen = {"payload": 0, "new": 0, "oracle": 0, "self": set()}
     orig_init, orig_self, orig_inbox = Ctx.__init__, Ctx.self_deliver, Ctx.inbox
     orig_reader, orig_new, orig_result = Ctx.reader, Reader.new, Ctx.oracle_result
+    orig_send = Engine.submit_send
 
     def init(ctx, engine, pid):
         orig_init(ctx, engine, pid)
         ctxs[pid] = ctx
+
+    def submit_send(engine, src, dst, kind, payload, bits, step, instance, oracle):
+        if src not in engine.honest:
+            width = wire.widths(engine.session.oracles).get(instance)
+            refused.setdefault((src, dst), []).append(
+                wire.parse(kind, payload, width) is wire.REFUSED)
+        orig_send(engine, src, dst, kind, payload, bits, step, instance, oracle)
 
     def self_deliver(ctx, kind, payload, step=None, instance=None):
         self_filed.setdefault(ctx.pid, []).append((ctx.engine.tick, kind, payload, instance))
@@ -334,6 +349,7 @@ def test_indexed_reads_equal_full_mailbox_scans(monkeypatch, protocol, impl):
         return got
 
     monkeypatch.setattr(Ctx, "__init__", init)
+    monkeypatch.setattr(Engine, "submit_send", submit_send)
     monkeypatch.setattr(Ctx, "self_deliver", self_deliver)
     monkeypatch.setattr(Ctx, "inbox", inbox)
     monkeypatch.setattr(Ctx, "reader", reader)
@@ -345,7 +361,9 @@ def test_indexed_reads_equal_full_mailbox_scans(monkeypatch, protocol, impl):
     res = run(protocol, params, inputs, adversary=JunkInjector(), seed=1,
               oracle_impl=CONCRETE if impl == "concrete" else {}, trace=True)
 
-    expected = _expected_mailboxes(res.trace, self_filed)
+    assert any(True in sends for sends in refused.values())
+    expected = _expected_mailboxes(res.trace, self_filed, refused)
+    assert not any(refused.values())  # every corrupt send has its trace record
     assert ctxs and set(expected) <= set(ctxs)
     for pid, ctx in ctxs.items():
         # no party sends to itself, so only self-delivery files its own mail
