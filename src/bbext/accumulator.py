@@ -69,7 +69,6 @@ class AccKey:
 @dataclass(frozen=True)
 class AccValue:
     data: bytes
-    nominal_bits: int
     source_values: tuple[bytes, ...] | None = field(default=None, repr=False, compare=False)
     levels: tuple[tuple[bytes, ...], ...] | None = field(default=None, repr=False, compare=False)
     products: tuple[tuple[int, ...], tuple[int, ...]] | None = field(
@@ -79,7 +78,6 @@ class AccValue:
 @dataclass(frozen=True)
 class Witness:
     data: bytes
-    nominal_bits: int
 
 
 def witness_nominal_bits(scheme: str, n: int, k: int) -> int:
@@ -138,11 +136,11 @@ def acc_eval(ak: AccKey, values: list[bytes] | tuple[bytes, ...]) -> AccValue:
         raise ValueError("duplicate values rejected")
     if ak.scheme == HASH_TREE:
         levels = _tree_levels(values, ak.k)
-        return AccValue(data=levels[-1][0], nominal_bits=ak.k, source_values=values, levels=levels)
+        return AccValue(data=levels[-1][0], source_values=values, levels=levels)
     products = _factor_products(ak, values)
     z = products[0][-1]  # the product of every factor
-    return AccValue(data=z.to_bytes(2 * ak.k // 8, "big"), nominal_bits=ak.k,
-                    source_values=values, products=products)
+    return AccValue(data=z.to_bytes(2 * ak.k // 8, "big"), source_values=values,
+                    products=products)
 
 
 def _int_digest(v: bytes, k: int) -> int:
@@ -172,10 +170,10 @@ def acc_create_wit(ak: AccKey, z: AccValue, d: bytes) -> Witness | None:
             path.append(level[pos ^ 1])
             pos >>= 1
         raw = idx.to_bytes(2, "big") + b"".join(path)
-        return Witness(data=raw, nominal_bits=witness_nominal_bits(HASH_TREE, ak.capacity, ak.k))
+        return Witness(data=raw)
     prefix, suffix = z.products if z.products is not None else _factor_products(ak, values)
     w = prefix[idx] * suffix[idx + 1] % ak.prime
-    return Witness(data=w.to_bytes(2 * ak.k // 8, "big"), nominal_bits=ak.k)
+    return Witness(data=w.to_bytes(2 * ak.k // 8, "big"))
 
 
 def acc_verify(ak: AccKey, z: AccValue, w: Witness | None, d: bytes) -> bool:

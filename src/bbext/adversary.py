@@ -14,7 +14,7 @@ import random
 from typing import Callable
 
 from . import blocks
-from .multisig import MultiSig, msig_combine
+from .multisig import msig_combine
 from .oracles import bcast_oracle
 from .simnet import (
     BOT,
@@ -188,8 +188,7 @@ class ForgedWitness(AdversaryScript):
                 fake = bytes(rng.randrange(256) for _ in range(len(payload.witness.data)))
                 payload = blocks.SharePackage(
                     indexed_share=payload.indexed_share,
-                    witness=type(payload.witness)(data=fake,
-                                                  nominal_bits=payload.witness.nominal_bits),
+                    witness=type(payload.witness)(data=fake),
                 )
             return kind, payload
 
@@ -284,12 +283,10 @@ class WithholdCertificate(AdversaryScript):
             packages = ctx.session.codec.packages(shares, rich)
             for r in range(1, params.t + 2):
                 if r == release_iter:
-                    ctx.send(target, "happy_cert", cert,
-                             bits=MultiSig.nominal_bits(params.n, params.k), step="distribute")
+                    ctx.send(target, "happy_cert", cert)
                     for j, pkg in sorted(packages.items()):
                         if j != ctx.pid:
-                            ctx.send(j, "share_pkg", pkg, bits=pkg.nominal_bits(),
-                                     step="distribute")
+                            ctx.send(j, "share_pkg", pkg)
                 yield from ctx.wait_rounds(2)
 
         return party
@@ -369,13 +366,12 @@ class JunkInjector(AdversaryScript):
                             share=rng.choice([b"\x00\x01", "nope", b""]),
                         ),
                         witness=rng.choice([
-                            Witness(data=b"\x00" * 8, nominal_bits=8),
+                            Witness(data=b"\x00" * 8),
                             "bogus",
                             None,
                         ]),
                     )
-                ctx.send(dst, kind, payload, bits=8,
-                         instance=rng.choice(self._INSTANCES), step="junk")
+                ctx.send(dst, kind, payload, instance=rng.choice(self._INSTANCES))
             return None
             yield  # pragma: no cover
 

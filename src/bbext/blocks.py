@@ -70,9 +70,6 @@ class SharePackage:
     indexed_share: IndexedShare
     witness: Witness
 
-    def nominal_bits(self) -> int:
-        return 16 + 8 * len(self.indexed_share.share) + self.witness.nominal_bits
-
 
 def encode(m: bytes, b: int, n: int, bit_len: int | None = None) -> list[IndexedShare]:
     """Split and RS-encode a message into n indexed shares."""
@@ -99,16 +96,16 @@ def make_packages(shares: list[IndexedShare], ak: AccKey, z: AccValue) -> dict[i
     return out
 
 
-def distribute(ctx, shares: tuple[IndexedShare, ...], z: AccValue, step: str) -> None:
+def distribute(ctx, shares: tuple[IndexedShare, ...], z: AccValue) -> None:
     """Send package j to party j for every j, taken from the session's memo;
     own package delivers locally."""
     packages = ctx.session.codec.packages(shares, z)
     for j in sorted(packages):
         pkg = packages[j]
         if j == ctx.pid:
-            ctx.self_deliver("share_pkg", pkg, step=step)
+            ctx.self_deliver("share_pkg", pkg)
         else:
-            ctx.send(j, "share_pkg", pkg, bits=pkg.nominal_bits(), step=step)
+            ctx.send(j, "share_pkg", pkg)
 
 
 def _checked_share(pkg: SharePackage, expect_index: int | None) -> IndexedShare | None:

@@ -508,9 +508,8 @@ def check_accumulator() -> CheckReport:
                 outsider = b"\xff" * 9
                 forgeries = [
                     (w0, outsider),
-                    (Witness(w0.data[:-1], w0.nominal_bits), vals[0]),
-                    (Witness(bytes(rng.randrange(256) for _ in range(len(w0.data))),
-                             w0.nominal_bits), outsider),
+                    (Witness(w0.data[:-1]), vals[0]),
+                    (Witness(bytes(rng.randrange(256) for _ in range(len(w0.data)))), outsider),
                 ]
                 if n > 1:
                     forgeries.append((acc_create_wit(ak, z, vals[1]), vals[0]))

@@ -15,7 +15,7 @@ front doors protocols call, so a session can swap implementations per kind:
   propagation and halting (t < n/3).
 - async_ba_kbit: ideal only (no entry).
 
-The front doors name an instance, read its kind, sender and width from the
+The front doors name an instance, read its kind and sender from the
 session's declaration (``session.oracles``) and are the only code that reads
 its ideal/concrete choice: ``ba_oracle`` and ``bcast_oracle`` run one
 instance (through ``CONCRETE``), ``bb_slots`` and ``RbSlots`` run the n slots
@@ -31,9 +31,9 @@ The constructions read "ds", "rb" and "aba" mail as ``wire`` shapes it,
 since the engine parses a corrupt party's envelope before filing it; they
 check only ranges and signatures.
 
-Concrete oracles meter their real traffic; the common coin is an ideal
-source revealing a round's bit to the adversary only after the first honest
-query.
+Concrete oracles meter their real traffic, sized by ``wire``; the common
+coin is an ideal source revealing a round's bit to the adversary only after
+the first honest query.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from .multisig import MsigAuthority, MultiSig, msig_combine
+from .multisig import MsigAuthority, msig_combine
 from .simnet import BOT, Ctx, NEXT_ROUND, OracleInstance, value_to_bytes
 
 
@@ -79,8 +79,7 @@ def _slot_tag(instance: str, slot: int, value) -> bytes:
 # --- synchronous broadcast via signature chains -------------------------------
 
 
-def parallel_chain_bcast(ctx: Ctx, instance: str, my_value, value_bits: int,
-                         oracle_label: str, senders=None):
+def parallel_chain_bcast(ctx: Ctx, instance: str, my_value, senders=None):
     """Signature-chain broadcasts, one slot per sender (every party by
     default), run in the same t+1 relay rounds; a sender puts my_value in
     its own slot. A party accepts a slot's value at round r on a chain of r
@@ -89,28 +88,18 @@ def parallel_chain_bcast(ctx: Ctx, instance: str, my_value, value_bits: int,
 
     Wire format: a party sends at most one ``"ds"`` record per round, a
     tuple of (slot, value, sig) triples: at round 0 its own slot, at rounds
-    1..t every relay it accepted that round, in acceptance order. The record
-    is metered as one relay per triple, v+k+n bits each for a v-bit value,
-    plus a 16-bit slot id when there are several slots (one slot names its
-    sender). A receiver reads records in arrival order and triples in batch
-    order, so it accepts in the same order as if each relay were a record
-    of its own, and skips a triple that fails a check. Returns {slot: the
-    unique accepted value, BOT otherwise}."""
+    1..t every relay it accepted that round, in acceptance order (metered
+    per triple, see ``wire.scale``). A receiver reads records in arrival
+    order and triples in batch order, so it accepts in the same order as if
+    each relay were a record of its own, and skips a triple that fails a
+    check. Returns {slot: the unique accepted value, BOT otherwise}."""
     n, t = ctx.params.n, ctx.params.t
     auth: MsigAuthority = ctx.session.msig
-    step = f"oracle:{instance}"
     slots = range(1, n + 1) if senders is None else senders
     extracted: dict[int, list] = {s: [] for s in slots}
-    relay_bits = value_bits + MultiSig.nominal_bits(n, ctx.params.k)
-    if len(extracted) > 1:
-        relay_bits += 16
-
-    def send(batch: list) -> None:
-        ctx.broadcast("ds", tuple(batch), bits=relay_bits * len(batch), step=step,
-                      instance=instance, oracle=oracle_label)
-
     if ctx.pid in extracted and my_value is not None:
-        send([(ctx.pid, my_value, auth.sign(ctx.pid, _slot_tag(instance, ctx.pid, my_value)))])
+        sig = auth.sign(ctx.pid, _slot_tag(instance, ctx.pid, my_value))
+        ctx.broadcast("ds", ((ctx.pid, my_value, sig),), instance=instance)
         extracted[ctx.pid].append(my_value)
     mail = ctx.reader("ds", instance)
     for r in range(1, t + 2):
@@ -130,23 +119,22 @@ def parallel_chain_bcast(ctx: Ctx, instance: str, my_value, value_bits: int,
                 if r <= t:
                     accepted.append((slot, value, msig_combine(sig, auth.sign(ctx.pid, tag))))
         if accepted:
-            send(accepted)
+            ctx.broadcast("ds", tuple(accepted), instance=instance)
     return {s: (got[0] if len(got) == 1 else BOT) for s, got in extracted.items()}
 
 
-def dolev_strong(ctx: Ctx, instance: str, sender: int, my_value, value_bits: int):
+def dolev_strong(ctx: Ctx, instance: str, sender: int, my_value):
     """Authenticated broadcast (Dolev-Strong): the one-slot chain broadcast
     of ``sender``. Outputs the unique accepted value, BOT otherwise."""
-    out = yield from parallel_chain_bcast(ctx, instance, my_value, value_bits, "sync_bb",
-                                          senders=(sender,))
+    out = yield from parallel_chain_bcast(ctx, instance, my_value, senders=(sender,))
     return out[sender]
 
 
-def sync_ba_majority(ctx: Ctx, instance: str, my_value, value_bits: int):
+def sync_ba_majority(ctx: Ctx, instance: str, my_value):
     """Agreement for t < n/2: everyone broadcasts via a signature chain in
     parallel slots, then takes the strict majority of the n slot outputs."""
     n = ctx.params.n
-    slot_out = yield from parallel_chain_bcast(ctx, instance, my_value, value_bits, "sync_ba")
+    slot_out = yield from parallel_chain_bcast(ctx, instance, my_value)
     counts: dict[bytes, tuple[int, object]] = {}
     for v in slot_out.values():
         key = value_to_bytes(v)
@@ -163,11 +151,10 @@ class BrachaMachine:
     """Reactive echo/ready broadcast core, so several instances can share one
     party loop. Feed it the instance's envelopes; read .delivered."""
 
-    def __init__(self, ctx: Ctx, instance: str, sender: int, value_bits: int):
+    def __init__(self, ctx: Ctx, instance: str, sender: int):
         self.ctx = ctx
         self.instance = instance
         self.sender = sender
-        self.value_bits = value_bits
         n, t = ctx.params.n, ctx.params.t
         self.echo_thresh = (n + t + 2) // 2  # ceil((n+t+1)/2)
         self.ready_amplify = t + 1
@@ -181,9 +168,7 @@ class BrachaMachine:
         self.has_delivered = False
 
     def _bcast(self, tag: str, value):
-        self.ctx.broadcast("rb", (tag, value), bits=self.value_bits,
-                           step=f"oracle:{self.instance}", instance=self.instance,
-                           oracle="async_rb")
+        self.ctx.broadcast("rb", (tag, value), instance=self.instance)
 
     def start(self, my_value) -> None:
         if self.ctx.pid == self.sender and my_value is not None:
@@ -223,10 +208,10 @@ class BrachaMachine:
             self.delivered = self.values[key]
 
 
-def bracha_rb(ctx: Ctx, instance: str, sender: int, my_value, value_bits: int):
+def bracha_rb(ctx: Ctx, instance: str, sender: int, my_value):
     """Echo/ready reliable broadcast for t < n/3; delivers eventually for an
     honest sender, all-or-none otherwise."""
-    machine = BrachaMachine(ctx, instance, sender, value_bits)
+    machine = BrachaMachine(ctx, instance, sender)
     machine.start(my_value)
     mail = ctx.reader("rb", instance)
     while not machine.has_delivered:
@@ -271,8 +256,6 @@ def aba_binary(ctx: Ctx, instance: str, my_bit: int):
     parties in any round without further round progress, and finished
     parties may halt immediately."""
     n, t = ctx.params.n, ctx.params.t
-    step = f"oracle:{instance}"
-    bits = 1 + 8
     rounds: dict[int, _AbaRound] = {}
     ready_seen: dict[int, set[int]] = {}
     ready_sent: list = []
@@ -285,8 +268,7 @@ def aba_binary(ctx: Ctx, instance: str, my_bit: int):
         return rounds[r]
 
     def bcast(tag: str, r: int, v: int):
-        ctx.broadcast("aba", (tag, r, v), bits=bits, step=step,
-                      instance=instance, oracle="async_ba_bit")
+        ctx.broadcast("aba", (tag, r, v), instance=instance)
 
     def send_ready(v: int, r: int):
         if not ready_sent:
@@ -400,12 +382,12 @@ def aba_binary(ctx: Ctx, instance: str, my_bit: int):
 # --- dispatch ------------------------------------------------------------------
 
 
-# kind -> construction(ctx, instance, sender, value, value_bits); sender None for agreement
+# kind -> construction(ctx, instance, sender, value); sender None for agreement
 CONCRETE = {
-    "sync_bb": lambda ctx, inst, sender, v, bits: dolev_strong(ctx, inst, sender, v, bits),
-    "sync_ba": lambda ctx, inst, sender, v, bits: sync_ba_majority(ctx, inst, v, bits),
-    "async_rb": lambda ctx, inst, sender, v, bits: bracha_rb(ctx, inst, sender, v, bits),
-    "async_ba_bit": lambda ctx, inst, sender, v, bits: aba_binary(ctx, inst, v),
+    "sync_bb": lambda ctx, inst, sender, v: dolev_strong(ctx, inst, sender, v),
+    "sync_ba": lambda ctx, inst, sender, v: sync_ba_majority(ctx, inst, v),
+    "async_rb": lambda ctx, inst, sender, v: bracha_rb(ctx, inst, sender, v),
+    "async_ba_bit": lambda ctx, inst, sender, v: aba_binary(ctx, inst, v),
 }
 
 
@@ -415,7 +397,7 @@ def _run_instance(ctx: Ctx, instance: str, value):
     decl = ctx.session.oracles[instance]
     if ctx.session.oracle_impl[decl.kind] == "ideal":
         return ctx.ideal_oracle(instance, value)
-    return CONCRETE[decl.kind](ctx, instance, decl.sender, value, decl.width)
+    return CONCRETE[decl.kind](ctx, instance, decl.sender, value)
 
 
 def ba_oracle(ctx: Ctx, instance: str, value):
@@ -440,9 +422,9 @@ def bb_slots(ctx: Ctx, prefix: str, my_value):
     Ideal: one instance ``<prefix>/<j>`` per slot. Concrete:
     ``parallel_chain_bcast`` over the one instance name prefix."""
     names = {j: f"{prefix}/{j}" for j in range(1, ctx.params.n + 1)}
-    decl = ctx.session.oracles[names[ctx.pid]]
-    if ctx.session.oracle_impl[decl.kind] == "concrete":
-        return (yield from parallel_chain_bcast(ctx, prefix, my_value, decl.width, decl.kind))
+    kind = ctx.session.oracles[names[ctx.pid]].kind
+    if ctx.session.oracle_impl[kind] == "concrete":
+        return (yield from parallel_chain_bcast(ctx, prefix, my_value))
     for j, name in names.items():
         ctx.oracle_submit(name, my_value if j == ctx.pid else None)
     yield from ctx.wait_oracle(*names.values())
@@ -461,8 +443,8 @@ class RbSlots:
     def __init__(self, ctx: Ctx, prefix: str):
         self.ctx = ctx
         self._names = {j: f"{prefix}/{j}" for j in range(1, ctx.params.n + 1)}
-        self._decl = ctx.session.oracles[self._names[ctx.pid]]
-        self._ideal = ctx.session.oracle_impl[self._decl.kind] == "ideal"
+        kind = ctx.session.oracles[self._names[ctx.pid]].kind
+        self._ideal = ctx.session.oracle_impl[kind] == "ideal"
         self._slots = {name: j for j, name in self._names.items()}
         self._machines: dict[int, BrachaMachine] = {}
         self._delivered: set[int] = set()
@@ -471,8 +453,7 @@ class RbSlots:
     def _machine(self, j: int) -> BrachaMachine:
         machine = self._machines.get(j)
         if machine is None:
-            machine = self._machines[j] = BrachaMachine(self.ctx, self._names[j], j,
-                                                        self._decl.width)
+            machine = self._machines[j] = BrachaMachine(self.ctx, self._names[j], j)
         return machine
 
     def _note(self, j: int, value) -> None:

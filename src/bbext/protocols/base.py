@@ -97,10 +97,6 @@ def encode_input(ctx: Ctx, message: bytes):
     return shares, z
 
 
-def bare_acc(z_bytes: bytes, k: int) -> AccValue:
-    return AccValue(data=z_bytes, nominal_bits=k)
-
-
 def payload_commitment(ctx: Ctx, message, z):
     """encode_input's (shares, accumulation value) for a received payload
     that commits to z; None when no payload arrived, it does not encode, or
@@ -131,8 +127,8 @@ def first_valid_own_package(ctx: Ctx, z: AccValue, envs):
 
 def forward_own_package(ctx: Ctx, pkg) -> None:
     """Send our own verified package to every party, ourselves included."""
-    ctx.broadcast("share_fwd", pkg, bits=pkg.nominal_bits(), step="share")
-    ctx.self_deliver("share_fwd", pkg, step="share")
+    ctx.broadcast("share_fwd", pkg)
+    ctx.self_deliver("share_fwd", pkg)
 
 
 class ForwardCollector:
@@ -185,13 +181,13 @@ def shared_sync_tail(ctx: Ctx, z, happy: bool, my_message: bytes | None, my_comm
     if happy_vote != 1:
         return BOT
     z_bytes = z if isinstance(z, bytes) else b""
-    z = bare_acc(z_bytes, ctx.params.k)
+    z = AccValue(z_bytes)
     ctx.set_step("distribute")
     if happy:
         my_shares, rich = my_commit
         if rich.data != z_bytes:
             raise InvariantViolation("happy party's shares must match the agreed commitment")
-        blocks.distribute(ctx, my_shares, rich, step="distribute")
+        blocks.distribute(ctx, my_shares, rich)
     yield NEXT_ROUND
     ctx.set_step("share")
     mine = first_valid_own_package(ctx, z, pkg_mail.new())

@@ -9,11 +9,11 @@ single honest output to everyone when the sender is faulty.
 from __future__ import annotations
 
 from .. import blocks
+from ..accumulator import AccValue
 from ..oracles import ba_oracle, bcast_oracle
 from ..simnet import BOT, Ctx, InvariantViolation, OracleInstance
-from .base import (ForwardCollector, ProtocolSpec, bare_acc, encode_input,
-                   first_valid_own_package, forward_own_package, payload_commitment,
-                   share_mail)
+from .base import (ForwardCollector, ProtocolSpec, encode_input, first_valid_own_package,
+                   forward_own_package, payload_commitment, share_mail)
 
 
 def async_ba_third(ctx: Ctx, my_input: bytes, sender: int | None = None):
@@ -28,10 +28,10 @@ def async_ba_third(ctx: Ctx, my_input: bytes, sender: int | None = None):
     vote = yield from ba_oracle(ctx, "ba_happy", int(happy))
     if vote != 1:
         return BOT
-    z_acc = bare_acc(z, params.k)
+    z_acc = AccValue(z)
     ctx.set_step("distribute")
     if happy:
-        blocks.distribute(ctx, shares, z_mine, step="distribute")
+        blocks.distribute(ctx, shares, z_mine)
     ctx.set_step("share")
     mine = first_valid_own_package(ctx, z_acc, packages.new())
     while mine is None:
@@ -64,11 +64,11 @@ def async_rb_third(ctx: Ctx, my_input: bytes | None, sender: int):
     if ctx.pid == sender:
         shares, z_mine = encode_input(ctx, my_input)
         z_bytes_own = z_mine.data
-        ctx.broadcast("payload", my_input, bits=params.l, step="payload")
+        ctx.broadcast("payload", my_input)
     z = yield from bcast_oracle(ctx, "rb_commit", z_bytes_own)
     if not isinstance(z, bytes):
         return None  # commitment never resolves to a usable value
-    z_acc = bare_acc(z, params.k)
+    z_acc = AccValue(z)
 
     happy = False
     message = my_input if ctx.pid == sender else None
@@ -78,7 +78,7 @@ def async_rb_third(ctx: Ctx, my_input: bytes | None, sender: int):
         ctx.set_happy(happy)
         if happy:
             ctx.set_step("distribute")
-            blocks.distribute(ctx, shares, z_mine, step="distribute")
+            blocks.distribute(ctx, shares, z_mine)
     forwarded = None
     forwards = ForwardCollector(ctx, z_acc, fwd_mail)
     mail = ctx.reader()
@@ -93,7 +93,7 @@ def async_rb_third(ctx: Ctx, my_input: bytes | None, sender: int):
                     ctx.set_happy(True)
                     message = first.payload
                     ctx.set_step("distribute")
-                    blocks.distribute(ctx, *commit, step="distribute")
+                    blocks.distribute(ctx, *commit)
         if forwarded is None:
             forwarded = first_valid_own_package(ctx, z_acc, packages.new())
             if forwarded is not None:
@@ -109,7 +109,7 @@ def async_rb_third(ctx: Ctx, my_input: bytes | None, sender: int):
             if got is not None:
                 m, rebuilt, rich = got
                 ctx.set_step("redistribute")
-                blocks.distribute(ctx, rebuilt, rich, step="redistribute")
+                blocks.distribute(ctx, rebuilt, rich)
                 return m
         # any new mail, not only the kinds read above, wakes the loop again
         mail.new()

@@ -8,12 +8,12 @@ parties distribute witnessed shares, and let everyone else reconstruct.
 from __future__ import annotations
 
 from .. import blocks
+from ..accumulator import AccValue
 from ..multisig import MultiSig, msig_combine
 from ..oracles import ba_oracle, bcast_oracle
 from ..simnet import BOT, Ctx, InvariantViolation, NEXT_ROUND, OracleInstance
-from .base import (ForwardCollector, ProtocolSpec, bare_acc, encode_input,
-                   first_valid_own_package, forward_own_package, payload_commitment,
-                   share_mail, shared_sync_tail)
+from .base import (ForwardCollector, ProtocolSpec, encode_input, first_valid_own_package,
+                   forward_own_package, payload_commitment, share_mail, shared_sync_tail)
 
 
 def sync_ba_half(ctx: Ctx, my_input: bytes, sender: int | None = None):
@@ -35,7 +35,6 @@ def sync_ba_half(ctx: Ctx, my_input: bytes, sender: int | None = None):
 def sync_bb_half(ctx: Ctx, my_input: bytes | None, sender: int):
     """Broadcast for t < n/2: the sender fans out the payload and broadcasts
     the commitment; the rest matches the agreement protocol."""
-    params = ctx.params
     payloads = ctx.reader("payload")
     mail = share_mail(ctx)
     ctx.set_step("payload")
@@ -44,7 +43,7 @@ def sync_bb_half(ctx: Ctx, my_input: bytes | None, sender: int):
     if ctx.pid == sender:
         message = my_input
         z_bytes_own = encode_input(ctx, message)[1].data
-        ctx.broadcast("payload", message, bits=params.l, step="payload")
+        ctx.broadcast("payload", message)
     z = yield from bcast_oracle(ctx, "bb_commit", z_bytes_own)
     if ctx.pid != sender:
         first = next((e for e in payloads.new() if e.src == sender), None)
@@ -98,7 +97,7 @@ def sync_bb_high_threshold(ctx: Ctx, my_input: bytes | None, sender: int):
         z_bytes_own = my_rich.data
     ctx.set_happy(happy)
     z = yield from bcast_oracle(ctx, "bb_commit", z_bytes_own)
-    z_acc = bare_acc(z if isinstance(z, bytes) else b"", params.k)
+    z_acc = AccValue(z if isinstance(z, bytes) else b"")
 
     distributed = False
     mine = None
@@ -110,12 +109,11 @@ def sync_bb_high_threshold(ctx: Ctx, my_input: bytes | None, sender: int):
             distributed = True
             own_sig = auth.sign(ctx.pid, _happy_tag(ctx))
             cert = msig_combine(trigger_cert, own_sig) if trigger_cert else own_sig
-            ctx.broadcast("happy_cert", cert, bits=MultiSig.nominal_bits(params.n, params.k),
-                          step="distribute")
+            ctx.broadcast("happy_cert", cert)
             if my_rich.data != z:
                 raise InvariantViolation(
                     "distributing party's shares must match the agreed commitment")
-            blocks.distribute(ctx, my_shares, my_rich, step="distribute")
+            blocks.distribute(ctx, my_shares, my_rich)
         yield NEXT_ROUND
         cert_envs = cert_mail.new()
         ctx.set_step("share")

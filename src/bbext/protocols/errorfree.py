@@ -86,10 +86,10 @@ def _send_symbols(ctx: Ctx, message: bytes, bit_len: int) -> dict[int, bytes]:
     ctx.set_step("symbols")
     shares = ctx.session.codec.encode(message, t + 1, bit_len)
     row = {j: shares[j - 1].share for j in range(1, n + 1)}
-    ctx.broadcast("sym_self", row[ctx.pid], bits=8 * len(row[ctx.pid]), step="symbols")
+    ctx.broadcast("sym_self", row[ctx.pid])
     for j in range(1, n + 1):
         if j != ctx.pid:
-            ctx.send(j, "sym_priv", row[j], bits=8 * len(row[j]), step="symbols")
+            ctx.send(j, "sym_priv", row[j])
     return row
 
 
@@ -105,8 +105,7 @@ def ef_sync_ba(ctx: Ctx, my_input: bytes, sender: int | None = None):
     # its mail can arrive, so delivery files all of it
     inbox = {kind: ctx.inbox(kind) for kind in _SYNC_KINDS}
     row = _send_symbols(ctx, my_input, params.l)
-    sbits = 8 * len(row[1])
-    ctx.engine.metrics.extra.setdefault("share_bits", sbits)
+    ctx.engine.metrics.extra.setdefault("share_bits", 8 * len(row[1]))
     self_sym: dict[int, bytes] = {ctx.pid: row[ctx.pid]}
     priv_sym: dict[int, bytes] = {ctx.pid: row[ctx.pid]}
     yield NEXT_ROUND
@@ -122,7 +121,7 @@ def ef_sync_ba(ctx: Ctx, my_input: bytes, sender: int | None = None):
             if row[j] == self_sym[j] and row[ctx.pid] == priv_sym[j]:
                 v |= 1 << (j - 1)
     vectors: dict[int, int] = {ctx.pid: v}
-    ctx.broadcast("v_vec", v, bits=n, step="vectors")
+    ctx.broadcast("v_vec", v)
     yield NEXT_ROUND
 
     ctx.set_step("core")
@@ -148,7 +147,7 @@ def ef_sync_ba(ctx: Ctx, my_input: bytes, sender: int | None = None):
     if e_set:
         bitmap = _mask(e_set)
         e_vecs[ctx.pid] = bitmap
-        ctx.broadcast("e_vec", bitmap, bits=n, step="flags")
+        ctx.broadcast("e_vec", bitmap)
     flags = yield from bb_slots(ctx, "flag", flag)
 
     ctx.set_step("majority")
@@ -163,7 +162,7 @@ def ef_sync_ba(ctx: Ctx, my_input: bytes, sender: int | None = None):
     if maj is None:
         raise InvariantViolation("a common symbol group must exist once 2t+1 flags carry")
     majs: dict[int, bytes] = {ctx.pid: maj}
-    ctx.broadcast("maj_val", maj, bits=sbits, step="majority")
+    ctx.broadcast("maj_val", maj)
     yield NEXT_ROUND
 
     ctx.set_step("decode")
@@ -217,7 +216,7 @@ def ef_async_rb(ctx: Ctx, my_input: bytes | None, sender: int):
         if j in self_sym and j in priv_sym and row[j] == self_sym[j]:
             ok_sent.add(j)
             ctx.set_step("acks")
-            ctx.broadcast("ok", (ctx.pid, j), bits=32, step="acks")
+            ctx.broadcast("ok", (ctx.pid, j))
             note_ok(ctx.pid, j)
 
     def note_ok(x: int, y: int) -> None:
@@ -240,11 +239,11 @@ def ef_async_rb(ctx: Ctx, my_input: bytes | None, sender: int):
             e_vecs[ctx.pid] = bitmap
             ctx.set_step("flags")
             flags.start(1)
-            ctx.broadcast("e_vec", bitmap, bits=n, step="flags")
+            ctx.broadcast("e_vec", bitmap)
 
     if ctx.pid == sender and my_input is not None:
         ctx.set_step("payload")
-        ctx.broadcast("payload", my_input, bits=params.l, step="payload")
+        ctx.broadcast("payload", my_input)
         adopt_message(my_input)
 
     mail = ctx.reader()
@@ -278,7 +277,7 @@ def ef_async_rb(ctx: Ctx, my_input: bytes | None, sender: int):
                 maj_sent = True
                 majs.setdefault(ctx.pid, maj)
                 ctx.set_step("majority")
-                ctx.broadcast("maj_val", maj, bits=8 * share_len, step="majority")
+                ctx.broadcast("maj_val", maj)
         if len(majs) >= 2 * t + 1 and len(majs) > decode_tried_at:
             decode_tried_at = len(majs)
             max_errors = min(len(majs) - (2 * t + 1), t)

@@ -41,9 +41,9 @@ raises ``ValueError``. Values from a corrupt party pass the one gate that
 ``wire`` states: the engine drops a corrupt ideal submission that is not
 ``wire.value_ok``, outputs BOT for an adversary-picked oracle output that
 is not, and parses each envelope a corrupt party sends once, at send
-(``wire.parse``). A refused envelope still travels: it is delivered at its
-tick, traced and counted in ``received_bits_total``, but filed into no
-list, not even the mailbox. Honest envelopes are not parsed.
+(``wire.parse``). A refused envelope carries 0 bits but still travels: it
+is delivered at its tick and traced, but filed into no list, not even the
+mailbox. Honest envelopes are not parsed.
 
 The protocol's spec fixes each ideal instance's kind, sender and width
 (``session.oracles``); the engine builds the instances it runs as ideal,
@@ -56,8 +56,11 @@ honest party has submitted. Its output goes to every party on the
 definition leaves the output open, the adversary script picks (by default
 ``default_output``: the least submitted value in ``value_to_bytes`` order).
 
-Only bits sent by honest parties are metered, at nominal sizes. Ideal-oracle
-invocations are charged their model cost pro rata to the honest fraction.
+An envelope's bits are the size ``wire.SCHEMA`` gives its kind; honest ones
+are metered, to ``oracle:<instance>`` under the instance's declared kind if
+the mail names one, else to the sender's step (an honest send of another
+kind or instance raises ``KeyError``). Ideal-oracle invocations are charged
+their model cost pro rata to the honest fraction, the same way.
 """
 
 from __future__ import annotations
@@ -107,7 +110,6 @@ class Envelope(NamedTuple):
     kind: str
     payload: object
     bits: int
-    step: str
     instance: str | None = None
     sent_tick: int = 0
 
@@ -130,13 +132,12 @@ class RunMetrics:
         self.outputs_digest = ""
         self.extra: dict[str, object] = {}
 
-    def add(self, bits: int, step: str, oracle: str | None = None) -> None:
+    def add(self, bits: int, step: str, oracle: str = "direct") -> None:
         if bits < 0:
             raise ValueError("negative bits")
         self.honest_bits_total += bits
         self.bits_by_step[step] = self.bits_by_step.get(step, 0) + bits
-        key = oracle if oracle is not None else "direct"
-        self.bits_by_oracle[key] = self.bits_by_oracle.get(key, 0) + bits
+        self.bits_by_oracle[oracle] = self.bits_by_oracle.get(oracle, 0) + bits
 
     def oracle_bits(self) -> int:
         return sum(v for k, v in self.bits_by_oracle.items() if k != "direct")
@@ -346,34 +347,27 @@ class Ctx:
             raise InvariantViolation(f"party {self.pid}: happy flag must be monotone")
         self.happy = bool(value)
 
-    def send(self, dst: int, kind: str, payload, bits: int, step: str | None = None,
-             instance: str | None = None, oracle: str | None = None) -> None:
+    def send(self, dst: int, kind: str, payload, instance: str | None = None) -> None:
         if self.send_hook is not None:
             out = self.send_hook(self, dst, kind, payload)
             if out is None:
                 return
             kind, payload = out
-        self.engine.submit_send(
-            self.pid, dst, kind, payload, bits, step or self.step, instance, oracle
-        )
+        self.engine.submit_send(self.pid, dst, kind, payload, instance)
 
-    def broadcast(self, kind: str, payload, bits: int, step: str | None = None,
-                  instance: str | None = None, oracle: str | None = None) -> None:
+    def broadcast(self, kind: str, payload, instance: str | None = None) -> None:
         if self.send_hook is None:
-            self.engine.submit_broadcast(
-                self.pid, kind, payload, bits, step or self.step, instance, oracle
-            )
+            self.engine.submit_broadcast(self.pid, kind, payload, instance)
             return
         for dst in range(1, self.engine.params.n + 1):
             if dst != self.pid:
-                self.send(dst, kind, payload, bits, step, instance, oracle)
+                self.send(dst, kind, payload, instance)
 
-    def self_deliver(self, kind: str, payload, step: str | None = None,
-                     instance: str | None = None) -> None:
-        """File mail to oneself at once, unmetered and untraced."""
+    def self_deliver(self, kind: str, payload, instance: str | None = None) -> None:
+        """File mail to oneself at once, unmetered (0 bits) and untraced."""
         if self.engine._names_key(self.pid, kind, instance, write=True):
-            self.engine._deliver(Envelope(self.pid, kind, payload, 0, step or self.step,
-                                          instance, self.engine.tick), (self.pid,))
+            self.engine._deliver(Envelope(self.pid, kind, payload, 0, instance, self.engine.tick),
+                                 (self.pid,))
 
     def inbox(self, kind: str | None = None, instance: str | None = None) -> list[Envelope]:
         """Received envelopes in arrival order, filtered by kind and instance:
@@ -494,8 +488,10 @@ class Engine:
             factory = factories.get(pid)
             gen = factory(ctx) if factory is not None else None
             self.parties[pid] = PartyHandle(pid=pid, ctx=ctx, gen=gen, done=gen is None)
-        self._widths = wire.widths(session.oracles)  # value width by rb/ds instance
-        self._refused_bits = 0  # bits of refused records reaching honest parties
+        declared = wire.instances(session.oracles)
+        self._scale = wire.scale(params, session.ak, declared)
+        # (step, oracle) an honest send naming an oracle instance is charged to
+        self._charge = {name: (f"oracle:{name}", decl.kind) for name, decl in declared.items()}
         self.oracles: dict[str, IdealOracle] = {}
         for name, decl in sorted(session.oracles.items()):
             if session.oracle_impl[decl.kind] == "ideal":
@@ -506,17 +502,16 @@ class Engine:
 
     # --- sending and oracles -------------------------------------------------
 
-    def submit_send(self, src, dst, kind, payload, bits, step, instance, oracle) -> None:
+    def submit_send(self, src, dst, kind, payload, instance) -> None:
         if type(dst) is not int or not 0 < dst <= self.params.n or dst == src:
             self._refuse(src, f"party {src} cannot send to {dst!r}; self_deliver is local")
             return
-        self._enqueue(src, (dst,), kind, payload, bits, step, instance, oracle)
+        self._enqueue(src, (dst,), kind, payload, instance)
 
-    def submit_broadcast(self, src, kind, payload, bits, step, instance, oracle) -> None:
+    def submit_broadcast(self, src, kind, payload, instance) -> None:
         """``submit_send`` to every party but src, in destination order, as
         one record metered with one charge."""
-        self._enqueue(src, self._broadcast_dsts[src], kind, payload, bits, step, instance,
-                      oracle)
+        self._enqueue(src, self._broadcast_dsts[src], kind, payload, instance)
 
     def _refuse(self, pid: int, why: str) -> None:
         """Drop a corrupt party's malformed request; an honest party's is a bug."""
@@ -538,14 +533,20 @@ class Engine:
         self._refuse(pid, why)
         return False
 
-    def _enqueue(self, src, dsts, kind, payload, bits, step, instance, oracle) -> None:
+    def _enqueue(self, src, dsts, kind, payload, instance) -> None:
         if not self._names_key(src, kind, instance, write=True):
             return
-        if src not in self.honest:
-            payload = wire.parse(kind, payload, self._widths.get(instance))
-        elif dsts:
-            self.metrics.add(bits * len(dsts), step=step, oracle=oracle)
-        self._post(Envelope(src, kind, payload, bits, step, instance, self.tick), dsts)
+        if src in self.honest:
+            bits = wire.SCHEMA[kind].size(payload, instance, self._scale)
+            if dsts and instance is None:
+                self.metrics.add(bits * len(dsts), self.parties[src].ctx.step)
+            elif dsts:
+                self.metrics.add(bits * len(dsts), *self._charge[instance])
+        else:
+            payload = wire.parse(kind, payload, self._scale.width.get(instance))
+            bits = 0 if payload is wire.REFUSED else wire.SCHEMA[kind].size(
+                payload, instance, self._scale)
+        self._post(Envelope(src, kind, payload, bits, instance, self.tick), dsts)
 
     def _post(self, env: Envelope, dsts: tuple[int, ...]) -> None:
         if self.mode == "rounds":
@@ -590,9 +591,8 @@ class Engine:
             if not wire.value_ok(out, inst.value_bits):
                 out = BOT
         honest_cost = facts.cost(inst.value_bits, n, k) * len(self.honest) // n
-        self.metrics.add(honest_cost, step=f"oracle:{inst.instance}", oracle=inst.kind)
-        self._post(Envelope(0, "oracle_out", out, 0, f"oracle:{inst.instance}", inst.instance,
-                            self.tick), self._everyone)
+        self.metrics.add(honest_cost, *self._charge[inst.instance])
+        self._post(Envelope(0, "oracle_out", out, 0, inst.instance, self.tick), self._everyone)
 
     def _fire_ready_oracles(self) -> None:
         submitted, self._submitted = self._submitted, set()
@@ -638,10 +638,8 @@ class Engine:
     def _deliver(self, env: Envelope, dsts: tuple[int, ...]) -> None:
         """File one record for each destination, in order: its mailbox, and
         the lists of the record's keys that the destination asked for. A
-        refused record is filed nowhere; its bits still count as received."""
+        refused record (0 bits) is filed nowhere."""
         if env.payload is wire.REFUSED:
-            honest = self.honest
-            self._refused_bits += env.bits * sum(dst in honest for dst in dsts)
             return
         mailboxes = self._mailboxes
         for dst in dsts:
@@ -663,7 +661,7 @@ class Engine:
         # diagnostic only: the bits of all mail honest parties received,
         # Byzantine-sent traffic included, never claimed; self-delivered
         # envelopes carry 0 bits
-        self.metrics.extra["received_bits_total"] = self._refused_bits + sum(
+        self.metrics.extra["received_bits_total"] = sum(
             sum(map(_BITS, self._mailboxes[pid])) for pid in self.honest)
 
     def _run_rounds(self) -> None:

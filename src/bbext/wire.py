@@ -1,12 +1,12 @@
-"""The wire schema: the one gate for values from corrupt parties.
+"""The wire schema: the one gate for values from corrupt parties, and the
+one table of message sizes.
 
 A corrupt party may send any object, and a subclass of the expected type
 can lie: its ``==``, hash, ``len`` or ``&`` may claim any honest value, or
 raise. So honest code takes a corrupt party's value only in the shape it
 reads, each part of exact type: an oracle value of width w is the ``int`` 0
 or 1 for w = 1, else ``bytes`` (``value_ok``); a message of kind K has the
-shape ``SCHEMA[K]`` admits, with oracle values of the declared width
-(``widths``).
+shape ``SCHEMA[K].parse`` admits, with oracle values of the declared width.
 
 The engine applies the rule where a value enters: ``value_ok`` to corrupt
 ideal submissions and to adversary-picked oracle outputs, ``parse`` once to
@@ -15,11 +15,17 @@ each envelope a corrupt party sends. A payload of another shape is
 ``b""``, and a ``ds`` record keeps its well-formed (slot, value, signature)
 triples. Honest envelopes are not parsed, so honest receive code keeps only
 semantic checks: ranges, lengths, witnesses and signatures.
+
+``SCHEMA[K].size`` is the one size rule of kind K: the engine takes every
+envelope's bits from it (a refused one's are 0), so neither a sender nor a
+payload field names what a message costs.
 """
 
 from __future__ import annotations
 
-from .accumulator import Witness
+from typing import Callable, NamedTuple
+
+from .accumulator import Witness, witness_nominal_bits
 from .blocks import IndexedShare, SharePackage
 from .multisig import MultiSig
 
@@ -34,12 +40,38 @@ def value_ok(value, width: int | None) -> bool:
     return width is not None and type(value) is bytes
 
 
-def widths(oracles: dict) -> dict[str, int]:
-    """Value width by instance name: each declared instance's, and each slot
-    prefix's (``<prefix>/<j>``), under which a concrete chain runs n slots."""
-    out = {name.rpartition("/")[0]: decl.width for name, decl in oracles.items() if "/" in name}
-    out.update((name, decl.width) for name, decl in oracles.items())
-    return out
+def instances(oracles: dict) -> dict:
+    """The declared instances, and each slot prefix of ``<prefix>/<j>`` names
+    (a concrete chain runs all n slots under it) as its slots, with no one sender."""
+    return {name.rpartition("/")[0]: decl._replace(sender=None)
+            for name, decl in oracles.items() if "/" in name} | oracles
+
+
+class Scale(NamedTuple):
+    """The session constants message sizes read (see ``scale``)."""
+
+    l: int  # bits of a message
+    n: int  # bits of a party bitmap
+    sig: int  # bits of a multisignature
+    witness: int  # bits of an accumulator witness
+    width: dict[str, int]  # oracle value width by instance (see ``instances``)
+    relay: dict[str, int]  # bits of one chain relay by instance
+
+
+def scale(params, ak, declared: dict) -> Scale:
+    """Constants of a session (params, accumulator key, ``instances``); a chain
+    relay carries value, signature and, with several senders, a slot id."""
+    sig = MultiSig.nominal_bits(params.n, params.k)
+    return Scale(params.l, params.n, sig, witness_nominal_bits(ak.scheme, ak.capacity, ak.k),
+                 {name: d.width for name, d in declared.items()},
+                 {name: d.width + sig + 16 * (d.sender is None) for name, d in declared.items()})
+
+
+class Kind(NamedTuple):
+    """One message kind: its parser and the size of one copy in bits."""
+
+    parse: Callable  # (payload, width of its instance or None) -> payload | REFUSED
+    size: Callable  # (parsed payload, instance, Scale) -> bits
 
 
 def _sig(sig, width=None):
@@ -54,7 +86,7 @@ def _package(pkg, width):
     share, wit = pkg.indexed_share, pkg.witness
     return pkg if (type(share) is IndexedShare and type(share.index) is int
                    and type(share.share) is bytes and type(wit) is Witness
-                   and type(wit.data) is bytes and type(wit.nominal_bits) is int) else REFUSED
+                   and type(wit.data) is bytes) else REFUSED
 
 
 def _exact(ty):
@@ -80,21 +112,26 @@ def _chain(p, width):
     return p if len(kept) == len(p) else kept
 
 
-# kind -> parser(payload, width of the envelope's instance or None)
+_SYMBOL = Kind(_exact(bytes), lambda p, inst, s: 8 * len(p))
+_BITMAP = Kind(_exact(int), lambda p, inst, s: s.n)
+# an index, the share and its witness
+_PACKAGE = Kind(_package, lambda p, inst, s: 16 + 8 * len(p.indexed_share.share) + s.witness)
+
 SCHEMA = {
-    "payload": _exact(bytes), "sym_self": _exact(bytes), "sym_priv": _exact(bytes),
-    "maj_val": lambda p, width: p if type(p) is bytes else b"",
-    "v_vec": _exact(int), "e_vec": _exact(int),
-    "share_pkg": _package, "share_fwd": _package,
-    "happy_cert": _sig,
-    "ok": _tuple(int, int),  # (acknowledger, acknowledged)
-    "aba": _tuple(str, int, int),  # (tag, round, vote)
-    "rb": _tuple(str, None),  # (tag, value)
-    "ds": _chain,  # (triple, ...)
+    "payload": Kind(_exact(bytes), lambda p, inst, s: s.l),
+    "sym_self": _SYMBOL, "sym_priv": _SYMBOL,
+    "maj_val": Kind(lambda p, width: p if type(p) is bytes else b"", _SYMBOL.size),
+    "v_vec": _BITMAP, "e_vec": _BITMAP,
+    "share_pkg": _PACKAGE, "share_fwd": _PACKAGE,
+    "happy_cert": Kind(_sig, lambda p, inst, s: s.sig),
+    "ok": Kind(_tuple(int, int), lambda p, inst, s: 32),  # (acknowledger, acknowledged)
+    "aba": Kind(_tuple(str, int, int), lambda p, inst, s: 1 + 8),  # (tag, round, vote)
+    "rb": Kind(_tuple(str, None), lambda p, inst, s: s.width[inst]),  # (tag, value)
+    "ds": Kind(_chain, lambda p, inst, s: len(p) * s.relay[inst]),  # (triple, ...)
 }
 
 
 def parse(kind: str, payload, width: int | None):
     """What honest code may read of a corrupt party's payload of kind."""
-    parser = SCHEMA.get(kind)
-    return REFUSED if parser is None else parser(payload, width)
+    rule = SCHEMA.get(kind)
+    return REFUSED if rule is None else rule.parse(payload, width)

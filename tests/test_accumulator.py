@@ -23,7 +23,7 @@ SCHEMES = [HASH_TREE, BILINEAR]
 def bare(z: AccValue) -> AccValue:
     """Wire form of z: the commitment bytes without the local value set,
     levels or products."""
-    return AccValue(z.data, z.nominal_bits)
+    return AccValue(z.data)
 
 
 def H(data: bytes, k: int = 256) -> bytes:
@@ -144,11 +144,11 @@ def test_forgery_battery(scheme):
             assert not acc_verify(ak, z, w, v)
     # truncate / extend
     w0 = witnesses[vals[0]]
-    assert not acc_verify(ak, z, Witness(w0.data[:-1], w0.nominal_bits), vals[0])
-    assert not acc_verify(ak, z, Witness(w0.data + b"\x00", w0.nominal_bits), vals[0])
+    assert not acc_verify(ak, z, Witness(w0.data[:-1]), vals[0])
+    assert not acc_verify(ak, z, Witness(w0.data + b"\x00"), vals[0])
     # random bytes
     for _ in range(50):
-        fake = Witness(bytes(rng.randrange(256) for _ in range(len(w0.data))), w0.nominal_bits)
+        fake = Witness(bytes(rng.randrange(256) for _ in range(len(w0.data))))
         assert not acc_verify(ak, z, fake, others[0])
     # witness from a different accumulation value
     z2 = acc_eval(ak, others)
@@ -184,14 +184,13 @@ def test_nominal_sizes():
     assert witness_nominal_bits(HASH_TREE, 1, 256) == 0
     ak = acc_gen(BILINEAR, 4, 128, rng_seed=0)
     z = acc_eval(ak, [b"a", b"b", b"c", b"d"])
-    assert z.nominal_bits == 128
     assert len(z.data) == 32  # emulation field element is 2k bits wide
 
 
 def test_accvalue_equality_ignores_source_set():
     ak = acc_gen(HASH_TREE, 2, 256)
     z = acc_eval(ak, [b"a", b"b"])
-    assert z == AccValue(z.data, z.nominal_bits)
+    assert z == AccValue(z.data)
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -200,12 +199,11 @@ def test_witness_from_cached_levels_matches_rebuild(n):
     vals = [b"value-%d" % i for i in range(n)]
     z = acc_eval(ak, vals)
     assert z.levels is not None
-    no_levels = AccValue(z.data, z.nominal_bits, source_values=z.source_values)
+    no_levels = AccValue(z.data, source_values=z.source_values)
     for v in vals:
         cached = acc_create_wit(ak, z, v)
         rebuilt = acc_create_wit(ak, no_levels, v)
-        assert cached.data == rebuilt.data
-        assert cached.nominal_bits == rebuilt.nominal_bits
+        assert cached == rebuilt
         assert acc_verify(ak, z, cached, v)
         assert acc_verify(ak, z, rebuilt, v)
 
@@ -213,7 +211,7 @@ def test_witness_from_cached_levels_matches_rebuild(n):
 def test_accvalue_levels_are_local_state():
     ak = acc_gen(HASH_TREE, 3, 256)
     z = acc_eval(ak, [b"a", b"b", b"c"])
-    without = AccValue(z.data, z.nominal_bits, source_values=z.source_values)
+    without = AccValue(z.data, source_values=z.source_values)
     assert z == without and hash(z) == hash(without)
     assert "levels" not in repr(z)
     assert bare(z).levels is None and bare(z).source_values is None
@@ -226,7 +224,7 @@ def test_bilinear_witness_from_products_is_the_cofactor_product(n, k):
     vals = [b"share-%d" % i for i in range(n)]
     z = acc_eval(ak, vals)
     assert z.products is not None
-    no_products = AccValue(z.data, z.nominal_bits, source_values=z.source_values)
+    no_products = AccValue(z.data, source_values=z.source_values)
     p = ak.prime
     factors = [(ak.setup_secret + int.from_bytes(H(v, k), "big")) % p for v in vals]
     zi = 1

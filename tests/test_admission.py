@@ -86,9 +86,8 @@ class BrachaTwinEchoer(AdversaryScript):
             shares, z = codec.commit(_flip(env.inputs[SENDER]), params.b, params.l)
             for j, pkg in sorted(codec.packages(shares, z).items()):
                 if j != ctx.pid:
-                    zeroed = Witness(bytes(len(pkg.witness.data)), pkg.witness.nominal_bits)
-                    ctx.send(j, "share_pkg", SharePackage(pkg.indexed_share, zeroed),
-                             bits=pkg.nominal_bits(), step="junk")
+                    zeroed = Witness(bytes(len(pkg.witness.data)))
+                    ctx.send(j, "share_pkg", SharePackage(pkg.indexed_share, zeroed))
             mail = ctx.reader("rb", "rb_commit")
             seen = set()
             while True:
@@ -100,8 +99,7 @@ class BrachaTwinEchoer(AdversaryScript):
                     if type(value) is bytes and value not in seen:
                         seen.add(value)
                         for tag in ("echo", "ready"):
-                            ctx.broadcast("rb", (tag, AlwaysEqual(value)), bits=1,
-                                          step="junk", instance="rb_commit")
+                            ctx.broadcast("rb", (tag, AlwaysEqual(value)), instance="rb_commit")
                 yield mail
 
         return party
@@ -204,7 +202,7 @@ class SubWitness(Witness):
 
 
 _SHARE = IndexedShare(index=1, share=b"\x00\x01")
-_WITNESS = Witness(data=bytes(8), nominal_bits=8)
+_WITNESS = Witness(data=bytes(8))
 
 HOSTILE = {
     "float": 1.0,
@@ -216,7 +214,7 @@ HOSTILE = {
     "int-subclass": SubInt(1),
     "package-subclass": SubPackage(_SHARE, _WITNESS),
     "share-subclass": SubIndexedShare(index=1, share=b"\x00\x01"),
-    "witness-subclass": SubWitness(data=bytes(8), nominal_bits=8),
+    "witness-subclass": SubWitness(data=bytes(8)),
 }
 
 
@@ -226,7 +224,7 @@ def _packages_holding(value) -> list:
         value,
         SharePackage(IndexedShare(value, _SHARE.share), _WITNESS),
         SharePackage(IndexedShare(_SHARE.index, value), _WITNESS),
-        SharePackage(_SHARE, Witness(value, _WITNESS.nominal_bits)),
+        SharePackage(_SHARE, Witness(value)),
         SharePackage(value, _WITNESS),
         SharePackage(_SHARE, value),
     ]
@@ -428,8 +426,7 @@ class ChainForger(AdversaryScript):
                     sig = MultiSig(_twin_set(pid, t), own.aggregate * (t + 1))
                 dsts = [2]
             for dst in dsts:
-                ctx.send(dst, "ds", ((pid, b"late", sig),), bits=1, instance="bb0",
-                         step="junk")
+                ctx.send(dst, "ds", ((pid, b"late", sig),), instance="bb0")
             yield NEXT_ROUND
 
         return party
@@ -470,10 +467,8 @@ class RaisingTagSender(AdversaryScript):
         def party(ctx):
             for dst in sorted(set(range(1, ctx.params.n + 1)) - env.corrupt):
                 for instance, value in (("rb_commit", bytes(ctx.params.k // 8)), ("flag/1", 1)):
-                    ctx.send(dst, "rb", (RaisingTag("echo"), value), bits=1,
-                             instance=instance, step="junk")
-                ctx.send(dst, "aba", (RaisingTag("est"), 1, 1), bits=1, instance="ba_happy",
-                         step="junk")
+                    ctx.send(dst, "rb", (RaisingTag("echo"), value), instance=instance)
+                ctx.send(dst, "aba", (RaisingTag("est"), 1, 1), instance="ba_happy")
             return None
             yield  # pragma: no cover
 

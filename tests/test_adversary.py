@@ -29,7 +29,7 @@ class RecordingEngine:
         self.sent = []
         self.submitted = []
 
-    def submit_send(self, src, dst, kind, payload, bits, step, instance, oracle):
+    def submit_send(self, src, dst, kind, payload, instance):
         self.sent.append((dst, kind, payload))
 
     def oracle_submit(self, pid, instance, value):
@@ -41,7 +41,7 @@ def sends_through(script, kind, payload, dst=2):
     engine = RecordingEngine(n=4)
 
     def honest(ctx):
-        ctx.send(dst, kind, payload, bits=0)
+        ctx.send(dst, kind, payload)
 
     script.make_party(1, honest, env=None)(Ctx(engine, 1))
     [(_, sent_kind, sent)] = engine.sent
@@ -58,7 +58,7 @@ def test_equivocator_flips_every_byte(payload):
 @pytest.mark.parametrize("payload", PAYLOADS, ids=PAYLOAD_IDS)
 def test_corrupt_share_sender_flips_every_byte(payload):
     pkg = blocks.SharePackage(indexed_share=blocks.IndexedShare(index=1, share=payload),
-                              witness=Witness(b"w", 8))
+                              witness=Witness(b"w"))
     sent = sends_through(CorruptShareSender(), "share_pkg", pkg)
     assert sent.indexed_share == blocks.IndexedShare(1, bytes(b ^ 0xA5 for b in payload))
     assert sent.witness == pkg.witness
@@ -69,7 +69,7 @@ def test_hooks_rewrite_the_corrupt_partys_own_ctx():
     ctx = Ctx(engine, 1)
     hooked(lambda c: None, send_hook=lambda c, dst, kind, payload: None,
            oracle_hook=lambda c, inst, value: 1, crash_after_steps=1)(ctx)
-    ctx.broadcast("payload", b"m", bits=8)
+    ctx.broadcast("payload", b"m")
     assert engine.sent == []
     ctx.oracle_submit("ba_happy", 0)
     assert engine.submitted == [(1, "ba_happy", 1)]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbext import accumulator, blocks, rs, runner
+from bbext import accumulator, blocks, rs, runner, wire
 from bbext.accumulator import BILINEAR, HASH_TREE, AccValue, Witness, acc_gen
 from bbext.adversary import AdversaryScript, hooked
 from bbext.checks import evaluate_run
@@ -107,8 +107,10 @@ def test_nominal_bits_accounting(ak):
     shares = blocks.encode(b"\x01\x02\x03\x04", b=2, n=4)
     z = blocks.eval_shares(ak, shares)
     pkg = blocks.make_packages(shares, ak, z)[1]
-    # index (16) + share bits + hash-path witness bits
-    assert pkg.nominal_bits() == 16 + 48 + 128 * 2
+    scale = wire.scale(SessionParams(n=4, t=1, l=32, k=128), ak, {})
+    # index (16) + share bits + hash-path witness bits, however a package is sent
+    for kind in ("share_pkg", "share_fwd"):
+        assert wire.SCHEMA[kind].size(pkg, None, scale) == 16 + 48 + 128 * 2
 
 
 def test_make_packages_requires_matching_commitment(ak):
@@ -146,7 +148,7 @@ def _tamper(packages: dict, actions: dict[int, str]) -> dict:
             out[j] = pkg
         elif action == "bad_witness":
             w = pkg.witness
-            out[j] = dataclasses.replace(pkg, witness=Witness(bytes(len(w.data)), w.nominal_bits))
+            out[j] = dataclasses.replace(pkg, witness=Witness(bytes(len(w.data))))
         elif action == "wrong_index":
             out[j] = packages[j % n + 1]
     return out
@@ -298,7 +300,7 @@ def test_a_cached_acceptance_cannot_be_poisoned():
     flipped = bytes([share.share[0] ^ 1]) + share.share[1:]
     forgeries = [
         dataclasses.replace(genuine, indexed_share=blocks.IndexedShare(2, flipped)),
-        dataclasses.replace(genuine, witness=Witness(bytes(len(wit.data)), wit.nominal_bits)),
+        dataclasses.replace(genuine, witness=Witness(bytes(len(wit.data)))),
         packages[3],
     ]
     for forged in forgeries:
@@ -307,7 +309,7 @@ def test_a_cached_acceptance_cannot_be_poisoned():
     assert memo.accepted == {z.data: {2: (2, share.share, wit.data)}}
     # an equal package built anew is accepted from the table, without hashing
     copy = blocks.SharePackage(blocks.IndexedShare(2, bytes(share.share)),
-                               Witness(bytes(wit.data), wit.nominal_bits))
+                               Witness(bytes(wit.data)))
     assert copy is not genuine and memo.verify(z, copy, 2)
 
 
@@ -315,11 +317,11 @@ def test_a_rejected_package_never_enters_the_table():
     ak, memo, z, packages = _genuine()
     other_z = blocks.CodecMemo(ak).commit(b"another", 2, 56)[1]
     wit = packages[1].witness
-    zeroed = dataclasses.replace(packages[1], witness=Witness(bytes(len(wit.data)), wit.nominal_bits))
+    zeroed = dataclasses.replace(packages[1], witness=Witness(bytes(len(wit.data))))
     for commitment, pkg, index in [(z, zeroed, 1), (z, packages[1], 2), (other_z, packages[1], 1)]:
         assert not memo.verify(commitment, pkg, index)
     assert memo.accepted == {}
-    assert memo.verify(AccValue(z.data, z.nominal_bits), packages[1], 1)
+    assert memo.verify(AccValue(z.data), packages[1], 1)
     assert list(memo.accepted) == [z.data] and list(memo.accepted[z.data]) == [1]
 
 

@@ -161,19 +161,18 @@ class EfPoisoner(AdversaryScript):
                     if x != y and rng.random() < 0.3:
                         for dst in range(1, n + 1):
                             if dst != ctx.pid:
-                                ctx.send(dst, "ok", (x, y), bits=32, step="junk")
+                                ctx.send(dst, "ok", (x, y))
             ctx.oracle_submit(f"flag/{ctx.pid}", 1)
             bitmap = ((1 << (2 * t + 1)) - 1 if self.flavor == 0
                       else rng.getrandbits(n))
             for dst in range(1, n + 1):
                 if dst != ctx.pid:
                     ctx.send(dst, "e_vec",
-                             bitmap if dst % 2 else rng.getrandbits(n),
-                             bits=n, step="junk")
+                             bitmap if dst % 2 else rng.getrandbits(n))
             for dst in range(1, n + 1):
                 if dst != ctx.pid:
                     fake = bytes(rng.randrange(256) for _ in range(share_len))
-                    ctx.send(dst, "maj_val", fake, bits=8 * share_len, step="junk")
+                    ctx.send(dst, "maj_val", fake)
             return None
             yield  # pragma: no cover
 
@@ -204,8 +203,7 @@ class FlagSlotForger(AdversaryScript):
         def party(ctx):
             instance = f"flag/{ctx.pid}"
             if ctx.session.oracle_impl["async_rb"] == "ideal":
-                ctx.broadcast("rb", ("send", 1), bits=1, step="junk", instance=instance,
-                              oracle="async_rb")
+                ctx.broadcast("rb", ("send", 1), instance=instance)
             else:
                 ctx.oracle_submit(instance, 1)
             return None
@@ -326,14 +324,13 @@ class _VoteFlooder(ScheduledHonest):
             share_len = rs.share_bits(ctx.params.l, t + 1) // 8
             honest = [p for p in range(1, n + 1) if p not in env.corrupt]
             for dst in honest:
-                ctx.send(dst, "maj_val", bytes([pid]) * share_len, bits=8 * share_len,
-                         step="junk")
+                ctx.send(dst, "maj_val", bytes([pid]) * share_len)
             votes = ctx.reader("maj_val")
             while not votes.new():
                 yield votes
             for _ in range(self.k):
                 for dst in honest:
-                    ctx.send(dst, "ok", (pid, pid), bits=32, step="junk")
+                    ctx.send(dst, "ok", (pid, pid))
             return None
 
         return party
@@ -463,7 +460,7 @@ class _TableFlooder(ScheduledHonest):
                     vote = (rng.randbytes(share_len), rng.randbytes(share_len + 2),
                             [pid, dst, i],
                             self._EqualsAnything(rng.randbytes(share_len)))[(i + dst) % 4]
-                    ctx.send(dst, "maj_val", vote, bits=8 * share_len, step="junk")
+                    ctx.send(dst, "maj_val", vote)
             return None
             yield  # pragma: no cover
 

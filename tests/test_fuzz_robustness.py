@@ -8,7 +8,6 @@ import pytest
 from bbext import blocks
 from bbext.adversary import AdversaryScript, JunkInjector
 from bbext.checks import battery_configs, build_inputs, evaluate_run, judged_run
-from bbext.multisig import MultiSig
 from bbext.oracles import bcast_oracle
 from bbext.protocols import PROTOCOLS
 from bbext.runner import run
@@ -62,13 +61,12 @@ class OddLengthShareSender(AdversaryScript):
             if env.spec.mode == "rounds":
                 yield from bcast_oracle(ctx, "bb_commit", z.data)
                 sig = ctx.session.msig.sign(ctx.pid, b"HAPPY/" + ctx.session.session_id.encode())
-                ctx.broadcast("happy_cert", sig, bits=MultiSig.nominal_bits(params.n, params.k),
-                              step="distribute")
+                ctx.broadcast("happy_cert", sig)
             else:
                 yield from bcast_oracle(ctx, "rb_commit", z.data)
             for j, pkg in sorted(packages.items()):
                 if j != ctx.pid:
-                    ctx.send(j, "share_pkg", pkg, bits=pkg.nominal_bits(), step="distribute")
+                    ctx.send(j, "share_pkg", pkg)
 
         return party
 

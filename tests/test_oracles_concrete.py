@@ -25,7 +25,7 @@ from bbext.simnet import BOT, Engine, OracleInstance, RandomPolicy
 def chain_bb_spec():
     def party(ctx, my_input, sender):
         from bbext.oracles import dolev_strong
-        out = yield from dolev_strong(ctx, "bb0", sender, my_input, ctx.params.k)
+        out = yield from dolev_strong(ctx, "bb0", sender, my_input)
         return out
 
     return ProtocolSpec(name="h-ds", mode="rounds", kind="bb", regime="one_minus_eps",
@@ -57,13 +57,11 @@ class EquivocatingChainSender(AdversaryScript):
             auth = ctx.session.msig
             for value in (b"left", b"right"):
                 sig = auth.sign(ctx.pid, _slot_tag("bb0", ctx.pid, value))
-                bits = ctx.params.k + ctx.params.k + ctx.params.n
                 for dst in range(1, ctx.params.n + 1):
                     if dst == ctx.pid:
                         continue
                     if (dst % 2 == 0) == (value == b"left"):
-                        ctx.send(dst, "ds", ((ctx.pid, value, sig),), bits=bits, instance="bb0",
-                                 step="oracle:bb0")
+                        ctx.send(dst, "ds", ((ctx.pid, value, sig),), instance="bb0")
             return None
             yield  # pragma: no cover
 
@@ -91,10 +89,8 @@ class LateReleaseChain(AdversaryScript):
         def party(ctx):
             auth = ctx.session.msig
             n = ctx.params.n
-            bits = ctx.params.k + ctx.params.k + n
             sig_a = auth.sign(ctx.pid, _slot_tag("bb0", ctx.pid, b"public"))
-            ctx.broadcast("ds", ((ctx.pid, b"public", sig_a),), bits=bits, instance="bb0",
-                          step="oracle:bb0")
+            ctx.broadcast("ds", ((ctx.pid, b"public", sig_a),), instance="bb0")
             cert = None
             for signer in sorted(env.corrupt):
                 s = auth.sign(signer, _slot_tag("bb0", ctx.pid, b"hidden"))
@@ -102,15 +98,14 @@ class LateReleaseChain(AdversaryScript):
             target = min(p for p in range(1, n + 1) if p not in env.corrupt)
             for r in range(1, len(env.corrupt)):
                 yield from ctx.wait_rounds(1)
-            ctx.send(target, "ds", ((ctx.pid, b"hidden", cert),), bits=bits, instance="bb0",
-                     step="oracle:bb0")
+            ctx.send(target, "ds", ((ctx.pid, b"hidden", cert),), instance="bb0")
             return None
 
         return party
 
 
-# three honest relays, each to n-1 = 3 parties at value_bits + k + n = 260
-# bits (no slot id in a one-sender chain): the scripts' mail was parsed
+# three honest relays, each to n-1 = 3 parties at width + k + n = 260 bits
+# (no slot id in a one-sender chain): the scripts' mail was parsed
 THREE_RELAYS_BITS = 3 * 3 * (128 + 128 + 4)
 
 
@@ -148,11 +143,12 @@ def test_chain_broadcast_cost_within_twice_model():
 def majority_ba_spec():
     def party(ctx, my_input, sender):
         from bbext.oracles import sync_ba_majority
-        out = yield from sync_ba_majority(ctx, "ba0", my_input, ctx.params.k)
+        out = yield from sync_ba_majority(ctx, "ba0", my_input)
         return out
 
     return ProtocolSpec(name="h-sbm", mode="rounds", kind="ba", regime="half",
-                        party=party)
+                        party=party, oracles=lambda params, sender: {
+                            "ba0": OracleInstance("sync_ba", None, params.k)})
 
 
 def test_majority_agreement_validity_and_forced_majority():
@@ -169,11 +165,12 @@ def test_majority_agreement_validity_and_forced_majority():
 def bracha_spec():
     def party(ctx, my_input, sender):
         from bbext.oracles import bracha_rb
-        out = yield from bracha_rb(ctx, "rb0", sender, my_input, ctx.params.k)
+        out = yield from bracha_rb(ctx, "rb0", sender, my_input)
         return out
 
     return ProtocolSpec(name="h-bracha", mode="events", kind="rb",
-                        regime="third_async", party=party)
+                        regime="third_async", party=party, oracles=lambda params, sender: {
+                            "rb0": OracleInstance("async_rb", sender, params.k)})
 
 
 class SplitEchoSender(AdversaryScript):
@@ -189,8 +186,7 @@ class SplitEchoSender(AdversaryScript):
             for dst in range(1, ctx.params.n + 1):
                 if dst != ctx.pid:
                     value = b"one" if dst % 2 else b"two"
-                    ctx.send(dst, "rb", ("send", value), bits=ctx.params.k,
-                             instance="rb0", step="oracle:rb0")
+                    ctx.send(dst, "rb", ("send", value), instance="rb0")
             return None
             yield  # pragma: no cover
 
@@ -220,10 +216,8 @@ class EchoReadyPoisoner(AdversaryScript):
                 if dst == ctx.pid:
                     continue
                 value = b"one" if dst % 2 else b"two"
-                ctx.send(dst, "rb", ("echo", value), bits=ctx.params.k,
-                         instance="rb0", step="oracle:rb0")
-                ctx.send(dst, "rb", ("ready", value), bits=ctx.params.k,
-                         instance="rb0", step="oracle:rb0")
+                ctx.send(dst, "rb", ("echo", value), instance="rb0")
+                ctx.send(dst, "rb", ("ready", value), instance="rb0")
             return None
             yield  # pragma: no cover
 
@@ -270,7 +264,8 @@ def aba_spec():
         return out
 
     return ProtocolSpec(name="h-aba", mode="events", kind="ba",
-                        regime="third_async", party=party)
+                        regime="third_async", party=party, oracles=lambda params, sender: {
+                            "aba0": OracleInstance("async_ba_bit", None, 1)})
 
 
 def test_aba_unanimous_decides_in_round_one_regardless_of_coin():
@@ -341,12 +336,9 @@ class AbaPoisoner(AdversaryScript):
                     else:
                         est, aux, conf = (rng.randrange(2), rng.randrange(2),
                                           rng.choice([0, 1, 2]))
-                    ctx.send(dst, "aba", ("est", r, est), bits=9, instance="aba0",
-                             step="oracle:aba0")
-                    ctx.send(dst, "aba", ("aux", r, aux), bits=9, instance="aba0",
-                             step="oracle:aba0")
-                    ctx.send(dst, "aba", ("conf", r, conf), bits=9, instance="aba0",
-                             step="oracle:aba0")
+                    ctx.send(dst, "aba", ("est", r, est), instance="aba0")
+                    ctx.send(dst, "aba", ("aux", r, aux), instance="aba0")
+                    ctx.send(dst, "aba", ("conf", r, conf), instance="aba0")
             return None
             yield  # pragma: no cover
 
@@ -494,8 +486,7 @@ class ChainBatchSender(AdversaryScript):
     def make_party(self, pid, honest_factory, env):
         def party(ctx):
             sig = ctx.session.msig.sign(ctx.pid, _slot_tag("ba_commit", ctx.pid, b"x"))
-            ctx.broadcast("ds", self.build((ctx.pid, b"x", sig)), bits=1,
-                          instance="ba_commit", step="junk")
+            ctx.broadcast("ds", self.build((ctx.pid, b"x", sig)), instance="ba_commit")
             return None
             yield  # pragma: no cover
 
@@ -581,10 +572,10 @@ def test_honest_parties_send_one_chain_record_per_instance_and_round(monkeypatch
     records = []
     enqueue = Engine._enqueue
 
-    def spy(engine, src, dsts, kind, payload, bits, step, instance, oracle):
+    def spy(engine, src, dsts, kind, payload, instance):
         if kind == "ds" and src in engine.honest:
             records.append(((src, instance, engine.tick), len(payload)))
-        return enqueue(engine, src, dsts, kind, payload, bits, step, instance, oracle)
+        return enqueue(engine, src, dsts, kind, payload, instance)
 
     monkeypatch.setattr(Engine, "_enqueue", spy)
     params = SessionParams(n=7, t=t, l=96, k=128, threshold_regime=regime)
@@ -620,8 +611,7 @@ class ReadyOneAsBytes(AdversaryScript):
             while True:
                 for e in mail.new():
                     if (e.instance or "").startswith("flag/"):
-                        ctx.broadcast("rb", ("ready", ONE_AS_BYTES), bits=1,
-                                      instance=e.instance, step="junk")
+                        ctx.broadcast("rb", ("ready", ONE_AS_BYTES), instance=e.instance)
                 yield mail
 
         return party
@@ -702,7 +692,7 @@ def test_bracha_machine_matches_sorted_scan(nt, sender, start_as_sender, feeds):
     machines = []
     for cls in (BrachaMachine, _SortedScanBracha):
         ctx = _FakeCtx(pid, n, t)
-        m = cls(ctx, "rb0", sender, 8)
+        m = cls(ctx, "rb0", sender)
         m.start(b"mine" if pid == sender else None)
         for src, payload in feeds:
             # the engine parses a corrupt party's payload before it is filed
@@ -734,7 +724,7 @@ def test_bracha_machine_work_per_junk_value_is_constant():
     # a corrupt party floods distinct echo values: each feed inspects a
     # constant number of keys, not every value seen so far
     floods = 400
-    m = BrachaMachine(_FakeCtx(2, 10, 3), "rb0", 1, 8)
+    m = BrachaMachine(_FakeCtx(2, 10, 3), "rb0", 1)
     m.echoes, m.readies = _CountingDict(), _CountingDict()
     _CountingDict.looked_up = 0
     for i in range(floods):
@@ -791,7 +781,7 @@ class OracleEquivocator(AdversaryScript):
 
     def make_party(self, pid, honest_factory, env):
         auth = env.session.msig
-        chains = wire.widths(env.session.oracles)  # every name a chain runs under
+        chains = wire.instances(env.session.oracles)  # every name a chain runs under
 
         def resign(triple):
             slot, value, sig = triple

@@ -156,8 +156,7 @@ class OracleForger(AdversaryScript):
         def party(ctx):
             for dst in range(1, ctx.params.n + 1):
                 if dst != ctx.pid:
-                    ctx.send(dst, "oracle_out", b"forged", bits=0,
-                             instance="h", step="forge")
+                    ctx.send(dst, "oracle_out", b"forged", instance="h")
             return None
             yield  # pragma: no cover
 

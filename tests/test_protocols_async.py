@@ -142,11 +142,11 @@ class NoncanonicalCommitter(AdversaryScript):
                       for j in range(1, params.n + 1)]
             z = blocks.eval_shares(ctx.session.ak, shares)
             ctx.oracle_submit("rb_commit", z.data)
-            ctx.broadcast("payload", m, bits=params.l, step="payload")
+            ctx.broadcast("payload", m)
             packages = blocks.make_packages(shares, ctx.session.ak, z)
             for j, pkg in sorted(packages.items()):
                 if j != ctx.pid:
-                    ctx.send(j, "share_pkg", pkg, bits=pkg.nominal_bits(), step="d")
+                    ctx.send(j, "share_pkg", pkg)
             return None
             yield  # pragma: no cover
 

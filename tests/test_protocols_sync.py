@@ -184,8 +184,8 @@ class JunkSender(JunkInjector):
             for _ in range(ctx.params.t + 1):
                 for dst in range(1, n + 1):
                     if dst != ctx.pid:
-                        pkg = SharePackage(IndexedShare(dst, bytes(2)), Witness(bytes(8), 8))
-                        ctx.send(dst, "share_pkg", pkg, bits=8, step="junk")
+                        pkg = SharePackage(IndexedShare(dst, bytes(2)), Witness(bytes(8)))
+                        ctx.send(dst, "share_pkg", pkg)
                 yield NEXT_ROUND
                 yield NEXT_ROUND
 
@@ -280,23 +280,19 @@ class CertGames(AdversaryScript):
                 if r == 1 and mode != "nodistribute":
                     for j, pkg in sorted(packages.items()):
                         if j != ctx.pid:
-                            ctx.send(j, "share_pkg", pkg, bits=pkg.nominal_bits(),
-                                     step="d")
+                            ctx.send(j, "share_pkg", pkg)
                 cert = None
                 for s in sorted(env.corrupt)[: min(r, len(env.corrupt))]:
                     cert = sigs[s] if cert is None else msig_combine(cert, sigs[s])
                 if mode == "rotate":
-                    ctx.send(honest[(r - 1) % len(honest)], "happy_cert", cert,
-                             bits=params.k + params.n, step="d")
+                    ctx.send(honest[(r - 1) % len(honest)], "happy_cert", cert)
                 elif mode == "equivocate":
                     for i, h in enumerate(honest):
                         c2 = cert if i % 2 == 0 else sigs[sorted(env.corrupt)[0]]
-                        ctx.send(h, "happy_cert", c2, bits=params.k + params.n,
-                                 step="d")
+                        ctx.send(h, "happy_cert", c2)
                 elif mode == "nodistribute":
                     for h in honest:
-                        ctx.send(h, "happy_cert", cert, bits=params.k + params.n,
-                                 step="d")
+                        ctx.send(h, "happy_cert", cert)
                 yield from ctx.wait_rounds(2)
 
         return party
@@ -365,7 +361,7 @@ class JunkThenForward(PushyChoice):
                 share = payload.indexed_share
                 flipped = bytes(x ^ 0xFF for x in share.share)
                 junk = SharePackage(IndexedShare(share.index, flipped), payload.witness)
-                ctx.engine.submit_send(ctx.pid, dst, kind, junk, 8, "share", None, None)
+                ctx.engine.submit_send(ctx.pid, dst, kind, junk, None)
             return kind, payload
 
         return hooked(honest_factory, send_hook=send_hook)

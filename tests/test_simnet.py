@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bbext import wire
+from bbext.accumulator import HASH_TREE, acc_gen
 from bbext.adversary import (
     AdversaryScript,
     Equivocator,
@@ -21,6 +22,7 @@ from bbext.adversary import (
     hooked,
 )
 from bbext.checks import battery_configs, build_inputs
+from bbext.multisig import MultiSig
 from bbext.protocols import PROTOCOLS, SessionParams
 from bbext.protocols.base import ProtocolSpec
 from bbext.runner import run
@@ -189,15 +191,15 @@ def test_fairness_bound_forces_stale_delivery():
         if ctx.pid in (1, 2):
             peer = 2 if ctx.pid == 1 else 1
             if ctx.pid == 1:
-                ctx.send(peer, "ping", 0, bits=1, step="chat")
-                ctx.send(3, "hello", 0, bits=1, step="chat")
-            pings = ctx.reader("ping")
+                ctx.send(peer, "v_vec", 0)
+                ctx.send(3, "e_vec", 0)
+            pings = ctx.reader("v_vec")
             for _ in range(rounds):
                 pings.new()
                 yield pings
-                ctx.send(peer, "ping", 0, bits=1, step="chat")
+                ctx.send(peer, "v_vec", 0)
             return b"done"
-        yield ctx.reader("hello")
+        yield ctx.reader("e_vec")
         return b"got it"
 
     spec = ProtocolSpec(name="pingpong", mode="events", kind="ba",
@@ -308,17 +310,17 @@ def test_indexed_reads_equal_full_mailbox_scans(monkeypatch, protocol, impl):
         orig_init(ctx, engine, pid)
         ctxs[pid] = ctx
 
-    def submit_send(engine, src, dst, kind, payload, bits, step, instance, oracle):
+    def submit_send(engine, src, dst, kind, payload, instance):
         if src not in engine.honest:
-            width = wire.widths(engine.session.oracles).get(instance)
+            width = engine._scale.width.get(instance)
             refused.setdefault((src, dst), []).append(
                 wire.parse(kind, payload, width) is wire.REFUSED)
-        orig_send(engine, src, dst, kind, payload, bits, step, instance, oracle)
+        orig_send(engine, src, dst, kind, payload, instance)
 
-    def self_deliver(ctx, kind, payload, step=None, instance=None):
+    def self_deliver(ctx, kind, payload, instance=None):
         self_filed.setdefault(ctx.pid, []).append((ctx.engine.tick, kind, payload, instance))
         seen["self"].add(kind)
-        orig_self(ctx, kind, payload, step, instance)
+        orig_self(ctx, kind, payload, instance)
 
     def inbox(ctx, kind=None, instance=None):
         got = orig_inbox(ctx, kind, instance)
@@ -429,33 +431,40 @@ def test_finished_session_frees_its_contexts_without_collection(monkeypatch, pro
     assert filed_keys[0] > 0 or protocol == "ef-async-rb-third"
 
 
-# a session that declares no oracle instance, for engines built by hand
-_NO_ORACLES = SimpleNamespace(oracles={}, oracle_impl={})
+def _session(n, oracles=None):
+    """What an engine built by hand reads of a session: its accumulator key
+    and its declared oracle instances, all ideal (none by default)."""
+    return SimpleNamespace(ak=acc_gen(HASH_TREE, n, 128), oracles=oracles or {},
+                           oracle_impl=dict.fromkeys(ORACLE_KINDS, "ideal"))
 
 
-def _engine(n=5, honest=frozenset({2, 3, 4, 5})):
+def _engine(n=5, honest=frozenset({2, 3, 4, 5}), oracles=None):
     params = _params(n=n, t=1)
-    return Engine("rounds", params, _NO_ORACLES, {}, honest, AdversaryScript())
+    return Engine("rounds", params, _session(n, oracles), {}, honest, AdversaryScript())
 
 
 def test_honest_broadcast_is_metered_once_in_destination_order():
     n = 5
-    engine = _engine(n)
-    engine.parties[3].ctx.broadcast("v_vec", 9, bits=7, step="vectors", instance="x",
-                                    oracle="sync_bb")
-    assert engine.metrics.honest_bits_total == 7 * (n - 1)
-    assert engine.metrics.bits_by_step == {"vectors": 7 * (n - 1)}
-    assert engine.metrics.bits_by_oracle == {"sync_bb": 7 * (n - 1)}
+    engine = _engine(n, oracles={"x": OracleInstance("sync_bb", 3, 7)})
+    ctx = engine.parties[3].ctx
+    ctx.set_step("vectors")
+    ctx.broadcast("v_vec", 9)
+    # a one-sender chain relay: its 7-bit value and a k+n-bit signature
+    ctx.broadcast("ds", ((3, b"v", MultiSig(frozenset({3}), b"")),), instance="x")
+    relay = 7 + 128 + n
+    assert engine.metrics.honest_bits_total == (n + relay) * (n - 1)
+    assert engine.metrics.bits_by_step == {"vectors": n * (n - 1), "oracle:x": relay * (n - 1)}
+    assert engine.metrics.bits_by_oracle == {"direct": n * (n - 1), "sync_bb": relay * (n - 1)}
     # one record per send, with its destinations in order
-    [(env, dsts)] = engine.pending
+    [(env, dsts), (chain, _)] = engine.pending
     assert list(dsts) == [1, 2, 4, 5]
-    assert (env.src, env.kind, env.payload, env.bits, env.step, env.instance) == (
-        3, "v_vec", 9, 7, "vectors", "x")
+    assert (env.src, env.kind, env.payload, env.bits, env.instance) == (3, "v_vec", 9, n, None)
+    assert (chain.bits, chain.instance) == (relay, "x")
     engine._deliver(env, dsts)
     for pid in (1, 2, 4, 5):
         [got] = engine.parties[pid].ctx.mailbox
         assert got is env
-        assert engine.parties[pid].ctx.inbox("v_vec", "x") == [env]
+        assert engine.parties[pid].ctx.inbox("v_vec") == [env]
     assert engine.parties[3].ctx.mailbox == []
 
 
@@ -471,7 +480,7 @@ def test_hooked_broadcast_goes_per_destination_and_is_not_metered():
     factory = hooked(lambda ctx: None, send_hook=drop_three)
     ctx = engine.parties[1].ctx
     factory(ctx)
-    ctx.broadcast("v_vec", 9, bits=7, step="vectors")
+    ctx.broadcast("v_vec", 9)
     assert seen == [2, 3, 4, 5]
     assert [list(dsts) for _, dsts in engine.pending] == [[2], [4], [5]]
     assert engine.metrics.honest_bits_total == 0
@@ -493,21 +502,21 @@ def test_list_first_asked_for_after_its_mail_equals_the_scan_and_grows(mode, reg
             yield mail
 
     def party(ctx, my_input, sender):
-        ctx.broadcast("m", ctx.pid, bits=1, step="s", instance="x")
-        ctx.broadcast("m", -ctx.pid, bits=1, step="s", instance="y")
-        ctx.broadcast("other", 0, bits=1, step="s")
+        ctx.broadcast("v_vec", ctx.pid, instance="x")
+        ctx.broadcast("v_vec", -ctx.pid, instance="y")
+        ctx.broadcast("e_vec", 0)
         yield from wait_for(ctx, 3 * (n - 1))
         # asked for only now, after all matching mail has arrived
-        by_inst, by_kind = ctx.inbox("m", "x"), ctx.inbox("m")
-        assert by_inst == _scan(ctx, "m", "x") and len(by_inst) == n - 1
-        assert by_kind == _scan(ctx, "m") and len(by_kind) == 2 * (n - 1)
+        by_inst, by_kind = ctx.inbox("v_vec", "x"), ctx.inbox("v_vec")
+        assert by_inst == _scan(ctx, "v_vec", "x") and len(by_inst) == n - 1
+        assert by_kind == _scan(ctx, "v_vec") and len(by_kind) == 2 * (n - 1)
         before = list(by_inst), list(by_kind)
-        ctx.self_deliver("m", 0, instance="x")
-        ctx.broadcast("m", 10 + ctx.pid, bits=1, step="s", instance="x")
+        ctx.self_deliver("v_vec", 0, instance="x")
+        ctx.broadcast("v_vec", 10 + ctx.pid, instance="x")
         yield from wait_for(ctx, 4 * (n - 1) + 1)
-        assert ctx.inbox("m", "x") is by_inst and ctx.inbox("m") is by_kind
-        assert by_inst == _scan(ctx, "m", "x") and len(by_inst) == 2 * n - 1
-        assert by_kind == _scan(ctx, "m") and len(by_kind) == 3 * n - 2
+        assert ctx.inbox("v_vec", "x") is by_inst and ctx.inbox("v_vec") is by_kind
+        assert by_inst == _scan(ctx, "v_vec", "x") and len(by_inst) == 2 * n - 1
+        assert by_kind == _scan(ctx, "v_vec") and len(by_kind) == 3 * n - 2
         assert by_inst[:n - 1] == before[0] and by_kind[:2 * (n - 1)] == before[1]
         assert by_inst[n - 1].payload == 0
         assert sorted(e.payload for e in by_inst[n:]) == [
@@ -515,7 +524,11 @@ def test_list_first_asked_for_after_its_mail_equals_the_scan_and_grows(mode, reg
         checked.append(ctx.pid)
         return b"done"
 
-    spec = ProtocolSpec(name="late-reader", mode=mode, kind="ba", regime=regime, party=party)
+    # x and y name oracle instances, so honest mail may name them
+    kind = "sync_bb" if mode == "rounds" else "async_rb"
+    spec = ProtocolSpec(name="late-reader", mode=mode, kind="ba", regime=regime, party=party,
+                        oracles=lambda params, sender: {
+                            name: OracleInstance(kind, 1, 1) for name in ("x", "y")})
     res = run(spec, _params(regime=regime), {i: b"" for i in range(1, n + 1)}, seed=0)
     assert sorted(checked) == list(range(1, n + 1))
     assert all(out == b"done" for out in res.outputs.values())
@@ -573,7 +586,7 @@ def test_chain_oracles_file_no_kind_level_ds_list(monkeypatch):
         assert any(isinstance(key, tuple) and key[0] == "ds" for key in asked)
 
 
-_KINDS = st.sampled_from(["a", "b"])
+_KINDS = st.sampled_from(["v_vec", "e_vec"])
 _INSTANCES = st.sampled_from([None, "x", "y"])
 _PIDS = st.integers(1, 4)
 _OPS = st.one_of(
@@ -581,7 +594,8 @@ _OPS = st.one_of(
     st.tuples(st.just("send"), _PIDS, st.integers(1, 3), _KINDS, _INSTANCES),
     st.tuples(st.just("self"), _PIDS, _KINDS, _INSTANCES),
     st.tuples(st.just("ask"), _PIDS, st.sampled_from(
-        [(None, None), ("a", None), ("b", None), ("a", "x"), ("a", "y"), ("b", "x")]),
+        [(None, None), ("v_vec", None), ("e_vec", None), ("v_vec", "x"), ("v_vec", "y"),
+         ("e_vec", "x")]),
         st.booleans()),
     st.tuples(st.just("deliver"), st.integers(0, 63)),
 )
@@ -590,9 +604,9 @@ _OPS = st.one_of(
 # one party asks for a key before any mail is filed under it, another only
 # after: the second list must still come from a scan
 _ASK_BEFORE_AND_AFTER = [
-    ("ask", 1, ("a", "x"), False), ("ask", 1, ("a", None), True),
-    ("broadcast", 3, "a", "x"), ("deliver", 0), ("deliver", 0),
-    ("ask", 2, ("a", "x"), True), ("ask", 2, ("a", None), False),
+    ("ask", 1, ("v_vec", "x"), False), ("ask", 1, ("v_vec", None), True),
+    ("broadcast", 3, "v_vec", "x"), ("deliver", 0), ("deliver", 0),
+    ("ask", 2, ("v_vec", "x"), True), ("ask", 2, ("v_vec", None), False),
 ]
 
 
@@ -605,8 +619,9 @@ def test_lists_equal_reference_scans_under_interleaved_filing(mode, ops):
     and first requests for any key, interleaved: every list a party asked
     for equals the filtered scan of a reference mailbox, and so does every
     cursor's new mail."""
-    engine = Engine(mode, _params(n=4, t=1), _NO_ORACLES, {}, frozenset({1, 2, 3, 4}),
-                    AdversaryScript())
+    declared = {name: OracleInstance("sync_bb", 1, 1) for name in ("x", "y")}
+    engine = Engine(mode, _params(n=4, t=1), _session(4, declared), {},
+                    frozenset({1, 2, 3, 4}), AdversaryScript())
     ref: dict[int, list] = {pid: [] for pid in range(1, 5)}
     opened = []  # (pid, kind, instance, list, reader or None, mail the reader returned)
 
@@ -621,11 +636,10 @@ def test_lists_equal_reference_scans_under_interleaved_filing(mode, ops):
         what, *args = op
         if what == "broadcast":
             pid, kind, instance = args
-            engine.parties[pid].ctx.broadcast(kind, seq, bits=1, step="s", instance=instance)
+            engine.parties[pid].ctx.broadcast(kind, seq, instance=instance)
         elif what == "send":
             pid, shift, kind, instance = args
-            engine.parties[pid].ctx.send((pid + shift - 1) % 4 + 1, kind, seq, bits=1,
-                                         step="s", instance=instance)
+            engine.parties[pid].ctx.send((pid + shift - 1) % 4 + 1, kind, seq, instance=instance)
         elif what == "self":
             pid, kind, instance = args
             engine.parties[pid].ctx.self_deliver(kind, seq, instance=instance)
@@ -668,8 +682,8 @@ def test_only_the_engine_files_oracle_outputs():
     with pytest.raises(ValueError, match="engine only"):
         ctx.self_deliver("oracle_out", b"forged", instance="ba")
     with pytest.raises(ValueError, match="engine only"):
-        ctx.send(3, "oracle_out", b"forged", bits=0, instance="ba")
-    engine.parties[1].ctx.send(3, "oracle_out", b"forged", bits=0, instance="ba")
+        ctx.send(3, "oracle_out", b"forged", instance="ba")
+    engine.parties[1].ctx.send(3, "oracle_out", b"forged", instance="ba")
     assert engine.pending == [] and ctx.mailbox == []
     assert ctx.oracle_result("ba") is None
 
@@ -709,11 +723,11 @@ def _same_as_silent(protocol, act):
 
 
 _MISSENDS = {
-    "list-kind": lambda ctx: ctx.broadcast(["payload"], b"m", bits=8),
-    "list-instance": lambda ctx: ctx.broadcast("payload", b"m", bits=8, instance=["x"]),
-    "dict-instance": lambda ctx: ctx.send(1, "payload", b"m", bits=8, instance={"a": 1}),
-    "absent-destination": lambda ctx: ctx.send(9, "payload", b"m", bits=8),
-    "own-destination": lambda ctx: ctx.send(ctx.pid, "payload", b"m", bits=8),
+    "list-kind": lambda ctx: ctx.broadcast(["payload"], b"m"),
+    "list-instance": lambda ctx: ctx.broadcast("payload", b"m", instance=["x"]),
+    "dict-instance": lambda ctx: ctx.send(1, "payload", b"m", instance={"a": 1}),
+    "absent-destination": lambda ctx: ctx.send(9, "payload", b"m"),
+    "own-destination": lambda ctx: ctx.send(ctx.pid, "payload", b"m"),
 }
 
 
@@ -729,6 +743,12 @@ def test_honest_sends_the_network_has_no_place_for_raise():
         act(engine.parties[1].ctx)
         with pytest.raises(ValueError):
             act(engine.parties[2].ctx)
+    # nor has the schema a size for a kind it does not know, nor the
+    # session a charge for an instance it does not declare
+    with pytest.raises(KeyError):
+        engine.parties[2].ctx.send(3, "chatter", b"m")
+    with pytest.raises(KeyError):
+        engine.parties[2].ctx.send(3, "v_vec", 1, instance="x")
     assert engine.pending == [] and engine.metrics.honest_bits_total == 0
 
 
@@ -757,8 +777,7 @@ def test_malformed_corrupt_ideal_submissions_are_dropped(protocol, what):
                                            ("events", "async-rb-third")])
 def test_malformed_honest_ideal_submissions_raise(mode, protocol):
     params = _params()
-    session = SimpleNamespace(oracles=PROTOCOLS[protocol].oracles(params, 1),
-                              oracle_impl={kind: "ideal" for kind in ORACLE_KINDS})
+    session = _session(params.n, PROTOCOLS[protocol].oracles(params, 1))
     engine = Engine(mode, params, session, {}, frozenset({1, 2, 3}), AdversaryScript())
     for act in _MISSUBMITS[protocol].values():
         act(engine.parties[4].ctx)
@@ -859,7 +878,9 @@ def test_honest_requests_naming_no_mail_key_raise():
 
 def test_junk_instance_flood_grows_no_engine_table(monkeypatch):
     # rows exist only for keys some party asked for, so 1,000 instance
-    # names nobody reads leave the engine's filing table as it was
+    # names nobody reads leave the engine's filing table as it was. The
+    # schema sizes the flood, not its sender: mail it refuses (an echo under
+    # no declared instance) carries 0 bits, and a well-formed v_vec n bits
     sizes = []
     orig_run = Engine.run
 
@@ -867,23 +888,32 @@ def test_junk_instance_flood_grows_no_engine_table(monkeypatch):
         orig_run(engine)
         sizes.append(len(engine._filing))
 
-    def flood(ctx):
-        for i in range(1000):
-            ctx.broadcast("payload", b"junk", bits=32, instance=f"junk/{i}")
+    def flood(kind, payload):
+        def act(ctx):
+            for i in range(1000):
+                ctx.broadcast(kind, payload, instance=f"junk/{i}")
+        return act
 
     monkeypatch.setattr(Engine, "run", engine_run)
     params = _params()
     inputs = build_inputs("ba", params, 0, "all")
     quiet = run("sync-ba-half", params, inputs, adversary=Silent(), seed=0)
-    loud = run("sync-ba-half", params, inputs, adversary=Misfit(flood), seed=0)
-    assert sizes[1] == sizes[0]
-    assert loud.metrics.honest_bits_total == quiet.metrics.honest_bits_total == 10_764
-    assert loud.metrics.outputs_digest == quiet.metrics.outputs_digest
+    refused = run("sync-ba-half", params, inputs,
+                  adversary=Misfit(flood("rb", ("echo", b"junk"))), seed=0)
+    formed = run("sync-ba-half", params, inputs, adversary=Misfit(flood("v_vec", 0)), seed=0)
+    assert sizes[2] == sizes[1] == sizes[0]
+    for loud in (refused, formed):
+        assert loud.metrics.honest_bits_total == quiet.metrics.honest_bits_total == 10_764
+        assert loud.metrics.outputs_digest == quiet.metrics.outputs_digest
+    received = quiet.metrics.extra["received_bits_total"]
+    assert refused.metrics.extra["received_bits_total"] == received
+    assert formed.metrics.extra["received_bits_total"] == (
+        received + 1000 * params.n * len(quiet.honest))
 
 
 def test_filed_envelopes_are_immutable():
     engine = _engine()
-    engine.parties[2].ctx.broadcast("v_vec", 9, bits=7, step="vectors")
+    engine.parties[2].ctx.broadcast("v_vec", 9)
     [(env, _)] = engine.pending
     for field in env._fields:
         with pytest.raises(AttributeError):
@@ -935,14 +965,15 @@ def _summed_trace_digest(res) -> str:
 
 
 # Recorded with one "ds" record per chain relay; they hold with one record
-# per party, instance and round, since merging records keeps these sums.
+# per party, instance and round, since merging records keeps these sums. In
+# the junk cell each junk record carries its schema size, 0 when refused.
 @pytest.mark.parametrize("protocol,regime,t,eps,adversary,digest", [
     ("sync-ba-half", "half", 3, None, None,
      "6b22401a2ba4e04196051f3e7d76c4eb73ab5732c344a52fde47abf2c67ef043"),
     ("sync-ba-half", "half", 3, None, Equivocator(),
      "b25a095eb48b071f99ca4d292a61a70482cf9584fe73c8b13957931e9494db42"),
     ("sync-bb-half", "half", 3, None, JunkInjector(),
-     "5301c46a4c6f080a5bbb6570808485267452aa04844c1d591f9920ee945895d3"),
+     "bdb5349825f9b8af3ccd4791a30e87ab97b07beb7e2aeae28bd6430565f4c03a"),
     ("sync-bb-highthresh", "one_minus_eps", 5, 1 / 7, Equivocator(),
      "998ac74e394b59c17a00be03eb6a7896f182a72576e2db98382c25859b6a7178"),
     ("ef-sync-ba-third", "third_sync_ef", 2, None, Equivocator(),

@@ -5,6 +5,7 @@ The liar depends on ``hash()``, so CI also runs this file under other
 ``PYTHONHASHSEED`` values.
 """
 
+import copy
 import dataclasses
 
 import pytest
@@ -12,17 +13,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bbext import wire
-from bbext.accumulator import Witness
-from bbext.adversary import PLACEMENTS, AdversaryScript, JunkInjector, hooked
+from bbext.accumulator import HASH_TREE, Witness, acc_gen
+from bbext.adversary import PLACEMENTS, AdversaryScript, CorruptChoice, JunkInjector, hooked
 from bbext.blocks import IndexedShare, SharePackage
 from bbext.checks import battery_configs, build_inputs, judged_run
 from bbext.multisig import MultiSig
-from bbext.protocols import PROTOCOLS
+from bbext.protocols import PROTOCOLS, SessionParams
 from bbext.runner import run
 from bbext.simnet import InvariantViolation, OracleInstance
 
 _SHARE = IndexedShare(index=1, share=b"\x00\x01")
-_WITNESS = Witness(data=bytes(8), nominal_bits=8)
+_WITNESS = Witness(data=bytes(8))
 _SIG = MultiSig(frozenset({1, 2}), bytes(32))
 
 
@@ -30,7 +31,7 @@ def test_a_package_of_another_shape_is_refused():
     pkg = SharePackage(_SHARE, _WITNESS)
     assert wire.parse("share_pkg", pkg, None) is pkg
     for junk in ["junk", (_SHARE, _WITNESS), None,
-                 SharePackage(_SHARE, Witness(bytes(8), 8.0))]:
+                 SharePackage(_SHARE, Witness(bytearray(8)))]:
         for kind in ("share_pkg", "share_fwd"):
             assert wire.parse(kind, junk, None) is wire.REFUSED
 
@@ -59,13 +60,19 @@ def test_kinds_outside_the_schema_are_refused():
 def test_widths_cover_declared_instances_and_slot_prefixes():
     oracles = {"bb_commit": OracleInstance("sync_bb", 1, 128),
                **{f"flag/{j}": OracleInstance("sync_bb", j, 1) for j in (1, 2, 3)}}
-    assert wire.widths(oracles) == {"bb_commit": 128, "flag/1": 1, "flag/2": 1,
-                                    "flag/3": 1, "flag": 1}
+    params = SessionParams(n=3, t=1, l=96, k=128)
+    scale = wire.scale(params, acc_gen(HASH_TREE, 3, 128), wire.instances(oracles))
+    assert scale.width == {"bb_commit": 128, "flag/1": 1, "flag/2": 1, "flag/3": 1, "flag": 1}
+    # a relay: value, k+n-bit signature, and a 16-bit slot id under the
+    # prefix, whose chain runs every slot
+    sig = 128 + 3
+    assert scale.relay == {"bb_commit": 128 + sig, "flag/1": 1 + sig, "flag/2": 1 + sig,
+                           "flag/3": 1 + sig, "flag": 1 + sig + 16}
 
 
 def test_a_refused_record_travels_and_counts_as_received(monkeypatch):
     # each corrupt send is parsed once and traced, and its bits count as
-    # received whether or not it was refused
+    # received; a refused one carries 0 bits
     refused = []
     orig_parse = wire.parse
 
@@ -81,8 +88,52 @@ def test_a_refused_record_travels_and_counts_as_received(monkeypatch):
     assert any(refused) and not all(refused)
     junk = [rec for rec in res.trace if rec["from"] not in res.honest | {0}]
     assert len(junk) == len(refused)
+    # delivery is FIFO, so the junk records are in parse order
+    assert all(rec["bits"] == 0 for rec, was in zip(junk, refused) if was)
     assert res.metrics.extra["received_bits_total"] == sum(
         rec["bits"] for rec in res.trace if rec["to"] in res.honest)
+
+
+class SwollenPackages(CorruptChoice):
+    """The sender runs the honest code but withholds the payload from
+    parties 2 and 3, and its happy vote carries, so they must reconstruct
+    from forwarded packages; with swell=True it sends packages whose witness
+    says it is 10^9 bits."""
+
+    name = "swollen_packages"
+
+    def __init__(self, swell: bool):
+        self.swell = swell
+
+    def corrupt_set(self, n, t, sender):
+        return frozenset({sender})
+
+    def make_party(self, pid, honest_factory, env):
+        def send_hook(ctx, dst, kind, payload):
+            if kind == "payload" and dst in (2, 3):
+                return None
+            if kind == "share_pkg" and self.swell:
+                witness = copy.copy(payload.witness)
+                object.__setattr__(witness, "nominal_bits", 10**9)
+                payload = SharePackage(payload.indexed_share, witness)
+            return kind, payload
+
+        return hooked(honest_factory, send_hook=send_hook)
+
+
+def test_honest_bits_ignore_what_a_package_says_it_costs():
+    # each honest party forwards the package the sender gave it; a forward
+    # costs its schema size, so the sender cannot set what honest parties
+    # are charged
+    params = SessionParams(n=7, t=3, l=96, k=128)
+    inputs = build_inputs("bb", params, 0, "all")
+    plain, swollen = (run("sync-bb-half", params, inputs, adversary=SwollenPackages(swell),
+                          seed=0) for swell in (False, True))
+    assert all(plain.outputs[p] == inputs[1] for p in plain.honest)
+    assert swollen.outputs == plain.outputs
+    assert swollen.metrics.honest_bits_total == plain.metrics.honest_bits_total
+    assert swollen.metrics.bits_by_step == plain.metrics.bits_by_step
+    assert plain.metrics.bits_by_step["share"] > 0
 
 
 # --- the generic liar ------------------------------------------------------------
