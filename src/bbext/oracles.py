@@ -27,6 +27,9 @@ In both chain kinds a party sends at most one "ds" record per instance and
 round: a tuple of (slot, value, sig) triples, metered as one relay per
 triple (see ``parallel_chain_bcast``).
 
+The runner calls ``open_aba_lists`` as each party starts, since a party
+may join a binary agreement after its peers' first messages of it.
+
 The constructions read "ds", "rb" and "aba" mail as ``wire`` shapes it,
 since the engine parses a corrupt party's envelope before filing it; they
 check only ranges and signatures.
@@ -377,6 +380,20 @@ def aba_binary(ctx: Ctx, instance: str, my_bit: int):
     value, dec_round = decided[0]
     ctx.engine.metrics.extra[f"aba_round/{instance}/{ctx.pid}"] = dec_round
     return value
+
+
+def open_aba_lists(ctx: Ctx) -> None:
+    """Open, as a party starts, the ``("aba", instance)`` list of every
+    concrete binary agreement instance the session declares. A party may
+    join one (``aba_binary``) after its peers' first messages of it have
+    arrived, as ``ba_happy`` starts only once ``ba_commit`` has ended; a
+    list opened before any mail arrives has all of it filed by delivery, so
+    no mailbox scan is needed."""
+    session = ctx.session
+    if session.oracle_impl["async_ba_bit"] == "concrete":
+        for name, decl in session.oracles.items():
+            if decl.kind == "async_ba_bit":
+                ctx.inbox("aba", name)
 
 
 # --- dispatch ------------------------------------------------------------------

@@ -189,8 +189,9 @@ def ef_async_rb(ctx: Ctx, my_input: bytes | None, sender: int):
     row: dict[int, bytes] = {}
     self_sym: dict[int, bytes] = {}
     priv_sym: dict[int, bytes] = {}
+    quorum = 2 * t + 1
     ok_sent: set[int] = set()
-    ok_seen: dict[int, set[int]] = {}
+    ok_seen: list[set[int]] = [set() for _ in range(n + 1)]  # by acknowledger
     growing = GrowingStar(n, t)
     frozen = False
     flags = RbSlots(ctx, "flag")
@@ -220,13 +221,16 @@ def ef_async_rb(ctx: Ctx, my_input: bytes | None, sender: int):
             note_ok(ctx.pid, j)
 
     def note_ok(x: int, y: int) -> None:
+        # the edge (x, y) enters the graph once, when the later of its two
+        # acknowledgements is first noted
         nonlocal frozen
         if not 1 <= y <= n or x == y:
             return
-        ok_seen.setdefault(x, set()).add(y)
-        if frozen:
+        seen = ok_seen[x]
+        if y in seen:
             return
-        if y in ok_seen and x in ok_seen[y] and not growing.has_edge(x, y):
+        seen.add(y)
+        if not frozen and x in ok_seen[y]:
             result = growing.add_edge(x, y)
             if result is NOSTAR:
                 return
@@ -249,27 +253,28 @@ def ef_async_rb(ctx: Ctx, my_input: bytes | None, sender: int):
     mail = ctx.reader()
     while True:
         for env in mail.new():
-            if env.kind == "payload" and env.src == sender:
-                adopt_message(env.payload)
-            elif env.kind == "sym_self":
-                if env.src not in self_sym:
-                    self_sym[env.src] = env.payload
-                    maybe_ok(env.src)
-            elif env.kind == "sym_priv":
-                if env.src not in priv_sym:
-                    priv_sym[env.src] = env.payload
-                    maybe_ok(env.src)
-            elif env.kind == "ok":
+            kind = env.kind
+            if kind == "ok":  # most of the mail: Theta(n^2) per party
                 x, y = env.payload
                 if x == env.src:
                     note_ok(x, y)
-            elif env.kind == "e_vec":
+            elif kind == "payload" and env.src == sender:
+                adopt_message(env.payload)
+            elif kind == "sym_self":
+                if env.src not in self_sym:
+                    self_sym[env.src] = env.payload
+                    maybe_ok(env.src)
+            elif kind == "sym_priv":
+                if env.src not in priv_sym:
+                    priv_sym[env.src] = env.payload
+                    maybe_ok(env.src)
+            elif kind == "e_vec":
                 e_vecs.setdefault(env.src, env.payload)
-            elif env.kind == "maj_val":
+            elif kind == "maj_val":
                 majs.setdefault(env.src, env.payload)
             else:
                 flags.feed(env)
-        if not maj_sent and len(flags.ones) >= 2 * t + 1:
+        if not maj_sent and len(flags.ones) >= quorum:
             maj = _greedy_common_vote(
                 [x for x in flags.ones if x in e_vecs], e_vecs, priv_sym, n, t
             )
@@ -278,9 +283,9 @@ def ef_async_rb(ctx: Ctx, my_input: bytes | None, sender: int):
                 majs.setdefault(ctx.pid, maj)
                 ctx.set_step("majority")
                 ctx.broadcast("maj_val", maj)
-        if len(majs) >= 2 * t + 1 and len(majs) > decode_tried_at:
+        if len(majs) >= quorum and len(majs) > decode_tried_at:
             decode_tried_at = len(majs)
-            max_errors = min(len(majs) - (2 * t + 1), t)
+            max_errors = min(len(majs) - quorum, t)
             payload = _decode_symbol_table(ctx.session.codec, majs, n, t, share_len,
                                            max_errors, absent_as_error=False)
             if payload is not None:

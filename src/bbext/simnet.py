@@ -16,19 +16,22 @@ fully adversarial inside that bound.
 A send is one immutable ``Envelope``, built once however many parties it
 goes to: a broadcast by a party without a send hook, or an ideal oracle's
 output, is one record with its destination list, metered with one charge.
-Delivery appends that same record to each destination's mailbox, in
-destination order, through one filing routine (``Engine._deliver``) that
-serves rounds-mode sends, events-mode deliveries and self-deliveries alike.
 
-Mail is filed only where it is read. Every envelope reaching a party goes
-into its mailbox, unless ``wire`` refused it (see below); a list of its
-mail of one kind, or of one (kind, instance), exists only once the party
-has asked for it (``Ctx.inbox``, ``Ctx.reader``, ``Ctx.oracle_result``).
-Every first request builds it by one scan of the mailbox, in arrival
-order; from then on delivery appends to it, at one table lookup per
-envelope and key, so mail nobody asked for grows no table. A party reads
-new mail through a cursor (``Ctx.reader``) and waits for more by yielding
-that cursor.
+The filing rule: delivering a record appends it, for each destination in
+destination order, to the destination's mailbox, then to its list of the
+record's kind and to its list of the record's (kind, instance), each only
+if the destination has asked for that list; a record ``wire`` refused (see
+below) is filed nowhere. ``Engine._deliver`` applies the rule to
+rounds-mode sends and self-deliveries; the events loop applies it inline
+to the one destination of each tick.
+
+Mail is filed only where it is read. A list of a party's mail of one kind,
+or of one (kind, instance), exists only once the party has asked for it
+(``Ctx.inbox``, ``Ctx.reader``, ``Ctx.oracle_result``). Every first
+request builds it by one scan of the mailbox, in arrival order; from then
+on delivery appends to it, at one table lookup per envelope and key, so
+mail nobody asked for grows no table. A party reads new mail through a
+cursor (``Ctx.reader``) and waits for more by yielding that cursor.
 
 Every request naming a mail key (a send, a self-delivery, a read) needs a
 ``str`` kind and a None or ``str`` instance, and a send or self-delivery
@@ -68,6 +71,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from itertools import repeat
 from operator import attrgetter
 from dataclasses import dataclass
 from typing import Callable, Generator, NamedTuple
@@ -234,7 +238,18 @@ class LifoPolicy(SchedulerPolicy):
 
 class RandomPolicy(SchedulerPolicy):
     def pick(self, pending, rng):
-        return rng.randrange(len(pending))
+        """``rng.randrange(len(pending))``, drawn by the same ``getrandbits``
+        calls (as many bits as the length has, redrawn while out of range)
+        without randrange's argument handling; an empty list raises
+        ValueError."""
+        size = len(pending)
+        if not size:
+            raise ValueError("no pending envelope to pick")
+        bits = size.bit_length()
+        idx = rng.getrandbits(bits)
+        while idx >= size:
+            idx = rng.getrandbits(bits)
+        return idx
 
 
 class StarvePolicy(SchedulerPolicy):
@@ -448,12 +463,19 @@ class Engine:
 
     Each send builds one ``Envelope``. ``pending`` holds, in send order, one
     ``(envelope, destinations)`` entry per send in rounds mode and one
-    ``(envelope, destination)`` entry per destination in events mode. A
-    delivery files the record into each destination's mailbox and the lists
-    the destinations asked for, in destination order, so the global delivery
-    order is send order, then destination order. Only the oracle instances
-    submitted to since the last check are checked for readiness, in name
-    order: readiness depends on nothing else.
+    ``(envelope, destination)`` entry per destination in events mode.
+
+    A rounds-mode tick files every entry sent in the round before, in send
+    order, by the filing rule (module docstring), so the delivery order is
+    send order, then destination order; it then resumes once, in pid order,
+    each party that waits on ``NEXT_ROUND`` or on a reader with mail past
+    its cursor. An events-mode tick removes one entry, the oldest once it
+    has waited 10*n^2 ticks and else the policy's pick, files it for its
+    destination, and resumes that party while it waits on a reader with
+    mail past its cursor; a party waits only on its own lists, so no other
+    party can have become runnable. Each tick ends by checking the oracle
+    instances submitted to since the last check, in name order: readiness
+    depends on nothing else.
     """
 
     def __init__(self, mode: str, params, session, factories: dict[int, Callable[[Ctx], Generator] | None],
@@ -534,25 +556,33 @@ class Engine:
         return False
 
     def _enqueue(self, src, dsts, kind, payload, instance) -> None:
-        if not self._names_key(src, kind, instance, write=True):
-            return
-        if src in self.honest:
+        if (src in self.honest and type(kind) is str and kind != "oracle_out"
+                and (instance is None or type(instance) is str)):
+            # an honest send naming a mail key (the test of _names_key), metered
             bits = wire.SCHEMA[kind].size(payload, instance, self._scale)
-            if dsts and instance is None:
-                self.metrics.add(bits * len(dsts), self.parties[src].ctx.step)
-            elif dsts:
-                self.metrics.add(bits * len(dsts), *self._charge[instance])
-        else:
+            if dsts:
+                if instance is None:
+                    step, oracle = self.parties[src].ctx.step, "direct"
+                else:
+                    step, oracle = self._charge[instance]
+                total, metrics = bits * len(dsts), self.metrics
+                metrics.honest_bits_total += total
+                by_step, by_oracle = metrics.bits_by_step, metrics.bits_by_oracle
+                by_step[step] = by_step.get(step, 0) + total
+                by_oracle[oracle] = by_oracle.get(oracle, 0) + total
+        elif self._names_key(src, kind, instance, write=True):
             payload = wire.parse(kind, payload, self._scale.width.get(instance))
             bits = 0 if payload is wire.REFUSED else wire.SCHEMA[kind].size(
                 payload, instance, self._scale)
+        else:
+            return
         self._post(Envelope(src, kind, payload, bits, instance, self.tick), dsts)
 
     def _post(self, env: Envelope, dsts: tuple[int, ...]) -> None:
         if self.mode == "rounds":
             self.pending.append((env, dsts))
         else:
-            self.pending.extend([(env, dst) for dst in dsts])
+            self.pending.extend(zip(repeat(env), dsts))
 
     def oracle_submit(self, pid, instance, value) -> None:
         inst = self.oracles.get(instance) if type(instance) is str else None
@@ -614,13 +644,6 @@ class Engine:
         except StopProtocol:
             handle.done, handle.waiting = True, None
 
-    @staticmethod
-    def _runnable(handle: PartyHandle) -> bool:
-        """Whether the party waits on a reader with mail past its cursor (a
-        finished party waits on nothing)."""
-        w = handle.waiting
-        return isinstance(w, Reader) and len(w._box) > w._pos
-
     def _open(self, pid: int, key) -> list[Envelope]:
         """pid's list of mail under key, built by one scan of its mailbox in
         arrival order, which delivery extends from now on."""
@@ -636,9 +659,8 @@ class Engine:
         return box
 
     def _deliver(self, env: Envelope, dsts: tuple[int, ...]) -> None:
-        """File one record for each destination, in order: its mailbox, and
-        the lists of the record's keys that the destination asked for. A
-        refused record (0 bits) is filed nowhere."""
+        """File one record for each destination, in order, by the filing
+        rule (module docstring)."""
         if env.payload is wire.REFUSED:
             return
         mailboxes = self._mailboxes
@@ -665,10 +687,12 @@ class Engine:
             sum(map(_BITS, self._mailboxes[pid])) for pid in self.honest)
 
     def _run_rounds(self) -> None:
-        for pid in sorted(self.parties):
-            self._resume(self.parties[pid])
+        order = [self.parties[pid] for pid in sorted(self.parties)]  # pid order
+        resume = self._resume
+        for handle in order:
+            resume(handle)
         self._fire_ready_oracles()
-        while any(not h.done for h in self.parties.values()):
+        while any(not handle.done for handle in order):
             self.tick += 1
             if self.tick > MAX_ROUNDS:
                 raise RuntimeError("round limit exceeded; protocol did not terminate")
@@ -680,36 +704,52 @@ class Engine:
                     self.trace.extend({"tick": self.tick, "from": env.src, "to": dst,
                                        "msg_kind": env.kind, "bits": env.bits}
                                       for dst in dsts)
-            for pid in sorted(self.parties):
-                h = self.parties[pid]
-                if h.waiting is NEXT_ROUND or self._runnable(h):
-                    self._resume(h)
+            for handle in order:
+                w = handle.waiting
+                if w is NEXT_ROUND or (type(w) is Reader and len(w._box) > w._pos):
+                    resume(handle)
             self._fire_ready_oracles()
 
     def _run_events(self) -> None:
-        # a party waits only on its own lists, so only the delivery target
-        # needs re-checking
-        n_fair = 10 * self.params.n * self.params.n
-        for pid in sorted(self.parties):
-            self._resume(self.parties[pid])
+        """Serve one pending entry per tick (see the class docstring). The
+        loop files each entry itself, by the filing rule for its one
+        destination, rather than through ``_deliver``, whose call and
+        destination tuple would cost more per tick than the filing does. What
+        a tick reads is bound once per run; ``self._resume`` is bound as the
+        run starts, so a wrapper installed on ``Engine._resume`` before then
+        sees every resume."""
+        parties, resume = self.parties, self._resume
+        for pid in sorted(parties):
+            resume(parties[pid])
         self._fire_ready_oracles()
-        while self.pending:
-            self.tick += 1
-            if self.tick > MAX_EVENTS:
+        pending, pick, rng = self.pending, self.policy.pick, self.rng
+        handles = [None, *(parties[pid] for pid in self._everyone)]
+        mailboxes, filing, trace, refused = self._mailboxes, self._filing, self.trace, wire.REFUSED
+        n_fair = 10 * self.params.n * self.params.n
+        tick = self.tick
+        while pending:
+            tick += 1
+            self.tick = tick
+            if tick > MAX_EVENTS:
                 raise RuntimeError("event limit exceeded")
             # pending stays in send order, so the oldest envelope sits at 0
-            if self.tick - self.pending[0][0].sent_tick >= n_fair:
-                idx = 0
-            else:
-                idx = self.policy.pick(self.pending, self.rng)
-            env, dst = self.pending.pop(idx)
-            self._deliver(env, (dst,))
-            if self.trace is not None:
-                self.trace.append({"tick": self.tick, "from": env.src, "to": dst,
-                                   "msg_kind": env.kind, "bits": env.bits})
-            handle = self.parties[dst]
-            while self._runnable(handle):
-                self._resume(handle)
+            env, dst = pending.pop(0 if tick - pending[0][0].sent_tick >= n_fair
+                                   else pick(pending, rng))
+            if env.payload is not refused:
+                mailboxes[dst].append(env)
+                if (row := filing.get(env.kind)) and (box := row[dst]) is not None:
+                    box.append(env)
+                if (env.instance is not None and (row := filing.get((env.kind, env.instance)))
+                        and (box := row[dst]) is not None):
+                    box.append(env)
+            if trace is not None:
+                trace.append({"tick": tick, "from": env.src, "to": dst,
+                              "msg_kind": env.kind, "bits": env.bits})
+            handle = handles[dst]
+            w = handle.waiting
+            while type(w) is Reader and len(w._box) > w._pos:
+                resume(handle)
+                w = handle.waiting
             if self._submitted:
                 self._fire_ready_oracles()
 

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import random
 import weakref
 from types import SimpleNamespace
 
@@ -36,6 +37,7 @@ from bbext.simnet import (
     InvariantViolation,
     LifoPolicy,
     OracleInstance,
+    RandomPolicy,
     Reader,
     RunMetrics,
     oracle_model_cost,
@@ -536,10 +538,11 @@ def test_list_first_asked_for_after_its_mail_equals_the_scan_and_grows(mode, reg
 
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
 def test_protocols_open_their_lists_before_their_mail_arrives(monkeypatch, protocol):
-    # every list a protocol reads is asked for at its start, so in no honest
-    # session does a first request find mail in the mailbox; the runs keep
-    # their golden digests
-    from tests.test_golden import GOLDEN, SEEDS, UNANIMITY
+    # every list a protocol or a concrete oracle reads is asked for at its
+    # start (a late-starting binary agreement's as the party starts), so in
+    # no honest session does a first request find mail in the mailbox; the
+    # runs keep their golden digests
+    from tests.test_golden import GOLDEN, ORACLES, SEEDS, UNANIMITY
 
     golden = json.loads(GOLDEN.read_text())
     scans = []
@@ -554,14 +557,80 @@ def test_protocols_open_their_lists_before_their_mail_arrives(monkeypatch, proto
     monkeypatch.setattr(Engine, "_open", watched)
     honest = next(s for s in adversary_battery() if s.name == "honest")
     params = battery_configs(protocol)[-1]
-    for seed in SEEDS:
-        inputs = build_inputs(PROTOCOLS[protocol].kind, params, seed, UNANIMITY[seed])
-        res = run(protocol, params, inputs, adversary=honest, seed=seed)
-        key = (f"{protocol} n={params.n} t={params.t} eps={params.epsilon} "
-               f"honest ideal seed={seed}")
-        metrics = hashlib.sha256(res.metrics.to_json().encode()).hexdigest()
-        assert [metrics, res.metrics.outputs_digest] == golden[key]
+    for impl, oracle_impl in ORACLES.items():
+        for seed in SEEDS:
+            inputs = build_inputs(PROTOCOLS[protocol].kind, params, seed, UNANIMITY[seed])
+            res = run(protocol, params, inputs, adversary=honest, seed=seed,
+                      oracle_impl=oracle_impl)
+            key = (f"{protocol} n={params.n} t={params.t} eps={params.epsilon} "
+                   f"honest {impl} seed={seed}")
+            metrics = hashlib.sha256(res.metrics.to_json().encode()).hexdigest()
+            assert [metrics, res.metrics.outputs_digest] == golden[key]
     assert scans == []
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_binary_agreement_list_opened_at_start_needs_no_scan(monkeypatch, seed):
+    # under random delivery, peers' "aba" mail of ba_happy reaches a party
+    # before it joins that instance; the list opened as the party starts has
+    # that mail filed, and the session is the one a late scan gives
+    from bbext import runner
+
+    scans = []
+    opened = Engine._open
+
+    def watched(self, pid, key):
+        box = opened(self, pid, key)
+        if box:
+            scans.append((pid, key))
+        return box
+
+    monkeypatch.setattr(Engine, "_open", watched)
+    params = battery_configs("async-ba-third")[-1]
+    inputs = build_inputs("ba", params, seed, "all")
+    script = ScheduledHonest("random")
+    early = run("async-ba-third", params, inputs, adversary=script, seed=seed,
+                oracle_impl=CONCRETE)
+    assert scans == []
+    monkeypatch.setattr(runner, "open_aba_lists", lambda ctx: None)
+    late = run("async-ba-third", params, inputs, adversary=script, seed=seed,
+               oracle_impl=CONCRETE)
+    assert scans and {key for _, key in scans} == {("aba", "ba_happy")}
+    assert late.metrics.to_json() == early.metrics.to_json()
+    assert late.outputs == early.outputs
+
+
+def test_random_pick_draws_what_randrange_draws():
+    # the events loop's random pick is rng.randrange(len(pending)), drawn by
+    # the same getrandbits calls, so it leaves the generator in the same state
+    powers = {m for k in range(1, 13) for m in (2**k - 1, 2**k, 2**k + 1)}
+    lengths = sorted(set(range(1, 301)) | powers)
+    assert lengths[-1] == 4097
+    pendings = {size: [None] * size for size in lengths}
+    policy = RandomPolicy()
+    for seed in range(50):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for size in lengths:
+            assert policy.pick(pendings[size], rng) == ref.randrange(size)
+            assert rng.getstate() == ref.getstate()
+    with pytest.raises(ValueError):
+        policy.pick([], random.Random(0))
+
+
+_EVENTS_PROTOCOLS = sorted(name for name, spec in PROTOCOLS.items() if spec.mode == "events")
+
+
+@pytest.mark.parametrize("script", [ScheduledHonest("random"), StarvingScheduler()],
+                         ids=lambda script: script.name)
+@pytest.mark.parametrize("protocol", _EVENTS_PROTOCOLS)
+def test_tracing_does_not_change_an_events_session(protocol, script):
+    params = battery_configs(protocol)[-1]
+    inputs = build_inputs(PROTOCOLS[protocol].kind, params, 1, "majority")
+    plain = run(protocol, params, inputs, adversary=script, seed=1)
+    traced = run(protocol, params, inputs, adversary=script, seed=1, trace=True)
+    assert plain.trace is None and len(traced.trace) == traced.metrics.rounds_or_events_elapsed
+    assert traced.metrics.to_json() == plain.metrics.to_json()
+    assert traced.outputs == plain.outputs
 
 
 def test_chain_oracles_file_no_kind_level_ds_list(monkeypatch):
