@@ -34,6 +34,10 @@ CSV_COLUMNS = ["protocol", "n", "t", "l", "adversary", "seed",
 T_RULES = {"max_half": "half", "max_third": "third_async", "max_eps": "one_minus_eps",
            "explicit": None}
 
+# the fields of a run config (see ExperimentConfig.from_dict); any other key is an error
+CONFIG_KEYS = ("protocol", "n", "l", "t_rule", "t", "k", "epsilon", "oracles", "accumulator",
+               "adversaries", "seeds", "out")
+
 
 class ConfigError(Exception):
     pass
@@ -93,6 +97,9 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict, jobs: int = 1) -> "ExperimentConfig":
+        for key in raw:
+            if key not in CONFIG_KEYS:
+                raise ConfigError(f"unknown config key {key!r}; choose from {list(CONFIG_KEYS)}")
         try:
             protocol = raw["protocol"]
         except KeyError:

@@ -444,8 +444,8 @@ def bb_slots(ctx: Ctx, prefix: str, my_value):
         return (yield from parallel_chain_bcast(ctx, prefix, my_value))
     for j, name in names.items():
         ctx.oracle_submit(name, my_value if j == ctx.pid else None)
-    yield from ctx.wait_oracle(*names.values())
-    return {j: ctx.oracle_result(name) for j, name in names.items()}
+    outputs = yield from ctx.wait_oracle(*names.values())
+    return dict(zip(names, outputs))
 
 
 class RbSlots:

@@ -19,19 +19,19 @@ output, is one record with its destination list, metered with one charge.
 
 The filing rule: delivering a record appends it, for each destination in
 destination order, to the destination's mailbox, then to its list of the
-record's kind and to its list of the record's (kind, instance), each only
-if the destination has asked for that list; a record ``wire`` refused (see
-below) is filed nowhere. ``Engine._deliver`` applies the rule to
-rounds-mode sends and self-deliveries; the events loop applies it inline
-to the one destination of each tick.
+record's (kind, instance) if the destination has asked for that list; a
+record ``wire`` refused (see below) is filed nowhere. ``Engine._deliver``
+applies the rule to rounds-mode sends and self-deliveries; the events loop
+applies it inline to the one destination of each tick.
 
-Mail is filed only where it is read. A list of a party's mail of one kind,
-or of one (kind, instance), exists only once the party has asked for it
-(``Ctx.inbox``, ``Ctx.reader``, ``Ctx.oracle_result``). Every first
-request builds it by one scan of the mailbox, in arrival order; from then
-on delivery appends to it, at one table lookup per envelope and key, so
-mail nobody asked for grows no table. A party reads new mail through a
-cursor (``Ctx.reader``) and waits for more by yielding that cursor.
+Mail is filed only where it is read. A list of a party's mail of one
+(kind, instance) exists only once the party has asked for it
+(``Ctx.inbox``, ``Ctx.reader``, ``Ctx.wait_oracle``); a kind alone names
+(kind, None), so no reader of a kind gets mail tagged with an instance.
+Every first request builds the list by one scan of the mailbox, in arrival
+order; from then on delivery appends to it, at one table lookup per
+envelope, so mail nobody asked for grows no table. A party reads new mail
+through a cursor (``Ctx.reader``) and waits for more by yielding that cursor.
 
 Every request naming a mail key (a send, a self-delivery, a read) needs a
 ``str`` kind and a None or ``str`` instance, and a send or self-delivery
@@ -59,11 +59,12 @@ honest party has submitted. Its output goes to every party on the
 definition leaves the output open, the adversary script picks (by default
 ``default_output``: the least submitted value in ``value_to_bytes`` order).
 
-An envelope's bits are the size ``wire.SCHEMA`` gives its kind; honest ones
-are metered, to ``oracle:<instance>`` under the instance's declared kind if
-the mail names one, else to the sender's step (an honest send of another
-kind or instance raises ``KeyError``). Ideal-oracle invocations are charged
-their model cost pro rata to the honest fraction, the same way.
+An envelope's bits are the size ``wire.SCHEMA`` gives its kind. Honest bits
+are tallied once, in ``RunMetrics.bits_by_step`` (the total and the bits by
+oracle kind are views of it): to ``oracle:<instance>`` if the mail names
+one, else to the sender's step (an honest send of another kind or instance
+raises ``KeyError``). Ideal-oracle invocations are charged their model cost
+pro rata to the honest fraction, the same way.
 """
 
 from __future__ import annotations
@@ -126,25 +127,31 @@ NEXT_ROUND = NextRound()
 
 
 class RunMetrics:
-    """Honest-bit counters broken down by protocol step and oracle kind."""
+    """Honest bits, tallied once in ``bits_by_step``. ``honest_bits_total``
+    and ``bits_by_oracle`` (an ``oracle:<name>`` step under its instance's
+    kind, any other under ``direct``) are read-only views of that tally."""
 
-    def __init__(self):
-        self.honest_bits_total = 0
+    def __init__(self, oracle_steps: dict[str, str] | None = None):
         self.bits_by_step: dict[str, int] = {}
-        self.bits_by_oracle: dict[str, int] = {}
+        self._oracle_steps = oracle_steps or {}  # step oracle:<name> -> the instance's kind
         self.rounds_or_events_elapsed = 0
         self.outputs_digest = ""
         self.extra: dict[str, object] = {}
 
-    def add(self, bits: int, step: str, oracle: str = "direct") -> None:
-        if bits < 0:
-            raise ValueError("negative bits")
-        self.honest_bits_total += bits
-        self.bits_by_step[step] = self.bits_by_step.get(step, 0) + bits
-        self.bits_by_oracle[oracle] = self.bits_by_oracle.get(oracle, 0) + bits
+    @property
+    def honest_bits_total(self) -> int:
+        return sum(self.bits_by_step.values())
+
+    @property
+    def bits_by_oracle(self) -> dict[str, int]:
+        by_oracle: dict[str, int] = {}
+        for step, bits in self.bits_by_step.items():
+            kind = self._oracle_steps.get(step, "direct")
+            by_oracle[kind] = by_oracle.get(kind, 0) + bits
+        return by_oracle
 
     def oracle_bits(self) -> int:
-        return sum(v for k, v in self.bits_by_oracle.items() if k != "direct")
+        return sum(bits for step, bits in self.bits_by_step.items() if step in self._oracle_steps)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -311,16 +318,17 @@ class Ctx:
     """Per-party handle into the engine: sending, mailbox, oracles, flags.
 
     Every envelope reaching the party that ``wire`` did not refuse is
-    appended to ``mailbox``. A list of its mail of one kind, or of one
-    (kind, instance), is built on its first request by one scan of the
-    mailbox and kept in the engine's row for that key, which delivery
-    extends from then on; mail of a key nobody asked for is filed in the
-    mailbox alone. A broadcast's one record is
+    appended to ``mailbox``. A list of its mail of one (kind, instance), a
+    kind alone naming (kind, None), is built on its first request by one
+    scan of the mailbox and kept in the engine's row for that key, which
+    delivery extends from then on; mail of a key nobody asked for is filed
+    in the mailbox alone. A broadcast's one record is
     filed into every recipient's lists, so an envelope is shared and
     immutable. ``inbox`` returns one of those lists as it stands, in arrival
     order; callers must not modify it. ``reader`` wraps one in a cursor for
     loops that consume mail as it arrives. ``broadcast`` from a party
-    without a send hook goes to the engine in one call and is metered once.
+    without a send hook goes to the engine in one call and is metered once,
+    in the one tally ``metrics.bits_by_step``.
 
     A corrupt party that runs the honest code gets three rewrites here (see
     ``adversary.hooked``): ``send_hook(ctx, dst, kind, payload)`` returns the
@@ -385,24 +393,24 @@ class Ctx:
                                  (self.pid,))
 
     def inbox(self, kind: str | None = None, instance: str | None = None) -> list[Envelope]:
-        """Received envelopes in arrival order, filtered by kind and instance:
-        the filed list itself, which later mail extends. Read it, do not
-        modify it. The first request for a (kind, instance) or kind builds
-        its list from the mailbox. A request naming no key gets a fresh
-        empty list that nothing files into."""
+        """Received envelopes in arrival order, all or of one (kind, instance)
+        (a kind alone names (kind, None)): the filed list itself, which later
+        mail extends. Read it, do not modify it. The first request for a key
+        builds its list from the mailbox. A request naming no key gets a
+        fresh empty list that nothing files into."""
         if kind is None and instance is None:
             return self.mailbox
         if not self.engine._names_key(self.pid, kind, instance, write=False):
             return []
-        key = kind if instance is None else (kind, instance)
+        key = (kind, instance)
         row = self.engine._filing.get(key)
-        if row is None or row[self.pid] is None:
+        if row is None or (box := row[self.pid]) is None:
             return self.engine._open(self.pid, key)
-        return row[self.pid]
+        return box
 
     def reader(self, kind: str | None = None, instance: str | None = None) -> Reader:
         """A cursor over ``inbox(kind, instance)``, starting at its first
-        envelope: over one kind, one (kind, instance), or the whole mailbox."""
+        envelope: over one (kind, instance), or the whole mailbox."""
         return Reader(self.inbox(kind, instance))
 
     # --- ideal oracle access -------------------------------------------------
@@ -413,25 +421,21 @@ class Ctx:
             value = self.oracle_hook(self, instance, value)
         self.engine.oracle_submit(self.pid, instance, value)
 
-    def oracle_result(self, instance: str):
-        """The instance's output, None before it fires. Only the engine files
-        oracle_out (party sends of it are dropped or refused), so the
-        instance's list holds its output and nothing else."""
-        box = self.inbox("oracle_out", instance)
-        return box[0].payload if box else None
-
     def ideal_oracle(self, instance: str, value):
         """Submit and wait for an ideal oracle instance; yields until done."""
         self.oracle_submit(instance, value)
-        yield from self.wait_oracle(instance)
-        return self.oracle_result(instance)
+        [out] = yield from self.wait_oracle(instance)
+        return out
 
     def wait_oracle(self, *instances: str):
-        """Wait until every instance has fired, all their lists opened first."""
+        """Wait until every instance has fired, all their lists opened first;
+        return their outputs in order. Only the engine files oracle_out, so
+        each list holds its instance's output and nothing else."""
         boxes = [self.inbox("oracle_out", instance) for instance in instances]
         for box in boxes:
             if not box:
                 yield Reader(box)
+        return [box[0].payload for box in boxes]
 
     def wait_rounds(self, r: int = 1):
         for _ in range(r):
@@ -466,16 +470,19 @@ class Engine:
     ``(envelope, destination)`` entry per destination in events mode.
 
     A rounds-mode tick files every entry sent in the round before, in send
-    order, by the filing rule (module docstring), so the delivery order is
-    send order, then destination order; it then resumes once, in pid order,
-    each party that waits on ``NEXT_ROUND`` or on a reader with mail past
-    its cursor. An events-mode tick removes one entry, the oldest once it
+    order, by the filing rule (module docstring: the mailbox, then the
+    (kind, instance) list if asked for), so the delivery order is send
+    order, then destination order; it then resumes once, in pid order, each
+    party that waits on ``NEXT_ROUND`` or on a reader with mail past its
+    cursor. An events-mode tick removes one entry, the oldest once it
     has waited 10*n^2 ticks and else the policy's pick, files it for its
     destination, and resumes that party while it waits on a reader with
     mail past its cursor; a party waits only on its own lists, so no other
     party can have become runnable. Each tick ends by checking the oracle
     instances submitted to since the last check, in name order: readiness
     depends on nothing else.
+    Metering adds to one tally, ``metrics.bits_by_step``, whose total and
+    bits by oracle kind are views.
     """
 
     def __init__(self, mode: str, params, session, factories: dict[int, Callable[[Ctx], Generator] | None],
@@ -490,7 +497,11 @@ class Engine:
         self.adversary = adversary
         self.policy = policy or SchedulerPolicy()
         self.rng = random.Random(("sched", seed).__repr__())
-        self.metrics = RunMetrics()
+        declared = wire.instances(session.oracles)
+        self._scale = wire.scale(params, session.ak, declared)
+        # the step an honest send naming an oracle instance, or its firing, is charged to
+        self._charge = {name: f"oracle:{name}" for name in declared}
+        self.metrics = RunMetrics({self._charge[name]: decl.kind for name, decl in declared.items()})
         self.trace: list[dict] | None = [] if trace else None
         self.tick = 0
         self.pending: list = []
@@ -499,10 +510,10 @@ class Engine:
         self._everyone = tuple(range(1, n + 1))
         self._broadcast_dsts = [()] + [(*range(1, src), *range(src + 1, n + 1))
                                        for src in self._everyone]
-        # where delivery files: each party's mailbox by pid, and for each kind
-        # or (kind, instance) some party asked for (Ctx.inbox) a row of lists by pid
+        # where delivery files: each party's mailbox by pid, and for each
+        # (kind, instance) some party asked for (Ctx.inbox) a row of lists by pid
         self._mailboxes: list[list[Envelope]] = [[]]  # pid 0, the oracles, gets none
-        self._filing: dict[object, list[list[Envelope] | None]] = {}
+        self._filing: dict[tuple[str, str | None], list[list[Envelope] | None]] = {}
         self.parties: dict[int, PartyHandle] = {}
         for pid in self._everyone:
             ctx = Ctx(self, pid)
@@ -510,10 +521,6 @@ class Engine:
             factory = factories.get(pid)
             gen = factory(ctx) if factory is not None else None
             self.parties[pid] = PartyHandle(pid=pid, ctx=ctx, gen=gen, done=gen is None)
-        declared = wire.instances(session.oracles)
-        self._scale = wire.scale(params, session.ak, declared)
-        # (step, oracle) an honest send naming an oracle instance is charged to
-        self._charge = {name: (f"oracle:{name}", decl.kind) for name, decl in declared.items()}
         self.oracles: dict[str, IdealOracle] = {}
         for name, decl in sorted(session.oracles.items()):
             if session.oracle_impl[decl.kind] == "ideal":
@@ -561,15 +568,9 @@ class Engine:
             # an honest send naming a mail key (the test of _names_key), metered
             bits = wire.SCHEMA[kind].size(payload, instance, self._scale)
             if dsts:
-                if instance is None:
-                    step, oracle = self.parties[src].ctx.step, "direct"
-                else:
-                    step, oracle = self._charge[instance]
-                total, metrics = bits * len(dsts), self.metrics
-                metrics.honest_bits_total += total
-                by_step, by_oracle = metrics.bits_by_step, metrics.bits_by_oracle
-                by_step[step] = by_step.get(step, 0) + total
-                by_oracle[oracle] = by_oracle.get(oracle, 0) + total
+                step = self.parties[src].ctx.step if instance is None else self._charge[instance]
+                by_step = self.metrics.bits_by_step
+                by_step[step] = by_step.get(step, 0) + bits * len(dsts)
         elif self._names_key(src, kind, instance, write=True):
             payload = wire.parse(kind, payload, self._scale.width.get(instance))
             bits = 0 if payload is wire.REFUSED else wire.SCHEMA[kind].size(
@@ -620,8 +621,8 @@ class Engine:
             out = self.adversary.pick_oracle_output(inst, [subs[p] for p in sorted(subs)], self)
             if not wire.value_ok(out, inst.value_bits):
                 out = BOT
-        honest_cost = facts.cost(inst.value_bits, n, k) * len(self.honest) // n
-        self.metrics.add(honest_cost, *self._charge[inst.instance])
+        step, by_step = self._charge[inst.instance], self.metrics.bits_by_step
+        by_step[step] = by_step.get(step, 0) + facts.cost(inst.value_bits, n, k) * len(self.honest) // n
         self._post(Envelope(0, "oracle_out", out, 0, inst.instance, self.tick), self._everyone)
 
     def _fire_ready_oracles(self) -> None:
@@ -645,13 +646,10 @@ class Engine:
             handle.done, handle.waiting = True, None
 
     def _open(self, pid: int, key) -> list[Envelope]:
-        """pid's list of mail under key, built by one scan of its mailbox in
-        arrival order, which delivery extends from now on."""
-        if isinstance(key, tuple):
-            kind, instance = key
-            box = [e for e in self._mailboxes[pid] if e.kind == kind and e.instance == instance]
-        else:
-            box = [e for e in self._mailboxes[pid] if e.kind == key]
+        """pid's list of mail under key, a (kind, instance), built by one scan
+        of its mailbox in arrival order, which delivery extends from now on."""
+        kind, instance = key
+        box = [e for e in self._mailboxes[pid] if e.kind == kind and e.instance == instance]
         row = self._filing.get(key)
         if row is None:
             row = self._filing[key] = [None] * (self.params.n + 1)
@@ -666,11 +664,10 @@ class Engine:
         mailboxes = self._mailboxes
         for dst in dsts:
             mailboxes[dst].append(env)
-        filing = self._filing
-        if row := filing.get(env.kind):
-            _file_each(row, dsts, env)
-        if env.instance is not None and (row := filing.get((env.kind, env.instance))):
-            _file_each(row, dsts, env)
+        if row := self._filing.get((env.kind, env.instance)):
+            for dst in dsts:
+                if (box := row[dst]) is not None:
+                    box.append(env)
 
     # --- main loops ----------------------------------------------------------
 
@@ -737,10 +734,7 @@ class Engine:
                                    else pick(pending, rng))
             if env.payload is not refused:
                 mailboxes[dst].append(env)
-                if (row := filing.get(env.kind)) and (box := row[dst]) is not None:
-                    box.append(env)
-                if (env.instance is not None and (row := filing.get((env.kind, env.instance)))
-                        and (box := row[dst]) is not None):
+                if (row := filing.get((env.kind, env.instance))) and (box := row[dst]) is not None:
                     box.append(env)
             if trace is not None:
                 trace.append({"tick": tick, "from": env.src, "to": dst,
@@ -758,13 +752,6 @@ class Engine:
 
 
 _BITS = attrgetter("bits")
-
-
-def _file_each(row: list, dsts: tuple[int, ...], env: Envelope) -> None:
-    """Append env to the list of each destination that has one."""
-    for dst in dsts:
-        if (box := row[dst]) is not None:
-            box.append(env)
 
 
 def outputs_digest(outputs: dict[int, object]) -> str:

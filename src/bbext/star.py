@@ -324,9 +324,6 @@ class GrowingStar:
         """The canonical matching of the complement."""
         return self._matched if self._lex_matched else max_matching(self.complement)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self._rows[u - 1] >> (v - 1) & 1)
-
     def add_edge(self, u: int, v: int):
         """Insert the edge (u, v) and return the star of the new graph, or
         NOSTAR; raises ValueError for a self-loop or an id outside 1..n."""

@@ -87,17 +87,23 @@ _BASE = {"protocol": "sync-ba-half", "n": [4], "l": [96]}
     ({**_BASE, "adversaries": [["honest"]]}, []),
     ({**_BASE, "protocol": "sync-bb-highthresh", "epsilon": "0.25"}, []),
     ([_BASE], []),
+    # "seed" and "adversary" are the flags' names; the config's are plural
+    ({**_BASE, "n": [7], "seed": [5, 6], "adversary": ["silent"]}, []),
     (None, ["--protocol", "sync-ba-half", "--n", "4,x"]),
     (None, ["--protocol", "sync-ba-half", "--n", "4", "--seed", "a"]),
 ], ids=["str-n", "int-n", "seeds-without-count", "list-k", "list-oracles", "list-adversary",
-        "str-epsilon", "list-config", "n-option", "seed-option"])
+        "str-epsilon", "list-config", "unknown-key", "n-option", "seed-option"])
 def test_malformed_input_is_a_config_error(config, options, tmp_path, capsys):
     if config is not None:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         options = ["--config", str(cfg)]
     assert run_cli(["run", *options, "--out", str(tmp_path / "out")]) == 2
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    if config is not None and "seed" in config:
+        assert "unknown config key 'seed'" in err
+        assert not (tmp_path / "out").exists()
 
 
 def test_trace_runs_a_length_that_is_not_whole_bytes(capsys):

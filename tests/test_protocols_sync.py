@@ -195,13 +195,18 @@ class JunkSender(JunkInjector):
 @pytest.mark.parametrize("script", [JunkInjector(), JunkSender()])
 def test_high_threshold_checks_each_own_package_once(monkeypatch, script):
     # first_valid_own_package verifies each share_pkg envelope a party has
-    # received at most once, across all iterations until it shares
+    # received at most once, across all iterations until it shares. It
+    # reads ("share_pkg", None), so no package it checks names an instance.
+    # The junk injector tags most of its packages with one: of seeds 0-4,
+    # only seed 3 brings untagged junk to the check
     checked = Counter()
     rejected = set()
+    rejected_any = False
     active: list[int] = []
     orig_first, orig_verify = crypto_sync.first_valid_own_package, CodecMemo.verify
 
     def first_valid(ctx, z, envs):
+        assert all(env.instance is None for env in envs)
         active.append(ctx.pid)
         try:
             return orig_first(ctx, z, envs)
@@ -219,16 +224,73 @@ def test_high_threshold_checks_each_own_package_once(monkeypatch, script):
     monkeypatch.setattr(crypto_sync, "first_valid_own_package", first_valid)
     monkeypatch.setattr(CodecMemo, "verify", verify)
     params = p_eps(n=7, eps=0.5)
-    for seed in range(3):
+    for seed in range(5 if script.name == "junk_injector" else 3):
         checked.clear()
         rejected.clear()
         res = run("sync-bb-highthresh", params, {1: M}, adversary=script, seed=seed)
         assert not evaluate_run("bb", {1: M}, 1, res), (script.name, seed)
         assert checked and max(checked.values()) == 1, (script.name, seed)
-        # junk reaches the check; with a junk sender nothing is accepted
-        assert rejected
+        rejected_any |= bool(rejected)
+        # with a junk sender nothing is accepted
         if script.name == "junk_sender":
             assert rejected == set(checked)
+    # instance-free junk reaches the check and is rejected
+    assert rejected_any
+
+
+class PlantedPackage(AdversaryScript):
+    """Every corrupt party but the sender sends each honest party, as it
+    starts, a well-formed package for that party's index under a zero
+    witness, tagged with ``instance`` (None: untagged)."""
+
+    name = "planted_package"
+
+    def __init__(self, instance):
+        self.instance = instance
+        self.planted: list[SharePackage] = []
+
+    def corrupt_set(self, n, t, sender):
+        return _tail_corrupt(n, t, exclude=frozenset({sender}))
+
+    def make_party(self, pid, honest_factory, env):
+        def party(ctx):
+            for dst in range(1, ctx.params.n + 1):
+                if dst not in env.corrupt:
+                    pkg = SharePackage(IndexedShare(dst, bytes(2)), Witness(bytes(8)))
+                    self.planted.append(pkg)
+                    ctx.send(dst, "share_pkg", pkg, instance=self.instance)
+            return None
+            yield  # pragma: no cover
+
+        return party
+
+
+@pytest.mark.parametrize("instance", [None, "bb_commit", "junk"])
+def test_a_package_tagged_with_an_instance_reaches_no_check(monkeypatch, instance):
+    # honest parties read ("share_pkg", None): a corrupt package naming an
+    # instance, declared or not, is verified by no honest party, and the
+    # same package sent untagged arrives before the sender's and is checked
+    # and rejected by each party it was sent to that checks its mail
+    calls = []
+    orig_verify = CodecMemo.verify
+
+    def verify(memo, z, pkg, index):
+        ok = orig_verify(memo, z, pkg, index)
+        calls.append((pkg, ok))
+        return ok
+
+    monkeypatch.setattr(CodecMemo, "verify", verify)
+    script = PlantedPackage(instance)
+    params = p_eps(n=7, eps=0.5)
+    res = run("sync-bb-highthresh", params, {1: M}, adversary=script, seed=0)
+    assert not evaluate_run("bb", {1: M}, 1, res)
+    assert len(script.planted) == 3 * len(res.honest)
+    planted = {id(pkg) for pkg in script.planted}
+    verdicts = [ok for pkg, ok in calls if id(pkg) in planted]
+    if instance is None:
+        assert verdicts and not any(verdicts)
+    else:
+        assert verdicts == []
 
 
 def test_full_battery_spot_check_n7():

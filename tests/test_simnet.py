@@ -54,15 +54,28 @@ def test_bot_singleton():
 
 
 def test_metrics_accounting_identity():
-    m = RunMetrics()
-    m.add(10, step="a")
-    m.add(5, step="b", oracle="sync_ba")
-    assert m.honest_bits_total == 15
-    assert sum(m.bits_by_step.values()) == 15
-    assert sum(m.bits_by_oracle.values()) == 15
-    assert m.oracle_bits() == 5
-    with pytest.raises(ValueError):
-        m.add(-1, step="x")
+    # an engine tallies honest bits once, by step: a plain send to the
+    # sender's step, a send naming an instance and that instance's ideal
+    # firing to oracle:<instance>; the total and the bits by oracle kind
+    # are read-only views of that tally
+    n = 5
+    engine = _engine(n, oracles={"x": OracleInstance("sync_bb", 3, 7)})
+    ctx = engine.parties[3].ctx
+    ctx.set_step("a")
+    ctx.broadcast("v_vec", 9)
+    ctx.broadcast("ds", ((3, b"v", MultiSig(frozenset({3}), b"")),), instance="x")
+    engine._fire_oracle(engine.oracles["x"])
+    relay = 7 + 128 + n
+    fired = oracle_model_cost("sync_bb", 7, n, 128) * 4 // n  # four honest parties of five
+    m = engine.metrics
+    assert m.bits_by_step == {"a": n * (n - 1), "oracle:x": relay * (n - 1) + fired}
+    assert m.honest_bits_total == sum(m.bits_by_step.values())
+    assert m.bits_by_oracle == {"direct": n * (n - 1), "sync_bb": relay * (n - 1) + fired}
+    assert m.oracle_bits() == relay * (n - 1) + fired
+    for view in ("honest_bits_total", "bits_by_oracle"):
+        with pytest.raises(AttributeError):
+            setattr(m, view, 0)
+    assert RunMetrics().honest_bits_total == 0 and RunMetrics().bits_by_oracle == {}
 
 
 def test_same_seed_bitwise_identical_runs():
@@ -266,9 +279,10 @@ CONCRETE = {"sync_bb": "concrete", "sync_ba": "concrete",
 
 
 def _scan(ctx, kind=None, instance=None):
-    return [e for e in ctx.mailbox
-            if (kind is None or e.kind == kind)
-            and (instance is None or e.instance == instance)]
+    """What a read of (kind, instance) must return: the whole mailbox for
+    no kind, else the mail of exactly that kind and instance (None for a
+    kind alone)."""
+    return [e for e in ctx.mailbox if kind is None or (e.kind, e.instance) == (kind, instance)]
 
 
 def _expected_mailboxes(trace, self_filed, refused):
@@ -294,7 +308,7 @@ def _expected_mailboxes(trace, self_filed, refused):
 @pytest.mark.parametrize("impl", ["ideal", "concrete"])
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
 def test_indexed_reads_equal_full_mailbox_scans(monkeypatch, protocol, impl):
-    """Every inbox read, cursor read and oracle result of a session under
+    """Every inbox read, cursor read and oracle wait of a session under
     junk traffic equals a filtered scan of the reading party's mailbox, and
     every mailbox holds exactly the envelopes filed to it, in order. What
     was filed is read from the delivery trace, the self-deliveries and the
@@ -305,7 +319,7 @@ def test_indexed_reads_equal_full_mailbox_scans(monkeypatch, protocol, impl):
     readers: dict[int, tuple] = {}
     seen = {"payload": 0, "new": 0, "oracle": 0, "self": set()}
     orig_init, orig_self, orig_inbox = Ctx.__init__, Ctx.self_deliver, Ctx.inbox
-    orig_reader, orig_new, orig_result = Ctx.reader, Reader.new, Ctx.oracle_result
+    orig_reader, orig_new, orig_wait = Ctx.reader, Reader.new, Ctx.wait_oracle
     orig_send = Engine.submit_send
 
     def init(ctx, engine, pid):
@@ -345,10 +359,10 @@ def test_indexed_reads_equal_full_mailbox_scans(monkeypatch, protocol, impl):
         seen["payload"] += kind == "payload"
         return got
 
-    def oracle_result(ctx, instance):
-        outs = [e for e in _scan(ctx, "oracle_out", instance) if e.src == 0]
-        got = orig_result(ctx, instance)
-        assert got == (outs[0].payload if outs else None)
+    def wait_oracle(ctx, *instances):
+        got = yield from orig_wait(ctx, *instances)
+        assert got == [next(e.payload for e in _scan(ctx, "oracle_out", name) if e.src == 0)
+                       for name in instances]
         seen["oracle"] += 1
         return got
 
@@ -358,7 +372,7 @@ def test_indexed_reads_equal_full_mailbox_scans(monkeypatch, protocol, impl):
     monkeypatch.setattr(Ctx, "inbox", inbox)
     monkeypatch.setattr(Ctx, "reader", reader)
     monkeypatch.setattr(Reader, "new", new)
-    monkeypatch.setattr(Ctx, "oracle_result", oracle_result)
+    monkeypatch.setattr(Ctx, "wait_oracle", wait_oracle)
     spec = PROTOCOLS[protocol]
     params = battery_configs(protocol)[0]
     inputs = build_inputs(spec.kind, params, 1, "majority")
@@ -506,23 +520,27 @@ def test_list_first_asked_for_after_its_mail_equals_the_scan_and_grows(mode, reg
     def party(ctx, my_input, sender):
         ctx.broadcast("v_vec", ctx.pid, instance="x")
         ctx.broadcast("v_vec", -ctx.pid, instance="y")
+        ctx.broadcast("v_vec", 0)
         ctx.broadcast("e_vec", 0)
-        yield from wait_for(ctx, 3 * (n - 1))
-        # asked for only now, after all matching mail has arrived
+        yield from wait_for(ctx, 4 * (n - 1))
+        # asked for only now, after all matching mail has arrived; a kind
+        # alone names (kind, None), which holds none of the tagged mail
         by_inst, by_kind = ctx.inbox("v_vec", "x"), ctx.inbox("v_vec")
         assert by_inst == _scan(ctx, "v_vec", "x") and len(by_inst) == n - 1
-        assert by_kind == _scan(ctx, "v_vec") and len(by_kind) == 2 * (n - 1)
+        assert by_kind == _scan(ctx, "v_vec", None) and len(by_kind) == n - 1
         before = list(by_inst), list(by_kind)
         ctx.self_deliver("v_vec", 0, instance="x")
         ctx.broadcast("v_vec", 10 + ctx.pid, instance="x")
-        yield from wait_for(ctx, 4 * (n - 1) + 1)
+        ctx.broadcast("v_vec", 20 + ctx.pid)
+        yield from wait_for(ctx, 6 * (n - 1) + 1)
         assert ctx.inbox("v_vec", "x") is by_inst and ctx.inbox("v_vec") is by_kind
         assert by_inst == _scan(ctx, "v_vec", "x") and len(by_inst) == 2 * n - 1
-        assert by_kind == _scan(ctx, "v_vec") and len(by_kind) == 3 * n - 2
-        assert by_inst[:n - 1] == before[0] and by_kind[:2 * (n - 1)] == before[1]
+        assert by_kind == _scan(ctx, "v_vec", None) and len(by_kind) == 2 * (n - 1)
+        assert by_inst[:n - 1] == before[0] and by_kind[:n - 1] == before[1]
         assert by_inst[n - 1].payload == 0
-        assert sorted(e.payload for e in by_inst[n:]) == [
-            10 + pid for pid in range(1, n + 1) if pid != ctx.pid]
+        others = [pid for pid in range(1, n + 1) if pid != ctx.pid]
+        assert sorted(e.payload for e in by_inst[n:]) == [10 + pid for pid in others]
+        assert sorted(e.payload for e in by_kind[n - 1:]) == [20 + pid for pid in others]
         checked.append(ctx.pid)
         return b"done"
 
@@ -635,7 +653,7 @@ def test_tracing_does_not_change_an_events_session(protocol, script):
 
 def test_chain_oracles_file_no_kind_level_ds_list(monkeypatch):
     # the signature-chain oracles read their mail by (kind, instance) only,
-    # so no party's "ds" mail is filed by kind
+    # so no party asks for ("ds", None)
     ctxs = []
     orig_init = Ctx.__init__
 
@@ -651,8 +669,8 @@ def test_chain_oracles_file_no_kind_level_ds_list(monkeypatch):
     assert len(ctxs) == 7
     for ctx in ctxs:
         asked = [key for key, row in ctx.engine._filing.items() if row[ctx.pid] is not None]
-        assert "ds" not in asked
-        assert any(isinstance(key, tuple) and key[0] == "ds" for key in asked)
+        assert ("ds", None) not in asked
+        assert any(kind == "ds" and instance is not None for kind, instance in asked)
 
 
 _KINDS = st.sampled_from(["v_vec", "e_vec"])
@@ -686,8 +704,8 @@ _ASK_BEFORE_AND_AFTER = [
 def test_lists_equal_reference_scans_under_interleaved_filing(mode, ops):
     """Broadcasts, single sends, self-deliveries, deliveries in any order
     and first requests for any key, interleaved: every list a party asked
-    for equals the filtered scan of a reference mailbox, and so does every
-    cursor's new mail."""
+    for equals the scan of a reference mailbox by (kind, instance), a kind
+    alone naming (kind, None), and so does every cursor's new mail."""
     declared = {name: OracleInstance("sync_bb", 1, 1) for name in ("x", "y")}
     engine = Engine(mode, _params(n=4, t=1), _session(4, declared), {},
                     frozenset({1, 2, 3, 4}), AdversaryScript())
@@ -698,8 +716,7 @@ def test_lists_equal_reference_scans_under_interleaved_filing(mode, ops):
         return [(e.src, e.kind, e.payload, e.instance) for e in envs]
 
     def ref_scan(pid, kind, instance):
-        return [m for m in ref[pid] if (kind is None or m[1] == kind)
-                and (instance is None or m[3] == instance)]
+        return [m for m in ref[pid] if kind is None or (m[1], m[3]) == (kind, instance)]
 
     for seq, op in enumerate(ops):
         what, *args = op
@@ -754,7 +771,7 @@ def test_only_the_engine_files_oracle_outputs():
         ctx.send(3, "oracle_out", b"forged", instance="ba")
     engine.parties[1].ctx.send(3, "oracle_out", b"forged", instance="ba")
     assert engine.pending == [] and ctx.mailbox == []
-    assert ctx.oracle_result("ba") is None
+    assert ctx.inbox("oracle_out", "ba") == []
 
 
 class Misfit(AdversaryScript):
@@ -913,8 +930,8 @@ _MISKEYED = {
     "inbox-list-kind": lambda ctx: ctx.inbox(["x"]),
     "inbox-no-kind": lambda ctx: ctx.inbox(None, "x"),
     "reader-list-instance": lambda ctx: ctx.reader("x", ["y"]).new(),
-    "oracle-result-list": lambda ctx: ctx.oracle_result(["i"]),
-    "wait-oracle-list": lambda ctx: list(ctx.wait_oracle(["i"])),
+    "oracle-result-list": lambda ctx: ctx.inbox("oracle_out", ["i"]),
+    "wait-oracle-list": lambda ctx: [next(ctx.wait_oracle(["i"]))],
 }
 
 
