@@ -25,7 +25,11 @@ rebinding of that name (a tracer's wrapper, a test's spy) sees every call.
 
 In both chain kinds a party sends at most one "ds" record per instance and
 round: a tuple of (slot, value, sig) triples, metered as one relay per
-triple (see ``parallel_chain_bcast``).
+triple (see ``parallel_chain_bcast``). Every party of a chain signs and
+checks the same tags, so the session hashes each distinct (instance, slot,
+value) once, in the bounded table ``ChainTags`` (``session.chain_tags``),
+as the multisig authority checks each distinct aggregate once; a relay
+adds the party's signature with ``MsigAuthority.cosign``.
 
 The runner calls ``open_aba_lists`` as each party starts, since a party
 may join a binary agreement after its peers' first messages of it.
@@ -44,7 +48,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from .multisig import MsigAuthority, msig_combine
+from .multisig import MsigAuthority
 from .simnet import BOT, Ctx, NEXT_ROUND, OracleInstance, value_to_bytes
 
 
@@ -79,6 +83,30 @@ def _slot_tag(instance: str, slot: int, value) -> bytes:
     return _chain_tag(f"{instance}/s{slot}", value)
 
 
+TAG_ENTRIES = 1024
+
+
+class ChainTags:
+    """One session's slot tags (``session.chain_tags``, made by
+    ``runner.run``): every party of a chain signs and checks the same
+    (instance, slot, value) triples, so each distinct triple's tag is hashed
+    once, by ``_slot_tag``, while it stays among the `TAG_ENTRIES` most
+    recent. Values are those ``wire`` admits (exact ``int`` or ``bytes``) or
+    an honest party's own, so equal keys have equal tags."""
+
+    def __init__(self):
+        self._tags: dict[tuple[str, int, object], bytes] = {}
+
+    def __call__(self, instance: str, slot: int, value) -> bytes:
+        key = (instance, slot, value)
+        tag = self._tags.get(key)
+        if tag is None:
+            tag = self._tags[key] = _slot_tag(instance, slot, value)
+            if len(self._tags) > TAG_ENTRIES:
+                del self._tags[next(iter(self._tags))]
+        return tag
+
+
 # --- synchronous broadcast via signature chains -------------------------------
 
 
@@ -98,10 +126,11 @@ def parallel_chain_bcast(ctx: Ctx, instance: str, my_value, senders=None):
     check. Returns {slot: the unique accepted value, BOT otherwise}."""
     n, t = ctx.params.n, ctx.params.t
     auth: MsigAuthority = ctx.session.msig
+    tags: ChainTags = ctx.session.chain_tags
     slots = range(1, n + 1) if senders is None else senders
     extracted: dict[int, list] = {s: [] for s in slots}
     if ctx.pid in extracted and my_value is not None:
-        sig = auth.sign(ctx.pid, _slot_tag(instance, ctx.pid, my_value))
+        sig = auth.sign(ctx.pid, tags(instance, ctx.pid, my_value))
         ctx.broadcast("ds", ((ctx.pid, my_value, sig),), instance=instance)
         extracted[ctx.pid].append(my_value)
     mail = ctx.reader("ds", instance)
@@ -115,12 +144,12 @@ def parallel_chain_bcast(ctx: Ctx, instance: str, my_value, senders=None):
                     continue
                 if slot not in sig.signers or len(sig.signers) < r or ctx.pid in sig.signers:
                     continue
-                tag = _slot_tag(instance, slot, value)
+                tag = tags(instance, slot, value)
                 if not auth.verify(sig, tag):
                     continue
                 got.append(value)
                 if r <= t:
-                    accepted.append((slot, value, msig_combine(sig, auth.sign(ctx.pid, tag))))
+                    accepted.append((slot, value, auth.cosign(sig, ctx.pid, tag)))
         if accepted:
             ctx.broadcast("ds", tuple(accepted), instance=instance)
     return {s: (got[0] if len(got) == 1 else BOT) for s, got in extracted.items()}

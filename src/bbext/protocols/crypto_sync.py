@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .. import blocks
 from ..accumulator import AccValue
-from ..multisig import MultiSig, msig_combine
+from ..multisig import MultiSig
 from ..oracles import ba_oracle, bcast_oracle
 from ..simnet import BOT, Ctx, InvariantViolation, NEXT_ROUND, OracleInstance
 from .base import (ForwardCollector, ProtocolSpec, encode_input, first_valid_own_package,
@@ -107,8 +107,9 @@ def sync_bb_high_threshold(ctx: Ctx, my_input: bytes | None, sender: int):
         ctx.set_step("distribute")
         if happy and not distributed:
             distributed = True
-            own_sig = auth.sign(ctx.pid, _happy_tag(ctx))
-            cert = msig_combine(trigger_cert, own_sig) if trigger_cert else own_sig
+            tag = _happy_tag(ctx)
+            cert = (auth.cosign(trigger_cert, ctx.pid, tag) if trigger_cert
+                    else auth.sign(ctx.pid, tag))
             ctx.broadcast("happy_cert", cert)
             if my_rich.data != z:
                 raise InvariantViolation(

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from .accumulator import AccKey, acc_gen
 from .blocks import CodecMemo
 from .multisig import MsigAuthority
-from .oracles import CONCRETE, CoinOracle, open_aba_lists
+from .oracles import CONCRETE, ChainTags, CoinOracle, open_aba_lists
 from .protocols import PROTOCOLS, ProtocolSpec, SessionParams
 from .simnet import (ORACLE_KINDS, Engine, OracleInstance, RunMetrics, SchedulerPolicy,
                      outputs_digest)
@@ -18,7 +18,7 @@ SENDER = 1  # the sender of a broadcast session unless the caller names another
 @dataclass
 class Session:
     """Shared trusted setup of one run: keys, coin, oracle choices, the
-    declared oracle instances, and the run's codec memo."""
+    declared oracle instances, and the run's codec memo and chain tags."""
 
     session_id: str
     params: SessionParams
@@ -26,6 +26,7 @@ class Session:
     msig: MsigAuthority
     coin: CoinOracle
     codec: CodecMemo
+    chain_tags: ChainTags
     oracle_impl: dict[str, str] = field(default_factory=dict)
     oracles: dict[str, OracleInstance] = field(default_factory=dict)
 
@@ -93,6 +94,7 @@ def run(protocol: str | ProtocolSpec, params: SessionParams, inputs: dict[int, b
         msig=MsigAuthority(session_id, params.n, params.k, seed=seed),
         coin=CoinOracle(seed),
         codec=CodecMemo(ak),
+        chain_tags=ChainTags(),
         oracle_impl=impl,
         oracles=oracles,
     )

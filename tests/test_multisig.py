@@ -1,4 +1,9 @@
+import hashlib
+import hmac
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bbext import multisig
 from bbext.multisig import MsigAuthority, MultiSig, msig_combine
@@ -102,20 +107,62 @@ def test_each_signer_slice_is_checked_in_place(auth):
 
 
 def test_each_mac_is_computed_once_in_a_bounded_table(auth, monkeypatch):
-    computed = []
-    real = multisig.hmac.new
-    monkeypatch.setattr(multisig.hmac, "new", lambda *a, **k: computed.append(a) or real(*a, **k))
     sig = _signed(auth, frozenset({1, 2, 3}), b"m")
-    assert auth.verify(sig, b"m") and auth.verify(sig, b"m")
-    assert len(computed) == 3
-    monkeypatch.setattr(multisig, "MAC_ENTRIES", 4)
+    checks, macs = [], []  # each verdict's key and each MAC's party, in order
+    check, mac = MsigAuthority._check, MsigAuthority._mac
+    monkeypatch.setattr(MsigAuthority, "_check", lambda self, *key: (
+        checks.append(key) or check(self, *key)))
+    monkeypatch.setattr(MsigAuthority, "_mac", lambda self, i, tag: (
+        macs.append(i) or mac(self, i, tag)))
+    # an equal aggregate built afresh shares the verdict of the first
+    for copy in (sig, sig, MultiSig(frozenset({3, 2, 1}), bytes(sig.aggregate))):
+        assert auth.verify(copy, b"m")
+    assert len(checks) == 1 and macs == [1, 2, 3]
+    # a malformed shape is refused before any MAC is computed
+    assert not auth.verify(MultiSig(sig.signers, sig.aggregate[:-1]), b"m")
+    assert not auth.verify(MultiSig(frozenset({1, 9}), sig.aggregate[:32]), b"m")
+    assert len(checks) == 3 and macs == [1, 2, 3]
+
+    monkeypatch.setattr(multisig, "VERDICT_ENTRIES", 4)
     for i in range(10):
-        auth.sign(1 + i % 5, bytes([i]))
-        assert len(auth._macs) <= 4
-    # dropped and cached MACs alike still reject every malformed aggregate
-    for tag in (b"m", bytes([9])):
-        good = _signed(auth, frozenset({1, 2}), tag)
-        assert auth.verify(good, tag)
-        assert not auth.verify(MultiSig(good.signers, good.aggregate[:-1]), tag)
-        assert not auth.verify(MultiSig(good.signers, bytes(len(good.aggregate))), tag)
-        assert not auth.verify(MultiSig(frozenset({1, 3}), good.aggregate), tag)
+        assert auth.verify(auth.sign(1 + i % 5, bytes([i])), bytes([i]))
+        assert len(auth._verdicts) <= 4
+    good = _signed(auth, frozenset({1, 2}), b"g")
+    forged = (MultiSig(good.signers, good.aggregate[:-1]),
+              MultiSig(good.signers, bytes(len(good.aggregate))),
+              MultiSig(frozenset({1, 3}), good.aggregate))
+    # cached and evicted verdicts alike refuse every forgery of an aggregate
+    for evicted in (False, True):
+        assert auth.verify(good, b"g")
+        if evicted:
+            for i in range(4):
+                auth.verify(auth.sign(1, bytes([100 + i])), bytes([100 + i]))
+        assert ((good.signers, good.aggregate, b"g") in auth._verdicts) is not evicted
+        assert not any(auth.verify(bad, b"g") for bad in forged)
+        assert len(auth._verdicts) <= 4
+
+
+@given(k=st.sampled_from([64, 128, 256]), n=st.integers(1, 12),
+       tag=st.binary(max_size=200), seed=st.integers(0, 2**32))
+def test_each_mac_is_the_truncated_hmac_of_the_party_key(k, n, tag, seed):
+    auth = MsigAuthority(f"session/{seed}", n=n, k=k, seed=seed)
+    for party in range(1, n + 1):
+        want = hmac.new(auth._keys[party], tag, hashlib.sha256).digest()[: k // 8]
+        assert auth.sign(party, tag).aggregate == want
+        # the first MAC hashes the pads, the second copies them
+        assert auth.sign(party, tag).aggregate == want
+
+
+@given(n=st.integers(1, 12), data=st.data(), tag=st.binary(max_size=64))
+def test_cosign_is_the_combine_with_the_party_signature(n, data, tag):
+    auth = MsigAuthority("session", n=n, k=128, seed=7)
+    sig = _signed(auth, data.draw(st.frozensets(st.integers(1, n), min_size=1)), tag)
+    for party in range(1, n + 1):
+        if party in sig.signers:
+            with pytest.raises(ValueError):
+                auth.cosign(sig, party, tag)
+        else:
+            assert auth.cosign(sig, party, tag) == msig_combine(sig, auth.sign(party, tag))
+    for party in (0, -1, n + 1, data.draw(st.integers(n + 1, 10**6))):
+        with pytest.raises(ValueError):
+            auth.cosign(sig, party, tag)

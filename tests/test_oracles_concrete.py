@@ -1,19 +1,23 @@
 """Black-box behavior of the concrete oracle constructions."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbext import wire
+from bbext import multisig, oracles, wire
 from bbext.adversary import (
     AdversaryScript,
     Equivocator,
     JunkInjector,
     ScheduledHonest,
     Silent,
+    adversary_battery,
     hooked,
 )
-from bbext.checks import build_inputs, evaluate_run, explore_schedules
+from bbext.checks import battery_configs, build_inputs, evaluate_run, explore_schedules
 from bbext.multisig import MsigAuthority, MultiSig, msig_combine
 from bbext.oracles import BrachaMachine, _chain_tag, _slot_tag, value_to_bytes
 from bbext.protocols import PROTOCOLS, SessionParams
@@ -591,6 +595,95 @@ def test_honest_parties_send_one_chain_record_per_instance_and_round(monkeypatch
     # with n slots a party accepts several relays in a round, and batches them
     if protocol != "sync-bb-half":
         assert max(sizes) > 1
+
+
+# --- chain signing: work per distinct signature, in bounded tables ------------
+
+
+def test_honest_chains_check_each_signature_and_hash_each_tag_once(monkeypatch):
+    # every receiver of a round's broadcast triple checks the same aggregate
+    # on the same tag; the session computes each verdict and each tag once
+    # and keeps its golden digests
+    from tests.test_golden import GOLDEN, ORACLES, UNANIMITY
+
+    checks, tags, verifies = [], [], []
+    check, slot_tag, verify = MsigAuthority._check, oracles._slot_tag, MsigAuthority.verify
+    monkeypatch.setattr(MsigAuthority, "_check",
+                        lambda auth, *key: checks.append(key) or check(auth, *key))
+    monkeypatch.setattr(MsigAuthority, "verify",
+                        lambda auth, sig, tag: verifies.append(tag) or verify(auth, sig, tag))
+    monkeypatch.setattr(oracles, "_slot_tag", lambda *key: tags.append(key) or slot_tag(*key))
+    params = battery_configs("sync-ba-half")[-1]
+    honest = next(s for s in adversary_battery() if s.name == "honest")
+    res = run("sync-ba-half", params, build_inputs("ba", params, 0, UNANIMITY[0]),
+              adversary=honest, seed=0, oracle_impl=ORACLES["concrete"])
+    n = params.n
+    assert n == 10
+    # two chain instances of n slots; in round 1 each party checks the n - 1
+    # triples of its peers, and relays each with its own signature added
+    assert len(verifies) == 2 * n * (n - 1)
+    assert len(checks) == len(set(checks)) == 2 * n
+    assert len(tags) == len(set(tags)) == 2 * n
+    golden = json.loads(GOLDEN.read_text())[
+        f"sync-ba-half n={n} t={params.t} eps=None honest concrete seed=0"]
+    assert [hashlib.sha256(res.metrics.to_json().encode()).hexdigest(),
+            res.metrics.outputs_digest] == golden
+
+
+class ChainFlood(AdversaryScript):
+    """The last party runs the honest code and adds k forged ba_commit
+    triples to each "ds" record it sends, distinct per record and receiver:
+    its own slot, a fresh value, and a zero aggregate over itself and enough
+    other parties for the round, the receiver not among them. Each forgery
+    passes every check but the signature's, so every one takes a tag and a
+    verdict. Records the session and both table sizes at each send."""
+
+    name = "chain_flood"
+
+    placement = "tail_but_sender"
+
+    def __init__(self, k: int):
+        self.k = k
+        self.session = None
+        self.sizes = set()
+
+    def make_party(self, pid, honest_factory, env):
+        self.session = env.session
+        records = dict.fromkeys(range(1, env.params.n + 1), 0)
+
+        def send_hook(ctx, dst, kind, payload):
+            if kind != "ds" or type(payload[0][1]) is not bytes:
+                return kind, payload
+            records[dst] += 1
+            r = records[dst]
+            others = [p for p in range(1, ctx.params.n + 1) if p not in (pid, dst)]
+            signers = frozenset([pid, *others[:r - 1]])
+            forged = tuple((pid, b"flood/%d/%d/%d" % (dst, r, i),
+                            MultiSig(signers, bytes(16 * len(signers))))
+                           for i in range(self.k))
+            self.sizes.add((len(self.session.chain_tags._tags),
+                            len(self.session.msig._verdicts)))
+            return kind, payload + forged
+
+        return hooked(honest_factory, send_hook=send_hook)
+
+
+def test_forged_chain_floods_keep_both_tables_bounded():
+    views = {}
+    for k in (0, 300):
+        flood = ChainFlood(k)
+        res = _ba_commit_run(flood)
+        assert res.corrupt == frozenset({4})
+        views[k] = _honest_view(res), res.metrics.bits_by_step
+        session = flood.session
+        flood.sizes.add((len(session.chain_tags._tags), len(session.msig._verdicts)))
+        tag_sizes, verdict_sizes = zip(*flood.sizes)
+        assert max(tag_sizes) <= oracles.TAG_ENTRIES
+        assert max(verdict_sizes) <= multisig.VERDICT_ENTRIES
+    # 2 records x 300 forgeries x 3 receivers overflow both tables
+    assert (len(session.chain_tags._tags), len(session.msig._verdicts)) == (
+        oracles.TAG_ENTRIES, multisig.VERDICT_ENTRIES)
+    assert views[0] == views[300]
 
 
 class ReadyOneAsBytes(AdversaryScript):
