@@ -1,11 +1,11 @@
 """Aggregate signatures over a fixed party set, in the keyed-hash model.
 
 Each party i holds a MAC key derived from the session seed; a signature on a
-tag is the truncated HMAC-SHA256 under that key. An aggregate carries the
-signer set and the per-signer MACs concatenated in ascending signer order,
-which lets aggregates with overlapping signer sets merge consistently
-(`msig_combine`) and lets a party splice its own MAC in at its rank
-(`MsigAuthority.cosign`).
+tag is the truncated HMAC-SHA256 under that key. An aggregate, a
+``MultiSig`` named tuple, carries the signer set and the per-signer MACs
+concatenated in ascending signer order, which lets aggregates with
+overlapping signer sets merge consistently (`msig_combine`) and lets a
+party splice its own MAC in at its rank (`MsigAuthority.cosign`).
 
 The authority is session-trusted: it knows every key. It hashes a party's
 inner and outer HMAC pads on that party's first MAC and keeps the two hash
@@ -28,17 +28,22 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass
+from typing import NamedTuple
 
 VERDICT_ENTRIES = 1024
 
 _BLOCK = 64  # SHA-256's block size in bytes; every key is shorter
 _IPAD = bytes(x ^ 0x36 for x in range(256))
 _OPAD = bytes(x ^ 0x5C for x in range(256))
+_tuple_new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class MultiSig:
+class MultiSig(NamedTuple):
+    """An aggregate: its signer set and their MACs in ascending signer
+    order. A named tuple, the cheapest immutable record to build, as a
+    chain relay builds one per accepted triple; ``wire`` admits only this
+    exact type from a corrupt party, so no plain tuple stands in for it."""
+
     signers: frozenset[int]
     aggregate: bytes
 
@@ -54,6 +59,7 @@ class MsigAuthority:
     def __init__(self, session_id: str, n: int, k: int, seed: int = 0):
         self.n = n
         self.k = k
+        self._step = k // 8  # bytes of one MAC
         self._keys = {
             i: hashlib.sha256(f"msig/{session_id}/{seed}/{i}".encode()).digest()
             for i in range(1, n + 1)
@@ -74,25 +80,27 @@ class MsigAuthority:
         inner.update(tag)
         outer = pads[1].copy()
         outer.update(inner.digest())
-        return outer.digest()[: self.k // 8]
+        return outer.digest()[: self._step]
 
     def sign(self, party: int, tag: bytes) -> MultiSig:
         if party not in self._keys:
             raise ValueError(f"party {party} not in session")
-        return MultiSig(signers=frozenset([party]), aggregate=self._mac(party, tag))
+        return MultiSig(frozenset((party,)), self._mac(party, tag))
 
     def cosign(self, sig: MultiSig, party: int, tag: bytes) -> MultiSig:
         """``msig_combine(sig, self.sign(party, tag))`` for a party of the
         session not yet among sig's signers: party's MAC spliced into the
         aggregate at party's rank."""
-        if party not in self._keys or party in sig.signers:
-            raise ValueError(f"party {party} cannot cosign for signers {sorted(sig.signers)}")
-        step = self.k // 8
-        agg = sig.aggregate
-        if len(agg) != step * len(sig.signers):
+        signers, agg = sig
+        if party in signers or party not in self._keys:
+            raise ValueError(f"party {party} cannot cosign for signers {sorted(signers)}")
+        step = self._step
+        if len(agg) != step * len(signers):
             raise ValueError("malformed aggregate")
-        at = step * sum(map(party.__gt__, sig.signers))  # signers below party
-        return MultiSig(sig.signers | {party}, agg[:at] + self._mac(party, tag) + agg[at:])
+        at = step * sum(map(party.__gt__, signers))  # signers below party
+        # two fields, as MultiSig(...) would build, without its Python-level __new__
+        agg = agg[:at] + self._mac(party, tag) + agg[at:]
+        return _tuple_new(MultiSig, (signers | {party}, agg))
 
     def verify(self, sig: MultiSig, tag: bytes) -> bool:
         key = (sig.signers, sig.aggregate, tag)
@@ -106,7 +114,7 @@ class MsigAuthority:
     def _check(self, signers: frozenset[int], agg: bytes, tag: bytes) -> bool:
         if not signers or not signers <= self._parties:
             return False
-        step = self.k // 8
+        step = self._step
         if len(agg) != step * len(signers):
             return False
         # the j-th smallest signer's MAC is the j-th slice

@@ -31,8 +31,15 @@ value) once, in the bounded table ``ChainTags`` (``session.chain_tags``),
 as the multisig authority checks each distinct aggregate once; a relay
 adds the party's signature with ``MsigAuthority.cosign``.
 
-The runner calls ``open_aba_lists`` as each party starts, since a party
-may join a binary agreement after its peers' first messages of it.
+The binary agreement keeps one ``_AbaRound`` per round it has heard of,
+its tallies indexed by vote (sets of sources), and one pair of ready
+tallies for all rounds. A vote costs constant work: it updates one tally
+and re-checks only that tally's thresholds (an estimate: relay at t+1 and
+candidate at 2t+1; a confirmation: the full quorum of n; a ready vote:
+amplification at t+1 and decision at 2t+1), and an aux vote for a
+candidate joins a running union, the n - t quorum. The runner calls
+``open_aba_lists`` as each party starts, since a party may join a binary
+agreement after its peers' first messages of it.
 
 The constructions read "ds", "rb" and "aba" mail as ``wire`` shapes it,
 since the engine parses a corrupt party's envelope before filing it; they
@@ -46,7 +53,6 @@ the first honest query.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 
 from .multisig import MsigAuthority
 from .simnet import BOT, Ctx, NEXT_ROUND, OracleInstance, value_to_bytes
@@ -123,7 +129,11 @@ def parallel_chain_bcast(ctx: Ctx, instance: str, my_value, senders=None):
     per triple, see ``wire.scale``). A receiver reads records in arrival
     order and triples in batch order, so it accepts in the same order as if
     each relay were a record of its own, and skips a triple that fails a
-    check. Returns {slot: the unique accepted value, BOT otherwise}."""
+    check. Returns {slot: the unique accepted value, BOT otherwise}.
+
+    Most triples after round 1 relay a value already accepted, so a triple
+    is tested for a known value of its slot first, and only a new value
+    reaches the signature checks."""
     n, t = ctx.params.n, ctx.params.t
     auth: MsigAuthority = ctx.session.msig
     tags: ChainTags = ctx.session.chain_tags
@@ -140,7 +150,7 @@ def parallel_chain_bcast(ctx: Ctx, instance: str, my_value, senders=None):
         for record in mail.new():
             for slot, value, sig in record.payload:
                 got = extracted.get(slot)
-                if got is None or len(got) >= 2 or value in got:
+                if got is None or value in got or len(got) >= 2:
                     continue
                 if slot not in sig.signers or len(sig.signers) < r or ctx.pid in sig.signers:
                     continue
@@ -213,17 +223,19 @@ class BrachaMachine:
             self._progress(key)
 
     def feed(self, env) -> None:
+        """Count one vote; echo and ready, n of each per instance, are
+        tested before the one send."""
         tag, value = env.payload
         key = value_to_bytes(value)
         self.values[key] = value
-        if tag == "send" and env.src == self.sender and not self.sent_echo:
-            self.sent_echo = True
-            self.echoes.setdefault(key, set()).add(self.ctx.pid)
-            self._bcast("echo", value)
-        elif tag == "echo":
+        if tag == "echo":
             self.echoes.setdefault(key, set()).add(env.src)
         elif tag == "ready":
             self.readies.setdefault(key, set()).add(env.src)
+        elif tag == "send" and env.src == self.sender and not self.sent_echo:
+            self.sent_echo = True
+            self.echoes.setdefault(key, set()).add(self.ctx.pid)
+            self._bcast("echo", value)
         self._progress(key)
 
     def _progress(self, key: bytes) -> None:
@@ -258,15 +270,24 @@ def bracha_rb(ctx: Ctx, instance: str, sender: int, my_value):
 # --- asynchronous binary agreement --------------------------------------------
 
 
-@dataclass
 class _AbaRound:
-    est_seen: dict[int, set[int]] = field(default_factory=dict)
-    est_relayed: set[int] = field(default_factory=set)
-    bin_values: list[int] = field(default_factory=list)
-    aux_seen: dict[int, set[int]] = field(default_factory=dict)
-    conf_seen: dict[int, set[int]] = field(default_factory=dict)
-    conf_srcs: set[int] = field(default_factory=set)
-    est_sent: set[int] = field(default_factory=set)
+    """One round's tallies, each indexed by vote: ``est``, ``aux`` and
+    ``conf`` hold the sources of each vote (own included; a "none"
+    confirmation only joins ``conf_srcs``), ``aux_in`` the sources of aux
+    votes for a value in ``bin``, and ``sent``/``relayed`` whether this
+    party broadcast or relayed each estimate."""
+
+    __slots__ = ("est", "sent", "relayed", "bin", "aux", "aux_in", "conf", "conf_srcs")
+
+    def __init__(self):
+        self.est = (set(), set())
+        self.sent = [False, False]
+        self.relayed = [False, False]
+        self.bin: list[int] = []  # the justified values, in the order they were justified
+        self.aux = (set(), set())
+        self.aux_in: set[int] = set()
+        self.conf = (set(), set())
+        self.conf_srcs: set[int] = set()
 
 
 CONF_NONE = 2  # confirmation vote carrying no unanimous value
@@ -286,128 +307,150 @@ def aba_binary(ctx: Ctx, instance: str, my_bit: int):
     coin (which aligns the undecided estimates with v). Ready messages
     amplify at t+1 and the output fires at 2t+1, so the decision reaches
     parties in any round without further round progress, and finished
-    parties may halt immediately."""
-    n, t = ctx.params.n, ctx.params.t
-    rounds: dict[int, _AbaRound] = {}
-    ready_seen: dict[int, set[int]] = {}
-    ready_sent: list = []
-    decided: list = []
-    mail = ctx.reader("aba", instance)
+    parties may halt immediately.
 
-    def rnd(r: int) -> _AbaRound:
-        if r not in rounds:
-            rounds[r] = _AbaRound()
-        return rounds[r]
+    Work per message is constant: each round keeps its tallies in an
+    ``_AbaRound``, the ready votes sit in one pair of source sets, and a
+    vote re-checks only the thresholds of the one tally it changed (every
+    earlier change was checked when it happened): an estimate the relay at
+    t+1 and the candidate set at 2t+1, a confirmation the full quorum, a
+    ready vote amplification and the decision; an aux vote for a candidate
+    joins the running union whose size is the n - t quorum. A vote already
+    counted, an unknown tag, a round below 1 and a vote out of range change
+    nothing. The party waits in one loop: after each batch of new mail it
+    takes every round step whose quorum is met, and yields its reader when
+    none is."""
+    n, t = ctx.params.n, ctx.params.t
+    pid = ctx.pid
+    broadcast = ctx.broadcast
+    votes = (0, 1, CONF_NONE)
+    rounds: dict[int, _AbaRound] = {}
+    readies = (set(), set())  # sources of each ready vote, in any round
+    ready_sent = False
+    decided = None  # (value, round of the vote that decided)
 
     def bcast(tag: str, r: int, v: int):
-        ctx.broadcast("aba", (tag, r, v), instance=instance)
+        broadcast("aba", (tag, r, v), instance=instance)
 
     def send_ready(v: int, r: int):
+        nonlocal ready_sent, decided
         if not ready_sent:
-            ready_sent.append(v)
-            ready_seen.setdefault(v, set()).add(ctx.pid)
+            ready_sent = True
+            seen = readies[v]
+            seen.add(pid)
             bcast("ready", r, v)
-            _check_output(r)
+            if decided is None and len(seen) > 2 * t:
+                decided = (v, r)
 
-    def _check_output(r: int):
-        if not decided:
-            for v in (0, 1):
-                if len(ready_seen.get(v, ())) >= 2 * t + 1:
-                    decided.append((v, r))
-                    return
-
-    def send_est(r: int, v: int):
-        st = rnd(r)
-        if v not in st.est_sent:
-            st.est_sent.add(v)
-            st.est_seen.setdefault(v, set()).add(ctx.pid)
+    def justify(st: _AbaRound, r: int, v: int):
+        """Relay and admit v on its estimate tally, which exceeds t."""
+        seen = st.est[v]
+        if not (st.relayed[v] or st.sent[v]):
+            st.relayed[v] = True
+            seen.add(pid)
             bcast("est", r, v)
-            _check_bin(r)
+        if len(seen) > 2 * t and v not in st.bin:
+            st.bin.append(v)
+            st.aux_in |= st.aux[v]
 
-    def _check_bin(r: int):
-        st = rnd(r)
-        for v in (0, 1):
-            seen = st.est_seen.get(v, set())
-            if len(seen) >= t + 1 and v not in st.est_relayed and v not in st.est_sent:
-                st.est_relayed.add(v)
-                st.est_seen.setdefault(v, set()).add(ctx.pid)
-                bcast("est", r, v)
-            if len(seen) >= 2 * t + 1 and v not in st.bin_values:
-                st.bin_values.append(v)
+    def send_est(st: _AbaRound, r: int, v: int):
+        # tests sent alone, so an estimate relayed before the party entered
+        # the round goes out again (a metered duplicate, kept as it is)
+        if not st.sent[v]:
+            st.sent[v] = True
+            seen = st.est[v]
+            seen.add(pid)
+            bcast("est", r, v)
+            if len(seen) > t:
+                justify(st, r, v)
 
-    def pump():
-        for env in mail.new():
-            tag, r, v = env.payload
-            if r < 1 or v not in (0, 1, CONF_NONE):
-                continue
-            st = rnd(r)
-            if tag == "est" and v in (0, 1):
-                st.est_seen.setdefault(v, set()).add(env.src)
-                _check_bin(r)
-            elif tag == "aux" and v in (0, 1):
-                st.aux_seen.setdefault(v, set()).add(env.src)
-            elif tag == "conf":
-                st.conf_seen.setdefault(v, set()).add(env.src)
-                st.conf_srcs.add(env.src)
-                if v in (0, 1) and len(st.conf_seen.get(v, ())) >= n:
-                    send_ready(v, r)
-            elif tag == "ready" and v in (0, 1):
-                ready_seen.setdefault(v, set()).add(env.src)
-                if len(ready_seen[v]) >= t + 1:
-                    send_ready(v, r)
-                _check_output(r)
-
-    def wait(pred):
-        while True:
-            pump()
-            if pred() or decided:
-                return
-            yield mail
-
+    mail = ctx.reader("aba", instance)
     est = my_bit & 1
     r = 1
-    while not decided:
-        st = rnd(r)
-        send_est(r, est)
-        yield from wait(lambda: st.bin_values)
-        if decided:
+    st = rounds[r] = _AbaRound()
+    send_est(st, r, est)
+    waiting = "bin"  # the quorum the current round waits for: bin, aux, conf
+    while True:
+        for env in mail.new():
+            tag, vr, v = env.payload
+            if vr < 1 or v not in votes:
+                continue
+            src = env.src
+            if tag == "ready":
+                if v != CONF_NONE and src not in (seen := readies[v]):
+                    seen.add(src)
+                    if len(seen) > t:
+                        if not ready_sent:
+                            send_ready(v, vr)
+                        if decided is None and len(seen) > 2 * t:
+                            decided = (v, vr)
+                continue
+            vst = rounds.get(vr)
+            if vst is None:
+                vst = rounds[vr] = _AbaRound()
+            if tag == "est" and v != CONF_NONE:
+                if src not in (seen := vst.est[v]):
+                    seen.add(src)
+                    if len(seen) > t:
+                        justify(vst, vr, v)
+            elif tag == "aux" and v != CONF_NONE:
+                vst.aux[v].add(src)
+                if v in vst.bin:
+                    vst.aux_in.add(src)
+            elif tag == "conf":
+                vst.conf_srcs.add(src)
+                if v != CONF_NONE:
+                    seen = vst.conf[v]
+                    seen.add(src)
+                    if len(seen) >= n:
+                        send_ready(v, vr)
+        while decided is None:
+            if waiting == "bin":
+                if not st.bin:
+                    break
+                w = st.bin[0]
+                st.aux[w].add(pid)
+                st.aux_in.add(pid)
+                bcast("aux", r, w)
+                waiting = "aux"
+            elif waiting == "aux":
+                if len(st.aux_in) < n - t:
+                    break
+                vals = [v for v in (0, 1) if v in st.bin and st.aux[v]]
+                vote = vals[0] if len(vals) == 1 else CONF_NONE
+                st.conf_srcs.add(pid)
+                bcast("conf", r, vote)
+                if vote != CONF_NONE:
+                    st.conf[vote].add(pid)
+                    if len(st.conf[vote]) >= n:
+                        send_ready(vote, r)
+                waiting = "conf"
+            else:
+                if len(st.conf_srcs) < n - t:
+                    break
+                # the estimate binds to the cast vote so a full confirmation
+                # quorum certifies every honest next-round estimate
+                coin = ctx.coin(instance, r)
+                if vote != CONF_NONE:
+                    est = vote
+                    if coin == vote:
+                        send_ready(vote, r)
+                else:
+                    est = coin
+                if decided is not None:
+                    break
+                r += 1
+                st = rounds.get(r)
+                if st is None:
+                    st = rounds[r] = _AbaRound()
+                send_est(st, r, est)
+                waiting = "bin"
+        if decided is not None:
             break
-        w = st.bin_values[0]
-        st.aux_seen.setdefault(w, set()).add(ctx.pid)
-        bcast("aux", r, w)
+        yield mail
 
-        def aux_quorum():
-            srcs = set()
-            for v in st.bin_values:
-                srcs |= st.aux_seen.get(v, set())
-            return len(srcs) >= n - t
-
-        yield from wait(aux_quorum)
-        if decided:
-            break
-        vals = [v for v in (0, 1) if v in st.bin_values and st.aux_seen.get(v, set())]
-        vote = vals[0] if len(vals) == 1 else CONF_NONE
-        st.conf_seen.setdefault(vote, set()).add(ctx.pid)
-        st.conf_srcs.add(ctx.pid)
-        bcast("conf", r, vote)
-        if vote in (0, 1) and len(st.conf_seen.get(vote, ())) >= n:
-            send_ready(vote, r)
-        yield from wait(lambda: len(st.conf_srcs) >= n - t)
-        if decided:
-            break
-        # the estimate binds to the cast vote so a full confirmation quorum
-        # certifies every honest next-round estimate
-        coin = ctx.coin(instance, r)
-        if vote in (0, 1):
-            est = vote
-            if coin == vote:
-                send_ready(vote, r)
-        else:
-            est = coin
-        r += 1
-
-    value, dec_round = decided[0]
-    ctx.engine.metrics.extra[f"aba_round/{instance}/{ctx.pid}"] = dec_round
+    value, dec_round = decided
+    ctx.engine.metrics.extra[f"aba_round/{instance}/{pid}"] = dec_round
     return value
 
 

@@ -119,6 +119,9 @@ class Envelope(NamedTuple):
     sent_tick: int = 0
 
 
+_tuple_new = tuple.__new__
+
+
 class NextRound:
     pass
 
@@ -232,7 +235,9 @@ def default_output(submitted: list):
 
 class SchedulerPolicy:
     """Chooses the index of the next pending (envelope, destination) entry
-    (events mode)."""
+    (events mode). This base policy is FIFO; the engine serves it without
+    calling ``pick``, and calls the ``pick`` of any policy that defines its
+    own."""
 
     def pick(self, pending: list[tuple[Envelope, int]], rng: random.Random) -> int:
         return 0
@@ -457,6 +462,7 @@ class PartyHandle:
 
 MAX_ROUNDS = 10_000
 MAX_EVENTS = 2_000_000
+_FIFO_CUT = 1024  # served FIFO entries cut off pending at once (Engine._run_events)
 
 
 class Engine:
@@ -475,10 +481,12 @@ class Engine:
     order, then destination order; it then resumes once, in pid order, each
     party that waits on ``NEXT_ROUND`` or on a reader with mail past its
     cursor. An events-mode tick removes one entry, the oldest once it
-    has waited 10*n^2 ticks and else the policy's pick, files it for its
-    destination, and resumes that party while it waits on a reader with
-    mail past its cursor; a party waits only on its own lists, so no other
-    party can have become runnable. Each tick ends by checking the oracle
+    has waited 10*n^2 ticks and else the policy's pick (the base FIFO
+    policy's pick, always 0, is served without a call; a policy that
+    defines its own is asked), files it for its destination, and resumes
+    that party while it waits on a reader with mail past its cursor; a
+    party waits only on its own lists, so no other party can have become
+    runnable. Each tick ends by checking the oracle
     instances submitted to since the last check, in name order: readiness
     depends on nothing else.
     Metering adds to one tally, ``metrics.bits_by_step``, whose total and
@@ -577,7 +585,8 @@ class Engine:
                 payload, instance, self._scale)
         else:
             return
-        self._post(Envelope(src, kind, payload, bits, instance, self.tick), dsts)
+        # every field given, so the tuple is built without Envelope's Python-level __new__
+        self._post(_tuple_new(Envelope, (src, kind, payload, bits, instance, self.tick)), dsts)
 
     def _post(self, env: Envelope, dsts: tuple[int, ...]) -> None:
         if self.mode == "rounds":
@@ -711,41 +720,65 @@ class Engine:
         """Serve one pending entry per tick (see the class docstring). The
         loop files each entry itself, by the filing rule for its one
         destination, rather than through ``_deliver``, whose call and
-        destination tuple would cost more per tick than the filing does. What
-        a tick reads is bound once per run; ``self._resume`` is bound as the
+        destination tuple would cost more per tick than the filing does, and
+        keeps the filing row of the last envelope it filed, so the ticks of
+        one broadcast served in a row look its key up once. What a tick
+        reads is bound once per run; ``self._resume`` is bound as the
         run starts, so a wrapper installed on ``Engine._resume`` before then
-        sees every resume."""
+        sees every resume. Under a policy whose ``pick`` is the base
+        ``SchedulerPolicy.pick`` every tick takes the oldest entry without
+        calling it, by a cursor into ``pending`` whose served prefix is cut
+        off every ``_FIFO_CUT`` ticks and when the loop ends, rather than by
+        a ``pop(0)`` that moves the whole list; any other ``pick`` is called
+        on every tick the 10*n^2 bound does not force."""
         parties, resume = self.parties, self._resume
         for pid in sorted(parties):
             resume(parties[pid])
         self._fire_ready_oracles()
         pending, pick, rng = self.pending, self.policy.pick, self.rng
+        fifo = getattr(pick, "__func__", None) is SchedulerPolicy.pick  # the base policy's 0
         handles = [None, *(parties[pid] for pid in self._everyone)]
         mailboxes, filing, trace, refused = self._mailboxes, self._filing, self.trace, wire.REFUSED
         n_fair = 10 * self.params.n * self.params.n
         tick = self.tick
-        while pending:
-            tick += 1
-            self.tick = tick
-            if tick > MAX_EVENTS:
-                raise RuntimeError("event limit exceeded")
-            # pending stays in send order, so the oldest envelope sits at 0
-            env, dst = pending.pop(0 if tick - pending[0][0].sent_tick >= n_fair
-                                   else pick(pending, rng))
-            if env.payload is not refused:
-                mailboxes[dst].append(env)
-                if (row := filing.get((env.kind, env.instance))) and (box := row[dst]) is not None:
-                    box.append(env)
-            if trace is not None:
-                trace.append({"tick": tick, "from": env.src, "to": dst,
-                              "msg_kind": env.kind, "bits": env.bits})
-            handle = handles[dst]
-            w = handle.waiting
-            while type(w) is Reader and len(w._box) > w._pos:
-                resume(handle)
+        head = 0  # entries below it are served; nonzero only under the base policy
+        # the last envelope filed and its filing row, looked up again while
+        # None: a row, once made, stays in _filing and is only filled in
+        last = row = None
+        try:
+            while head < len(pending):
+                tick += 1
+                self.tick = tick
+                if tick > MAX_EVENTS:
+                    raise RuntimeError("event limit exceeded")
+                if fifo:
+                    env, dst = pending[head]
+                    head += 1
+                    if head == _FIFO_CUT:
+                        del pending[:head]
+                        head = 0
+                else:
+                    # pending stays in send order, so the oldest envelope sits at 0
+                    env, dst = pending.pop(0 if tick - pending[0][0].sent_tick >= n_fair
+                                           else pick(pending, rng))
+                if env.payload is not refused:
+                    mailboxes[dst].append(env)
+                    if env is not last or row is None:
+                        last, row = env, filing.get((env.kind, env.instance))
+                    if row is not None and (box := row[dst]) is not None:
+                        box.append(env)
+                if trace is not None:
+                    trace.append({"tick": tick, "from": env.src, "to": dst,
+                                  "msg_kind": env.kind, "bits": env.bits})
+                handle = handles[dst]
                 w = handle.waiting
-            if self._submitted:
-                self._fire_ready_oracles()
+                while type(w) is Reader and len(w._box) > w._pos:
+                    resume(handle)
+                    w = handle.waiting
+                if self._submitted:
+                    self._fire_ready_oracles()
+        finally:
+            del pending[:head]
 
     def outputs(self) -> dict[int, object]:
         return {pid: h.output for pid, h in self.parties.items() if h.output is not None}

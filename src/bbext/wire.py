@@ -75,9 +75,11 @@ class Kind(NamedTuple):
 
 
 def _sig(sig, width=None):
-    """A MultiSig over a frozenset of ints with a bytes aggregate."""
-    return sig if (type(sig) is MultiSig and type(sig.signers) is frozenset and all(
-        type(s) is int for s in sig.signers) and type(sig.aggregate) is bytes) else REFUSED
+    """A MultiSig over a frozenset of ints with a bytes aggregate. Its two
+    fields are counted first: ``tuple.__new__`` builds one of any length."""
+    return sig if (type(sig) is MultiSig and len(sig) == 2 and type(sig.signers) is frozenset
+                   and all(type(s) is int for s in sig.signers)
+                   and type(sig.aggregate) is bytes) else REFUSED
 
 
 def _package(pkg, width):

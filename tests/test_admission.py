@@ -268,6 +268,16 @@ def test_each_admission_site_refuses_a_value_of_another_type(value):
                 assert type(got) is type(want) and got == want, (kind, payload)
 
 
+@pytest.mark.parametrize("fields", [(), (_SIG.signers,), (*_SIG, 5)],
+                         ids=["no-field", "one-field", "three-fields"])
+def test_a_multisig_of_another_length_is_refused(fields):
+    # a MultiSig is a named tuple, which tuple.__new__ builds with any number
+    # of fields; the gate refuses it before reading a field
+    sig = tuple.__new__(MultiSig, fields)
+    assert wire.parse("happy_cert", sig, None) is wire.REFUSED
+    assert wire.parse("ds", ((1, b"v", sig), (1, b"v", _SIG)), 128) == ((1, b"v", _SIG),)
+
+
 # --- error-free protocols: subclassed vectors, acknowledgements and symbols ----
 
 

@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bbext import multisig, oracles, wire
@@ -23,7 +25,7 @@ from bbext.oracles import BrachaMachine, _chain_tag, _slot_tag, value_to_bytes
 from bbext.protocols import PROTOCOLS, SessionParams
 from bbext.protocols.base import ProtocolSpec
 from bbext.runner import run
-from bbext.simnet import BOT, Engine, OracleInstance, RandomPolicy
+from bbext.simnet import BOT, Engine, Envelope, OracleInstance, RandomPolicy, Reader
 
 
 def chain_bb_spec():
@@ -378,6 +380,290 @@ def test_aba_poisoned_schedule_exploration():
         assert set(outs) == set(res.honest), prefix
         assert len(set(outs.values())) == 1, prefix
         assert next(iter(outs.values())) in {inputs[p] for p in res.honest}, prefix
+
+
+# --- the binary agreement against its reference ---------------------------------
+
+
+@dataclass
+class _RefAbaRound:
+    est_seen: dict[int, set[int]] = field(default_factory=dict)
+    est_relayed: set[int] = field(default_factory=set)
+    bin_values: list[int] = field(default_factory=list)
+    aux_seen: dict[int, set[int]] = field(default_factory=dict)
+    conf_seen: dict[int, set[int]] = field(default_factory=dict)
+    conf_srcs: set[int] = field(default_factory=set)
+    est_sent: set[int] = field(default_factory=set)
+
+
+def reference_aba_binary(ctx, instance: str, my_bit: int):
+    """Reference for ``oracles.aba_binary``, the same agreement written
+    plainly: tallies in dicts of sets made on first use, both values of a
+    round re-checked after every estimate and ready vote, the aux quorum
+    recomputed as a union at each check, and each wait a generator that
+    pumps all new mail, then tests its predicate."""
+    n, t = ctx.params.n, ctx.params.t
+    rounds: dict[int, _RefAbaRound] = {}
+    ready_seen: dict[int, set[int]] = {}
+    ready_sent: list = []
+    decided: list = []
+    mail = ctx.reader("aba", instance)
+
+    def rnd(r: int) -> _RefAbaRound:
+        if r not in rounds:
+            rounds[r] = _RefAbaRound()
+        return rounds[r]
+
+    def bcast(tag: str, r: int, v: int):
+        ctx.broadcast("aba", (tag, r, v), instance=instance)
+
+    def send_ready(v: int, r: int):
+        if not ready_sent:
+            ready_sent.append(v)
+            ready_seen.setdefault(v, set()).add(ctx.pid)
+            bcast("ready", r, v)
+            _check_output(r)
+
+    def _check_output(r: int):
+        if not decided:
+            for v in (0, 1):
+                if len(ready_seen.get(v, ())) >= 2 * t + 1:
+                    decided.append((v, r))
+                    return
+
+    def send_est(r: int, v: int):
+        state = rnd(r)
+        if v not in state.est_sent:
+            state.est_sent.add(v)
+            state.est_seen.setdefault(v, set()).add(ctx.pid)
+            bcast("est", r, v)
+            _check_bin(r)
+
+    def _check_bin(r: int):
+        state = rnd(r)
+        for v in (0, 1):
+            seen = state.est_seen.get(v, set())
+            if len(seen) >= t + 1 and v not in state.est_relayed and v not in state.est_sent:
+                state.est_relayed.add(v)
+                state.est_seen.setdefault(v, set()).add(ctx.pid)
+                bcast("est", r, v)
+            if len(seen) >= 2 * t + 1 and v not in state.bin_values:
+                state.bin_values.append(v)
+
+    def pump():
+        for env in mail.new():
+            tag, r, v = env.payload
+            if r < 1 or v not in (0, 1, oracles.CONF_NONE):
+                continue
+            state = rnd(r)
+            if tag == "est" and v in (0, 1):
+                state.est_seen.setdefault(v, set()).add(env.src)
+                _check_bin(r)
+            elif tag == "aux" and v in (0, 1):
+                state.aux_seen.setdefault(v, set()).add(env.src)
+            elif tag == "conf":
+                state.conf_seen.setdefault(v, set()).add(env.src)
+                state.conf_srcs.add(env.src)
+                if v in (0, 1) and len(state.conf_seen.get(v, ())) >= n:
+                    send_ready(v, r)
+            elif tag == "ready" and v in (0, 1):
+                ready_seen.setdefault(v, set()).add(env.src)
+                if len(ready_seen[v]) >= t + 1:
+                    send_ready(v, r)
+                _check_output(r)
+
+    def wait(pred):
+        while True:
+            pump()
+            if pred() or decided:
+                return
+            yield mail
+
+    est = my_bit & 1
+    r = 1
+    while not decided:
+        state = rnd(r)
+        send_est(r, est)
+        yield from wait(lambda: state.bin_values)
+        if decided:
+            break
+        w = state.bin_values[0]
+        state.aux_seen.setdefault(w, set()).add(ctx.pid)
+        bcast("aux", r, w)
+
+        def aux_quorum():
+            srcs = set()
+            for v in state.bin_values:
+                srcs |= state.aux_seen.get(v, set())
+            return len(srcs) >= n - t
+
+        yield from wait(aux_quorum)
+        if decided:
+            break
+        vals = [v for v in (0, 1) if v in state.bin_values and state.aux_seen.get(v, set())]
+        vote = vals[0] if len(vals) == 1 else oracles.CONF_NONE
+        state.conf_seen.setdefault(vote, set()).add(ctx.pid)
+        state.conf_srcs.add(ctx.pid)
+        bcast("conf", r, vote)
+        if vote in (0, 1) and len(state.conf_seen.get(vote, ())) >= n:
+            send_ready(vote, r)
+        yield from wait(lambda: len(state.conf_srcs) >= n - t)
+        if decided:
+            break
+        coin = ctx.coin(instance, r)
+        if vote in (0, 1):
+            est = vote
+            if coin == vote:
+                send_ready(vote, r)
+        else:
+            est = coin
+        r += 1
+
+    value, dec_round = decided[0]
+    ctx.engine.metrics.extra[f"aba_round/{instance}/{ctx.pid}"] = dec_round
+    return value
+
+
+class _AbaCtx:
+    """What a binary agreement reads of its party's context: the party's id,
+    the session sizes, a reader over one list that `_drive_aba` fills, a broadcast
+    that logs, a coin read from a drawn list, and the metrics' extra dict."""
+
+    def __init__(self, pid: int, n: int, t: int, coins: list[int], log: list):
+        self.pid = pid
+        self.params = SessionParams(n=n, t=t, l=1, threshold_regime="third_async")
+        self.box: list[Envelope] = []
+        self.coins = coins
+        self.log = log
+        self.engine = SimpleNamespace(metrics=SimpleNamespace(extra={}))
+
+    def reader(self, kind, instance):
+        return Reader(self.box)
+
+    def broadcast(self, kind, payload, instance=None):
+        self.log.append((kind, payload, instance))
+
+    def coin(self, instance, rnd):
+        self.log.append(("coin", rnd))
+        return self.coins[rnd % len(self.coins)]
+
+
+def _drive_aba(construction, pid, n, t, my_bit, coins, preload, batches):
+    """Run one party's agreement as the events engine would: preload is
+    filed before the party starts; after that each batch is filed, then the
+    party resumes while its reader has mail past the cursor. Returns the
+    log of broadcasts and coin reads, each batch marked where it was
+    filed, the output (None while undecided) and the metrics' extra dict."""
+    log: list = []
+    ctx = _AbaCtx(pid, n, t, coins, log)
+    ctx.box.extend(preload)
+    gen = construction(ctx, "aba0", my_bit)
+    output = None
+
+    def resume():
+        nonlocal output
+        try:
+            return gen.send(None)
+        except StopIteration as stop:
+            output = stop.value
+            return None
+
+    waiting = resume()
+    for i, batch in enumerate(batches):
+        if waiting is None:
+            break
+        log.append(("batch", i))
+        ctx.box.extend(batch)
+        while waiting is not None and len(waiting._box) > waiting._pos:
+            waiting = resume()
+    return log, output, ctx.engine.metrics.extra
+
+
+def _aba_env(src, tag, r, v):
+    return Envelope(src, "aba", (tag, r, v), 9, "aba0")
+
+
+_ABA_TAGS = st.sampled_from(["est", "est", "aux", "aux", "conf", "conf", "ready", "ready",
+                             "echo"])
+_ABA_ROUNDS = st.one_of(st.integers(1, 3), st.sampled_from([-1, 0, 4, 60]))
+_ABA_VOTES = st.one_of(st.sampled_from([0, 1, 0, 1, oracles.CONF_NONE]), st.sampled_from([-1, 3]))
+
+
+def _aba_waves(others: list[int]):
+    """Consecutive rounds as peers cast them: in each, an estimate, an aux
+    and a confirmation vote from each other party, unanimous or mixed."""
+    def votes(choices):
+        each = st.lists(st.sampled_from(choices), min_size=len(others), max_size=len(others))
+        return st.one_of(st.sampled_from(choices).map(lambda v: [v] * len(others)), each)
+
+    wave = st.tuples(votes([0, 1]), votes([0, 1]), votes([0, 1, oracles.CONF_NONE]))
+
+    def cast(waves):
+        first, rounds = waves
+        return [(src, tag, r, v) for r, by_tag in enumerate(rounds, first)
+                for tag, vs in zip(("est", "aux", "conf"), by_tag)
+                for src, v in zip(others, vs)]
+
+    return st.tuples(st.integers(1, 3), st.lists(wave, min_size=1, max_size=3)).map(cast)
+
+
+@st.composite
+def _aba_streams(draw):
+    """One party's view of a session: (pid, n, t, bit, coins, preload,
+    batches). The mail mixes single random votes (duplicate sources,
+    out-of-range rounds and votes, unknown tags), floods in which every
+    other party casts the same vote (often for a future round, or ready),
+    and whole rounds of peer votes; it is shuffled or not, then cut into
+    batches at random points."""
+    n, t = draw(st.sampled_from([(4, 1), (7, 2)]))
+    pid = draw(st.integers(1, n))
+    others = [p for p in range(1, n + 1) if p != pid]
+    vote = st.tuples(st.sampled_from(others), _ABA_TAGS, _ABA_ROUNDS, _ABA_VOTES)
+    flood = st.tuples(_ABA_TAGS, _ABA_ROUNDS, _ABA_VOTES).map(
+        lambda tv: [(src, *tv) for src in others])
+    chunks = draw(st.lists(st.one_of(vote.map(lambda m: [m]), flood, _aba_waves(others)),
+                           max_size=16))
+    mail = [m for chunk in chunks for m in chunk]
+    if draw(st.booleans()):
+        mail = draw(st.permutations(mail))
+    envs = [_aba_env(*m) for m in mail]
+    cuts = sorted(draw(st.lists(st.integers(0, len(envs)), max_size=30)))
+    pieces = [envs[a:b] for a, b in zip([0, *cuts], [*cuts, len(envs)])]
+    coins = draw(st.lists(st.integers(0, 1), min_size=1, max_size=4))
+    return pid, n, t, draw(st.integers(0, 3)), coins, pieces[0], pieces[1:]
+
+
+# the ready vote of party 3 decides mid-batch; the estimates after it in the
+# same batch still cross t + 1 and are relayed
+@example((1, 4, 1, 0, [0], [_aba_env(2, "ready", 1, 0), _aba_env(3, "ready", 1, 0),
+                            _aba_env(2, "est", 2, 1), _aba_env(3, "est", 2, 1)], []))
+@given(_aba_streams())
+def test_aba_binary_matches_its_reference(stream):
+    # the same broadcasts and coin reads in the same order, batch by batch,
+    # the same decision and the same decided round
+    got = _drive_aba(oracles.aba_binary, *stream)
+    ref = _drive_aba(reference_aba_binary, *stream)
+    assert got == ref
+
+
+@pytest.mark.parametrize("flavor", [0, 1])
+def test_aba_binary_sessions_match_its_reference(monkeypatch, flavor):
+    # whole sessions under the poisoner, which drives parties past round 1:
+    # the same trace, metrics and outputs with the reference swapped in
+    views = []
+    for construction in (oracles.aba_binary, reference_aba_binary):
+        monkeypatch.setattr(oracles, "aba_binary", construction)
+        view = []
+        for n in (4, 7):
+            params = SessionParams(n=n, t=(n - 1) // 3, l=1, k=128,
+                                   threshold_regime="third_async")
+            for seed in range(20):
+                inputs = {i: (seed >> (i % 5)) & 1 for i in range(1, n + 1)}
+                res = run(aba_spec(), params, inputs, adversary=AbaPoisoner(flavor), seed=seed,
+                          trace=True)
+                view.append((res.trace, res.metrics.to_json(), res.outputs))
+        views.append(view)
+    assert views[0] == views[1]
 
 
 # --- values of different types must not share an encoding ----------------------

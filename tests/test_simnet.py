@@ -40,6 +40,7 @@ from bbext.simnet import (
     RandomPolicy,
     Reader,
     RunMetrics,
+    SchedulerPolicy,
     oracle_model_cost,
 )
 
@@ -223,6 +224,111 @@ def test_fairness_bound_forces_stale_delivery():
     res = run(spec, params, {i: b"" for i in range(1, 5)}, seed=0,
               policy=LifoPolicy())
     assert res.outputs.get(3) == b"got it"
+
+
+class _CountingFifo(SchedulerPolicy):
+    """FIFO, as the base policy is, but a pick of its own that logs the
+    engine's tick at each call."""
+
+    def __init__(self):
+        self.engine = None
+        self.asked: list[int] = []
+
+    def pick(self, pending, rng):
+        self.asked.append(self.engine.tick)
+        return 0
+
+
+class _InheritingPolicy(SchedulerPolicy):
+    """A subclass that keeps the base pick."""
+
+
+def _flood_spec():
+    # every party broadcasts 80 messages at once, so a FIFO queue holds
+    # entries older than the 10*n^2 bound; each party answers every 40th
+    # message it reads, so later entries queue behind them
+    def party(ctx, my_input, sender):
+        for i in range(80):
+            ctx.broadcast("v_vec", i)
+        mail, read = ctx.reader("v_vec"), 0
+        while True:
+            for _ in mail.new():
+                read += 1
+                if read % 40 == 0:
+                    ctx.broadcast("e_vec", read)
+            if read == 80 * (ctx.params.n - 1):
+                return b"done"
+            yield mail
+
+    return ProtocolSpec(name="flood", mode="events", kind="ba", regime="third_async",
+                        party=party)
+
+
+def test_an_overriding_policy_is_asked_on_every_tick_the_bound_does_not_force(monkeypatch):
+    served: list[tuple[int, bool]] = []  # each tick, and whether the bound forced it
+    run_events = Engine._run_events
+
+    class Watched(list):
+        def pop(self, idx):
+            engine = self.engine
+            forced = engine.tick - self[0][0].sent_tick >= 10 * engine.params.n ** 2
+            served.append((engine.tick, forced))
+            return super().pop(idx)
+
+    def spy(engine):
+        engine.pending = Watched(engine.pending)
+        engine.pending.engine = engine.policy.engine = engine
+        run_events(engine)
+
+    monkeypatch.setattr(Engine, "_run_events", spy)
+    policy = _CountingFifo()
+    params = _params(regime="third_async")
+    res = run(_flood_spec(), params, {i: b"" for i in range(1, 5)}, seed=0, policy=policy)
+    assert set(res.outputs) == {1, 2, 3, 4}
+    assert len(served) == res.metrics.rounds_or_events_elapsed
+    assert {forced for _, forced in served} == {True, False}
+    assert policy.asked == [tick for tick, forced in served if not forced]
+
+
+def test_fifo_policies_give_the_base_policys_trace():
+    params = _params(regime="third_async")
+    views = []
+    for policy in (None, SchedulerPolicy(), _InheritingPolicy(), _CountingFifo()):
+        if isinstance(policy, _CountingFifo):
+            policy.engine = SimpleNamespace(tick=None)
+        res = run(_flood_spec(), params, {i: b"" for i in range(1, 5)}, seed=0, policy=policy,
+                  trace=True)
+        views.append((res.trace, res.metrics.to_json()))
+    assert views[1:] == views[:1] * 3
+
+
+@pytest.mark.parametrize("cut", [1, 3, 50])
+def test_the_fifo_cursor_cut_moves_nothing(monkeypatch, cut):
+    # the base policy's served entries are cut off pending every _FIFO_CUT
+    # ticks; where the cuts fall changes no trace, metric or output, and
+    # pending ends empty
+    from bbext import simnet
+
+    params = _params(n=7, t=2, regime="third_async")
+    inputs = build_inputs("ba", params, 4, "majority")
+    ends: list[list] = []
+    run_events = Engine._run_events
+
+    def spy(engine):
+        run_events(engine)
+        ends.append(list(engine.pending))
+
+    monkeypatch.setattr(Engine, "_run_events", spy)
+
+    def views():
+        flood = run(_flood_spec(), params, {i: b"" for i in range(1, 8)}, seed=0, trace=True)
+        aba = run("async-ba-third", params, inputs, seed=4, oracle_impl=CONCRETE, trace=True)
+        return [(res.trace, res.metrics.to_json(), res.outputs) for res in (flood, aba)]
+
+    want = views()
+    monkeypatch.setattr(simnet, "_FIFO_CUT", cut)
+    assert views() == want
+    assert ends == [[]] * 4
 
 
 def test_happy_flag_is_monotone():
@@ -1028,9 +1134,24 @@ def _trace_digest(res) -> str:
      "ea2bdb18a2b3cd1b4d7b275fb0cf96316d92927195bb8b2c9d6f3483dc193ce3"),
     ("async-rb-third", "third_async", 2, StarvingScheduler(),
      "c9fb1d73d8017aab3cf0a62a97e88aabb570b5ae0268718508c32fc3ea3bc34b"),
+    # Recorded before the binary agreement's tallies were indexed by vote:
+    # its send order must not move.
+    ("async-ba-third", "third_async", 2, None,
+     "93c62fb41588fe88a8ad1d27d04738747259ec0f6bcf1e3b237304c562cc3930"),
+    ("async-ba-third", "third_async", 2, ScheduledHonest("random"),
+     "2e1da8a09256f38005f9cdc76b0ceb799595b95703a0957f6379a00d7b2e824c"),
+    ("async-ba-third", "third_async", 2, StarvingScheduler(),
+     "ac3ef2b23232dedd352173d3435d0777ae075456fbc2921bffeca9bc7fcfa870"),
+    ("async-ba-third", "third_async", 2, Equivocator(),
+     "3e1859a94d94b8d2adec392f2178063dd369753a6bf320d77a35a92f27fa15b9"),
+    ("async-ba-third", "third_async", 10, None,
+     "2bd17219205deb15c0539ebe5fedc4756c368f8091e307bb32486c2ba081a910"),
 ])
 def test_trace_and_received_bits_are_pinned(protocol, regime, t, adversary, digest):
-    params = _params(n=7, t=t, regime=regime)
+    # each cell runs at the least n whose largest t in its regime is t:
+    # n = 7 for t = 3 (half) and t = 2 (third), n = 31 for t = 10 (third)
+    n = {"half": 2 * t + 1, "third_async": 3 * t + 1}[regime]
+    params = _params(n=n, t=t, regime=regime)
     inputs = build_inputs(PROTOCOLS[protocol].kind, params, 4, "majority")
     res = run(protocol, params, inputs, adversary=adversary, seed=4, oracle_impl=CONCRETE,
               trace=True)

@@ -180,10 +180,13 @@ def _liar_types(dunder: str, raises: bool) -> dict[type, type]:
 
 def _lie(value, liars: dict[type, type]):
     """value with every leaf, tuple and frozenset replaced by its liar, and
-    every dataclass rebuilt around lying fields; BOT and None stay."""
+    every dataclass and named tuple rebuilt around lying fields; BOT and
+    None stay."""
     if dataclasses.is_dataclass(value):
         return dataclasses.replace(value, **{f.name: _lie(getattr(value, f.name), liars)
                                              for f in dataclasses.fields(value)})
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return type(value)(*(_lie(x, liars) for x in value))
     if type(value) is tuple:
         return liars[tuple](_lie(x, liars) for x in value)
     if type(value) is frozenset:
