@@ -9,7 +9,8 @@ Library layout:
 - ``star``: maximum matching and the star-extraction procedure used by the
   error-free protocols.
 - ``simnet``: deterministic round and event schedulers, party contexts
-  with mailboxes filtered on request, and honest-bit metering.
+  with mail lists opened at start from ``wire``'s key rule, and honest-bit
+  metering.
 - ``oracles``: short-message broadcast/agreement primitives (ideal and
   concrete) plus the common-coin source.
 - ``adversary``: scripted Byzantine adversaries and the standard battery.

@@ -37,9 +37,10 @@ tallies for all rounds. A vote costs constant work: it updates one tally
 and re-checks only that tally's thresholds (an estimate: relay at t+1 and
 candidate at 2t+1; a confirmation: the full quorum of n; a ready vote:
 amplification at t+1 and decision at 2t+1), and an aux vote for a
-candidate joins a running union, the n - t quorum. The runner calls
-``open_aba_lists`` as each party starts, since a party may join a binary
-agreement after its peers' first messages of it.
+candidate joins a running union, the n - t quorum. A party may join a
+binary agreement after its peers' first messages of it (``ba_happy``
+starts once ``ba_commit`` has ended): its ``("aba", instance)`` list opened
+at engine start from ``wire``'s key rule, so that mail is filed there.
 
 The constructions read "ds", "rb" and "aba" mail as ``wire`` shapes it,
 since the engine parses a corrupt party's envelope before filing it; they
@@ -452,20 +453,6 @@ def aba_binary(ctx: Ctx, instance: str, my_bit: int):
     value, dec_round = decided
     ctx.engine.metrics.extra[f"aba_round/{instance}/{pid}"] = dec_round
     return value
-
-
-def open_aba_lists(ctx: Ctx) -> None:
-    """Open, as a party starts, the ``("aba", instance)`` list of every
-    concrete binary agreement instance the session declares. A party may
-    join one (``aba_binary``) after its peers' first messages of it have
-    arrived, as ``ba_happy`` starts only once ``ba_commit`` has ended; a
-    list opened before any mail arrives has all of it filed by delivery, so
-    no mailbox scan is needed."""
-    session = ctx.session
-    if session.oracle_impl["async_ba_bit"] == "concrete":
-        for name, decl in session.oracles.items():
-            if decl.kind == "async_ba_bit":
-                ctx.inbox("aba", name)
 
 
 # --- dispatch ------------------------------------------------------------------

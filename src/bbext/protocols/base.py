@@ -3,9 +3,9 @@ authenticated protocols run after agreeing on a commitment z: a payload
 that commits to z, the forward of one's own valid package, and the
 collection and decoding of every party's first valid forward.
 
-Each protocol opens the cursors it reads (``share_mail`` and the like) at
-its start, before any mail of their kinds can arrive, so delivery files
-all of that mail and no later mailbox scan has any of it to pick out."""
+The lists the protocols read (``share_mail`` and the like) open at engine
+start from ``wire``'s key rule, so delivery files all of their mail
+whenever a protocol asks for them."""
 
 from __future__ import annotations
 

@@ -101,8 +101,8 @@ def ef_sync_ba(ctx: Ctx, my_input: bytes, sender: int | None = None):
     when fewer than 2t+1 parties report a usable core set."""
     params = ctx.params
     n, t = params.n, params.t
-    # each kind is read after its round; its list is opened before any of
-    # its mail can arrive, so delivery files all of it
+    # each kind is read after its round, from the list the engine opened
+    # at start and delivery filed all of its mail into
     inbox = {kind: ctx.inbox(kind) for kind in _SYNC_KINDS}
     row = _send_symbols(ctx, my_input, params.l)
     ctx.engine.metrics.extra.setdefault("share_bits", 8 * len(row[1]))

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from .accumulator import AccKey, acc_gen
 from .blocks import CodecMemo
 from .multisig import MsigAuthority
-from .oracles import CONCRETE, ChainTags, CoinOracle, open_aba_lists
+from .oracles import CONCRETE, ChainTags, CoinOracle
 from .protocols import PROTOCOLS, ProtocolSpec, SessionParams
 from .simnet import (ORACLE_KINDS, Engine, OracleInstance, RunMetrics, SchedulerPolicy,
                      outputs_digest)
@@ -100,11 +100,7 @@ def run(protocol: str | ProtocolSpec, params: SessionParams, inputs: dict[int, b
     )
 
     def honest_factory(pid: int):
-        def start(ctx):
-            open_aba_lists(ctx)
-            return spec.party(ctx, inputs.get(pid), sender_arg)
-
-        return start
+        return lambda ctx: spec.party(ctx, inputs.get(pid), sender_arg)
 
     adv_env = AdversaryEnv(spec=spec, params=params, inputs=dict(inputs), sender=sender_arg,
                            session=session, corrupt=corrupt, seed=seed)

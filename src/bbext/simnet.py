@@ -19,34 +19,36 @@ output, is one record with its destination list, metered with one charge.
 
 The filing rule: delivering a record appends it, for each destination in
 destination order, to the destination's mailbox, then to its list of the
-record's (kind, instance) if the destination has asked for that list; a
-record ``wire`` refused (see below) is filed nowhere. ``Engine._deliver``
-applies the rule to rounds-mode sends and self-deliveries; the events loop
-applies it inline to the one destination of each tick.
+record's (kind, instance) if the session has that list; a record ``wire``
+refused (see below) is filed nowhere. ``Engine._deliver`` applies the rule
+to rounds-mode sends and self-deliveries; the events loop applies it inline
+to the one destination of each tick.
 
-Mail is filed only where it is read. A list of a party's mail of one
-(kind, instance) exists only once the party has asked for it
-(``Ctx.inbox``, ``Ctx.reader``, ``Ctx.wait_oracle``); a kind alone names
-(kind, None), so no reader of a kind gets mail tagged with an instance.
-Every first request builds the list by one scan of the mailbox, in arrival
-order; from then on delivery appends to it, at one table lookup per
-envelope, so mail nobody asked for grows no table. A party reads new mail
-through a cursor (``Ctx.reader``) and waits for more by yielding that cursor.
+Mail is filed where it is read. Lists open at engine start from
+``wire``'s key rule (``wire.keys`` of the declared instances): each party
+has one list per key, before any party runs, so delivery files all mail of
+a key, at one table lookup per envelope, and no read scans the mailbox. A
+kind alone names (kind, None), so no reader of a kind gets mail tagged
+with an instance; mail under a key outside the table is filed in the
+mailbox alone and grows no table. A party takes a list as it stands
+(``Ctx.inbox``, ``Ctx.wait_oracle``), or reads its new mail through a
+cursor (``Ctx.reader``) and waits for more by yielding that cursor.
 
 Every request naming a mail key (a send, a self-delivery, a read) needs a
-``str`` kind and a None or ``str`` instance, and a send or self-delivery
-must not forge ``oracle_out``; a send also needs a destination in 1..n
-other than the sender, and an ideal submission the name of an instance
-the engine built. Anything else is refused: from a corrupt party a send,
-self-delivery or submission is dropped (not filed, metered or traced) and
-a read gets an empty list nothing files into; from an honest party it
-raises ``ValueError``. Values from a corrupt party pass the one gate that
-``wire`` states: the engine drops a corrupt ideal submission that is not
-``wire.value_ok``, outputs BOT for an adversary-picked oracle output that
-is not, and parses each envelope a corrupt party sends once, at send
-(``wire.parse``). A refused envelope carries 0 bits but still travels: it
-is delivered at its tick and traced, but filed into no list, not even the
-mailbox. Honest envelopes are not parsed.
+``str`` kind and a None or ``str`` instance, a read a key of the session's
+table, and a send or self-delivery must not forge ``oracle_out``; a send
+also needs a destination in 1..n other than the sender, and an ideal
+submission the name of an instance the engine built. Anything else is
+refused: from a corrupt party a send, self-delivery or submission is dropped
+(not filed, metered or traced) and a read gets an empty list nothing files
+into; from an honest party it raises ``ValueError``. Values from a corrupt
+party pass the one gate that ``wire`` states: the engine drops a corrupt
+ideal submission that is not ``wire.value_ok``, outputs BOT for an
+adversary-picked oracle output that is not, and parses each envelope a
+corrupt party sends once, at send (``wire.parse``). A refused envelope
+carries 0 bits but still travels: it is delivered at its tick and traced,
+but filed into no list, not even the mailbox. Honest envelopes are not
+parsed.
 
 The protocol's spec fixes each ideal instance's kind, sender and width
 (``session.oracles``); the engine builds the instances it runs as ideal,
@@ -323,17 +325,16 @@ class Ctx:
     """Per-party handle into the engine: sending, mailbox, oracles, flags.
 
     Every envelope reaching the party that ``wire`` did not refuse is
-    appended to ``mailbox``. A list of its mail of one (kind, instance), a
-    kind alone naming (kind, None), is built on its first request by one
-    scan of the mailbox and kept in the engine's row for that key, which
-    delivery extends from then on; mail of a key nobody asked for is filed
-    in the mailbox alone. A broadcast's one record is
-    filed into every recipient's lists, so an envelope is shared and
-    immutable. ``inbox`` returns one of those lists as it stands, in arrival
-    order; callers must not modify it. ``reader`` wraps one in a cursor for
-    loops that consume mail as it arrives. ``broadcast`` from a party
-    without a send hook goes to the engine in one call and is metered once,
-    in the one tally ``metrics.bits_by_step``.
+    appended to ``mailbox``. Its list of one (kind, instance), a kind alone
+    naming (kind, None), sits in the engine's row for that key, opened at
+    engine start from ``wire``'s key rule and extended by delivery; mail
+    under a key outside the rule is filed in the mailbox alone. A
+    broadcast's one record is filed into every recipient's lists, so an
+    envelope is shared and immutable. ``inbox`` returns one of those lists
+    as it stands, in arrival order; callers must not modify it. ``reader``
+    wraps one in a cursor for loops that consume mail as it arrives.
+    ``broadcast`` from a party without a send hook goes to the engine in one
+    call and is metered once, in the one tally ``metrics.bits_by_step``.
 
     A corrupt party that runs the honest code gets three rewrites here (see
     ``adversary.hooked``): ``send_hook(ctx, dst, kind, payload)`` returns the
@@ -400,18 +401,14 @@ class Ctx:
     def inbox(self, kind: str | None = None, instance: str | None = None) -> list[Envelope]:
         """Received envelopes in arrival order, all or of one (kind, instance)
         (a kind alone names (kind, None)): the filed list itself, which later
-        mail extends. Read it, do not modify it. The first request for a key
-        builds its list from the mailbox. A request naming no key gets a
-        fresh empty list that nothing files into."""
+        mail extends. Read it, do not modify it. A request naming no key of
+        the session (``wire.keys``) gets a fresh empty list that nothing
+        files into."""
         if kind is None and instance is None:
             return self.mailbox
         if not self.engine._names_key(self.pid, kind, instance, write=False):
             return []
-        key = (kind, instance)
-        row = self.engine._filing.get(key)
-        if row is None or (box := row[self.pid]) is None:
-            return self.engine._open(self.pid, key)
-        return box
+        return self.engine._filing[kind, instance][self.pid]
 
     def reader(self, kind: str | None = None, instance: str | None = None) -> Reader:
         """A cursor over ``inbox(kind, instance)``, starting at its first
@@ -433,9 +430,9 @@ class Ctx:
         return out
 
     def wait_oracle(self, *instances: str):
-        """Wait until every instance has fired, all their lists opened first;
-        return their outputs in order. Only the engine files oracle_out, so
-        each list holds its instance's output and nothing else."""
+        """Wait until every instance has fired; return their outputs in order.
+        Only the engine files oracle_out, so each list holds its instance's
+        output and nothing else."""
         boxes = [self.inbox("oracle_out", instance) for instance in instances]
         for box in boxes:
             if not box:
@@ -477,10 +474,10 @@ class Engine:
 
     A rounds-mode tick files every entry sent in the round before, in send
     order, by the filing rule (module docstring: the mailbox, then the
-    (kind, instance) list if asked for), so the delivery order is send
-    order, then destination order; it then resumes once, in pid order, each
-    party that waits on ``NEXT_ROUND`` or on a reader with mail past its
-    cursor. An events-mode tick removes one entry, the oldest once it
+    (kind, instance) list if the session has it), so the delivery order is
+    send order, then destination order; it then resumes once, in pid order,
+    each party that waits on ``NEXT_ROUND`` or on a reader with mail past
+    its cursor. An events-mode tick removes one entry, the oldest once it
     has waited 10*n^2 ticks and else the policy's pick (the base FIFO
     policy's pick, always 0, is served without a call; a policy that
     defines its own is asked), files it for its destination, and resumes
@@ -491,6 +488,10 @@ class Engine:
     depends on nothing else.
     Metering adds to one tally, ``metrics.bits_by_step``, whose total and
     bits by oracle kind are views.
+
+    Delivery files into ``_filing``: for each key of ``wire.keys`` over the
+    declared instances, a row of one list per pid, all made here, so the
+    table has the same keys and lists from start to end of the run.
     """
 
     def __init__(self, mode: str, params, session, factories: dict[int, Callable[[Ctx], Generator] | None],
@@ -519,9 +520,11 @@ class Engine:
         self._broadcast_dsts = [()] + [(*range(1, src), *range(src + 1, n + 1))
                                        for src in self._everyone]
         # where delivery files: each party's mailbox by pid, and for each
-        # (kind, instance) some party asked for (Ctx.inbox) a row of lists by pid
-        self._mailboxes: list[list[Envelope]] = [[]]  # pid 0, the oracles, gets none
-        self._filing: dict[tuple[str, str | None], list[list[Envelope] | None]] = {}
+        # mail key a session reads (wire.keys) a row of lists by pid; pid 0,
+        # the oracles, is no destination, so its mailbox and lists stay empty
+        self._mailboxes: list[list[Envelope]] = [[]]
+        self._filing: dict[tuple[str, str | None], list[list[Envelope]]] = {
+            key: [[] for _ in range(n + 1)] for key in wire.keys(declared)}
         self.parties: dict[int, PartyHandle] = {}
         for pid in self._everyone:
             ctx = Ctx(self, pid)
@@ -557,14 +560,17 @@ class Engine:
 
     def _names_key(self, pid: int, kind, instance, write: bool) -> bool:
         """Whether a request by pid names a mail key: a str kind, a None or
-        str instance, and for a send or self-delivery not ``oracle_out``,
-        which only the engine files, so the trusted-functionality channel is
-        unforgeable. A request naming none is refused."""
+        str instance, for a read a key of the session's table, and for a
+        send or self-delivery not ``oracle_out``, which only the engine
+        files, so the trusted-functionality channel is unforgeable. A
+        request naming none is refused."""
         if type(kind) is not str or not (instance is None or type(instance) is str):
             why = (f"a mail key needs a kind of type str and a None or str instance, "
                    f"not {kind!r} and {instance!r}")
         elif write and kind == "oracle_out":
             why = "oracle outputs are delivered by the engine only"
+        elif not write and (kind, instance) not in self._filing:
+            why = f"no session reads mail of kind {kind!r} under instance {instance!r}"
         else:
             return True
         self._refuse(pid, why)
@@ -654,17 +660,6 @@ class Engine:
         except StopProtocol:
             handle.done, handle.waiting = True, None
 
-    def _open(self, pid: int, key) -> list[Envelope]:
-        """pid's list of mail under key, a (kind, instance), built by one scan
-        of its mailbox in arrival order, which delivery extends from now on."""
-        kind, instance = key
-        box = [e for e in self._mailboxes[pid] if e.kind == kind and e.instance == instance]
-        row = self._filing.get(key)
-        if row is None:
-            row = self._filing[key] = [None] * (self.params.n + 1)
-        row[pid] = box
-        return box
-
     def _deliver(self, env: Envelope, dsts: tuple[int, ...]) -> None:
         """File one record for each destination, in order, by the filing
         rule (module docstring)."""
@@ -675,8 +670,7 @@ class Engine:
             mailboxes[dst].append(env)
         if row := self._filing.get((env.kind, env.instance)):
             for dst in dsts:
-                if (box := row[dst]) is not None:
-                    box.append(env)
+                row[dst].append(env)
 
     # --- main loops ----------------------------------------------------------
 
@@ -722,7 +716,9 @@ class Engine:
         destination, rather than through ``_deliver``, whose call and
         destination tuple would cost more per tick than the filing does, and
         keeps the filing row of the last envelope it filed, so the ticks of
-        one broadcast served in a row look its key up once. What a tick
+        one broadcast served in a row look its key up once; the rows are
+        opened at engine start from ``wire``'s key rule, so a row looked up
+        stays the row of that key for the whole run. What a tick
         reads is bound once per run; ``self._resume`` is bound as the
         run starts, so a wrapper installed on ``Engine._resume`` before then
         sees every resume. Under a policy whose ``pick`` is the base
@@ -742,8 +738,8 @@ class Engine:
         n_fair = 10 * self.params.n * self.params.n
         tick = self.tick
         head = 0  # entries below it are served; nonzero only under the base policy
-        # the last envelope filed and its filing row, looked up again while
-        # None: a row, once made, stays in _filing and is only filled in
+        # the last envelope filed and its filing row (None for a key outside
+        # the table, which is fixed at start)
         last = row = None
         try:
             while head < len(pending):
@@ -763,10 +759,10 @@ class Engine:
                                            else pick(pending, rng))
                 if env.payload is not refused:
                     mailboxes[dst].append(env)
-                    if env is not last or row is None:
+                    if env is not last:
                         last, row = env, filing.get((env.kind, env.instance))
-                    if row is not None and (box := row[dst]) is not None:
-                        box.append(env)
+                    if row is not None:
+                        row[dst].append(env)
                 if trace is not None:
                     trace.append({"tick": tick, "from": env.src, "to": dst,
                                   "msg_kind": env.kind, "bits": env.bits})

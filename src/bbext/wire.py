@@ -19,6 +19,10 @@ semantic checks: ranges, lengths, witnesses and signatures.
 ``SCHEMA[K].size`` is the one size rule of kind K: the engine takes every
 envelope's bits from it (a refused one's are 0), so neither a sender nor a
 payload field names what a message costs.
+
+``keys`` is the one rule of where mail is read: the kinds of
+``INSTANCE_KINDS`` under each declared instance, every other kind under
+None. The engine opens a list for each of those keys before any party runs.
 """
 
 from __future__ import annotations
@@ -131,6 +135,19 @@ SCHEMA = {
     "rb": Kind(_tuple(str, None), lambda p, inst, s: s.width[inst]),  # (tag, value)
     "ds": Kind(_chain, lambda p, inst, s: len(p) * s.relay[inst]),  # (triple, ...)
 }
+
+
+# read under a declared instance: chain relays, Bracha and binary-agreement
+# votes, and the engine's oracle outputs
+INSTANCE_KINDS = ("ds", "rb", "aba", "oracle_out")
+
+
+def keys(declared: dict) -> list[tuple[str, str | None]]:
+    """Every (kind, instance) a session reads, given its ``instances``: each
+    kind of ``INSTANCE_KINDS`` under each declared instance, and every other
+    ``SCHEMA`` kind under None."""
+    return ([(kind, None) for kind in SCHEMA if kind not in INSTANCE_KINDS]
+            + [(kind, name) for name in declared for kind in INSTANCE_KINDS])
 
 
 def parse(kind: str, payload, width: int | None):

@@ -986,10 +986,12 @@ class ReadyOneAsBytes(AdversaryScript):
 
     def make_party(self, pid, honest_factory, env):
         def party(ctx):
-            mail = ctx.reader("rb")
+            # rb mail is read under its instance (wire.keys), so the
+            # whole mailbox is read to see every flag/j
+            mail = ctx.reader()
             while True:
                 for e in mail.new():
-                    if (e.instance or "").startswith("flag/"):
+                    if e.kind == "rb" and (e.instance or "").startswith("flag/"):
                         ctx.broadcast("rb", ("ready", ONE_AS_BYTES), instance=e.instance)
                 yield mail
 

@@ -547,10 +547,10 @@ def test_finished_session_frees_its_contexts_without_collection(monkeypatch, pro
         gc.enable()
     assert cyclic_garbage == 0
     assert refs and alive == []
-    # the engine held lists asked for by key, and freed them with itself;
-    # ef-async-rb-third reads its whole mailbox and asks for no keyed list
+    # the engine held a list per party for every key of wire's rule, and
+    # freed them with itself
     assert len(engines) == 1 and engine_alive == []
-    assert filed_keys[0] > 0 or protocol == "ef-async-rb-third"
+    assert filed_keys[0] > 0
 
 
 def _session(n, oracles=None):
@@ -624,23 +624,27 @@ def test_list_first_asked_for_after_its_mail_equals_the_scan_and_grows(mode, reg
             yield mail
 
     def party(ctx, my_input, sender):
+        # the lists are the engine's from its start, before any mail
+        opened = ctx.engine._filing["rb", "x"][ctx.pid], ctx.engine._filing["v_vec", None][ctx.pid]
+        ctx.broadcast("rb", ctx.pid, instance="x")
+        ctx.broadcast("rb", -ctx.pid, instance="y")
         ctx.broadcast("v_vec", ctx.pid, instance="x")
-        ctx.broadcast("v_vec", -ctx.pid, instance="y")
         ctx.broadcast("v_vec", 0)
         ctx.broadcast("e_vec", 0)
-        yield from wait_for(ctx, 4 * (n - 1))
+        yield from wait_for(ctx, 5 * (n - 1))
         # asked for only now, after all matching mail has arrived; a kind
         # alone names (kind, None), which holds none of the tagged mail
-        by_inst, by_kind = ctx.inbox("v_vec", "x"), ctx.inbox("v_vec")
-        assert by_inst == _scan(ctx, "v_vec", "x") and len(by_inst) == n - 1
+        by_inst, by_kind = ctx.inbox("rb", "x"), ctx.inbox("v_vec")
+        assert by_inst is opened[0] and by_kind is opened[1]
+        assert by_inst == _scan(ctx, "rb", "x") and len(by_inst) == n - 1
         assert by_kind == _scan(ctx, "v_vec", None) and len(by_kind) == n - 1
         before = list(by_inst), list(by_kind)
-        ctx.self_deliver("v_vec", 0, instance="x")
-        ctx.broadcast("v_vec", 10 + ctx.pid, instance="x")
+        ctx.self_deliver("rb", 0, instance="x")
+        ctx.broadcast("rb", 10 + ctx.pid, instance="x")
         ctx.broadcast("v_vec", 20 + ctx.pid)
-        yield from wait_for(ctx, 6 * (n - 1) + 1)
-        assert ctx.inbox("v_vec", "x") is by_inst and ctx.inbox("v_vec") is by_kind
-        assert by_inst == _scan(ctx, "v_vec", "x") and len(by_inst) == 2 * n - 1
+        yield from wait_for(ctx, 7 * (n - 1) + 1)
+        assert ctx.inbox("rb", "x") is by_inst and ctx.inbox("v_vec") is by_kind
+        assert by_inst == _scan(ctx, "rb", "x") and len(by_inst) == 2 * n - 1
         assert by_kind == _scan(ctx, "v_vec", None) and len(by_kind) == 2 * (n - 1)
         assert by_inst[:n - 1] == before[0] and by_kind[:n - 1] == before[1]
         assert by_inst[n - 1].payload == 0
@@ -650,7 +654,8 @@ def test_list_first_asked_for_after_its_mail_equals_the_scan_and_grows(mode, reg
         checked.append(ctx.pid)
         return b"done"
 
-    # x and y name oracle instances, so honest mail may name them
+    # x and y name oracle instances, so honest mail may name them, and the
+    # table has an rb list for each
     kind = "sync_bb" if mode == "rounds" else "async_rb"
     spec = ProtocolSpec(name="late-reader", mode=mode, kind="ba", regime=regime, party=party,
                         oracles=lambda params, sender: {
@@ -660,25 +665,44 @@ def test_list_first_asked_for_after_its_mail_equals_the_scan_and_grows(mode, reg
     assert all(out == b"done" for out in res.outputs.values())
 
 
+def _keys_asked(monkeypatch):
+    """Spy on every keyed read: returns the list it fills with (the engine's
+    keys at its start, who reads, key), who being honest, hooked (a corrupt
+    party running the honest code, ``adversary.hooked``) or corrupt."""
+    at_start = weakref.WeakKeyDictionary()
+    asked = []
+    orig_init, orig_inbox = Engine.__init__, Ctx.inbox
+
+    def init(engine, *args, **kwargs):
+        orig_init(engine, *args, **kwargs)
+        at_start[engine] = frozenset(engine._filing)
+
+    def inbox(ctx, kind=None, instance=None):
+        if kind is not None:
+            if ctx.pid in ctx.engine.honest:
+                who = "honest"
+            elif (ctx.send_hook, ctx.oracle_hook, ctx.crash_after_steps) != (None,) * 3:
+                who = "hooked"
+            else:
+                who = "corrupt"
+            asked.append((at_start[ctx.engine], who, (kind, instance)))
+        return orig_inbox(ctx, kind, instance)
+
+    monkeypatch.setattr(Engine, "__init__", init)
+    monkeypatch.setattr(Ctx, "inbox", inbox)
+    return asked
+
+
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
 def test_protocols_open_their_lists_before_their_mail_arrives(monkeypatch, protocol):
-    # every list a protocol or a concrete oracle reads is asked for at its
-    # start (a late-starting binary agreement's as the party starts), so in
-    # no honest session does a first request find mail in the mailbox; the
-    # runs keep their golden digests
+    # every key an honest party, or a corrupt one running the honest code
+    # under hooks, asks for is in the engine's table from its start: lists
+    # open at engine start from wire's key rule, so no read finds its list
+    # missing or its mail unfiled; the honest runs keep their golden digests
     from tests.test_golden import GOLDEN, ORACLES, SEEDS, UNANIMITY
 
     golden = json.loads(GOLDEN.read_text())
-    scans = []
-    opened = Engine._open
-
-    def watched(self, pid, key):
-        box = opened(self, pid, key)
-        if box:
-            scans.append((pid, key))
-        return box
-
-    monkeypatch.setattr(Engine, "_open", watched)
+    asked = _keys_asked(monkeypatch)
     honest = next(s for s in adversary_battery() if s.name == "honest")
     params = battery_configs(protocol)[-1]
     for impl, oracle_impl in ORACLES.items():
@@ -690,38 +714,50 @@ def test_protocols_open_their_lists_before_their_mail_arrives(monkeypatch, proto
                    f"honest {impl} seed={seed}")
             metrics = hashlib.sha256(res.metrics.to_json().encode()).hexdigest()
             assert [metrics, res.metrics.outputs_digest] == golden[key]
-    assert scans == []
+        for script in adversary_battery():
+            inputs = build_inputs(PROTOCOLS[protocol].kind, params, 0, "majority")
+            run(protocol, params, inputs, adversary=script, seed=0, oracle_impl=oracle_impl)
+    assert all(key in keys for keys, who, key in asked if who != "corrupt")
+    # ef-async-rb-third reads its whole mailbox, under no key
+    readers = {who for _, who, _ in asked}
+    assert readers >= {"honest", "hooked"} or protocol == "ef-async-rb-third" and not asked
+
+
+# metrics and outputs digests of the sessions below, recorded when a list
+# was built by a mailbox scan on its first request and the runner asked for
+# every "aba" list as each party started
+_LATE_JOIN = {
+    0: ("a55e4c134f20e84e2f0f933b63dffc1bbac095a3c785eb32dafb5f62f7749af2",
+        "4357f22b86c7ed978e6be45dac3a7bb674dd016c32bd5132a6c4c9a3c8208297"),
+    1: ("e6a4367662efe583ac6e14ca08523311132562d3cc2359cadba69246217e18b3",
+        "dab914f3aea2cfd847adc2f583ba568ccedf5da717dcd3b1722504bcadbb2121"),
+    2: ("95857ab79dc1e1f9cf32f214efd096e524ce3b73cadf71709eb6ce2ba96e55fe",
+        "16a387c498cdfff97294877352aeb45a6604c4026126c89d26076aaaae0f6f12"),
+}
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_binary_agreement_list_opened_at_start_needs_no_scan(monkeypatch, seed):
     # under random delivery, peers' "aba" mail of ba_happy reaches a party
-    # before it joins that instance; the list opened as the party starts has
-    # that mail filed, and the session is the one a late scan gives
-    from bbext import runner
+    # before it joins that instance; the list opened at engine start has
+    # that mail filed, and the session is the one recorded above
+    joined = []
+    orig_inbox = Ctx.inbox
 
-    scans = []
-    opened = Engine._open
+    def inbox(ctx, kind=None, instance=None):
+        got = orig_inbox(ctx, kind, instance)
+        if (kind, instance) == ("aba", "ba_happy"):
+            joined.append(len(got))
+        return got
 
-    def watched(self, pid, key):
-        box = opened(self, pid, key)
-        if box:
-            scans.append((pid, key))
-        return box
-
-    monkeypatch.setattr(Engine, "_open", watched)
+    monkeypatch.setattr(Ctx, "inbox", inbox)
     params = battery_configs("async-ba-third")[-1]
     inputs = build_inputs("ba", params, seed, "all")
-    script = ScheduledHonest("random")
-    early = run("async-ba-third", params, inputs, adversary=script, seed=seed,
-                oracle_impl=CONCRETE)
-    assert scans == []
-    monkeypatch.setattr(runner, "open_aba_lists", lambda ctx: None)
-    late = run("async-ba-third", params, inputs, adversary=script, seed=seed,
-               oracle_impl=CONCRETE)
-    assert scans and {key for _, key in scans} == {("aba", "ba_happy")}
-    assert late.metrics.to_json() == early.metrics.to_json()
-    assert late.outputs == early.outputs
+    res = run("async-ba-third", params, inputs, adversary=ScheduledHonest("random"), seed=seed,
+              oracle_impl=CONCRETE)
+    assert len(joined) == params.n and max(joined) > 0
+    metrics = hashlib.sha256(res.metrics.to_json().encode()).hexdigest()
+    assert (metrics, res.metrics.outputs_digest) == _LATE_JOIN[seed]
 
 
 def test_random_pick_draws_what_randrange_draws():
@@ -758,48 +794,54 @@ def test_tracing_does_not_change_an_events_session(protocol, script):
 
 
 def test_chain_oracles_file_no_kind_level_ds_list(monkeypatch):
-    # the signature-chain oracles read their mail by (kind, instance) only,
-    # so no party asks for ("ds", None)
-    ctxs = []
-    orig_init = Ctx.__init__
+    # the signature-chain oracles read their mail by (kind, instance) only:
+    # the table has no ("ds", None) list, and every party reads ds mail
+    # under an instance, from lists delivery filed
+    asked = _keys_asked(monkeypatch)
+    ds_read = []
+    orig_inbox = Ctx.inbox
 
-    def init(ctx, engine, pid):
-        orig_init(ctx, engine, pid)
-        ctxs.append(ctx)
+    def inbox(ctx, kind=None, instance=None):
+        got = orig_inbox(ctx, kind, instance)
+        if kind == "ds":
+            ds_read.append((ctx.pid, got))
+        return got
 
-    monkeypatch.setattr(Ctx, "__init__", init)
+    monkeypatch.setattr(Ctx, "inbox", inbox)
     params = _params(n=7, t=3)
     res = run("sync-ba-half", params, build_inputs("ba", params, 0, "all"), seed=0,
               oracle_impl=CONCRETE)
     assert len(res.outputs) == 7
-    assert len(ctxs) == 7
-    for ctx in ctxs:
-        asked = [key for key, row in ctx.engine._filing.items() if row[ctx.pid] is not None]
-        assert ("ds", None) not in asked
-        assert any(kind == "ds" and instance is not None for kind, instance in asked)
+    [keys] = {keys for keys, _, _ in asked}
+    assert ("ds", None) not in keys
+    ds_keys = [key for _, _, key in asked if key[0] == "ds"]
+    assert ds_keys and all(instance is not None for _, instance in ds_keys)
+    assert {pid for pid, got in ds_read if got} == set(range(1, 8))
 
 
-_KINDS = st.sampled_from(["v_vec", "e_vec"])
-_INSTANCES = st.sampled_from([None, "x", "y"])
+# mail is sent under keys of the table (wire.keys over the instances x and
+# y), and v_vec also under x, a key the table has no list for
+_SENT = st.sampled_from([("v_vec", None), ("e_vec", None), ("v_vec", "x"), ("rb", "x"),
+                         ("rb", "y")])
 _PIDS = st.integers(1, 4)
 _OPS = st.one_of(
-    st.tuples(st.just("broadcast"), _PIDS, _KINDS, _INSTANCES),
-    st.tuples(st.just("send"), _PIDS, st.integers(1, 3), _KINDS, _INSTANCES),
-    st.tuples(st.just("self"), _PIDS, _KINDS, _INSTANCES),
+    st.tuples(st.just("broadcast"), _PIDS, _SENT),
+    st.tuples(st.just("send"), _PIDS, st.integers(1, 3), _SENT),
+    st.tuples(st.just("self"), _PIDS, _SENT),
     st.tuples(st.just("ask"), _PIDS, st.sampled_from(
-        [(None, None), ("v_vec", None), ("e_vec", None), ("v_vec", "x"), ("v_vec", "y"),
-         ("e_vec", "x")]),
+        [(None, None), ("v_vec", None), ("e_vec", None), ("rb", "x"), ("rb", "y"),
+         ("ds", "x")]),
         st.booleans()),
     st.tuples(st.just("deliver"), st.integers(0, 63)),
 )
 
 
 # one party asks for a key before any mail is filed under it, another only
-# after: the second list must still come from a scan
+# after: both lists equal the scan, since both opened at engine start
 _ASK_BEFORE_AND_AFTER = [
-    ("ask", 1, ("v_vec", "x"), False), ("ask", 1, ("v_vec", None), True),
-    ("broadcast", 3, "v_vec", "x"), ("deliver", 0), ("deliver", 0),
-    ("ask", 2, ("v_vec", "x"), True), ("ask", 2, ("v_vec", None), False),
+    ("ask", 1, ("rb", "x"), False), ("ask", 1, ("v_vec", None), True),
+    ("broadcast", 3, ("rb", "x")), ("deliver", 0), ("deliver", 0),
+    ("ask", 2, ("rb", "x"), True), ("ask", 2, ("v_vec", None), False),
 ]
 
 
@@ -809,12 +851,15 @@ _ASK_BEFORE_AND_AFTER = [
 @example(mode="events", ops=_ASK_BEFORE_AND_AFTER)
 def test_lists_equal_reference_scans_under_interleaved_filing(mode, ops):
     """Broadcasts, single sends, self-deliveries, deliveries in any order
-    and first requests for any key, interleaved: every list a party asked
-    for equals the scan of a reference mailbox by (kind, instance), a kind
-    alone naming (kind, None), and so does every cursor's new mail."""
+    and requests for any key of the table, interleaved: every list a party
+    asked for equals the scan of a reference mailbox by (kind, instance), a
+    kind alone naming (kind, None), and so does every cursor's new mail;
+    the table keeps the keys and lists it had at engine start."""
     declared = {name: OracleInstance("sync_bb", 1, 1) for name in ("x", "y")}
     engine = Engine(mode, _params(n=4, t=1), _session(4, declared), {},
                     frozenset({1, 2, 3, 4}), AdversaryScript())
+    table = {key: list(row) for key, row in engine._filing.items()}
+    assert set(table) == set(wire.keys(declared))
     ref: dict[int, list] = {pid: [] for pid in range(1, 5)}
     opened = []  # (pid, kind, instance, list, reader or None, mail the reader returned)
 
@@ -827,13 +872,13 @@ def test_lists_equal_reference_scans_under_interleaved_filing(mode, ops):
     for seq, op in enumerate(ops):
         what, *args = op
         if what == "broadcast":
-            pid, kind, instance = args
+            pid, (kind, instance) = args
             engine.parties[pid].ctx.broadcast(kind, seq, instance=instance)
         elif what == "send":
-            pid, shift, kind, instance = args
+            pid, shift, (kind, instance) = args
             engine.parties[pid].ctx.send((pid + shift - 1) % 4 + 1, kind, seq, instance=instance)
         elif what == "self":
-            pid, kind, instance = args
+            pid, (kind, instance) = args
             engine.parties[pid].ctx.self_deliver(kind, seq, instance=instance)
             ref[pid].append((pid, kind, seq, instance))
         elif what == "deliver" and engine.pending:
@@ -846,7 +891,9 @@ def test_lists_equal_reference_scans_under_interleaved_filing(mode, ops):
             pid, (kind, instance), as_reader = args
             ctx = engine.parties[pid].ctx
             rd = ctx.reader(kind, instance) if as_reader else None
-            opened.append((pid, kind, instance, ctx.inbox(kind, instance), rd, []))
+            box = ctx.inbox(kind, instance)
+            assert kind is None or box is table[kind, instance][pid]
+            opened.append((pid, kind, instance, box, rd, []))
         for pid, kind, instance, box, rd, got in opened:
             want = ref_scan(pid, kind, instance)
             assert mail(box) == want
@@ -855,6 +902,11 @@ def test_lists_equal_reference_scans_under_interleaved_filing(mode, ops):
                 assert got == want
     for pid in range(1, 5):
         assert mail(engine.parties[pid].ctx.mailbox) == ref[pid]
+
+    def ids(rows):
+        return {key: [id(box) for box in row] for key, row in rows.items()}
+
+    assert ids(engine._filing) == ids(table)
 
 
 def test_instance_reads_need_a_kind():
@@ -869,7 +921,7 @@ def test_instance_reads_need_a_kind():
 def test_only_the_engine_files_oracle_outputs():
     # a party can neither send nor self-deliver an oracle output, so an
     # instance's oracle_out list holds the engine's output alone
-    engine = _engine()
+    engine = _engine(oracles={"ba": OracleInstance("sync_ba", None, 1)})
     ctx = engine.parties[2].ctx
     with pytest.raises(ValueError, match="engine only"):
         ctx.self_deliver("oracle_out", b"forged", instance="ba")
@@ -1038,6 +1090,10 @@ _MISKEYED = {
     "reader-list-instance": lambda ctx: ctx.reader("x", ["y"]).new(),
     "oracle-result-list": lambda ctx: ctx.inbox("oracle_out", ["i"]),
     "wait-oracle-list": lambda ctx: [next(ctx.wait_oracle(["i"]))],
+    # well formed, but keys no session reads: v_vec is read under None
+    # alone, oracle_out under a declared instance alone (wire.keys)
+    "inbox-undeclared-key": lambda ctx: ctx.inbox("v_vec", "x"),
+    "reader-undeclared-oracle-out": lambda ctx: ctx.reader("oracle_out", "undeclared").new(),
 }
 
 
@@ -1065,12 +1121,17 @@ def test_honest_requests_naming_no_mail_key_raise():
         act(engine.parties[1].ctx)
         with pytest.raises(ValueError):
             act(engine.parties[2].ctx)
-    assert engine._filing == {} and engine.parties[1].ctx.mailbox == []
+    for kind, instance in [("v_vec", "x"), ("oracle_out", "undeclared")]:
+        with pytest.raises(ValueError, match=f"{kind!r} under instance {instance!r}"):
+            engine.parties[2].ctx.inbox(kind, instance)
+    # the table is the one made at start, and nothing was filed into it
+    assert engine._filing == {key: [[] for _ in range(6)] for key in wire.keys({})}
+    assert engine.parties[1].ctx.mailbox == []
 
 
 def test_junk_instance_flood_grows_no_engine_table(monkeypatch):
-    # rows exist only for keys some party asked for, so 1,000 instance
-    # names nobody reads leave the engine's filing table as it was. The
+    # the table's keys are fixed at engine start, so 1,000 instance names
+    # nobody reads leave the engine's filing table as it was. The
     # schema sizes the flood, not its sender: mail it refuses (an echo under
     # no declared instance) carries 0 bits, and a well-formed v_vec n bits
     sizes = []
