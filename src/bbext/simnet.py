@@ -714,14 +714,10 @@ class Engine:
         """Serve one pending entry per tick (see the class docstring). The
         loop files each entry itself, by the filing rule for its one
         destination, rather than through ``_deliver``, whose call and
-        destination tuple would cost more per tick than the filing does, and
-        keeps the filing row of the last envelope it filed, so the ticks of
-        one broadcast served in a row look its key up once; the rows are
-        opened at engine start from ``wire``'s key rule, so a row looked up
-        stays the row of that key for the whole run. What a tick
-        reads is bound once per run; ``self._resume`` is bound as the
-        run starts, so a wrapper installed on ``Engine._resume`` before then
-        sees every resume. Under a policy whose ``pick`` is the base
+        destination tuple would cost more per tick than the filing does.
+        What a tick reads is bound once per run; ``self._resume`` is bound as
+        the run starts, so a wrapper installed on ``Engine._resume`` before
+        then sees every resume. Under a policy whose ``pick`` is the base
         ``SchedulerPolicy.pick`` every tick takes the oldest entry without
         calling it, by a cursor into ``pending`` whose served prefix is cut
         off every ``_FIFO_CUT`` ticks and when the loop ends, rather than by
@@ -738,9 +734,6 @@ class Engine:
         n_fair = 10 * self.params.n * self.params.n
         tick = self.tick
         head = 0  # entries below it are served; nonzero only under the base policy
-        # the last envelope filed and its filing row (None for a key outside
-        # the table, which is fixed at start)
-        last = row = None
         try:
             while head < len(pending):
                 tick += 1
@@ -759,8 +752,7 @@ class Engine:
                                            else pick(pending, rng))
                 if env.payload is not refused:
                     mailboxes[dst].append(env)
-                    if env is not last:
-                        last, row = env, filing.get((env.kind, env.instance))
+                    row = filing.get((env.kind, env.instance))
                     if row is not None:
                         row[dst].append(env)
                 if trace is not None:

@@ -9,8 +9,10 @@ Matching is exact and canonical for every n: Edmonds' blossom algorithm
 over the edges in lex order keeps each edge whose endpoints can be removed
 at the cost of exactly one matched edge, with a blossom search as that size
 test. The result is the lexicographically smallest maximum matching as
-sorted edge lists compare. Brute-force and subset-DP oracles for tests live
-in the test suite, not here.
+sorted edge lists compare. The blossom search and the lex pass read a
+vertex's neighbours from its row bitmask, masked by the vertices still
+alive, lowest bit first; no neighbour list is built. Brute-force and
+subset-DP oracles for tests live in the test suite, not here.
 
 Deletion lemma. A graph that gains an edge loses one edge e from its
 complement h. Let M be the canonical matching of h. If e is not in M, M is
@@ -100,13 +102,13 @@ class StarResult:
     D: frozenset[int]
 
 
-def _augment(adj: list[list[int]] | dict[int, list[int]], alive: int, match: list[int],
-             root: int) -> bool:
+def _augment(rows: tuple[int, ...], alive: int, match: list[int], root: int) -> bool:
     """Edmonds search from the free vertex root within the alive vertices.
 
     Grows an alternating tree, contracting each odd cycle (blossom) into its
-    base. Flips the augmenting path into match and returns True when one is
-    found; otherwise leaves match untouched and returns False.
+    base; a vertex's neighbours are read from its row masked by alive,
+    lowest bit first. Flips the augmenting path into match and returns True
+    when one is found; otherwise leaves match untouched and returns False.
     """
     n = len(match)
     base = list(range(n))
@@ -140,8 +142,12 @@ def _augment(adj: list[list[int]] | dict[int, list[int]], alive: int, match: lis
     while head < len(queue):
         v = queue[head]
         head += 1
-        for u in adj[v]:
-            if not alive >> u & 1 or base[v] == base[u] or match[v] == u:
+        m = rows[v] & alive
+        while m:
+            low = m & -m
+            m ^= low
+            u = low.bit_length() - 1
+            if base[v] == base[u] or match[v] == u:
                 continue
             if u == root or (match[u] >= 0 and parent[match[u]] >= 0):
                 b = lca(v, u)
@@ -170,18 +176,17 @@ def _augment(adj: list[list[int]] | dict[int, list[int]], alive: int, match: lis
 
 @lru_cache(maxsize=4096)
 def _matching_cached(n: int, rows: tuple[int, ...]) -> frozenset[tuple[int, int]]:
-    adj = [[j for j in range(n) if r >> j & 1] for r in rows]
-    alive = (1 << n) - 1
+    alive = free = (1 << n) - 1
     match = [-1] * n
     for v in range(n):
-        if match[v] < 0:
-            for u in adj[v]:
-                if match[u] < 0:
-                    match[u], match[v] = v, u
-                    break
+        m = rows[v] & free
+        if m and free >> v & 1:
+            u = (m & -m).bit_length() - 1
+            match[u], match[v] = v, u
+            free ^= (1 << u) | (1 << v)
     for v in range(n):
         if match[v] < 0:
-            _augment(adj, alive, match, v)
+            _augment(rows, alive, match, v)
     # Greedy pass in lex order: keep (i, j) when the alive vertices without
     # i and j still have a matching one smaller than the current maximum.
     # match is kept maximum on the alive vertices throughout.
@@ -189,15 +194,17 @@ def _matching_cached(n: int, rows: tuple[int, ...]) -> frozenset[tuple[int, int]
     for i in range(n):
         if not alive >> i & 1:
             continue
-        for j in adj[i]:
-            if j < i or not alive >> j & 1:
-                continue
+        m = rows[i] & alive >> (i + 1) << (i + 1)  # alive neighbours above i
+        while m:
+            low = m & -m
+            m ^= low
+            j = low.bit_length() - 1
             mi, mj = match[i], match[j]
             if mi != j and mi >= 0 and mj >= 0:
                 # An augmenting path of the rest must end at a freed mate.
                 rest = alive ^ (1 << i) ^ (1 << j)
                 match[i] = match[j] = match[mi] = match[mj] = -1
-                if not (_augment(adj, rest, match, mi) or _augment(adj, rest, match, mj)):
+                if not (_augment(rows, rest, match, mi) or _augment(rows, rest, match, mj)):
                     match[i], match[j], match[mi], match[mj] = mi, mj, i, j
                     continue
             else:
@@ -210,39 +217,20 @@ def _matching_cached(n: int, rows: tuple[int, ...]) -> frozenset[tuple[int, int]
     return frozenset(chosen)
 
 
-class _LazyAdjacency(dict):
-    """Ascending 0-based neighbor lists of a graph's rows, each built when a
-    search first reaches its vertex."""
-
-    def __init__(self, rows: tuple[int, ...]):
-        super().__init__()
-        self.rows = rows
-
-    def __missing__(self, v: int) -> list[int]:
-        out = []
-        mask = self.rows[v]
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        self[v] = out
-        return out
-
-
 def _outgrow(h: PartyGraph, matching: frozenset[tuple[int, int]], t: int):
     """A matching of h with more than t edges, grown from `matching` (a
-    matching of h) along augmenting paths, or None when h has none. One
-    search per free vertex suffices: a vertex without an augmenting path
-    never gains one by later augmentations."""
-    n = h.n
-    adj = _LazyAdjacency(h.rows)
+    matching of h) along augmenting paths, or None when h has none. The
+    searches read h's rows in place. One search per free vertex suffices: a
+    vertex without an augmenting path never gains one by later
+    augmentations."""
+    n, rows = h.n, h.rows
     match = [-1] * n
     for u, v in matching:
         match[u - 1], match[v - 1] = v - 1, u - 1
     size = len(matching)
     alive = (1 << n) - 1
     for v in range(n):
-        if match[v] < 0 and _augment(adj, alive, match, v):
+        if match[v] < 0 and _augment(rows, alive, match, v):
             size += 1
             if size > t:
                 return frozenset((u + 1, w + 1) for u, w in enumerate(match) if u < w)

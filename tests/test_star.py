@@ -590,6 +590,144 @@ def test_star_module_caches_are_bounded():
         assert cache.cache_info().maxsize is not None, cache.__name__
 
 
+# --- the blossom search against its reference ----------------------------------
+
+
+def reference_augment(adj: list[list[int]], alive: int, match: list[int], root: int) -> bool:
+    """Reference for ``star._augment``, the same Edmonds search walking
+    ascending neighbour lists and skipping the vertices outside alive."""
+    n = len(match)
+    base = list(range(n))
+    parent = [-1] * n
+    outer = 1 << root
+    queue = [root]
+
+    def lca(a: int, b: int) -> int:
+        seen = 0
+        while True:
+            a = base[a]
+            seen |= 1 << a
+            if match[a] < 0:
+                break
+            a = parent[match[a]]
+        while True:
+            b = base[b]
+            if seen >> b & 1:
+                return b
+            b = parent[match[b]]
+
+    def mark(v: int, b: int, child: int, blossom: set[int]) -> None:
+        while base[v] != b:
+            blossom.add(base[v])
+            blossom.add(base[match[v]])
+            parent[v] = child
+            child = match[v]
+            v = parent[match[v]]
+
+    head = 0
+    while head < len(queue):
+        v = queue[head]
+        head += 1
+        for u in adj[v]:
+            if not alive >> u & 1 or base[v] == base[u] or match[v] == u:
+                continue
+            if u == root or (match[u] >= 0 and parent[match[u]] >= 0):
+                b = lca(v, u)
+                blossom: set[int] = set()
+                mark(v, b, u, blossom)
+                mark(u, b, v, blossom)
+                for w in range(n):
+                    if base[w] in blossom:
+                        base[w] = b
+                        if not outer >> w & 1:
+                            outer |= 1 << w
+                            queue.append(w)
+            elif parent[u] < 0:
+                parent[u] = v
+                if match[u] < 0:
+                    while u >= 0:
+                        v = parent[u]
+                        nxt = match[v]
+                        match[u], match[v] = v, u
+                        u = nxt
+                    return True
+                outer |= 1 << match[u]
+                queue.append(match[u])
+    return False
+
+
+def reference_outgrow(h: PartyGraph, matching: frozenset[tuple[int, int]], t: int):
+    """Reference for ``star._outgrow``: one reference search per free vertex
+    over h's neighbour lists."""
+    n = h.n
+    adj = [[j for j in range(n) if r >> j & 1] for r in h.rows]
+    match = [-1] * n
+    for u, v in matching:
+        match[u - 1], match[v - 1] = v - 1, u - 1
+    size = len(matching)
+    for v in range(n):
+        if match[v] < 0 and reference_augment(adj, (1 << n) - 1, match, v):
+            size += 1
+            if size > t:
+                return frozenset((u + 1, w + 1) for u, w in enumerate(match) if u < w)
+    return None
+
+
+@st.composite
+def _searches(draw):
+    """(graph, alive mask, mates, root): a graph at n <= 31, a matching of
+    its alive part, and a free alive root."""
+    n = draw(st.integers(min_value=1, max_value=31), label="n")
+    p = draw(st.sampled_from([0.1, 0.3, 0.6, 0.9]), label="p")
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32), label="seed"))
+    g = random_graph(n, p, rng)
+    alive = draw(st.integers(min_value=1, max_value=(1 << n) - 1), label="alive")
+    match = [-1] * n
+    for u, v in g.edges():
+        u, v = u - 1, v - 1
+        if (alive >> u & alive >> v & 1 and match[u] < 0 and match[v] < 0
+                and draw(st.booleans())):
+            match[u], match[v] = v, u
+    free = [v for v in range(n) if alive >> v & 1 and match[v] < 0]
+    root = draw(st.sampled_from(free)) if free else None
+    return g, alive, match, root
+
+
+@given(_searches(), st.integers(min_value=0, max_value=15))
+def test_search_on_rows_equals_the_adjacency_list_search(search, t):
+    # the same neighbours in the same order: the same result, the same
+    # match left behind, and the same grown matching
+    g, alive, match, root = search
+    if root is not None:
+        got, ref = list(match), list(match)
+        adj = [[j for j in range(g.n) if r >> j & 1] for r in g.rows]
+        assert (star_module._augment(g.rows, alive, got, root)
+                == reference_augment(adj, alive, ref, root))
+        assert got == ref, to_text(g)
+    mates = frozenset((u + 1, w + 1) for u, w in enumerate(match) if u < w)
+    assert star_module._outgrow(g, mates, t) == reference_outgrow(g, mates, t), to_text(g)
+
+
+def test_growing_star_search_count_is_pinned(monkeypatch):
+    # an honest session's insertions: every edge, shuffled; 179 is what the
+    # adjacency-list search (reference_augment) ran, so the search on the
+    # rows runs exactly its searches
+    calls = [0]
+
+    def counted(*args, _fn=star_module._augment):
+        calls[0] += 1
+        return _fn(*args)
+
+    monkeypatch.setattr(star_module, "_augment", counted)
+    star_module._matching_cached.cache_clear()
+    n = 16
+    growing = GrowingStar(n, (n - 1) // 3)
+    edges = list(itertools.combinations(range(1, n + 1), 2))
+    random.Random(0).shuffle(edges)
+    stars = sum(growing.add_edge(u, v) is not NOSTAR for u, v in edges)
+    assert (calls[0], stars) == (179, 9)
+
+
 class _StaleMatchingStar(GrowingStar):
     """GrowingStar with a planted bug: deleting a matched complement edge
     drops it from the carried matching without marking the rest stale, so
